@@ -278,7 +278,11 @@ impl<P: Clone> Core<P> {
     }
 
     fn prune(&mut self, stable_up_to: u64) {
-        self.log = self.log.split_off(&(stable_up_to + 1));
+        // Every tick comes through here, and `split_off` allocates a new
+        // tree even when it drops nothing.
+        if self.log.first_key_value().is_some_and(|(&seq, _)| seq <= stable_up_to) {
+            self.log = self.log.split_off(&(stable_up_to + 1));
+        }
     }
 
     /// Emit stability traffic for an advanced received prefix: followers
@@ -1077,6 +1081,8 @@ mod tests {
         assert_eq!(e.log_len(), 3);
         e.prune(2);
         assert_eq!(e.log_len(), 1);
+        e.prune(2);
+        assert_eq!(e.log_len(), 1, "nothing at or below 2 is left: a no-op");
         e.prune(100);
         assert_eq!(e.log_len(), 0);
     }

@@ -33,12 +33,16 @@ pub trait Policy: fmt::Debug {
     fn clone_box(&self) -> Box<dyn Policy>;
 
     /// Pick the next job to start, or `None` if nothing can run now.
-    /// `queued` is in submission order and contains only `Queued` jobs;
+    /// `queued` yields the `Queued` jobs in submission order and is
+    /// *pulled*: take only what the decision needs, since the backlog can
+    /// be thousands of jobs and every scheduling pass calls this. Each call
+    /// gets a fresh iterator from the queue head, so the decision must not
+    /// depend on how far an earlier call iterated.
     /// `running` contains `Running` jobs with their start times.
     fn select(
         &self,
         now: SimTime,
-        queued: &[&Job],
+        queued: &mut dyn Iterator<Item = &Job>,
         pool: &NodePool,
         running: &[(&Job, SimTime)],
     ) -> Option<Allocation>;
@@ -67,14 +71,14 @@ impl Policy for FifoExclusive {
     fn select(
         &self,
         _now: SimTime,
-        queued: &[&Job],
+        queued: &mut dyn Iterator<Item = &Job>,
         pool: &NodePool,
         running: &[(&Job, SimTime)],
     ) -> Option<Allocation> {
         if !running.is_empty() || !pool.all_idle() {
             return None;
         }
-        let head = queued.first()?;
+        let head = queued.next()?;
         let nodes = pool.online_nodes();
         if nodes.is_empty() || (head.spec.nodes as usize) > nodes.len() {
             return None;
@@ -100,11 +104,11 @@ impl Policy for FifoShared {
     fn select(
         &self,
         _now: SimTime,
-        queued: &[&Job],
+        queued: &mut dyn Iterator<Item = &Job>,
         pool: &NodePool,
         _running: &[(&Job, SimTime)],
     ) -> Option<Allocation> {
-        let head = queued.first()?;
+        let head = queued.next()?;
         let free = pool.free_nodes();
         let want = head.spec.nodes as usize;
         if want == 0 || want > free.len() {
@@ -134,11 +138,11 @@ impl Policy for Backfill {
     fn select(
         &self,
         now: SimTime,
-        queued: &[&Job],
+        queued: &mut dyn Iterator<Item = &Job>,
         pool: &NodePool,
         running: &[(&Job, SimTime)],
     ) -> Option<Allocation> {
-        let head = queued.first()?;
+        let head = queued.next()?;
         let free = pool.free_nodes();
         let want_head = head.spec.nodes as usize;
         if want_head <= free.len() && want_head > 0 {
@@ -162,7 +166,7 @@ impl Policy for Backfill {
         }
         // Backfill candidates: first fitting job that finishes (by
         // walltime) before the head's reservation.
-        for j in queued.iter().skip(1) {
+        for j in queued {
             let want = j.spec.nodes as usize;
             if want == 0 || want > free.len() {
                 continue;
@@ -200,7 +204,7 @@ mod tests {
         let j1 = job(1, 1, 100);
         let j2 = job(2, 1, 100);
         let alloc = FifoExclusive
-            .select(T0, &[&j1, &j2], &p, &[])
+            .select(T0, &mut [&j1, &j2].into_iter(), &p, &[])
             .expect("idle cluster must schedule");
         assert_eq!(alloc.job, JobId(1));
         assert_eq!(alloc.nodes.len(), 4, "exclusive = all nodes");
@@ -214,14 +218,14 @@ mod tests {
         let mut running = job(1, 1, 100);
         running.state = crate::job::JobState::Running;
         running.allocated = vec!["c00".into()];
-        assert!(FifoExclusive.select(T0, &[&j2], &p, &[(&running, T0)]).is_none());
+        assert!(FifoExclusive.select(T0, &mut [&j2].into_iter(), &p, &[(&running, T0)]).is_none());
     }
 
     #[test]
     fn exclusive_refuses_oversized_job() {
         let p = pool(2);
         let big = job(1, 5, 100);
-        assert!(FifoExclusive.select(T0, &[&big], &p, &[]).is_none());
+        assert!(FifoExclusive.select(T0, &mut [&big].into_iter(), &p, &[]).is_none());
     }
 
     #[test]
@@ -229,7 +233,7 @@ mod tests {
         let mut p = pool(4);
         p.allocate(&["c00".to_string()]);
         let j = job(7, 2, 100);
-        let alloc = FifoShared.select(T0, &[&j], &p, &[]).unwrap();
+        let alloc = FifoShared.select(T0, &mut [&j].into_iter(), &p, &[]).unwrap();
         assert_eq!(alloc.nodes, vec!["c01".to_string(), "c02".to_string()]);
     }
 
@@ -240,7 +244,7 @@ mod tests {
         let head = job(1, 3, 100); // needs 3, only 2 free
         let small = job(2, 1, 1);
         assert!(
-            FifoShared.select(T0, &[&head, &small], &p, &[]).is_none(),
+            FifoShared.select(T0, &mut [&head, &small].into_iter(), &p, &[]).is_none(),
             "FIFO must not let job 2 overtake"
         );
     }
@@ -255,7 +259,7 @@ mod tests {
         let head = job(1, 3, 100); // blocked: 2 free < 3
         let short = job(2, 1, 10); // fits and ends before head could start
         let alloc = Backfill
-            .select(T0, &[&head, &short], &p, &[(&running, T0)])
+            .select(T0, &mut [&head, &short].into_iter(), &p, &[(&running, T0)])
             .expect("short job should backfill");
         assert_eq!(alloc.job, JobId(2));
     }
@@ -269,7 +273,8 @@ mod tests {
         running.allocated = vec!["c00".into(), "c01".into()];
         let head = job(1, 3, 100); // could start at t+50
         let long = job(2, 1, 500); // would block a node past t+50
-        assert!(Backfill.select(T0, &[&head, &long], &p, &[(&running, T0)]).is_none());
+        let picked = Backfill.select(T0, &mut [&head, &long].into_iter(), &p, &[(&running, T0)]);
+        assert!(picked.is_none());
     }
 
     #[test]
@@ -277,7 +282,27 @@ mod tests {
         let p = pool(4);
         let head = job(1, 2, 100);
         let other = job(2, 1, 1);
-        let alloc = Backfill.select(T0, &[&head, &other], &p, &[]).unwrap();
+        let alloc = Backfill.select(T0, &mut [&head, &other].into_iter(), &p, &[]).unwrap();
         assert_eq!(alloc.job, JobId(1));
+    }
+
+    #[test]
+    fn policies_pull_only_what_they_need() {
+        let mut p = pool(4);
+        let waiting: Vec<Job> = (1..=50).map(|i| job(i, 3, 100)).collect();
+        let pulled_by = |policy: &dyn Policy, p: &NodePool| {
+            let mut pulled = 0;
+            let _ = policy.select(T0, &mut waiting.iter().inspect(|_| pulled += 1), p, &[]);
+            pulled
+        };
+        // Head fits: nobody looks behind it.
+        for policy in [&FifoExclusive as &dyn Policy, &FifoShared, &Backfill] {
+            assert_eq!(pulled_by(policy, &p), 1, "{}", policy.name());
+        }
+        // Head blocked: the FIFO policies stop there, backfill walks on.
+        p.allocate(&["c00".to_string(), "c01".to_string()]);
+        assert_eq!(pulled_by(&FifoExclusive, &p), 0, "busy cluster: no look at the queue");
+        assert_eq!(pulled_by(&FifoShared, &p), 1);
+        assert_eq!(pulled_by(&Backfill, &p), 50);
     }
 }

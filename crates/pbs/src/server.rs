@@ -19,7 +19,7 @@ use crate::job::{exit, Job, JobId, JobSpec, JobState, JobStatus};
 use crate::resources::NodePool;
 use crate::sched::Policy;
 use jrs_sim::{ProcId, SimTime};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Commands of the PBS user interface.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -99,7 +99,7 @@ pub enum MomReport {
 /// consistency checks and for state transfer to joining head nodes.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct ServerSnapshot {
-    /// All jobs in submission order.
+    /// All jobs in submission order, which is ascending id order.
     pub jobs: Vec<Job>,
     /// Next job id counter.
     pub next_id: u64,
@@ -122,16 +122,35 @@ impl ServerSnapshot {
 }
 
 /// The PBS server state machine. See module docs.
+///
+/// Invariant: ids come from the monotone `next_id` counter and jobs are
+/// never removed, so `jobs` in key order *is* submission order (the FIFO
+/// queue order) and no separate order list exists to fall out of step.
 #[derive(Clone, Debug)]
 pub struct PbsServerCore {
     name: String,
     jobs: BTreeMap<JobId, Job>,
-    /// Submission order (defines FIFO queue order).
-    order: Vec<JobId>,
+    /// Ids of the `Queued` jobs: what a scheduling pass walks, instead of
+    /// every job ever submitted. Derived from `jobs` (only `set_state`
+    /// changes it, `restore` rebuilds it), so it is never snapshotted,
+    /// hashed or encoded.
+    queue: BTreeSet<JobId>,
     next_id: u64,
     pool: NodePool,
     policy: Box<dyn Policy>,
+    /// Start times of exactly the `Running` and `Exiting` jobs.
     running_since: BTreeMap<JobId, SimTime>,
+}
+
+/// The one place a job's state changes, so `queue` cannot drift from the
+/// set of `Queued` jobs.
+fn set_state(queue: &mut BTreeSet<JobId>, job: &mut Job, to: JobState) {
+    if to == JobState::Queued {
+        queue.insert(job.id);
+    } else if job.state == JobState::Queued {
+        queue.remove(&job.id);
+    }
+    job.state = to;
 }
 
 impl PbsServerCore {
@@ -144,7 +163,7 @@ impl PbsServerCore {
         PbsServerCore {
             name: name.into(),
             jobs: BTreeMap::new(),
-            order: Vec::new(),
+            queue: BTreeSet::new(),
             next_id: 1,
             pool: NodePool::new(nodes),
             policy,
@@ -174,7 +193,12 @@ impl PbsServerCore {
 
     /// All jobs in submission order.
     pub fn jobs_in_order(&self) -> impl Iterator<Item = &Job> {
-        self.order.iter().filter_map(|id| self.jobs.get(id))
+        self.jobs.values()
+    }
+
+    /// Ids of the jobs waiting in the queue, in submission order.
+    pub fn queued_ids(&self) -> impl Iterator<Item = JobId> + '_ {
+        self.queue.iter().copied()
     }
 
     /// Count of jobs in a given state.
@@ -189,21 +213,20 @@ impl PbsServerCore {
             ServerCmd::Qsub(spec) => {
                 let id = JobId(self.next_id);
                 self.next_id += 1;
-                self.jobs.insert(id, Job::queued(id, spec.clone()));
-                self.order.push(id);
-                let actions = self.schedule(now);
-                (CmdReply::Submitted(id), actions)
+                let job = self.jobs.entry(id).or_insert_with(|| Job::queued(id, spec.clone()));
+                set_state(&mut self.queue, job, JobState::Queued);
+                (CmdReply::Submitted(id), self.kick_schedule(now))
             }
             ServerCmd::Qdel(id) => match self.jobs.get_mut(id) {
                 None => (CmdReply::Error(format!("unknown job {id}")), vec![]),
                 Some(job) => match job.state {
                     JobState::Queued | JobState::Held => {
-                        job.state = JobState::Complete;
+                        set_state(&mut self.queue, job, JobState::Complete);
                         job.exit_status = Some(exit::CANCELLED);
-                        (CmdReply::Deleted(*id), self.schedule(now))
+                        (CmdReply::Deleted(*id), self.kick_schedule(now))
                     }
                     JobState::Running => {
-                        job.state = JobState::Exiting;
+                        set_state(&mut self.queue, job, JobState::Exiting);
                         let mom = job
                             .allocated
                             .first()
@@ -228,7 +251,7 @@ impl PbsServerCore {
             }
             ServerCmd::Qhold(id) => match self.jobs.get_mut(id) {
                 Some(job) if job.state == JobState::Queued => {
-                    job.state = JobState::Held;
+                    set_state(&mut self.queue, job, JobState::Held);
                     (CmdReply::Held(*id), vec![])
                 }
                 Some(job) => (
@@ -242,8 +265,8 @@ impl PbsServerCore {
             },
             ServerCmd::Qrls(id) => match self.jobs.get_mut(id) {
                 Some(job) if job.state == JobState::Held => {
-                    job.state = JobState::Queued;
-                    (CmdReply::Released(*id), self.schedule(now))
+                    set_state(&mut self.queue, job, JobState::Queued);
+                    (CmdReply::Released(*id), self.kick_schedule(now))
                 }
                 Some(job) => (
                     CmdReply::Error(format!(
@@ -274,12 +297,12 @@ impl PbsServerCore {
                     // waits for its fresh run.
                     return vec![];
                 }
-                j.state = JobState::Complete;
+                set_state(&mut self.queue, j, JobState::Complete);
                 j.exit_status = Some(*exit);
                 let nodes = std::mem::take(&mut j.allocated);
                 self.pool.release(&nodes);
                 self.running_since.remove(job);
-                self.schedule(now)
+                self.kick_schedule(now)
             }
         }
     }
@@ -292,25 +315,18 @@ impl PbsServerCore {
     pub fn requeue_all_running(&mut self, now: SimTime) -> (Vec<JobId>, Vec<ServerAction>) {
         let mut requeued = Vec::new();
         let mut actions = Vec::new();
-        let running_ids: Vec<JobId> = self
-            .jobs
-            .values()
-            .filter(|j| matches!(j.state, JobState::Running | JobState::Exiting))
-            .map(|j| j.id)
-            .collect();
-        for id in running_ids {
-            // The id was collected from `jobs` above, but degrade rather
+        for id in std::mem::take(&mut self.running_since).into_keys() {
+            // `running_since` only names known jobs, but degrade rather
             // than panic on the delivery path if that ever changes (F003).
             let Some(j) = self.jobs.get_mut(&id) else { continue };
             let nodes = std::mem::take(&mut j.allocated);
-            j.state = JobState::Queued;
+            set_state(&mut self.queue, j, JobState::Queued);
             let mom = nodes.first().and_then(|n| self.pool.mom_of(n));
             self.pool.release(&nodes);
-            self.running_since.remove(&id);
             actions.push(ServerAction::Cancel { mom, job: id });
             requeued.push(id);
         }
-        actions.extend(self.schedule(now));
+        actions.extend(self.kick_schedule(now));
         (requeued, actions)
     }
 
@@ -318,39 +334,30 @@ impl PbsServerCore {
     pub fn set_node_online(&mut self, now: SimTime, node: &str, online: bool) -> Vec<ServerAction> {
         if online {
             self.pool.set_online(node);
-            self.schedule(now)
+            self.kick_schedule(now)
         } else {
             self.pool.set_offline(node);
             vec![]
         }
     }
 
-    /// Run a scheduling pass outside the normal command/report triggers.
-    /// Recovery uses this after restoring durable state: queued jobs must
-    /// not wait for the next client command to be considered.
+    /// Run a scheduling pass: start queued jobs until the policy finds
+    /// nothing more that can run. Every command and report that can change
+    /// the answer runs one itself; recovery calls this after restoring
+    /// durable state, because queued jobs must not wait for the next client
+    /// command to be considered.
     pub fn kick_schedule(&mut self, now: SimTime) -> Vec<ServerAction> {
-        self.schedule(now)
-    }
-
-    fn schedule(&mut self, now: SimTime) -> Vec<ServerAction> {
         let mut actions = Vec::new();
-        loop {
-            let queued_ids: Vec<JobId> = self
-                .order
-                .iter()
-                .copied()
-                .filter(|id| self.jobs[id].state == JobState::Queued)
-                .collect();
-            if queued_ids.is_empty() {
-                break;
-            }
-            let queued: Vec<&Job> = queued_ids.iter().map(|id| &self.jobs[id]).collect();
+        while !self.queue.is_empty() {
             let running: Vec<(&Job, SimTime)> = self
                 .running_since
                 .iter()
                 .filter_map(|(id, t)| self.jobs.get(id).map(|j| (j, *t)))
                 .collect();
-            let Some(alloc) = self.policy.select(now, &queued, &self.pool, &running) else {
+            // The policy pulls from the queue head; a job is looked up
+            // only when it does.
+            let mut queued = self.queue.iter().filter_map(|id| self.jobs.get(id));
+            let Some(alloc) = self.policy.select(now, &mut queued, &self.pool, &running) else {
                 break;
             };
             // Check the job before committing the allocation: a policy
@@ -358,7 +365,7 @@ impl PbsServerCore {
             // replica mid-delivery (F003).
             let Some(job) = self.jobs.get_mut(&alloc.job) else { break };
             self.pool.allocate(&alloc.nodes);
-            job.state = JobState::Running;
+            set_state(&mut self.queue, job, JobState::Running);
             job.allocated = alloc.nodes.clone();
             self.running_since.insert(alloc.job, now);
             let mom = alloc.nodes.first().and_then(|n| self.pool.mom_of(n));
@@ -406,8 +413,17 @@ impl PbsServerCore {
 
     /// Restore state from a snapshot (joining replica).
     pub fn restore(&mut self, snap: &ServerSnapshot) {
+        debug_assert!(
+            snap.jobs.iter().map(|j| j.id.0).chain([snap.next_id]).is_sorted_by(|a, b| a < b),
+            "snapshot jobs must be in id (= submission) order, below next_id"
+        );
         self.jobs = snap.jobs.iter().map(|j| (j.id, j.clone())).collect();
-        self.order = snap.jobs.iter().map(|j| j.id).collect();
+        self.queue = snap
+            .jobs
+            .iter()
+            .filter(|j| j.state == JobState::Queued)
+            .map(|j| j.id)
+            .collect();
         self.next_id = snap.next_id;
         // Keep our own mom registrations but adopt allocation states.
         let moms: Vec<(String, ProcId)> = self
