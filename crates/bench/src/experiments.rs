@@ -1,6 +1,6 @@
-//! Experiment runners shared by the table binaries and the Criterion
-//! benches. Each runs a full virtual cluster and returns the measured
-//! figures; all runs are deterministic for a given seed.
+//! Experiment runners shared by the table binaries. Each runs a full
+//! virtual cluster and returns the measured figures; all runs are
+//! deterministic for a given seed.
 
 use joshua_core::cluster::{Cluster, ClusterConfig, HaMode};
 use joshua_core::workload;

@@ -1,8 +1,9 @@
 //! # jrs-bench — experiment harness for the JOSHUA reproduction
 //!
 //! One runner per paper artifact (tables/figures) plus ablations; the
-//! binaries in `src/bin/` print paper-style tables and the Criterion
-//! benches in `benches/` measure the real implementation.
+//! binaries in `src/bin/` print paper-style tables, and the repo
+//! benchmark in `src/benchmark/` (a package of its own, see
+//! `BENCHMARK.json`) measures the real implementation's host time.
 
 #![warn(missing_docs)]
 
