@@ -1196,4 +1196,438 @@ mod tests {
         assert_eq!(out.deliver.len(), 1);
         assert_eq!(out.deliver[0].payload, "b");
     }
+
+    // ---- send-order golden -------------------------------------------
+    //
+    // The order of `EngineOut::sends` fixes the frame order on every link
+    // and with it every sim-time row of the experiments. Nothing else pins
+    // it: the tests above look for a message *somewhere* in `sends`, and
+    // Fig 10 sees the order only through latencies. The script below runs
+    // three engines over one FIFO queue and writes down every stimulus and
+    // exactly what it produced; the transcripts are the contract.
+
+    type Msg = EngineMsg<&'static str>;
+
+    fn show(m: &Msg) -> String {
+        match m {
+            EngineMsg::Request { local_id, .. } => format!("Request#{local_id}"),
+            EngineMsg::Ordered(m) => format!("Ordered#{}", m.seq),
+            EngineMsg::Ack { up_to } => format!("Ack#{up_to}"),
+            EngineMsg::Stable { up_to } => format!("Stable#{up_to}"),
+            EngineMsg::Token { next_seq, .. } => format!("Token#{next_seq}"),
+        }
+    }
+
+    /// Members 1..=3, one FIFO queue between them, a transcript line per
+    /// stimulus: `who what: from>to Variant#n ... !seq payload ...`.
+    struct Script {
+        engines: Vec<Engine<&'static str>>,
+        queue: VecDeque<(ProcId, ProcId, Msg)>,
+        now: SimTime,
+        lines: Vec<String>,
+        delivered: Vec<String>,
+    }
+
+    impl Script {
+        fn new(kind: EngineKind) -> Self {
+            let idle_pass = SimDuration::from_millis(5);
+            let retry = SimDuration::from_millis(20);
+            Script {
+                engines: (1..=3)
+                    .map(|i| Engine::with_retry(kind, p(i), idle_pass, retry))
+                    .collect(),
+                queue: VecDeque::new(),
+                now: T0,
+                lines: Vec::new(),
+                delivered: vec![String::new(); 3],
+            }
+        }
+
+        fn engine(&mut self, i: u32) -> &mut Engine<&'static str> {
+            &mut self.engines[i as usize - 1]
+        }
+
+        fn absorb(&mut self, who: u32, what: &str, out: EngineOut<&'static str>) {
+            let mut line = format!("{who} {what}:");
+            for (to, m) in out.sends {
+                line += &format!(" {who}>{} {}", to.0, show(&m));
+                self.queue.push_back((p(who), to, m));
+            }
+            for m in out.deliver {
+                line += &format!(" !{}{}", m.seq, m.payload);
+                self.delivered[who as usize - 1] += m.payload;
+            }
+            self.lines.push(line);
+        }
+
+        fn install(&mut self, members: &[u32], next_seq: u64, dedup: &[(ProcId, u64)]) {
+            let mem: Vec<ProcId> = members.iter().map(|&i| p(i)).collect();
+            for &i in members {
+                let now = self.now;
+                let out = self.engine(i).install(now, mem.clone(), next_seq, dedup, i == members[0]);
+                self.absorb(i, "install", out);
+            }
+        }
+
+        fn submit(&mut self, i: u32, payload: &'static str) {
+            let now = self.now;
+            let out = self.engine(i).submit(now, payload);
+            self.absorb(i, &format!("submit {payload}"), out);
+        }
+
+        fn halt(&mut self, i: u32) {
+            self.engine(i).halt();
+            self.lines.push(format!("{i} halt"));
+        }
+
+        fn resume(&mut self, i: u32) {
+            let now = self.now;
+            let out = self.engine(i).resume(now);
+            self.absorb(i, "resume", out);
+        }
+
+        /// Deliver everything in flight, in FIFO order.
+        fn pump(&mut self) {
+            while let Some((from, to, m)) = self.queue.pop_front() {
+                let halted = if self.engine(to.0).is_active() { "" } else { " (halted)" };
+                let what = format!("<{} {}{halted}", from.0, show(&m));
+                let now = self.now;
+                let out = self.engine(to.0).on_msg(now, from, m);
+                self.absorb(to.0, &what, out);
+            }
+        }
+
+        /// One 5 ms engine tick at every member, halted or not (as
+        /// `GroupMember::tick` does); silent ticks leave no line.
+        fn tick(&mut self) {
+            self.now += SimDuration::from_millis(5);
+            for i in 1..=3 {
+                let now = self.now;
+                let out = self.engine(i).tick(now);
+                if !(out.sends.is_empty() && out.deliver.is_empty()) {
+                    self.absorb(i, "tick", out);
+                }
+            }
+        }
+
+        fn rounds(&mut self, n: usize) {
+            for _ in 0..n {
+                self.pump();
+                self.tick();
+            }
+            self.pump();
+        }
+
+        /// Pump and tick until `who` have nothing pending and agree on what
+        /// is delivered.
+        fn settle(&mut self, who: &[u32]) {
+            for _ in 0..200 {
+                self.pump();
+                let first = self.engine(who[0]).delivered_up_to();
+                if who
+                    .iter()
+                    .all(|&i| self.engine(i).pending_count() == 0 && self.engine(i).delivered_up_to() == first)
+                {
+                    return;
+                }
+                self.tick();
+            }
+            panic!("script did not settle:\n{}", self.lines.join("\n"));
+        }
+
+        /// What the coordinator of a view change does with the digests of
+        /// `survivors` (see `GroupMember::try_conclude`): union, next
+        /// sequence number, merged dedup floors; then `apply_flush` and
+        /// `install` at each survivor.
+        fn view_change(&mut self, survivors: &[u32]) {
+            let known = self.engine(survivors[0]).delivered_up_to();
+            let digests: Vec<FlushDigest<&'static str>> =
+                survivors.iter().map(|&i| self.engine(i).digest(known)).collect();
+            let mut union = BTreeMap::new();
+            let mut dedup = BTreeMap::new();
+            for d in &digests {
+                for m in &d.extra {
+                    union.entry(m.seq).or_insert_with(|| m.clone());
+                }
+                for &(origin, l) in &d.dedup {
+                    let e = dedup.entry(origin).or_insert(0);
+                    *e = l.max(*e);
+                }
+            }
+            let msgs: Vec<OrderedMsg<&'static str>> = union.into_values().collect();
+            for m in &msgs {
+                let e = dedup.entry(m.origin).or_insert(0);
+                *e = m.local_id.max(*e);
+            }
+            let next_seq = msgs.last().map_or(known, |m| m.seq) + 1;
+            let dedup: Vec<(ProcId, u64)> = dedup.into_iter().collect();
+            for &i in survivors {
+                let deliver = self.engine(i).apply_flush(&msgs, next_seq);
+                self.absorb(i, "apply_flush", EngineOut { sends: vec![], deliver });
+            }
+            self.install(survivors, next_seq, &dedup);
+        }
+    }
+
+    fn golden_script(kind: EngineKind) -> Script {
+        let mut s = Script::new(kind);
+        s.install(&[1, 2, 3], 1, &[]);
+        // One submission from each member.
+        s.submit(1, "a");
+        s.submit(2, "b");
+        s.submit(3, "c");
+        s.settle(&[1, 2, 3]);
+        // A follower halts (flush pending) with ordering traffic in
+        // flight, buffers what arrives, and resumes (flush aborted).
+        s.submit(1, "d");
+        s.pump();
+        s.halt(2);
+        s.tick();
+        s.submit(3, "e");
+        s.rounds(2);
+        s.resume(2);
+        s.settle(&[1, 2, 3]);
+        // The same for the leader, with its own submission in flight; a
+        // follower's submission has to get through afterwards (request
+        // retry / the kept token).
+        s.submit(1, "f");
+        s.halt(1);
+        s.submit(2, "g");
+        s.rounds(2);
+        s.resume(1);
+        s.settle(&[1, 2, 3]);
+        // Member 3 is dropped from the view while member 2 has one
+        // submission on its way to the halted leader and one queued.
+        s.halt(1);
+        s.submit(2, "h");
+        s.pump();
+        s.halt(2);
+        s.halt(3);
+        s.submit(2, "i");
+        s.view_change(&[1, 2]);
+        s.settle(&[1, 2]);
+        s
+    }
+
+    fn assert_golden(kind: EngineKind, want: &str) {
+        let s = golden_script(kind);
+        let got = s.lines.join("\n");
+        let want: Vec<&str> = want.lines().map(str::trim).filter(|l| !l.is_empty()).collect();
+        assert_eq!(got, want.join("\n"), "transcript of {kind:?}:\n{got}\n");
+        assert_eq!(s.delivered[0], "abcdefghi", "member 1");
+        assert_eq!(s.delivered[1], "abcdefghi", "member 2");
+        assert_eq!(s.delivered[2], "abcdefg", "member 3 left before h and i");
+    }
+
+    #[test]
+    fn send_order_golden_sequencer() {
+        assert_golden(
+            EngineKind::Sequencer,
+            "
+            1 install:
+            2 install:
+            3 install:
+            1 submit a: 1>2 Ordered#1 1>3 Ordered#1
+            2 submit b: 2>1 Request#1
+            3 submit c: 3>1 Request#1
+            2 <1 Ordered#1: 2>1 Ack#1
+            3 <1 Ordered#1: 3>1 Ack#1
+            1 <2 Request#1: 1>2 Ordered#2 1>3 Ordered#2
+            1 <3 Request#1: 1>2 Ordered#3 1>3 Ordered#3
+            1 <2 Ack#1:
+            1 <3 Ack#1: !1a
+            2 <1 Ordered#2: 2>1 Ack#2
+            3 <1 Ordered#2: 3>1 Ack#2
+            2 <1 Ordered#3: 2>1 Ack#3
+            3 <1 Ordered#3: 3>1 Ack#3
+            1 <2 Ack#2:
+            1 <3 Ack#2: !2b
+            1 <2 Ack#3:
+            1 <3 Ack#3: !3c
+            1 tick: 1>2 Stable#3 1>3 Stable#3
+            2 <1 Stable#3: !1a !2b !3c
+            3 <1 Stable#3: !1a !2b !3c
+            1 submit d: 1>2 Ordered#4 1>3 Ordered#4
+            2 <1 Ordered#4: 2>1 Ack#4
+            3 <1 Ordered#4: 3>1 Ack#4
+            1 <2 Ack#4:
+            1 <3 Ack#4: !4d
+            2 halt
+            1 tick: 1>2 Stable#4 1>3 Stable#4
+            3 submit e: 3>1 Request#2
+            2 <1 Stable#4 (halted):
+            3 <1 Stable#4: !4d
+            1 <3 Request#2: 1>2 Ordered#5 1>3 Ordered#5
+            2 <1 Ordered#5 (halted):
+            3 <1 Ordered#5: 3>1 Ack#5
+            1 <3 Ack#5:
+            3 tick: 3>1 Request#2
+            1 <3 Request#2:
+            2 resume: 2>1 Ack#5 !4d
+            1 <2 Ack#5: !5e
+            1 tick: 1>2 Stable#5 1>3 Stable#5
+            2 <1 Stable#5: !5e
+            3 <1 Stable#5: !5e
+            1 submit f: 1>2 Ordered#6 1>3 Ordered#6
+            1 halt
+            2 submit g: 2>1 Request#2
+            2 <1 Ordered#6: 2>1 Ack#6
+            3 <1 Ordered#6: 3>1 Ack#6
+            1 <2 Request#2 (halted):
+            1 <2 Ack#6 (halted):
+            1 <3 Ack#6 (halted):
+            2 tick: 2>1 Request#2
+            1 <2 Request#2 (halted):
+            1 resume: !6f
+            1 tick: 1>2 Stable#6 1>3 Stable#6
+            2 <1 Stable#6: !6f
+            3 <1 Stable#6: !6f
+            2 tick: 2>1 Request#2
+            1 <2 Request#2: 1>2 Ordered#7 1>3 Ordered#7
+            2 <1 Ordered#7: 2>1 Ack#7
+            3 <1 Ordered#7: 3>1 Ack#7
+            1 <2 Ack#7:
+            1 <3 Ack#7: !7g
+            1 tick: 1>2 Stable#7 1>3 Stable#7
+            2 <1 Stable#7: !7g
+            3 <1 Stable#7: !7g
+            1 halt
+            2 submit h: 2>1 Request#3
+            1 <2 Request#3 (halted):
+            2 halt
+            3 halt
+            2 submit i:
+            1 apply_flush:
+            2 apply_flush:
+            1 install:
+            2 install: 2>1 Request#3 2>1 Request#4
+            1 <2 Request#3: 1>2 Ordered#8
+            1 <2 Request#4: 1>2 Ordered#9
+            2 <1 Ordered#8: 2>1 Ack#8
+            2 <1 Ordered#9: 2>1 Ack#9
+            1 <2 Ack#8: !8h
+            1 <2 Ack#9: !9i
+            1 tick: 1>2 Stable#9
+            2 <1 Stable#9: !8h !9i
+            ",
+        );
+    }
+
+    #[test]
+    fn send_order_golden_token() {
+        assert_golden(
+            EngineKind::Token,
+            "
+            1 install:
+            2 install:
+            3 install:
+            1 submit a: 1>2 Ordered#1 1>3 Ordered#1 1>2 Ack#1 1>3 Ack#1 1>2 Token#2
+            2 submit b:
+            3 submit c:
+            2 <1 Ordered#1: 2>1 Ack#1 2>3 Ack#1
+            3 <1 Ordered#1: 3>1 Ack#1 3>2 Ack#1
+            2 <1 Ack#1:
+            3 <1 Ack#1:
+            2 <1 Token#2: 2>1 Ordered#2 2>3 Ordered#2 2>1 Ack#2 2>3 Ack#2 2>3 Token#3
+            1 <2 Ack#1:
+            3 <2 Ack#1: !1a
+            1 <3 Ack#1: !1a
+            2 <3 Ack#1: !1a
+            1 <2 Ordered#2: 1>2 Ack#2 1>3 Ack#2
+            3 <2 Ordered#2: 3>1 Ack#2 3>2 Ack#2
+            1 <2 Ack#2:
+            3 <2 Ack#2:
+            3 <2 Token#3: 3>1 Ordered#3 3>2 Ordered#3 3>1 Ack#3 3>2 Ack#3 3>1 Token#4
+            2 <1 Ack#2:
+            3 <1 Ack#2: !2b
+            1 <3 Ack#2: !2b
+            2 <3 Ack#2: !2b
+            1 <3 Ordered#3: 1>2 Ack#3 1>3 Ack#3
+            2 <3 Ordered#3: 2>1 Ack#3 2>3 Ack#3
+            1 <3 Ack#3:
+            2 <3 Ack#3:
+            1 <3 Token#4:
+            2 <1 Ack#3: !3c
+            3 <1 Ack#3:
+            1 <2 Ack#3: !3c
+            3 <2 Ack#3: !3c
+            1 submit d: 1>2 Ordered#4 1>3 Ordered#4 1>2 Ack#4 1>3 Ack#4 1>2 Token#5
+            2 <1 Ordered#4: 2>1 Ack#4 2>3 Ack#4
+            3 <1 Ordered#4: 3>1 Ack#4 3>2 Ack#4
+            2 <1 Ack#4:
+            3 <1 Ack#4:
+            2 <1 Token#5:
+            1 <2 Ack#4:
+            3 <2 Ack#4: !4d
+            1 <3 Ack#4: !4d
+            2 <3 Ack#4: !4d
+            2 halt
+            2 tick: 2>3 Token#5
+            3 submit e:
+            3 <2 Token#5: 3>1 Ordered#5 3>2 Ordered#5 3>1 Ack#5 3>2 Ack#5 3>1 Token#6
+            1 <3 Ordered#5: 1>2 Ack#5 1>3 Ack#5
+            2 <3 Ordered#5 (halted):
+            1 <3 Ack#5:
+            2 <3 Ack#5 (halted):
+            1 <3 Token#6:
+            2 <1 Ack#5 (halted):
+            3 <1 Ack#5:
+            1 tick: 1>2 Token#6
+            2 <1 Token#6 (halted):
+            2 tick: 2>3 Token#6
+            3 <2 Token#6: 3>1 Token#6
+            1 <3 Token#6:
+            2 resume: 2>1 Ack#5 2>3 Ack#5 !5e
+            1 <2 Ack#5: !5e
+            3 <2 Ack#5: !5e
+            1 submit f: 1>2 Ordered#6 1>3 Ordered#6 1>2 Ack#6 1>3 Ack#6 1>2 Token#7
+            1 halt
+            2 submit g:
+            2 <1 Ordered#6: 2>1 Ack#6 2>3 Ack#6
+            3 <1 Ordered#6: 3>1 Ack#6 3>2 Ack#6
+            2 <1 Ack#6:
+            3 <1 Ack#6:
+            2 <1 Token#7: 2>1 Ordered#7 2>3 Ordered#7 2>1 Ack#7 2>3 Ack#7 2>3 Token#8
+            1 <2 Ack#6 (halted):
+            3 <2 Ack#6: !6f
+            1 <3 Ack#6 (halted):
+            2 <3 Ack#6: !6f
+            1 <2 Ordered#7 (halted):
+            3 <2 Ordered#7: 3>1 Ack#7 3>2 Ack#7
+            1 <2 Ack#7 (halted):
+            3 <2 Ack#7:
+            3 <2 Token#8:
+            1 <3 Ack#7 (halted):
+            2 <3 Ack#7:
+            3 tick: 3>1 Token#8
+            1 <3 Token#8 (halted):
+            1 tick: 1>2 Token#8
+            2 <1 Token#8: 2>3 Token#8
+            3 <2 Token#8:
+            1 resume: 1>2 Ack#7 1>3 Ack#7 !6f !7g
+            2 <1 Ack#7: !7g
+            3 <1 Ack#7: !7g
+            1 halt
+            2 submit h:
+            2 halt
+            3 halt
+            2 submit i:
+            1 apply_flush:
+            2 apply_flush:
+            1 install:
+            2 install:
+            1 tick: 1>2 Token#8
+            3 tick: 3>1 Token#8
+            2 <1 Token#8: 2>1 Ordered#8 2>1 Ack#8 2>1 Ordered#9 2>1 Ack#9 2>1 Token#10
+            1 <3 Token#8:
+            1 <2 Ordered#8: 1>2 Ack#8
+            1 <2 Ack#8: !8h
+            1 <2 Ordered#9: 1>2 Ack#9
+            1 <2 Ack#9: !9i
+            1 <2 Token#10:
+            2 <1 Ack#8: !8h
+            2 <1 Ack#9: !9i
+            ",
+        );
+    }
 }
