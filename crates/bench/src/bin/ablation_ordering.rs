@@ -5,6 +5,12 @@
 //!
 //! The paper names Spread and Ensemble as candidate Transis replacements;
 //! this ablation quantifies what the ordering mechanism costs.
+//!
+//! The run is fault-free, so no view should ever change: the `views` and
+//! `eject` columns (summed over the heads) show when the group suspected
+//! live members anyway, which is then what the latency columns measure.
+//! A sequencer row with either above zero fails the run; token rows are
+//! printed only (DESIGN.md section 6: token x4 churns).
 
 use joshua_core::cluster::HaMode;
 use jrs_bench::experiments::latency_experiment_with_engine;
@@ -22,6 +28,7 @@ fn main() {
     println!();
 
     let mut rows = Vec::new();
+    let mut sequencer_churn = false;
     for heads in 1..=4usize {
         let seq = latency_experiment_with_engine(
             HaMode::Joshua { heads },
@@ -42,10 +49,30 @@ fn main() {
             format!("{:.0}ms", tok.mean_ms),
             format!("{:.0}ms", tok.p99_ms),
             format!("{:+.0}%", (tok.mean_ms / seq.mean_ms - 1.0) * 100.0),
+            seq.views.to_string(),
+            seq.ejections.to_string(),
+            tok.views.to_string(),
+            tok.ejections.to_string(),
         ]);
+        sequencer_churn |= seq.views + seq.ejections > 0;
     }
     report::table(
-        &["Heads", "Sequencer", "seq p99", "Token", "tok p99", "Token vs Seq"],
+        &[
+            "Heads",
+            "Sequencer",
+            "seq p99",
+            "Token",
+            "tok p99",
+            "Token vs Seq",
+            "seq views",
+            "seq eject",
+            "tok views",
+            "tok eject",
+        ],
         &rows,
     );
+    if sequencer_churn {
+        eprintln!("FAIL: the sequencer group changed views in a fault-free run");
+        std::process::exit(1);
+    }
 }

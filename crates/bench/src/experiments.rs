@@ -4,6 +4,7 @@
 
 use joshua_core::cluster::{Cluster, ClusterConfig, HaMode};
 use joshua_core::workload;
+use joshua_core::JoshuaServer;
 use jrs_gcs::EngineKind;
 use jrs_sim::metrics::DurationHistogram;
 use jrs_sim::{SimDuration, SimTime};
@@ -23,6 +24,11 @@ pub struct LatencyRow {
     pub p99_ms: f64,
     /// Samples.
     pub count: usize,
+    /// Views installed after start-up, summed over the JOSHUA heads (none
+    /// in a fault-free run unless the group suspects a live member).
+    pub views: u64,
+    /// Times a JOSHUA head ejected itself and rejoined, summed likewise.
+    pub ejections: u64,
 }
 
 /// One row of the Figure 11 (submission throughput) table.
@@ -75,6 +81,12 @@ pub fn latency_experiment_with_engine(
         h.record(r.latency);
     }
     let s = h.summary();
+    let (views, ejections) = cluster
+        .heads
+        .iter()
+        .filter_map(|&p| cluster.world.proc_ref::<JoshuaServer>(p))
+        .map(JoshuaServer::group_stats)
+        .fold((0, 0), |(v, e), g| (v + g.view_changes, e + g.ejections));
     LatencyRow {
         label: mode.label(),
         heads: mode.head_count(),
@@ -82,6 +94,8 @@ pub fn latency_experiment_with_engine(
         p50_ms: s.p50.as_millis_f64(),
         p99_ms: s.p99.as_millis_f64(),
         count: s.count,
+        views,
+        ejections,
     }
 }
 

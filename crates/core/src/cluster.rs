@@ -128,6 +128,14 @@ impl Cluster {
         let h = cfg.mode.head_count();
         let c = cfg.compute_nodes;
         assert!(h >= 1 && c >= 1);
+        // Backfill compares walltime estimates with each head's own clock
+        // at delivery, so replicas would start different jobs.
+        let replicated = matches!(cfg.mode, HaMode::Joshua { heads } if heads > 1);
+        assert!(
+            !(replicated && cfg.policy == PolicyKind::Backfill),
+            "PolicyKind::Backfill is not replication-safe and cannot be combined with \
+             {h} JOSHUA heads: use one head, or FifoExclusive / FifoShared"
+        );
 
         // Topology: head nodes first, compute nodes, then a login node.
         let head_nodes: Vec<NodeId> =

@@ -12,8 +12,11 @@ pub enum PolicyKind {
     FifoExclusive,
     /// Space-shared FIFO (deterministic, replication-safe).
     FifoShared,
-    /// Conservative backfill (time-dependent: single-head only; see
-    /// DESIGN.md).
+    /// Conservative backfill. Time-dependent, so rejected at build in
+    /// any multi-head JOSHUA mode ([`Cluster::build`] panics; see
+    /// DESIGN.md section 6).
+    ///
+    /// [`Cluster::build`]: crate::cluster::Cluster::build
     Backfill,
 }
 

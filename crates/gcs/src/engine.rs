@@ -1,11 +1,13 @@
-//! Total-order engines: fixed sequencer (ISIS-style) and rotating token
-//! (Totem-style), both with **safe delivery** (stability).
+//! The total-order engine: one delivery/stability core, with the choice of
+//! who hands out sequence numbers as a policy — a fixed sequencer
+//! (ISIS-style, the default) or a rotating token (Totem-style, kept for
+//! the E5 ablation). Both give **safe delivery** (stability).
 //!
-//! Both engines share a delivery core with three cursors:
+//! The core has three cursors:
 //!
 //! * `recv` — highest sequence number received contiguously;
 //! * `stable` — highest sequence number known to be held by *every* view
-//!   member (cumulative acks, all-to-all);
+//!   member (cumulative acks);
 //! * `delivered` — highest sequence number handed to the application,
 //!   always `min(recv, stable)`.
 //!
@@ -17,11 +19,20 @@
 //! the head-node count, as the paper's Figure 10 measures: ordering a
 //! message costs a multicast plus an ack round over the LAN.
 //!
-//! The engines only run *inside* an installed view; the view-change flush
-//! in [`crate::group`] halts them, collects their digests (based on the
+//! The policy (`Assign`) decides two things only: who may give a
+//! submission its sequence number (the view leader on request, or whoever
+//! holds the token), and with it how acks travel (to the leader, who
+//! announces stability on its tick, or all-to-all). Receiving, stability,
+//! delivery, duplicate suppression and the flush interface are the same
+//! code for both.
+//!
+//! The engine only runs *inside* an installed view; the view-change flush
+//! in [`crate::group`] halts it, collects the digests (based on the
 //! *received* prefix, a superset of what anyone delivered), reconciles,
-//! and reinstalls them for the next view.
+//! and reinstalls it for the next view. While halted, [`Engine::on_msg`]
+//! still records what a message says and only skips acting on it.
 
+use crate::config::EngineKind;
 use crate::msg::{EngineMsg, FlushDigest, OrderedMsg};
 use jrs_sim::{ProcId, SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
@@ -42,29 +53,67 @@ impl<P> Default for EngineOut<P> {
 }
 
 impl<P> EngineOut<P> {
-    fn merge(&mut self, mut other: EngineOut<P>) {
-        self.sends.append(&mut other.sends);
-        self.deliver.append(&mut other.deliver);
+    /// Queue a send to a single peer. Most stimuli produce exactly one (a
+    /// follower's request or ack), so make room for one, not for the four
+    /// a first `push` would.
+    fn send(&mut self, to: ProcId, msg: EngineMsg<P>) {
+        self.sends.reserve_exact(1);
+        self.sends.push((to, msg));
     }
 }
 
-/// How stability information flows in the view.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// How stability information flows in the view: a function of the
+/// assignment policy and of whether we lead the view.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Stability {
     /// We collect everyone's acks and announce stability (sequencer).
     Collector,
     /// We ack to the collector and follow its announcements.
     Follower,
-    /// Everyone acks everyone (token engine).
+    /// Everyone acks everyone (token).
     AllToAll,
 }
 
-/// State shared by both engines.
+/// Who assigns sequence numbers, and the state only that policy needs.
 #[derive(Clone, Debug, Hash)]
-struct Core<P> {
+enum Assign<P> {
+    /// The view leader (rank 0) assigns; everyone else sends it requests.
+    Sequencer {
+        /// Leader: stability advanced since the last announcement.
+        stable_dirty: bool,
+        /// Per-origin reorder buffer: requests that arrived before an
+        /// earlier (lower local id) request from the same origin. Origins
+        /// submit with gap-free local ids, so ordering strictly in
+        /// local-id order keeps per-origin FIFO even when a request is
+        /// lost and retried.
+        waiting: BTreeMap<ProcId, BTreeMap<u64, P>>,
+        /// When pendings were last (re)requested.
+        last_request: SimTime,
+        retry_every: SimDuration,
+    },
+    /// A token carrying the next sequence number circulates in rank
+    /// order; the holder assigns to its own pending submissions.
+    Token {
+        /// `Some(next_seq)` while we hold the token.
+        holding: Option<u64>,
+        /// Highest token sequence ever observed; stale copies below this
+        /// are discarded (defence in depth — the link layer already
+        /// deduplicates).
+        floor: u64,
+        /// When to pass an idle token on.
+        release_at: SimTime,
+        idle_pass: SimDuration,
+    },
+}
+
+/// The ordering engine of one group member.
+#[derive(Clone, Debug, Hash)]
+pub struct Engine<P> {
     me: ProcId,
-    stability: Stability,
-    /// Follower mode: the collector's announced stability floor.
+    assign: Assign<P>,
+    /// We are rank 0 of the installed view.
+    leader: bool,
+    /// Follower: the collector's announced stability floor.
     stable_floor: u64,
     /// Current view members (sorted). Empty until first install.
     members: Vec<ProcId>,
@@ -93,11 +142,40 @@ struct Core<P> {
     active: bool,
 }
 
-impl<P: Clone> Core<P> {
-    fn new(me: ProcId) -> Self {
-        Core {
+/// Raise a per-origin floor to at least `to`.
+fn raise(floors: &mut BTreeMap<ProcId, u64>, p: ProcId, to: u64) {
+    let floor = floors.entry(p).or_insert(0);
+    *floor = (*floor).max(to);
+}
+
+impl<P: Clone> Engine<P> {
+    /// Create an engine of the given kind for member `me`: `idle_pass` is
+    /// how long an idle token rests at a holder, `retry_every` how often
+    /// unanswered requests to the sequencer are repeated.
+    pub fn with_retry(
+        kind: EngineKind,
+        me: ProcId,
+        idle_pass: SimDuration,
+        retry_every: SimDuration,
+    ) -> Self {
+        let assign = match kind {
+            EngineKind::Sequencer => Assign::Sequencer {
+                stable_dirty: false,
+                waiting: BTreeMap::new(),
+                last_request: SimTime::ZERO,
+                retry_every,
+            },
+            EngineKind::Token => Assign::Token {
+                holding: None,
+                floor: 0,
+                release_at: SimTime::ZERO,
+                idle_pass,
+            },
+        };
+        Engine {
             me,
-            stability: Stability::AllToAll,
+            assign,
+            leader: false,
             stable_floor: 0,
             members: Vec::new(),
             recv_cursor: 1,
@@ -112,105 +190,190 @@ impl<P: Clone> Core<P> {
         }
     }
 
-    fn others(&self) -> impl Iterator<Item = ProcId> + '_ {
-        let me = self.me;
-        self.members.iter().copied().filter(move |&p| p != me)
+    /// Highest sequence number delivered to the application.
+    pub fn delivered_up_to(&self) -> u64 {
+        self.deliver_cursor - 1
     }
 
-    /// Highest contiguously received sequence number.
-    fn recv_contig(&self) -> u64 {
+    /// Highest sequence number received contiguously (≥ delivered).
+    pub fn received_up_to(&self) -> u64 {
         self.recv_cursor - 1
     }
 
-    /// Highest stable sequence number: everyone in the view holds it.
-    fn stable(&self) -> u64 {
-        match self.stability {
-            Stability::Collector | Stability::AllToAll => {
-                let mut s = self.recv_contig();
-                for p in self.members.iter().filter(|&&p| p != self.me) {
-                    s = s.min(self.acks.get(p).copied().unwrap_or(0));
-                }
-                s
+    /// Own submissions not yet delivered (survive view changes and are
+    /// resubmitted after install).
+    pub fn pending_count(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Is the engine accepting traffic (not halted for a flush)?
+    pub fn is_active(&self) -> bool {
+        self.active
+    }
+
+    /// Size of the retained ordered-message log (diagnostics / GC tests).
+    pub fn log_len(&self) -> usize {
+        self.log.len()
+    }
+
+    /// Forget a submitter's dedup/assignment floors. A fresh join episode
+    /// rebuilds that member's engine from scratch (local ids restart at
+    /// 1), so floors inherited from its previous life would silently
+    /// swallow everything the new life submits.
+    pub fn reset_submitter(&mut self, p: ProcId) {
+        self.dedup.remove(&p);
+        self.assign_floor.remove(&p);
+    }
+
+    /// Submit an application payload for total ordering.
+    pub fn submit(&mut self, _now: SimTime, payload: P) -> EngineOut<P> {
+        let local_id = self.next_local_id;
+        self.next_local_id += 1;
+        self.pending.push_back((local_id, payload.clone()));
+        let mut out = EngineOut::default();
+        // Halted: queued; resubmitted after the next install.
+        if self.active {
+            match self.assign {
+                Assign::Sequencer { .. } => self.offer(local_id, payload, &mut out),
+                Assign::Token { .. } => self.resubmit(&mut out),
             }
-            Stability::Follower => self.recv_contig().min(self.stable_floor),
-        }
-    }
-
-    /// Record a stability announcement from the collector.
-    fn on_stable(&mut self, up_to: u64) -> Vec<OrderedMsg<P>> {
-        self.stable_floor = self.stable_floor.max(up_to);
-        self.drain_stable()
-    }
-
-    /// Insert a known ordered message, advance the received prefix, and
-    /// deliver anything that has become stable. Returns `(deliveries,
-    /// recv_advanced)` — when the prefix advanced the caller multicasts a
-    /// fresh cumulative ack.
-    fn ingest(&mut self, m: OrderedMsg<P>) -> (Vec<OrderedMsg<P>>, bool) {
-        if m.seq >= self.recv_cursor {
-            self.log.entry(m.seq).or_insert(m);
-        }
-        let before = self.recv_cursor;
-        while self.log.contains_key(&self.recv_cursor) {
-            self.recv_cursor += 1;
-        }
-        (self.drain_stable(), self.recv_cursor != before)
-    }
-
-    /// Record a peer's cumulative ack; deliver anything newly stable.
-    fn on_ack(&mut self, from: ProcId, up_to: u64) -> Vec<OrderedMsg<P>> {
-        let e = self.acks.entry(from).or_insert(0);
-        *e = (*e).max(up_to);
-        self.drain_stable()
-    }
-
-    /// Deliver everything `<= min(recv, stable)`.
-    fn drain_stable(&mut self) -> Vec<OrderedMsg<P>> {
-        let limit = self.stable();
-        let mut out = Vec::new();
-        while self.deliver_cursor <= limit {
-            // The stable prefix is received-contiguous, so the log must
-            // hold it. If an invariant breach ever leaves a gap, stop
-            // delivering and wait — the next flush reconciles the log —
-            // rather than killing the replica on its hot path (P001).
-            let Some(m) = self.log.get(&self.deliver_cursor).cloned() else {
-                debug_assert!(false, "stable prefix missing from the log");
-                break;
-            };
-            self.note_delivered(&m);
-            self.deliver_cursor += 1;
-            out.push(m);
         }
         out
     }
 
-    /// Bookkeeping at delivery: advance the dedup floor and drop satisfied
-    /// pendings of our own.
-    fn note_delivered(&mut self, m: &OrderedMsg<P>) {
-        let floor = self.dedup.entry(m.origin).or_insert(0);
-        *floor = (*floor).max(m.local_id);
-        let af = self.assign_floor.entry(m.origin).or_insert(0);
-        *af = (*af).max(m.local_id);
-        if m.origin == self.me {
-            let lid = m.local_id;
-            self.pending.retain(|(l, _)| *l != lid);
+    /// Handle an in-view engine message from `from`: record what it says,
+    /// then — unless halted for a (possibly aborted) flush — act on it.
+    /// What a halted engine records is superseded by `apply_flush` if the
+    /// flush concludes and acted on by `resume` if it aborts. A variant
+    /// the configured policy never sends means a misconfigured peer: a
+    /// token is dropped by a sequencer group and a request by a token
+    /// group, and a token member records an announcement nothing reads.
+    pub fn on_msg(&mut self, now: SimTime, from: ProcId, msg: EngineMsg<P>) -> EngineOut<P> {
+        let mut out = EngineOut::default();
+        // No catch-all: a new EngineMsg variant must be a compile error
+        // here rather than silently swallowed (F004).
+        match msg {
+            EngineMsg::Request { local_id, payload } => {
+                // A halted sequencer, or a former one reached by a stale
+                // request, drops it: the origin retries after the next
+                // install.
+                if self.active && self.stability() == Stability::Collector {
+                    self.order(from, local_id, payload, &mut out);
+                }
+            }
+            EngineMsg::Ordered(m) => self.ingest(m, &mut out),
+            EngineMsg::Ack { up_to } => {
+                let before = self.stable();
+                raise(&mut self.acks, from, up_to);
+                if self.active {
+                    self.drain_stable(&mut out.deliver);
+                    let advanced = self.stable() > before;
+                    if let Assign::Sequencer { stable_dirty, .. } = &mut self.assign {
+                        // Batch the announcement: followers learn on the
+                        // next engine tick (they don't sit on the reply
+                        // fast path, which runs through the collector
+                        // itself). Acks absorbed while halted are
+                        // announced by `resume`.
+                        *stable_dirty |= self.leader && advanced;
+                    }
+                }
+            }
+            EngineMsg::Stable { up_to } => {
+                self.stable_floor = self.stable_floor.max(up_to);
+                if self.active {
+                    self.drain_stable(&mut out.deliver);
+                }
+            }
+            EngineMsg::Token { next_seq } => {
+                if let Assign::Token { holding, floor, release_at, idle_pass } = &mut self.assign {
+                    // Token seq can only move forward; a stale duplicate
+                    // is discarded. (Equal is legitimate: an idle token
+                    // circulates unchanged.) A halted holder keeps the
+                    // token so it is not lost across a transient halt;
+                    // ordering waits for resume/install.
+                    if next_seq >= *floor && holding.is_none() {
+                        *floor = next_seq;
+                        *holding = Some(next_seq);
+                        if self.active {
+                            *release_at = now + *idle_pass;
+                            self.resubmit(&mut out);
+                        }
+                    }
+                }
+            }
         }
+        out
     }
 
-    /// Assigner-side duplicate check (covers ordered-but-undelivered).
-    fn is_assigned(&self, origin: ProcId, local_id: u64) -> bool {
-        self.assign_floor.get(&origin).copied().unwrap_or(0) >= local_id
-            || self.dedup.get(&origin).copied().unwrap_or(0) >= local_id
+    /// Periodic maintenance: the collector's batched stability
+    /// announcement, pending-request retry, token idle passing.
+    pub fn tick(&mut self, now: SimTime) -> EngineOut<P> {
+        let mut out = EngineOut::default();
+        match self.assign {
+            Assign::Sequencer { ref mut stable_dirty, ref mut last_request, retry_every, .. } => {
+                if !self.active {
+                    return out;
+                }
+                let announce = std::mem::take(stable_dirty);
+                // Re-request pendings that may have raced a view change
+                // (e.g. sent to a sequencer that had not installed yet).
+                let retry = !self.pending.is_empty() && now.since(*last_request) >= retry_every;
+                if retry {
+                    *last_request = now;
+                }
+                if announce {
+                    let up_to = self.stable();
+                    out.sends = self
+                        .others()
+                        .map(|p| (p, EngineMsg::Stable { up_to }))
+                        .collect();
+                }
+                if retry {
+                    self.resubmit(&mut out);
+                }
+            }
+            // Halted or not: a halted holder keeps a token it is handed
+            // (`on_msg`) but still passes an idle one on when its time is up.
+            Assign::Token { release_at, .. } => {
+                if now >= release_at {
+                    self.pass_token(&mut out);
+                }
+            }
+        }
+        out
     }
 
-    fn note_assigned(&mut self, origin: ProcId, local_id: u64) {
-        let af = self.assign_floor.entry(origin).or_insert(0);
-        *af = (*af).max(local_id);
+    /// Halt for a view change or pending flush: stop ordering and
+    /// delivering. A held token is kept (the flush may be aborted and the
+    /// token must not be lost); `install` re-seeds or clears it.
+    pub fn halt(&mut self) {
+        self.active = false;
     }
 
-    fn digest(&self, coord_known: u64) -> FlushDigest<P> {
+    /// Resume in the *same* view after an aborted flush: process anything
+    /// buffered while halted and resubmit own pendings.
+    pub fn resume(&mut self, _now: SimTime) -> EngineOut<P> {
+        self.active = true;
+        let mut out = EngineOut::default();
+        while self.log.contains_key(&self.recv_cursor) {
+            self.recv_cursor += 1;
+        }
+        self.drain_stable(&mut out.deliver);
+        self.ack_sends(&mut out);
+        if let Assign::Sequencer { stable_dirty, .. } = &mut self.assign {
+            // Acks absorbed while halted advance stability without
+            // setting the dirty flag; re-announce on the next tick so
+            // followers waiting on `Stable` are not stranded.
+            *stable_dirty |= self.leader;
+        }
+        self.resubmit(&mut out);
+        out
+    }
+
+    /// Produce this member's flush digest.
+    pub fn digest(&self, coord_known: u64) -> FlushDigest<P> {
         FlushDigest {
-            max_contig: self.recv_contig(),
+            max_contig: self.received_up_to(),
             extra: self
                 .log
                 .range(coord_known + 1..)
@@ -222,9 +385,10 @@ impl<P: Clone> Core<P> {
         }
     }
 
-    /// Apply a reconciled flush batch: the agreed history is stable by
-    /// agreement, so everything up to `next_seq - 1` is delivered.
-    fn apply_flush(&mut self, msgs: &[OrderedMsg<P>], next_seq: u64) -> Vec<OrderedMsg<P>> {
+    /// Apply the coordinator's reconciled batch: the agreed history is
+    /// stable by agreement, so everything up to `next_seq - 1` is
+    /// delivered. Returns the new deliveries.
+    pub fn apply_flush(&mut self, msgs: &[OrderedMsg<P>], next_seq: u64) -> Vec<OrderedMsg<P>> {
         // Our contiguous received prefix is part of the agreed history
         // (the union covers every survivor's prefix). Anything buffered
         // beyond it may have been renumbered by the coordinator: replace
@@ -236,383 +400,23 @@ impl<P: Clone> Core<P> {
             }
         }
         let mut out = Vec::new();
-        while self.deliver_cursor < next_seq {
-            let Some(m) = self.log.get(&self.deliver_cursor).cloned() else {
-                debug_assert!(false, "flush batch left a gap below next_seq");
-                break;
-            };
-            self.note_delivered(&m);
-            self.deliver_cursor += 1;
-            out.push(m);
-        }
+        self.deliver_through(next_seq - 1, &mut out);
         self.recv_cursor = self.recv_cursor.max(self.deliver_cursor);
         out
     }
 
     /// Joiner path: adopt the agreed history position without delivering
     /// any of it (the application receives a state snapshot instead).
-    fn skip_to(&mut self, next_seq: u64) {
+    pub fn skip_to(&mut self, next_seq: u64) {
         self.log.clear();
         self.recv_cursor = next_seq;
         self.deliver_cursor = next_seq;
     }
 
-    fn install(&mut self, members: Vec<ProcId>, next_seq: u64, dedup: &[(ProcId, u64)]) {
-        self.members = members;
-        self.recv_cursor = self.recv_cursor.max(next_seq);
-        self.deliver_cursor = self.deliver_cursor.max(next_seq);
-        self.stable_floor = next_seq - 1;
-        self.acks.clear();
-        for &p in &self.members {
-            if p != self.me {
-                self.acks.insert(p, next_seq - 1);
-            }
-        }
-        for (p, l) in dedup {
-            let floor = self.dedup.entry(*p).or_insert(0);
-            *floor = (*floor).max(*l);
-            let af = self.assign_floor.entry(*p).or_insert(0);
-            *af = (*af).max(*l);
-        }
-        self.active = true;
-    }
-
-    fn prune(&mut self, stable_up_to: u64) {
-        // Every tick comes through here, and `split_off` allocates a new
-        // tree even when it drops nothing.
-        if self.log.first_key_value().is_some_and(|(&seq, _)| seq <= stable_up_to) {
-            self.log = self.log.split_off(&(stable_up_to + 1));
-        }
-    }
-
-    /// Emit stability traffic for an advanced received prefix: followers
-    /// ack the collector, all-to-all members ack everyone, the collector
-    /// sends nothing here (it announces via `stable_sends`).
-    fn ack_sends(&self) -> Vec<(ProcId, EngineMsg<P>)> {
-        let up_to = self.recv_contig();
-        match self.stability {
-            Stability::Follower => {
-                let collector = self.members.first().copied();
-                collector
-                    .filter(|&c| c != self.me)
-                    .map(|c| vec![(c, EngineMsg::Ack { up_to })])
-                    .unwrap_or_default()
-            }
-            Stability::AllToAll => self
-                .others()
-                .map(|p| (p, EngineMsg::Ack { up_to }))
-                .collect(),
-            Stability::Collector => vec![],
-        }
-    }
-
-    /// Collector: announce stability to the followers.
-    fn stable_sends(&self) -> Vec<(ProcId, EngineMsg<P>)> {
-        let up_to = self.stable();
-        self.others()
-            .map(|p| (p, EngineMsg::Stable { up_to }))
-            .collect()
-    }
-}
-
-/// Fixed-sequencer engine: the view leader (rank 0) assigns sequence
-/// numbers; everyone else sends it requests.
-#[derive(Clone, Debug, Hash)]
-pub struct SeqEngine<P> {
-    core: Core<P>,
-    /// Collector: stability advanced since the last announcement.
-    stable_dirty: bool,
-    /// Per-origin reorder buffer: requests that arrived before an earlier
-    /// (lower local id) request from the same origin. Origins submit with
-    /// gap-free local ids, so ordering strictly in local-id order keeps
-    /// per-origin FIFO even when a request is lost and retried.
-    waiting: BTreeMap<ProcId, BTreeMap<u64, P>>,
-    /// When pendings were last (re)requested.
-    last_request: SimTime,
-    retry_every: SimDuration,
-}
-
-/// Rotating-token engine: a token carrying the next sequence number
-/// circulates in rank order; the holder orders its pending submissions.
-#[derive(Clone, Debug, Hash)]
-pub struct TokenEngine<P> {
-    core: Core<P>,
-    /// `Some(next_seq)` while we hold the token.
-    holding: Option<u64>,
-    /// Highest token sequence ever observed; stale copies below this are
-    /// discarded (defence in depth — the link layer already deduplicates).
-    floor: u64,
-    /// When to pass an idle token on.
-    release_at: SimTime,
-    idle_pass: SimDuration,
-    /// Diagnostic: token hops observed.
-    pub hops: u64,
-}
-
-/// The configured engine for one group member.
-#[derive(Clone, Debug, Hash)]
-pub enum Engine<P> {
-    /// Fixed sequencer.
-    Seq(SeqEngine<P>),
-    /// Rotating token.
-    Token(TokenEngine<P>),
-}
-
-impl<P: Clone> Engine<P> {
-    /// Create an engine of the given kind for member `me`.
-    pub fn new(kind: crate::config::EngineKind, me: ProcId, idle_pass: SimDuration) -> Self {
-        Self::with_retry(kind, me, idle_pass, SimDuration::from_millis(100))
-    }
-
-    /// Create an engine with an explicit pending-request retry interval.
-    pub fn with_retry(
-        kind: crate::config::EngineKind,
-        me: ProcId,
-        idle_pass: SimDuration,
-        retry_every: SimDuration,
-    ) -> Self {
-        match kind {
-            crate::config::EngineKind::Sequencer => Engine::Seq(SeqEngine {
-                core: Core::new(me),
-                stable_dirty: false,
-                waiting: BTreeMap::new(),
-                last_request: SimTime::ZERO,
-                retry_every,
-            }),
-            crate::config::EngineKind::Token => Engine::Token(TokenEngine {
-                core: Core::new(me),
-                holding: None,
-                floor: 0,
-                release_at: SimTime::ZERO,
-                idle_pass,
-                hops: 0,
-            }),
-        }
-    }
-
-    fn core(&self) -> &Core<P> {
-        match self {
-            Engine::Seq(e) => &e.core,
-            Engine::Token(e) => &e.core,
-        }
-    }
-
-    fn core_mut(&mut self) -> &mut Core<P> {
-        match self {
-            Engine::Seq(e) => &mut e.core,
-            Engine::Token(e) => &mut e.core,
-        }
-    }
-
-    /// Highest sequence number delivered to the application.
-    pub fn delivered_up_to(&self) -> u64 {
-        self.core().deliver_cursor - 1
-    }
-
-    /// Highest sequence number received contiguously (≥ delivered).
-    pub fn received_up_to(&self) -> u64 {
-        self.core().recv_contig()
-    }
-
-    /// Own submissions not yet delivered (survive view changes and are
-    /// resubmitted after install).
-    pub fn pending_count(&self) -> usize {
-        self.core().pending.len()
-    }
-
-    /// Is the engine accepting traffic (not halted for a flush)?
-    pub fn is_active(&self) -> bool {
-        self.core().active
-    }
-
-    /// Forget a submitter's dedup/assignment floors. A fresh join episode
-    /// rebuilds that member's engine from scratch (local ids restart at
-    /// 1), so floors inherited from its previous life would silently
-    /// swallow everything the new life submits.
-    pub fn reset_submitter(&mut self, p: ProcId) {
-        let core = self.core_mut();
-        core.dedup.remove(&p);
-        core.assign_floor.remove(&p);
-    }
-
-    /// Submit an application payload for total ordering.
-    pub fn submit(&mut self, now: SimTime, payload: P) -> EngineOut<P> {
-        let core = self.core_mut();
-        let local_id = core.next_local_id;
-        core.next_local_id += 1;
-        core.pending.push_back((local_id, payload.clone()));
-        if !core.active {
-            // Queued; resubmitted after the next install.
-            return EngineOut::default();
-        }
-        match self {
-            Engine::Seq(e) => e.order_or_request(local_id, payload),
-            Engine::Token(e) => e.order_if_holding(now),
-        }
-    }
-
-    /// Handle an in-view engine message from `from`.
-    pub fn on_msg(&mut self, now: SimTime, from: ProcId, msg: EngineMsg<P>) -> EngineOut<P> {
-        if !self.core().active {
-            // Halted for a (possibly aborted) flush: buffer, don't deliver.
-            // If the flush concludes, `apply_flush` supersedes the buffer;
-            // if it aborts, `resume` processes it.
-            match msg {
-                EngineMsg::Ordered(m) => {
-                    let core = self.core_mut();
-                    if m.seq >= core.recv_cursor {
-                        core.log.entry(m.seq).or_insert(m);
-                    }
-                }
-                EngineMsg::Ack { up_to } => {
-                    let core = self.core_mut();
-                    let e = core.acks.entry(from).or_insert(0);
-                    *e = (*e).max(up_to);
-                }
-                EngineMsg::Stable { up_to } => {
-                    let core = self.core_mut();
-                    core.stable_floor = core.stable_floor.max(up_to);
-                }
-                EngineMsg::Token { next_seq, .. } => {
-                    if let Engine::Token(e) = self {
-                        // Keep the token so it is not lost across a
-                        // transient halt; ordering waits for
-                        // resume/install.
-                        if next_seq >= e.floor && e.holding.is_none() {
-                            e.floor = next_seq;
-                            e.holding = Some(next_seq);
-                        }
-                    }
-                }
-                EngineMsg::Request { .. } => {}
-            }
-            return EngineOut::default();
-        }
-        match (self, msg) {
-            (Engine::Seq(e), EngineMsg::Request { local_id, payload }) => {
-                e.on_request(from, local_id, payload)
-            }
-            (Engine::Seq(e), EngineMsg::Ordered(m)) => e.core.ingest_and_ack(m),
-            (Engine::Token(e), EngineMsg::Ordered(m)) => e.core.ingest_and_ack(m),
-            (Engine::Seq(e), EngineMsg::Ack { up_to }) => {
-                let before = e.core.stable();
-                let deliver = e.core.on_ack(from, up_to);
-                if e.core.stability == Stability::Collector && e.core.stable() > before {
-                    // Batch the announcement: followers learn on the next
-                    // engine tick (they don't sit on the reply fast path,
-                    // which runs through the collector itself).
-                    e.stable_dirty = true;
-                }
-                EngineOut { sends: vec![], deliver }
-            }
-            (Engine::Seq(e), EngineMsg::Stable { up_to }) => EngineOut {
-                sends: vec![],
-                deliver: e.core.on_stable(up_to),
-            },
-            (Engine::Token(e), EngineMsg::Ack { up_to }) => EngineOut {
-                sends: vec![],
-                deliver: e.core.on_ack(from, up_to),
-            },
-            (Engine::Token(e), EngineMsg::Token { next_seq, .. }) => e.on_token(now, next_seq),
-            // Cross-engine messages indicate misconfiguration; drop each
-            // combination by name so a new EngineMsg variant is a compile
-            // error here rather than silently swallowed (F004).
-            (Engine::Seq(_), EngineMsg::Token { .. })
-            | (Engine::Token(_), EngineMsg::Request { .. })
-            | (Engine::Token(_), EngineMsg::Stable { .. }) => EngineOut::default(),
-        }
-    }
-
-    /// Periodic maintenance (token idle passing; pending-request retry).
-    pub fn tick(&mut self, now: SimTime) -> EngineOut<P> {
-        match self {
-            Engine::Seq(e) => {
-                let mut out = EngineOut::default();
-                if e.core.active && e.stable_dirty {
-                    e.stable_dirty = false;
-                    out.sends = e.core.stable_sends();
-                }
-                // Re-request pendings that may have raced a view change
-                // (e.g. sent to a sequencer that had not installed yet).
-                if e.core.active
-                    && !e.core.pending.is_empty()
-                    && now.since(e.last_request) >= e.retry_every
-                {
-                    e.last_request = now;
-                    for (local_id, payload) in e.core.pending.clone() {
-                        if !e.core.is_assigned(e.core.me, local_id) {
-                            out.merge(e.order_or_request(local_id, payload));
-                        }
-                    }
-                }
-                out
-            }
-            Engine::Token(e) => e.tick(now),
-        }
-    }
-
-    /// Halt for a view change or pending flush: stop ordering and
-    /// delivering. A held token is kept (the flush may be aborted and the
-    /// token must not be lost); `install` re-seeds or clears it.
-    pub fn halt(&mut self) {
-        self.core_mut().active = false;
-    }
-
-    /// Resume in the *same* view after an aborted flush: process anything
-    /// buffered while halted and resubmit own pendings.
-    pub fn resume(&mut self, now: SimTime) -> EngineOut<P> {
-        {
-            let core = self.core_mut();
-            core.active = true;
-            while core.log.contains_key(&core.recv_cursor) {
-                core.recv_cursor += 1;
-            }
-        }
-        let mut out = EngineOut::default();
-        {
-            let core = self.core_mut();
-            out.deliver = core.drain_stable();
-            out.sends = core.ack_sends();
-        }
-        match self {
-            Engine::Seq(e) => {
-                if e.core.stability == Stability::Collector {
-                    // Acks absorbed while halted advance stability without
-                    // setting the dirty flag; re-announce on the next tick
-                    // so followers waiting on `Stable` are not stranded.
-                    e.stable_dirty = true;
-                }
-                for (local_id, payload) in e.core.pending.clone() {
-                    if !e.core.is_assigned(e.core.me, local_id) {
-                        out.merge(e.order_or_request(local_id, payload));
-                    }
-                }
-            }
-            Engine::Token(e) => {
-                out.merge(e.order_if_holding(now));
-            }
-        }
-        out
-    }
-
-    /// Produce this member's flush digest.
-    pub fn digest(&self, coord_known: u64) -> FlushDigest<P> {
-        self.core().digest(coord_known)
-    }
-
-    /// Apply the coordinator's reconciled batch; returns new deliveries.
-    pub fn apply_flush(&mut self, msgs: &[OrderedMsg<P>], next_seq: u64) -> Vec<OrderedMsg<P>> {
-        self.core_mut().apply_flush(msgs, next_seq)
-    }
-
-    /// Joiner path: adopt the history position without delivering.
-    pub fn skip_to(&mut self, next_seq: u64) {
-        self.core_mut().skip_to(next_seq);
-    }
-
     /// Install a new view and resume. `leader` must be true exactly at the
     /// view's rank-0 member (it seeds the token / becomes sequencer).
-    /// Resubmits pending own messages.
+    /// Resubmits pending own messages (duplicates are filtered by the
+    /// assign floor).
     pub fn install(
         &mut self,
         now: SimTime,
@@ -621,39 +425,31 @@ impl<P: Clone> Engine<P> {
         dedup: &[(ProcId, u64)],
         leader: bool,
     ) -> EngineOut<P> {
-        self.core_mut().install(members, next_seq, dedup);
-        match self {
-            Engine::Seq(e) => {
-                e.core.stability =
-                    if leader { Stability::Collector } else { Stability::Follower };
+        self.members = members;
+        self.leader = leader;
+        self.recv_cursor = self.recv_cursor.max(next_seq);
+        self.deliver_cursor = self.deliver_cursor.max(next_seq);
+        self.stable_floor = next_seq - 1;
+        self.acks = self.others().map(|p| (p, next_seq - 1)).collect();
+        for &(p, l) in dedup {
+            raise(&mut self.dedup, p, l);
+            raise(&mut self.assign_floor, p, l);
+        }
+        self.active = true;
+        match &mut self.assign {
+            Assign::Sequencer { waiting, .. } => waiting.clear(),
+            Assign::Token { holding, floor, release_at, idle_pass } => {
+                *floor = (*floor).max(next_seq);
+                // Any token held across the flush belongs to the old
+                // view; the new leader seeds a fresh one.
+                *holding = leader.then_some(next_seq);
+                if leader {
+                    *release_at = now + *idle_pass;
+                }
             }
-            Engine::Token(e) => e.core.stability = Stability::AllToAll,
         }
         let mut out = EngineOut::default();
-        match self {
-            Engine::Seq(e) => {
-                e.waiting.clear();
-                // Resubmit pendings (duplicates are filtered by the
-                // sequencer's assign floor).
-                for (local_id, payload) in e.core.pending.clone() {
-                    if !e.core.is_assigned(e.core.me, local_id) {
-                        out.merge(e.order_or_request(local_id, payload));
-                    }
-                }
-            }
-            Engine::Token(e) => {
-                e.floor = e.floor.max(next_seq);
-                if leader {
-                    e.holding = Some(next_seq);
-                    e.release_at = now + e.idle_pass;
-                    out.merge(e.order_if_holding(now));
-                } else {
-                    // Any token held across the flush belongs to the old
-                    // view; the new leader seeds a fresh one.
-                    e.holding = None;
-                }
-            }
-        }
+        self.resubmit(&mut out);
         out
     }
 
@@ -661,211 +457,220 @@ impl<P: Clone> Engine<P> {
     /// whole view).
     pub fn prune(&mut self, stable_up_to: u64) {
         let cutoff = stable_up_to.min(self.delivered_up_to());
-        self.core_mut().prune(cutoff);
+        // Every tick comes through here, and `split_off` allocates a new
+        // tree even when it drops nothing.
+        if self.log.first_key_value().is_some_and(|(&seq, _)| seq <= cutoff) {
+            self.log = self.log.split_off(&(cutoff + 1));
+        }
     }
 
-    /// Size of the retained ordered-message log (diagnostics / GC tests).
-    pub fn log_len(&self) -> usize {
-        self.core().log.len()
+    // ---- delivery and stability: the same for every policy ------------
+
+    fn others(&self) -> impl Iterator<Item = ProcId> + '_ {
+        let me = self.me;
+        self.members.iter().copied().filter(move |&p| p != me)
+    }
+
+    fn stability(&self) -> Stability {
+        match (&self.assign, self.leader) {
+            (Assign::Sequencer { .. }, true) => Stability::Collector,
+            (Assign::Sequencer { .. }, false) => Stability::Follower,
+            (Assign::Token { .. }, _) => Stability::AllToAll,
+        }
+    }
+
+    /// Highest stable sequence number: everyone in the view holds it.
+    fn stable(&self) -> u64 {
+        if self.stability() == Stability::Follower {
+            return self.received_up_to().min(self.stable_floor);
+        }
+        self.others()
+            .map(|p| self.acks.get(&p).copied().unwrap_or(0))
+            .fold(self.received_up_to(), u64::min)
+    }
+
+    /// Take in an ordered message; then, unless halted, advance the
+    /// received prefix, deliver what has become stable and, if the prefix
+    /// moved, send a fresh cumulative ack.
+    fn ingest(&mut self, m: OrderedMsg<P>, out: &mut EngineOut<P>) {
+        if m.seq >= self.recv_cursor {
+            self.log.entry(m.seq).or_insert(m);
+        }
+        if !self.active {
+            return;
+        }
+        let before = self.recv_cursor;
+        while self.log.contains_key(&self.recv_cursor) {
+            self.recv_cursor += 1;
+        }
+        self.drain_stable(&mut out.deliver);
+        if self.recv_cursor != before {
+            self.ack_sends(out);
+        }
+    }
+
+    /// Deliver everything `<= min(recv, stable)`.
+    fn drain_stable(&mut self, out: &mut Vec<OrderedMsg<P>>) {
+        self.deliver_through(self.stable(), out);
+    }
+
+    /// Hand the log up to `limit` to the application; at each delivery
+    /// advance the dedup floors and drop the satisfied pending of our own.
+    fn deliver_through(&mut self, limit: u64, out: &mut Vec<OrderedMsg<P>>) {
+        while self.deliver_cursor <= limit {
+            // The stable prefix is received-contiguous and a flush batch
+            // is gap-free, so the log must hold it. If an invariant breach
+            // ever leaves a gap, stop delivering and wait — the next flush
+            // reconciles the log — rather than killing the replica on its
+            // hot path (P001).
+            let Some(m) = self.log.get(&self.deliver_cursor).cloned() else {
+                debug_assert!(false, "deliverable prefix missing from the log");
+                break;
+            };
+            raise(&mut self.dedup, m.origin, m.local_id);
+            raise(&mut self.assign_floor, m.origin, m.local_id);
+            if m.origin == self.me {
+                self.pending.retain(|(l, _)| *l != m.local_id);
+            }
+            self.deliver_cursor += 1;
+            out.push(m);
+        }
+    }
+
+    /// Stability traffic for an advanced received prefix: followers ack
+    /// the collector, all-to-all members ack everyone, the collector sends
+    /// nothing here (it announces on its tick).
+    fn ack_sends(&self, out: &mut EngineOut<P>) {
+        let up_to = self.received_up_to();
+        match self.stability() {
+            Stability::Follower => {
+                if let Some(&collector) = self.members.first().filter(|&&c| c != self.me) {
+                    out.send(collector, EngineMsg::Ack { up_to });
+                }
+            }
+            Stability::AllToAll => {
+                out.sends.extend(self.others().map(|p| (p, EngineMsg::Ack { up_to })));
+            }
+            Stability::Collector => {}
+        }
+    }
+
+    // ---- sequence assignment: where the policies differ ---------------
+
+    /// Has `(origin, local_id)` a sequence number already? Covers
+    /// ordered-but-undelivered, which only the assigner knows about.
+    fn is_assigned(&self, origin: ProcId, local_id: u64) -> bool {
+        local_id < self.expected_local(origin)
+    }
+
+    /// Next local id this origin's stream expects.
+    fn expected_local(&self, origin: ProcId) -> u64 {
+        let floor = |m: &BTreeMap<ProcId, u64>| m.get(&origin).copied().unwrap_or(0);
+        floor(&self.assign_floor).max(floor(&self.dedup)) + 1
+    }
+
+    /// Offer every own pending that has no sequence number yet to the
+    /// policy. Under the token this is a visit of the token: nothing
+    /// happens without it, and it moves on at once when anything of ours
+    /// is still undelivered (an idle token rests until `release_at` to
+    /// limit chatter).
+    fn resubmit(&mut self, out: &mut EngineOut<P>) {
+        if self.pending.is_empty() || matches!(self.assign, Assign::Token { holding: None, .. }) {
+            return;
+        }
+        for (local_id, payload) in self.pending.clone() {
+            if !self.is_assigned(self.me, local_id) {
+                self.offer(local_id, payload, out);
+            }
+        }
+        self.pass_token(out);
+    }
+
+    /// Get one own submission to whoever assigns: ourselves (sequencer, or
+    /// token in hand — `resubmit` checked) or the sequencer.
+    fn offer(&mut self, local_id: u64, payload: P, out: &mut EngineOut<P>) {
+        match self.stability() {
+            Stability::AllToAll => self.assign_seq(self.me, local_id, payload, out),
+            Stability::Collector => self.order(self.me, local_id, payload, out),
+            // No installed view yet: the submission stays pending and is
+            // resubmitted on the next install.
+            Stability::Follower => {
+                if let Some(&sequencer) = self.members.first() {
+                    out.send(sequencer, EngineMsg::Request { local_id, payload });
+                }
+            }
+        }
+    }
+
+    /// Sequencer: order a request strictly in per-origin local-id order.
+    /// An out-of-order request (an earlier one was lost and will be
+    /// retried) is buffered; a duplicate is dropped.
+    fn order(&mut self, origin: ProcId, local_id: u64, payload: P, out: &mut EngineOut<P>) {
+        let expected = self.expected_local(origin);
+        let Assign::Sequencer { waiting, .. } = &mut self.assign else { return };
+        if local_id > expected {
+            waiting.entry(origin).or_default().insert(local_id, payload);
+            return;
+        }
+        if local_id < expected {
+            return;
+        }
+        self.assign_seq(origin, local_id, payload, out);
+        // Drain any buffered successors that are now in order.
+        loop {
+            let next = self.expected_local(origin);
+            let Assign::Sequencer { waiting, .. } = &mut self.assign else { break };
+            let Some(p) = waiting.get_mut(&origin).and_then(|buf| buf.remove(&next)) else { break };
+            self.assign_seq(origin, next, p, out);
+        }
+    }
+
+    /// Give a submission the next sequence number, multicast it and take
+    /// it in ourselves.
+    fn assign_seq(&mut self, origin: ProcId, local_id: u64, payload: P, out: &mut EngineOut<P>) {
+        let seq = match &mut self.assign {
+            // Highest known + 1 (the log holds everything undelivered).
+            Assign::Sequencer { .. } => {
+                let last = self.log.keys().next_back().map_or(0, |&s| s + 1);
+                last.max(self.recv_cursor)
+            }
+            Assign::Token { holding: Some(next_seq), floor, .. } => {
+                *next_seq += 1;
+                *floor = (*floor).max(*next_seq);
+                *next_seq - 1
+            }
+            Assign::Token { holding: None, .. } => return,
+        };
+        raise(&mut self.assign_floor, origin, local_id);
+        let m = OrderedMsg { seq, origin, local_id, payload };
+        out.sends.extend(self.others().map(|p| (p, EngineMsg::Ordered(m.clone()))));
+        self.ingest(m, out);
+    }
+
+    /// Send a held token to the next member in rank order. A sole member
+    /// keeps it, and so does one that is not in the installed view (e.g.
+    /// mid-ejection) rather than send it into the void: the next install
+    /// either reseats us or seeds a fresh token.
+    fn pass_token(&mut self, out: &mut EngineOut<P>) {
+        let Assign::Token { holding, .. } = &mut self.assign else { return };
+        let Some(idx) = self.members.iter().position(|&p| p == self.me) else { return };
+        if self.members.len() > 1 {
+            if let Some(next_seq) = holding.take() {
+                let successor = self.members[(idx + 1) % self.members.len()];
+                out.send(successor, EngineMsg::Token { next_seq });
+            }
+        }
     }
 }
 
 impl<P: Clone + std::hash::Hash> Engine<P> {
     /// Deterministic fingerprint of the full ordering state (cursors,
-    /// log, acks, dedup floors, pendings, engine-specific fields).
+    /// log, acks, dedup floors, pendings, policy-specific fields).
     /// Equal fingerprints mean the engines behave identically from here
     /// on — the model checker uses this for visited-set deduplication.
     #[must_use]
     pub fn state_hash(&self) -> u64 {
         jrs_sim::fingerprint(self)
-    }
-}
-
-impl<P: Clone> Core<P> {
-    /// Ingest an ordered message; if the received prefix advanced,
-    /// multicast a fresh cumulative ack.
-    fn ingest_and_ack(&mut self, m: OrderedMsg<P>) -> EngineOut<P> {
-        let (deliver, advanced) = self.ingest(m);
-        let sends = if advanced { self.ack_sends() } else { vec![] };
-        EngineOut { sends, deliver }
-    }
-}
-
-impl<P: Clone> SeqEngine<P> {
-    /// Rank-0 member of the installed view; `None` before any install
-    /// (submissions stay pending until one happens).
-    fn sequencer(&self) -> Option<ProcId> {
-        self.core.members.first().copied()
-    }
-
-    fn order_or_request(&mut self, local_id: u64, payload: P) -> EngineOut<P> {
-        match self.sequencer() {
-            Some(seq) if seq == self.core.me => self.order(self.core.me, local_id, payload),
-            Some(seq) => EngineOut {
-                sends: vec![(seq, EngineMsg::Request { local_id, payload })],
-                deliver: vec![],
-            },
-            // No installed view yet: keep the submission pending; it is
-            // resubmitted on the next install.
-            None => EngineOut::default(),
-        }
-    }
-
-    fn on_request(&mut self, from: ProcId, local_id: u64, payload: P) -> EngineOut<P> {
-        if self.sequencer() != Some(self.core.me) {
-            // Stale request routed to a former sequencer: the origin will
-            // resubmit after the next install; drop.
-            return EngineOut::default();
-        }
-        self.order(from, local_id, payload)
-    }
-
-    /// Assign the next sequence number (sequencer only). Requests are
-    /// ordered strictly in per-origin local-id order: an out-of-order
-    /// request (an earlier one was lost and will be retried) is buffered.
-    fn order(&mut self, origin: ProcId, local_id: u64, payload: P) -> EngineOut<P> {
-        if self.core.is_assigned(origin, local_id) {
-            return EngineOut::default();
-        }
-        let expected = self.expected_local(origin);
-        if local_id > expected {
-            self.waiting.entry(origin).or_default().insert(local_id, payload);
-            return EngineOut::default();
-        }
-        let mut out = self.order_now(origin, local_id, payload);
-        // Drain any buffered successors that are now in order.
-        loop {
-            let next = self.expected_local(origin);
-            let Some(buf) = self.waiting.get_mut(&origin) else { break };
-            let Some(p) = buf.remove(&next) else { break };
-            out.merge(self.order_now(origin, next, p));
-        }
-        out
-    }
-
-    /// Next local id this origin's stream expects.
-    fn expected_local(&self, origin: ProcId) -> u64 {
-        self.core
-            .assign_floor
-            .get(&origin)
-            .copied()
-            .unwrap_or(0)
-            .max(self.core.dedup.get(&origin).copied().unwrap_or(0))
-            + 1
-    }
-
-    fn order_now(&mut self, origin: ProcId, local_id: u64, payload: P) -> EngineOut<P> {
-        if self.core.is_assigned(origin, local_id) {
-            return EngineOut::default();
-        }
-        // Next seq = highest known + 1 (log holds everything undelivered).
-        let next = self
-            .core
-            .log
-            .keys()
-            .next_back()
-            .map(|&s| s + 1)
-            .unwrap_or(self.core.recv_cursor)
-            .max(self.core.recv_cursor);
-        self.core.note_assigned(origin, local_id);
-        let m = OrderedMsg { seq: next, origin, local_id, payload };
-        let mut out = EngineOut {
-            sends: self
-                .core
-                .others()
-                .map(|p| (p, EngineMsg::Ordered(m.clone())))
-                .collect(),
-            deliver: vec![],
-        };
-        out.merge(self.core.ingest_and_ack(m));
-        out
-    }
-}
-
-impl<P: Clone> TokenEngine<P> {
-    /// Next member in rank order after us; `None` if we are not in the
-    /// installed view (e.g. mid-ejection) — the token is then held
-    /// rather than sent into the void.
-    fn successor(&self) -> Option<ProcId> {
-        let me = self.core.me;
-        let idx = self.core.members.iter().position(|&p| p == me)?;
-        Some(self.core.members[(idx + 1) % self.core.members.len()])
-    }
-
-    fn on_token(&mut self, now: SimTime, next_seq: u64) -> EngineOut<P> {
-        // Token seq can only move forward; a stale duplicate is discarded.
-        // (Equal is legitimate: an idle token circulates unchanged.)
-        if next_seq < self.floor || self.holding.is_some() {
-            return EngineOut::default();
-        }
-        self.hops += 1;
-        self.floor = next_seq;
-        self.holding = Some(next_seq);
-        self.release_at = now + self.idle_pass;
-        self.order_if_holding(now)
-    }
-
-    /// Order all pendings if we hold the token, then pass it when work was
-    /// done (idle tokens are held until `release_at` to limit chatter).
-    fn order_if_holding(&mut self, _now: SimTime) -> EngineOut<P> {
-        let Some(mut next_seq) = self.holding else {
-            return EngineOut::default();
-        };
-        if self.core.pending.is_empty() {
-            return EngineOut::default();
-        }
-        let mut out = EngineOut::default();
-        for (local_id, payload) in self.core.pending.clone() {
-            if self.core.is_assigned(self.core.me, local_id) {
-                continue;
-            }
-            self.core.note_assigned(self.core.me, local_id);
-            let m = OrderedMsg {
-                seq: next_seq,
-                origin: self.core.me,
-                local_id,
-                payload,
-            };
-            next_seq += 1;
-            for p in self.core.others() {
-                out.sends.push((p, EngineMsg::Ordered(m.clone())));
-            }
-            out.merge(self.core.ingest_and_ack(m));
-        }
-        self.holding = Some(next_seq);
-        self.floor = self.floor.max(next_seq);
-        // Pass the token on immediately after doing work.
-        out.merge(self.pass_token());
-        out
-    }
-
-    fn pass_token(&mut self) -> EngineOut<P> {
-        let Some(next_seq) = self.holding.take() else {
-            return EngineOut::default();
-        };
-        if self.core.members.len() <= 1 {
-            // Sole member keeps the token.
-            self.holding = Some(next_seq);
-            return EngineOut::default();
-        }
-        let Some(succ) = self.successor() else {
-            // Not in the installed view: keep the token; the next
-            // install either reseats us or seeds a fresh token.
-            self.holding = Some(next_seq);
-            return EngineOut::default();
-        };
-        EngineOut {
-            sends: vec![(succ, EngineMsg::Token { next_seq, idle_hops: 0 })],
-            deliver: vec![],
-        }
-    }
-
-    fn tick(&mut self, now: SimTime) -> EngineOut<P> {
-        if self.holding.is_some() && now >= self.release_at {
-            self.pass_token()
-        } else {
-            EngineOut::default()
-        }
     }
 }
 
@@ -881,7 +686,8 @@ mod tests {
     }
 
     fn installed(kind: EngineKind, me: u32, members: &[u32]) -> Engine<&'static str> {
-        let mut e = Engine::new(kind, p(me), SimDuration::from_millis(5));
+        let mut e =
+            Engine::with_retry(kind, p(me), SimDuration::from_millis(5), SimDuration::from_millis(100));
         let mem: Vec<ProcId> = members.iter().map(|&i| p(i)).collect();
         let leader = mem[0] == p(me);
         let _ = e.install(T0, mem, 1, &[], leader);
@@ -1125,7 +931,7 @@ mod tests {
         assert!(out.sends.is_empty());
         // Token arrives: order + pass back; delivery still needs the
         // peer's ack of the ordered message.
-        let out = b.on_msg(T0, p(1), EngineMsg::Token { next_seq: 1, idle_hops: 0 });
+        let out = b.on_msg(T0, p(1), EngineMsg::Token { next_seq: 1 });
         assert!(out
             .sends
             .iter()
@@ -1158,19 +964,19 @@ mod tests {
     #[test]
     fn stale_token_discarded() {
         let mut a = installed(EngineKind::Token, 2, &[1, 2]);
-        let _ = a.on_msg(T0, p(1), EngineMsg::Token { next_seq: 1, idle_hops: 0 });
+        let _ = a.on_msg(T0, p(1), EngineMsg::Token { next_seq: 1 });
         let mut sub = a.submit(T0, "x");
         assert!(sub.deliver.is_empty());
         let _ = sub.sends.drain(..);
         // A stale duplicate of the old token arrives: ignored (our floor
         // is now 2, so a double grant at seq 1 is impossible).
-        let out = a.on_msg(T0, p(1), EngineMsg::Token { next_seq: 1, idle_hops: 0 });
+        let out = a.on_msg(T0, p(1), EngineMsg::Token { next_seq: 1 });
         assert!(out.deliver.is_empty() && out.sends.is_empty());
         let out = a.submit(T0, "y");
         assert!(out.deliver.is_empty() && out.sends.is_empty());
         // The live token returns with the seq we passed on: accepted, and
         // "y" is ordered at seq 2.
-        let out = a.on_msg(T0, p(1), EngineMsg::Token { next_seq: 2, idle_hops: 0 });
+        let out = a.on_msg(T0, p(1), EngineMsg::Token { next_seq: 2 });
         assert!(out
             .sends
             .iter()

@@ -16,9 +16,10 @@
 //!   holding a quorum of the previous view makes progress; the minority
 //!   blocks and its members later rejoin with state transfer.
 //!
-//! Two total-order engines are provided ([`EngineKind`]): a fixed
-//! **sequencer** (ISIS-style, the default) and a rotating **token**
-//! (Totem-style, used for the paper reproduction's ordering ablation).
+//! One total-order engine, with two ways to assign sequence numbers
+//! ([`EngineKind`]): a fixed **sequencer** (ISIS-style, the default) and
+//! a rotating **token** (Totem-style, used for the paper reproduction's
+//! ordering ablation).
 //!
 //! The member is a sans-IO state machine: embed a [`GroupMember`] in your
 //! process, feed it `start`/`on_wire`/`tick`, transmit the frames it

@@ -61,9 +61,6 @@ pub enum EngineMsg<P> {
     Token {
         /// Next sequence number to assign.
         next_seq: u64,
-        /// How many consecutive holders passed it without ordering
-        /// anything (used for idle-pass accounting, diagnostic only).
-        idle_hops: u32,
     },
 }
 

@@ -12,7 +12,7 @@
 //!    prefix-compatible subsequence of the survivors' (it never delivered
 //!    something different at the same position).
 
-use jrs_gcs::config::GroupConfig;
+use jrs_gcs::config::{EngineKind, GroupConfig};
 use jrs_gcs::testkit::Pump;
 use jrs_sim::{ProcId, SimDuration};
 use proptest::prelude::*;
@@ -48,8 +48,12 @@ struct Model {
     submitted: std::collections::BTreeMap<ProcId, Vec<u32>>,
 }
 
-fn run_schedule(n_members: u32, steps: &[Step]) -> (Pump<u32>, Model) {
-    let mut pump: Pump<u32> = Pump::group(n_members, GroupConfig::default());
+/// Group and joiners are configured alike: a joiner whose ordering policy
+/// differs from the group's sends messages nobody there acts on, and its
+/// submissions are silently lost.
+fn run_schedule(kind: EngineKind, n_members: u32, steps: &[Step]) -> (Pump<u32>, Model) {
+    let config = GroupConfig::with_engine(kind);
+    let mut pump: Pump<u32> = Pump::group(n_members, config.clone());
     let mut model = Model::default();
     let mut next_payload = 0u32;
     let mut next_joiner = 100u32;
@@ -96,7 +100,7 @@ fn run_schedule(n_members: u32, steps: &[Step]) -> (Pump<u32>, Model) {
             Step::Join => {
                 let contacts: Vec<ProcId> = pump.members.keys().copied().collect();
                 if !contacts.is_empty() {
-                    pump.add_joiner(ProcId(next_joiner), contacts, GroupConfig::default());
+                    pump.add_joiner(ProcId(next_joiner), contacts, config.clone());
                     next_joiner += 1;
                 }
             }
@@ -110,90 +114,104 @@ fn run_schedule(n_members: u32, steps: &[Step]) -> (Pump<u32>, Model) {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
+    /// Every case runs under both ordering policies.
     #[test]
     fn agreement_under_random_schedules(
         n in 2u32..5,
         steps in prop::collection::vec(step_strategy(), 1..40),
     ) {
-        let (pump, model) = run_schedule(n, &steps);
-
-        // (1) Pairwise content agreement: no two processes (live or dead,
-        // before or after ejection) ever delivered different payloads at
-        // the same total-order position.
-        let live: Vec<ProcId> = pump.members.keys().copied().collect();
-        prop_assert!(!live.is_empty());
-        let mut by_seq: std::collections::BTreeMap<u64, u32> = Default::default();
-        for (p, dl) in &pump.delivered {
-            for d in dl {
-                match by_seq.get(&d.seq) {
-                    None => {
-                        by_seq.insert(d.seq, d.payload);
-                    }
-                    Some(&x) => prop_assert_eq!(
-                        x, d.payload,
-                        "member {} delivered a different payload at seq {}",
-                        p, d.seq
-                    ),
-                }
-            }
+        for kind in [EngineKind::Sequencer, EngineKind::Token] {
+            check_agreement(kind, n, &steps)
+                .map_err(|e| TestCaseError::fail(format!("{kind:?}: {e}")))?;
         }
-
-        // (2) Gap-free order: a never-ejected member's delivered seqs are
-        // contiguous from its first delivery (ejection legitimately skips
-        // history — the application receives a state snapshot instead).
-        for p in &live {
-            if pump.ejections.get(p).copied().unwrap_or(0) > 0 {
-                continue;
-            }
-            if let Some(dl) = pump.delivered.get(p) {
-                for w in dl.windows(2) {
-                    prop_assert_eq!(
-                        w[1].seq, w[0].seq + 1,
-                        "gap in member {}'s delivery order", p
-                    );
-                }
-            }
-        }
-
-        // Reference history for the per-origin checks: the union over all
-        // members, which (1) proved consistent.
-        let reference: Vec<(u64, u32)> =
-            by_seq.iter().map(|(&s, &x)| (s, x)).collect();
-
-        // (3) FIFO per origin + (4) no survivor loss.
-        for (origin, submitted) in &model.submitted {
-            if !pump.members.contains_key(origin) {
-                continue; // crashed after submitting: loss is allowed
-            }
-            // Find the origin's payloads in the reference order.
-            let delivered_from_origin: Vec<u32> = reference
-                .iter()
-                .map(|(_, pay)| *pay)
-                .filter(|pay| submitted.contains(pay))
-                .collect();
-            let ejected = pump.ejections.get(origin).copied().unwrap_or(0) > 0;
-            if ejected {
-                // An ejected member loses its pending (unacknowledged)
-                // submissions — the client layer retries those. What *was*
-                // delivered must still respect submission order.
-                let mut it = submitted.iter();
-                let in_order = delivered_from_origin
-                    .iter()
-                    .all(|d| it.any(|s| s == d));
-                prop_assert!(
-                    in_order,
-                    "origin {} deliveries reordered: {:?} vs submitted {:?}",
-                    origin, delivered_from_origin, submitted
-                );
-            } else {
-                prop_assert_eq!(
-                    &delivered_from_origin, submitted,
-                    "origin {} payloads lost or reordered", origin
-                );
-            }
-        }
-
-        // (5) is subsumed by (1): crashed members' logs participate in the
-        // pairwise same-seq agreement above.
     }
+}
+
+fn check_agreement(kind: EngineKind, n: u32, steps: &[Step]) -> Result<(), TestCaseError> {
+    let (pump, model) = run_schedule(kind, n, steps);
+
+    // (1) Pairwise content agreement: no two processes (live or dead,
+    // before or after ejection) ever delivered different payloads at
+    // the same total-order position.
+    let live: Vec<ProcId> = pump.members.keys().copied().collect();
+    prop_assert!(!live.is_empty());
+    let mut by_seq: std::collections::BTreeMap<u64, u32> = Default::default();
+    for (p, dl) in &pump.delivered {
+        for d in dl {
+            match by_seq.get(&d.seq) {
+                None => {
+                    by_seq.insert(d.seq, d.payload);
+                }
+                Some(&x) => prop_assert_eq!(
+                    x,
+                    d.payload,
+                    "member {} delivered a different payload at seq {}",
+                    p,
+                    d.seq
+                ),
+            }
+        }
+    }
+
+    // (2) Gap-free order: a never-ejected member's delivered seqs are
+    // contiguous from its first delivery (ejection legitimately skips
+    // history — the application receives a state snapshot instead).
+    for p in &live {
+        if pump.ejections.get(p).copied().unwrap_or(0) > 0 {
+            continue;
+        }
+        if let Some(dl) = pump.delivered.get(p) {
+            for w in dl.windows(2) {
+                prop_assert_eq!(
+                    w[1].seq,
+                    w[0].seq + 1,
+                    "gap in member {}'s delivery order",
+                    p
+                );
+            }
+        }
+    }
+
+    // Reference history for the per-origin checks: the union over all
+    // members, which (1) proved consistent.
+    let reference: Vec<(u64, u32)> = by_seq.iter().map(|(&s, &x)| (s, x)).collect();
+
+    // (3) FIFO per origin + (4) no survivor loss.
+    for (origin, submitted) in &model.submitted {
+        if !pump.members.contains_key(origin) {
+            continue; // crashed after submitting: loss is allowed
+        }
+        // Find the origin's payloads in the reference order.
+        let delivered_from_origin: Vec<u32> = reference
+            .iter()
+            .map(|(_, pay)| *pay)
+            .filter(|pay| submitted.contains(pay))
+            .collect();
+        let ejected = pump.ejections.get(origin).copied().unwrap_or(0) > 0;
+        if ejected {
+            // An ejected member loses its pending (unacknowledged)
+            // submissions — the client layer retries those. What *was*
+            // delivered must still respect submission order.
+            let mut it = submitted.iter();
+            let in_order = delivered_from_origin.iter().all(|d| it.any(|s| s == d));
+            prop_assert!(
+                in_order,
+                "origin {} deliveries reordered: {:?} vs submitted {:?}",
+                origin,
+                delivered_from_origin,
+                submitted
+            );
+        } else {
+            prop_assert_eq!(
+                &delivered_from_origin,
+                submitted,
+                "origin {} payloads lost or reordered",
+                origin
+            );
+        }
+    }
+
+    // (5) is subsumed by (1): crashed members' logs participate in the
+    // pairwise same-seq agreement above.
+    Ok(())
 }
