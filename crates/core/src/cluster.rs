@@ -121,6 +121,32 @@ pub struct Cluster {
     login_node: NodeId,
 }
 
+/// The `(node name, mom)` table: compute node `i` is `c0i`, run by `moms[i]`.
+fn node_table(moms: &[ProcId]) -> Vec<(String, ProcId)> {
+    moms.iter().enumerate().map(|(i, m)| (format!("c{i:02}"), *m)).collect()
+}
+
+/// The daemon configuration every JOSHUA head of this cluster gets.
+fn joshua_config(cfg: &ClusterConfig, moms: &[ProcId]) -> JoshuaConfig {
+    JoshuaConfig {
+        nodes: node_table(moms),
+        policy: cfg.policy,
+        group: cfg.group.clone(),
+        cost: cfg.cost,
+        persist: cfg.persist,
+    }
+}
+
+/// An unreplicated PBS server owning `nodes`, their moms registered.
+fn pbs_core(name: String, cfg: &ClusterConfig, nodes: &[(String, ProcId)]) -> PbsServerCore {
+    let mut core =
+        PbsServerCore::new(name, nodes.iter().map(|(n, _)| n.clone()), cfg.policy.make());
+    for (n, m) in nodes {
+        core.register_mom(n, *m);
+    }
+    core
+}
+
 impl Cluster {
     /// Build the cluster (no clients yet).
     pub fn build(cfg: ClusterConfig) -> Cluster {
@@ -149,24 +175,12 @@ impl Cluster {
         let c32 = u32::try_from(c).expect("compute-node count fits u32");
         let head_ids: Vec<ProcId> = (0..h32).map(ProcId).collect();
         let mom_ids: Vec<ProcId> = (0..c32).map(|i| ProcId(h32 + i)).collect();
-        let node_names: Vec<String> = (0..c).map(|i| format!("c{i:02}")).collect();
-        let all_nodes: Vec<(String, ProcId)> = node_names
-            .iter()
-            .cloned()
-            .zip(mom_ids.iter().copied())
-            .collect();
+        let all_nodes = node_table(&mom_ids);
 
         let mut heads = Vec::new();
         match cfg.mode {
             HaMode::SingleHead => {
-                let mut core = PbsServerCore::new(
-                    "head-0",
-                    node_names.iter().cloned(),
-                    cfg.policy.make(),
-                );
-                for (n, m) in &all_nodes {
-                    core.register_mom(n, *m);
-                }
+                let core = pbs_core("head-0".into(), &cfg, &all_nodes);
                 let p = world.add_process(
                     head_nodes[0],
                     PbsHeadProcess::new(core, cfg.cost.pbs),
@@ -176,14 +190,7 @@ impl Cluster {
             HaMode::ActiveStandby => {
                 #[allow(clippy::needless_range_loop)] // indexes three parallel arrays
                 for i in 0..2 {
-                    let mut core = PbsServerCore::new(
-                        format!("head-{i}"),
-                        node_names.iter().cloned(),
-                        cfg.policy.make(),
-                    );
-                    for (n, m) in &all_nodes {
-                        core.register_mom(n, *m);
-                    }
+                    let core = pbs_core(format!("head-{i}"), &cfg, &all_nodes);
                     let peer = head_ids[1 - i];
                     let p = world.add_process(
                         head_nodes[i],
@@ -208,14 +215,7 @@ impl Cluster {
                         .filter(|(j, _)| j % n == i)
                         .map(|(_, nm)| nm.clone())
                         .collect();
-                    let mut core = PbsServerCore::new(
-                        format!("head-{i}"),
-                        my_nodes.iter().map(|(n, _)| n.clone()),
-                        cfg.policy.make(),
-                    );
-                    for (nm, m) in &my_nodes {
-                        core.register_mom(nm, *m);
-                    }
+                    let core = pbs_core(format!("head-{i}"), &cfg, &my_nodes);
                     let p = world.add_process(
                         head_nodes[i],
                         PbsHeadProcess::new(core, cfg.cost.pbs),
@@ -225,13 +225,7 @@ impl Cluster {
             }
             HaMode::Joshua { heads: n } => {
                 for i in 0..n {
-                    let jc = JoshuaConfig {
-                        nodes: all_nodes.clone(),
-                        policy: cfg.policy,
-                        group: cfg.group.clone(),
-                        cost: cfg.cost,
-                        persist: cfg.persist,
-                    };
+                    let jc = joshua_config(&cfg, &mom_ids);
                     let p = world.add_process(
                         head_nodes[i],
                         JoshuaServer::new(head_ids[i], jc, head_ids.clone()),
@@ -244,7 +238,7 @@ impl Cluster {
 
         let mut moms = Vec::new();
         for i in 0..c {
-            let mut core = PbsMomCore::new(node_names[i].clone());
+            let mut core = PbsMomCore::new(all_nodes[i].0.clone());
             core.obituary_bug = cfg.mom_obituary_bug;
             let p = world.add_process(mom_nodes[i], PbsMomProcess::new(core));
             moms.push(p);
@@ -324,16 +318,7 @@ impl Cluster {
         };
         let node = self.world.add_node(format!("head-{}", self.head_nodes.len()));
         let contacts = self.heads.clone();
-        let all_nodes: Vec<(String, ProcId)> = (0..self.cfg.compute_nodes)
-            .map(|i| (format!("c{i:02}"), self.moms[i]))
-            .collect();
-        let jc = JoshuaConfig {
-            nodes: all_nodes,
-            policy: self.cfg.policy,
-            group: self.cfg.group.clone(),
-            cost: self.cfg.cost,
-            persist: self.cfg.persist,
-        };
+        let jc = joshua_config(&self.cfg, &self.moms);
         // The new process id is not in `contacts`, so it starts as a
         // joiner using them as contact points.
         let me = ProcId(self.world_proc_count());
@@ -411,16 +396,7 @@ impl Cluster {
         if !self.world.is_node_alive(node) {
             self.world.revive_node(node);
         }
-        let all_nodes: Vec<(String, ProcId)> = (0..self.cfg.compute_nodes)
-            .map(|j| (format!("c{j:02}"), self.moms[j]))
-            .collect();
-        let jc = JoshuaConfig {
-            nodes: all_nodes,
-            policy: self.cfg.policy,
-            group: self.cfg.group.clone(),
-            cost: self.cfg.cost,
-            persist: self.cfg.persist,
-        };
+        let jc = joshua_config(&self.cfg, &self.moms);
         let me = self.heads[i];
         self.world
             .restart_proc(me, Box::new(JoshuaServer::new(me, jc, initial)));

@@ -12,8 +12,8 @@
 //!   round-robin; improved throughput, but stateful services on a failed
 //!   head are simply gone (composed in `cluster.rs` from single heads).
 
-use jrs_pbs::proc::{ClientReply, ClientRequest, PbsCostModel};
-use jrs_pbs::server::{MomReport, PbsServerCore, ServerAction, ServerSnapshot};
+use jrs_pbs::proc::{dispatch, ClientReply, ClientRequest, PbsCostModel};
+use jrs_pbs::server::{MomReport, PbsServerCore, ServerSnapshot};
 use jrs_pbs::MomInbound;
 use jrs_sim::{Ctx, Msg, ProcId, Process, SimDuration, SimTime, TimerId};
 
@@ -110,34 +110,6 @@ impl ActiveStandbyHead {
         self.role == Role::Primary
     }
 
-    fn dispatch(&mut self, ctx: &mut Ctx<'_>, actions: Vec<ServerAction>, delay: SimDuration) {
-        for a in actions {
-            match a {
-                ServerAction::Start { mom, job, spec, nodes } => {
-                    if let Some(mom) = mom {
-                        let msg = MomInbound::Start {
-                            job,
-                            spec,
-                            nodes,
-                            server: ctx.me(),
-                            arbiter: None,
-                        };
-                        ctx.send_after(mom, msg, delay + self.cfg.cost.dispatch_processing);
-                    }
-                }
-                ServerAction::Cancel { mom, job } => {
-                    if let Some(mom) = mom {
-                        ctx.send_after(
-                            mom,
-                            MomInbound::Cancel { job, server: ctx.me() },
-                            delay + self.cfg.cost.dispatch_processing,
-                        );
-                    }
-                }
-            }
-        }
-    }
-
     fn complete_takeover(&mut self, ctx: &mut Ctx<'_>) {
         self.role = Role::Primary;
         // Register for obituaries, then restart everything that was
@@ -147,7 +119,7 @@ impl ActiveStandbyHead {
         }
         let (requeued, actions) = self.core.requeue_all_running(ctx.now());
         self.restarted_jobs += requeued.len() as u64;
-        self.dispatch(ctx, actions, SimDuration::ZERO);
+        dispatch(ctx, actions, None, self.cfg.cost.dispatch_processing);
     }
 }
 
@@ -183,12 +155,12 @@ impl Process for ActiveStandbyHead {
             let cost = self.cfg.cost.cost_of(&req.cmd);
             let (reply, actions) = self.core.apply(now, &req.cmd);
             ctx.send_after(req.client, ClientReply { req_id: req.req_id, reply }, cost);
-            self.dispatch(ctx, actions, cost);
+            dispatch(ctx, actions, None, cost + self.cfg.cost.dispatch_processing);
             return;
         }
         if let Ok(report) = msg.downcast::<MomReport>() {
             let actions = self.core.on_report(now, &report);
-            self.dispatch(ctx, actions, SimDuration::ZERO);
+            dispatch(ctx, actions, None, self.cfg.cost.dispatch_processing);
         }
     }
 

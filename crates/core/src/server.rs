@@ -3,10 +3,16 @@
 //!
 //! Each head node runs one [`JoshuaServer`] process embedding
 //!
-//! * a [`GroupMember`] (the Transis stand-in) for totally ordered,
-//!   virtually synchronous delivery among the active heads, and
+//! * a [`GroupHost`] (the Transis stand-in and its sim embedding) for
+//!   totally ordered, virtually synchronous delivery among the active
+//!   heads, and
 //! * an unmodified [`PbsServerCore`] (the TORQUE stand-in) driven purely
 //!   through its public command interface.
+//!
+//! Like the paper's daemon on Transis, this file is application logic
+//! only: it submits payloads and reacts to ordered upcalls. Sending,
+//! tick arming and frame dispatch live in the host; the one thing the
+//! daemon supplies is `charge`, the calibrated CPU cost of a frame.
 //!
 //! ## Data paths
 //!
@@ -30,11 +36,12 @@
 //!   and replay everything ordered after it — the paper's "copying the
 //!   current state of an active service over to the joining head node".
 
-use crate::config::JoshuaConfig;
+use crate::config::{JoshuaConfig, JoshuaCostModel};
 use crate::payload::{JMutexOutcome, JMutexState, Payload, ReplicaState};
 use crate::persist::{HeadStore, Recovered};
-use jrs_gcs::{GcsEvent, GroupMember, Output as GcsOutput, View, Wire};
-use jrs_pbs::proc::{ArbiterRelease, ArbiterRequest, ClientReply, ClientRequest};
+use jrs_gcs::simharness::GroupHost;
+use jrs_gcs::{EngineMsg, GcsEvent, GcsMsg, View, Wire};
+use jrs_pbs::proc::{dispatch, ArbiterRelease, ArbiterRequest, ClientReply, ClientRequest};
 use jrs_pbs::server::{MomReport, PbsServerCore, ServerAction};
 use jrs_pbs::{CmdReply, JobState, MomInbound, ServerCmd};
 use jrs_sim::{Ctx, Msg, ProcId, Process, SimDuration, TimerId};
@@ -104,10 +111,52 @@ pub struct RecoveryReport {
     pub recovered_fingerprint: u64,
 }
 
+/// Sender-side CPU cost of one group frame, by class: protocol frames pay
+/// the full daemon processing cost, stability acknowledgements pay the
+/// (slower, timer-batched) ack-path cost, and background datagrams / bare
+/// link acks are nearly free. Calibration table in EXPERIMENTS.md; the
+/// host charges the frames of one output serially.
+fn charge(cost: &JoshuaCostModel, frame: &Wire<Payload>) -> SimDuration {
+    // Exhaustive over the wire protocol: a new frame kind must be
+    // assigned a CPU cost here, not silently inherit one (F004).
+    match frame {
+        Wire::Ack { .. } => cost.gcs_background_delay,
+        Wire::Raw(m) => match m {
+            GcsMsg::Heartbeat { .. } | GcsMsg::JoinReq { .. } => cost.gcs_background_delay,
+            GcsMsg::Leave
+            | GcsMsg::FlushReq { .. }
+            | GcsMsg::FlushInfo { .. }
+            | GcsMsg::FlushFinal { .. }
+            | GcsMsg::FlushAbort { .. }
+            | GcsMsg::InstallAck { .. }
+            | GcsMsg::Engine { .. } => cost.gcs_frame_delay,
+        },
+        Wire::Data { msg, .. } => match msg {
+            GcsMsg::Engine { msg: EngineMsg::Ack { .. }, .. } => cost.gcs_ack_delay,
+            GcsMsg::Engine {
+                msg:
+                    EngineMsg::Request { .. }
+                    | EngineMsg::Ordered(_)
+                    | EngineMsg::Stable { .. }
+                    | EngineMsg::Token { .. },
+                ..
+            } => cost.gcs_frame_delay,
+            GcsMsg::Heartbeat { .. }
+            | GcsMsg::JoinReq { .. }
+            | GcsMsg::Leave
+            | GcsMsg::FlushReq { .. }
+            | GcsMsg::FlushInfo { .. }
+            | GcsMsg::FlushFinal { .. }
+            | GcsMsg::FlushAbort { .. }
+            | GcsMsg::InstallAck { .. } => cost.gcs_frame_delay,
+        },
+    }
+}
+
 /// The JOSHUA daemon. See module docs.
 pub struct JoshuaServer {
     config: JoshuaConfig,
-    group: GroupMember<Payload>,
+    group: GroupHost<Payload>,
     pbs: PbsServerCore,
     jmutex: JMutexState,
     /// Per-client duplicate-suppression floor and cached reply.
@@ -157,7 +206,10 @@ impl JoshuaServer {
     /// list (all initial heads configured identically); a process not in
     /// the list joins through them instead.
     pub fn new(me: ProcId, config: JoshuaConfig, initial_heads: Vec<ProcId>) -> Self {
-        let group = GroupMember::new(me, config.group.clone(), initial_heads.clone());
+        let cost = config.cost;
+        let group = GroupHost::new(me, config.group.clone(), initial_heads.clone(), move |f| {
+            charge(&cost, f)
+        });
         let pbs = Self::fresh_pbs(&config, me);
         let store = config.persist.enabled.then(HeadStore::new);
         // With a durable store, even an initial member defers establishment
@@ -219,7 +271,7 @@ impl JoshuaServer {
 
     /// The group membership view.
     pub fn view(&self) -> &View {
-        self.group.view()
+        self.group.member().view()
     }
 
     /// Counters.
@@ -229,12 +281,12 @@ impl JoshuaServer {
 
     /// Group-layer counters.
     pub fn group_stats(&self) -> jrs_gcs::GroupStats {
-        self.group.stats()
+        self.group.member().stats()
     }
 
     /// Is this head fully established (installed and state-transferred)?
     pub fn is_established(&self) -> bool {
-        self.group.is_installed() && matches!(self.sync, SyncMode::Established)
+        self.group.member().is_installed() && matches!(self.sync, SyncMode::Established)
     }
 
     /// The jmutex table (tests).
@@ -273,73 +325,26 @@ impl JoshuaServer {
     /// holds full state). Deterministic at every replica by virtue of
     /// virtual synchrony.
     fn responder(&self) -> Option<ProcId> {
-        self.group
-            .view()
-            .members
+        let view = self.view();
+        view.members
             .iter()
             .copied()
             .find(|m| !self.joined_current.contains(m))
-            .or_else(|| self.group.view().leader())
+            .or_else(|| view.leader())
     }
 
     fn is_responder(&self) -> bool {
-        self.responder() == Some(self.group.me())
+        self.responder() == Some(self.group.member().me())
     }
 
-    /// Transmit group frames, modelling serial CPU cost per frame. The
-    /// cost depends on the frame class: protocol frames pay the full
-    /// daemon processing cost, stability acknowledgements pay the (slower,
-    /// timer-batched) ack-path cost, and background datagrams / bare link
-    /// acks are nearly free. Calibration table in EXPERIMENTS.md.
-    fn flush_gcs(&mut self, ctx: &mut Ctx<'_>, out: GcsOutput<Payload>) {
-        use jrs_gcs::{EngineMsg, GcsMsg};
-        let mut busy = SimDuration::ZERO;
-        let cost = &self.config.cost;
-        for (to, frame, bytes) in out.wire {
-            // Exhaustive over the wire protocol: a new frame kind must be
-            // assigned a CPU cost here, not silently inherit one (F004).
-            busy += match &frame {
-                Wire::Ack { .. } => cost.gcs_background_delay,
-                Wire::Raw(m) => match m {
-                    GcsMsg::Heartbeat { .. } | GcsMsg::JoinReq { .. } => {
-                        cost.gcs_background_delay
-                    }
-                    GcsMsg::Leave
-                    | GcsMsg::FlushReq { .. }
-                    | GcsMsg::FlushInfo { .. }
-                    | GcsMsg::FlushFinal { .. }
-                    | GcsMsg::FlushAbort { .. }
-                    | GcsMsg::InstallAck { .. }
-                    | GcsMsg::Engine { .. } => cost.gcs_frame_delay,
-                },
-                Wire::Data { msg, .. } => match msg {
-                    GcsMsg::Engine { msg: EngineMsg::Ack { .. }, .. } => cost.gcs_ack_delay,
-                    GcsMsg::Engine {
-                        msg:
-                            EngineMsg::Request { .. }
-                            | EngineMsg::Ordered(_)
-                            | EngineMsg::Stable { .. }
-                            | EngineMsg::Token { .. },
-                        ..
-                    } => cost.gcs_frame_delay,
-                    GcsMsg::Heartbeat { .. }
-                    | GcsMsg::JoinReq { .. }
-                    | GcsMsg::Leave
-                    | GcsMsg::FlushReq { .. }
-                    | GcsMsg::FlushInfo { .. }
-                    | GcsMsg::FlushFinal { .. }
-                    | GcsMsg::FlushAbort { .. }
-                    | GcsMsg::InstallAck { .. } => cost.gcs_frame_delay,
-                },
-            };
-            ctx.send_sized_after(to, frame, bytes, busy);
-        }
-        for ev in out.events {
+    /// Handle the upcalls of one group call, in order.
+    fn on_group(&mut self, ctx: &mut Ctx<'_>, events: Vec<GcsEvent<Payload>>) {
+        for ev in events {
             self.on_gcs_event(ctx, ev);
         }
         // Persist the group incarnation whenever it advances, so a future
         // restart rejoins with one the survivors will not ignore.
-        let inc = self.group.incarnation();
+        let inc = self.group.member().incarnation();
         if inc != self.persisted_incarnation {
             if let Some(store) = &self.store {
                 let now = ctx.now();
@@ -350,8 +355,8 @@ impl JoshuaServer {
     }
 
     fn broadcast(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
-        let out = self.group.broadcast(ctx.now(), payload);
-        self.flush_gcs(ctx, out);
+        let events = self.group.broadcast(ctx, payload);
+        self.on_group(ctx, events);
     }
 
     /// Broadcast `payload` after a modelled CPU delay (the work that
@@ -456,11 +461,7 @@ impl JoshuaServer {
                 if targets.contains(&ctx.me()) && !matches!(self.sync, SyncMode::Established) {
                     self.install_snapshot(ctx, as_of_seq, *state);
                 }
-                for t in &targets {
-                    self.needs_snapshot.remove(t);
-                    self.joined_current.remove(t);
-                    self.hellos.remove(t);
-                }
+                self.transfer_done(&targets);
             }
         }
     }
@@ -537,15 +538,19 @@ impl JoshuaServer {
     /// Write a periodic full-state snapshot (bounds WAL replay time).
     fn maybe_snapshot(&mut self, ctx: &mut Ctx<'_>, idx: u64) {
         let every = self.config.persist.snapshot_every;
-        if self.store.is_none() || every == 0 || !idx.is_multiple_of(every) {
-            return;
+        if every != 0 && idx.is_multiple_of(every) {
+            self.write_snapshot(ctx);
         }
+    }
+
+    /// Write the full state as of `applied_index` to the local disk (a
+    /// no-op when diskless).
+    fn write_snapshot(&mut self, ctx: &mut Ctx<'_>) {
+        let Some(store) = &self.store else { return };
         let state = self.current_state();
-        if let Some(store) = &self.store {
-            let now = ctx.now();
-            if store.save_snapshot(ctx.disk_mut(), now, idx, &state) {
-                self.stats.snapshots_written += 1;
-            }
+        let now = ctx.now();
+        if store.save_snapshot(ctx.disk_mut(), now, self.applied_index, &state) {
+            self.stats.snapshots_written += 1;
         }
     }
 
@@ -592,36 +597,11 @@ impl JoshuaServer {
     }
 
     fn dispatch(&mut self, ctx: &mut Ctx<'_>, actions: Vec<ServerAction>, delay: SimDuration) {
-        if self.replaying {
-            // Recovery replay: the pre-crash life already dispatched these
-            // (and what it did not, `resync` re-drives once established).
-            return;
-        }
-        let me = ctx.me();
-        for a in actions {
-            match a {
-                ServerAction::Start { mom, job, spec, nodes } => {
-                    if let Some(mom) = mom {
-                        let msg = MomInbound::Start {
-                            job,
-                            spec,
-                            nodes,
-                            server: me,
-                            arbiter: Some(me),
-                        };
-                        ctx.send_after(mom, msg, delay + self.config.cost.pbs.dispatch_processing);
-                    }
-                }
-                ServerAction::Cancel { mom, job } => {
-                    if let Some(mom) = mom {
-                        ctx.send_after(
-                            mom,
-                            MomInbound::Cancel { job, server: me },
-                            delay + self.config.cost.pbs.dispatch_processing,
-                        );
-                    }
-                }
-            }
+        // During recovery replay the pre-crash life already dispatched
+        // these (and what it did not, `resync` re-drives once established).
+        if !self.replaying {
+            let me = ctx.me();
+            dispatch(ctx, actions, Some(me), delay + self.config.cost.pbs.dispatch_processing);
         }
     }
 
@@ -655,16 +635,8 @@ impl JoshuaServer {
             if matches!(self.sync, SyncMode::Established) {
                 self.sync = SyncMode::AwaitState(Vec::new());
             }
-            // Register with the moms for future obituaries.
-            for (_, mom) in self.config.nodes.clone() {
-                ctx.send(mom, MomInbound::RegisterServer { server: ctx.me() });
-            }
-            let hello = Payload::Hello {
-                member: ctx.me(),
-                applied_index: self.applied_index,
-                fingerprint: self.state_fingerprint(),
-            };
-            self.broadcast(ctx, hello);
+            self.register_with_moms(ctx);
+            self.announce(ctx);
             return;
         }
         if matches!(self.sync, SyncMode::Reconciling(_)) {
@@ -673,38 +645,47 @@ impl JoshuaServer {
             self.try_resolve(ctx);
             return;
         }
+        if !self.is_responder() || !matches!(self.sync, SyncMode::Established) {
+            return;
+        }
         // Verdict redelivery: outstanding launch grants whose granter
         // left can never reach their mom — the responder re-sends them.
         // Idempotent at the mom (a running/done job ignores late grants).
-        if self.is_responder() && matches!(self.sync, SyncMode::Established) {
-            let lost: Vec<(jrs_pbs::JobId, crate::payload::Grant)> = self
-                .jmutex
-                .grants()
-                .filter(|(_, g)| !view.contains(g.granter))
-                .collect();
-            for (job, g) in lost {
-                ctx.send(
-                    g.mom,
-                    MomInbound::Verdict { job, session: g.session, granted: true },
-                );
-            }
+        for (job, g) in self.jmutex.grants().filter(|(_, g)| !view.contains(g.granter)) {
+            ctx.send(g.mom, MomInbound::Verdict { job, session: g.session, granted: true });
         }
         // Donor duty is announcement-triggered (`on_hello`); the view
         // change only re-donates to joiners whose announcement was already
         // ordered but whose donor died before the donation was (otherwise
         // they would wait forever).
-        if self.is_responder() && matches!(self.sync, SyncMode::Established) {
-            let orphans: Vec<ProcId> = self
-                .needs_snapshot
-                .iter()
-                .copied()
-                .filter(|t| self.hellos.contains_key(t))
-                .collect();
-            if !orphans.is_empty() {
-                self.donate(ctx, orphans);
-            }
+        let orphans: Vec<ProcId> = self
+            .needs_snapshot
+            .iter()
+            .copied()
+            .filter(|t| self.hellos.contains_key(t))
+            .collect();
+        if !orphans.is_empty() {
+            self.donate(ctx, orphans);
         }
-        let _ = view;
+    }
+
+    /// Register with the moms for obituaries.
+    fn register_with_moms(&self, ctx: &mut Ctx<'_>) {
+        for (_, mom) in &self.config.nodes {
+            ctx.send(*mom, MomInbound::RegisterServer { server: ctx.me() });
+        }
+    }
+
+    /// Announce what the local disk vouched for (index 0 when diskless or
+    /// empty), so the group can pick a reference state or a donor can
+    /// ship a delta instead of a full snapshot.
+    fn announce(&mut self, ctx: &mut Ctx<'_>) {
+        let hello = Payload::Hello {
+            member: ctx.me(),
+            applied_index: self.applied_index,
+            fingerprint: self.state_fingerprint(),
+        };
+        self.broadcast(ctx, hello);
     }
 
     /// A recovery announcement was ordered: record it and either advance
@@ -731,7 +712,7 @@ impl JoshuaServer {
     /// replica) whose state is the reference. Members matching it resume;
     /// the reference donates the laggards their missing delta.
     fn try_resolve(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.group.is_installed() {
+        if !self.group.member().is_installed() {
             return;
         }
         let members = self.view().members.clone();
@@ -842,7 +823,13 @@ impl JoshuaServer {
             self.replaying = false;
             self.establish(ctx, as_of_seq);
         }
-        for t in &targets {
+        self.transfer_done(&targets);
+    }
+
+    /// A state transfer was ordered: every replica (target or not) clears
+    /// the targets' transfer bookkeeping.
+    fn transfer_done(&mut self, targets: &[ProcId]) {
+        for t in targets {
             self.needs_snapshot.remove(t);
             self.joined_current.remove(t);
             self.hellos.remove(t);
@@ -851,37 +838,26 @@ impl JoshuaServer {
 
     fn install_snapshot(&mut self, ctx: &mut Ctx<'_>, as_of_seq: u64, state: ReplicaState) {
         self.stats.snapshots_installed += 1;
-        self.pbs.restore(&state.pbs);
-        self.jmutex = state.jmutex;
-        self.applied = state
-            .applied
-            .into_iter()
-            .map(|(c, id, r)| (c, (id, r)))
-            .collect();
-        self.needs_snapshot = state.needs_snapshot.into_iter().collect();
+        self.adopt_state(state);
         self.needs_snapshot.remove(&ctx.me());
-        self.applied_index = state.applied_index;
-        self.hellos = state
-            .hellos
-            .into_iter()
-            .map(|(m, i, f)| (m, (i, f)))
-            .collect();
         // Whatever the ring held belongs to a state we just discarded.
         self.ring.clear();
         self.establish(ctx, as_of_seq);
         // Anchor the adopted state on disk: our WAL has a gap between our
         // old index and the donor's, so a later crash must recover from
         // this snapshot, not from the log alone.
-        if self.store.is_some() {
-            let idx = self.applied_index;
-            let state = self.current_state();
-            if let Some(store) = &self.store {
-                let now = ctx.now();
-            if store.save_snapshot(ctx.disk_mut(), now, idx, &state) {
-                    self.stats.snapshots_written += 1;
-                }
-            }
-        }
+        self.write_snapshot(ctx);
+    }
+
+    /// Overwrite the replicated state machine and its membership
+    /// bookkeeping from a donated or recovered [`ReplicaState`].
+    fn adopt_state(&mut self, state: ReplicaState) {
+        self.pbs.restore(&state.pbs);
+        self.jmutex = state.jmutex;
+        self.applied = state.applied.into_iter().map(|(c, id, r)| (c, (id, r))).collect();
+        self.needs_snapshot = state.needs_snapshot.into_iter().collect();
+        self.applied_index = state.applied_index;
+        self.hellos = state.hellos.into_iter().map(|(m, i, f)| (m, (i, f))).collect();
     }
 
     /// Leave the buffering mode: replay everything ordered after the state
@@ -948,17 +924,10 @@ impl JoshuaServer {
         };
         // Rejoin with a strictly greater incarnation than any we ever
         // announced, so peers do not mistake us for our dead predecessor.
-        self.group.adopt_incarnation(rec.incarnation + 1);
+        self.group.member_mut().adopt_incarnation(rec.incarnation + 1);
         let have_state = rec.state.is_some();
         if let Some(state) = rec.state {
-            self.pbs.restore(&state.pbs);
-            self.jmutex = state.jmutex;
-            self.applied = state
-                .applied
-                .into_iter()
-                .map(|(c, id, r)| (c, (id, r)))
-                .collect();
-            self.applied_index = state.applied_index;
+            self.adopt_state(state);
         }
         // Membership bookkeeping from the previous life is stale by
         // construction — everyone re-announces; donors re-derive needs.
@@ -1025,54 +994,38 @@ impl Process for JoshuaServer {
             self.store = Some(store);
             self.adopt_recovery(ctx, rec);
         }
-        let out = self.group.start(ctx.now());
-        self.flush_gcs(ctx, out);
-        let tick = self.config.group.tick_every;
-        ctx.set_timer(tick, 0);
+        let events = self.group.start(ctx);
+        self.on_group(ctx, events);
         // Initial members register with the moms right away.
-        if self.group.is_installed() {
-            for (_, mom) in self.config.nodes.clone() {
-                ctx.send(mom, MomInbound::RegisterServer { server: ctx.me() });
-            }
+        if self.group.member().is_installed() {
+            self.register_with_moms(ctx);
             // Cold restart: announce the recovered state so the bootstrap
             // group can agree whose is the reference (non-initial members
             // announce on their join view change instead).
             if self.store.is_some() {
-                let hello = Payload::Hello {
-                    member: ctx.me(),
-                    applied_index: self.applied_index,
-                    fingerprint: self.state_fingerprint(),
-                };
-                self.broadcast(ctx, hello);
+                self.announce(ctx);
             }
         }
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: ProcId, msg: Msg) {
-        // Group traffic from peer daemons. Single fallible downcast (the
-        // Err arm hands the box back) instead of check-then-expect (F003).
-        let msg = match msg.downcast::<Wire<Payload>>() {
-            Ok(frame) => {
-                let now = ctx.now();
-                let out = self.group.on_wire(now, from, *frame);
-                self.flush_gcs(ctx, out);
-                return;
+        // Group traffic from peer daemons; anything else is handed back.
+        let msg = match self.group.on_message(ctx, from, msg) {
+            Ok(events) => return self.on_group(ctx, events),
+            Err(msg) => msg,
+        };
+        // Intercepted PBS user command, taken by value (fallible downcast,
+        // the Err arm hands the box back: F003).
+        let msg = match msg.downcast::<ClientRequest>() {
+            Ok(req) => {
+                self.stats.commands_forwarded += 1;
+                let ClientRequest { client, req_id, cmd } = *req;
+                // Interception cost (jsub → joshua local round), then order.
+                let delay = self.config.cost.intercept_overhead;
+                return self.defer_broadcast(ctx, Payload::Client { client, req_id, cmd }, delay);
             }
             Err(msg) => msg,
         };
-        // Intercepted PBS user command.
-        if let Some(req) = msg.downcast_ref::<ClientRequest>() {
-            self.stats.commands_forwarded += 1;
-            let payload = Payload::Client {
-                client: req.client,
-                req_id: req.req_id,
-                cmd: req.cmd.clone(),
-            };
-            // Interception cost (jsub → joshua local round), then order.
-            let delay = self.config.cost.intercept_overhead;
-            self.defer_broadcast(ctx, payload, delay);
-            return;
-        }
         // Obituaries and other mom reports.
         if let Some(report) = msg.downcast_ref::<MomReport>() {
             if let MomReport::Finished { job, exit } = report {
@@ -1109,19 +1062,15 @@ impl Process for JoshuaServer {
         }
         // Administrative shutdown (voluntary leave).
         if msg.downcast_ref::<LeaveCmd>().is_some() {
-            let out = self.group.leave(ctx.now());
-            self.flush_gcs(ctx, out);
+            let events = self.group.leave(ctx);
+            self.on_group(ctx, events);
             ctx.exit();
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _timer: TimerId, tag: u64) {
-        if tag == 0 {
-            let out = self.group.tick(ctx.now());
-            self.flush_gcs(ctx, out);
-            let tick = self.config.group.tick_every;
-            ctx.set_timer(tick, 0);
-            return;
+        if let Some(events) = self.group.on_timer(ctx, tag) {
+            return self.on_group(ctx, events);
         }
         if let Some(payload) = self.deferred.remove(&tag) {
             self.broadcast(ctx, payload);
@@ -1148,6 +1097,75 @@ impl Process for JoshuaServer {
             if still_needed {
                 self.broadcast(ctx, payload);
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use jrs_gcs::{Epoch, FlushDigest, OrderedMsg, ViewId};
+
+    /// The calibrated frame classes (EXPERIMENTS.md): which wire frames
+    /// are background, which ride the slow ack path, which pay the full
+    /// daemon cost. Distinct sentinel costs so a swapped class shows.
+    #[test]
+    fn charge_classes_are_pinned() {
+        let cost = JoshuaCostModel {
+            gcs_background_delay: SimDuration::from_millis(1),
+            gcs_ack_delay: SimDuration::from_millis(2),
+            gcs_frame_delay: SimDuration::from_millis(3),
+            ..JoshuaCostModel::default()
+        };
+        let (background, ack, frame) =
+            (cost.gcs_background_delay, cost.gcs_ack_delay, cost.gcs_frame_delay);
+        let view_id = ViewId::bootstrap(ProcId(0));
+        let epoch = Epoch { view_id, attempt: 1, coord: ProcId(0) };
+        let payload = Payload::JMutexRelease { job: jrs_pbs::JobId(1) };
+        let engine = |msg| GcsMsg::Engine { view_id, msg };
+        let data = |msg| Wire::Data { seq: 1, msg };
+        let heartbeat = || GcsMsg::Heartbeat { view_id, view_size: 3, delivered_up_to: 0 };
+        let digest = FlushDigest { max_contig: 0, extra: Vec::new(), dedup: Vec::new() };
+        let ordered =
+            OrderedMsg { seq: 1, origin: ProcId(0), local_id: 1, payload: payload.clone() };
+
+        // Nearly free: bare link acks and the unreliable datagrams.
+        assert_eq!(charge(&cost, &Wire::Ack { cum: 7 }), background);
+        assert_eq!(charge(&cost, &Wire::Raw(heartbeat())), background);
+        assert_eq!(charge(&cost, &Wire::Raw(GcsMsg::JoinReq { incarnation: 2 })), background);
+
+        // The slow, timer-batched stability acknowledgement.
+        assert_eq!(charge(&cost, &data(engine(EngineMsg::Ack { up_to: 1 }))), ack);
+
+        // Everything else pays the full daemon cost.
+        let full = [
+            data(engine(EngineMsg::Request { local_id: 1, payload })),
+            data(engine(EngineMsg::Ordered(ordered))),
+            data(engine(EngineMsg::Stable { up_to: 1 })),
+            data(engine(EngineMsg::Token { next_seq: 2 })),
+            data(GcsMsg::FlushReq { epoch, proposed: vec![ProcId(0)], coord_known: 0 }),
+            data(GcsMsg::FlushInfo { epoch, digest }),
+            data(GcsMsg::FlushFinal {
+                epoch,
+                view: View::new(view_id, vec![ProcId(0)]),
+                joined: Vec::new(),
+                msgs: Vec::new(),
+                next_seq: 1,
+                dedup: Vec::new(),
+            }),
+            data(GcsMsg::FlushAbort { epoch }),
+            data(GcsMsg::InstallAck { epoch }),
+            data(GcsMsg::Leave),
+            Wire::Raw(GcsMsg::Leave),
+            Wire::Raw(GcsMsg::FlushAbort { epoch }),
+            Wire::Raw(engine(EngineMsg::Ack { up_to: 1 })),
+            // Reliable-channel copies of the datagram kinds are protocol
+            // frames like any other.
+            data(heartbeat()),
+            data(GcsMsg::JoinReq { incarnation: 2 }),
+        ];
+        for f in &full {
+            assert_eq!(charge(&cost, f), frame, "{f:?}");
         }
     }
 }

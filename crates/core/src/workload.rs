@@ -47,19 +47,6 @@ pub fn mixed(n: usize, seed: u64) -> Vec<ServerCmd> {
     cmds
 }
 
-/// High-throughput computing scenario (the paper's computational-biology
-/// / on-demand example): many short jobs.
-pub fn high_throughput(n: usize) -> Vec<ServerCmd> {
-    (0..n)
-        .map(|i| {
-            ServerCmd::Qsub(JobSpec::with_runtime(
-                format!("ht-{i}"),
-                SimDuration::from_millis(200),
-            ))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -21,10 +21,10 @@
 //! a rotating **token** (Totem-style, used for the paper reproduction's
 //! ordering ablation).
 //!
-//! The member is a sans-IO state machine: embed a [`GroupMember`] in your
-//! process, feed it `start`/`on_wire`/`tick`, transmit the frames it
-//! returns, and react to the events. See `jrs-sim` for the simulation
-//! substrate and `joshua-core` for the intended embedding.
+//! The member is a sans-IO state machine: feed a [`GroupMember`]
+//! `start`/`on_wire`/`tick`, transmit the frames it returns, and react to
+//! the events. Under `jrs-sim` that embedding exists once,
+//! [`simharness::GroupHost`]; `joshua-core` builds its daemon on it.
 //!
 //! ## Fault model
 //!

@@ -1,15 +1,118 @@
-//! Embedding of a [`GroupMember`] into a `jrs-sim` process.
+//! The one embedding of a [`GroupMember`] into a `jrs-sim` process.
 //!
-//! This is both the reference embedding (joshua-core follows the same
-//! pattern with application logic attached) and the vehicle for running
-//! the group communication system over the realistic network model —
+//! [`GroupHost`] owns the member, its tick timer and the embedder's CPU
+//! charge policy; every path that puts the member's [`Output`] on the
+//! simulated wire goes through its private `transmit`. An embedder calls
+//! the host from its `Process` callbacks and gets back only the ordered
+//! upcalls ([`GcsEvent`]): how a frame is charged, sent and how the tick
+//! is re-armed is not its business.
+//!
+//! Two embedders exist. [`GcsProcess`] (below) charges nothing and
+//! publishes the upcalls through `Ctx::emit`: the vehicle for running the
+//! group communication system alone over the realistic network model —
 //! latency jitter, shared-hub contention, message loss, partitions and
-//! node crashes.
+//! node crashes. `joshua_core::JoshuaServer` supplies its calibrated cost
+//! table as the charge and attaches the application logic.
 
 use crate::config::GroupConfig;
-use crate::group::{GroupMember, Output};
+use crate::group::{GcsEvent, GroupMember, Output};
 use crate::msg::Wire;
-use jrs_sim::{Ctx, Msg, ProcId, Process, TimerId, EXTERNAL};
+use jrs_sim::{Ctx, Msg, ProcId, Process, SimDuration, TimerId, EXTERNAL};
+
+/// Timer tag of the host's group tick. An embedder multiplexing its own
+/// timers on the same process must not use it.
+pub const TICK_TAG: u64 = 0;
+
+/// The embedder's policy: sender-side CPU cost of one frame.
+type Charge<P> = Box<dyn Fn(&Wire<P>) -> SimDuration>;
+
+/// A [`GroupMember`] wired to a sim process: member, tick timer and the
+/// per-frame CPU charge. See module docs.
+pub struct GroupHost<P> {
+    member: GroupMember<P>,
+    tick_every: SimDuration,
+    charge: Charge<P>,
+}
+
+impl<P: Clone + 'static> GroupHost<P> {
+    /// Wrap a configured member. `charge` is the sender-side CPU cost of
+    /// one frame; the frames of one [`Output`] are charged serially.
+    pub fn new(
+        me: ProcId,
+        config: GroupConfig,
+        initial: Vec<ProcId>,
+        charge: impl Fn(&Wire<P>) -> SimDuration + 'static,
+    ) -> Self {
+        let tick_every = config.tick_every;
+        GroupHost { member: GroupMember::new(me, config, initial), tick_every, charge: Box::new(charge) }
+    }
+
+    /// Read-only access to the wrapped member.
+    pub fn member(&self) -> &GroupMember<P> {
+        &self.member
+    }
+
+    /// Mutable access, for what must happen before [`start`](Self::start)
+    /// (adopting a recovered incarnation).
+    pub fn member_mut(&mut self) -> &mut GroupMember<P> {
+        &mut self.member
+    }
+
+    /// The tick interval this host re-arms.
+    pub fn tick_interval(&self) -> SimDuration {
+        self.tick_every
+    }
+
+    /// Start the member and arm the first tick; call from `on_start`.
+    pub fn start(&mut self, ctx: &mut Ctx<'_>) -> Vec<GcsEvent<P>> {
+        let out = self.member.start(ctx.now());
+        let events = self.transmit(ctx, out);
+        ctx.set_timer(self.tick_every, TICK_TAG);
+        events
+    }
+
+    /// Feed a received message. `Err` hands back a message that is not a
+    /// group frame (single fallible downcast, no check-then-expect: F003).
+    pub fn on_message(&mut self, ctx: &mut Ctx<'_>, from: ProcId, msg: Msg) -> Result<Vec<GcsEvent<P>>, Msg> {
+        let frame = msg.downcast::<Wire<P>>()?;
+        let out = self.member.on_wire(ctx.now(), from, *frame);
+        Ok(self.transmit(ctx, out))
+    }
+
+    /// Feed a fired timer. `None` when the tag is not the host's tick.
+    pub fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) -> Option<Vec<GcsEvent<P>>> {
+        if tag != TICK_TAG {
+            return None;
+        }
+        let out = self.member.tick(ctx.now());
+        let events = self.transmit(ctx, out);
+        ctx.set_timer(self.tick_every, TICK_TAG);
+        Some(events)
+    }
+
+    /// Submit a payload for totally ordered broadcast.
+    pub fn broadcast(&mut self, ctx: &mut Ctx<'_>, payload: P) -> Vec<GcsEvent<P>> {
+        let out = self.member.broadcast(ctx.now(), payload);
+        self.transmit(ctx, out)
+    }
+
+    /// Announce a voluntary leave; the embedder exits afterwards.
+    pub fn leave(&mut self, ctx: &mut Ctx<'_>) -> Vec<GcsEvent<P>> {
+        let out = self.member.leave(ctx.now());
+        self.transmit(ctx, out)
+    }
+
+    /// Put one `Output` on the wire. The CPU is serial: each frame leaves
+    /// after its own charge *and* that of every frame queued before it.
+    fn transmit(&self, ctx: &mut Ctx<'_>, out: Output<P>) -> Vec<GcsEvent<P>> {
+        let mut busy = SimDuration::ZERO;
+        for (to, frame, bytes) in out.wire {
+            busy += (self.charge)(&frame);
+            ctx.send_sized_after(to, frame, bytes, busy);
+        }
+        out.events
+    }
+}
 
 /// Commands the harness can inject into a [`GcsProcess`] (via
 /// `World::inject`).
@@ -21,80 +124,67 @@ pub enum GcsCommand<P> {
     Leave,
 }
 
-/// A simulation process wrapping one group member.
+/// A simulation process that is nothing but a [`GroupHost`] with a zero
+/// charge.
 ///
 /// Delivered messages, view changes and ejections are published through
-/// `Ctx::emit` as [`GcsEvent`](crate::GcsEvent) values; drain them with
+/// `Ctx::emit` as [`GcsEvent`] values; drain them with
 /// `World::take_emitted::<GcsEvent<P>>()`.
 pub struct GcsProcess<P> {
-    member: GroupMember<P>,
-    tick_every: jrs_sim::SimDuration,
+    host: GroupHost<P>,
 }
 
 impl<P: Clone + 'static> GcsProcess<P> {
     /// Wrap a configured member.
     pub fn new(me: ProcId, config: GroupConfig, initial: Vec<ProcId>) -> Self {
-        let tick_every = config.tick_every;
-        GcsProcess { member: GroupMember::new(me, config, initial), tick_every }
+        GcsProcess { host: GroupHost::new(me, config, initial, |_| SimDuration::ZERO) }
     }
 
     /// Read-only access to the wrapped member (post-run inspection).
     pub fn member(&self) -> &GroupMember<P> {
-        &self.member
+        self.host.member()
     }
 
-    fn flush_output(&mut self, ctx: &mut Ctx<'_>, out: Output<P>) {
-        for (to, frame, bytes) in out.wire {
-            ctx.send_sized(to, frame, bytes);
-        }
-        for ev in out.events {
-            ctx.emit(ev);
-        }
+    /// The tick interval used by this embedding.
+    pub fn tick_interval(&self) -> SimDuration {
+        self.host.tick_interval()
+    }
+}
+
+fn emit_all<P: 'static>(ctx: &mut Ctx<'_>, events: Vec<GcsEvent<P>>) {
+    for ev in events {
+        ctx.emit(ev);
     }
 }
 
 impl<P: Clone + 'static> Process for GcsProcess<P> {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let out = self.member.start(ctx.now());
-        self.flush_output(ctx, out);
-        let tick = self.tick_every;
-        ctx.set_timer(tick, 0);
+        let events = self.host.start(ctx);
+        emit_all(ctx, events);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: ProcId, msg: Msg) {
         if from == EXTERNAL {
             // Unknown harness payloads are dropped, not fatal (F003).
             let Ok(cmd) = msg.downcast::<GcsCommand<P>>() else { return };
-            match *cmd {
-                GcsCommand::Broadcast(p) => {
-                    let out = self.member.broadcast(ctx.now(), p);
-                    self.flush_output(ctx, out);
-                }
+            let events = match *cmd {
+                GcsCommand::Broadcast(p) => self.host.broadcast(ctx, p),
                 GcsCommand::Leave => {
-                    let out = self.member.leave(ctx.now());
-                    self.flush_output(ctx, out);
+                    let events = self.host.leave(ctx);
                     ctx.exit();
+                    events
                 }
-            }
-            return;
+            };
+            return emit_all(ctx, events);
         }
-        let Ok(frame) = msg.downcast::<Wire<P>>() else { return };
-        let now = ctx.now();
-        let out = self.member.on_wire(now, from, *frame);
-        self.flush_output(ctx, out);
+        if let Ok(events) = self.host.on_message(ctx, from, msg) {
+            emit_all(ctx, events);
+        }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _timer: TimerId, _tag: u64) {
-        let out = self.member.tick(ctx.now());
-        self.flush_output(ctx, out);
-        let tick = self.tick_every;
-        ctx.set_timer(tick, 0);
-    }
-}
-
-impl<P> GcsProcess<P> {
-    /// The tick interval used by this embedding.
-    pub fn tick_interval(&self) -> jrs_sim::SimDuration {
-        self.tick_every
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _timer: TimerId, tag: u64) {
+        if let Some(events) = self.host.on_timer(ctx, tag) {
+            emit_all(ctx, events);
+        }
     }
 }

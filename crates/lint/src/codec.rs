@@ -15,6 +15,7 @@
 use crate::model::{FileFacts, FnDef, Model};
 use crate::proto::ProtoConfig;
 use crate::text::{balanced, brace_delta, find_token, is_ident, split_top_level, token_positions};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// One recognized operation in an `encode` body, in source order.
@@ -286,34 +287,58 @@ fn parse_tag_table_let(l: &str) -> Option<(String, u8)> {
 struct Arm<'a> {
     /// 1-based line of the pattern.
     line: usize,
-    /// Pattern text, up to the `=>`.
-    pat: &'a str,
+    /// Pattern text, up to the `=>` (joined when it spans lines).
+    pat: Cow<'a, str>,
     /// Body text line by line, the rest of the `=>` line first.
     body: Vec<&'a str>,
 }
 
 /// The arms of the `match` whose block opens on `body[match_idx]`: an
-/// arm starts on a line with `=>` directly inside the block and owns
-/// every deeper line up to the next one.
+/// arm starts directly inside the block, runs to the `=>` that closes
+/// its pattern (on the same line or, for a pattern rustfmt spread over
+/// several, a later one) and owns every deeper line up to the next arm.
 fn match_arms<'a>(body: &[(usize, &'a str)], match_idx: usize) -> Vec<Arm<'a>> {
     let mut arms: Vec<Arm<'a>> = Vec::new();
-    let mut depth = 0i32;
-    for (i, (n, l)) in body.iter().enumerate().skip(match_idx) {
-        if i > match_idx && depth == 1 {
+    let mut lines = body.iter().skip(match_idx);
+    // The `match .. {` line itself only opens the block.
+    let mut depth = lines.next().map_or(0, |(_, l)| brace_delta(l));
+    // A pattern opened directly inside the block, still waiting for the
+    // `=>` that brings it back to the block's depth.
+    let mut open: Option<(usize, String)> = None;
+    for (n, l) in lines {
+        if let Some((line, mut pat)) = open.take() {
+            pat.push(' ');
+            match l.find("=>").filter(|a| depth + brace_delta(&l[..*a]) == 1) {
+                Some(arrow) => {
+                    pat.push_str(&l[..arrow]);
+                    arms.push(Arm {
+                        line,
+                        pat: Cow::Owned(pat),
+                        body: vec![&l[arrow + 2..]],
+                    });
+                }
+                None => {
+                    pat.push_str(l);
+                    open = Some((line, pat));
+                }
+            }
+        } else if depth == 1 {
             if let Some(arrow) = l.find("=>") {
                 arms.push(Arm {
                     line: *n,
-                    pat: &l[..arrow],
+                    pat: Cow::Borrowed(&l[..arrow]),
                     body: vec![&l[arrow + 2..]],
                 });
+            } else if !l.trim_start().is_empty() && !l.trim_start().starts_with('}') {
+                open = Some((*n, l.to_string()));
             }
-        } else if i > match_idx && depth >= 2 {
+        } else if depth >= 2 {
             if let Some(arm) = arms.last_mut() {
                 arm.body.push(l);
             }
         }
         depth += brace_delta(l);
-        if i > match_idx && depth <= 0 {
+        if depth <= 0 {
             break;
         }
     }
@@ -328,7 +353,7 @@ fn parse_encode_match(
     let mut variants: Vec<VariantEnc> = Vec::new();
     let mut width: Option<u8> = table.as_ref().map(|(_, w)| *w);
     for arm in match_arms(body, match_idx) {
-        let Some((name, renamed)) = parse_arm_pattern(arm.pat) else {
+        let Some((name, renamed)) = parse_arm_pattern(&arm.pat) else {
             return EncSide::Opaque(format!(
                 "unrecognized encode arm pattern `{}`",
                 arm.pat.trim()

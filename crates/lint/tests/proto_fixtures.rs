@@ -390,3 +390,129 @@ impl Codec for Rec {
         r.findings
     );
 }
+
+/// The same codec as rustfmt lays it out when the struct patterns are
+/// short (one line each) and when they exceed its struct-literal width
+/// (one field per line, the `=>` on the closing-brace line).
+const LAYOUT_ONE_LINE: &str = "\
+pub enum Msg {
+    Ping { seq: u64, origin: u32, hops: u8 },
+    Pong { seq: u64 },
+    Bye,
+}
+impl Codec for Msg {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            Msg::Ping { seq, origin, hops } => {
+                0u8.encode(out);
+                seq.encode(out);
+                origin.encode(out);
+                hops.encode(out);
+            }
+            Msg::Pong { seq } => {
+                1u8.encode(out);
+                seq.encode(out);
+            }
+            Msg::Bye => {
+                2u8.encode(out);
+            }
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match u8::decode(r)? {
+            0 => Ok(Msg::Ping { seq: u64::decode(r)?, origin: u32::decode(r)?, hops: u8::decode(r)? }),
+            1 => Ok(Msg::Pong { seq: u64::decode(r)? }),
+            2 => Ok(Msg::Bye),
+            _ => Err(DecodeError::Invalid(\"Msg tag\")),
+        }
+    }
+}
+";
+
+const LAYOUT_SPREAD: &str = "\
+pub enum Msg {
+    Ping { seq: u64, origin: u32, hops: u8 },
+    Pong { seq: u64 },
+    Bye,
+}
+impl Codec for Msg {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            Msg::Ping {
+                seq,
+                origin,
+                hops,
+            } => {
+                0u8.encode(out);
+                seq.encode(out);
+                origin.encode(out);
+                hops.encode(out);
+            }
+            Msg::Pong { seq } => {
+                1u8.encode(out);
+                seq.encode(out);
+            }
+            Msg::Bye => {
+                2u8.encode(out);
+            }
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match u8::decode(r)? {
+            0 => Ok(Msg::Ping {
+                seq: u64::decode(r)?,
+                origin: u32::decode(r)?,
+                hops: u8::decode(r)?,
+            }),
+            1 => Ok(Msg::Pong {
+                seq: u64::decode(r)?,
+            }),
+            2 => Ok(Msg::Bye),
+            _ => Err(DecodeError::Invalid(\"Msg tag\")),
+        }
+    }
+}
+";
+
+#[test]
+fn codec_shape_does_not_depend_on_arm_layout() {
+    use jrs_lint::codec::{DecField, DecSide, EncOp, EncSide};
+    type Enc = Vec<(String, Option<u64>, Option<u8>, Vec<EncOp>)>;
+    type Dec = Vec<(String, u64, Vec<DecField>)>;
+    let cfg = cfg_with_matrix(&[]);
+    let lock = "enum Msg {\n  Ping = 0\n  Pong = 1\n  Bye = 2\n}\n";
+    let shape = |src: &str| -> (Enc, Dec) {
+        let a = analyze(&cfg, &[("crates/core/src/a.rs", src)], Some(lock));
+        let w: Vec<_> = a
+            .report
+            .findings
+            .iter()
+            .filter(|f| f.rule.starts_with('W'))
+            .collect();
+        assert!(w.is_empty(), "expected no W finding, got:\n{w:?}");
+        let c = a.proto.codec("Msg").expect("codec extracted");
+        let EncSide::Enum { variants, .. } = &c.enc else {
+            panic!("encode side: {:?}", c.enc)
+        };
+        let DecSide::Enum { arms, .. } = &c.dec else {
+            panic!("decode side: {:?}", c.dec)
+        };
+        (
+            variants
+                .iter()
+                .map(|v| (v.name.clone(), v.tag, v.tag_width, v.ops.clone()))
+                .collect(),
+            arms.iter()
+                .map(|v| (v.name.clone(), v.tag, v.fields.clone()))
+                .collect(),
+        )
+    };
+    let one_line = shape(LAYOUT_ONE_LINE);
+    assert_eq!(one_line.0.len(), 3, "every variant has an encode arm");
+    assert_eq!(
+        one_line.0[0].3,
+        ["seq", "origin", "hops"].map(|f| EncOp::Val(f.into())),
+        "Ping's arm owns exactly its own writes"
+    );
+    assert_eq!(one_line, shape(LAYOUT_SPREAD));
+}

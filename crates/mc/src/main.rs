@@ -267,7 +267,9 @@ fn run_replay(args: &[String]) -> Result<ExitCode, String> {
     let o = parse_opts(args)?;
     let line = o.trace.as_deref().ok_or("replay needs --trace")?;
     let trace = parse_trace(line)?;
-    let start = World::new(o.cfg.clone());
+    let mut start = World::new(o.cfg.clone());
+    // Read once here; `check` never consults the environment.
+    start.narrate = std::env::var_os("JRS_MC_TRACE_EVENTS").is_some();
     println!("replaying {} steps on procs={} mutate={}", trace.len(), o.cfg.procs, o.cfg.mutation.name());
     match replay(&start, &trace) {
         Some(v) => {

@@ -331,6 +331,9 @@ pub struct World {
     /// Canonical total order observed so far:
     /// seq → (origin, payload fingerprint, delivery view).
     canon: BTreeMap<u64, (ProcId, u64, ViewId)>,
+    /// Narrate protocol events on stderr: a debugging aid `jrs-mc replay`
+    /// switches on, never part of the explored state.
+    pub narrate: bool,
 }
 
 impl World {
@@ -353,6 +356,7 @@ impl World {
             launches: BTreeMap::new(),
             completed: BTreeSet::new(),
             canon: BTreeMap::new(),
+            narrate: false,
         }
     }
 
@@ -495,9 +499,7 @@ impl World {
     }
 
     fn on_event(&mut self, who: ProcId, ev: GcsEvent<McPayload>) -> Option<Violation> {
-        // Debugging aid for counterexample replays (`jrs-mc replay`):
-        // narrate protocol events without affecting the explored state.
-        if std::env::var_os("JRS_MC_TRACE_EVENTS").is_some() {
+        if self.narrate {
             match &ev {
                 GcsEvent::Deliver { seq, origin, .. } => {
                     eprintln!("[ev] t={:?} {who:?} deliver seq={seq} origin={origin:?}", self.pump.now)

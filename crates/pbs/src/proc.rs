@@ -110,29 +110,24 @@ impl PbsHeadProcess {
     pub fn core_mut(&mut self) -> &mut PbsServerCore {
         &mut self.core
     }
+}
 
-    fn dispatch(&mut self, ctx: &mut Ctx<'_>, actions: Vec<ServerAction>, delay: SimDuration) {
-        for a in actions {
-            match a {
-                ServerAction::Start { mom, job, spec, nodes } => {
-                    if let Some(mom) = mom {
-                        let msg = MomInbound::Start {
-                            job,
-                            spec,
-                            nodes,
-                            server: ctx.me(),
-                            arbiter: None,
-                        };
-                        ctx.send_after(mom, msg, delay + self.cost.dispatch_processing);
-                    }
-                }
-                ServerAction::Cancel { mom, job } => {
-                    if let Some(mom) = mom {
-                        let msg = MomInbound::Cancel { job, server: ctx.me() };
-                        ctx.send_after(mom, msg, delay + self.cost.dispatch_processing);
-                    }
-                }
+/// Turn a server's actions into mom messages sent `delay` from now: the one
+/// translation every head process uses. `arbiter` is who the mom's launch
+/// prologue must ask for the jmutex (a JOSHUA head names itself; the
+/// unreplicated baselines have none).
+pub fn dispatch(ctx: &mut Ctx<'_>, actions: Vec<ServerAction>, arbiter: Option<ProcId>, delay: SimDuration) {
+    let server = ctx.me();
+    for a in actions {
+        match a {
+            ServerAction::Start { mom: Some(mom), job, spec, nodes } => {
+                ctx.send_after(mom, MomInbound::Start { job, spec, nodes, server, arbiter }, delay);
             }
+            ServerAction::Cancel { mom: Some(mom), job } => {
+                ctx.send_after(mom, MomInbound::Cancel { job, server }, delay);
+            }
+            // No mom registered for the node: nothing to tell.
+            ServerAction::Start { mom: None, .. } | ServerAction::Cancel { mom: None, .. } => {}
         }
     }
 }
@@ -144,12 +139,12 @@ impl Process for PbsHeadProcess {
             let cost = self.cost.cost_of(&req.cmd);
             let (reply, actions) = self.core.apply(now, &req.cmd);
             ctx.send_after(req.client, ClientReply { req_id: req.req_id, reply }, cost);
-            self.dispatch(ctx, actions, cost);
+            dispatch(ctx, actions, None, cost + self.cost.dispatch_processing);
             return;
         }
         if let Ok(report) = msg.downcast::<MomReport>() {
             let actions = self.core.on_report(now, &report);
-            self.dispatch(ctx, actions, SimDuration::ZERO);
+            dispatch(ctx, actions, None, self.cost.dispatch_processing);
         }
     }
 }

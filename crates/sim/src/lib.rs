@@ -17,8 +17,7 @@
 //! * **Per-node disks** ([`disk`]) — deterministic simulated storage with
 //!   explicit write/fsync semantics that survives node crashes, plus
 //!   injectable torn writes, corruption and stalls.
-//! * **Measurement** ([`metrics`], [`trace`]) — virtual-time histograms and
-//!   a structured event trace.
+//! * **Measurement** ([`metrics`]) — virtual-time histograms.
 //!
 //! ## Example
 //!
@@ -50,7 +49,6 @@ pub mod metrics;
 pub mod network;
 mod process;
 mod time;
-pub mod trace;
 mod world;
 
 pub use disk::SimDisk;

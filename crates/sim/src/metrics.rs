@@ -6,7 +6,6 @@
 //! quantiles are affordable and simpler than a sketch.
 
 use crate::time::SimDuration;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Exact-quantile histogram of durations.
@@ -126,39 +125,6 @@ impl fmt::Display for HistogramSummary {
     }
 }
 
-/// Named integer counters.
-#[derive(Clone, Debug, Default)]
-pub struct Counters {
-    map: BTreeMap<&'static str, u64>,
-}
-
-impl Counters {
-    /// Empty counter set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add `n` to counter `name`.
-    pub fn add(&mut self, name: &'static str, n: u64) {
-        *self.map.entry(name).or_insert(0) += n;
-    }
-
-    /// Increment counter `name` by one.
-    pub fn incr(&mut self, name: &'static str) {
-        self.add(name, 1);
-    }
-
-    /// Current value of `name` (zero if never touched).
-    pub fn get(&self, name: &str) -> u64 {
-        self.map.get(name).copied().unwrap_or(0)
-    }
-
-    /// Iterate counters in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.map.iter().map(|(k, v)| (*k, *v))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,18 +172,5 @@ mod tests {
         let text = h.summary().to_string();
         assert!(text.contains("n=1"));
         assert!(text.contains("mean=5.000ms"));
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let mut c = Counters::new();
-        c.incr("a");
-        c.add("a", 4);
-        c.incr("b");
-        assert_eq!(c.get("a"), 5);
-        assert_eq!(c.get("b"), 1);
-        assert_eq!(c.get("missing"), 0);
-        let all: Vec<_> = c.iter().collect();
-        assert_eq!(all, vec![("a", 5), ("b", 1)]);
     }
 }

@@ -9,7 +9,6 @@
 use crate::disk::SimDisk;
 use crate::ids::{NodeId, ProcId, TimerId};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::TraceEvent;
 use crate::world::World;
 use rand::rngs::StdRng;
 use std::any::Any;
@@ -119,15 +118,6 @@ impl Ctx<'_> {
     /// Publish a value to the harness (drained via `World::take_emitted`).
     pub fn emit<T: Any>(&mut self, value: T) {
         self.world.push_emitted(self.me, Box::new(value));
-    }
-
-    /// Leave a free-form note in the trace buffer.
-    pub fn trace(&mut self, text: impl Into<String>) {
-        let me = self.me;
-        let now = self.now();
-        self.world
-            .trace_mut()
-            .push(now, TraceEvent::Note { proc: me, text: text.into() });
     }
 
     /// Voluntarily stop this process (it receives no further events).

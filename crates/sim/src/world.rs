@@ -6,7 +6,6 @@ use crate::ids::{NodeId, ProcId, TimerId};
 use crate::network::{Network, NetworkConfig, Outcome};
 use crate::process::{Ctx, Msg, Process};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{Trace, TraceEvent};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::any::Any;
@@ -92,7 +91,6 @@ pub struct World {
     /// `crash_node`/`revive_node` (only volatile data is lost).
     disks: Vec<SimDisk>,
     net: Network,
-    trace: Trace,
     next_timer: u64,
     cancelled_timers: HashSet<u64>,
     emitted: Vec<Emitted>,
@@ -118,27 +116,12 @@ impl World {
             procs: Vec::new(),
             disks: Vec::new(),
             net: Network::new(net),
-            trace: Trace::disabled(),
             next_timer: 0,
             cancelled_timers: HashSet::new(),
             emitted: Vec::new(),
             events_processed: 0,
             max_events: None,
         }
-    }
-
-    /// Enable the trace buffer, keeping the `capacity` most recent records.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Trace::with_capacity(capacity);
-    }
-
-    /// Access the trace buffer.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    pub(crate) fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.trace
     }
 
     /// Limit total processed events (test safety valve).
@@ -238,11 +221,6 @@ impl World {
         let incarnation = slot.incarnation;
         slot.process = Some(process);
         self.push_event(self.clock, EventKind::Start { proc: p, incarnation });
-        let now = self.clock;
-        self.trace.push(
-            now,
-            TraceEvent::Note { proc: p, text: format!("restarted (incarnation {incarnation})") },
-        );
         incarnation
     }
 
@@ -306,8 +284,6 @@ impl World {
         // Power loss: the disk keeps its durable content but drops every
         // unsynced byte (and applies armed torn-write damage).
         self.disks[node.index()].on_crash();
-        let now = self.clock;
-        self.trace.push(now, TraceEvent::Crashed { node, proc: None });
     }
 
     /// Mark a crashed node usable again. Old processes stay dead; the
@@ -315,24 +291,18 @@ impl World {
     /// join protocol).
     pub fn revive_node(&mut self, node: NodeId) {
         self.nodes[node.index()].alive = true;
-        let now = self.clock;
-        self.trace.push(now, TraceEvent::Revived { node });
     }
 
     /// Kill a single process (e.g. `kill -9` of one daemon).
     pub fn kill_proc(&mut self, p: ProcId) {
         if let Some(slot) = self.procs.get_mut(p.index()) {
             slot.alive = false;
-            let (node, now) = (slot.node, self.clock);
-            self.trace.push(now, TraceEvent::Crashed { node, proc: Some(p) });
         }
     }
 
     /// Move a node into a partition group (see `Network`).
     pub fn set_partition_group(&mut self, node: NodeId, group: u32) {
         self.net.set_partition_group(node, group);
-        let now = self.clock;
-        self.trace.push(now, TraceEvent::Partitioned { node, group });
     }
 
     // ------------------------------------------------------------------
@@ -384,24 +354,15 @@ impl World {
         let from_node = self.node_of(from);
         let to_node = self.node_of(to);
         if !self.nodes[from_node.index()].alive || !self.nodes[to_node.index()].alive {
-            self.trace
-                .push(now, TraceEvent::Dropped { from, to, reason: "dead-node" });
             return;
         }
-        self.trace.push(now, TraceEvent::Sent { from, to, bytes });
         let send_at = now + extra_delay;
         match self.net.route(&mut self.rng, send_at, from_node, to_node, bytes) {
             Outcome::Deliver(delay) => {
                 self.push_event(send_at + delay, EventKind::Deliver { from, to, msg, incarnation });
             }
-            Outcome::Drop(reason) => {
-                let r = match reason {
-                    crate::network::DropReason::Loss => "loss",
-                    crate::network::DropReason::Partition => "partition",
-                    crate::network::DropReason::DeadNode => "dead-node",
-                };
-                self.trace.push(now, TraceEvent::Dropped { from, to, reason: r });
-            }
+            // The network counted the drop; nothing reaches the receiver.
+            Outcome::Drop(_) => {}
         }
     }
 
@@ -467,8 +428,6 @@ impl World {
             }
             EventKind::Deliver { from, to, msg, incarnation } => {
                 if self.is_proc_alive(to) && self.proc_incarnation(to) == incarnation {
-                    let now = self.clock;
-                    self.trace.push(now, TraceEvent::Delivered { from, to });
                     self.dispatch(to, |p, ctx| p.on_message(ctx, from, msg));
                 }
             }

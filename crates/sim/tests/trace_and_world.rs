@@ -1,7 +1,6 @@
-//! Integration coverage for tracing, network counters and world
-//! inspection utilities.
+//! Integration coverage for network counters and world inspection
+//! utilities.
 
-use jrs_sim::trace::TraceEvent;
 use jrs_sim::{Ctx, Msg, NetworkConfig, ProcId, Process, SimDuration, SimTime, World};
 
 struct Chatter {
@@ -15,53 +14,9 @@ impl Process for Chatter {
             for i in 0..self.count {
                 ctx.send(p, i);
             }
-            ctx.trace("burst sent");
         }
     }
-    fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: ProcId, _msg: Msg) {
-        ctx.trace("got one");
-    }
-}
-
-#[test]
-fn trace_records_sends_deliveries_and_notes() {
-    let mut w = World::with_network(3, NetworkConfig::ideal());
-    w.enable_trace(1024);
-    let a = w.add_node("a");
-    let b = w.add_node("b");
-    let rx = w.add_process(b, Chatter { peer: None, count: 0 });
-    let _tx = w.add_process(a, Chatter { peer: Some(rx), count: 5 });
-    w.run_until_idle();
-    let t = w.trace();
-    assert_eq!(t.count(|e| matches!(e, TraceEvent::Sent { .. })), 5);
-    assert_eq!(t.count(|e| matches!(e, TraceEvent::Delivered { .. })), 5);
-    assert_eq!(
-        t.count(|e| matches!(e, TraceEvent::Note { text, .. } if text == "got one")),
-        5
-    );
-    assert_eq!(
-        t.count(|e| matches!(e, TraceEvent::Note { text, .. } if text == "burst sent")),
-        1
-    );
-}
-
-#[test]
-fn trace_records_drops_to_dead_nodes() {
-    let mut w = World::with_network(3, NetworkConfig::ideal());
-    w.enable_trace(1024);
-    let a = w.add_node("a");
-    let b = w.add_node("b");
-    let rx = w.add_process(b, Chatter { peer: None, count: 0 });
-    w.crash_node(b);
-    let _tx = w.add_process(a, Chatter { peer: Some(rx), count: 3 });
-    w.run_until_idle();
-    let t = w.trace();
-    assert_eq!(t.count(|e| matches!(e, TraceEvent::Crashed { .. })), 1);
-    assert_eq!(
-        t.count(|e| matches!(e, TraceEvent::Dropped { reason: "dead-node", .. })),
-        3
-    );
-    assert_eq!(t.count(|e| matches!(e, TraceEvent::Delivered { .. })), 0);
+    fn on_message(&mut self, _ctx: &mut Ctx<'_>, _from: ProcId, _msg: Msg) {}
 }
 
 #[test]
