@@ -5,7 +5,7 @@
 use jrs_pbs::server::ServerSnapshot;
 use jrs_pbs::{CmdReply, JobId, ServerCmd};
 use jrs_sim::ProcId;
-use jrs_store::{Codec, DecodeError, Reader};
+use jrs_store::codec;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Everything ordered through the group. Every replica applies these in
@@ -268,151 +268,24 @@ impl JMutexState {
 // Durable encoding (WAL records and snapshot files)
 // ----------------------------------------------------------------------
 
-impl Codec for Grant {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.mom.encode(out);
-        self.session.encode(out);
-        self.granter.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(Grant {
-            mom: ProcId::decode(r)?,
-            session: u64::decode(r)?,
-            granter: ProcId::decode(r)?,
-        })
-    }
-}
-
-impl Codec for JMutexState {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.granted.encode(out);
-        self.released.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(JMutexState { granted: Codec::decode(r)?, released: Codec::decode(r)? })
-    }
-}
-
-impl Codec for ReplicaState {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.pbs.encode(out);
-        self.jmutex.encode(out);
-        self.applied.encode(out);
-        self.needs_snapshot.encode(out);
-        self.applied_index.encode(out);
-        self.hellos.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(ReplicaState {
-            pbs: Codec::decode(r)?,
-            jmutex: JMutexState::decode(r)?,
-            applied: Codec::decode(r)?,
-            needs_snapshot: Codec::decode(r)?,
-            applied_index: u64::decode(r)?,
-            hellos: Codec::decode(r)?,
-        })
-    }
-}
-
-impl Codec for Payload {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Payload::Client { client, req_id, cmd } => {
-                0u8.encode(out);
-                client.encode(out);
-                req_id.encode(out);
-                cmd.encode(out);
-            }
-            Payload::Output { client, req_id } => {
-                1u8.encode(out);
-                client.encode(out);
-                req_id.encode(out);
-            }
-            Payload::MomFinished { job, exit, mom } => {
-                2u8.encode(out);
-                job.encode(out);
-                exit.encode(out);
-                mom.encode(out);
-            }
-            Payload::JMutexAcquire { job, mom, session, granter, reclaim } => {
-                3u8.encode(out);
-                job.encode(out);
-                mom.encode(out);
-                session.encode(out);
-                granter.encode(out);
-                reclaim.encode(out);
-            }
-            Payload::JMutexRelease { job } => {
-                4u8.encode(out);
-                job.encode(out);
-            }
-            Payload::Snapshot { targets, as_of_seq, state } => {
-                5u8.encode(out);
-                targets.encode(out);
-                as_of_seq.encode(out);
-                state.as_ref().encode(out);
-            }
-            Payload::Hello { member, applied_index, fingerprint } => {
-                6u8.encode(out);
-                member.encode(out);
-                applied_index.encode(out);
-                fingerprint.encode(out);
-            }
-            Payload::CatchUp { targets, as_of_seq, entries } => {
-                7u8.encode(out);
-                targets.encode(out);
-                as_of_seq.encode(out);
-                entries.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match u8::decode(r)? {
-            0 => Ok(Payload::Client {
-                client: ProcId::decode(r)?,
-                req_id: u64::decode(r)?,
-                cmd: Codec::decode(r)?,
-            }),
-            1 => Ok(Payload::Output {
-                client: ProcId::decode(r)?,
-                req_id: u64::decode(r)?,
-            }),
-            2 => Ok(Payload::MomFinished {
-                job: Codec::decode(r)?,
-                exit: i32::decode(r)?,
-                mom: ProcId::decode(r)?,
-            }),
-            3 => Ok(Payload::JMutexAcquire {
-                job: Codec::decode(r)?,
-                mom: ProcId::decode(r)?,
-                session: u64::decode(r)?,
-                granter: ProcId::decode(r)?,
-                reclaim: bool::decode(r)?,
-            }),
-            4 => Ok(Payload::JMutexRelease { job: Codec::decode(r)? }),
-            5 => Ok(Payload::Snapshot {
-                targets: Codec::decode(r)?,
-                as_of_seq: u64::decode(r)?,
-                state: Box::new(ReplicaState::decode(r)?),
-            }),
-            6 => Ok(Payload::Hello {
-                member: ProcId::decode(r)?,
-                applied_index: u64::decode(r)?,
-                fingerprint: u64::decode(r)?,
-            }),
-            7 => Ok(Payload::CatchUp {
-                targets: Codec::decode(r)?,
-                as_of_seq: u64::decode(r)?,
-                entries: Codec::decode(r)?,
-            }),
-            _ => Err(DecodeError::Invalid("Payload tag")),
-        }
-    }
-}
+codec!(struct Grant { mom, session, granter });
+codec!(struct JMutexState { granted, released });
+codec!(struct ReplicaState { pbs, jmutex, applied, needs_snapshot, applied_index, hellos });
+codec!(enum Payload {
+    0 => Client { client, req_id, cmd },
+    1 => Output { client, req_id },
+    2 => MomFinished { job, exit, mom },
+    3 => JMutexAcquire { job, mom, session, granter, reclaim },
+    4 => JMutexRelease { job },
+    5 => Snapshot { targets, as_of_seq, state },
+    6 => Hello { member, applied_index, fingerprint },
+    7 => CatchUp { targets, as_of_seq, entries },
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jrs_store::Codec;
 
     const MOM: ProcId = ProcId(50);
     const MOM2: ProcId = ProcId(51);

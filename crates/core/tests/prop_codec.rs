@@ -1,13 +1,16 @@
-//! Round-trip property test for every hand-rolled `Codec` impl that
-//! ships bytes between replicas or onto disk: `decode(encode(x)) == x`
-//! for arbitrary values of the store containers, the PBS wire types,
-//! and the replicated `Payload` stream (including full `ReplicaState`
+//! Round-trip property test for every `Codec` impl that ships bytes
+//! between replicas or onto disk: `decode(encode(x)) == x` for arbitrary
+//! values of the store containers, the PBS wire types, and the
+//! replicated `Payload` stream (including full `ReplicaState`
 //! snapshots).
 //!
-//! jrs-proto checks the same codecs *statically* (field order, tags,
-//! bounds — see `crates/proto`); this test is the dynamic side of that
-//! pincer: whatever shape the static scanner could not see, a value
-//! actually travelling through the bytes must survive unchanged.
+//! The product codecs are `jrs_store::codec!` declarations, so their two
+//! directions cannot disagree, and `jrs-lint` pins their field orders and
+//! tags against `proto.lock` (W002, see `crates/lint`). This test is the
+//! dynamic side: the hand-written foundation containers and `NodePool`
+//! get their symmetry from here, and whatever layout a declaration
+//! produces, a value actually travelling through the bytes must survive
+//! unchanged. `codec_golden.rs` pins the bytes themselves.
 //!
 //! Types without `PartialEq` (`Payload`, `ReplicaState`) are compared
 //! by re-encoded bytes plus `jrs_sim::fingerprint`, the same structural

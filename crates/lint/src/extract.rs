@@ -240,6 +240,12 @@ pub fn items(facts: &mut FileFacts) {
                 ["fn", "impl", "struct", "enum"]
                     .iter()
                     .filter_map(|kw| find_token(rest, kw).map(|p| (p, *kw)))
+                    // `codec!(enum ServerCmd { 0 => Qsub(spec), .. })`: a
+                    // keyword that opens a macro invocation's arguments is
+                    // input to the macro, not an item. Taken as one it would
+                    // be a definition without variants that shadows the real
+                    // one in a file sorting later.
+                    .filter(|(p, _)| !opens_macro_args(&rest[..*p]))
                     .min_by_key(|(p, _)| *p)
             };
             if let Some((pos, kw)) = starter {
@@ -319,6 +325,13 @@ pub fn items(facts: &mut FileFacts) {
     facts.fns = fns;
     facts.structs = structs;
     facts.enums = enums;
+}
+
+/// Does `before` end by opening a macro invocation's arguments
+/// (`name!(`, `name!{`, `name![`)?
+fn opens_macro_args(before: &str) -> bool {
+    let t = before.trim_end();
+    ["!(", "!{", "!["].iter().any(|open| t.ends_with(open))
 }
 
 /// Count braces in `s`, popping tracked blocks as they close.

@@ -384,6 +384,22 @@ fn is_catch_all(pattern: &str) -> bool {
 }
 
 fn check_f004(cfg: &FlowConfig, model: &Model, out: &mut Vec<Finding>) {
+    // The registry is audited like a pragma: a name that stops
+    // resolving would otherwise leave its matches unchecked in silence.
+    for e in &cfg.protocol_enums {
+        if let Some(why) = model.stale_enum(e) {
+            out.push(Finding::new(
+                "SUPP",
+                "crates/lint/src/flow.rs",
+                1,
+                format!(
+                    "protocol-enum registry entry `{e}` {why} — F004 cannot name the \
+                     variants a catch-all swallows; fix the name or remove the entry"
+                ),
+                Vec::new(),
+            ));
+        }
+    }
     for facts in &model.files {
         if !cfg.match_scope.iter().any(|c| c == &facts.crate_key) {
             continue;

@@ -18,10 +18,10 @@
 //!   nondeterminism source is reachable from a state mutator (F002), no
 //!   panic construct is reachable from a `Process` callback (F003), and
 //!   protocol matches stay exhaustive (F004).
-//! * **W** ([`proto`]) — wire-protocol conformance: codec encode/decode
-//!   symmetry (W001), tag stability against the committed `proto.lock`
-//!   (W002), the send/handle matrix (W003) and decode-side bounds
-//!   (W004).
+//! * **W** ([`proto`]) — wire-protocol conformance: every product codec
+//!   comes from one `codec!` declaration (W001), tag and field-order
+//!   stability against the committed `proto.lock` (W002), the
+//!   send/handle matrix (W003) and decode-side bounds (W004).
 //!
 //! [`load()`] walks the tree once and reads each file once;
 //! [`model::Model::build`] blanks and extracts each file once; every
@@ -86,8 +86,8 @@ use std::path::Path;
 pub struct Config {
     /// Replicated-state types, gates and scopes (F-rules).
     pub flow: FlowConfig,
-    /// Foundation/opaque codecs, the send/handle matrix and length
-    /// helpers (W-rules).
+    /// Foundation and hand-written codecs, the send/handle matrix and
+    /// length helpers (W-rules).
     pub proto: ProtoConfig,
 }
 
@@ -105,7 +105,7 @@ impl Config {
 /// constructs.
 pub const SUPP: Rule = Rule {
     code: "SUPP",
-    summary: "every `// lint: allow(...)` pragma must name known rules, carry a justification after a trailing colon, and suppress something; retired `detlint:`/`flow:`/`proto:` pragmas and stale opaque-codec allowlist entries are findings too",
+    summary: "every `// lint: allow(...)` pragma must name known rules, carry a justification after a trailing colon, and suppress something; retired `detlint:`/`flow:`/`proto:` pragmas and stale registry entries (a hand-written-codec entry naming no such codec, a protocol-enum name that resolves to no definition or to one without variants) are findings too",
     why: "an unexplained suppression is indistinguishable from a silenced bug, and a dead one hides the next real finding on its line; the justification is what reviewers audit",
 };
 
@@ -124,7 +124,8 @@ pub fn rules() -> impl Iterator<Item = &'static Rule> {
 pub struct Analysis {
     /// The shared source model.
     pub model: Model,
-    /// Parsed codecs and protocol-enum use sites.
+    /// `codec!` declarations, hand-written codecs and protocol-enum use
+    /// sites.
     pub proto: ProtoModel,
     /// Findings and statistics.
     pub report: Report,
@@ -152,7 +153,7 @@ pub fn analyze<P: AsRef<str>, T: AsRef<str>>(
         graph_files: model.files.iter().filter(|f| f.in_graph).count(),
         fns: graph.fns.len(),
         edges: graph.edges.iter().map(Vec::len).sum(),
-        codecs: proto.codecs.len(),
+        codecs: proto.decls.len() + proto.hand.len(),
         use_sites: proto.uses.len(),
     };
     Analysis {

@@ -15,12 +15,11 @@
 //!    new manifest alongside the code — the diff in review is the
 //!    schema change.
 
-use crate::codec::{DecSide, EncSide, ProtoModel};
-use crate::proto::ProtoConfig;
+use crate::codec::{ProtoModel, Shape};
 use std::collections::BTreeMap;
 
-/// The pinnable schema extracted from codecs (or parsed from a
-/// `proto.lock` file).
+/// The pinnable schema read from the `codec!` declarations (or parsed
+/// from a `proto.lock` file).
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct Schema {
     /// Enum codecs: type -> `(variant, tag)` sorted by tag.
@@ -32,37 +31,25 @@ pub struct Schema {
 }
 
 impl Schema {
-    /// Extract the pinnable schema from the model. Foundation-layer and
-    /// allowlisted-opaque codecs are not pinned (generic containers and
-    /// audited wrappers have no stable per-type field list).
-    pub fn from_model(cfg: &ProtoConfig, model: &ProtoModel) -> Schema {
+    /// The schema the `codec!` declarations pin. Hand-written codecs
+    /// (the foundation layer's generic containers and the audited list)
+    /// have no per-type field list and are not pinned.
+    pub fn from_model(model: &ProtoModel) -> Schema {
         let mut s = Schema::default();
-        for c in &model.codecs {
-            if cfg.is_foundation(&c.path)
-                || cfg.opaque_allow.iter().any(|(t, _)| t == &c.type_name)
-                || c.type_name.contains('$')
-            {
-                continue;
-            }
-            match (&c.enc, &c.dec) {
-                (EncSide::Enum { variants, .. }, _) => {
-                    let mut table: Vec<(String, u64)> = variants
-                        .iter()
-                        .filter_map(|v| v.tag.map(|t| (v.name.clone(), t)))
-                        .collect();
+        for (_, name, shape) in model.shapes() {
+            let name = name.to_string();
+            match shape {
+                Shape::Enum(variants) => {
+                    let mut table = variants.clone();
                     table.sort_by_key(|(_, t)| *t);
-                    s.enums.insert(c.type_name.clone(), table);
+                    s.enums.insert(name, table);
                 }
-                (EncSide::Struct(_), DecSide::Struct(fields)) => {
-                    s.structs.insert(
-                        c.type_name.clone(),
-                        fields.iter().filter_map(|f| f.name.clone()).collect(),
-                    );
+                Shape::Struct(fields) => {
+                    s.structs.insert(name, fields.clone());
                 }
-                (EncSide::Struct(_), DecSide::Tuple(n)) => {
-                    s.tuples.insert(c.type_name.clone(), *n);
+                Shape::Tuple(n) => {
+                    s.tuples.insert(name, *n);
                 }
-                _ => {}
             }
         }
         s

@@ -79,7 +79,7 @@ fn main() -> ExitCode {
     };
     match cmd {
         "check" => return check(&a.report, json),
-        "lock" => print!("{}", Schema::from_model(&cfg.proto, &a.proto).render()),
+        "lock" => print!("{}", Schema::from_model(&a.proto).render()),
         _ => matrix(&cfg, &a),
     }
     ExitCode::SUCCESS
@@ -189,12 +189,12 @@ fn print_rules() {
         "\nprotocol enums (F004): {}",
         flow.protocol_enums.join(", ")
     );
-    println!("\nfoundation codec layer (exempt from the W001 structural mirror):");
+    println!("\nfoundation codec layer (hand-written by design, outside W001; W004 applies):");
     for p in &proto.foundation_paths {
         println!("  {p}");
     }
-    println!("\naudited opaque codecs:");
-    for (t, why) in &proto.opaque_allow {
+    println!("\naudited hand-written codecs (everything else is a `codec!` declaration):");
+    for (t, why) in &proto.hand_written {
         println!("  {t} — {why}");
     }
     println!("\nsend/handle matrix (W003):");

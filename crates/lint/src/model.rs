@@ -335,6 +335,20 @@ impl Model {
             .flat_map(|f| &f.enums)
             .find(|e| e.name == name && !e.is_test)
     }
+
+    /// Why a registry entry naming the protocol enum `name` is stale, if
+    /// it is. A registered name that resolves to nothing (or to a
+    /// definition the extractor read no variants from) makes the rule
+    /// that walks its variants skip it in silence.
+    pub fn stale_enum(&self, name: &str) -> Option<&'static str> {
+        match self.enum_def(name) {
+            None => Some("resolves to no enum definition"),
+            Some(def) if def.variants.is_empty() => {
+                Some("resolves to a definition without variants")
+            }
+            Some(_) => None,
+        }
+    }
 }
 
 #[cfg(test)]

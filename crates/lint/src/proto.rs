@@ -1,24 +1,25 @@
 //! The protocol-conformance rules (W001–W004), and the configuration
-//! registry naming the workspace's foundation codecs, audited opaque
-//! codecs, protocol-enum matrix, and checked length helpers.
+//! registry naming the workspace's foundation codecs, audited
+//! hand-written codecs, protocol-enum matrix, and checked length helpers.
 //!
 //! JOSHUA replicas agree because every head decodes exactly the bytes
 //! its peers encode: the WAL a head replays at recovery, the snapshots
 //! it installs, and the `Payload` stream the total-order engine
-//! delivers are all hand-rolled `Codec` impls. The D/P rules check
+//! delivers all travel through `Codec` impls. The D/P rules check
 //! determinism lexically, the F rules check state-mutation dataflow,
 //! and jrs-mc checks interleavings dynamically — but none of them see
-//! the *protocol*: a swapped field pair, a renumbered discriminant, or
+//! the *protocol*: a reordered field list, a renumbered discriminant, or
 //! a sent-but-unhandled message ships silently and corrupts recovery
 //! or wedges a replica.
 //!
-//! * **W001** — codec symmetry: for every `impl Codec`, the ordered
-//!   field writes in `encode` must mirror the field reads in `decode`
-//!   (same names, same order, compatible primitive types), and enum
-//!   codecs must write/read the discriminant before any field and
-//!   reject unknown tags. Violations carry a field-level diff witness.
+//! * **W001** — codec provenance: every `impl Codec` outside the
+//!   foundation file is produced by one `codec!` declaration, from which
+//!   the macro emits both directions (so `encode` and `decode` cannot
+//!   disagree), or is named in the audited hand-written list
+//!   ([`ProtoConfig::hand_written`]). A `codec!` block the reader
+//!   cannot parse is a finding, never a silent pass.
 //! * **W002** — tag stability: enum discriminants must be unique and
-//!   dense, and every codec's schema must match the committed
+//!   dense, and every declaration must match the committed
 //!   `proto.lock` manifest — schema drift vs. on-disk WAL/snapshot
 //!   data is a hard error, not a runtime quarantine.
 //! * **W003** — send/handle matrix: every protocol-enum variant
@@ -29,18 +30,14 @@
 //!   allocation only after passing a checked limit helper, and the
 //!   helpers themselves must enforce an explicit maximum.
 //!
-//! A codec the scanner cannot classify does not pass silently — it
-//! becomes a W001 opaque finding that must be restructured or
-//! explicitly allowlisted with an audited reason
-//! ([`ProtoConfig::opaque_allow`]), and the allowlist itself is audited
-//! for staleness (`SUPP`). Generic container codecs in the foundation
-//! layer are exempt from the structural mirror (their symmetry is
-//! pinned by unit tests and the round-trip property tests) but still
-//! subject to W004's bounds discipline.
+//! The registries are audited like pragmas (`SUPP`): a hand-written
+//! entry that names no hand-written codec, and a matrix enum that
+//! resolves to no definition or to one without variants, are stale.
+//! Generic container codecs in the foundation layer are hand-written
+//! (their symmetry is pinned by unit tests and the round-trip property
+//! tests) and subject to W004's bounds discipline.
 
-use crate::codec::{
-    CodecImpl, DecField, DecSide, EncOp, EncSide, ProtoModel, UseKind, VariantDec, VariantEnc,
-};
+use crate::codec::{HandCodec, ProtoModel, Shape, UseKind};
 use crate::lock::Schema;
 use crate::model::{FnDef, Model};
 use crate::report::{Finding, Rule};
@@ -51,8 +48,8 @@ use std::collections::{BTreeMap, BTreeSet};
 pub const RULES: &[Rule] = &[
     Rule {
         code: "W001",
-        summary: "codec symmetry: encode and decode read/write the same fields in the same order (field-level diff witness on divergence); enum codecs write/read the discriminant first and reject unknown tags",
-        why: "persisted records decode positionally, so a swapped pair makes every replica reading an old record mis-assign fields",
+        summary: "codec provenance: every `impl Codec` outside the foundation file comes from one `codec!` declaration (encode and decode derived from the same field list) or is on the audited hand-written list; an unparseable `codec!` block is a finding",
+        why: "persisted records decode positionally, so two hand-kept field lists that drift apart make every replica reading an old record mis-assign fields",
     },
     Rule {
         code: "W002",
@@ -89,15 +86,15 @@ pub struct MatrixEnum {
 #[derive(Clone, Debug, Default)]
 pub struct ProtoConfig {
     /// Files whose `impl Codec` blocks form the foundation layer
-    /// (generic containers, primitives). They are exempt from W001's
-    /// structural mirror — their symmetry is pinned by their own unit
-    /// tests and the round-trip property tests — and are not pinned in
-    /// `proto.lock` (no per-type field list).
+    /// (generic containers, primitives, the `codec!` macro itself).
+    /// They are hand-written by design — their symmetry is pinned by
+    /// their own unit tests and the round-trip property tests — and are
+    /// not pinned in `proto.lock` (no per-type field list).
     pub foundation_paths: Vec<String>,
-    /// Codec types whose encode/decode are legitimately not
-    /// structurally mirrorable, with audited reasons. Entries must be
+    /// Codec types outside the foundation layer that keep a hand-written
+    /// `encode`/`decode` pair, with audited reasons. Entries must be
     /// load-bearing: a stale entry is a `SUPP` finding.
-    pub opaque_allow: Vec<(String, String)>,
+    pub hand_written: Vec<(String, String)>,
     /// The send/handle matrix (W003).
     pub matrix: Vec<MatrixEnum>,
     /// Function names never counted as construct/handle sites (wire
@@ -124,7 +121,7 @@ impl ProtoConfig {
         };
         ProtoConfig {
             foundation_paths: s(&["crates/store/src/codec.rs"]),
-            opaque_allow: vec![(
+            hand_written: vec![(
                 "NodePool".into(),
                 "encode flattens the pool to its ordered node list and decode \
                  rebuilds the index; symmetry is pinned by round-trip tests"
@@ -134,7 +131,7 @@ impl ProtoConfig {
             // is the submitting client, which lives in the test/driver
             // harness rather than a shipping crate, so a send/handle
             // obligation inside `crates/*` would be vacuous (its codec
-            // symmetry and tags are still checked by W001/W002).
+            // provenance and tags are still checked by W001/W002).
             matrix: vec![
                 m(
                     "Wire",
@@ -185,8 +182,8 @@ impl ProtoConfig {
     }
 }
 
-/// Run every W rule plus the opaque-allowlist audit; raw findings,
-/// before suppression. `lock` is the committed `proto.lock` text.
+/// Run every W rule plus the registry audit; raw findings, before
+/// suppression. `lock` is the committed `proto.lock` text.
 pub fn check(
     cfg: &ProtoConfig,
     model: &Model,
@@ -194,411 +191,58 @@ pub fn check(
     lock: Option<&str>,
 ) -> Vec<Finding> {
     let mut out = Vec::new();
-    check_w001(cfg, model, pm, &mut out);
-    check_w002(cfg, pm, lock, &mut out);
+    check_w001(cfg, pm, &mut out);
+    check_w002(pm, lock, &mut out);
     check_w003(cfg, model, pm, &mut out);
     check_w004(cfg, model, &mut out);
-    audit_opaque_allow(cfg, pm, &mut out);
+    audit_registries(cfg, model, pm, &mut out);
     out
 }
 
 // ----------------------------------------------------------------------
-// W001 — codec symmetry
+// W001 — codec provenance
 // ----------------------------------------------------------------------
 
-/// Codecs subject to structural checking.
-fn checked_codecs<'m>(
+/// Hand-written codecs outside the foundation layer: the ones W001
+/// holds to the audited list.
+fn product_hand_codecs<'m>(
     cfg: &'m ProtoConfig,
     pm: &'m ProtoModel,
-) -> impl Iterator<Item = &'m CodecImpl> {
-    pm.codecs.iter().filter(move |c| {
-        !cfg.is_foundation(&c.path)
-            && !c.type_name.contains('$')
-            && !cfg.opaque_allow.iter().any(|(t, _)| t == &c.type_name)
-    })
+) -> impl Iterator<Item = &'m HandCodec> {
+    pm.hand.iter().filter(|h| !cfg.is_foundation(&h.path))
 }
 
-fn check_w001(cfg: &ProtoConfig, model: &Model, pm: &ProtoModel, out: &mut Vec<Finding>) {
-    for c in checked_codecs(cfg, pm) {
-        match (&c.enc, &c.dec) {
-            (EncSide::Opaque(why), _) => out.push(Finding::new(
-                "W001",
-                &c.path,
-                c.enc_line,
-                format!(
-                    "`{}` encode is not structurally checkable ({why}) — restructure \
-                     it into plain field writes or add an audited opaque-allowlist \
-                     entry",
-                    c.type_name
-                ),
-                vec![],
-            )),
-            (_, DecSide::Opaque(why)) => out.push(Finding::new(
-                "W001",
-                &c.path,
-                c.dec_line,
-                format!(
-                    "`{}` decode is not structurally checkable ({why}) — restructure \
-                     it into a plain constructor or add an audited opaque-allowlist \
-                     entry",
-                    c.type_name
-                ),
-                vec![],
-            )),
-            (EncSide::Struct(ops), DecSide::Struct(fields)) => {
-                check_struct_codec(model, c, ops, fields, out);
-            }
-            (EncSide::Struct(ops), DecSide::Tuple(arity)) => {
-                if let Some(op) = ops.iter().find_map(opaque_op) {
-                    out.push(opaque_op_finding(c, op));
-                } else if ops.len() != *arity {
-                    out.push(Finding::new(
-                        "W001",
-                        &c.path,
-                        c.dec_line,
-                        format!(
-                            "`{}` encodes {} field(s) but decodes {} positionally",
-                            c.type_name,
-                            ops.len(),
-                            arity
-                        ),
-                        seq_witness(&enc_names(ops), &vec!["_".to_string(); *arity]),
-                    ));
-                }
-            }
-            (
-                EncSide::Enum { width, variants },
-                DecSide::Enum {
-                    width: dw,
-                    arms,
-                    rejects_unknown,
-                },
-            ) => {
-                check_enum_codec(model, c, *width, variants, *dw, arms, *rejects_unknown, out);
-            }
-            (EncSide::Enum { .. }, _) => out.push(Finding::new(
-                "W001",
-                &c.path,
-                c.dec_line,
-                format!(
-                    "`{}` encode matches over enum variants but decode does not read \
-                     a discriminant",
-                    c.type_name
-                ),
-                vec![],
-            )),
-            (EncSide::Struct(_), DecSide::Enum { .. }) => out.push(Finding::new(
-                "W001",
-                &c.path,
-                c.enc_line,
-                format!(
-                    "`{}` decode reads a discriminant but encode writes plain fields",
-                    c.type_name
-                ),
-                vec![],
-            )),
-        }
-    }
-}
-
-fn opaque_op(op: &EncOp) -> Option<&str> {
-    match op {
-        EncOp::Opaque(t) => Some(t),
-        _ => None,
-    }
-}
-
-fn opaque_op_finding(c: &CodecImpl, op: &str) -> Finding {
-    Finding::new(
-        "W001",
-        &c.path,
-        c.enc_line,
-        format!(
-            "`{}` encode contains an unclassifiable write `{op}` — the field \
-             sequence cannot be mirrored against decode",
-            c.type_name
-        ),
-        vec![],
-    )
-}
-
-fn enc_names(ops: &[EncOp]) -> Vec<String> {
-    ops.iter()
-        .map(|op| match op {
-            EncOp::Tag { value, width } => format!("<tag {value}u{width}>"),
-            EncOp::Val(n) => n.clone(),
-            EncOp::Opaque(t) => format!("<? {t}>"),
-        })
-        .collect()
-}
-
-fn dec_names(fields: &[DecField]) -> Vec<String> {
-    fields
-        .iter()
-        .enumerate()
-        .map(|(i, f)| f.name.clone().unwrap_or_else(|| format!("#{i}")))
-        .collect()
-}
-
-/// The two ordered sequences plus the first divergence, for the
-/// witness block.
-fn seq_witness(enc: &[String], dec: &[String]) -> Vec<String> {
-    let mut w = vec![
-        format!("encode writes : [{}]", enc.join(", ")),
-        format!("decode reads  : [{}]", dec.join(", ")),
-    ];
-    for i in 0..enc.len().max(dec.len()) {
-        let (e, d) = (enc.get(i), dec.get(i));
-        if e != d {
-            let show = |x: Option<&String>| x.map_or("<nothing>".to_string(), |v| format!("`{v}`"));
-            w.push(format!(
-                "first divergence at position {i}: encode writes {}, decode reads {}",
-                show(e),
-                show(d)
-            ));
-            break;
-        }
-    }
-    w
-}
-
-fn check_struct_codec(
-    model: &Model,
-    c: &CodecImpl,
-    ops: &[EncOp],
-    fields: &[DecField],
-    out: &mut Vec<Finding>,
-) {
-    if let Some(op) = ops.iter().find_map(opaque_op) {
-        out.push(opaque_op_finding(c, op));
-        return;
-    }
-    let e = enc_names(ops);
-    let d = dec_names(fields);
-    if e != d {
-        out.push(Finding::new(
-            "W001",
-            &c.path,
-            c.dec_line,
-            format!(
-                "`{}` encode/decode field sequences diverge — persisted records \
-                 decode positionally, so every replica reading an old record \
-                 mis-assigns fields",
-                c.type_name
-            ),
-            seq_witness(&e, &d),
-        ));
-        return;
-    }
-    // Field-type cross-check: an explicit primitive decode must match
-    // the declared field type (a u32/u64 width swap shifts every later
-    // field).
-    for f in fields {
-        let (Some(name), Some(ty)) = (&f.name, &f.ty) else {
-            continue;
-        };
-        if let Some(declared) = model.field_type(&c.type_name, name) {
-            if declared != ty {
-                out.push(Finding::new(
-                    "W001",
-                    &c.path,
-                    c.dec_line,
-                    format!(
-                        "`{}` decodes field `{name}` as `{ty}` but the struct \
-                         declares `{declared}` — width/type mismatch shifts every \
-                         subsequent field",
-                        c.type_name
-                    ),
-                    vec![],
-                ));
-            }
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn check_enum_codec(
-    model: &Model,
-    c: &CodecImpl,
-    enc_width: Option<u8>,
-    variants: &[VariantEnc],
-    dec_width: u8,
-    arms: &[VariantDec],
-    rejects_unknown: bool,
-    out: &mut Vec<Finding>,
-) {
-    if let Some(w) = enc_width {
-        if w != dec_width {
+fn check_w001(cfg: &ProtoConfig, pm: &ProtoModel, out: &mut Vec<Finding>) {
+    for d in &pm.decls {
+        if let Err(why) = &d.parsed {
             out.push(Finding::new(
                 "W001",
-                &c.path,
-                c.dec_line,
+                &d.path,
+                d.line,
                 format!(
-                    "`{}` writes a u{w} discriminant but reads u{dec_width}",
-                    c.type_name
+                    "`codec!` declaration is not readable ({why}) — its layout cannot \
+                     be pinned against proto.lock; write it in one of the three \
+                     documented forms"
                 ),
                 vec![],
             ));
         }
     }
-    if !rejects_unknown {
-        out.push(Finding::new(
-            "W001",
-            &c.path,
-            c.dec_line,
-            format!(
-                "`{}` decode has no `_ => Err(..)` arm — an unknown discriminant \
-                 must be a decode error, never undefined behavior or a silent \
-                 default",
-                c.type_name
-            ),
-            vec![],
-        ));
-    }
-
-    // The shipping enum definition is the source of truth for the
-    // variant set; fall back to the union of both codec sides.
-    let declared: Vec<String> = match model.enum_def(&c.type_name) {
-        Some(def) => def.variants.clone(),
-        None => {
-            let mut names: Vec<String> = variants.iter().map(|v| v.name.clone()).collect();
-            for a in arms {
-                if !names.contains(&a.name) {
-                    names.push(a.name.clone());
-                }
-            }
-            names
-        }
-    };
-
-    for name in &declared {
-        let ve = variants.iter().find(|v| &v.name == name);
-        let va = arms.iter().find(|a| &a.name == name);
-        match (ve, va) {
-            (None, _) => out.push(Finding::new(
-                "W001",
-                &c.path,
-                c.enc_line,
-                format!("`{}::{name}` has no encode arm", c.type_name),
-                vec![],
-            )),
-            (_, None) => out.push(Finding::new(
-                "W001",
-                &c.path,
-                c.dec_line,
-                format!("`{}::{name}` has no decode arm", c.type_name),
-                vec![],
-            )),
-            (Some(ve), Some(va)) => {
-                check_variant_pair(c, ve, va, dec_width, out);
-            }
-        }
-    }
-    for v in variants {
-        if !declared.contains(&v.name) {
+    for h in product_hand_codecs(cfg, pm) {
+        if !cfg.hand_written.iter().any(|(t, _)| t == &h.type_name) {
             out.push(Finding::new(
                 "W001",
-                &c.path,
-                v.line,
+                &h.path,
+                h.line,
                 format!(
-                    "encode arm for `{}::{}` matches no declared variant (stale \
-                     codec arm)",
-                    c.type_name, v.name
+                    "`{}` has a hand-written `impl Codec` — two field lists kept \
+                     aligned by hand; declare it with `codec!` (one list, both \
+                     directions) or add an audited hand-written entry",
+                    h.type_name
                 ),
                 vec![],
             ));
         }
-    }
-    for a in arms {
-        if !declared.contains(&a.name) {
-            out.push(Finding::new(
-                "W001",
-                &c.path,
-                a.line,
-                format!(
-                    "decode arm for `{}::{}` matches no declared variant (stale \
-                     codec arm)",
-                    c.type_name, a.name
-                ),
-                vec![],
-            ));
-        }
-    }
-}
-
-fn check_variant_pair(
-    c: &CodecImpl,
-    ve: &VariantEnc,
-    va: &VariantDec,
-    dec_width: u8,
-    out: &mut Vec<Finding>,
-) {
-    let qual = format!("{}::{}", c.type_name, ve.name);
-    let Some(tag) = ve.tag else {
-        out.push(Finding::new(
-            "W001",
-            &c.path,
-            ve.line,
-            format!(
-                "`{qual}` writes fields before (or without) its discriminant — the \
-                 tag must be the first bytes of every enum encoding"
-            ),
-            seq_witness(&enc_names(&ve.ops), &dec_names(&va.fields)),
-        ));
-        return;
-    };
-    if tag != va.tag {
-        out.push(Finding::new(
-            "W001",
-            &c.path,
-            va.line,
-            format!("`{qual}` encodes tag {tag} but decodes tag {}", va.tag),
-            vec![],
-        ));
-    }
-    if let Some(w) = ve.tag_width {
-        if w != dec_width {
-            out.push(Finding::new(
-                "W001",
-                &c.path,
-                va.line,
-                format!("`{qual}` writes a u{w} tag but the decode match reads u{dec_width}"),
-                vec![],
-            ));
-        }
-    }
-    if let Some(op) = ve.ops.iter().find_map(opaque_op) {
-        out.push(opaque_op_finding(c, op));
-        return;
-    }
-    let e = enc_names(&ve.ops);
-    if let Some(arity) = va.tuple_arity {
-        if ve.ops.len() != arity {
-            out.push(Finding::new(
-                "W001",
-                &c.path,
-                va.line,
-                format!(
-                    "`{qual}` encodes {} value(s) but decodes {arity} positionally",
-                    ve.ops.len()
-                ),
-                seq_witness(&e, &vec!["_".to_string(); arity]),
-            ));
-        }
-        return;
-    }
-    let d = dec_names(&va.fields);
-    if e != d {
-        out.push(Finding::new(
-            "W001",
-            &c.path,
-            va.line,
-            format!(
-                "`{qual}` encode/decode field sequences diverge — both sides must \
-                 read and write the same fields in the same order"
-            ),
-            seq_witness(&e, &d),
-        ));
     }
 }
 
@@ -606,28 +250,25 @@ fn check_variant_pair(
 // W002 — tag stability
 // ----------------------------------------------------------------------
 
-fn check_w002(cfg: &ProtoConfig, pm: &ProtoModel, lock: Option<&str>, out: &mut Vec<Finding>) {
-    // Uniqueness and density, straight from the source.
-    for c in checked_codecs(cfg, pm) {
-        let EncSide::Enum { variants, .. } = &c.enc else {
+fn check_w002(pm: &ProtoModel, lock: Option<&str>, out: &mut Vec<Finding>) {
+    // Uniqueness and density, straight from the declarations.
+    for (d, type_name, shape) in pm.shapes() {
+        let Shape::Enum(variants) = shape else {
             continue;
         };
         let mut by_tag: BTreeMap<u64, Vec<&str>> = BTreeMap::new();
-        for v in variants {
-            if let Some(t) = v.tag {
-                by_tag.entry(t).or_default().push(&v.name);
-            }
+        for (name, tag) in variants {
+            by_tag.entry(*tag).or_default().push(name);
         }
         for (t, names) in &by_tag {
             if names.len() > 1 {
                 out.push(Finding::new(
                     "W002",
-                    &c.path,
-                    c.enc_line,
+                    &d.path,
+                    d.line,
                     format!(
-                        "`{}` reuses discriminant {t} for variants {} — decode \
+                        "`{type_name}` reuses discriminant {t} for variants {} — decode \
                          cannot tell them apart",
-                        c.type_name,
                         names.join(", ")
                     ),
                     vec![],
@@ -636,15 +277,14 @@ fn check_w002(cfg: &ProtoConfig, pm: &ProtoModel, lock: Option<&str>, out: &mut 
         }
         let tags: Vec<u64> = by_tag.keys().copied().collect();
         let dense: Vec<u64> = (0..tags.len() as u64).collect();
-        if !tags.is_empty() && tags != dense {
+        if tags != dense {
             out.push(Finding::new(
                 "W002",
-                &c.path,
-                c.enc_line,
+                &d.path,
+                d.line,
                 format!(
-                    "`{}` discriminants are not dense: [{}] (expected 0..={}) — \
+                    "`{type_name}` discriminants are not dense: [{}] (expected 0..={}) — \
                      holes invite accidental reuse by a future variant",
-                    c.type_name,
                     tags.iter()
                         .map(u64::to_string)
                         .collect::<Vec<_>>()
@@ -657,7 +297,7 @@ fn check_w002(cfg: &ProtoConfig, pm: &ProtoModel, lock: Option<&str>, out: &mut 
     }
 
     // Drift against the committed manifest.
-    let current = Schema::from_model(cfg, pm);
+    let current = Schema::from_model(pm);
     let pinned = match lock {
         None => {
             if !current.enums.is_empty() || !current.structs.is_empty() {
@@ -689,10 +329,10 @@ fn check_w002(cfg: &ProtoConfig, pm: &ProtoModel, lock: Option<&str>, out: &mut 
     };
     for (type_name, message) in Schema::diff(&pinned, &current) {
         let (path, line) = pm
-            .codec(&type_name)
-            .map(|c| (c.path.clone(), c.enc_line))
-            .unwrap_or_else(|| ("proto.lock".to_string(), 1));
-        out.push(Finding::new("W002", &path, line, message, vec![]));
+            .shapes()
+            .find(|(_, name, _)| *name == type_name)
+            .map_or(("proto.lock", 1), |(d, ..)| (d.path.as_str(), d.line));
+        out.push(Finding::new("W002", path, line, message, vec![]));
     }
 }
 
@@ -924,39 +564,38 @@ fn check_sink_arg(
 }
 
 // ----------------------------------------------------------------------
-// opaque-allowlist staleness audit (SUPP)
+// registry staleness audit (SUPP)
 // ----------------------------------------------------------------------
 
-/// Opaque-allowlist entries must be load-bearing, like pragmas.
-fn audit_opaque_allow(cfg: &ProtoConfig, pm: &ProtoModel, out: &mut Vec<Finding>) {
-    for (type_name, _) in &cfg.opaque_allow {
-        match pm.codec(type_name) {
-            None => out.push(Finding::new(
-                "SUPP",
-                "crates/lint/src/proto.rs",
-                1,
-                format!(
-                    "opaque-codec allowlist entry `{type_name}` names no codec in \
-                     the workspace — remove it"
-                ),
-                vec![],
-            )),
-            Some(c) => {
-                let enc_opaque = matches!(c.enc, EncSide::Opaque(_));
-                let dec_opaque = matches!(c.dec, DecSide::Opaque(_));
-                if !enc_opaque && !dec_opaque {
-                    out.push(Finding::new(
-                        "SUPP",
-                        &c.path,
-                        c.enc_line,
-                        format!(
-                            "opaque-codec allowlist entry `{type_name}` is stale: \
-                             the codec is structurally checkable — remove the entry"
-                        ),
-                        vec![],
-                    ));
-                }
-            }
+/// Registry entries must be load-bearing, like pragmas: a hand-written
+/// entry names a hand-written codec outside the foundation layer, and a
+/// matrix enum resolves to a definition with variants (a name that
+/// stops resolving would otherwise drop out of W003 in silence).
+fn audit_registries(cfg: &ProtoConfig, model: &Model, pm: &ProtoModel, out: &mut Vec<Finding>) {
+    let mut stale = |message: String| {
+        out.push(Finding::new(
+            "SUPP",
+            "crates/lint/src/proto.rs",
+            1,
+            message,
+            vec![],
+        ));
+    };
+    for (type_name, _) in &cfg.hand_written {
+        if !product_hand_codecs(cfg, pm).any(|h| &h.type_name == type_name) {
+            stale(format!(
+                "hand-written codec list entry `{type_name}` names no hand-written \
+                 `impl Codec` outside the foundation layer — remove it"
+            ));
+        }
+    }
+    for m in &cfg.matrix {
+        if let Some(why) = model.stale_enum(&m.name) {
+            stale(format!(
+                "send/handle matrix entry `{}` {why} — W003 would skip it in \
+                 silence; fix the name or remove the entry",
+                m.name
+            ));
         }
     }
 }

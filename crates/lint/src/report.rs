@@ -28,8 +28,8 @@ pub struct Finding {
     /// Witness lines. F001–F003: the shortest call chain, root first,
     /// one `Type::method (path:line)` per hop, where the line is the
     /// call site into the next hop (the function's own definition line
-    /// for the final hop). W-rules: the encode/decode field sequences
-    /// with the first divergence called out. Empty otherwise.
+    /// for the final hop). W003: the construct sites of the unhandled
+    /// variant. Empty otherwise.
     pub chain: Vec<String>,
 }
 
@@ -81,7 +81,8 @@ pub struct Report {
     pub fns: usize,
     /// Number of resolved call edges.
     pub edges: usize,
-    /// Number of `impl Codec` pairs parsed.
+    /// Number of codecs found: `codec!` declarations plus hand-written
+    /// `impl Codec` blocks (the foundation layer included).
     pub codecs: usize,
     /// Number of protocol-enum variant use sites classified.
     pub use_sites: usize,

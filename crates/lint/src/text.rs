@@ -339,15 +339,19 @@ pub fn brace_delta(line: &str) -> i32 {
 }
 
 /// Split `a: A, b: BTreeMap<K, V>` at top-level commas (outside any
-/// `<>`, `()`, `[]`, `{}` nesting; a stray closer such as the `>` of a
-/// `->` never hides a later comma).
+/// `<>`, `()`, `[]`, `{}` nesting; the `>` of a `->` or `=>` is an
+/// arrow, not a closer, and a stray closer never hides a later comma).
 pub fn split_top_level(s: &str) -> Vec<&str> {
     let mut out = Vec::new();
     let mut depth = 0i32;
     let mut start = 0;
+    let mut prev = ' ';
     for (i, ch) in s.char_indices() {
+        let arrow = ch == '>' && matches!(prev, '-' | '=');
+        prev = ch;
         match ch {
             '<' | '(' | '[' | '{' => depth += 1,
+            '>' if arrow => {}
             '>' | ')' | ']' | '}' => depth -= 1,
             ',' if depth <= 0 => {
                 out.push(&s[start..i]);
@@ -456,6 +460,10 @@ mod tests {
         assert_eq!(
             split_top_level("a: A, b: Map<K, V>, f: fn(u8) -> u8, c"),
             vec!["a: A", " b: Map<K, V>", " f: fn(u8) -> u8", " c"]
+        );
+        assert_eq!(
+            split_top_level("0 => A, 1 => B { x, y }, f: fn() -> Map<K, V>"),
+            vec!["0 => A", " 1 => B { x, y }", " f: fn() -> Map<K, V>"]
         );
         assert_eq!(balanced("(a, (b)) tail", '(', ')'), Some("a, (b)"));
         assert_eq!(balanced("[0u8; n]", '[', ']'), Some("0u8; n"));

@@ -1,15 +1,14 @@
 //! Fixture corpus for the wire-protocol rules: known-good and
-//! known-bad codec trees for W001–W004 plus their suppression, driven
-//! through [`jrs_lint::analyze`] with the workspace registries (the
-//! matrix replaced per fixture, the opaque allowlist cleared). The bad
-//! fixtures pin the finding and its field-level diff witness.
+//! known-bad codec trees for W001–W004 plus their suppression and the
+//! registry audit, driven through [`jrs_lint::analyze`] with the
+//! workspace W registry (the matrix replaced per fixture, the
+//! hand-written list cleared) and an empty F registry.
 
 use jrs_lint::proto::MatrixEnum;
-use jrs_lint::{analyze, Config, Report};
+use jrs_lint::{analyze, Config, FlowConfig, ProtoConfig, Report};
 
 fn cfg_with_matrix(enums: &[(&str, &[&str])]) -> Config {
-    let mut cfg = Config::workspace();
-    cfg.proto.matrix = enums
+    let matrix = enums
         .iter()
         .map(|(name, crates)| MatrixEnum {
             name: name.to_string(),
@@ -17,8 +16,14 @@ fn cfg_with_matrix(enums: &[(&str, &[&str])]) -> Config {
             why: "fixture".into(),
         })
         .collect();
-    cfg.proto.opaque_allow.clear();
-    cfg
+    Config {
+        flow: FlowConfig::default(),
+        proto: ProtoConfig {
+            matrix,
+            hand_written: Vec::new(),
+            ..ProtoConfig::workspace()
+        },
+    }
 }
 
 /// Run every pass, keep the W findings and the suppression audit.
@@ -35,26 +40,7 @@ pub enum Msg {
     Ping { seq: u64 },
     Bye,
 }
-impl Codec for Msg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Msg::Ping { seq } => {
-                0u8.encode(out);
-                seq.encode(out);
-            }
-            Msg::Bye => {
-                1u8.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match u8::decode(r)? {
-            0 => Ok(Msg::Ping { seq: u64::decode(r)? }),
-            1 => Ok(Msg::Bye),
-            _ => Err(DecodeError::Invalid(\"Msg tag\")),
-        }
-    }
-}
+codec!(enum Msg { 0 => Ping { seq }, 1 => Bye });
 fn send() -> Msg { Msg::Ping { seq: 1 } }
 fn send2() -> Msg { Msg::Bye }
 fn handle(m: &Msg) {
@@ -73,9 +59,7 @@ fn w001_good_tree_is_clean() {
     assert!(r.clean(), "expected clean, got:\n{:?}", r.findings);
 }
 
-#[test]
-fn w001_field_order_divergence_has_diff_witness() {
-    let src = "\
+const HAND_WRITTEN: &str = "\
 pub struct Grant { pub mom: u32, pub session: u64 }
 impl Codec for Grant {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -84,101 +68,88 @@ impl Codec for Grant {
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok(Grant {
-            session: u64::decode(r)?,
             mom: u32::decode(r)?,
+            session: u64::decode(r)?,
         })
     }
 }
 ";
-    let cfg = cfg_with_matrix(&[]);
-    let r = check_files(&cfg, &[("crates/core/src/a.rs", src)], None);
+
+#[test]
+fn w001_hand_written_codec_must_be_on_the_audited_list() {
+    let mut cfg = cfg_with_matrix(&[]);
+    let files = [("crates/core/src/a.rs", HAND_WRITTEN)];
+    let r = check_files(&cfg, &files, None);
     let f = r
         .findings
         .iter()
         .find(|f| f.rule == "W001")
         .expect("W001 finding");
     assert!(
-        f.message.contains("field sequences diverge"),
+        f.message
+            .contains("`Grant` has a hand-written `impl Codec`"),
         "{}",
         f.message
     );
-    assert!(
-        f.chain.iter().any(|w| w.contains("[mom, session]")),
-        "{:?}",
-        f.chain
+    assert_eq!((f.path.as_str(), f.line), ("crates/core/src/a.rs", 2));
+
+    // On the list it passes, is not pinned (no lock asked for), and the
+    // entry is load-bearing.
+    cfg.proto
+        .hand_written
+        .push(("Grant".into(), "fixture".into()));
+    let r = check_files(&cfg, &files, None);
+    assert!(r.clean(), "expected clean, got:\n{:?}", r.findings);
+
+    // The foundation file is hand-written by design.
+    let r = check_files(
+        &cfg_with_matrix(&[]),
+        &[("crates/store/src/codec.rs", HAND_WRITTEN)],
+        None,
     );
+    assert!(r.clean(), "expected clean, got:\n{:?}", r.findings);
+}
+
+#[test]
+fn w001_unparseable_declaration_is_a_finding_never_a_silent_pass() {
+    let src = "\
+pub struct Grant { pub mom: u32, pub session: u64 }
+codec!(struct Grant { mom, #[skip] session });
+";
+    let cfg = cfg_with_matrix(&[]);
+    // The lock pins nothing for `Grant`: without W001 this tree would be
+    // clean, its layout unpinned.
+    let r = check_files(&cfg, &[("crates/core/src/a.rs", src)], Some("# empty\n"));
+    assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
+    let f = &r.findings[0];
+    assert_eq!((f.rule, f.line), ("W001", 2));
     assert!(
-        f.chain.iter().any(|w| w.contains("[session, mom]")),
-        "{:?}",
-        f.chain
-    );
-    assert!(
-        f.chain
-            .iter()
-            .any(|w| w.contains("position 0") && w.contains("`mom`") && w.contains("`session`")),
-        "{:?}",
-        f.chain
+        f.message.contains("`codec!` declaration is not readable")
+            && f.message.contains("`#[skip] session` is not a field name"),
+        "{}",
+        f.message
     );
 }
 
 #[test]
-fn w001_missing_tag_and_missing_reject_flagged() {
+fn supp_stale_hand_written_entry() {
+    let mut cfg = cfg_with_matrix(&[]);
+    cfg.proto
+        .hand_written
+        .push(("Grant".into(), "fixture".into()));
+    // `Grant` is declared with `codec!`: the entry waives nothing.
     let src = "\
-pub enum Msg {
-    Ping { seq: u64 },
-}
-impl Codec for Msg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Msg::Ping { seq } => {
-                seq.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match u8::decode(r)? {
-            0 => Ok(Msg::Ping { seq: u64::decode(r)? }),
-        }
-    }
-}
+pub struct Grant { pub mom: u32 }
+codec!(struct Grant { mom });
 ";
-    let cfg = cfg_with_matrix(&[]);
-    let r = check_files(&cfg, &[("crates/core/src/a.rs", src)], None);
+    let lock = "struct Grant { mom }\n";
+    let r = check_files(&cfg, &[("crates/core/src/a.rs", src)], Some(lock));
+    assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
     assert!(
-        r.findings
-            .iter()
-            .any(|f| f.rule == "W001" && f.message.contains("before (or without) its discriminant")),
-        "{:?}",
-        r.findings
-    );
-    assert!(
-        r.findings
-            .iter()
-            .any(|f| f.rule == "W001" && f.message.contains("no `_ => Err(..)` arm")),
-        "{:?}",
-        r.findings
-    );
-}
-
-#[test]
-fn w001_type_mismatch_flagged() {
-    let src = "\
-pub struct Rec { pub idx: u64 }
-impl Codec for Rec {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.idx.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(Rec { idx: u32::decode(r)? })
-    }
-}
-";
-    let cfg = cfg_with_matrix(&[]);
-    let r = check_files(&cfg, &[("crates/core/src/a.rs", src)], None);
-    assert!(
-        r.findings.iter().any(|f| f.rule == "W001"
-            && f.message.contains("decodes field `idx` as `u32`")
-            && f.message.contains("declares `u64`")),
+        r.findings[0].rule == "SUPP"
+            && r.findings[0]
+                .message
+                .contains("hand-written codec list entry `Grant` names no hand-written"),
         "{:?}",
         r.findings
     );
@@ -200,31 +171,32 @@ fn w002_tag_drift_against_lock_fails() {
 }
 
 #[test]
+fn w002_field_order_drift_against_lock_shows_both_orders() {
+    let src = "\
+pub struct Grant { pub mom: u32, pub session: u64 }
+codec!(struct Grant { session, mom });
+";
+    let cfg = cfg_with_matrix(&[]);
+    let lock = "struct Grant { mom, session }\n";
+    let r = check_files(&cfg, &[("crates/core/src/a.rs", src)], Some(lock));
+    assert!(
+        r.findings.iter().any(|f| f.rule == "W002"
+            && f.line == 2
+            && f.message
+                .contains("field order changed [mom, session] -> [session, mom]")),
+        "{:?}",
+        r.findings
+    );
+}
+
+#[test]
 fn w002_missing_lock_and_duplicate_tags() {
     let src = "\
 pub enum Msg {
     A,
     B,
 }
-impl Codec for Msg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Msg::A => {
-                0u8.encode(out);
-            }
-            Msg::B => {
-                0u8.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match u8::decode(r)? {
-            0 => Ok(Msg::A),
-            1 => Ok(Msg::B),
-            _ => Err(DecodeError::Invalid(\"Msg tag\")),
-        }
-    }
-}
+codec!(enum Msg { 0 => A, 0 => B });
 ";
     let cfg = cfg_with_matrix(&[]);
     let r = check_files(&cfg, &[("crates/core/src/a.rs", src)], None);
@@ -239,6 +211,34 @@ impl Codec for Msg {
         r.findings
             .iter()
             .any(|f| f.rule == "W002" && f.message.contains("no proto.lock committed")),
+        "{:?}",
+        r.findings
+    );
+}
+
+#[test]
+fn w002_non_dense_tags() {
+    let src = "\
+pub enum Msg {
+    A,
+    B,
+}
+codec!(enum Msg { 0 => A, 9 => B });
+";
+    let cfg = cfg_with_matrix(&[]);
+    let lock = "enum Msg {\n  A = 0\n  B = 1\n}\n";
+    let r = check_files(&cfg, &[("crates/core/src/a.rs", src)], Some(lock));
+    assert!(
+        r.findings.iter().any(|f| f.rule == "W002"
+            && f.message
+                .contains("discriminants are not dense: [0, 9] (expected 0..=1)")),
+        "{:?}",
+        r.findings
+    );
+    assert!(
+        r.findings
+            .iter()
+            .any(|f| f.rule == "W002" && f.message.contains("tag changed 1 -> 9")),
         "{:?}",
         r.findings
     );
@@ -368,151 +368,109 @@ fn quiet2() {}
 
 #[test]
 fn pragma_waives_and_is_counted_used() {
-    let src = "\
-pub struct Rec { pub idx: u64 }
-impl Codec for Rec {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.idx.encode(out);
-    }
-    // lint: allow(W001): fixture — intentional narrowing pinned by tests
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(Rec { idx: u32::decode(r)? })
+    let src = HAND_WRITTEN.replace(
+        "impl Codec for Grant {",
+        "// lint: allow(W001): fixture — layout pinned by its own golden test\nimpl Codec for Grant {",
+    );
+    let cfg = cfg_with_matrix(&[]);
+    let r = check_files(&cfg, &[("crates/core/src/a.rs", &src)], None);
+    assert!(r.clean(), "{:?}", r.findings);
+}
+
+/// A protocol enum declared with `codec!` in a file that sorts before
+/// the one defining it: the declaration is input to the macro, not a
+/// second (variant-less) definition that shadows the real one.
+#[test]
+fn codec_declaration_is_not_taken_for_an_enum_definition() {
+    let codec = "\
+use crate::server::Cmd;
+codec!(enum Cmd {
+    0 => Sub(spec),
+    1 => Del(id),
+    2 => Dead(id),
+});
+";
+    let server = "\
+pub enum Cmd {
+    Sub(u32),
+    Del(u64),
+    Dead(u64),
+}
+fn send(a: bool) -> Cmd { if a { Cmd::Sub(1) } else { Cmd::Del(2) } }
+fn apply(c: &Cmd) -> u64 {
+    match c {
+        Cmd::Sub(n) => u64::from(*n),
+        Cmd::Del(id) | Cmd::Dead(id) => *id,
     }
 }
 ";
-    let cfg = cfg_with_matrix(&[]);
-    let r = check_files(&cfg, &[("crates/core/src/a.rs", src)], None);
+    let cfg = cfg_with_matrix(&[("Cmd", &["pbs"])]);
+    let lock = "enum Cmd {\n  Sub = 0\n  Del = 1\n  Dead = 2\n}\n";
+    let a = analyze(
+        &cfg,
+        &[
+            ("crates/pbs/src/codec.rs", codec),
+            ("crates/pbs/src/server.rs", server),
+        ],
+        Some(lock),
+    );
+    let def = a.model.enum_def("Cmd").expect("Cmd resolves");
+    assert_eq!(def.path, "crates/pbs/src/server.rs");
+    assert_eq!(def.variants, ["Sub", "Del", "Dead"]);
+    assert_eq!(a.report.use_sites, 5);
+    // W003 still walks the variants: the dead one is found.
+    let w: Vec<_> = a
+        .report
+        .findings
+        .iter()
+        .filter(|f| f.rule.starts_with('W') || f.rule == "SUPP")
+        .collect();
+    assert_eq!(w.len(), 1, "{w:?}");
     assert!(
-        !r.findings
+        w[0].rule == "W003" && w[0].message.contains("`Cmd::Dead` is never constructed"),
+        "{w:?}"
+    );
+}
+
+/// A registered protocol enum that stops resolving is a stale registry
+/// entry, not a rule that quietly checks nothing.
+#[test]
+fn supp_registered_enum_that_does_not_resolve() {
+    let mut cfg = cfg_with_matrix(&[("Msg", &["core"]), ("Gone", &["core"])]);
+    cfg.flow.protocol_enums = vec!["Msg".into(), "Renamed".into()];
+    let lock = "enum Msg {\n  Ping = 0\n  Bye = 1\n}\n";
+    let r = check_files(&cfg, &[("crates/core/src/a.rs", GOOD_ENUM)], Some(lock));
+    let supp: Vec<&str> = r.findings.iter().map(|f| f.message.as_str()).collect();
+    assert_eq!(r.findings.len(), 2, "{:?}", r.findings);
+    assert!(r.findings.iter().all(|f| f.rule == "SUPP"));
+    assert!(
+        supp.iter()
+            .any(|m| m.contains("send/handle matrix entry `Gone` resolves to no enum definition")),
+        "{supp:?}"
+    );
+    assert!(
+        supp.iter()
+            .any(|m| m
+                .contains("protocol-enum registry entry `Renamed` resolves to no enum definition")),
+        "{supp:?}"
+    );
+
+    // A definition the extractor reads no variants from is as stale.
+    let empty = "pub enum Gone {}\npub enum Renamed {}\n";
+    let r = check_files(
+        &cfg,
+        &[
+            ("crates/core/src/a.rs", GOOD_ENUM),
+            ("crates/core/src/b.rs", empty),
+        ],
+        Some(lock),
+    );
+    assert_eq!(r.findings.len(), 2, "{:?}", r.findings);
+    assert!(
+        r.findings
             .iter()
-            .any(|f| f.rule == "W001" || f.rule == "SUPP"),
+            .all(|f| f.rule == "SUPP" && f.message.contains("a definition without variants")),
         "{:?}",
         r.findings
     );
-}
-
-/// The same codec as rustfmt lays it out when the struct patterns are
-/// short (one line each) and when they exceed its struct-literal width
-/// (one field per line, the `=>` on the closing-brace line).
-const LAYOUT_ONE_LINE: &str = "\
-pub enum Msg {
-    Ping { seq: u64, origin: u32, hops: u8 },
-    Pong { seq: u64 },
-    Bye,
-}
-impl Codec for Msg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Msg::Ping { seq, origin, hops } => {
-                0u8.encode(out);
-                seq.encode(out);
-                origin.encode(out);
-                hops.encode(out);
-            }
-            Msg::Pong { seq } => {
-                1u8.encode(out);
-                seq.encode(out);
-            }
-            Msg::Bye => {
-                2u8.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match u8::decode(r)? {
-            0 => Ok(Msg::Ping { seq: u64::decode(r)?, origin: u32::decode(r)?, hops: u8::decode(r)? }),
-            1 => Ok(Msg::Pong { seq: u64::decode(r)? }),
-            2 => Ok(Msg::Bye),
-            _ => Err(DecodeError::Invalid(\"Msg tag\")),
-        }
-    }
-}
-";
-
-const LAYOUT_SPREAD: &str = "\
-pub enum Msg {
-    Ping { seq: u64, origin: u32, hops: u8 },
-    Pong { seq: u64 },
-    Bye,
-}
-impl Codec for Msg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Msg::Ping {
-                seq,
-                origin,
-                hops,
-            } => {
-                0u8.encode(out);
-                seq.encode(out);
-                origin.encode(out);
-                hops.encode(out);
-            }
-            Msg::Pong { seq } => {
-                1u8.encode(out);
-                seq.encode(out);
-            }
-            Msg::Bye => {
-                2u8.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match u8::decode(r)? {
-            0 => Ok(Msg::Ping {
-                seq: u64::decode(r)?,
-                origin: u32::decode(r)?,
-                hops: u8::decode(r)?,
-            }),
-            1 => Ok(Msg::Pong {
-                seq: u64::decode(r)?,
-            }),
-            2 => Ok(Msg::Bye),
-            _ => Err(DecodeError::Invalid(\"Msg tag\")),
-        }
-    }
-}
-";
-
-#[test]
-fn codec_shape_does_not_depend_on_arm_layout() {
-    use jrs_lint::codec::{DecField, DecSide, EncOp, EncSide};
-    type Enc = Vec<(String, Option<u64>, Option<u8>, Vec<EncOp>)>;
-    type Dec = Vec<(String, u64, Vec<DecField>)>;
-    let cfg = cfg_with_matrix(&[]);
-    let lock = "enum Msg {\n  Ping = 0\n  Pong = 1\n  Bye = 2\n}\n";
-    let shape = |src: &str| -> (Enc, Dec) {
-        let a = analyze(&cfg, &[("crates/core/src/a.rs", src)], Some(lock));
-        let w: Vec<_> = a
-            .report
-            .findings
-            .iter()
-            .filter(|f| f.rule.starts_with('W'))
-            .collect();
-        assert!(w.is_empty(), "expected no W finding, got:\n{w:?}");
-        let c = a.proto.codec("Msg").expect("codec extracted");
-        let EncSide::Enum { variants, .. } = &c.enc else {
-            panic!("encode side: {:?}", c.enc)
-        };
-        let DecSide::Enum { arms, .. } = &c.dec else {
-            panic!("decode side: {:?}", c.dec)
-        };
-        (
-            variants
-                .iter()
-                .map(|v| (v.name.clone(), v.tag, v.tag_width, v.ops.clone()))
-                .collect(),
-            arms.iter()
-                .map(|v| (v.name.clone(), v.tag, v.fields.clone()))
-                .collect(),
-        )
-    };
-    let one_line = shape(LAYOUT_ONE_LINE);
-    assert_eq!(one_line.0.len(), 3, "every variant has an encode arm");
-    assert_eq!(
-        one_line.0[0].3,
-        ["seq", "origin", "hops"].map(|f| EncOp::Val(f.into())),
-        "Ping's arm owns exactly its own writes"
-    );
-    assert_eq!(one_line, shape(LAYOUT_SPREAD));
 }

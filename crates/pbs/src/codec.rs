@@ -3,240 +3,45 @@
 //! The JOSHUA write-ahead log persists every delivered command; the
 //! snapshot store persists full replica state. Both use the deterministic
 //! [`Codec`] from `jrs-store` (fixed-width little-endian, ordered
-//! containers). Encodings are enum-tagged with a `u8` discriminant in
-//! declaration order; unknown tags decode to an error — in a CRC-valid
-//! record that can only mean a code bug, never disk damage.
+//! containers). Each type is declared once with [`codec!`], which derives
+//! `encode` and `decode` from the same field list: struct fields in wire
+//! order, enums tagged with a leading `u8`, an unknown tag a decode error
+//! (in a CRC-valid record that can only mean a code bug, never disk
+//! damage). The order of a list and the value of a tag are the on-disk
+//! format, pinned in `proto.lock` (`jrs-lint` W002).
 
 use crate::job::{Job, JobId, JobSpec, JobState, JobStatus};
 use crate::resources::{ComputeNode, NodePool, NodeState};
 use crate::server::{CmdReply, MomReport, ServerCmd, ServerSnapshot};
-use jrs_store::{Codec, DecodeError, Reader};
+use jrs_store::{codec, Codec, DecodeError, Reader};
 
-impl Codec for JobId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(JobId(u64::decode(r)?))
-    }
-}
+codec!(struct JobId(0));
+codec!(struct JobSpec { name, user, nodes, walltime, runtime });
+codec!(enum JobState { 0 => Queued, 1 => Running, 2 => Exiting, 3 => Complete, 4 => Held });
+codec!(struct Job { id, spec, state, exit_status, allocated });
+codec!(struct JobStatus { id, name, user, state, exit_status });
+codec!(enum ServerCmd {
+    0 => Qsub(spec),
+    1 => Qdel(id),
+    2 => Qstat(filter),
+    3 => Qhold(id),
+    4 => Qrls(id),
+});
+codec!(enum CmdReply {
+    0 => Submitted(id),
+    1 => Deleted(id),
+    2 => Held(id),
+    3 => Released(id),
+    4 => Status(rows),
+    5 => Error(msg),
+});
+codec!(enum MomReport { 0 => Started { job }, 1 => Finished { job, exit } });
+codec!(enum NodeState { 0 => Free, 1 => Busy, 2 => Offline });
+codec!(struct ComputeNode { name, mom, state });
+codec!(struct ServerSnapshot { jobs, next_id, pool, running_since });
 
-impl Codec for JobSpec {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.name.encode(out);
-        self.user.encode(out);
-        self.nodes.encode(out);
-        self.walltime.encode(out);
-        self.runtime.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(JobSpec {
-            name: String::decode(r)?,
-            user: String::decode(r)?,
-            nodes: u32::decode(r)?,
-            walltime: Codec::decode(r)?,
-            runtime: Codec::decode(r)?,
-        })
-    }
-}
-
-impl Codec for JobState {
-    fn encode(&self, out: &mut Vec<u8>) {
-        let tag: u8 = match self {
-            JobState::Queued => 0,
-            JobState::Running => 1,
-            JobState::Exiting => 2,
-            JobState::Complete => 3,
-            JobState::Held => 4,
-        };
-        tag.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match u8::decode(r)? {
-            0 => Ok(JobState::Queued),
-            1 => Ok(JobState::Running),
-            2 => Ok(JobState::Exiting),
-            3 => Ok(JobState::Complete),
-            4 => Ok(JobState::Held),
-            _ => Err(DecodeError::Invalid("JobState tag")),
-        }
-    }
-}
-
-impl Codec for Job {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.id.encode(out);
-        self.spec.encode(out);
-        self.state.encode(out);
-        self.exit_status.encode(out);
-        self.allocated.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(Job {
-            id: JobId::decode(r)?,
-            spec: JobSpec::decode(r)?,
-            state: JobState::decode(r)?,
-            exit_status: Codec::decode(r)?,
-            allocated: Codec::decode(r)?,
-        })
-    }
-}
-
-impl Codec for JobStatus {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.id.encode(out);
-        self.name.encode(out);
-        self.user.encode(out);
-        self.state.encode(out);
-        self.exit_status.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(JobStatus {
-            id: JobId::decode(r)?,
-            name: String::decode(r)?,
-            user: String::decode(r)?,
-            state: char::decode(r)?,
-            exit_status: Codec::decode(r)?,
-        })
-    }
-}
-
-impl Codec for ServerCmd {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ServerCmd::Qsub(spec) => {
-                0u8.encode(out);
-                spec.encode(out);
-            }
-            ServerCmd::Qdel(id) => {
-                1u8.encode(out);
-                id.encode(out);
-            }
-            ServerCmd::Qstat(filter) => {
-                2u8.encode(out);
-                filter.encode(out);
-            }
-            ServerCmd::Qhold(id) => {
-                3u8.encode(out);
-                id.encode(out);
-            }
-            ServerCmd::Qrls(id) => {
-                4u8.encode(out);
-                id.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match u8::decode(r)? {
-            0 => Ok(ServerCmd::Qsub(JobSpec::decode(r)?)),
-            1 => Ok(ServerCmd::Qdel(JobId::decode(r)?)),
-            2 => Ok(ServerCmd::Qstat(Codec::decode(r)?)),
-            3 => Ok(ServerCmd::Qhold(JobId::decode(r)?)),
-            4 => Ok(ServerCmd::Qrls(JobId::decode(r)?)),
-            _ => Err(DecodeError::Invalid("ServerCmd tag")),
-        }
-    }
-}
-
-impl Codec for CmdReply {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            CmdReply::Submitted(id) => {
-                0u8.encode(out);
-                id.encode(out);
-            }
-            CmdReply::Deleted(id) => {
-                1u8.encode(out);
-                id.encode(out);
-            }
-            CmdReply::Held(id) => {
-                2u8.encode(out);
-                id.encode(out);
-            }
-            CmdReply::Released(id) => {
-                3u8.encode(out);
-                id.encode(out);
-            }
-            CmdReply::Status(rows) => {
-                4u8.encode(out);
-                rows.encode(out);
-            }
-            CmdReply::Error(msg) => {
-                5u8.encode(out);
-                msg.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match u8::decode(r)? {
-            0 => Ok(CmdReply::Submitted(JobId::decode(r)?)),
-            1 => Ok(CmdReply::Deleted(JobId::decode(r)?)),
-            2 => Ok(CmdReply::Held(JobId::decode(r)?)),
-            3 => Ok(CmdReply::Released(JobId::decode(r)?)),
-            4 => Ok(CmdReply::Status(Codec::decode(r)?)),
-            5 => Ok(CmdReply::Error(String::decode(r)?)),
-            _ => Err(DecodeError::Invalid("CmdReply tag")),
-        }
-    }
-}
-
-impl Codec for MomReport {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            MomReport::Started { job } => {
-                0u8.encode(out);
-                job.encode(out);
-            }
-            MomReport::Finished { job, exit } => {
-                1u8.encode(out);
-                job.encode(out);
-                exit.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match u8::decode(r)? {
-            0 => Ok(MomReport::Started { job: JobId::decode(r)? }),
-            1 => Ok(MomReport::Finished { job: JobId::decode(r)?, exit: i32::decode(r)? }),
-            _ => Err(DecodeError::Invalid("MomReport tag")),
-        }
-    }
-}
-
-impl Codec for NodeState {
-    fn encode(&self, out: &mut Vec<u8>) {
-        let tag: u8 = match self {
-            NodeState::Free => 0,
-            NodeState::Busy => 1,
-            NodeState::Offline => 2,
-        };
-        tag.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match u8::decode(r)? {
-            0 => Ok(NodeState::Free),
-            1 => Ok(NodeState::Busy),
-            2 => Ok(NodeState::Offline),
-            _ => Err(DecodeError::Invalid("NodeState tag")),
-        }
-    }
-}
-
-impl Codec for ComputeNode {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.name.encode(out);
-        self.mom.encode(out);
-        self.state.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(ComputeNode {
-            name: String::decode(r)?,
-            mom: Codec::decode(r)?,
-            state: NodeState::decode(r)?,
-        })
-    }
-}
-
+/// Hand-written: the pool travels as its ordered node list and `decode`
+/// rebuilds the name index, which a field list cannot express.
 impl Codec for NodePool {
     fn encode(&self, out: &mut Vec<u8>) {
         let nodes: Vec<ComputeNode> = self.iter().cloned().collect();
@@ -244,23 +49,6 @@ impl Codec for NodePool {
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok(NodePool::from_nodes(Vec::<ComputeNode>::decode(r)?))
-    }
-}
-
-impl Codec for ServerSnapshot {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.jobs.encode(out);
-        self.next_id.encode(out);
-        self.pool.encode(out);
-        self.running_since.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(ServerSnapshot {
-            jobs: Codec::decode(r)?,
-            next_id: u64::decode(r)?,
-            pool: NodePool::decode(r)?,
-            running_since: Codec::decode(r)?,
-        })
     }
 }
 

@@ -1,11 +1,19 @@
 //! Minimal deterministic binary codec for durable records.
 //!
 //! Fixed-width little-endian integers, length-prefixed containers, no
-//! self-description: both sides of the WAL are the same build of the same
-//! binary, so the format only needs to be deterministic and checkable, not
-//! evolvable. Anything whose bytes land in the WAL derives its encoding by
-//! implementing [`Codec`] field by field (the detlint rules D001–D005 apply
-//! to all such types).
+//! self-description: the format only needs to be deterministic and
+//! checkable, not evolvable. It is not free to drift either: the records
+//! on a head's disk were written by an earlier build, so `jrs-lint` pins
+//! every product layout against the committed `proto.lock` (W002).
+//!
+//! Two layers. The primitives and generic containers in this file are
+//! the hand-written foundation, each `encode`/`decode` pair kept aligned
+//! by the unit tests below and by W004's bounds discipline. Everything
+//! above it (the PBS and JOSHUA types whose bytes land in the WAL, in
+//! snapshots and in state transfers) is declared once with
+//! [`codec!`](crate::codec!), which emits both directions from a single
+//! field list, so the two cannot disagree. The `jrs-lint` determinism
+//! rules D001–D005 apply to all such types.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -205,6 +213,15 @@ impl<T: Codec> Codec for Option<T> {
     }
 }
 
+impl<T: Codec> Codec for Box<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (**self).encode(out);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(Box::new(T::decode(r)?))
+    }
+}
+
 impl<T: Codec> Codec for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         encode_len(self.len(), out);
@@ -316,6 +333,145 @@ impl<A: Codec, B: Codec, C: Codec> Codec for (A, B, C) {
     }
 }
 
+/// Implement [`Codec`] for a product type from **one** declaration, so
+/// that `encode` and `decode` cannot disagree. Three forms and nothing
+/// else: no tag width, no field attributes, no skip or default.
+///
+/// A named struct lists its fields in wire order; the field types are
+/// inferred from the struct definition:
+///
+/// ```
+/// use jrs_store::{codec, Codec};
+/// #[derive(Debug, PartialEq)]
+/// struct Grant { mom: u32, session: u64 }
+/// codec!(struct Grant { mom, session });
+/// let bytes = Grant { mom: 50, session: 4 }.to_bytes();
+/// assert_eq!(bytes, [50, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0]);
+/// assert_eq!(Grant::from_bytes(&bytes), Ok(Grant { mom: 50, session: 4 }));
+/// ```
+///
+/// A newtype encodes as its only field:
+///
+/// ```
+/// use jrs_store::{codec, Codec};
+/// #[derive(Debug, PartialEq)]
+/// struct JobId(u64);
+/// codec!(struct JobId(0));
+/// assert_eq!(JobId(7).to_bytes(), 7u64.to_bytes());
+/// assert_eq!(JobId::from_bytes(&7u64.to_bytes()), Ok(JobId(7)));
+/// ```
+///
+/// An enum gives every variant its `u8` tag, written first; unit, tuple
+/// and struct variants name their fields in wire order (a tuple
+/// variant's names are only bindings). An unknown tag decodes to
+/// `DecodeError::Invalid("<Type> tag")`:
+///
+/// ```
+/// use jrs_store::{codec, Codec, DecodeError};
+/// #[derive(Debug, PartialEq)]
+/// enum Msg { Bye, Pong(u16), Ping { seq: u32, hops: u8 } }
+/// codec!(enum Msg { 0 => Bye, 1 => Pong(id), 2 => Ping { seq, hops } });
+/// assert_eq!(Msg::Bye.to_bytes(), [0]);
+/// assert_eq!(Msg::Pong(9).to_bytes(), [1, 9, 0]);
+/// let ping = Msg::Ping { seq: 3, hops: 1 };
+/// assert_eq!(ping.to_bytes(), [2, 3, 0, 0, 0, 1]);
+/// assert_eq!(Msg::from_bytes(&ping.to_bytes()), Ok(ping));
+/// assert_eq!(Msg::from_bytes(&[3]), Err(DecodeError::Invalid("Msg tag")));
+/// ```
+///
+/// A declaration that does not match the type is a compile error. A
+/// field missing from the declaration (E0063):
+///
+/// ```compile_fail,E0063
+/// use jrs_store::codec;
+/// struct Grant { mom: u32, session: u64 }
+/// codec!(struct Grant { mom });
+/// ```
+///
+/// A field the type does not have (E0609, E0560):
+///
+/// ```compile_fail,E0609
+/// use jrs_store::codec;
+/// struct Grant { mom: u32 }
+/// codec!(struct Grant { mom, session });
+/// ```
+///
+/// A variant missing from the declaration (E0004, `match self` is not
+/// exhaustive):
+///
+/// ```compile_fail,E0004
+/// use jrs_store::codec;
+/// enum Msg { Bye, Pong(u16) }
+/// codec!(enum Msg { 0 => Bye });
+/// ```
+///
+/// A tag used twice (the second `decode` arm is unreachable, which the
+/// generated impl denies):
+///
+/// ```compile_fail
+/// use jrs_store::codec;
+/// enum Msg { Bye, Pong(u16) }
+/// codec!(enum Msg { 0 => Bye, 0 => Pong(id) });
+/// ```
+///
+/// A reordered field list or a renumbered tag still compiles; that is
+/// drift against `proto.lock`, which `jrs-lint` W002 reports.
+#[macro_export]
+macro_rules! codec {
+    (struct $T:ident { $($f:ident),+ $(,)? }) => {
+        impl $crate::Codec for $T {
+            fn encode(&self, out: &mut Vec<u8>) {
+                $($crate::Codec::encode(&self.$f, out);)+
+            }
+            fn decode(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::DecodeError> {
+                Ok($T { $($f: $crate::Codec::decode(r)?),+ })
+            }
+        }
+    };
+    (struct $T:ident(0)) => {
+        impl $crate::Codec for $T {
+            fn encode(&self, out: &mut Vec<u8>) {
+                $crate::Codec::encode(&self.0, out);
+            }
+            fn decode(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::DecodeError> {
+                Ok($T($crate::Codec::decode(r)?))
+            }
+        }
+    };
+    (enum $T:ident {
+        $($tag:literal => $V:ident $(($($p:ident),+))? $({ $($f:ident),+ })?),+ $(,)?
+    }) => {
+        #[deny(unreachable_patterns)]
+        impl $crate::Codec for $T {
+            fn encode(&self, out: &mut Vec<u8>) {
+                // The tag from a match of its own: a table lookup and one
+                // write. Written inside each arm below, a 1000-job
+                // `ReplicaState` encodes 20 % slower.
+                let tag: u8 = match self {
+                    $($T::$V { .. } => $tag,)+
+                };
+                $crate::Codec::encode(&tag, out);
+                match self {
+                    $($T::$V $(($($p),+))? $({ $($f),+ })? => {
+                        $($($crate::Codec::encode($p, out);)+)?
+                        $($($crate::Codec::encode($f, out);)+)?
+                    })+
+                }
+            }
+            fn decode(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::DecodeError> {
+                match <u8 as $crate::Codec>::decode(r)? {
+                    $($tag => {
+                        $($(let $p = $crate::Codec::decode(r)?;)+)?
+                        $($(let $f = $crate::Codec::decode(r)?;)+)?
+                        Ok($T::$V $(($($p),+))? $({ $($f),+ })?)
+                    })+
+                    _ => Err($crate::DecodeError::Invalid(concat!(stringify!($T), " tag"))),
+                }
+            }
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,6 +498,7 @@ mod tests {
         round_trip(Vec::<u64>::new());
         round_trip(Some(9u16));
         round_trip(Option::<u16>::None);
+        round_trip(Box::new(9u16));
         round_trip(BTreeMap::from([(1u32, String::from("a")), (2, String::from("b"))]));
         round_trip(BTreeSet::from([5u64, 7]));
         round_trip((1u8, String::from("x"), vec![2u64]));

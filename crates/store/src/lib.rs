@@ -15,8 +15,9 @@
 //!
 //! Wire format discipline: everything whose bytes land on disk goes
 //! through the deterministic [`Codec`] (fixed-width little-endian, ordered
-//! containers), so the detlint determinism rules apply to this crate
-//! exactly as they do to the replicated state machines themselves.
+//! containers), so the `jrs-lint` determinism rules apply to this crate
+//! exactly as they do to the replicated state machines themselves. A
+//! product type gets its `Codec` from one [`codec!`] declaration.
 
 #![warn(missing_docs)]
 
