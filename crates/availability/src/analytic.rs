@@ -28,7 +28,7 @@ impl NodeReliability {
     }
 
     /// Eq. 1 — steady-state availability of a single node.
-    pub fn availability(&self) -> f64 {
+    pub(crate) fn availability(&self) -> f64 {
         self.mttf_hours / (self.mttf_hours + self.mttr_hours)
     }
 }

@@ -120,25 +120,6 @@ pub fn throughput_experiment(mode: HaMode, batches: &[usize], seed: u64) -> Thro
     }
 }
 
-/// Network-model ablation: run the Figure 10 workload with and without
-/// shared-hub contention. Returns `(with_hub_ms, no_hub_ms)` mean latency.
-pub fn hub_ablation(heads: usize, jobs: usize, seed: u64) -> (f64, f64) {
-    let run = |hub: bool| {
-        let mut cfg = ClusterConfig::new(HaMode::Joshua { heads });
-        cfg.seed = seed;
-        if !hub {
-            cfg.net.hub = None;
-        }
-        let mut cluster = Cluster::build(cfg);
-        cluster.spawn_client(workload::burst(jobs));
-        cluster.run_until(SimTime::ZERO + SimDuration::from_secs((jobs as u64 + 10) * 5));
-        let records = cluster.take_records();
-        assert_eq!(records.len(), jobs);
-        records.iter().map(|r| r.latency.as_millis_f64()).sum::<f64>() / jobs as f64
-    };
-    (run(true), run(false))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,17 +139,6 @@ mod tests {
         let l4 = latency_experiment(HaMode::Joshua { heads: 4 }, 8, 5);
         assert!(l1.mean_ms < l2.mean_ms, "{} !< {}", l1.mean_ms, l2.mean_ms);
         assert!(l2.mean_ms < l4.mean_ms, "{} !< {}", l2.mean_ms, l4.mean_ms);
-    }
-
-    #[test]
-    fn hub_contention_costs_latency() {
-        // The half-duplex hub serializes the ordering multicasts; removing
-        // it must not make things slower.
-        let (with_hub, without) = hub_ablation(4, 8, 3);
-        assert!(
-            with_hub >= without,
-            "hub {with_hub:.1}ms vs switched {without:.1}ms"
-        );
     }
 
     #[test]

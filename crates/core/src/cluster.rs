@@ -237,11 +237,10 @@ impl Cluster {
         assert_eq!(heads, head_ids, "head process ids must be predictable");
 
         let mut moms = Vec::new();
-        for i in 0..c {
-            let mut core = PbsMomCore::new(all_nodes[i].0.clone());
+        for &node in &mom_nodes {
+            let mut core = PbsMomCore::new();
             core.obituary_bug = cfg.mom_obituary_bug;
-            let p = world.add_process(mom_nodes[i], PbsMomProcess::new(core));
-            moms.push(p);
+            moms.push(world.add_process(node, PbsMomProcess::new(core)));
         }
         assert_eq!(moms, mom_ids, "mom process ids must be predictable");
 
@@ -303,11 +302,6 @@ impl Cluster {
     /// Crash head `i` (power-off).
     pub fn crash_head(&mut self, i: usize) {
         self.world.crash_node(self.head_nodes[i]);
-    }
-
-    /// Ask JOSHUA head `i` to leave voluntarily.
-    pub fn leave_head(&mut self, i: usize) {
-        self.world.inject(self.heads[i], crate::server::LeaveCmd);
     }
 
     /// Add a replacement JOSHUA head that joins the running group via
@@ -376,12 +370,12 @@ impl Cluster {
     }
 
     /// Restart a crashed mom with a fresh (empty) core.
-    pub fn restart_mom(&mut self, i: usize) -> ProcId {
+    pub(crate) fn restart_mom(&mut self, i: usize) -> ProcId {
         let node = self.mom_nodes[i];
         if !self.world.is_node_alive(node) {
             self.world.revive_node(node);
         }
-        let mut core = PbsMomCore::new(format!("c{i:02}"));
+        let mut core = PbsMomCore::new();
         core.obituary_bug = self.cfg.mom_obituary_bug;
         self.world
             .restart_proc(self.moms[i], Box::new(PbsMomProcess::new(core)));
@@ -418,7 +412,7 @@ impl Cluster {
     }
 
     /// Borrow a mom core.
-    pub fn mom(&self, i: usize) -> &PbsMomCore {
+    pub(crate) fn mom(&self, i: usize) -> &PbsMomCore {
         self.world
             .proc_ref::<PbsMomProcess>(self.moms[i])
             .expect("mom process")

@@ -77,22 +77,18 @@ pub struct PersistConfig {
     /// Write a full snapshot every this many applied commands (the WAL
     /// keeps full history; snapshots only bound replay time).
     pub snapshot_every: u64,
-    /// How many recent commands each head keeps in memory for delta
-    /// donation to recovered joiners; gaps larger than this fall back to
-    /// a full snapshot.
-    pub ring_capacity: usize,
 }
 
 impl PersistConfig {
     /// Durability on, with defaults sized for the paper's testbed scale.
     pub fn durable() -> Self {
-        PersistConfig { enabled: true, snapshot_every: 32, ring_capacity: 256 }
+        PersistConfig { enabled: true, snapshot_every: 32 }
     }
 }
 
 impl Default for PersistConfig {
     fn default() -> Self {
-        PersistConfig { enabled: false, snapshot_every: 32, ring_capacity: 256 }
+        PersistConfig { enabled: false, snapshot_every: 32 }
     }
 }
 

@@ -81,7 +81,7 @@ pub struct ActiveStandbyHead {
 
 impl ActiveStandbyHead {
     /// Build one half of the pair.
-    pub fn new(
+    pub(crate) fn new(
         core: PbsServerCore,
         cfg: ActiveStandbyConfig,
         peer: ProcId,

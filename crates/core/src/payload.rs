@@ -109,30 +109,6 @@ pub enum Payload {
     },
 }
 
-impl Payload {
-    /// Approximate wire size for the network model.
-    pub fn wire_size(&self) -> u32 {
-        match self {
-            Payload::Client { .. } => 256,
-            Payload::Output { .. } => 64,
-            Payload::MomFinished { .. } => 96,
-            Payload::JMutexAcquire { .. } => 96,
-            Payload::JMutexRelease { .. } => 64,
-            Payload::Snapshot { state, .. } => {
-                // Saturating length conversion: a lossy `as` cast would
-                // wrap on pathological job counts (D005).
-                512 + u32::try_from(state.pbs.jobs.len()).unwrap_or(u32::MAX) * 160
-            }
-            Payload::Hello { .. } => 64,
-            Payload::CatchUp { entries, .. } => {
-                128u32.saturating_add(
-                    u32::try_from(entries.len()).unwrap_or(u32::MAX).saturating_mul(256),
-                )
-            }
-        }
-    }
-}
-
 /// Complete replicated state of one JOSHUA head, shipped to joiners.
 #[derive(Clone, Debug, Hash)]
 pub struct ReplicaState {
@@ -236,24 +212,36 @@ impl JMutexState {
     }
 
     /// Current grant holder, if any.
-    pub fn holder(&self, job: JobId) -> Option<Grant> {
+    #[cfg(test)]
+    pub(crate) fn holder(&self, job: JobId) -> Option<Grant> {
         self.granted.get(&job).copied()
     }
 
     /// Has the job's mutex been released (job completed)?
-    pub fn is_released(&self, job: JobId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_released(&self, job: JobId) -> bool {
         self.released.contains(&job)
     }
 
     /// Number of currently granted (outstanding) launches.
-    pub fn outstanding(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn outstanding(&self) -> usize {
         self.granted.len()
     }
 
-    /// Iterate over outstanding grants (for verdict redelivery after the
-    /// granter died).
+    /// Iterate over outstanding grants.
     pub fn grants(&self) -> impl Iterator<Item = (JobId, Grant)> + '_ {
         self.granted.iter().map(|(j, g)| (*j, *g))
+    }
+
+    /// Outstanding grants whose granter is not among `members`: its verdict
+    /// can never reach the mom, so after a view change the [`responder`]
+    /// re-sends it (idempotent at the mom).
+    pub fn orphaned_grants<'a>(
+        &'a self,
+        members: &'a [ProcId],
+    ) -> impl Iterator<Item = (JobId, Grant)> + 'a {
+        self.grants().filter(|(_, g)| !members.contains(&g.granter))
     }
 
     /// Deterministic fingerprint of the mutex table (replica-convergence
@@ -261,6 +249,29 @@ impl JMutexState {
     #[must_use]
     pub fn state_hash(&self) -> u64 {
         jrs_sim::fingerprint(self)
+    }
+}
+
+/// The member responsible for client-visible output: the lowest-ranked
+/// member of the view (`members`, sorted) that did not join in it
+/// (`joined_current`), so it certainly holds full state. Deterministic at
+/// every replica by virtue of virtual synchrony.
+pub fn responder(members: &[ProcId], joined_current: &BTreeSet<ProcId>) -> Option<ProcId> {
+    members
+        .iter()
+        .copied()
+        .find(|m| !joined_current.contains(m))
+        .or_else(|| members.first().copied())
+}
+
+/// Who sends a delivered acquire's verdict to the mom: the head that
+/// forwarded it, or the [`responder`] covering for it when it left the view
+/// while the acquire was in flight (every replica sees the same view).
+pub fn verdict_sender(members: &[ProcId], granter: ProcId, responder: Option<ProcId>) -> ProcId {
+    if members.contains(&granter) {
+        granter
+    } else {
+        responder.unwrap_or(granter)
     }
 }
 
@@ -357,20 +368,6 @@ mod tests {
             applied_index: 0,
             hellos: vec![],
         }
-    }
-
-    #[test]
-    fn payload_wire_sizes() {
-        let p = Payload::Output { client: ProcId(1), req_id: 1 };
-        assert!(p.wire_size() < 128);
-        let snap = Payload::Snapshot {
-            targets: vec![ProcId(9)],
-            as_of_seq: 0,
-            state: Box::new(empty_state()),
-        };
-        assert!(snap.wire_size() >= 512);
-        let hello = Payload::Hello { member: ProcId(1), applied_index: 7, fingerprint: 9 };
-        assert!(hello.wire_size() < 128);
     }
 
     #[test]

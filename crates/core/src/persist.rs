@@ -90,7 +90,7 @@ impl HeadStore {
     }
 
     /// Persist the group incarnation (overwrites; fsyncs).
-    pub fn save_incarnation(&self, disk: &mut SimDisk, now: SimTime, incarnation: u64) {
+    pub(crate) fn save_incarnation(&self, disk: &mut SimDisk, now: SimTime, incarnation: u64) {
         disk.truncate(&self.inc_path, 0);
         disk.append(&self.inc_path, &incarnation.to_bytes());
         disk.fsync(&self.inc_path, now);

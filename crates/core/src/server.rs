@@ -37,7 +37,7 @@
 //!   current state of an active service over to the joining head node".
 
 use crate::config::{JoshuaConfig, JoshuaCostModel};
-use crate::payload::{JMutexOutcome, JMutexState, Payload, ReplicaState};
+use crate::payload::{self, JMutexOutcome, JMutexState, Payload, ReplicaState};
 use crate::persist::{HeadStore, Recovered};
 use jrs_gcs::simharness::GroupHost;
 use jrs_gcs::{EngineMsg, GcsEvent, GcsMsg, View, Wire};
@@ -205,7 +205,7 @@ impl JoshuaServer {
     /// Create a daemon. `initial_heads` is the static bootstrap member
     /// list (all initial heads configured identically); a process not in
     /// the list joins through them instead.
-    pub fn new(me: ProcId, config: JoshuaConfig, initial_heads: Vec<ProcId>) -> Self {
+    pub(crate) fn new(me: ProcId, config: JoshuaConfig, initial_heads: Vec<ProcId>) -> Self {
         let cost = config.cost;
         let group = GroupHost::new(me, config.group.clone(), initial_heads.clone(), move |f| {
             charge(&cost, f)
@@ -289,11 +289,6 @@ impl JoshuaServer {
         self.group.member().is_installed() && matches!(self.sync, SyncMode::Established)
     }
 
-    /// The jmutex table (tests).
-    pub fn jmutex(&self) -> &JMutexState {
-        &self.jmutex
-    }
-
     /// Commands applied since genesis (monotonic across restarts).
     pub fn applied_index(&self) -> u64 {
         self.applied_index
@@ -320,17 +315,9 @@ impl JoshuaServer {
     // Helpers
     // ------------------------------------------------------------------
 
-    /// The member responsible for client-visible output: the lowest-ranked
-    /// member of the current view that did not just join (so it certainly
-    /// holds full state). Deterministic at every replica by virtue of
-    /// virtual synchrony.
+    /// The member responsible for client-visible output in the current view.
     fn responder(&self) -> Option<ProcId> {
-        let view = self.view();
-        view.members
-            .iter()
-            .copied()
-            .find(|m| !self.joined_current.contains(m))
-            .or_else(|| view.leader())
+        payload::responder(&self.view().members, &self.joined_current)
     }
 
     fn is_responder(&self) -> bool {
@@ -492,14 +479,8 @@ impl JoshuaServer {
             }
             Payload::JMutexAcquire { job, mom, session, granter, reclaim } => {
                 let outcome = self.jmutex.acquire(job, mom, session, granter, reclaim);
-                // The forwarding head sends the verdict; if it died while
-                // the acquire was in flight, the responder covers for it
-                // (deterministic: every replica sees the same view).
-                let sender = if self.view().contains(granter) {
-                    granter
-                } else {
-                    self.responder().unwrap_or(granter)
-                };
+                let sender =
+                    payload::verdict_sender(&self.view().members, granter, self.responder());
                 if sender == ctx.me() && !self.replaying {
                     let granted = outcome == JMutexOutcome::Granted;
                     if granted {
@@ -529,8 +510,11 @@ impl JoshuaServer {
 
     /// Keep a command in the bounded donation ring.
     fn remember(&mut self, idx: u64, payload: Payload) {
+        /// How many recent commands a head keeps for delta donation; a
+        /// recovered joiner further behind gets a full snapshot instead.
+        const RING_CAPACITY: usize = 256;
         self.ring.push_back((idx, payload));
-        while self.ring.len() > self.config.persist.ring_capacity {
+        while self.ring.len() > RING_CAPACITY {
             self.ring.pop_front();
         }
     }
@@ -651,7 +635,7 @@ impl JoshuaServer {
         // Verdict redelivery: outstanding launch grants whose granter
         // left can never reach their mom — the responder re-sends them.
         // Idempotent at the mom (a running/done job ignores late grants).
-        for (job, g) in self.jmutex.grants().filter(|(_, g)| !view.contains(g.granter)) {
+        for (job, g) in self.jmutex.orphaned_grants(&view.members) {
             ctx.send(g.mom, MomInbound::Verdict { job, session: g.session, granted: true });
         }
         // Donor duty is announcement-triggered (`on_hello`); the view

@@ -82,15 +82,4 @@ impl GroupConfig {
     pub fn with_engine(engine: EngineKind) -> Self {
         GroupConfig { engine, ..Default::default() }
     }
-
-    /// Paper-era conservative detection timings (slower failover, fewer
-    /// false suspicions) — used by availability-oriented experiments.
-    pub fn conservative() -> Self {
-        GroupConfig {
-            heartbeat_every: SimDuration::from_millis(500),
-            fail_after: SimDuration::from_secs(2),
-            flush_timeout: SimDuration::from_secs(3),
-            ..Default::default()
-        }
-    }
 }

@@ -9,8 +9,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Tracks last-heard times for a set of watched peers.
 ///
-/// Ordered maps so iteration (e.g. [`FailureDetector::suspects`]) is
-/// deterministic across replicas (detlint D001).
+/// Ordered maps so iteration and the derived `Hash` are deterministic
+/// across replicas (jrs-lint D001).
 #[derive(Clone, Debug, Hash)]
 pub struct FailureDetector {
     fail_after: SimDuration,
@@ -22,7 +22,7 @@ pub struct FailureDetector {
 
 impl FailureDetector {
     /// New detector with the given silence threshold.
-    pub fn new(fail_after: SimDuration) -> Self {
+    pub(crate) fn new(fail_after: SimDuration) -> Self {
         FailureDetector {
             fail_after,
             last_heard: BTreeMap::new(),
@@ -32,12 +32,12 @@ impl FailureDetector {
 
     /// Start watching `peer`, counting from `now` (grace period of one full
     /// threshold before it can be suspected).
-    pub fn watch(&mut self, peer: ProcId, now: SimTime) {
+    pub(crate) fn watch(&mut self, peer: ProcId, now: SimTime) {
         self.last_heard.entry(peer).or_insert(now);
     }
 
     /// Stop watching `peer` (it left the view).
-    pub fn unwatch(&mut self, peer: ProcId) {
+    pub(crate) fn unwatch(&mut self, peer: ProcId) {
         self.last_heard.remove(&peer);
         self.condemned.remove(&peer);
     }
@@ -45,7 +45,7 @@ impl FailureDetector {
     /// Record a life sign. A life sign also lifts a condemnation: a
     /// condemned-but-alive peer (e.g. a slow flush coordinator) is only
     /// excluded if it actually goes silent.
-    pub fn heard(&mut self, peer: ProcId, now: SimTime) {
+    pub(crate) fn heard(&mut self, peer: ProcId, now: SimTime) {
         if let Some(t) = self.last_heard.get_mut(&peer) {
             *t = (*t).max(now);
         }
@@ -54,13 +54,13 @@ impl FailureDetector {
 
     /// Forcibly mark a peer suspected (voluntary leave, which the paper
     /// treats as a forced failure, or a stalled flush coordinator).
-    pub fn condemn(&mut self, peer: ProcId) {
+    pub(crate) fn condemn(&mut self, peer: ProcId) {
         self.last_heard.entry(peer).or_insert(SimTime::ZERO);
         self.condemned.insert(peer);
     }
 
     /// Is `peer` currently suspected?
-    pub fn suspected(&self, peer: ProcId, now: SimTime) -> bool {
+    pub(crate) fn suspected(&self, peer: ProcId, now: SimTime) -> bool {
         if self.condemned.contains(&peer) {
             return true;
         }
@@ -72,24 +72,13 @@ impl FailureDetector {
 
     /// All watched peers currently suspected, in `ProcId` order (the
     /// map's iteration order — no explicit sort needed).
-    pub fn suspects(&self, now: SimTime) -> Vec<ProcId> {
+    #[cfg(test)]
+    pub(crate) fn suspects(&self, now: SimTime) -> Vec<ProcId> {
         self.last_heard
             .iter()
             .filter(|(&p, &t)| self.condemned.contains(&p) || now.since(t) >= self.fail_after)
             .map(|(&p, _)| p)
             .collect()
-    }
-
-    /// All watched peers.
-    pub fn watched(&self) -> impl Iterator<Item = ProcId> + '_ {
-        self.last_heard.keys().copied()
-    }
-
-    /// Deterministic fingerprint of the detector state (watch list,
-    /// last-heard times, condemnations) for model-checker deduplication.
-    #[must_use]
-    pub fn state_hash(&self) -> u64 {
-        jrs_sim::fingerprint(self)
     }
 }
 

@@ -196,23 +196,24 @@ impl<P: Clone> Engine<P> {
     }
 
     /// Highest sequence number received contiguously (≥ delivered).
-    pub fn received_up_to(&self) -> u64 {
+    pub(crate) fn received_up_to(&self) -> u64 {
         self.recv_cursor - 1
     }
 
     /// Own submissions not yet delivered (survive view changes and are
     /// resubmitted after install).
-    pub fn pending_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pending_count(&self) -> usize {
         self.pending.len()
     }
 
     /// Is the engine accepting traffic (not halted for a flush)?
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         self.active
     }
 
     /// Size of the retained ordered-message log (diagnostics / GC tests).
-    pub fn log_len(&self) -> usize {
+    pub(crate) fn log_len(&self) -> usize {
         self.log.len()
     }
 
@@ -220,7 +221,7 @@ impl<P: Clone> Engine<P> {
     /// rebuilds that member's engine from scratch (local ids restart at
     /// 1), so floors inherited from its previous life would silently
     /// swallow everything the new life submits.
-    pub fn reset_submitter(&mut self, p: ProcId) {
+    pub(crate) fn reset_submitter(&mut self, p: ProcId) {
         self.dedup.remove(&p);
         self.assign_floor.remove(&p);
     }
@@ -346,13 +347,13 @@ impl<P: Clone> Engine<P> {
     /// Halt for a view change or pending flush: stop ordering and
     /// delivering. A held token is kept (the flush may be aborted and the
     /// token must not be lost); `install` re-seeds or clears it.
-    pub fn halt(&mut self) {
+    pub(crate) fn halt(&mut self) {
         self.active = false;
     }
 
     /// Resume in the *same* view after an aborted flush: process anything
     /// buffered while halted and resubmit own pendings.
-    pub fn resume(&mut self, _now: SimTime) -> EngineOut<P> {
+    pub(crate) fn resume(&mut self, _now: SimTime) -> EngineOut<P> {
         self.active = true;
         let mut out = EngineOut::default();
         while self.log.contains_key(&self.recv_cursor) {
@@ -371,7 +372,7 @@ impl<P: Clone> Engine<P> {
     }
 
     /// Produce this member's flush digest.
-    pub fn digest(&self, coord_known: u64) -> FlushDigest<P> {
+    pub(crate) fn digest(&self, coord_known: u64) -> FlushDigest<P> {
         FlushDigest {
             max_contig: self.received_up_to(),
             extra: self
@@ -388,7 +389,7 @@ impl<P: Clone> Engine<P> {
     /// Apply the coordinator's reconciled batch: the agreed history is
     /// stable by agreement, so everything up to `next_seq - 1` is
     /// delivered. Returns the new deliveries.
-    pub fn apply_flush(&mut self, msgs: &[OrderedMsg<P>], next_seq: u64) -> Vec<OrderedMsg<P>> {
+    pub(crate) fn apply_flush(&mut self, msgs: &[OrderedMsg<P>], next_seq: u64) -> Vec<OrderedMsg<P>> {
         // Our contiguous received prefix is part of the agreed history
         // (the union covers every survivor's prefix). Anything buffered
         // beyond it may have been renumbered by the coordinator: replace
@@ -407,7 +408,7 @@ impl<P: Clone> Engine<P> {
 
     /// Joiner path: adopt the agreed history position without delivering
     /// any of it (the application receives a state snapshot instead).
-    pub fn skip_to(&mut self, next_seq: u64) {
+    pub(crate) fn skip_to(&mut self, next_seq: u64) {
         self.log.clear();
         self.recv_cursor = next_seq;
         self.deliver_cursor = next_seq;
@@ -455,7 +456,7 @@ impl<P: Clone> Engine<P> {
 
     /// Drop log entries at or below `stable_up_to` (known delivered by the
     /// whole view).
-    pub fn prune(&mut self, stable_up_to: u64) {
+    pub(crate) fn prune(&mut self, stable_up_to: u64) {
         let cutoff = stable_up_to.min(self.delivered_up_to());
         // Every tick comes through here, and `split_off` allocates a new
         // tree even when it drops nothing.
@@ -660,17 +661,6 @@ impl<P: Clone> Engine<P> {
                 out.send(successor, EngineMsg::Token { next_seq });
             }
         }
-    }
-}
-
-impl<P: Clone + std::hash::Hash> Engine<P> {
-    /// Deterministic fingerprint of the full ordering state (cursors,
-    /// log, acks, dedup floors, pendings, policy-specific fields).
-    /// Equal fingerprints mean the engines behave identically from here
-    /// on — the model checker uses this for visited-set deduplication.
-    #[must_use]
-    pub fn state_hash(&self) -> u64 {
-        jrs_sim::fingerprint(self)
     }
 }
 

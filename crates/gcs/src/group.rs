@@ -153,7 +153,6 @@ pub struct GroupMember<P> {
     me: ProcId,
     config: GroupConfig,
     view: View,
-    installed: bool,
     role: Role,
     engine: Engine<P>,
     links: LinkManager<P>,
@@ -192,24 +191,18 @@ impl<P: Clone + 'static> GroupMember<P> {
         let links = LinkManager::new(config.rto);
         let detector = FailureDetector::new(config.fail_after);
         let is_member = initial.contains(&me);
-        let (view, role, installed) = if is_member {
-            (
-                View::initial(initial),
-                Role::Member,
-                true,
-            )
+        let (view, role) = if is_member {
+            (View::initial(initial), Role::Member)
         } else {
             (
                 View::new(ViewId::NONE, Vec::new()),
                 Role::Joining { contacts: initial, last_req: None, answered: None },
-                false,
             )
         };
         GroupMember {
             me,
             config,
             view,
-            installed,
             role,
             engine,
             links,
@@ -228,22 +221,15 @@ impl<P: Clone + 'static> GroupMember<P> {
         }
     }
 
-    /// Start this member's join protocol at `incarnation` (builder-style).
+    /// Start this member's join protocol at `incarnation` or above.
     ///
     /// Members ignore a `JoinReq` whose incarnation is not strictly
     /// greater than the highest they have ever seen from that `ProcId`, so
     /// a **restarted** process reusing its id would be silently ignored if
-    /// it started again from incarnation 1. A recovery harness passes the
-    /// sim world's per-process restart counter here; values lower than the
-    /// default are ignored.
-    pub fn with_incarnation(mut self, incarnation: u64) -> Self {
-        self.adopt_incarnation(incarnation);
-        self
-    }
-
-    /// In-place variant of [`Self::with_incarnation`] for recovery paths
-    /// that learn the persisted incarnation only after construction (the
-    /// durable store is readable from process context, not constructors).
+    /// it started again from incarnation 1. Recovery calls this with the
+    /// incarnation it persisted (see [`Self::incarnation`]) once the
+    /// durable store is readable, which is from process context, after
+    /// construction; values lower than the current one are ignored.
     pub fn adopt_incarnation(&mut self, incarnation: u64) {
         self.incarnation = self.incarnation.max(incarnation);
     }
@@ -271,7 +257,7 @@ impl<P: Clone + 'static> GroupMember<P> {
 
     /// Has this process installed a view (is it an operating member)?
     pub fn is_installed(&self) -> bool {
-        self.installed
+        matches!(self.role, Role::Member)
     }
 
     /// Is a view change in progress (ordering temporarily halted)?
@@ -284,19 +270,9 @@ impl<P: Clone + 'static> GroupMember<P> {
         self.engine.delivered_up_to()
     }
 
-    /// Own submissions not yet ordered.
-    pub fn pending_count(&self) -> usize {
-        self.engine.pending_count()
-    }
-
     /// Counters.
     pub fn stats(&self) -> GroupStats {
         self.stats
-    }
-
-    /// Link-layer retransmissions performed so far.
-    pub fn retransmissions(&self) -> u64 {
-        self.links.retransmissions
     }
 
     /// Retained ordered-message log length (stability GC diagnostics).
@@ -311,29 +287,51 @@ impl<P: Clone + 'static> GroupMember<P> {
     /// visited-state deduplication. Excludes diagnostic counters
     /// ([`GroupStats`]) and the static configuration.
     #[must_use]
-    pub fn state_hash(&self) -> u64
+    pub(crate) fn state_hash(&self) -> u64
     where
         P: Hash,
     {
         use std::hash::Hasher;
+        // Every field is named and there is no `..`: a new field this list
+        // forgets is a compile error, not two different states merged in
+        // the checker's visited set.
+        let GroupMember {
+            me,
+            config: _,
+            view,
+            role,
+            engine,
+            links,
+            detector,
+            flush,
+            max_epoch_seen,
+            pending_joiners,
+            join_incarnations,
+            peer_delivered,
+            former_members,
+            last_hb,
+            last_probe,
+            behind_since,
+            incarnation,
+            stats: _,
+        } = self;
         let mut h = jrs_sim::Fnv64::new();
-        self.me.hash(&mut h);
-        self.view.hash(&mut h);
-        self.installed.hash(&mut h);
-        self.role.hash(&mut h);
-        self.engine.hash(&mut h);
-        self.links.hash(&mut h);
-        self.detector.hash(&mut h);
-        self.flush.hash(&mut h);
-        self.max_epoch_seen.hash(&mut h);
-        self.pending_joiners.hash(&mut h);
-        self.join_incarnations.hash(&mut h);
-        self.peer_delivered.hash(&mut h);
-        self.former_members.hash(&mut h);
-        self.last_hb.hash(&mut h);
-        self.last_probe.hash(&mut h);
-        self.behind_since.hash(&mut h);
-        self.incarnation.hash(&mut h);
+        me.hash(&mut h);
+        view.hash(&mut h);
+        role.hash(&mut h);
+        engine.hash(&mut h);
+        links.hash(&mut h);
+        detector.hash(&mut h);
+        flush.hash(&mut h);
+        max_epoch_seen.hash(&mut h);
+        pending_joiners.hash(&mut h);
+        join_incarnations.hash(&mut h);
+        peer_delivered.hash(&mut h);
+        former_members.hash(&mut h);
+        last_hb.hash(&mut h);
+        last_probe.hash(&mut h);
+        behind_since.hash(&mut h);
+        incarnation.hash(&mut h);
         h.finish()
     }
 
@@ -379,7 +377,7 @@ impl<P: Clone + 'static> GroupMember<P> {
     /// Announce a voluntary leave. The paper's JOSHUA handles leaves as
     /// forced failures; after calling this the process should stop calling
     /// `tick` (and typically exits).
-    pub fn leave(&mut self, _now: SimTime) -> Output<P> {
+    pub(crate) fn leave(&mut self, _now: SimTime) -> Output<P> {
         let mut out = Output::default();
         let peers: Vec<ProcId> = self.view.members.iter().copied().filter(|&p| p != self.me).collect();
         for p in peers {
@@ -608,7 +606,7 @@ impl<P: Clone + 'static> GroupMember<P> {
             // No change needed; if we halted for a flush that fizzled
             // (ours aborted, or trigger vanished before we coordinated),
             // resume ordering in the current view.
-            if matches!(self.flush, Flush::None) && self.installed && !self.engine.is_active() {
+            if matches!(self.flush, Flush::None) && self.is_installed() && !self.engine.is_active() {
                 let eo = self.engine.resume(now);
                 self.absorb_engine(now, eo, out);
             }
@@ -742,8 +740,7 @@ impl<P: Clone + 'static> GroupMember<P> {
                 }
             }
             GcsMsg::Engine { view_id, msg } => {
-                if matches!(self.role, Role::Member) && self.installed && view_id == self.view.id
-                {
+                if self.is_installed() && view_id == self.view.id {
                     let eo = self.engine.on_msg(now, from, msg);
                     self.absorb_engine(now, eo, out);
                 }
@@ -1103,7 +1100,6 @@ impl<P: Clone + 'static> GroupMember<P> {
             self.former_members.remove(&first);
         }
         self.view = view.clone();
-        self.installed = true;
         self.role = Role::Member;
         self.flush = Flush::None;
         self.max_epoch_seen = None;
@@ -1151,7 +1147,6 @@ impl<P: Clone + 'static> GroupMember<P> {
         self.peer_delivered.clear();
         self.former_members.clear();
         self.behind_since = None;
-        self.installed = false;
         self.incarnation += 1;
         self.view = View::new(ViewId::NONE, Vec::new());
         self.role = Role::Joining { contacts, last_req: None, answered: None };

@@ -128,29 +128,20 @@ impl<P: Clone> LinkManager<P> {
 
     /// Forget all state for a peer (it left or was ejected); a future
     /// conversation starts from a clean stream.
-    pub fn reset_peer(&mut self, peer: ProcId) {
+    pub(crate) fn reset_peer(&mut self, peer: ProcId) {
         self.out.remove(&peer);
         self.inc.remove(&peer);
     }
 
     /// Number of frames awaiting ack towards `peer`.
-    pub fn unacked_to(&self, peer: ProcId) -> usize {
+    #[cfg(test)]
+    pub(crate) fn unacked_to(&self, peer: ProcId) -> usize {
         self.out.get(&peer).map_or(0, |l| l.unacked.len())
     }
 
     /// Total frames awaiting ack across all peers.
     pub fn unacked_total(&self) -> usize {
         self.out.values().map(|l| l.unacked.len()).sum()
-    }
-}
-
-impl<P: Clone + std::hash::Hash> LinkManager<P> {
-    /// Deterministic fingerprint of all link state (stream positions,
-    /// retransmission buffers, reorder buffers) for model-checker
-    /// deduplication.
-    #[must_use]
-    pub fn state_hash(&self) -> u64 {
-        jrs_sim::fingerprint(self)
     }
 }
 

@@ -189,7 +189,7 @@ fn len32(n: usize) -> u32 {
 
 impl<P> GcsMsg<P> {
     /// Approximate wire size in bytes, for the network model.
-    pub fn wire_size(&self, payload_bytes: u32) -> u32 {
+    pub(crate) fn wire_size(&self, payload_bytes: u32) -> u32 {
         match self {
             GcsMsg::Heartbeat { .. } => 64,
             GcsMsg::JoinReq { .. } => 48,
@@ -219,7 +219,7 @@ impl<P> GcsMsg<P> {
 
 impl<P> Wire<P> {
     /// Approximate wire size in bytes, for the network model.
-    pub fn wire_size(&self, payload_bytes: u32) -> u32 {
+    pub(crate) fn wire_size(&self, payload_bytes: u32) -> u32 {
         match self {
             Wire::Raw(m) => 16 + m.wire_size(payload_bytes),
             Wire::Data { msg, .. } => 24 + msg.wire_size(payload_bytes),

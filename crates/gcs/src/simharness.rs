@@ -59,7 +59,7 @@ impl<P: Clone + 'static> GroupHost<P> {
     }
 
     /// The tick interval this host re-arms.
-    pub fn tick_interval(&self) -> SimDuration {
+    pub(crate) fn tick_interval(&self) -> SimDuration {
         self.tick_every
     }
 

@@ -5,11 +5,12 @@
 //! by downstream crates): protocol logic can be exercised step by step,
 //! with surgical crash/partition control between steps.
 //!
-//! The network is a set of per-sender/receiver FIFO channels. The default
+//! The network is a set of per-sender/receiver FIFO channels.
 //! [`Pump::run`] drains them in global arrival order (equivalent to one
-//! shared FIFO queue), but a [`Scheduler`] can drive any other interleaving
-//! — this is the seam the `jrs-mc` bounded model checker plugs into to
-//! explore *all* interleavings.
+//! shared FIFO queue). Any other interleaving is driven from outside with
+//! the stepping primitives [`Pump::pending`], [`Pump::deliver_from`],
+//! [`Pump::drop_head`], [`Pump::tick_members`] and [`Pump::submit`]: that
+//! is how the `jrs-mc` bounded model checker explores *all* of them.
 
 use crate::config::GroupConfig;
 use crate::group::{GcsEvent, GroupMember, Output};
@@ -33,35 +34,8 @@ pub struct Delivered<P> {
     pub payload: P,
 }
 
-/// Picks which pending channel the pump delivers from next.
-///
-/// `pending` lists the non-empty, non-cut channels in `(from, to)` key
-/// order; the scheduler returns an index into it, or `None` to stop the
-/// pump with frames still in flight. [`FifoScheduler`] reproduces the
-/// classic global-FIFO order; the model checker supplies schedulers that
-/// replay a specific interleaving.
-pub trait Scheduler<P> {
-    /// Choose the next channel to deliver from.
-    fn choose(&mut self, pump: &Pump<P>, pending: &[(ProcId, ProcId)]) -> Option<usize>;
-}
-
-/// Delivers frames in global arrival order — exactly one shared FIFO
-/// queue, the pump's historical (and default) behaviour.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FifoScheduler;
-
-impl<P: Clone + 'static> Scheduler<P> for FifoScheduler {
-    fn choose(&mut self, pump: &Pump<P>, pending: &[(ProcId, ProcId)]) -> Option<usize> {
-        pending
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &(from, to))| pump.head_arrival(from, to))
-            .map(|(i, _)| i)
-    }
-}
-
-/// One FIFO channel: frames stamped with a global arrival number so the
-/// default scheduler can reproduce one shared FIFO queue.
+/// One FIFO channel: frames stamped with a global arrival number so
+/// [`Pump::run`] can reproduce one shared FIFO queue.
 type Channel<P> = VecDeque<(u64, Wire<P>)>;
 
 /// A little in-memory cluster of group members with a FIFO-channel network.
@@ -164,7 +138,7 @@ impl<P: Clone + 'static> Pump<P> {
     // ------------------------------------------------------------------
 
     /// Non-empty, non-cut channels towards live members, in `(from, to)`
-    /// key order. These are the frames a scheduler may deliver next.
+    /// key order. These are the frames that may be delivered next.
     #[must_use]
     pub fn pending(&self) -> Vec<(ProcId, ProcId)> {
         self.channels
@@ -176,15 +150,8 @@ impl<P: Clone + 'static> Pump<P> {
             .collect()
     }
 
-    /// The head frame of a channel, if any.
-    #[must_use]
-    pub fn peek(&self, from: ProcId, to: ProcId) -> Option<&Wire<P>> {
-        self.channels.get(&(from, to)).and_then(|q| q.front()).map(|(_, w)| w)
-    }
-
     /// Arrival stamp of a channel's head frame (global FIFO tiebreak).
-    #[must_use]
-    pub fn head_arrival(&self, from: ProcId, to: ProcId) -> u64 {
+    fn head_arrival(&self, from: ProcId, to: ProcId) -> u64 {
         self.channels
             .get(&(from, to))
             .and_then(|q| q.front())
@@ -246,23 +213,21 @@ impl<P: Clone + 'static> Pump<P> {
         self.absorb(who, out);
     }
 
-    /// Deliver in-flight frames under an arbitrary schedule until the
-    /// network is quiet or the scheduler declines.
-    pub fn run_with<S: Scheduler<P> + ?Sized>(&mut self, sched: &mut S) {
+    /// Deliver all in-flight frames (and whatever they trigger) in global
+    /// arrival order until the network is quiet. Time does not advance.
+    pub fn run(&mut self) {
         // Guard against protocol ping-pong loops in broken code.
         let mut budget = 1_000_000u64;
         loop {
-            let pending = self.pending();
-            if pending.is_empty() {
+            let head = |&(from, to): &(ProcId, ProcId)| self.head_arrival(from, to);
+            let Some((from, to)) = self.pending().into_iter().min_by_key(head) else {
                 // Channels to cut pairs / crashed members drain silently.
                 self.discard_dead_frames();
                 if self.pending().is_empty() {
                     return;
                 }
                 continue;
-            }
-            let Some(i) = sched.choose(self, &pending) else { return };
-            let (from, to) = pending[i];
+            };
             self.deliver_from(from, to);
             budget -= 1;
             assert!(budget > 0, "network did not quiesce");
@@ -279,12 +244,6 @@ impl<P: Clone + 'static> Pump<P> {
             }
             !q.is_empty()
         });
-    }
-
-    /// Deliver all in-flight frames (and whatever they trigger) in global
-    /// arrival order until the network is quiet. Time does not advance.
-    pub fn run(&mut self) {
-        self.run_with(&mut FifoScheduler);
     }
 
     // ------------------------------------------------------------------
@@ -425,10 +384,23 @@ impl<P: Clone + Hash + 'static> Pump<P> {
     /// checked eagerly at every step).
     #[must_use]
     pub fn state_hash(&self) -> u64 {
+        // Named field by field, no `..`: see `GroupMember::state_hash`.
+        let Pump {
+            members,
+            channels,
+            arrivals: _,
+            delivered: _,
+            views: _,
+            ejections: _,
+            cut,
+            now,
+            cur_view: _,
+            event_log: _,
+        } = self;
         let mut h = jrs_sim::Fnv64::new();
-        self.now.hash(&mut h);
-        self.cut.hash(&mut h);
-        for ((from, to), q) in &self.channels {
+        now.hash(&mut h);
+        cut.hash(&mut h);
+        for ((from, to), q) in channels {
             if q.is_empty() {
                 continue;
             }
@@ -437,7 +409,7 @@ impl<P: Clone + Hash + 'static> Pump<P> {
                 frame.hash(&mut h);
             }
         }
-        for (&id, m) in &self.members {
+        for (id, m) in members {
             id.hash(&mut h);
             m.state_hash().hash(&mut h);
         }

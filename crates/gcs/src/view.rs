@@ -27,7 +27,7 @@ impl ViewId {
     }
 
     /// The id a flush coordinated by `coord` would install after this view.
-    pub fn next(self, coord: ProcId) -> Self {
+    pub(crate) fn next(self, coord: ProcId) -> Self {
         ViewId { num: self.num + 1, coord }
     }
 }
@@ -66,21 +66,15 @@ impl View {
     }
 
     /// The initial (bootstrap) view of a statically configured group.
-    pub fn initial(members: Vec<ProcId>) -> Self {
+    pub(crate) fn initial(members: Vec<ProcId>) -> Self {
         let mut v = View::new(ViewId::NONE, members);
         v.id = ViewId::bootstrap(v.leader().expect("bootstrap view must be non-empty"));
         v
     }
 
     /// Number of members.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.members.len()
-    }
-
-    /// True when the view has no members (never the case for installed
-    /// views; useful for placeholder values).
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
     }
 
     /// Is `p` a member?
@@ -88,27 +82,9 @@ impl View {
         self.members.binary_search(&p).is_ok()
     }
 
-    /// Rank of a member (position in the sorted list).
-    pub fn rank_of(&self, p: ProcId) -> Option<usize> {
-        self.members.binary_search(&p).ok()
-    }
-
     /// The lowest-ranked member (sequencer / default coordinator).
-    pub fn leader(&self) -> Option<ProcId> {
+    pub(crate) fn leader(&self) -> Option<ProcId> {
         self.members.first().copied()
-    }
-
-    /// The member after `p` in rank order, wrapping around (token routing).
-    pub fn successor_of(&self, p: ProcId) -> Option<ProcId> {
-        let rank = self.rank_of(p)?;
-        Some(self.members[(rank + 1) % self.members.len()])
-    }
-
-    /// Deterministic fingerprint of this view (id and member list), for
-    /// model-checker state deduplication and replica comparison.
-    #[must_use]
-    pub fn state_hash(&self) -> u64 {
-        jrs_sim::fingerprint(self)
     }
 
     /// Primary-component check: may a component with member set `survivors`
@@ -121,7 +97,7 @@ impl View {
     /// degrades gracefully down to a single node: {a,b,c,d} → {a,b,c} →
     /// {a,b} → {a}. Under a true network partition at most one side can
     /// satisfy the rule, preventing split-brain job scheduling.
-    pub fn quorum(&self, survivors: &[ProcId]) -> bool {
+    pub(crate) fn quorum(&self, survivors: &[ProcId]) -> bool {
         let in_view = survivors.iter().filter(|p| self.contains(**p)).count();
         if 2 * in_view > self.members.len() {
             return true;
@@ -155,22 +131,11 @@ mod tests {
     }
 
     #[test]
-    fn ranks_and_leader() {
+    fn leader_and_membership() {
         let v = View::new(vid(1), vec![p(5), p(9), p(7)]);
         assert_eq!(v.leader(), Some(p(5)));
-        assert_eq!(v.rank_of(p(7)), Some(1));
-        assert_eq!(v.rank_of(p(9)), Some(2));
-        assert_eq!(v.rank_of(p(6)), None);
         assert!(v.contains(p(5)));
         assert!(!v.contains(p(6)));
-    }
-
-    #[test]
-    fn successor_wraps() {
-        let v = View::new(vid(1), vec![p(1), p(2), p(3)]);
-        assert_eq!(v.successor_of(p(1)), Some(p(2)));
-        assert_eq!(v.successor_of(p(3)), Some(p(1)));
-        assert_eq!(v.successor_of(p(9)), None);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! every registered protocol-enum variant occurrence classified as a
 //! construct (send) or handle (match/destructure) site.
 //!
-//! Built by [`build`] on top of the shared [`Model`] (function spans,
+//! Built by `build` on top of the shared [`Model`] (function spans,
 //! enum definitions, `match` sites, blanked lines) and consumed by
 //! [`crate::proto`] (the W-rules) and [`crate::lock`] (the pinned
 //! schema manifest). A product codec is one `codec!` invocation, from
@@ -97,7 +97,7 @@ pub struct ProtoModel {
 
 impl ProtoModel {
     /// Every readable declaration: `(declaration, type name, shape)`.
-    pub fn shapes(&self) -> impl Iterator<Item = (&CodecDecl, &str, &Shape)> {
+    pub(crate) fn shapes(&self) -> impl Iterator<Item = (&CodecDecl, &str, &Shape)> {
         self.decls.iter().filter_map(|d| {
             let (name, shape) = d.parsed.as_ref().ok()?;
             Some((d, name.as_str(), shape))
@@ -106,7 +106,7 @@ impl ProtoModel {
 }
 
 /// Build the codec model from the shared source model.
-pub fn build(cfg: &ProtoConfig, model: &Model) -> ProtoModel {
+pub(crate) fn build(cfg: &ProtoConfig, model: &Model) -> ProtoModel {
     let mut out = ProtoModel::default();
 
     // Enum name -> shipping variant list, for use-site scanning.

@@ -98,7 +98,7 @@ fn exempt(crate_key: &str, rule: &str) -> bool {
 
 /// Run every applicable rule over one file's blanked lines; raw
 /// findings, before suppression.
-pub fn scan(facts: &FileFacts) -> Vec<Finding> {
+pub(crate) fn scan(facts: &FileFacts) -> Vec<Finding> {
     let mut out = Vec::new();
     let key = facts.crate_key.as_str();
     let mut push = |rule: &'static str, line: usize, message: String| {

@@ -19,7 +19,7 @@ use crate::text::{find_token, has_token, is_ident, split_top_level, token_positi
 /// Strip a type expression down to the identifying type name:
 /// `&mut Option<Box<Outstanding>>` → `Outstanding`. Returns `None` for
 /// types with no useful head (tuples, slices, `impl`/`dyn` bounds).
-pub fn peel(raw: &str) -> Option<String> {
+pub(crate) fn peel(raw: &str) -> Option<String> {
     let mut s = raw.trim();
     loop {
         let before = s;
@@ -99,7 +99,7 @@ enum BlockKind {
 
 /// Fill in `facts`' functions, structs, enums and `match` sites from
 /// its blanked lines.
-pub fn items(facts: &mut FileFacts) {
+pub(crate) fn items(facts: &mut FileFacts) {
     let (rel_path, key, test_start) = (facts.path.as_str(), &facts.crate_key, facts.test_start);
 
     let mut fns: Vec<FnDef> = Vec::new();
@@ -180,7 +180,6 @@ pub fn items(facts: &mut FileFacts) {
                             }
                             SigKind::Struct => {
                                 structs.push(StructDef {
-                                    crate_key: key.clone(),
                                     name: item_name(&sig),
                                     fields: Vec::new(),
                                     is_test,
@@ -321,7 +320,7 @@ pub fn items(facts: &mut FileFacts) {
         }
     }
 
-    facts.matches = extract_matches(rel_path, key, &facts.lines, &fns, test_start);
+    facts.matches = extract_matches(&facts.lines, &fns, test_start);
     facts.fns = fns;
     facts.structs = structs;
     facts.enums = enums;
@@ -554,7 +553,7 @@ fn parse_variant(line: &str) -> Option<String> {
 fn scan_body_line(line: &str, line_no: usize, f: &mut FnDef) {
     scan_atoms(line, line_no, f);
     scan_bindings(line, f);
-    scan_field_writes(line, line_no, f);
+    scan_field_writes(line, f);
     scan_calls(line, line_no, f);
 }
 
@@ -607,14 +606,6 @@ fn scan_atoms(line: &str, line_no: usize, f: &mut FnDef) {
     for tok in ["HashMap", "HashSet"] {
         if has_token(line, tok) {
             push(AtomKind::HashOrder, tok);
-        }
-    }
-    // Indexing atoms (off by default in the rules; see FlowConfig).
-    let b: Vec<char> = line.chars().collect();
-    for i in 0..b.len() {
-        if b[i] == '[' && i > 0 && (is_ident(b[i - 1])) && !line.trim_start().starts_with('#') {
-            push(AtomKind::Index, "[..]");
-            break;
         }
     }
 }
@@ -701,7 +692,7 @@ fn scan_bindings(line: &str, f: &mut FnDef) {
     }
 }
 
-fn scan_field_writes(line: &str, line_no: usize, f: &mut FnDef) {
+fn scan_field_writes(line: &str, f: &mut FnDef) {
     let mut from = 0;
     while let Some(rel) = line[from..].find("self.") {
         let at = from + rel + 5;
@@ -717,7 +708,6 @@ fn scan_field_writes(line: &str, line_no: usize, f: &mut FnDef) {
         let tail = line[field_end..].trim_start();
         if tail.starts_with('=') && !tail.starts_with("==") && !tail.starts_with("=>") {
             f.field_writes.push(FieldWrite {
-                line: line_no,
                 field: field.to_string(),
             });
         }
@@ -822,13 +812,7 @@ fn scan_calls(line: &str, line_no: usize, f: &mut FnDef) {
 }
 
 /// Char-level pass recovering `match` expressions with arm patterns.
-fn extract_matches(
-    rel_path: &str,
-    key: &str,
-    code_lines: &[String],
-    fns: &[FnDef],
-    test_start: usize,
-) -> Vec<MatchSite> {
+fn extract_matches(code_lines: &[String], fns: &[FnDef], test_start: usize) -> Vec<MatchSite> {
     let joined = code_lines.join("\n");
     let chars: Vec<char> = joined.chars().collect();
     // Map char offset -> 1-based line.
@@ -863,12 +847,6 @@ fn extract_matches(
             i += 1;
         }
         let Some(open) = body_open else { continue };
-        let scrutinee: String = chars[at + 5..open]
-            .iter()
-            .collect::<String>()
-            .split_whitespace()
-            .collect::<Vec<_>>()
-            .join(" ");
         // Parse arms.
         let mut arms = Vec::new();
         let mut i = open + 1;
@@ -964,14 +942,7 @@ fn extract_matches(
                 .iter()
                 .find(|f| f.line <= match_line && match_line <= f.end_line)
                 .is_some_and(|f| f.is_test);
-        sites.push(MatchSite {
-            path: rel_path.to_string(),
-            crate_key: key.to_string(),
-            line: match_line,
-            scrutinee,
-            arms,
-            is_test,
-        });
+        sites.push(MatchSite { arms, is_test });
     }
     sites
 }

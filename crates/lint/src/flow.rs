@@ -86,7 +86,7 @@ pub struct ReplicatedState {
 }
 
 /// Analysis configuration: the registry the rules run against.
-/// [`FlowConfig::workspace`] is the audited production registry;
+/// `FlowConfig::workspace` is the audited production registry;
 /// fixtures construct their own (the default registry is empty).
 #[derive(Clone, Debug, Default)]
 pub struct FlowConfig {
@@ -108,16 +108,11 @@ pub struct FlowConfig {
     pub root_scope: Vec<String>,
     /// Crates whose nondeterminism atoms are reportable (F002).
     pub nondet_scope: Vec<String>,
-    /// Also treat slice/array indexing as a panic atom (F003). Off by
-    /// default: the workspace indexes only after explicit bounds
-    /// handling, and the signal-to-noise is poor; fixtures exercise
-    /// it.
-    pub index_atoms: bool,
 }
 
 impl FlowConfig {
     /// The audited registry for this workspace.
-    pub fn workspace() -> Self {
+    pub(crate) fn workspace() -> Self {
         let s = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         FlowConfig {
             replicated: vec![
@@ -171,14 +166,13 @@ impl FlowConfig {
             panic_scope: s(&["gcs", "pbs", "core", "store"]),
             root_scope: s(&["gcs", "pbs", "core"]),
             nondet_scope: s(&["gcs", "pbs", "core", "store", "sim", "joshua-repro"]),
-            index_atoms: false,
         }
     }
 }
 
 /// Run every F rule over the call graph; raw findings, before
 /// suppression.
-pub fn check(cfg: &FlowConfig, model: &Model, g: &Graph<'_>) -> Vec<Finding> {
+pub(crate) fn check(cfg: &FlowConfig, model: &Model, g: &Graph<'_>) -> Vec<Finding> {
     let mut out = Vec::new();
     check_f001(cfg, model, g, &mut out);
     check_f002(cfg, model, g, &mut out);
@@ -342,9 +336,7 @@ fn check_f003(cfg: &FlowConfig, g: &Graph<'_>, out: &mut Vec<Finding>) {
             continue;
         }
         for atom in &f.atoms {
-            let kind_ok =
-                atom.kind == AtomKind::Panic || (cfg.index_atoms && atom.kind == AtomKind::Index);
-            if !kind_ok || !seen.insert((f.path.clone(), atom.line)) {
+            if atom.kind != AtomKind::Panic || !seen.insert((f.path.clone(), atom.line)) {
                 continue;
             }
             let (text, chain) = witness(g, &parents, v);

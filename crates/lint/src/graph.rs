@@ -45,7 +45,7 @@ pub struct Graph<'m> {
 }
 
 /// Build the call graph for a whole model.
-pub fn build(model: &Model) -> Graph<'_> {
+pub(crate) fn build(model: &Model) -> Graph<'_> {
     let fns: Vec<&FnDef> = model.fns().collect();
     let mut by_qualified: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
     let mut by_method_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
@@ -209,7 +209,7 @@ impl<'m> Graph<'m> {
 
     /// Function ids matching a gate spec: `Type::method`, `Type::*`
     /// (every method of `Type`), or a bare free-function name.
-    pub fn resolve_spec(&self, spec: &str) -> Vec<usize> {
+    pub(crate) fn resolve_spec(&self, spec: &str) -> Vec<usize> {
         if let Some(ty) = spec.strip_suffix("::*") {
             let prefix = format!("{ty}::");
             return self
@@ -225,7 +225,7 @@ impl<'m> Graph<'m> {
     /// Shortest-hop BFS from `starts`, never entering `blocked`.
     /// Returns a parent map: reached id → `Some((pred, call line))`,
     /// or `None` for the starts themselves.
-    pub fn reach(
+    pub(crate) fn reach(
         &self,
         starts: &[usize],
         blocked: &BTreeSet<usize>,
@@ -254,7 +254,7 @@ impl<'m> Graph<'m> {
     /// Walk parent pointers back to a start: the chain of function ids
     /// from start to `v`, each with the line of its call into the next
     /// one (`None` for `v` itself).
-    pub fn chain_to(
+    pub(crate) fn chain_to(
         &self,
         parents: &BTreeMap<usize, Option<(usize, usize)>>,
         v: usize,

@@ -24,9 +24,9 @@
 //!   send/handle matrix (W003) and decode-side bounds (W004).
 //!
 //! [`load()`] walks the tree once and reads each file once;
-//! [`model::Model::build`] blanks and extracts each file once; every
+//! `model::Model::build` blanks and extracts each file once; every
 //! pass returns raw [`Finding`]s; and one suppression stage
-//! ([`suppress`]) then matches them against the one pragma syntax,
+//! (`suppress`) then matches them against the one pragma syntax,
 //!
 //! ```text
 //! // lint: allow(RULE[, RULE]): reason
@@ -176,7 +176,7 @@ pub fn analyze_workspace(cfg: &Config, root: &Path) -> io::Result<Analysis> {
 /// `SUPP` finding (a reasonless pragma still waives — it is just
 /// required to explain itself). Returns the surviving findings in
 /// path/line/rule order.
-pub fn suppress(model: &Model, raw: Vec<Finding>) -> Vec<Finding> {
+pub(crate) fn suppress(model: &Model, raw: Vec<Finding>) -> Vec<Finding> {
     let mut used: BTreeSet<(&str, usize)> = BTreeSet::new();
     let mut out: Vec<Finding> = Vec::new();
     for f in raw {

@@ -82,7 +82,7 @@ impl Schema {
     }
 
     /// Parse a committed `proto.lock`.
-    pub fn parse(text: &str) -> Result<Schema, String> {
+    pub(crate) fn parse(text: &str) -> Result<Schema, String> {
         let mut s = Schema::default();
         let mut cur_enum: Option<String> = None;
         for (i, raw) in text.lines().enumerate() {
@@ -140,7 +140,7 @@ impl Schema {
     }
 
     /// Precise drift diffs: `(type name, message)` per divergence.
-    pub fn diff(pinned: &Schema, current: &Schema) -> Vec<(String, String)> {
+    pub(crate) fn diff(pinned: &Schema, current: &Schema) -> Vec<(String, String)> {
         let mut out = Vec::new();
         for (name, cur) in &current.enums {
             match pinned.enums.get(name) {

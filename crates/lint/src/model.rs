@@ -4,8 +4,8 @@
 //! / nondeterminism constructs), bindings and field writes; struct
 //! field types; enum variants; and `match` sites.
 //!
-//! [`Model::build`] blanks each file once ([`crate::text::preprocess`])
-//! and extracts it once ([`crate::extract::items`]); [`crate::graph`]
+//! `Model::build` blanks each file once (`crate::text::preprocess`)
+//! and extracts it once (`crate::extract::items`); [`crate::graph`]
 //! (call-graph construction), [`crate::flow`] (the F-rules) and
 //! [`crate::codec`] / [`crate::proto`] (the W-rules) consume the
 //! result. The extractor is a line/token scanner, not a full parser —
@@ -49,9 +49,6 @@ pub enum AtomKind {
     /// `unwrap` / `expect` / `panic!` / `unreachable!` / `todo!` /
     /// `unimplemented!`.
     Panic,
-    /// Slice/array indexing `x[i]` (only collected when the config
-    /// enables index atoms — see `FlowConfig::index_atoms`).
-    Index,
     /// `Instant::now` / `SystemTime::now`.
     WallClock,
     /// Ambient RNG: `thread_rng` / `from_entropy` / `OsRng` /
@@ -92,8 +89,6 @@ pub enum BindSrc {
 /// called).
 #[derive(Clone, Debug)]
 pub struct FieldWrite {
-    /// 1-based source line.
-    pub line: usize,
     /// Field name.
     pub field: String,
 }
@@ -103,7 +98,7 @@ pub struct FieldWrite {
 pub struct FnDef {
     /// Workspace-relative file path.
     pub path: String,
-    /// Crate key (see [`crate_key`]).
+    /// Crate key (see `crate_key`).
     pub crate_key: String,
     /// 1-based line of the `fn` keyword.
     pub line: usize,
@@ -141,8 +136,6 @@ pub struct FnDef {
 /// resolution.
 #[derive(Clone, Debug)]
 pub struct StructDef {
-    /// Crate key.
-    pub crate_key: String,
     /// Struct name.
     pub name: String,
     /// `(field, peeled type)`.
@@ -184,14 +177,6 @@ pub struct MatchArm {
 /// One `match` expression.
 #[derive(Clone, Debug)]
 pub struct MatchSite {
-    /// Workspace-relative file path.
-    pub path: String,
-    /// Crate key.
-    pub crate_key: String,
-    /// 1-based line of the `match` keyword.
-    pub line: usize,
-    /// Scrutinee text (cleaned).
-    pub scrutinee: String,
     /// Arms in order.
     pub arms: Vec<MatchArm>,
     /// Inside test scaffolding.
@@ -203,7 +188,7 @@ pub struct MatchSite {
 /// (the umbrella crate's `src/`, or an unknown top-level directory) is
 /// `joshua-repro` — the strictest scope, so a misplaced file is held to
 /// the replicated-state rules rather than escaping them.
-pub fn crate_key(rel_path: &str) -> String {
+pub(crate) fn crate_key(rel_path: &str) -> String {
     let mut parts = rel_path.split('/');
     match (parts.next(), parts.next()) {
         (Some("crates"), Some(name)) => name.to_string(),
@@ -251,7 +236,7 @@ pub struct FileFacts {
 
 impl FileFacts {
     /// Blank and extract one file.
-    pub fn new(rel_path: &str, text: &str) -> FileFacts {
+    pub(crate) fn new(rel_path: &str, text: &str) -> FileFacts {
         let path = rel_path.replace('\\', "/");
         let clean = preprocess(text);
         let mut facts = FileFacts {
@@ -273,7 +258,7 @@ impl FileFacts {
     }
 
     /// `(line_no, clean text)` for the lines `first..=last`.
-    pub fn span(&self, first: usize, last: usize) -> Vec<(usize, &str)> {
+    pub(crate) fn span(&self, first: usize, last: usize) -> Vec<(usize, &str)> {
         (first..=last)
             .filter_map(|n| self.lines.get(n.checked_sub(1)?).map(|l| (n, l.as_str())))
             .collect()
@@ -290,7 +275,7 @@ pub struct Model {
 impl Model {
     /// Build the model from `(workspace-relative path, source text)`
     /// pairs, in the given order.
-    pub fn build<P: AsRef<str>, T: AsRef<str>>(files: &[(P, T)]) -> Model {
+    pub(crate) fn build<P: AsRef<str>, T: AsRef<str>>(files: &[(P, T)]) -> Model {
         Model {
             files: files
                 .iter()
@@ -300,18 +285,18 @@ impl Model {
     }
 
     /// The file with this workspace-relative path.
-    pub fn file(&self, path: &str) -> Option<&FileFacts> {
+    pub(crate) fn file(&self, path: &str) -> Option<&FileFacts> {
         self.files.iter().find(|f| f.path == path)
     }
 
     /// All functions across all files, in file then source order.
-    pub fn fns(&self) -> impl Iterator<Item = &FnDef> {
+    pub(crate) fn fns(&self) -> impl Iterator<Item = &FnDef> {
         self.files.iter().flat_map(|f| &f.fns)
     }
 
     /// Field type of `type_name.field`, searched across all crates.
     /// Shipping definitions always win over `#[cfg(test)]` fixtures.
-    pub fn field_type(&self, type_name: &str, field: &str) -> Option<&str> {
+    pub(crate) fn field_type(&self, type_name: &str, field: &str) -> Option<&str> {
         let all = || self.files.iter().flat_map(|f| &f.structs);
         all()
             .find(|s| s.name == type_name && !s.is_test)
@@ -340,7 +325,7 @@ impl Model {
     /// it is. A registered name that resolves to nothing (or to a
     /// definition the extractor read no variants from) makes the rule
     /// that walks its variants skip it in silence.
-    pub fn stale_enum(&self, name: &str) -> Option<&'static str> {
+    pub(crate) fn stale_enum(&self, name: &str) -> Option<&'static str> {
         match self.enum_def(name) {
             None => Some("resolves to no enum definition"),
             Some(def) if def.variants.is_empty() => {

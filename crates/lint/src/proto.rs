@@ -177,14 +177,14 @@ impl ProtoConfig {
     }
 
     /// Is this file part of the audited foundation layer?
-    pub fn is_foundation(&self, path: &str) -> bool {
+    pub(crate) fn is_foundation(&self, path: &str) -> bool {
         self.foundation_paths.iter().any(|p| p == path)
     }
 }
 
 /// Run every W rule plus the registry audit; raw findings, before
 /// suppression. `lock` is the committed `proto.lock` text.
-pub fn check(
+pub(crate) fn check(
     cfg: &ProtoConfig,
     model: &Model,
     pm: &ProtoModel,

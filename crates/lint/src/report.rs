@@ -35,7 +35,7 @@ pub struct Finding {
 
 impl Finding {
     /// Build a finding (`chain` is empty for rules without a witness).
-    pub fn new(
+    pub(crate) fn new(
         rule: &'static str,
         path: &str,
         line: usize,

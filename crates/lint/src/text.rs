@@ -46,7 +46,7 @@ impl CleanSource {
     /// everything from there to end of file is test scaffolding.
     /// Heuristic that matches this workspace's layout: unit-test
     /// modules sit at the end of each file.
-    pub fn test_module_start(&self) -> Option<usize> {
+    pub(crate) fn test_module_start(&self) -> Option<usize> {
         self.code_lines.iter().enumerate().find_map(|(i, l)| {
             let t = l.trim();
             if t.starts_with("#[cfg(test)]") && indent_of(l) == 0 {
@@ -78,7 +78,7 @@ enum Mode {
 /// (after the `//`/`///`/`//!` marker) *starts with* the keyword —
 /// mentions of the pragma syntax inside documentation prose or string
 /// literals never count.
-pub fn preprocess(text: &str) -> CleanSource {
+pub(crate) fn preprocess(text: &str) -> CleanSource {
     let bytes: Vec<char> = text.chars().collect();
     let mut out = String::with_capacity(text.len());
     let mut pragmas = Vec::new();
@@ -295,14 +295,17 @@ fn parse_pragma(comment: &str, line: usize) -> Option<Pragma> {
 }
 
 /// Is `c` an identifier character?
-pub fn is_ident(c: char) -> bool {
+pub(crate) fn is_ident(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
 /// Byte offsets of every standalone occurrence of `word` in `line`:
 /// neither preceded nor followed by an identifier character (so `word`
 /// may itself be a path like `Enum::Variant`).
-pub fn token_positions<'a>(line: &'a str, word: &'a str) -> impl Iterator<Item = usize> + 'a {
+pub(crate) fn token_positions<'a>(
+    line: &'a str,
+    word: &'a str,
+) -> impl Iterator<Item = usize> + 'a {
     let mut from = 0;
     std::iter::from_fn(move || {
         while let Some(rel) = line[from..].find(word) {
@@ -319,18 +322,18 @@ pub fn token_positions<'a>(line: &'a str, word: &'a str) -> impl Iterator<Item =
 }
 
 /// Byte offset of the first standalone occurrence of `word` in `line`.
-pub fn find_token(line: &str, word: &str) -> Option<usize> {
+pub(crate) fn find_token(line: &str, word: &str) -> Option<usize> {
     token_positions(line, word).next()
 }
 
 /// Does `line` contain `word` as a standalone identifier token (not as
 /// a substring of a longer identifier)?
-pub fn has_token(line: &str, word: &str) -> bool {
+pub(crate) fn has_token(line: &str, word: &str) -> bool {
     find_token(line, word).is_some()
 }
 
 /// Net `{` minus `}` on a (cleaned) line.
-pub fn brace_delta(line: &str) -> i32 {
+pub(crate) fn brace_delta(line: &str) -> i32 {
     line.chars().fold(0, |d, c| match c {
         '{' => d + 1,
         '}' => d - 1,
@@ -341,7 +344,7 @@ pub fn brace_delta(line: &str) -> i32 {
 /// Split `a: A, b: BTreeMap<K, V>` at top-level commas (outside any
 /// `<>`, `()`, `[]`, `{}` nesting; the `>` of a `->` or `=>` is an
 /// arrow, not a closer, and a stray closer never hides a later comma).
-pub fn split_top_level(s: &str) -> Vec<&str> {
+pub(crate) fn split_top_level(s: &str) -> Vec<&str> {
     let mut out = Vec::new();
     let mut depth = 0i32;
     let mut start = 0;
@@ -365,7 +368,7 @@ pub fn split_top_level(s: &str) -> Vec<&str> {
 }
 
 /// Contents of the balanced `open..close` region `s` starts with.
-pub fn balanced(s: &str, open: char, close: char) -> Option<&str> {
+pub(crate) fn balanced(s: &str, open: char, close: char) -> Option<&str> {
     let mut depth = 0i32;
     for (i, c) in s.char_indices() {
         if c == open {

@@ -23,7 +23,6 @@ fn cfg() -> Config {
         panic_scope: vec!["fix".into()],
         root_scope: vec!["fix".into()],
         nondet_scope: vec!["fix".into()],
-        index_atoms: false,
     };
     Config {
         flow,
@@ -243,38 +242,6 @@ fn f003_accepts_fallible_degrade() {
     );
     let report = check_files(&cfg(), &[("crates/fix/src/lib.rs", &good)]);
     assert!(report.clean(), "{:#?}", report.findings);
-}
-
-#[test]
-fn f003_index_atoms_are_opt_in() {
-    let src = r#"
-pub struct Daemon {
-    xs: Vec<u64>,
-}
-
-impl Daemon {
-    fn first(&mut self) -> u64 {
-        self.xs[0]
-    }
-}
-
-impl Process for Daemon {
-    fn on_timer(&mut self) {
-        let _v = self.first();
-    }
-}
-"#;
-    let files = [("crates/fix/src/lib.rs", src)];
-    assert!(
-        check_files(&cfg(), &files).clean(),
-        "indexing off by default"
-    );
-    let mut c = cfg();
-    c.flow.index_atoms = true;
-    let report = check_files(&c, &files);
-    assert_eq!(report.findings.len(), 1, "{:#?}", report.findings);
-    assert_eq!(report.findings[0].rule, "F003");
-    assert_eq!(report.findings[0].line, line_of(src, "self.xs[0]"));
 }
 
 // ---------------------------------------------------------------- F004

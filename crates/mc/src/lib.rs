@@ -1,8 +1,8 @@
 //! `jrs-mc` — bounded model checker for the GCS / jmutex protocol.
 //!
 //! The checker drives the *real* protocol implementation — the
-//! [`jrs_gcs`] group members behind the testkit [`Pump`]'s scheduler
-//! seam, with a deterministic [`jrs_pbs`] replica and the
+//! [`jrs_gcs`] group members behind the testkit [`Pump`]'s stepping
+//! primitives, with a deterministic [`jrs_pbs`] replica and the
 //! [`joshua_core::payload::JMutexState`] launch mutex on top — through
 //! every interleaving of message deliveries, drops, crashes and timer
 //! ticks up to a configurable depth. No protocol re-model: a bug found
@@ -19,16 +19,15 @@
 //!   launch session; no duplicate launch, no lost launch (verdict
 //!   redelivery after granter death).
 //! - **Convergence** — at quiescence, all installed replicas agree on
-//!   view, PBS state and jmutex table (by [`state_hash`] fingerprints).
+//!   view, PBS state and jmutex table (by `state_hash` fingerprints).
 //!
 //! State explosion is held down by fingerprint-based visited-state
 //! deduplication and a sleep-set ("DPOR-lite") partial-order reduction
-//! over the independence relation of [`model::independent`]. A violation
+//! over the independence relation of `model::independent`. A violation
 //! is reported as a minimized, replayable action trace — see the
 //! `replay` subcommand of the `jrs-mc` binary.
 //!
 //! [`Pump`]: jrs_gcs::testkit::Pump
-//! [`state_hash`]: model::World::state_hash
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,11 +1,11 @@
 //! The model under check: a cluster of GCS members each running a
 //! deterministic PBS replica plus the jmutex launch-arbitration layer,
-//! driven step by step through the [`Pump`]'s scheduler seam.
+//! driven step by step through the [`Pump`]'s stepping primitives.
 //!
 //! A [`World`] is one explorable state. The checker clones it, applies one
 //! [`Action`], drains the resulting application upcalls and checks the
 //! safety invariants eagerly. Liveness-flavoured properties (replica
-//! convergence, exactly-once launch) are checked by [`World::settle`],
+//! convergence, exactly-once launch) are checked by `World::settle`,
 //! which runs the remaining protocol to quiescence under FIFO delivery.
 
 use jrs_gcs::testkit::Pump;
@@ -13,7 +13,7 @@ use jrs_gcs::{EngineKind, GcsEvent, GroupConfig, MembershipPolicy, View, ViewId}
 use jrs_pbs::sched::FifoExclusive;
 use jrs_pbs::{JobId, JobSpec, MomReport, PbsServerCore, ServerAction, ServerCmd};
 use jrs_sim::{Fnv64, ProcId, SimDuration};
-use joshua_core::payload::{JMutexOutcome, JMutexState};
+use joshua_core::payload::{self, JMutexOutcome, JMutexState};
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
 
@@ -167,7 +167,7 @@ impl Action {
     /// to one member (`None` for global actions). Two actions with
     /// different `Some` targets commute: each pops/pushes only its own
     /// target's state and disjoint FIFO channel ends.
-    pub fn target(self) -> Option<ProcId> {
+    pub(crate) fn target(self) -> Option<ProcId> {
         match self {
             Action::Deliver { to, .. } | Action::Drop { to, .. } => Some(to),
             Action::Submit | Action::Tick | Action::Crash { .. } | Action::Complete { .. } => None,
@@ -179,7 +179,7 @@ impl Action {
 /// per-member frame operations on *different* receiving members commute.
 /// `Tick`, `Crash`, `Submit` and `Complete` touch global state (time, the
 /// member set, the command stream) and are dependent with everything.
-pub fn independent(a: Action, b: Action) -> bool {
+pub(crate) fn independent(a: Action, b: Action) -> bool {
     match (a.target(), b.target()) {
         (Some(x), Some(y)) => x != y,
         _ => false,
@@ -253,7 +253,7 @@ struct App {
     view: Vec<ProcId>,
     view_id: ViewId,
     /// Members that joined in the current view (excluded from responder
-    /// duty, mirroring `JoshuaServer::responder`).
+    /// duty, see `joshua_core::payload::responder`).
     joined_current: BTreeSet<ProcId>,
     /// Highest delivered seq (total-order monotonicity check).
     last_seq: u64,
@@ -280,23 +280,22 @@ impl App {
     }
 
     fn responder(&self) -> Option<ProcId> {
-        self.view
-            .iter()
-            .copied()
-            .find(|m| !self.joined_current.contains(m))
-            .or_else(|| self.view.first().copied())
+        payload::responder(&self.view, &self.joined_current)
     }
 
     fn state_hash(&self) -> u64 {
+        // Named field by field, no `..`: see `GroupMember::state_hash`.
+        let App { me, pbs, jmutex, view, view_id, joined_current, last_seq, awaiting_transfer } =
+            self;
         let mut h = Fnv64::new();
-        self.me.hash(&mut h);
-        self.pbs.state_hash().hash(&mut h);
-        self.jmutex.state_hash().hash(&mut h);
-        self.view.hash(&mut h);
-        self.view_id.hash(&mut h);
-        self.joined_current.hash(&mut h);
-        self.last_seq.hash(&mut h);
-        self.awaiting_transfer.hash(&mut h);
+        me.hash(&mut h);
+        pbs.state_hash().hash(&mut h);
+        jmutex.state_hash().hash(&mut h);
+        view.hash(&mut h);
+        view_id.hash(&mut h);
+        joined_current.hash(&mut h);
+        last_seq.hash(&mut h);
+        awaiting_transfer.hash(&mut h);
         h.finish()
     }
 }
@@ -360,35 +359,38 @@ impl World {
         }
     }
 
-    /// The configuration this world was built from.
-    pub fn config(&self) -> &McConfig {
-        &self.cfg
-    }
-
-    /// Live member ids.
-    pub fn live(&self) -> Vec<ProcId> {
-        self.pump.members.keys().copied().collect()
-    }
-
     /// Deterministic fingerprint of everything that influences future
     /// behaviour: protocol state, in-flight frames, application replicas,
     /// environment budgets and the launch record.
     #[must_use]
-    pub fn state_hash(&self) -> u64 {
+    pub(crate) fn state_hash(&self) -> u64 {
+        // `cfg` is constant over a run, `canon` only records what the
+        // invariants compare against, `narrate` is a debugging switch.
+        let World {
+            pump,
+            apps,
+            cfg: _,
+            submits_done,
+            faults_done,
+            launches,
+            completed,
+            canon: _,
+            narrate: _,
+        } = self;
         let mut h = Fnv64::new();
-        self.pump.state_hash().hash(&mut h);
-        for app in self.apps.values() {
+        pump.state_hash().hash(&mut h);
+        for app in apps.values() {
             app.state_hash().hash(&mut h);
         }
-        self.submits_done.hash(&mut h);
-        self.faults_done.hash(&mut h);
-        self.launches.hash(&mut h);
-        self.completed.hash(&mut h);
+        submits_done.hash(&mut h);
+        faults_done.hash(&mut h);
+        launches.hash(&mut h);
+        completed.hash(&mut h);
         h.finish()
     }
 
     /// All actions currently enabled, in deterministic order.
-    pub fn enabled(&self) -> Vec<Action> {
+    pub(crate) fn enabled(&self) -> Vec<Action> {
         let mut acts = Vec::new();
         if self.submits_done < self.cfg.submits {
             acts.push(Action::Submit);
@@ -592,14 +594,7 @@ impl World {
             }
             McPayload::Acquire { job, session, granter } => {
                 let outcome = app.jmutex.acquire(job, MOM, session, granter, false);
-                // The forwarding head sends the verdict; if it left the
-                // view while the acquire was in flight, the responder
-                // covers for it (deterministic at every replica).
-                let sender = if app.view.contains(&granter) {
-                    granter
-                } else {
-                    app.responder().unwrap_or(granter)
-                };
+                let sender = payload::verdict_sender(&app.view, granter, app.responder());
                 if sender == who && outcome == JMutexOutcome::Granted {
                     if let Some(v) = self.record_launch(job, session) {
                         return Some(v);
@@ -632,12 +627,8 @@ impl World {
             && !app.awaiting_transfer
             && app.responder() == Some(who)
         {
-            let lost: Vec<(JobId, u64)> = app
-                .jmutex
-                .grants()
-                .filter(|(_, g)| !view.contains(g.granter))
-                .map(|(job, g)| (job, g.session))
-                .collect();
+            let lost: Vec<(JobId, u64)> =
+                app.jmutex.orphaned_grants(&view.members).map(|(job, g)| (job, g.session)).collect();
             for (job, session) in lost {
                 if let Some(v) = self.record_launch(job, session) {
                     return Some(v);
@@ -653,7 +644,7 @@ impl World {
     /// exactly-once launch for every outstanding grant.
     ///
     /// Call on a clone — this consumes the world's future.
-    pub fn settle(mut self) -> Option<Violation> {
+    pub(crate) fn settle(mut self) -> Option<Violation> {
         // Enough rounds for detection (45ms = 5 ticks) + two takeover
         // flushes (60ms = 6 ticks each) with margin; each round is one
         // tick plus a full FIFO drain.
@@ -720,7 +711,7 @@ mod tests {
     fn initial_world_is_quiet_and_stable() {
         let w = World::new(McConfig::default());
         assert!(w.pump.pending().is_empty());
-        assert_eq!(w.live().len(), 3);
+        assert_eq!(w.pump.members.len(), 3);
         let w2 = World::new(McConfig::default());
         assert_eq!(w.state_hash(), w2.state_hash(), "construction is deterministic");
     }

@@ -33,7 +33,7 @@ pub fn format_trace(trace: &[Action]) -> String {
 }
 
 /// Parse one trace token.
-pub fn parse_action(tok: &str) -> Result<Action, String> {
+pub(crate) fn parse_action(tok: &str) -> Result<Action, String> {
     let tok = tok.trim();
     if tok == "submit" {
         return Ok(Action::Submit);

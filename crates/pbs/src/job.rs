@@ -118,11 +118,6 @@ impl Job {
     pub fn queued(id: JobId, spec: JobSpec) -> Self {
         Job { id, spec, state: JobState::Queued, exit_status: None, allocated: Vec::new() }
     }
-
-    /// Is the job in a terminal state?
-    pub fn is_terminal(&self) -> bool {
-        self.state == JobState::Complete
-    }
 }
 
 /// One row of `qstat` output.
@@ -138,34 +133,6 @@ pub struct JobStatus {
     pub state: char,
     /// Exit status for completed jobs.
     pub exit_status: Option<i32>,
-}
-
-impl JobStatus {
-    /// Render rows like `qstat` does:
-    ///
-    /// ```text
-    /// Job ID   Name       User   S  Exit
-    /// ------   ----       ----   -  ----
-    /// 1        job-0      user   C  0
-    /// ```
-    pub fn format_table(rows: &[JobStatus]) -> String {
-        let mut out = String::from("Job ID   Name             User       S  Exit
-");
-        out.push_str("------   ----             ----       -  ----
-");
-        for r in rows {
-            let exit = r
-                .exit_status
-                .map(|e| e.to_string())
-                .unwrap_or_else(|| "-".into());
-            out.push_str(&format!(
-                "{:<8} {:<16} {:<10} {}  {}
-",
-                r.id, r.name, r.user, r.state, exit
-            ));
-        }
-        out
-    }
 }
 
 impl From<&Job> for JobStatus {
@@ -201,28 +168,15 @@ mod tests {
     }
 
     #[test]
-    fn qstat_table_rendering() {
+    fn status_row_reflects_the_job() {
         let mut j = Job::queued(JobId(1), JobSpec::trivial("hello"));
-        let row1: JobStatus = (&j).into();
+        let st: JobStatus = (&j).into();
+        assert_eq!((st.state, st.exit_status), ('Q', None));
         j.state = JobState::Complete;
         j.exit_status = Some(0);
-        let row2: JobStatus = (&j).into();
-        let table = JobStatus::format_table(&[row1, row2]);
-        assert!(table.starts_with("Job ID"));
-        assert!(table.contains("hello"));
-        assert!(table.lines().count() == 4);
-        let last = table.lines().last().unwrap();
-        assert!(last.contains("C  0"), "{last}");
-    }
-
-    #[test]
-    fn job_lifecycle_helpers() {
-        let mut j = Job::queued(JobId(1), JobSpec::trivial("x"));
-        assert!(!j.is_terminal());
-        j.state = JobState::Complete;
-        assert!(j.is_terminal());
         let st: JobStatus = (&j).into();
-        assert_eq!(st.state, 'C');
+        assert_eq!((st.state, st.exit_status), ('C', Some(0)));
         assert_eq!(st.id, JobId(1));
+        assert_eq!(st.name, "hello");
     }
 }

@@ -141,7 +141,6 @@ struct MomJob {
 /// core only emits `StartTimer`/`CancelTimer` actions and receives
 /// `on_timer` calls.
 pub struct PbsMomCore {
-    node: String,
     next_session: u64,
     jobs: BTreeMap<JobId, MomJob>,
     servers: BTreeSet<ProcId>,
@@ -152,11 +151,16 @@ pub struct PbsMomCore {
     pub real_runs: u64,
 }
 
+impl Default for PbsMomCore {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl PbsMomCore {
-    /// New mom for the named compute node.
-    pub fn new(node: impl Into<String>) -> Self {
+    /// New mom with no jobs and no registered servers.
+    pub fn new() -> Self {
         PbsMomCore {
-            node: node.into(),
             next_session: 1,
             jobs: BTreeMap::new(),
             servers: BTreeSet::new(),
@@ -165,18 +169,14 @@ impl PbsMomCore {
         }
     }
 
-    /// Node name.
-    pub fn node(&self) -> &str {
-        &self.node
-    }
-
     /// Is the given job really running here?
-    pub fn is_running(&self, job: JobId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_running(&self, job: JobId) -> bool {
         matches!(self.jobs.get(&job).map(|j| &j.phase), Some(Phase::Running { .. }))
     }
 
     /// Handle one inbound message.
-    pub fn on_msg(&mut self, msg: MomInbound) -> Vec<MomAction> {
+    pub(crate) fn on_msg(&mut self, msg: MomInbound) -> Vec<MomAction> {
         match msg {
             MomInbound::RegisterServer { server } => {
                 self.servers.insert(server);
@@ -350,7 +350,7 @@ impl PbsMomCore {
     }
 
     /// Execution timer fired: the job ran to completion (or walltime).
-    pub fn on_timer(&mut self, job: JobId) -> Vec<MomAction> {
+    pub(crate) fn on_timer(&mut self, job: JobId) -> Vec<MomAction> {
         let Some(entry) = self.jobs.get(&job) else {
             return vec![];
         };
@@ -447,7 +447,7 @@ mod tests {
 
     #[test]
     fn local_grant_runs_immediately() {
-        let mut mom = PbsMomCore::new("c00");
+        let mut mom = PbsMomCore::new();
         let acts = mom.on_msg(start(1, 10, None));
         assert!(acts.iter().any(|a| matches!(a, MomAction::StartTimer { .. })));
         assert!(mom.is_running(JobId(1)));
@@ -460,7 +460,7 @@ mod tests {
 
     #[test]
     fn arbitrated_start_waits_for_verdict() {
-        let mut mom = PbsMomCore::new("c00");
+        let mut mom = PbsMomCore::new();
         let acts = mom.on_msg(start(1, 10, Some(99)));
         assert_eq!(acts.len(), 1);
         let session = match &acts[0] {
@@ -481,7 +481,7 @@ mod tests {
     fn exactly_one_real_run_among_competing_sessions() {
         // Three heads each attempt the start (symmetric active/active);
         // the arbiter grants one and denies two.
-        let mut mom = PbsMomCore::new("c00");
+        let mut mom = PbsMomCore::new();
         let mut sessions = Vec::new();
         for head in [10u32, 11, 12] {
             let acts = mom.on_msg(start(1, head, Some(99)));
@@ -516,7 +516,7 @@ mod tests {
 
     #[test]
     fn late_attempt_after_run_started_is_emulated() {
-        let mut mom = PbsMomCore::new("c00");
+        let mut mom = PbsMomCore::new();
         let _ = mom.on_msg(start(1, 10, None));
         let acts = mom.on_msg(start(1, 11, Some(99)));
         assert_eq!(
@@ -532,7 +532,7 @@ mod tests {
 
     #[test]
     fn attempt_after_completion_gets_both_reports() {
-        let mut mom = PbsMomCore::new("c00");
+        let mut mom = PbsMomCore::new();
         let _ = mom.on_msg(start(1, 10, None));
         let _ = mom.on_timer(JobId(1));
         let acts = mom.on_msg(start(1, 11, Some(99)));
@@ -544,7 +544,7 @@ mod tests {
 
     #[test]
     fn duplicate_start_reasks_arbiter_through_same_session() {
-        let mut mom = PbsMomCore::new("c00");
+        let mut mom = PbsMomCore::new();
         let a1 = mom.on_msg(start(1, 10, Some(99)));
         let s1 = match &a1[..] {
             [MomAction::AskArbiter { session, .. }] => *session,
@@ -564,7 +564,7 @@ mod tests {
 
     #[test]
     fn duplicate_start_while_running_emulates() {
-        let mut mom = PbsMomCore::new("c00");
+        let mut mom = PbsMomCore::new();
         let _ = mom.on_msg(start(1, 10, None));
         let a2 = mom.on_msg(start(1, 10, None));
         assert_eq!(reports(&a2), vec![(ProcId(10), MomReport::Started { job: JobId(1) })]);
@@ -573,7 +573,7 @@ mod tests {
 
     #[test]
     fn duplicate_start_after_completion_replays_both_reports() {
-        let mut mom = PbsMomCore::new("c00");
+        let mut mom = PbsMomCore::new();
         let _ = mom.on_msg(start(1, 10, None));
         let _ = mom.on_timer(JobId(1));
         let a2 = mom.on_msg(start(1, 10, None));
@@ -586,7 +586,7 @@ mod tests {
 
     #[test]
     fn walltime_exceeded_reports_kill() {
-        let mut mom = PbsMomCore::new("c00");
+        let mut mom = PbsMomCore::new();
         let mut s = spec();
         s.runtime = SimDuration::from_secs(100);
         s.walltime = SimDuration::from_secs(10);
@@ -611,7 +611,7 @@ mod tests {
 
     #[test]
     fn cancel_running_job() {
-        let mut mom = PbsMomCore::new("c00");
+        let mut mom = PbsMomCore::new();
         let _ = mom.on_msg(start(1, 10, None));
         let acts = mom.on_msg(MomInbound::Cancel { job: JobId(1), server: ProcId(10) });
         assert!(acts.iter().any(|a| matches!(a, MomAction::CancelTimer { .. })));
@@ -624,7 +624,7 @@ mod tests {
 
     #[test]
     fn cancel_before_verdict_blocks_late_grant() {
-        let mut mom = PbsMomCore::new("c00");
+        let mut mom = PbsMomCore::new();
         let acts = mom.on_msg(start(1, 10, Some(99)));
         let session = match &acts[0] {
             MomAction::AskArbiter { session, .. } => *session,
@@ -638,7 +638,7 @@ mod tests {
 
     #[test]
     fn obituary_bug_reports_only_to_owner() {
-        let mut mom = PbsMomCore::new("c00");
+        let mut mom = PbsMomCore::new();
         mom.obituary_bug = true;
         let _ = mom.on_msg(MomInbound::RegisterServer { server: ProcId(20) });
         let _ = mom.on_msg(start(1, 10, None));
@@ -654,7 +654,7 @@ mod tests {
 
     #[test]
     fn registered_servers_receive_obituaries_even_without_attempts() {
-        let mut mom = PbsMomCore::new("c00");
+        let mut mom = PbsMomCore::new();
         let _ = mom.on_msg(MomInbound::RegisterServer { server: ProcId(30) });
         let _ = mom.on_msg(start(1, 10, None));
         let done = mom.on_timer(JobId(1));

@@ -105,11 +105,6 @@ impl PbsHeadProcess {
     pub fn core(&self) -> &PbsServerCore {
         &self.core
     }
-
-    /// Mutable access (harness wiring: mom registration).
-    pub fn core_mut(&mut self) -> &mut PbsServerCore {
-        &mut self.core
-    }
 }
 
 /// Turn a server's actions into mom messages sent `delay` from now: the one
@@ -244,7 +239,6 @@ pub struct PbsClientProcess {
     index: usize,
     outstanding: Option<Outstanding>,
     timeout: SimDuration,
-    think_time: SimDuration,
     started: Option<SimTime>,
 }
 
@@ -271,7 +265,6 @@ impl PbsClientProcess {
             index: 0,
             outstanding: None,
             timeout: SimDuration::from_secs(2),
-            think_time: SimDuration::ZERO,
             started: None,
         }
     }
@@ -286,12 +279,6 @@ impl PbsClientProcess {
     /// active/active mode).
     pub fn with_round_robin(mut self) -> Self {
         self.round_robin = true;
-        self
-    }
-
-    /// Space commands by a think time instead of submitting back-to-back.
-    pub fn with_think_time(mut self, think: SimDuration) -> Self {
-        self.think_time = think;
         self
     }
 
@@ -354,40 +341,29 @@ impl Process for PbsClientProcess {
             attempts: out.attempts,
         });
         self.index += 1;
-        if self.think_time.is_zero() {
-            self.send_next(ctx);
-        } else {
-            ctx.set_timer(self.think_time, 2);
-        }
+        self.send_next(ctx);
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _timer: TimerId, tag: u64) {
-        match tag {
-            1 => {
-                // Timeout: fail over to the next head and retry the same
-                // request id.
-                let next_target = (self.current_target + 1) % self.targets.len();
-                self.current_target = next_target;
-                let target = self.targets[next_target];
-                let me = ctx.me();
-                let now = ctx.now();
-                let timer = ctx.set_timer(self.timeout, 1);
-                // One borrow of the outstanding slot for the whole update:
-                // no second `as_mut().unwrap()` that could race a reply
-                // clearing the slot between the two accesses (F003).
-                let Some(out) = &mut self.outstanding else {
-                    ctx.cancel_timer(timer);
-                    return;
-                };
-                out.attempts += 1;
-                out.sent = now;
-                out.timer = timer;
-                let req =
-                    ClientRequest { client: me, req_id: out.req_id, cmd: out.cmd.clone() };
-                ctx.send(target, req);
-            }
-            2 => self.send_next(ctx),
-            _ => {}
-        }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _timer: TimerId, _tag: u64) {
+        // The request timeout is the only timer a client arms: fail over
+        // to the next head and retry the same request id.
+        let next_target = (self.current_target + 1) % self.targets.len();
+        self.current_target = next_target;
+        let target = self.targets[next_target];
+        let me = ctx.me();
+        let now = ctx.now();
+        let timer = ctx.set_timer(self.timeout, 1);
+        // One borrow of the outstanding slot for the whole update:
+        // no second `as_mut().unwrap()` that could race a reply
+        // clearing the slot between the two accesses (F003).
+        let Some(out) = &mut self.outstanding else {
+            ctx.cancel_timer(timer);
+            return;
+        };
+        out.attempts += 1;
+        out.sent = now;
+        out.timer = timer;
+        let req = ClientRequest { client: me, req_id: out.req_id, cmd: out.cmd.clone() };
+        ctx.send(target, req);
     }
 }

@@ -66,18 +66,8 @@ impl NodePool {
         self.nodes.get(name).and_then(|n| n.mom)
     }
 
-    /// Total node count.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Is the pool empty?
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// Names of currently free nodes, sorted.
-    pub fn free_nodes(&self) -> Vec<String> {
+    pub(crate) fn free_nodes(&self) -> Vec<String> {
         self.nodes
             .values()
             .filter(|n| n.state == NodeState::Free)
@@ -86,7 +76,7 @@ impl NodePool {
     }
 
     /// Names of all non-offline nodes, sorted.
-    pub fn online_nodes(&self) -> Vec<String> {
+    pub(crate) fn online_nodes(&self) -> Vec<String> {
         self.nodes
             .values()
             .filter(|n| n.state != NodeState::Offline)
@@ -95,12 +85,13 @@ impl NodePool {
     }
 
     /// Count of free nodes.
-    pub fn free_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn free_count(&self) -> usize {
         self.nodes.values().filter(|n| n.state == NodeState::Free).count()
     }
 
     /// Are all non-offline nodes free (cluster idle)?
-    pub fn all_idle(&self) -> bool {
+    pub(crate) fn all_idle(&self) -> bool {
         self.nodes.values().all(|n| n.state != NodeState::Busy)
     }
 
@@ -142,7 +133,7 @@ impl NodePool {
     }
 
     /// Iterate nodes in name order.
-    pub fn iter(&self) -> impl Iterator<Item = &ComputeNode> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &ComputeNode> {
         self.nodes.values()
     }
 
@@ -166,7 +157,6 @@ mod tests {
         let p = pool();
         let names: Vec<&str> = p.iter().map(|n| n.name.as_str()).collect();
         assert_eq!(names, vec!["n1", "n2", "n3"]);
-        assert_eq!(p.len(), 3);
     }
 
     #[test]

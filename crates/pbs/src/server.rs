@@ -128,7 +128,6 @@ impl ServerSnapshot {
 /// queue order) and no separate order list exists to fall out of step.
 #[derive(Clone, Debug)]
 pub struct PbsServerCore {
-    name: String,
     jobs: BTreeMap<JobId, Job>,
     /// Ids of the `Queued` jobs: what a scheduling pass walks, instead of
     /// every job ever submitted. Derived from `jobs` (only `set_state`
@@ -155,13 +154,16 @@ fn set_state(queue: &mut BTreeSet<JobId>, job: &mut Job, to: JobState) {
 
 impl PbsServerCore {
     /// New server managing the named compute nodes under a policy.
+    ///
+    /// `_name` is accepted and ignored. Nothing ever read the server's
+    /// name, but the benchmark package passes one, so the parameter leaves
+    /// with that package's next edit (ROADMAP item 3).
     pub fn new(
-        name: impl Into<String>,
+        _name: impl Into<String>,
         nodes: impl IntoIterator<Item = String>,
         policy: Box<dyn Policy>,
     ) -> Self {
         PbsServerCore {
-            name: name.into(),
             jobs: BTreeMap::new(),
             queue: BTreeSet::new(),
             next_id: 1,
@@ -171,18 +173,14 @@ impl PbsServerCore {
         }
     }
 
-    /// Server name (the head node it runs on).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Register the mom daemon process for a node.
     pub fn register_mom(&mut self, node: &str, mom: ProcId) {
         self.pool.set_mom(node, mom);
     }
 
     /// Access the node pool.
-    pub fn pool(&self) -> &NodePool {
+    #[cfg(test)]
+    pub(crate) fn pool(&self) -> &NodePool {
         &self.pool
     }
 

@@ -33,7 +33,7 @@ fn testbed(compute_nodes: usize, script: Vec<ServerCmd>) -> Testbed {
     let mut moms = Vec::new();
     for i in 0..compute_nodes {
         let n = world.add_node(format!("c{i:02}"));
-        let mom = world.add_process(n, PbsMomProcess::new(PbsMomCore::new(format!("c{i:02}"))));
+        let mom = world.add_process(n, PbsMomProcess::new(PbsMomCore::new()));
         assert_eq!(mom, ProcId(1 + i as u32));
         moms.push(mom);
     }

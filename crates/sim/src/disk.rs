@@ -1,19 +1,19 @@
 //! Deterministic per-node simulated disk.
 //!
-//! Each node owns one [`SimDisk`] that **survives `CrashNode`/`ReviveNode`**:
+//! Each node owns one [`SimDisk`] that **survives `World::crash_node` / `revive_node`**:
 //! crashing a node loses only the volatile (page-cache) portion of every
 //! file, exactly like pulling the power cord on a real machine. Durability
 //! is modelled explicitly:
 //!
 //! * [`SimDisk::append`] writes into a volatile tail (the OS page cache);
 //! * [`SimDisk::fsync`] moves the volatile tail onto the durable platter;
-//! * [`SimDisk::on_crash`] (called by the world on `CrashNode`) discards
+//! * [`SimDisk::on_crash`] (called by `World::crash_node`) discards
 //!   every volatile tail and applies any armed torn-write damage.
 //!
 //! Fault hooks ([`SimDisk::arm_torn_write`], [`SimDisk::corrupt_byte`],
-//! [`SimDisk::stall_until`]) give fault plans byte-precise control over the
-//! failure modes a write-ahead log must survive: torn tails, silent media
-//! corruption, and a device that stops acknowledging flushes.
+//! [`SimDisk::stall_until`]) give a scripted fault byte-precise control over
+//! the failure modes a write-ahead log must survive: torn tails, silent
+//! media corruption, and a device that stops acknowledging flushes.
 //!
 //! The disk consumes no randomness and no virtual time of its own (stalls
 //! compare against a caller-supplied `now`), so it adds nothing to the
@@ -38,7 +38,7 @@ struct FileState {
 ///
 /// Files are named by flat string paths. All operations are infallible in
 /// the absence of injected faults; the only observable failures are the
-/// ones a fault plan scripts.
+/// ones the harness scripts through the fault hooks.
 #[derive(Debug, Default)]
 pub struct SimDisk {
     files: BTreeMap<String, FileState>,
@@ -166,7 +166,7 @@ impl SimDisk {
     }
 
     // ------------------------------------------------------------------
-    // Fault hooks (driven by `FaultAction`)
+    // Fault hooks (called from a `World::schedule_at` closure)
     // ------------------------------------------------------------------
 
     /// Arm torn-write damage: on the next crash, the most recently fsynced
@@ -201,14 +201,9 @@ impl SimDisk {
         self.stalled_until = Some(until);
     }
 
-    /// Whether the device is stalled at `now`.
-    pub fn is_stalled(&self, now: SimTime) -> bool {
-        self.stalled_until.is_some_and(|until| now < until)
-    }
-
     /// Power loss: every volatile tail vanishes, and any armed torn write
     /// rolls the last fsynced batch back to a partial prefix. Called by the
-    /// world on `CrashNode`; the durable content survives for the next
+    /// world in `crash_node`; the durable content survives for the next
     /// incarnation to recover from.
     pub fn on_crash(&mut self) {
         for f in self.files.values_mut() {
@@ -281,7 +276,6 @@ mod tests {
         d.stall_until(later);
         d.append("wal", b"xx");
         assert!(!d.fsync("wal", T0));
-        assert!(d.is_stalled(T0));
         assert_eq!(d.stalled_fsyncs, 1);
         // After the stall expires the same call succeeds.
         assert!(d.fsync("wal", later));

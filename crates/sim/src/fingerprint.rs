@@ -31,12 +31,6 @@ impl Fnv64 {
     pub fn new() -> Self {
         Fnv64(FNV_OFFSET)
     }
-
-    /// Digest of the bytes absorbed so far (same as [`Hasher::finish`],
-    /// without consuming the hasher).
-    pub fn digest(&self) -> u64 {
-        self.0
-    }
 }
 
 impl Default for Fnv64 {

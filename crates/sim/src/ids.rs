@@ -45,7 +45,7 @@ impl fmt::Display for ProcId {
 impl NodeId {
     /// Raw index.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }

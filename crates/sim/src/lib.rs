@@ -11,9 +11,13 @@
 //! * **Network model** ([`network`]) — latency distributions, loss,
 //!   partitions, and an optional shared-hub contention model matching the
 //!   paper's half-duplex 100 Mbit/s hub.
-//! * **Fault injection** ([`fault`]) — scripted crashes, partitions and
-//!   repairs: the reproducible equivalent of "unplugging network cables and
-//!   forcibly shutting down individual processes".
+//! * **Fault injection** — [`World::schedule_at`] runs a closure with full
+//!   world access at a chosen instant; crashes ([`World::crash_node`],
+//!   [`World::kill_proc`], [`World::revive_node`]), partitions
+//!   ([`World::set_partition_group`]) and disk damage (the [`SimDisk`]
+//!   hooks) scripted that way are the reproducible equivalent of
+//!   "unplugging network cables and forcibly shutting down individual
+//!   processes".
 //! * **Per-node disks** ([`disk`]) — deterministic simulated storage with
 //!   explicit write/fsync semantics that survives node crashes, plus
 //!   injectable torn writes, corruption and stalls.
@@ -42,7 +46,6 @@
 #![warn(missing_docs)]
 
 pub mod disk;
-pub mod fault;
 pub mod fingerprint;
 mod ids;
 pub mod metrics;
@@ -54,7 +57,7 @@ mod world;
 pub use disk::SimDisk;
 pub use fingerprint::{fingerprint, Fnv64};
 pub use ids::{NodeId, ProcId, TimerId};
-pub use network::{per_mille, HubConfig, Latency, LinkConfig, NetworkConfig};
+pub use network::{HubConfig, Latency, LinkConfig, NetworkConfig};
 pub use process::{Ctx, Msg, Process, EXTERNAL};
 pub use time::{SimDuration, SimTime};
-pub use world::{Emitted, Thunk, World};
+pub use world::World;

@@ -65,13 +65,13 @@ impl DurationHistogram {
     }
 
     /// Smallest sample.
-    pub fn min(&mut self) -> Option<SimDuration> {
+    pub(crate) fn min(&mut self) -> Option<SimDuration> {
         self.ensure_sorted();
         self.samples.first().copied()
     }
 
     /// Largest sample.
-    pub fn max(&mut self) -> Option<SimDuration> {
+    pub(crate) fn max(&mut self) -> Option<SimDuration> {
         self.ensure_sorted();
         self.samples.last().copied()
     }
@@ -148,8 +148,8 @@ mod tests {
         }
         assert_eq!(h.quantile(0.0), Some(SimDuration::from_millis(1)));
         assert_eq!(h.quantile(1.0), Some(SimDuration::from_millis(100)));
-        let p50 = h.quantile(0.5).unwrap().as_millis();
-        assert!((50..=51).contains(&p50));
+        let p50 = h.quantile(0.5).unwrap();
+        assert!((SimDuration::from_millis(50)..=SimDuration::from_millis(51)).contains(&p50));
         assert_eq!(h.mean(), Some(SimDuration::from_nanos(50_500_000)));
         assert_eq!(h.min(), Some(SimDuration::from_millis(1)));
         assert_eq!(h.max(), Some(SimDuration::from_millis(100)));

@@ -20,15 +20,6 @@ use rand::rngs::StdRng;
 use rand::RngExt;
 use std::collections::HashMap;
 
-/// Convert a probability in `[0, 1]` to deterministic per-mille (0..=1000).
-///
-/// Loss knobs are stored as integer per-mille so fault actions and network
-/// configs are exactly comparable (`Eq`/`Hash`) and traces never depend on
-/// float formatting.
-pub fn per_mille(p: f64) -> u32 {
-    (p.clamp(0.0, 1.0) * 1000.0).round() as u32
-}
-
 /// Sample a per-mille probability: true with probability `pm / 1000`.
 #[inline]
 fn sample_per_mille(rng: &mut StdRng, pm: u32) -> bool {
@@ -83,17 +74,6 @@ impl Latency {
             }
         }
     }
-
-    /// The mean of the distribution (exact for all variants).
-    pub fn mean(&self) -> SimDuration {
-        match *self {
-            Latency::Constant(d) => d,
-            Latency::Uniform { min, max } => SimDuration::from_nanos(
-                (min.as_nanos() / 2).saturating_add(max.as_nanos() / 2),
-            ),
-            Latency::Normal { mean, .. } => mean,
-        }
-    }
 }
 
 /// Configuration of one class of link.
@@ -101,22 +81,17 @@ impl Latency {
 pub struct LinkConfig {
     /// Propagation + stack latency distribution.
     pub latency: Latency,
-    /// Probability that a message is silently lost, in per-mille
-    /// (0..=1000; see [`per_mille`]).
+    /// Probability that a message is silently lost, in integer per-mille
+    /// (0..=1000), so that no trace depends on float formatting.
+    /// Transmission time is folded into `latency`; only the shared hub
+    /// ([`HubConfig`]) charges for bytes.
     pub drop_prob: u32,
-    /// Per-link serialization bandwidth. `None` means infinitely fast
-    /// (transmission time is folded into `latency`).
-    pub bandwidth_bytes_per_sec: Option<u64>,
 }
 
 impl LinkConfig {
     /// A perfectly reliable constant-latency link.
-    pub fn constant(latency: SimDuration) -> Self {
-        LinkConfig {
-            latency: Latency::Constant(latency),
-            drop_prob: 0,
-            bandwidth_bytes_per_sec: None,
-        }
+    pub(crate) fn constant(latency: SimDuration) -> Self {
+        LinkConfig { latency: Latency::Constant(latency), drop_prob: 0 }
     }
 }
 
@@ -132,7 +107,7 @@ pub struct HubConfig {
 
 impl HubConfig {
     /// 100 Mbit/s half-duplex Fast Ethernet hub, as in the paper's testbed.
-    pub fn fast_ethernet() -> Self {
+    pub(crate) fn fast_ethernet() -> Self {
         HubConfig {
             bandwidth_bytes_per_sec: 12_500_000,
             per_frame_overhead: SimDuration::from_micros(10),
@@ -162,7 +137,6 @@ impl Default for NetworkConfig {
                     max: SimDuration::from_micros(80),
                 },
                 drop_prob: 0,
-                bandwidth_bytes_per_sec: None,
             },
             lan: LinkConfig {
                 latency: Latency::Normal {
@@ -171,7 +145,6 @@ impl Default for NetworkConfig {
                     floor: SimDuration::from_micros(90),
                 },
                 drop_prob: 0,
-                bandwidth_bytes_per_sec: None,
             },
             hub: Some(HubConfig::fast_ethernet()),
         }
@@ -187,14 +160,6 @@ impl NetworkConfig {
             lan: LinkConfig::constant(SimDuration::from_micros(10)),
             hub: None,
         }
-    }
-
-    /// A lossy LAN for stress-testing retransmission logic (`drop_prob` is
-    /// a probability in `[0, 1]`, converted to per-mille internally).
-    pub fn lossy(drop_prob: f64) -> Self {
-        let mut cfg = NetworkConfig::ideal();
-        cfg.lan.drop_prob = per_mille(drop_prob);
-        cfg
     }
 }
 
@@ -214,8 +179,6 @@ pub enum DropReason {
     Loss,
     /// Sender and receiver are in different partition groups.
     Partition,
-    /// Source or destination node is crashed.
-    DeadNode,
 }
 
 /// Mutable network state owned by the world.
@@ -224,9 +187,6 @@ pub struct Network {
     config: NetworkConfig,
     /// Partition group per node; nodes talk only within their group.
     groups: HashMap<NodeId, u32>,
-    /// Extra drop probability per directed node pair (e.g. a flaky cable),
-    /// in per-mille.
-    pair_loss: HashMap<(NodeId, NodeId), u32>,
     /// When the shared hub becomes free again.
     hub_free_at: SimTime,
     /// Messages handed to the network.
@@ -245,7 +205,6 @@ impl Network {
         Network {
             config,
             groups: HashMap::new(),
-            pair_loss: HashMap::new(),
             hub_free_at: SimTime::ZERO,
             sent: 0,
             dropped_loss: 0,
@@ -254,14 +213,9 @@ impl Network {
         }
     }
 
-    /// Current configuration.
-    pub fn config(&self) -> &NetworkConfig {
-        &self.config
-    }
-
     /// Put `node` into partition group `group`. Nodes in different groups
     /// cannot exchange messages. All nodes start in group 0.
-    pub fn set_partition_group(&mut self, node: NodeId, group: u32) {
+    pub(crate) fn set_partition_group(&mut self, node: NodeId, group: u32) {
         self.groups.insert(node, group);
     }
 
@@ -271,18 +225,8 @@ impl Network {
     }
 
     /// Partition group of a node.
-    pub fn group_of(&self, node: NodeId) -> u32 {
+    pub(crate) fn group_of(&self, node: NodeId) -> u32 {
         self.groups.get(&node).copied().unwrap_or(0)
-    }
-
-    /// Set an extra directed loss probability between two nodes, in
-    /// per-mille (0..=1000; 0 removes the entry, values above 1000 clamp).
-    pub fn set_pair_loss(&mut self, from: NodeId, to: NodeId, pm: u32) {
-        if pm == 0 {
-            self.pair_loss.remove(&(from, to));
-        } else {
-            self.pair_loss.insert((from, to), pm.min(1000));
-        }
     }
 
     /// Decide the fate of one message of `bytes` payload sent at `now` from
@@ -297,18 +241,16 @@ impl Network {
     ) -> Outcome {
         self.sent += 1;
         if from_node == to_node {
-            let link = self.config.local.clone();
-            return self.through_link(rng, &link, bytes, SimDuration::ZERO);
+            return Self::through_link(
+                &self.config.local,
+                &mut self.dropped_loss,
+                rng,
+                SimDuration::ZERO,
+            );
         }
         if self.group_of(from_node) != self.group_of(to_node) {
             self.dropped_partition += 1;
             return Outcome::Drop(DropReason::Partition);
-        }
-        if let Some(&pm) = self.pair_loss.get(&(from_node, to_node)) {
-            if sample_per_mille(rng, pm) {
-                self.dropped_loss += 1;
-                return Outcome::Drop(DropReason::Loss);
-            }
         }
         // Shared-hub queueing: the frame occupies the medium for
         // overhead + bytes/bandwidth starting when the hub is next free.
@@ -323,26 +265,22 @@ impl Network {
             SimDuration::ZERO
         };
         self.bytes_sent += bytes as u64;
-        let link = self.config.lan.clone();
-        self.through_link(rng, &link, bytes, queueing)
+        Self::through_link(&self.config.lan, &mut self.dropped_loss, rng, queueing)
     }
 
+    /// Loss draw first, latency draw second: the order is part of the seed
+    /// stream.
     fn through_link(
-        &mut self,
-        rng: &mut StdRng,
         link: &LinkConfig,
-        bytes: u32,
+        dropped_loss: &mut u64,
+        rng: &mut StdRng,
         queueing: SimDuration,
     ) -> Outcome {
         if link.drop_prob > 0 && sample_per_mille(rng, link.drop_prob) {
-            self.dropped_loss += 1;
+            *dropped_loss += 1;
             return Outcome::Drop(DropReason::Loss);
         }
-        let mut delay = link.latency.sample(rng) + queueing;
-        if let Some(bw) = link.bandwidth_bytes_per_sec {
-            delay += SimDuration::from_nanos((bytes as u64).saturating_mul(1_000_000_000) / bw);
-        }
-        Outcome::Deliver(delay)
+        Outcome::Deliver(link.latency.sample(rng) + queueing)
     }
 }
 
@@ -430,27 +368,6 @@ mod tests {
     }
 
     #[test]
-    fn pair_loss_applies() {
-        let mut net = Network::new(NetworkConfig::ideal());
-        let mut r = rng();
-        net.set_pair_loss(NodeId(0), NodeId(1), 1000);
-        assert_eq!(
-            net.route(&mut r, SimTime::ZERO, NodeId(0), NodeId(1), 10),
-            Outcome::Drop(DropReason::Loss)
-        );
-        // Reverse direction unaffected.
-        assert!(matches!(
-            net.route(&mut r, SimTime::ZERO, NodeId(1), NodeId(0), 10),
-            Outcome::Deliver(_)
-        ));
-        net.set_pair_loss(NodeId(0), NodeId(1), 0);
-        assert!(matches!(
-            net.route(&mut r, SimTime::ZERO, NodeId(0), NodeId(1), 10),
-            Outcome::Deliver(_)
-        ));
-    }
-
-    #[test]
     fn hub_serializes_back_to_back_frames() {
         let mut cfg = NetworkConfig::ideal();
         cfg.hub = Some(HubConfig {
@@ -492,20 +409,10 @@ mod tests {
     }
 
     #[test]
-    fn per_mille_rounds_and_clamps() {
-        assert_eq!(per_mille(0.0), 0);
-        assert_eq!(per_mille(0.05), 50);
-        assert_eq!(per_mille(0.5), 500);
-        assert_eq!(per_mille(1.0), 1000);
-        assert_eq!(per_mille(2.5), 1000);
-        assert_eq!(per_mille(-0.3), 0);
-        assert_eq!(per_mille(0.0004), 0);
-        assert_eq!(per_mille(0.0006), 1);
-    }
-
-    #[test]
     fn counters_track_traffic() {
-        let mut net = Network::new(NetworkConfig::lossy(1.0));
+        let mut cfg = NetworkConfig::ideal();
+        cfg.lan.drop_prob = 1000;
+        let mut net = Network::new(cfg);
         let mut r = rng();
         let _ = net.route(&mut r, SimTime::ZERO, NodeId(0), NodeId(1), 10);
         assert_eq!(net.sent, 1);

@@ -7,10 +7,9 @@
 //! whole simulation deterministic and single-steppable.
 
 use crate::disk::SimDisk;
-use crate::ids::{NodeId, ProcId, TimerId};
+use crate::ids::{ProcId, TimerId};
 use crate::time::{SimDuration, SimTime};
 use crate::world::World;
-use rand::rngs::StdRng;
 use std::any::Any;
 
 /// Dynamically typed message payload. Receivers downcast to the concrete
@@ -35,13 +34,8 @@ pub trait Process: Any {
 
 impl dyn Process {
     /// Downcast a process trait object to a concrete type.
-    pub fn downcast_ref<T: Process>(&self) -> Option<&T> {
+    pub(crate) fn downcast_ref<T: Process>(&self) -> Option<&T> {
         (self as &dyn Any).downcast_ref::<T>()
-    }
-
-    /// Downcast a process trait object to a concrete type, mutably.
-    pub fn downcast_mut<T: Process>(&mut self) -> Option<&mut T> {
-        (self as &mut dyn Any).downcast_mut::<T>()
     }
 }
 
@@ -64,26 +58,13 @@ impl Ctx<'_> {
         self.me
     }
 
-    /// The node this process runs on.
-    #[inline]
-    pub fn node(&self) -> NodeId {
-        self.world.node_of(self.me)
-    }
-
-    /// Deterministic random number generator (shared by the whole world,
-    /// consumption order is part of the deterministic schedule).
-    #[inline]
-    pub fn rng(&mut self) -> &mut StdRng {
-        self.world.rng()
-    }
-
     /// Send a message with the default wire size (512 bytes).
     pub fn send<M: Any>(&mut self, to: ProcId, msg: M) {
         self.send_sized(to, msg, 512);
     }
 
     /// Send a message, declaring its wire size for the bandwidth/hub model.
-    pub fn send_sized<M: Any>(&mut self, to: ProcId, msg: M, bytes: u32) {
+    pub(crate) fn send_sized<M: Any>(&mut self, to: ProcId, msg: M, bytes: u32) {
         self.world.route_message(self.me, to, Box::new(msg), bytes, SimDuration::ZERO);
     }
 
@@ -125,34 +106,9 @@ impl Ctx<'_> {
         self.world.kill_proc(self.me);
     }
 
-    /// Whether another process is currently alive. Protocols normally must
-    /// not rely on this oracle (they use failure detectors); it exists for
-    /// harness/test processes.
-    pub fn is_alive(&self, p: ProcId) -> bool {
-        self.world.is_proc_alive(p)
-    }
-
-    /// This node's simulated disk.
-    pub fn disk(&self) -> &SimDisk {
-        self.world.disk(self.world.node_of(self.me))
-    }
-
     /// This node's simulated disk, mutable.
     pub fn disk_mut(&mut self) -> &mut SimDisk {
         let node = self.world.node_of(self.me);
         self.world.disk_mut(node)
-    }
-
-    /// Fsync a file on this node's disk at the current virtual time
-    /// (honours injected disk stalls). Returns `true` when durable.
-    pub fn fsync(&mut self, path: &str) -> bool {
-        let now = self.world.now();
-        let node = self.world.node_of(self.me);
-        self.world.disk_mut(node).fsync(path, now)
-    }
-
-    /// This process' incarnation (1 unless it has been restarted).
-    pub fn incarnation(&self) -> u32 {
-        self.world.proc_incarnation(self.me)
     }
 }

@@ -40,25 +40,11 @@ impl SimTime {
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Seconds since simulation start as a float (for reporting only).
-    #[inline]
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
-
-    /// Checked addition of a duration; `None` on overflow.
-    #[inline]
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_add(d.0).map(SimTime)
-    }
 }
 
 impl SimDuration {
     /// Zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0);
-    /// Greatest representable duration.
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Construct from nanoseconds.
     #[inline]
@@ -84,26 +70,10 @@ impl SimDuration {
         SimDuration(s * 1_000_000_000)
     }
 
-    /// Construct from fractional seconds. Negative values clamp to zero.
-    /// Intended for configuration, not for hot-path arithmetic.
-    pub fn from_secs_f64(s: f64) -> Self {
-        if s <= 0.0 {
-            SimDuration(0)
-        } else {
-            SimDuration((s * 1e9).round() as u64)
-        }
-    }
-
     /// Raw nanoseconds.
     #[inline]
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Whole milliseconds (truncating).
-    #[inline]
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
     }
 
     /// Fractional seconds (for reporting).
@@ -116,18 +86,6 @@ impl SimDuration {
     #[inline]
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e6
-    }
-
-    /// Saturating subtraction.
-    #[inline]
-    pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(rhs.0))
-    }
-
-    /// True if this duration is zero.
-    #[inline]
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
     }
 }
 
@@ -256,8 +214,6 @@ mod tests {
         assert_eq!(SimDuration::from_secs(2).as_nanos(), 2_000_000_000);
         assert_eq!(SimDuration::from_millis(3).as_nanos(), 3_000_000);
         assert_eq!(SimDuration::from_micros(5).as_nanos(), 5_000);
-        assert_eq!(SimDuration::from_secs_f64(0.5).as_nanos(), 500_000_000);
-        assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
     }
 
     #[test]
@@ -276,17 +232,13 @@ mod tests {
         let t = SimTime::from_nanos(10);
         assert_eq!((t - SimDuration::from_nanos(100)).as_nanos(), 0);
         assert_eq!(SimTime::MAX + SimDuration::from_secs(1), SimTime::MAX);
-        assert_eq!(
-            SimDuration::from_nanos(1).saturating_sub(SimDuration::from_nanos(2)),
-            SimDuration::ZERO
-        );
     }
 
     #[test]
     fn duration_scaling() {
         let d = SimDuration::from_millis(10);
-        assert_eq!((d * 3).as_millis(), 30);
-        assert_eq!((d / 2).as_millis(), 5);
+        assert_eq!(d * 3, SimDuration::from_millis(30));
+        assert_eq!(d / 2, SimDuration::from_millis(5));
         assert!((d.as_millis_f64() - 10.0).abs() < 1e-9);
     }
 
@@ -296,14 +248,5 @@ mod tests {
         assert_eq!(SimDuration::from_micros(5).to_string(), "5.000us");
         assert_eq!(SimDuration::from_millis(5).to_string(), "5.000ms");
         assert_eq!(SimDuration::from_secs(5).to_string(), "5.000s");
-    }
-
-    #[test]
-    fn checked_add_overflow() {
-        assert!(SimTime::MAX.checked_add(SimDuration::from_nanos(1)).is_none());
-        assert_eq!(
-            SimTime::ZERO.checked_add(SimDuration::from_nanos(7)),
-            Some(SimTime::from_nanos(7))
-        );
     }
 }

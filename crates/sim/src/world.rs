@@ -12,9 +12,8 @@ use std::any::Any;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 
-/// A deferred action with full world access; used by fault plans and
-/// workload drivers.
-pub type Thunk = Box<dyn FnOnce(&mut World)>;
+/// A deferred action with full world access (see [`World::schedule_at`]).
+type Thunk = Box<dyn FnOnce(&mut World)>;
 
 enum EventKind {
     // Start/Deliver/Timer carry the target's incarnation at enqueue time;
@@ -70,13 +69,13 @@ struct ProcSlot {
 }
 
 /// A value published by a process via `Ctx::emit`.
-pub struct Emitted {
+struct Emitted {
     /// When it was emitted.
-    pub at: SimTime,
+    at: SimTime,
     /// Which process emitted it.
-    pub from: ProcId,
+    from: ProcId,
     /// The payload.
-    pub value: Box<dyn Any>,
+    value: Box<dyn Any>,
 }
 
 /// The simulation world. See the crate docs for the execution model.
@@ -140,12 +139,6 @@ impl World {
         self.events_processed
     }
 
-    /// The world RNG (deterministic; consumption order is part of the run).
-    #[inline]
-    pub fn rng(&mut self) -> &mut StdRng {
-        &mut self.rng
-    }
-
     /// The network model, immutable.
     pub fn network(&self) -> &Network {
         &self.net
@@ -190,7 +183,7 @@ impl World {
     }
 
     /// Add an already-boxed process on `node`.
-    pub fn add_boxed_process(&mut self, node: NodeId, process: Box<dyn Process>) -> ProcId {
+    pub(crate) fn add_boxed_process(&mut self, node: NodeId, process: Box<dyn Process>) -> ProcId {
         assert!(node.index() < self.nodes.len(), "unknown node {node}");
         let id = ProcId(self.procs.len() as u32);
         let alive = self.nodes[node.index()].alive;
@@ -225,7 +218,7 @@ impl World {
     }
 
     /// A process' current incarnation (1 for never-restarted processes).
-    pub fn proc_incarnation(&self, p: ProcId) -> u32 {
+    pub(crate) fn proc_incarnation(&self, p: ProcId) -> u32 {
         self.procs[p.index()].incarnation
     }
 
@@ -260,14 +253,6 @@ impl World {
             .get(p.index())
             .and_then(|s| s.process.as_deref())
             .and_then(|pr| pr.downcast_ref::<T>())
-    }
-
-    /// Mutably borrow a process as its concrete type.
-    pub fn proc_mut<T: Process>(&mut self, p: ProcId) -> Option<&mut T> {
-        self.procs
-            .get_mut(p.index())
-            .and_then(|s| s.process.as_deref_mut())
-            .and_then(|pr| pr.downcast_mut::<T>())
     }
 
     // ------------------------------------------------------------------
@@ -319,12 +304,6 @@ impl World {
     /// now if already past).
     pub fn schedule_at(&mut self, at: SimTime, thunk: impl FnOnce(&mut World) + 'static) {
         let at = at.max(self.clock);
-        self.push_event(at, EventKind::Call(Box::new(thunk)));
-    }
-
-    /// Run `thunk` after `delay`.
-    pub fn schedule_after(&mut self, delay: SimDuration, thunk: impl FnOnce(&mut World) + 'static) {
-        let at = self.clock + delay;
         self.push_event(at, EventKind::Call(Box::new(thunk)));
     }
 
@@ -383,11 +362,6 @@ impl World {
         self.emitted.push(Emitted { at: self.clock, from, value });
     }
 
-    /// Drain every emitted value.
-    pub fn drain_emitted(&mut self) -> Vec<Emitted> {
-        std::mem::take(&mut self.emitted)
-    }
-
     /// Drain emitted values of one concrete type, leaving others in place.
     pub fn take_emitted<T: Any>(&mut self) -> Vec<(SimTime, ProcId, T)> {
         let mut taken = Vec::new();
@@ -408,7 +382,7 @@ impl World {
 
     /// Process a single event. Returns `false` when the queue is empty or
     /// the event budget is exhausted.
-    pub fn step(&mut self) -> bool {
+    pub(crate) fn step(&mut self) -> bool {
         if let Some(max) = self.max_events {
             if self.events_processed >= max {
                 return false;
@@ -615,7 +589,7 @@ mod tests {
         let mut w = World::with_network(1, NetworkConfig::ideal());
         let n = w.add_node("x");
         let echo = w.add_process(n, Echo { got: vec![] });
-        w.schedule_after(SimDuration::from_secs(2), move |w| {
+        w.schedule_at(SimTime::ZERO + SimDuration::from_secs(2), move |w| {
             w.inject(echo, 7u32);
         });
         w.run_until(SimTime::ZERO + SimDuration::from_secs(1));
@@ -651,7 +625,7 @@ mod tests {
         assert_eq!(ints[0].2, 123);
         let strs = w.take_emitted::<&str>();
         assert_eq!(strs.len(), 1);
-        assert!(w.drain_emitted().is_empty());
+        assert!(w.take_emitted::<u32>().is_empty() && w.take_emitted::<&str>().is_empty());
     }
 
     #[test]

@@ -47,22 +47,22 @@ pub struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     /// Start reading at the front of `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
     }
 
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// Whether every byte has been consumed.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.remaining() == 0
     }
 
     /// Take `n` raw bytes.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         if self.remaining() < n {
             return Err(DecodeError::Eof);
         }
@@ -76,7 +76,7 @@ impl<'a> Reader<'a> {
 /// (missing bytes read as zero). Callers bound-check `pos + 4 <= len`
 /// before trusting the value; the read itself cannot panic, keeping the
 /// recovery path free of panic constructs (F003).
-pub fn le_u32_at(data: &[u8], pos: usize) -> u32 {
+pub(crate) fn le_u32_at(data: &[u8], pos: usize) -> u32 {
     let mut b = [0u8; 4];
     for (slot, &v) in b.iter_mut().zip(data.get(pos..).unwrap_or(&[])) {
         *slot = v;
@@ -86,7 +86,7 @@ pub fn le_u32_at(data: &[u8], pos: usize) -> u32 {
 
 /// Read a little-endian `u64` starting at `pos`; same contract as
 /// [`le_u32_at`].
-pub fn le_u64_at(data: &[u8], pos: usize) -> u64 {
+pub(crate) fn le_u64_at(data: &[u8], pos: usize) -> u64 {
     let mut b = [0u8; 8];
     for (slot, &v) in b.iter_mut().zip(data.get(pos..).unwrap_or(&[])) {
         *slot = v;

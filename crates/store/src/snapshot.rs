@@ -21,11 +21,6 @@ impl SnapshotStore {
         SnapshotStore { path: path.into() }
     }
 
-    /// The file path this store publishes to.
-    pub fn path(&self) -> &str {
-        &self.path
-    }
-
     fn tmp_path(&self) -> String {
         format!("{}.tmp", self.path)
     }

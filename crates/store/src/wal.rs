@@ -81,7 +81,7 @@ impl Wal {
     }
 
     /// Frame one record (without writing it anywhere).
-    pub fn frame(idx: u64, blob: &[u8]) -> Vec<u8> {
+    pub(crate) fn frame(idx: u64, blob: &[u8]) -> Vec<u8> {
         let mut payload = Vec::with_capacity(IDX + blob.len());
         payload.extend_from_slice(&idx.to_le_bytes());
         payload.extend_from_slice(blob);
