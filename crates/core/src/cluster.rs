@@ -188,7 +188,6 @@ impl Cluster {
                 heads.push(p);
             }
             HaMode::ActiveStandby => {
-                #[allow(clippy::needless_range_loop)] // indexes three parallel arrays
                 for i in 0..2 {
                     let core = pbs_core(format!("head-{i}"), &cfg, &all_nodes);
                     let peer = head_ids[1 - i];
@@ -207,7 +206,7 @@ impl Cluster {
             }
             HaMode::Asymmetric { heads: n } => {
                 // Each head owns a disjoint partition of the nodes.
-                #[allow(clippy::needless_range_loop)] // indexes parallel arrays
+                #[expect(clippy::needless_range_loop, reason = "indexes parallel arrays")]
                 for i in 0..n {
                     let my_nodes: Vec<(String, ProcId)> = all_nodes
                         .iter()

@@ -118,7 +118,7 @@ pub struct RecoveryReport {
 /// host charges the frames of one output serially.
 fn charge(cost: &JoshuaCostModel, frame: &Wire<Payload>) -> SimDuration {
     // Exhaustive over the wire protocol: a new frame kind must be
-    // assigned a CPU cost here, not silently inherit one (F004).
+    // assigned a CPU cost here, not silently inherit one (`clippy::wildcard_enum_match_arm`).
     match frame {
         Wire::Ack { .. } => cost.gcs_background_delay,
         Wire::Raw(m) => match m {
@@ -382,7 +382,7 @@ impl JoshuaServer {
                             Payload::Hello { .. } => true,
                             // Every other payload is ordinary command
                             // traffic; name them so a future control
-                            // variant must be classified here (F004).
+                            // variant must be classified here (`clippy::wildcard_enum_match_arm`).
                             Payload::Client { .. }
                             | Payload::Output { .. }
                             | Payload::MomFinished { .. }
@@ -497,7 +497,7 @@ impl JoshuaServer {
             // apply() routes only the four command payloads here; the
             // control payloads are consumed before numbering. Name them
             // (instead of `_`) so a new replicated command cannot be
-            // silently dropped by this match (F004).
+            // silently dropped by this match (`clippy::wildcard_enum_match_arm`).
             Payload::Output { .. }
             | Payload::Snapshot { .. }
             | Payload::Hello { .. }
@@ -893,7 +893,7 @@ impl JoshuaServer {
                 JobState::Exiting => {
                     ctx.send(mom, MomInbound::Cancel { job: job.id, server: me });
                 }
-                _ => {}
+                JobState::Queued | JobState::Complete | JobState::Held => {}
             }
         }
     }
@@ -999,7 +999,7 @@ impl Process for JoshuaServer {
             Err(msg) => msg,
         };
         // Intercepted PBS user command, taken by value (fallible downcast,
-        // the Err arm hands the box back: F003).
+        // the Err arm hands the box back: the no-panic lints).
         let msg = match msg.downcast::<ClientRequest>() {
             Ok(req) => {
                 self.stats.commands_forwarded += 1;
@@ -1069,7 +1069,7 @@ impl Process for JoshuaServer {
                     .unwrap_or(false),
                 // Witness duty exists only for obituaries today; name the
                 // rest so a future witnessed payload must decide its
-                // re-broadcast condition here (F004).
+                // re-broadcast condition here (`clippy::wildcard_enum_match_arm`).
                 Payload::Client { .. }
                 | Payload::Output { .. }
                 | Payload::JMutexAcquire { .. }

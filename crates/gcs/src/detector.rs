@@ -10,7 +10,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Tracks last-heard times for a set of watched peers.
 ///
 /// Ordered maps so iteration and the derived `Hash` are deterministic
-/// across replicas (jrs-lint D001).
+/// across replicas (`clippy::disallowed_types`).
 #[derive(Clone, Debug, Hash)]
 pub struct FailureDetector {
     fail_after: SimDuration,

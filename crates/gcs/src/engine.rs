@@ -123,7 +123,7 @@ pub struct Engine<P> {
     deliver_cursor: u64,
     /// Cumulative ack per peer: highest seq that peer holds contiguously.
     /// `BTreeMap` (not `HashMap`): snapshots and iteration of replica
-    /// state must be deterministic across processes (detlint D001).
+    /// state must be deterministic across processes (`clippy::disallowed_types`).
     acks: BTreeMap<ProcId, u64>,
     /// Known ordered messages (delivered and buffered), pruned by
     /// stability. Needed to answer flushes and serve deliveries.
@@ -252,7 +252,7 @@ impl<P: Clone> Engine<P> {
     pub fn on_msg(&mut self, now: SimTime, from: ProcId, msg: EngineMsg<P>) -> EngineOut<P> {
         let mut out = EngineOut::default();
         // No catch-all: a new EngineMsg variant must be a compile error
-        // here rather than silently swallowed (F004).
+        // here rather than silently swallowed (`clippy::wildcard_enum_match_arm`).
         match msg {
             EngineMsg::Request { local_id, payload } => {
                 // A halted sequencer, or a former one reached by a stale
@@ -523,7 +523,7 @@ impl<P: Clone> Engine<P> {
             // is gap-free, so the log must hold it. If an invariant breach
             // ever leaves a gap, stop delivering and wait — the next flush
             // reconciles the log — rather than killing the replica on its
-            // hot path (P001).
+            // hot path (`clippy::unwrap_used` and the other no-panic lints).
             let Some(m) = self.log.get(&self.deliver_cursor).cloned() else {
                 debug_assert!(false, "deliverable prefix missing from the log");
                 break;

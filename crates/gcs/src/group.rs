@@ -42,7 +42,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::hash::Hash;
 
 /// Saturating `usize → u32` for view sizes carried in heartbeats (a lossy
-/// `as` cast would wrap on pathological inputs, D005).
+/// `as` cast would wrap on pathological inputs: `clippy::cast_possible_truncation`).
 fn size32(n: usize) -> u32 {
     u32::try_from(n).unwrap_or(u32::MAX)
 }
@@ -130,7 +130,10 @@ struct Finalized<P> {
 }
 
 #[derive(Clone, Debug, Hash)]
-#[allow(clippy::large_enum_variant)] // Coordinating carries the reconciliation state; boxing it buys nothing here
+#[expect(
+    clippy::large_enum_variant,
+    reason = "Coordinating carries the reconciliation state; boxing it buys nothing here"
+)]
 enum Flush<P> {
     None,
     /// Answered someone's FlushReq; awaiting their FlushFinal.
@@ -163,7 +166,7 @@ pub struct GroupMember<P> {
     /// Joiners we know about: joiner → incarnation.
     pending_joiners: BTreeMap<ProcId, u64>,
     /// Highest join incarnation seen per process. Ordered map: this is
-    /// replicated view-bookkeeping state (detlint D001).
+    /// replicated view-bookkeeping state (`clippy::disallowed_types`).
     join_incarnations: BTreeMap<ProcId, u64>,
     /// What each view member has contiguously delivered (stability/GC).
     peer_delivered: BTreeMap<ProcId, u64>,
@@ -565,7 +568,7 @@ impl<P: Clone + 'static> GroupMember<P> {
                     Stall::Abandon(*epoch, proposed.clone())
                 }
             }
-            _ => Stall::Nothing,
+            Flush::None | Flush::Blocked { .. } | Flush::Coordinating { .. } => Stall::Nothing,
         };
         match stall {
             Stall::Nothing => {}
@@ -642,7 +645,9 @@ impl<P: Clone + 'static> GroupMember<P> {
                 // We answered someone else's ongoing flush; let it run
                 // until the stall timeout above condemns the coordinator.
             }
-            _ => self.start_flush(now, proposal, out),
+            Flush::None | Flush::Blocked { .. } | Flush::Coordinating { .. } => {
+                self.start_flush(now, proposal, out)
+            }
         }
     }
 
@@ -980,7 +985,7 @@ impl<P: Clone + 'static> GroupMember<P> {
         self.maybe_commit(now, out);
     }
 
-    #[allow(clippy::too_many_arguments)] // mirrors the FlushFinal wire message
+    #[expect(clippy::too_many_arguments, reason = "mirrors the FlushFinal wire message")]
     fn on_flush_final(
         &mut self,
         now: SimTime,
@@ -1048,7 +1053,7 @@ impl<P: Clone + 'static> GroupMember<P> {
     }
 
     /// Common installation path for coordinator, members and joiners.
-    #[allow(clippy::too_many_arguments)] // mirrors the FlushFinal wire message
+    #[expect(clippy::too_many_arguments, reason = "mirrors the FlushFinal wire message")]
     fn install_view(
         &mut self,
         now: SimTime,
@@ -1095,7 +1100,7 @@ impl<P: Clone + 'static> GroupMember<P> {
         // members; 16 covers any realistic head-node pool).
         while self.former_members.len() > 16 {
             // `len() > 16` guarantees an element, but bind fallibly: the
-            // probe-set trim must never be able to panic a replica (F003).
+            // probe-set trim must never be able to panic a replica (the no-panic lints).
             let Some(&first) = self.former_members.iter().next() else { break };
             self.former_members.remove(&first);
         }

@@ -35,6 +35,13 @@
 //! is out of scope, as it is for JOSHUA.
 
 #![warn(missing_docs)]
+// Replica code: the construct bans of DESIGN.md 7.2 (name lists: /clippy.toml).
+#![cfg_attr(not(test), deny(
+    clippy::disallowed_types, clippy::disallowed_methods, clippy::cast_possible_truncation,
+    clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo,
+    clippy::unimplemented, clippy::wildcard_enum_match_arm, clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+))]
 
 pub mod config;
 pub mod detector;
@@ -43,6 +50,11 @@ pub mod group;
 pub mod link;
 pub mod msg;
 pub mod simharness;
+#[expect(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "harness, not a replica: a missing pump member must stop the experiment"
+)]
 pub mod testkit;
 pub mod view;
 

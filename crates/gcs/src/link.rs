@@ -39,8 +39,8 @@ impl<P> Default for InLink<P> {
 }
 
 /// All reliable links of one member, keyed by peer. Ordered maps so
-/// retransmission scans walk peers in a deterministic order (detlint
-/// D001).
+/// retransmission scans walk peers in a deterministic order
+/// (`clippy::disallowed_types`).
 #[derive(Clone, Debug, Hash)]
 pub struct LinkManager<P> {
     rto: SimDuration,

@@ -182,7 +182,7 @@ pub enum Wire<P> {
 }
 
 /// Saturating `usize → u32` length conversion for wire-size estimates
-/// (a lossy `as` cast here would wrap on pathological inputs, D005).
+/// (a lossy `as` cast here would wrap on pathological inputs: `clippy::cast_possible_truncation`).
 fn len32(n: usize) -> u32 {
     u32::try_from(n).unwrap_or(u32::MAX)
 }

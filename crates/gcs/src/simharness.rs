@@ -72,7 +72,7 @@ impl<P: Clone + 'static> GroupHost<P> {
     }
 
     /// Feed a received message. `Err` hands back a message that is not a
-    /// group frame (single fallible downcast, no check-then-expect: F003).
+    /// group frame (single fallible downcast, no check-then-expect: the no-panic lints).
     pub fn on_message(&mut self, ctx: &mut Ctx<'_>, from: ProcId, msg: Msg) -> Result<Vec<GcsEvent<P>>, Msg> {
         let frame = msg.downcast::<Wire<P>>()?;
         let out = self.member.on_wire(ctx.now(), from, *frame);
@@ -165,7 +165,7 @@ impl<P: Clone + 'static> Process for GcsProcess<P> {
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: ProcId, msg: Msg) {
         if from == EXTERNAL {
-            // Unknown harness payloads are dropped, not fatal (F003).
+            // Unknown harness payloads are dropped, not fatal (the no-panic lints).
             let Ok(cmd) = msg.downcast::<GcsCommand<P>>() else { return };
             let events = match *cmd {
                 GcsCommand::Broadcast(p) => self.host.broadcast(ctx, p),

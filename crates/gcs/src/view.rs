@@ -66,6 +66,7 @@ impl View {
     }
 
     /// The initial (bootstrap) view of a statically configured group.
+    #[expect(clippy::expect_used, reason = "an empty bootstrap list is a configuration error")]
     pub(crate) fn initial(members: Vec<ProcId>) -> Self {
         let mut v = View::new(ViewId::NONE, members);
         v.id = ViewId::bootstrap(v.leader().expect("bootstrap view must be non-empty"));

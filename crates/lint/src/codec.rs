@@ -120,7 +120,7 @@ pub(crate) fn build(cfg: &ProtoConfig, model: &Model) -> ProtoModel {
         })
         .collect();
 
-    for facts in model.files.iter().filter(|f| f.in_graph) {
+    for facts in &model.files {
         collect_decls(facts, &mut out.decls);
         collect_hand(facts, &mut out.hand);
         collect_uses(cfg, facts, &matrix_variants, &mut out.uses);

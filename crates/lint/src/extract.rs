@@ -1,6 +1,6 @@
 //! The extractor: one pass over a file's blanked lines that recovers
-//! items (impl blocks, functions, structs, enums), call sites, atoms,
-//! `let` bindings and field writes; plus a second char-level pass that
+//! items (impl blocks, functions, structs, enums), call sites, `let`
+//! bindings and field writes; plus a second char-level pass that
 //! recovers `match` expressions with their arm patterns.
 //!
 //! This is deliberately *not* a Rust parser. It is a brace/token state
@@ -11,8 +11,7 @@
 //! audited suppression pragmas for the rare residual false positive.
 
 use crate::model::{
-    Atom, AtomKind, BindSrc, CallSite, EnumDef, FieldWrite, FileFacts, FnDef, MatchArm, MatchSite,
-    Recv, StructDef,
+    BindSrc, CallSite, EnumDef, FieldWrite, FileFacts, FnDef, MatchArm, MatchSite, Recv, StructDef,
 };
 use crate::text::{find_token, has_token, is_ident, split_top_level, token_positions};
 
@@ -469,7 +468,6 @@ fn parse_fn_sig(
         ret,
         is_test,
         calls: Vec::new(),
-        atoms: Vec::new(),
         bindings: Vec::new(),
         field_writes: Vec::new(),
     }
@@ -549,65 +547,11 @@ fn parse_variant(line: &str) -> Option<String> {
     Some(name.to_string())
 }
 
-/// Scan one body line for calls, atoms, bindings and field writes.
+/// Scan one body line for calls, bindings and field writes.
 fn scan_body_line(line: &str, line_no: usize, f: &mut FnDef) {
-    scan_atoms(line, line_no, f);
     scan_bindings(line, f);
     scan_field_writes(line, f);
     scan_calls(line, line_no, f);
-}
-
-fn scan_atoms(line: &str, line_no: usize, f: &mut FnDef) {
-    if line.contains("debug_assert") {
-        return;
-    }
-    let mut push = |kind, token: &str| {
-        f.atoms.push(Atom {
-            line: line_no,
-            kind,
-            token: token.to_string(),
-        });
-    };
-    for pat in [".unwrap()", ".expect("] {
-        if line.contains(pat) {
-            push(
-                AtomKind::Panic,
-                pat.trim_matches(|c| c == '.' || c == '(' || c == ')'),
-            );
-        }
-    }
-    for mac in ["panic!", "unreachable!", "todo!", "unimplemented!"] {
-        if line.contains(mac) && !line.contains("catch_unwind") {
-            push(AtomKind::Panic, mac);
-        }
-    }
-    for pat in ["Instant::now", "SystemTime::now"] {
-        if line.contains(pat) {
-            push(AtomKind::WallClock, pat);
-        }
-    }
-    for tok in ["thread_rng", "from_entropy", "OsRng", "getrandom"] {
-        if has_token(line, tok) {
-            push(AtomKind::Rng, tok);
-        }
-    }
-    if line.contains("rand::random") {
-        push(AtomKind::Rng, "rand::random");
-    }
-    for pat in ["env::var", "env::args", "std::env"] {
-        if line.contains(pat) {
-            push(AtomKind::Env, pat);
-            break;
-        }
-    }
-    if line.contains("thread::spawn") {
-        push(AtomKind::ThreadSpawn, "thread::spawn");
-    }
-    for tok in ["HashMap", "HashSet"] {
-        if has_token(line, tok) {
-            push(AtomKind::HashOrder, tok);
-        }
-    }
 }
 
 fn scan_bindings(line: &str, f: &mut FnDef) {
@@ -1035,33 +979,6 @@ impl Process for Head {
             .calls
             .iter()
             .any(|c| c.name == "apply" && c.recv == Recv::Field("core".into())));
-    }
-
-    #[test]
-    fn atoms_and_test_regions() {
-        let src = "\
-fn hot(x: Option<u64>) -> u64 {
-    x.unwrap()
-}
-#[cfg(test)]
-mod tests {
-    fn t() {
-        y.unwrap();
-    }
-}
-";
-        let facts = extract("crates/core/src/x.rs", src);
-        let hot = facts.fns.iter().find(|f| f.name == "hot").unwrap();
-        assert!(!hot.is_test);
-        assert_eq!(
-            hot.atoms
-                .iter()
-                .filter(|a| a.kind == AtomKind::Panic)
-                .count(),
-            1
-        );
-        let t = facts.fns.iter().find(|f| f.name == "t").unwrap();
-        assert!(t.is_test);
     }
 
     #[test]

@@ -1,23 +1,21 @@
-//! `jrs-lint` — static analysis for the JOSHUA workspace.
+//! `jrs-lint` — the registry-backed static analysis of the JOSHUA
+//! workspace.
 //!
 //! JOSHUA's correctness argument (PAPER.md §3) is that every head node
 //! applies the same totally ordered command stream to a
 //! **deterministic** state machine, so all replicas remain
-//! byte-identical. The compiler cannot check that premise; this crate
-//! does, statically and with zero dependencies, in three pass families
-//! over **one** source model:
+//! byte-identical. Which *constructs* a replica may use — hash
+//! collections, clocks, floats, narrowing casts, panics, catch-all
+//! arms — is checked by clippy after name and type resolution: the
+//! lists are in the root `clippy.toml`, the deny block in each
+//! replicated crate's `lib.rs` (DESIGN.md §7.2). This crate keeps only
+//! what needs a registry the compiler does not have, in two pass
+//! families over **one** source model, with zero dependencies:
 //!
-//! * **D/P** ([`det`]) — line rules over the blanked text: no hash
-//!   collections (D001), wall clock (D002), ambient RNG (D003), float
-//!   fields (D004) or lossy casts / non-total sorts (D005) in
-//!   replicated-state crates, and no panics in the GCS delivery hot
-//!   path (P001).
-//! * **F** ([`flow`]) — reachability rules over the cross-crate call
-//!   graph, with shortest-call-chain witnesses: replicated state is
-//!   written only through ordered-delivery gates (F001), no
-//!   nondeterminism source is reachable from a state mutator (F002), no
-//!   panic construct is reachable from a `Process` callback (F003), and
-//!   protocol matches stay exhaustive (F004).
+//! * **F** ([`flow`]) — F001, gate interposition over the cross-crate
+//!   call graph: replicated state is written only through
+//!   ordered-delivery gates, reported with the shortest gate-avoiding
+//!   call chain.
 //! * **W** ([`proto`]) — wire-protocol conformance: every product codec
 //!   comes from one `codec!` declaration (W001), tag and field-order
 //!   stability against the committed `proto.lock` (W002), the
@@ -33,8 +31,9 @@
 //! ```
 //!
 //! on the offending line or the line above it, and audits the pragmas
-//! themselves under the code `SUPP`. Per-crate D/P exemptions live in
-//! [`det::EXEMPTIONS`]; the F and W registries in [`Config`].
+//! themselves under the code `SUPP`. (A clippy lint is waived with
+//! `#[expect(clippy::<lint>, reason = "...")]`, which rustc audits.)
+//! The F and W registries live in [`Config`].
 //!
 //! Run it three ways:
 //!
@@ -48,16 +47,14 @@
 //!
 //! The scanner strips comments, string literals, and char literals
 //! before matching, treats a trailing top-level `#[cfg(test)]` module
-//! as out of scope, and only visits files under a `src/` directory.
+//! as out of scope, and only visits `crates/*/src/**` and `src/**`.
 //! It is a brace/token state machine tuned to rustfmt-shaped code, not
-//! a type checker: renaming imports (`use std::collections::HashMap as
-//! Map`) can evade the line rules, and call resolution is heuristic
-//! (see [`graph`]). That is acceptable — the analysis exists to catch
-//! the accidental 2am case; deliberate evasion is what code review is
-//! for, and jrs-mc covers the dynamic flank.
+//! a type checker: call resolution is heuristic (see [`graph`]). That
+//! is acceptable — the analysis exists to catch the accidental 2am
+//! case; deliberate evasion is what code review is for, and jrs-mc
+//! covers the dynamic flank.
 
 pub mod codec;
-pub mod det;
 pub mod extract;
 pub mod flow;
 pub mod graph;
@@ -79,12 +76,11 @@ use std::collections::BTreeSet;
 use std::io;
 use std::path::Path;
 
-/// The audited registries the F and W passes run against (the D/P
-/// scoping tables are constants in [`det`]). Fixtures construct their
-/// own; the default is empty.
+/// The audited registries the F and W passes run against. Fixtures
+/// construct their own; the default is empty.
 #[derive(Clone, Debug, Default)]
 pub struct Config {
-    /// Replicated-state types, gates and scopes (F-rules).
+    /// Replicated-state types, gates and exempt roots (F001).
     pub flow: FlowConfig,
     /// Foundation and hand-written codecs, the send/handle matrix and
     /// length helpers (W-rules).
@@ -105,15 +101,14 @@ impl Config {
 /// constructs.
 pub const SUPP: Rule = Rule {
     code: "SUPP",
-    summary: "every `// lint: allow(...)` pragma must name known rules, carry a justification after a trailing colon, and suppress something; retired `detlint:`/`flow:`/`proto:` pragmas and stale registry entries (a hand-written-codec entry naming no such codec, a protocol-enum name that resolves to no definition or to one without variants) are findings too",
+    summary: "every `// lint: allow(...)` pragma must name known rules, carry a justification after a trailing colon, and suppress something; stale registry entries (a hand-written-codec entry naming no such codec, a protocol-enum name that resolves to no definition or to one without variants) are findings too",
     why: "an unexplained suppression is indistinguishable from a silenced bug, and a dead one hides the next real finding on its line; the justification is what reviewers audit",
 };
 
 /// Every rule, in family order.
 pub fn rules() -> impl Iterator<Item = &'static Rule> {
-    det::RULES
+    flow::RULES
         .iter()
-        .chain(flow::RULES)
         .chain(proto::RULES)
         .chain(std::iter::once(&SUPP))
 }
@@ -143,14 +138,12 @@ pub fn analyze<P: AsRef<str>, T: AsRef<str>>(
     let graph = graph::build(&model);
     let proto = codec::build(&cfg.proto, &model);
 
-    let mut raw: Vec<Finding> = model.files.iter().flat_map(det::scan).collect();
-    raw.extend(flow::check(&cfg.flow, &model, &graph));
+    let mut raw = flow::check(&cfg.flow, &model, &graph);
     raw.extend(proto::check(&cfg.proto, &model, &proto, lock));
 
     let report = Report {
         findings: suppress(&model, raw),
         files_scanned: model.files.len(),
-        graph_files: model.files.iter().filter(|f| f.in_graph).count(),
         fns: graph.fns.len(),
         edges: graph.edges.iter().map(Vec::len).sum(),
         codecs: proto.decls.len() + proto.hand.len(),
@@ -171,11 +164,11 @@ pub fn analyze_workspace(cfg: &Config, root: &Path) -> io::Result<Analysis> {
 
 /// The one suppression stage. A raw finding is waived by a pragma
 /// naming its rule on its line or the line above; then every pragma
-/// outside a trailing test module is audited: a retired dialect, an
-/// unknown rule, a missing reason, or a pragma that waived nothing is a
-/// `SUPP` finding (a reasonless pragma still waives — it is just
-/// required to explain itself). Returns the surviving findings in
-/// path/line/rule order.
+/// outside a trailing test module is audited: an unknown rule (the
+/// codes that moved to clippy included), a missing reason, or a pragma
+/// that waived nothing is a `SUPP` finding (a reasonless pragma still
+/// waives — it is just required to explain itself). Returns the
+/// surviving findings in path/line/rule order.
 pub(crate) fn suppress(model: &Model, raw: Vec<Finding>) -> Vec<Finding> {
     let mut used: BTreeSet<(&str, usize)> = BTreeSet::new();
     let mut out: Vec<Finding> = Vec::new();
@@ -187,7 +180,6 @@ pub(crate) fn suppress(model: &Model, raw: Vec<Finding>) -> Vec<Finding> {
                 .find(|p| {
                     // The audit's own findings are not waivable.
                     f.rule != SUPP.code
-                        && p.keyword == text::PRAGMA_KEYWORD
                         && p.line < facts.test_start
                         && (p.line == f.line || p.line + 1 == f.line)
                         && p.rules.iter().any(|r| r == f.rule)
@@ -211,13 +203,7 @@ pub(crate) fn suppress(model: &Model, raw: Vec<Finding>) -> Vec<Finding> {
                 .map(String::as_str)
                 .filter(|r| !rules().any(|known| known.code == *r))
                 .collect();
-            let message = if p.keyword != text::PRAGMA_KEYWORD {
-                format!(
-                    "retired pragma dialect `// {}: allow(..)` waives nothing — write \
-                     `// lint: allow({named}): <why this is safe>`",
-                    p.keyword
-                )
-            } else if !unknown.is_empty() {
+            let message = if !unknown.is_empty() {
                 format!(
                     "suppression names unknown rule{} {}",
                     if unknown.len() > 1 { "s" } else { "" },

@@ -11,15 +11,17 @@ use std::path::{Path, PathBuf};
 #[derive(Debug, Default)]
 pub struct Workspace {
     /// `(workspace-relative path with `/` separators, source text)` for
-    /// every `.rs` file under a `src/` directory, sorted by path.
+    /// every `.rs` file under `crates/*/src/` or the umbrella crate's
+    /// `src/`, sorted by path.
     pub files: Vec<(String, String)>,
     /// The committed `proto.lock` text, when present.
     pub lock: Option<String>,
 }
 
-/// Walk the workspace rooted at `root` and read every `.rs` file that
-/// lives under a `src/` directory — integration tests, benches, and
-/// examples are harness code, not replica state — plus `proto.lock`.
+/// Walk the workspace rooted at `root` and read every `.rs` file under
+/// `crates/*/src/` or `src/` — integration tests, benches and examples
+/// are harness code, and the shims are external API stand-ins, not
+/// replica logic — plus `proto.lock`.
 pub fn load(root: &Path) -> io::Result<Workspace> {
     let mut rel_files = Vec::new();
     walk(root, root, &mut rel_files)?;
@@ -35,8 +37,8 @@ pub fn load(root: &Path) -> io::Result<Workspace> {
     })
 }
 
-/// Recursively collect `.rs` files that live under a `src/` directory,
-/// skipping VCS metadata and build output.
+/// Recursively collect the `.rs` files of `crates/*/src/**` and
+/// `src/**`, skipping VCS metadata and build output.
 fn walk(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
@@ -50,7 +52,13 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
             walk(root, &path, out)?;
         } else if name.ends_with(".rs") {
             let rel = path.strip_prefix(root).unwrap_or(&path);
-            if rel.components().any(|c| c.as_os_str() == "src") {
+            let mut dirs = rel.iter();
+            let in_scope = match dirs.next().and_then(|d| d.to_str()) {
+                Some("src") => true,
+                Some("crates") => dirs.nth(1).is_some_and(|d| d == "src"),
+                _ => false,
+            };
+            if in_scope {
                 out.push(rel.to_path_buf());
             }
         }

@@ -5,19 +5,22 @@ use jrs_lint::{Analysis, Config, Report};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "jrs-lint — determinism (D/P), call-graph (F) and wire-protocol (W) analysis for the JOSHUA workspace
+const USAGE: &str =
+    "jrs-lint — replication-boundary (F001) and wire-protocol (W) analysis for the JOSHUA workspace
 
 USAGE:
-    jrs-lint check [--root <dir>] [--json]   analyse every src/**/*.rs; exit 1 on findings
+    jrs-lint check [--root <dir>] [--json]   analyse crates/*/src and src; exit 1 on findings
     jrs-lint lock [--root <dir>]             print the current wire schema as proto.lock text
     jrs-lint matrix [--root <dir>]           dump per-variant construct/handle sites
-    jrs-lint rules                           print the rule set, exemptions and audited registries
+    jrs-lint rules                           print the rule set and audited registries
 
 Waive a finding inline with `// lint: allow(RULE[, RULE]): <reason>` on the
 offending line or the line above it. Reasons are mandatory; stale pragmas are
-themselves findings (SUPP).";
+themselves findings (SUPP). Construct bans (hash collections, clocks, floats,
+panics, catch-all arms) are clippy lints: see clippy.toml and `cargo clippy`.";
 
 fn main() -> ExitCode {
+    #[expect(clippy::disallowed_methods, reason = "CLI argv")]
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (cmd, opts) = match args.split_first() {
         Some((cmd, opts)) => (cmd.as_str(), opts),
@@ -98,11 +101,10 @@ fn check(r: &Report, json: bool) -> ExitCode {
             println!("{f}");
         }
         println!(
-            "lint: {} — {} files ({} in call-graph scope), {} fns, {} call edges, {} codecs, \
-             {} use sites, {} finding(s){}",
+            "lint: {} — {} files, {} fns, {} call edges, {} codecs, {} use sites, \
+             {} finding(s){}",
             if r.clean() { "OK" } else { "FAILED" },
             r.files_scanned,
-            r.graph_files,
             r.fns,
             r.edges,
             r.codecs,
@@ -163,12 +165,8 @@ fn print_rules() {
         println!("{}  {}", r.code, r.summary);
         println!("      why: {}\n", r.why);
     }
-    println!("per-crate D/P exemptions:");
-    for (krate, rule, why) in jrs_lint::det::EXEMPTIONS {
-        println!("  {krate}: {rule} — {why}");
-    }
     let Config { flow, proto } = Config::workspace();
-    println!("\nregistered replicated state (F001/F002):");
+    println!("registered replicated state (F001):");
     for r in &flow.replicated {
         println!(
             "  {} (roots in: {}) — {}",
@@ -185,10 +183,6 @@ fn print_rules() {
     for (t, why) in &flow.exempt_roots {
         println!("  {t} — {why}");
     }
-    println!(
-        "\nprotocol enums (F004): {}",
-        flow.protocol_enums.join(", ")
-    );
     println!("\nfoundation codec layer (hand-written by design, outside W001; W004 applies):");
     for p in &proto.foundation_paths {
         println!("  {p}");

@@ -1,8 +1,8 @@
 //! The one source model every pass reads: per file, the blanked lines
-//! and pragmas (what the D/P line rules and W004 scan), plus the facts
-//! extracted from them — functions with their call sites, atoms (panic
-//! / nondeterminism constructs), bindings and field writes; struct
-//! field types; enum variants; and `match` sites.
+//! and pragmas (what W004 and the suppression stage scan), plus the
+//! facts extracted from them — functions with their call sites,
+//! bindings and field writes; struct field types; enum variants; and
+//! `match` sites.
 //!
 //! `Model::build` blanks each file once (`crate::text::preprocess`)
 //! and extracts it once (`crate::extract::items`); [`crate::graph`]
@@ -41,36 +41,6 @@ pub struct CallSite {
     pub name: String,
     /// Receiver shape.
     pub recv: Recv,
-}
-
-/// Classes of "interesting" constructs found on a body line.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AtomKind {
-    /// `unwrap` / `expect` / `panic!` / `unreachable!` / `todo!` /
-    /// `unimplemented!`.
-    Panic,
-    /// `Instant::now` / `SystemTime::now`.
-    WallClock,
-    /// Ambient RNG: `thread_rng` / `from_entropy` / `OsRng` /
-    /// `getrandom` / `rand::random`.
-    Rng,
-    /// Process environment reads.
-    Env,
-    /// OS thread spawning.
-    ThreadSpawn,
-    /// Hash-ordered collections (iteration order varies per process).
-    HashOrder,
-}
-
-/// One atom occurrence.
-#[derive(Clone, Debug)]
-pub struct Atom {
-    /// 1-based source line.
-    pub line: usize,
-    /// What kind of construct.
-    pub kind: AtomKind,
-    /// The matched token, for messages.
-    pub token: String,
 }
 
 /// Where a `let` binding's type comes from.
@@ -124,8 +94,6 @@ pub struct FnDef {
     pub is_test: bool,
     /// Call sites in the body.
     pub calls: Vec<CallSite>,
-    /// Atoms in the body.
-    pub atoms: Vec<Atom>,
     /// `let` bindings (single-assignment approximation).
     pub bindings: Vec<(String, BindSrc)>,
     /// `self.field = ..` assignments.
@@ -146,7 +114,7 @@ pub struct StructDef {
     pub is_test: bool,
 }
 
-/// An enum definition: the variant list drives F004 exhaustiveness.
+/// An enum definition: the variant list drives the W003 matrix.
 #[derive(Clone, Debug)]
 pub struct EnumDef {
     /// Crate key.
@@ -184,26 +152,14 @@ pub struct MatchSite {
 }
 
 /// Crate key for a workspace-relative path: `crates/<key>/…` is
-/// `<key>`, `shims/<name>/…` is `shim-<name>`, and everything else
-/// (the umbrella crate's `src/`, or an unknown top-level directory) is
-/// `joshua-repro` — the strictest scope, so a misplaced file is held to
-/// the replicated-state rules rather than escaping them.
+/// `<key>`, and everything else (the umbrella crate's `src/`, or an
+/// unknown top-level directory) is `joshua-repro`.
 pub(crate) fn crate_key(rel_path: &str) -> String {
     let mut parts = rel_path.split('/');
     match (parts.next(), parts.next()) {
         (Some("crates"), Some(name)) => name.to_string(),
-        (Some("shims"), Some(name)) => format!("shim-{name}"),
         _ => "joshua-repro".to_string(),
     }
-}
-
-/// Is this file part of the call graph (the F- and W-rules' scope)?
-/// `crates/*/src/**` and the umbrella crate's `src/**` are; shims are
-/// external API stand-ins, not replica logic, and get the line rules
-/// only.
-fn in_graph(rel_path: &str) -> bool {
-    let parts: Vec<&str> = rel_path.split('/').collect();
-    matches!(parts.as_slice(), ["crates", _, "src", ..] | ["src", ..])
 }
 
 /// Everything known about one file.
@@ -222,8 +178,6 @@ pub struct FileFacts {
     /// from there on is test scaffolding, out of every rule's scope), or
     /// `usize::MAX`.
     pub test_start: usize,
-    /// In call-graph scope; when false the four lists below are empty.
-    pub in_graph: bool,
     /// Functions, in source order.
     pub fns: Vec<FnDef>,
     /// Structs.
@@ -242,7 +196,6 @@ impl FileFacts {
         let mut facts = FileFacts {
             crate_key: crate_key(&path),
             test_start: clean.test_module_start().unwrap_or(usize::MAX),
-            in_graph: in_graph(&path),
             path,
             lines: clean.code_lines,
             pragmas: clean.pragmas,
@@ -251,9 +204,7 @@ impl FileFacts {
             enums: Vec::new(),
             matches: Vec::new(),
         };
-        if facts.in_graph {
-            crate::extract::items(&mut facts);
-        }
+        crate::extract::items(&mut facts);
         facts
     }
 
@@ -343,22 +294,12 @@ mod tests {
     #[test]
     fn classify_paths() {
         assert_eq!(crate_key("crates/gcs/src/engine.rs"), "gcs");
-        assert_eq!(crate_key("shims/rand/src/lib.rs"), "shim-rand");
         assert_eq!(crate_key("src/lib.rs"), "joshua-repro");
         assert_eq!(crate_key("benchmark/src/main.rs"), "joshua-repro");
-        assert!(in_graph("crates/bench/src/benchmark/main.rs"));
-        assert!(in_graph("src/lib.rs"));
-        assert!(!in_graph("shims/rand/src/lib.rs"));
-        assert!(!in_graph("crates/gcs/tests/src/x.rs"));
-    }
-
-    #[test]
-    fn files_outside_the_call_graph_keep_lines_and_pragmas_only() {
-        let src = "fn f() {} // lint: allow(D003): shim\n";
-        let shim = FileFacts::new("shims\\rand\\src\\lib.rs", src);
-        assert_eq!(shim.path, "shims/rand/src/lib.rs");
-        assert!(!shim.in_graph && shim.fns.is_empty());
-        assert_eq!((shim.lines.len(), shim.pragmas.len()), (1, 1));
-        assert_eq!(FileFacts::new("crates/sim/src/lib.rs", src).fns.len(), 1);
+        let win = FileFacts::new("crates\\sim\\src\\lib.rs", "fn f() {}\n");
+        assert_eq!(
+            (win.path.as_str(), win.fns.len()),
+            ("crates/sim/src/lib.rs", 1)
+        );
     }
 }

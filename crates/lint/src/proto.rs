@@ -5,9 +5,9 @@
 //! JOSHUA replicas agree because every head decodes exactly the bytes
 //! its peers encode: the WAL a head replays at recovery, the snapshots
 //! it installs, and the `Payload` stream the total-order engine
-//! delivers all travel through `Codec` impls. The D/P rules check
-//! determinism lexically, the F rules check state-mutation dataflow,
-//! and jrs-mc checks interleavings dynamically — but none of them see
+//! delivers all travel through `Codec` impls. Clippy checks which
+//! constructs a replica uses, F001 checks state-mutation dataflow, and
+//! jrs-mc checks interleavings dynamically — but none of them see
 //! the *protocol*: a reordered field list, a renumbered discriminant, or
 //! a sent-but-unhandled message ships silently and corrupts recovery
 //! or wedges a replica.

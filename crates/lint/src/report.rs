@@ -5,7 +5,7 @@ use std::fmt;
 
 /// Static description of one rule (printed by `jrs-lint rules`).
 pub struct Rule {
-    /// Rule code, e.g. `D001`.
+    /// Rule code, e.g. `F001`.
     pub code: &'static str,
     /// What the rule demands.
     pub summary: &'static str,
@@ -16,8 +16,7 @@ pub struct Rule {
 /// One diagnostic, from any pass.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule code (`D001`..`D005`, `P001`, `F001`..`F004`,
-    /// `W001`..`W004`, `SUPP`).
+    /// Rule code (`F001`, `W001`..`W004`, `SUPP`).
     pub rule: &'static str,
     /// Workspace-relative file the finding anchors to.
     pub path: String,
@@ -25,7 +24,7 @@ pub struct Finding {
     pub line: usize,
     /// Human-readable description of what tripped and how to fix it.
     pub message: String,
-    /// Witness lines. F001–F003: the shortest call chain, root first,
+    /// Witness lines. F001: the shortest call chain, root first,
     /// one `Type::method (path:line)` per hop, where the line is the
     /// call site into the next hop (the function's own definition line
     /// for the final hop). W003: the construct sites of the unhandled
@@ -73,10 +72,8 @@ impl fmt::Display for Finding {
 pub struct Report {
     /// All findings that survived suppression, in path/line/rule order.
     pub findings: Vec<Finding>,
-    /// Number of `.rs` files scanned (the D/P rules' scope).
+    /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// How many of them are in call-graph scope (the F/W rules' scope).
-    pub graph_files: usize,
     /// Number of functions extracted.
     pub fns: usize,
     /// Number of resolved call edges.
@@ -113,10 +110,9 @@ impl Report {
             })
             .collect();
         format!(
-            "{{\"files_scanned\":{},\"graph_files\":{},\"fns\":{},\"edges\":{},\
+            "{{\"files_scanned\":{},\"fns\":{},\"edges\":{},\
              \"codecs\":{},\"use_sites\":{},\"findings\":[{}]}}",
             self.files_scanned,
-            self.graph_files,
             self.fns,
             self.edges,
             self.codecs,
@@ -153,17 +149,16 @@ mod tests {
     fn json_escapes_and_shapes() {
         let r = Report {
             findings: vec![Finding {
-                rule: "F003",
+                rule: "F001",
                 path: "crates/x/src/a.rs".into(),
                 line: 7,
-                message: "panic \"here\"\nand there".into(),
+                message: "written \"here\"\nand there".into(),
                 chain: vec![
                     "T::m (crates/x/src/a.rs:3)".into(),
                     "encode writes : [a, b]".into(),
                 ],
             }],
             files_scanned: 2,
-            graph_files: 1,
             fns: 2,
             edges: 1,
             codecs: 1,
@@ -172,9 +167,9 @@ mod tests {
         let j = r.to_json();
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(!j.contains('\n'), "single-line JSON: {j}");
-        assert!(j.contains("\"files_scanned\":2,\"graph_files\":1,\"fns\":2,\"edges\":1"));
+        assert!(j.contains("\"files_scanned\":2,\"fns\":2,\"edges\":1"));
         assert!(j.contains("\"codecs\":1,\"use_sites\":0"));
-        assert!(j.contains("\"rule\":\"F003\""));
+        assert!(j.contains("\"rule\":\"F001\""));
         assert!(j.contains("\\\"here\\\""));
         assert!(j.contains("\\n"));
         assert!(j.contains("\"chain\":[\"T::m (crates/x/src/a.rs:3)\",\"encode writes : [a, b]\"]"));
@@ -182,12 +177,12 @@ mod tests {
 
     #[test]
     fn display_is_path_line_rule_message_then_witness() {
-        let mut f = Finding::new("D001", "crates/gcs/src/x.rs", 4, "msg".into(), vec![]);
-        assert_eq!(f.to_string(), "crates/gcs/src/x.rs:4: D001: msg");
+        let mut f = Finding::new("W004", "crates/gcs/src/x.rs", 4, "msg".into(), vec![]);
+        assert_eq!(f.to_string(), "crates/gcs/src/x.rs:4: W004: msg");
         f.chain = vec!["A::a (p:1)".into(), "B::b (q:2)".into()];
         assert_eq!(
             f.to_string(),
-            "crates/gcs/src/x.rs:4: D001: msg\n    A::a (p:1)\n    B::b (q:2)"
+            "crates/gcs/src/x.rs:4: W004: msg\n    A::a (p:1)\n    B::b (q:2)"
         );
     }
 }

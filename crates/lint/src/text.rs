@@ -8,23 +8,12 @@
 //! message text. Pragmas are read from the *original* text, since they
 //! live in comments.
 
-/// The one pragma keyword: `// lint: allow(RULE[, RULE]): reason`.
-pub const PRAGMA_KEYWORD: &str = "lint";
-
-/// Keywords of the three retired per-tool dialects. A comment in one of
-/// them still parses, so the suppression stage can report it instead of
-/// letting it rot as a silently ignored comment; it waives nothing.
-pub const OLD_DIALECTS: &[&str] = &["detlint", "flow", "proto"];
-
 /// A `// lint: allow(RULE): reason` suppression found in a comment.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Pragma {
     /// 1-based line the pragma appears on.
     pub line: usize,
-    /// The keyword it was written with: [`PRAGMA_KEYWORD`], or one of
-    /// [`OLD_DIALECTS`].
-    pub keyword: &'static str,
-    /// Rule codes being suppressed, e.g. `["D001"]`.
+    /// Rule codes being suppressed, e.g. `["W001"]`.
     pub rules: Vec<String>,
     /// Justification text after the closing paren (may be empty —
     /// which is itself reported as a violation).
@@ -75,7 +64,7 @@ enum Mode {
 /// Blank out comments, strings, and char literals; collect pragmas.
 ///
 /// Pragmas are recognised only in genuine line comments whose text
-/// (after the `//`/`///`/`//!` marker) *starts with* the keyword —
+/// (after the `//`/`///`/`//!` marker) *starts with* `lint:` —
 /// mentions of the pragma syntax inside documentation prose or string
 /// literals never count.
 pub(crate) fn preprocess(text: &str) -> CleanSource {
@@ -257,16 +246,14 @@ fn is_char_literal(s: &[char]) -> bool {
 }
 
 /// Parse one line comment (including its `//`/`///`/`//!` marker) into
-/// a `<keyword>: allow(R1[, R2...]): reason` pragma, if its text starts
-/// with the pragma keyword (or a retired dialect's).
+/// a `lint: allow(R1[, R2...]): reason` pragma, if its text starts
+/// with `lint:`.
 fn parse_pragma(comment: &str, line: usize) -> Option<Pragma> {
     let body = comment
         .trim_start_matches('/')
         .trim_start_matches('!')
         .trim_start();
-    let (keyword, rest) = std::iter::once(&PRAGMA_KEYWORD)
-        .chain(OLD_DIALECTS)
-        .find_map(|k| Some((*k, body.strip_prefix(k)?.trim_start().strip_prefix(':')?)))?;
+    let rest = body.strip_prefix("lint")?.trim_start().strip_prefix(':')?;
     let rest = rest.trim_start();
     let rest = rest.strip_prefix("allow")?.trim_start();
     let rest = rest.strip_prefix('(')?;
@@ -287,7 +274,6 @@ fn parse_pragma(comment: &str, line: usize) -> Option<Pragma> {
     } else {
         Some(Pragma {
             line,
-            keyword,
             rules,
             reason,
         })
@@ -330,15 +316,6 @@ pub(crate) fn find_token(line: &str, word: &str) -> Option<usize> {
 /// a substring of a longer identifier)?
 pub(crate) fn has_token(line: &str, word: &str) -> bool {
     find_token(line, word).is_some()
-}
-
-/// Net `{` minus `}` on a (cleaned) line.
-pub(crate) fn brace_delta(line: &str) -> i32 {
-    line.chars().fold(0, |d, c| match c {
-        '{' => d + 1,
-        '}' => d - 1,
-        _ => d,
-    })
 }
 
 /// Split `a: A, b: BTreeMap<K, V>` at top-level commas (outside any
@@ -413,32 +390,32 @@ mod tests {
 
     #[test]
     fn pragma_parsing() {
-        let src = "use std::collections::HashMap; // lint: allow(D001): lookup-only cache\n";
+        let src = "impl Codec for Grant { // lint: allow(W001): pinned by golden bytes\n";
         let clean = preprocess(src);
         assert_eq!(clean.pragmas.len(), 1);
         let p = &clean.pragmas[0];
-        assert_eq!((p.line, p.keyword), (1, PRAGMA_KEYWORD));
-        assert_eq!(p.rules, vec!["D001"]);
-        assert_eq!(p.reason, "lookup-only cache");
+        assert_eq!(p.line, 1);
+        assert_eq!(p.rules, vec!["W001"]);
+        assert_eq!(p.reason, "pinned by golden bytes");
     }
 
     #[test]
     fn pragma_may_name_several_rules_and_omit_the_reason() {
-        let src = "// lint: allow(p001, F003)\nfoo.unwrap();\n";
+        let src = "// lint: allow(f001, W004)\nself.core.bump();\n";
         let clean = preprocess(src);
-        assert_eq!(clean.pragmas[0].rules, vec!["P001", "F003"]);
+        assert_eq!(clean.pragmas[0].rules, vec!["F001", "W004"]);
         assert_eq!(clean.pragmas[0].reason, "");
     }
 
     #[test]
-    fn old_dialects_parse_with_their_keyword_and_prose_does_not() {
-        let src = "x.unwrap(); // flow: allow(F003): bounded by construction\n\
-                   // write `// lint: allow(F003): why` to waive it\n\
-                   let s = \"// lint: allow(F003): in a string\";\n";
+    fn only_a_comment_that_starts_with_the_keyword_is_a_pragma() {
+        let src = "x.bump(); // flow: allow(F001): a retired dialect is an ordinary comment\n\
+                   // write `// lint: allow(F001): why` to waive it\n\
+                   let s = \"// lint: allow(F001): in a string\";\n\
+                   // lint: allow(F001): the real thing\n";
         let clean = preprocess(src);
         assert_eq!(clean.pragmas.len(), 1, "{:?}", clean.pragmas);
-        assert_eq!(clean.pragmas[0].keyword, "flow");
-        assert_eq!(clean.pragmas[0].rules, vec!["F003"]);
+        assert_eq!(clean.pragmas[0].line, 4);
     }
 
     #[test]
@@ -471,7 +448,6 @@ mod tests {
         assert_eq!(balanced("(a, (b)) tail", '(', ')'), Some("a, (b)"));
         assert_eq!(balanced("[0u8; n]", '[', ']'), Some("0u8; n"));
         assert_eq!(balanced("(open", '(', ')'), None);
-        assert_eq!(brace_delta("} else { {"), 1);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Fixture corpus for the graph rules: known-good and known-bad source
-//! trees for F001–F004 plus their suppression, driven through
+//! Fixture corpus for the graph rule: known-good and known-bad source
+//! trees for F001 plus its suppression, driven through
 //! [`jrs_lint::analyze`] with a fixture-local registry. The bad
 //! fixtures pin the finding *and* its witness chain; the good fixtures
 //! pin silence.
@@ -18,11 +18,6 @@ fn cfg() -> Config {
         }],
         gates: vec!["Server::apply".into()],
         exempt_roots: vec![],
-        protocol_enums: vec![],
-        match_scope: vec!["fix".into()],
-        panic_scope: vec!["fix".into()],
-        root_scope: vec!["fix".into()],
-        nondet_scope: vec!["fix".into()],
     };
     Config {
         flow,
@@ -30,23 +25,8 @@ fn cfg() -> Config {
     }
 }
 
-/// [`cfg`] plus the protocol enum `ProtoMsg`, for the trees that define
-/// it: a registered name that resolves to nothing is a stale entry.
-fn cfg_f004() -> Config {
-    let mut c = cfg();
-    c.flow.protocol_enums = vec!["ProtoMsg".into()];
-    c
-}
-
-/// Run every pass, keep the F findings and the suppression audit: the
-/// D/P line rules also fire on some of these trees (the F002 fixture
-/// reads `Instant::now`), which is `det_fixtures.rs`' business.
 fn check_files(cfg: &Config, files: &[(&str, &str)]) -> Report {
-    let mut report = analyze(cfg, files, None).report;
-    report
-        .findings
-        .retain(|f| f.rule.starts_with('F') || f.rule == "SUPP");
-    report
+    analyze(cfg, files, None).report
 }
 
 /// 1-based line of the first occurrence of `needle`.
@@ -153,168 +133,19 @@ fn f001_ignores_exempt_root_types() {
     assert!(report.clean(), "{:#?}", report.findings);
 }
 
-// ---------------------------------------------------------------- F002
-
-const F002_BAD: &str = r#"
-pub struct Engine {
-    pub n: u64,
-}
-
-impl Engine {
-    pub fn bump(&mut self) {
-        self.n = stamp();
-    }
-}
-
-fn stamp() -> u64 {
-    let t = std::time::Instant::now();
-    t.elapsed().as_nanos() as u64
-}
-"#;
-
-#[test]
-fn f002_flags_wall_clock_reachable_from_mutator() {
-    let report = check_files(&cfg(), &[("crates/fix/src/lib.rs", F002_BAD)]);
-    assert_eq!(report.findings.len(), 1, "{:#?}", report.findings);
-    let f = &report.findings[0];
-    assert_eq!(f.rule, "F002");
-    assert_eq!(f.line, line_of(F002_BAD, "Instant::now"));
-    assert!(f.message.contains("Instant::now"), "{}", f.message);
-    assert_eq!(chain_names(f), vec!["Engine::bump", "stamp"]);
-}
-
-#[test]
-fn f002_ignores_nondeterminism_outside_mutator_reach() {
-    // Same clock use, but nothing links the mutator to it.
-    let good = F002_BAD.replace("self.n = stamp();", "self.n += 1;");
-    let report = check_files(&cfg(), &[("crates/fix/src/lib.rs", &good)]);
-    assert!(report.clean(), "{:#?}", report.findings);
-}
-
-// ---------------------------------------------------------------- F003
-
-const F003_BAD: &str = r#"
-pub struct Daemon {
-    slot: Option<u64>,
-}
-
-impl Daemon {
-    fn read_slot(&mut self) -> u64 {
-        self.slot.take().unwrap()
-    }
-}
-
-impl Process for Daemon {
-    fn on_timer(&mut self) {
-        let _v = self.read_slot();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn test_helpers_may_unwrap() {
-        let v: Option<u64> = Some(3);
-        assert_eq!(v.unwrap(), 3);
-    }
-}
-"#;
-
-#[test]
-fn f003_flags_panic_reachable_from_callback_not_from_tests() {
-    let report = check_files(&cfg(), &[("crates/fix/src/lib.rs", F003_BAD)]);
-    // Exactly one finding: the unwrap inside `mod tests` is exempt.
-    assert_eq!(report.findings.len(), 1, "{:#?}", report.findings);
-    let f = &report.findings[0];
-    assert_eq!(f.rule, "F003");
-    assert_eq!(f.line, line_of(F003_BAD, "take().unwrap()"));
-    assert_eq!(
-        chain_names(f),
-        vec!["Daemon::on_timer", "Daemon::read_slot"]
-    );
-}
-
-#[test]
-fn f003_accepts_fallible_degrade() {
-    let good = F003_BAD.replace(
-        "self.slot.take().unwrap()",
-        "match self.slot.take() { Some(v) => v, None => 0 }",
-    );
-    let report = check_files(&cfg(), &[("crates/fix/src/lib.rs", &good)]);
-    assert!(report.clean(), "{:#?}", report.findings);
-}
-
-// ---------------------------------------------------------------- F004
-
-const F004_BAD: &str = r#"
-pub enum ProtoMsg {
-    Ping,
-    Pong,
-    Data(u64),
-}
-
-pub fn handle(m: &ProtoMsg) -> u32 {
-    match m {
-        ProtoMsg::Ping => 1,
-        _ => 0,
-    }
-}
-"#;
-
-#[test]
-fn f004_flags_catch_all_over_protocol_enum_naming_swallowed_variants() {
-    let report = check_files(&cfg_f004(), &[("crates/fix/src/lib.rs", F004_BAD)]);
-    assert_eq!(report.findings.len(), 1, "{:#?}", report.findings);
-    let f = &report.findings[0];
-    assert_eq!(f.rule, "F004");
-    assert_eq!(f.line, line_of(F004_BAD, "_ => 0"));
-    assert!(f.message.contains("Pong"), "{}", f.message);
-    assert!(f.message.contains("Data"), "{}", f.message);
-}
-
-#[test]
-fn f004_accepts_exhaustive_match_and_ignores_other_enums() {
-    let good = r#"
-pub enum ProtoMsg {
-    Ping,
-    Pong,
-    Data(u64),
-}
-
-pub enum LocalChoice {
-    Yes,
-    No,
-}
-
-pub fn handle(m: &ProtoMsg) -> u32 {
-    match m {
-        ProtoMsg::Ping => 1,
-        ProtoMsg::Pong => 2,
-        ProtoMsg::Data(_) => 3,
-    }
-}
-
-pub fn pick(c: &LocalChoice) -> u32 {
-    match c {
-        LocalChoice::Yes => 1,
-        _ => 0,
-    }
-}
-"#;
-    let report = check_files(&cfg_f004(), &[("crates/fix/src/lib.rs", good)]);
-    assert!(report.clean(), "{:#?}", report.findings);
-}
-
 // ---------------------------------------------------------------- SUPP
+
+/// [`F001_BAD`] with a justified waiver above the leaking mutator.
+fn f001_waived() -> String {
+    F001_BAD.replace(
+        "    pub fn bump",
+        "    // lint: allow(F001): fixture — sneak is only reachable during bootstrap\n    pub fn bump",
+    )
+}
 
 #[test]
 fn supp_pragma_waives_a_finding_and_counts_as_used() {
-    let src = F003_BAD.replace(
-        "        self.slot.take().unwrap()",
-        "        // lint: allow(F003): fixture — slot is refilled before every timer\n        \
-         self.slot.take().unwrap()",
-    );
-    let report = check_files(&cfg(), &[("crates/fix/src/lib.rs", &src)]);
+    let report = check_files(&cfg(), &[("crates/fix/src/lib.rs", &f001_waived())]);
     assert!(report.clean(), "{:#?}", report.findings);
 }
 
@@ -327,7 +158,7 @@ pub fn a() {}
 // lint: allow(F999): no such rule
 pub fn b() {}
 
-// lint: allow(F003): suppresses nothing on this line
+// lint: allow(F001): suppresses nothing on this line
 pub fn c() {}
 "#;
     let report = check_files(&cfg(), &[("crates/fix/src/lib.rs", src)]);
@@ -344,35 +175,24 @@ pub fn c() {}
 }
 
 #[test]
-fn supp_audits_line_rule_pragmas_for_staleness_without_a_re_lint() {
-    // A load-bearing D001 pragma (suppresses a real D001 in a
-    // replicated-state crate) and a stale one (suppresses nothing). The
-    // verdict comes from matching raw findings to pragmas in the one
-    // suppression stage; nothing is linted twice.
-    let src = r#"
-use std::collections::HashMap;
-
-pub fn live() -> usize {
-    // lint: allow(D001): fixture — drained into a sorted Vec below
-    let m: HashMap<u32, u32> = HashMap::new();
-    m.len()
-}
-
-pub fn stale() -> u64 {
-    // lint: allow(D002): fixture — nothing on this line needs it
-    7
-}
-"#;
-    let report = check_files(&cfg(), &[("crates/gcs/src/fixture_demo.rs", src)]);
+fn supp_audits_pragmas_for_staleness_without_a_re_lint() {
+    // A load-bearing F001 pragma (waives the real leak) and a stale one
+    // (waives nothing) in one file. The verdict comes from matching raw
+    // findings to pragmas in the one suppression stage; nothing is
+    // linted twice.
+    let src = f001_waived()
+        + "\npub fn stale() -> u64 {\n    \
+           // lint: allow(W004): fixture — nothing on this line needs it\n    7\n}\n";
+    let report = check_files(&cfg(), &[("crates/fix/src/lib.rs", &src)]);
     assert_eq!(report.findings.len(), 1, "{:#?}", report.findings);
     let stale = &report.findings[0];
     assert_eq!(
         (stale.rule, stale.line),
-        ("SUPP", line_of(src, "allow(D002)"))
+        ("SUPP", line_of(&src, "allow(W004)"))
     );
     assert_eq!(
         stale.message,
-        "suppression allow(D002) suppresses nothing — remove it"
+        "suppression allow(W004) suppresses nothing — remove it"
     );
 }
 
@@ -381,18 +201,17 @@ pub fn stale() -> u64 {
 #[test]
 fn corpus_reports_graph_statistics_and_json() {
     let report = check_files(
-        &cfg_f004(),
+        &cfg(),
         &[
             ("crates/fix/src/lib.rs", F001_BAD),
-            ("crates/fix/src/proto.rs", F004_BAD),
+            ("crates/fix/src/util.rs", "pub fn helper() {}\n"),
         ],
     );
-    assert_eq!((report.files_scanned, report.graph_files), (2, 2));
+    assert_eq!(report.files_scanned, 2);
     assert!(report.fns >= 5, "fns extracted: {}", report.fns);
     assert!(report.edges >= 3, "edges resolved: {}", report.edges);
     // JSON rendering round-trips the essentials for CI diffing.
     let json = report.to_json();
     assert!(json.contains("\"rule\":\"F001\""));
-    assert!(json.contains("\"rule\":\"F004\""));
     assert!(json.contains("Server::sneak"));
 }

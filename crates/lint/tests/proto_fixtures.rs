@@ -436,27 +436,20 @@ fn apply(c: &Cmd) -> u64 {
 /// entry, not a rule that quietly checks nothing.
 #[test]
 fn supp_registered_enum_that_does_not_resolve() {
-    let mut cfg = cfg_with_matrix(&[("Msg", &["core"]), ("Gone", &["core"])]);
-    cfg.flow.protocol_enums = vec!["Msg".into(), "Renamed".into()];
+    let cfg = cfg_with_matrix(&[("Msg", &["core"]), ("Gone", &["core"])]);
     let lock = "enum Msg {\n  Ping = 0\n  Bye = 1\n}\n";
     let r = check_files(&cfg, &[("crates/core/src/a.rs", GOOD_ENUM)], Some(lock));
     let supp: Vec<&str> = r.findings.iter().map(|f| f.message.as_str()).collect();
-    assert_eq!(r.findings.len(), 2, "{:?}", r.findings);
+    assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
     assert!(r.findings.iter().all(|f| f.rule == "SUPP"));
     assert!(
         supp.iter()
             .any(|m| m.contains("send/handle matrix entry `Gone` resolves to no enum definition")),
         "{supp:?}"
     );
-    assert!(
-        supp.iter()
-            .any(|m| m
-                .contains("protocol-enum registry entry `Renamed` resolves to no enum definition")),
-        "{supp:?}"
-    );
 
     // A definition the extractor reads no variants from is as stale.
-    let empty = "pub enum Gone {}\npub enum Renamed {}\n";
+    let empty = "pub enum Gone {}\n";
     let r = check_files(
         &cfg,
         &[
@@ -465,7 +458,7 @@ fn supp_registered_enum_that_does_not_resolve() {
         ],
         Some(lock),
     );
-    assert_eq!(r.findings.len(), 2, "{:?}", r.findings);
+    assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
     assert!(
         r.findings
             .iter()

@@ -326,7 +326,7 @@ impl PbsMomCore {
     /// A session won the launch mutex (or local grant): really execute.
     fn grant(&mut self, job: JobId, server: ProcId) -> Vec<MomAction> {
         // A verdict for a job this mom no longer tracks (e.g. cancelled
-        // while the acquire was in flight) is ignorable, not fatal (F003).
+        // while the acquire was in flight) is ignorable, not fatal (the no-panic lints).
         let Some(entry) = self.jobs.get_mut(&job) else { return vec![] };
         let session = entry.sessions.get(&server).map(|s| s.id).unwrap_or(0);
         match entry.phase {
@@ -390,7 +390,7 @@ impl PbsMomCore {
         };
         let was_running_session = match entry.phase {
             Phase::Running { session } => Some(session),
-            _ => None,
+            Phase::Arbitrating | Phase::Done { .. } => None,
         };
         entry.phase = Phase::Done { exit: code };
         let mut acts = Vec::new();

@@ -83,7 +83,9 @@ impl PbsCostModel {
     pub fn cost_of(&self, cmd: &ServerCmd) -> SimDuration {
         match cmd {
             ServerCmd::Qstat(_) => self.stat_processing,
-            _ => self.cmd_processing,
+            ServerCmd::Qsub(_) | ServerCmd::Qdel(_) | ServerCmd::Qhold(_) | ServerCmd::Qrls(_) => {
+                self.cmd_processing
+            }
         }
     }
 }
@@ -187,7 +189,7 @@ impl PbsMomProcess {
 
 impl Process for PbsMomProcess {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: ProcId, msg: Msg) {
-        // A daemon must degrade on an unexpected payload, not die (F003).
+        // A daemon must degrade on an unexpected payload, not die (the no-panic lints).
         let Ok(msg) = msg.downcast::<MomInbound>() else { return };
         let actions = self.core.on_msg(*msg);
         self.perform(ctx, actions);
@@ -355,7 +357,7 @@ impl Process for PbsClientProcess {
         let timer = ctx.set_timer(self.timeout, 1);
         // One borrow of the outstanding slot for the whole update:
         // no second `as_mut().unwrap()` that could race a reply
-        // clearing the slot between the two accesses (F003).
+        // clearing the slot between the two accesses (the no-panic lints).
         let Some(out) = &mut self.outstanding else {
             ctx.cancel_timer(timer);
             return;

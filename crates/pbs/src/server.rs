@@ -315,7 +315,7 @@ impl PbsServerCore {
         let mut actions = Vec::new();
         for id in std::mem::take(&mut self.running_since).into_keys() {
             // `running_since` only names known jobs, but degrade rather
-            // than panic on the delivery path if that ever changes (F003).
+            // than panic on the delivery path if that ever changes (the no-panic lints).
             let Some(j) = self.jobs.get_mut(&id) else { continue };
             let nodes = std::mem::take(&mut j.allocated);
             set_state(&mut self.queue, j, JobState::Queued);
@@ -360,7 +360,7 @@ impl PbsServerCore {
             };
             // Check the job before committing the allocation: a policy
             // that names an unknown job must stall the pass, not panic a
-            // replica mid-delivery (F003).
+            // replica mid-delivery (the no-panic lints).
             let Some(job) = self.jobs.get_mut(&alloc.job) else { break };
             self.pool.allocate(&alloc.nodes);
             set_state(&mut self.queue, job, JobState::Running);

@@ -74,14 +74,11 @@ fn submission_latency_in_paper_ballpark() {
     run_to_idle(&mut tb);
     let records = tb.world.take_emitted::<SubmitRecord>();
     assert_eq!(records.len(), 20);
-    let mean_ms: f64 = records
-        .iter()
-        .map(|(_, _, r)| r.latency.as_millis_f64())
-        .sum::<f64>()
-        / records.len() as f64;
+    let mean_ns =
+        records.iter().map(|(_, _, r)| r.latency.as_nanos()).sum::<u64>() / records.len() as u64;
     assert!(
-        (85.0..115.0).contains(&mean_ms),
-        "baseline submission latency {mean_ms:.1}ms is outside the calibrated \
+        (85_000_000..115_000_000).contains(&mean_ns),
+        "baseline submission latency {mean_ns}ns is outside the calibrated \
          window around the paper's 98ms"
     );
 }

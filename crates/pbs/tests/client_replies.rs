@@ -1,6 +1,6 @@
 //! Regression tests for the client's outstanding-request handling.
 //!
-//! jrs-flow's first whole-workspace sweep (F003) flagged the reply path
+//! The first whole-workspace panic-reachability sweep flagged the reply path
 //! in `PbsClientProcess`: `outstanding.take().unwrap()` after a separate
 //! `is_some` check, and a second `as_mut().unwrap()` on the retry timer
 //! path. Those were rewritten as a single fallible take-then-reinsert;

@@ -14,7 +14,7 @@
 //! The replicated-state crates derive [`std::hash::Hash`] on their state
 //! types and feed them through [`fingerprint`]; because every such type
 //! stores its collections in ordered containers (`BTreeMap`/`BTreeSet`,
-//! detlint D001), the byte stream — and hence the digest — is identical
+//! `clippy::disallowed_types`), the byte stream — and hence the digest — is identical
 //! across replicas.
 
 use std::hash::{Hash, Hasher};

@@ -44,6 +44,8 @@
 //! ```
 
 #![warn(missing_docs)]
+// Hash sets key lookups here (Cargo.toml allows the type); no hash order may reach an event order.
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
 
 pub mod disk;
 pub mod fingerprint;

@@ -12,8 +12,8 @@
 //! above it (the PBS and JOSHUA types whose bytes land in the WAL, in
 //! snapshots and in state transfers) is declared once with
 //! [`codec!`](crate::codec!), which emits both directions from a single
-//! field list, so the two cannot disagree. The `jrs-lint` determinism
-//! rules D001–D005 apply to all such types.
+//! field list, so the two cannot disagree. The construct bans of the
+//! crate's deny block (`lib.rs`) apply to all such types.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -75,7 +75,7 @@ impl<'a> Reader<'a> {
 /// Read a little-endian `u32` starting at `pos`, tolerating short input
 /// (missing bytes read as zero). Callers bound-check `pos + 4 <= len`
 /// before trusting the value; the read itself cannot panic, keeping the
-/// recovery path free of panic constructs (F003).
+/// recovery path free of panic constructs (the no-panic lints).
 pub(crate) fn le_u32_at(data: &[u8], pos: usize) -> u32 {
     let mut b = [0u8; 4];
     for (slot, &v) in b.iter_mut().zip(data.get(pos..).unwrap_or(&[])) {
@@ -163,6 +163,7 @@ impl Codec for char {
 /// the record buffer itself is large.
 pub const MAX_LEN: usize = 1 << 24;
 
+#[expect(clippy::expect_used, reason = "cannot fire: the assert bounds len by MAX_LEN = 1 << 24")]
 fn encode_len(len: usize, out: &mut Vec<u8>) {
     assert!(len <= MAX_LEN, "container too large for WAL record");
     u32::try_from(len).expect("container too large for WAL record").encode(out);

@@ -59,7 +59,7 @@ impl SnapshotStore {
             return None;
         }
         // The `len < 12` check above bounds both reads; the helpers
-        // cannot panic regardless (F003: recovery must degrade, not die).
+        // cannot panic regardless (recovery must degrade, not die: the no-panic lints).
         let want_crc = crate::codec::le_u32_at(&data, 0);
         let payload = &data[4..];
         if crc32(payload) != want_crc {

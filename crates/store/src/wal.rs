@@ -85,7 +85,10 @@ impl Wal {
         let mut payload = Vec::with_capacity(IDX + blob.len());
         payload.extend_from_slice(&idx.to_le_bytes());
         payload.extend_from_slice(blob);
-        // lint: allow(F003): a >4 GiB record is unrepresentable in the u32 frame format; failing loudly at the writer beats silently truncating the length and corrupting every later record
+        #[expect(
+            clippy::expect_used,
+            reason = "a >4 GiB record is unrepresentable in the u32 frame format; failing loudly at the writer beats silently truncating the length and corrupting every later record"
+        )]
         let len = u32::try_from(payload.len()).expect("WAL record exceeds u32 length");
         let mut rec = Vec::with_capacity(HEADER + payload.len());
         rec.extend_from_slice(&len.to_le_bytes());

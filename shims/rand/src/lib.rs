@@ -3,7 +3,7 @@
 //! vendors a tiny deterministic PRNG instead of the real crate.
 //!
 //! Deliberate restrictions, aligned with the repo's determinism rules
-//! (see `crates/detlint`):
+//! (see `clippy.toml` and DESIGN.md §7.2):
 //!
 //! * **No ambient entropy.** There is no `thread_rng`, no `random()`
 //!   free function, no `from_os_rng`. Every generator is constructed
