@@ -325,10 +325,11 @@ impl JoshuaServer {
     }
 
     /// Handle the upcalls of one group call, in order.
-    fn on_group(&mut self, ctx: &mut Ctx<'_>, events: Vec<GcsEvent<Payload>>) {
-        for ev in events {
+    fn on_group(&mut self, ctx: &mut Ctx<'_>, mut events: Vec<GcsEvent<Payload>>) {
+        for ev in events.drain(..) {
             self.on_gcs_event(ctx, ev);
         }
+        self.group.recycle(events);
         // Persist the group incarnation whenever it advances, so a future
         // restart rejoins with one the survivors will not ignore.
         let inc = self.group.member().incarnation();

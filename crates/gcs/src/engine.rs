@@ -52,16 +52,6 @@ impl<P> Default for EngineOut<P> {
     }
 }
 
-impl<P> EngineOut<P> {
-    /// Queue a send to a single peer. Most stimuli produce exactly one (a
-    /// follower's request or ack), so make room for one, not for the four
-    /// a first `push` would.
-    fn send(&mut self, to: ProcId, msg: EngineMsg<P>) {
-        self.sends.reserve_exact(1);
-        self.sends.push((to, msg));
-    }
-}
-
 /// How stability information flows in the view: a function of the
 /// assignment policy and of whether we lead the view.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -227,19 +217,24 @@ impl<P: Clone> Engine<P> {
     }
 
     /// Submit an application payload for total ordering.
-    pub fn submit(&mut self, _now: SimTime, payload: P) -> EngineOut<P> {
+    pub fn submit(&mut self, now: SimTime, payload: P) -> EngineOut<P> {
+        let mut out = EngineOut::default();
+        self.submit_into(now, payload, &mut out);
+        out
+    }
+
+    /// [`Self::submit`], appending to the caller's buffer.
+    pub(crate) fn submit_into(&mut self, _now: SimTime, payload: P, out: &mut EngineOut<P>) {
         let local_id = self.next_local_id;
         self.next_local_id += 1;
         self.pending.push_back((local_id, payload.clone()));
-        let mut out = EngineOut::default();
         // Halted: queued; resubmitted after the next install.
         if self.active {
             match self.assign {
-                Assign::Sequencer { .. } => self.offer(local_id, payload, &mut out),
-                Assign::Token { .. } => self.resubmit(&mut out),
+                Assign::Sequencer { .. } => self.offer(local_id, payload, out),
+                Assign::Token { .. } => self.resubmit(out),
             }
         }
-        out
     }
 
     /// Handle an in-view engine message from `from`: record what it says,
@@ -251,6 +246,12 @@ impl<P: Clone> Engine<P> {
     /// group, and a token member records an announcement nothing reads.
     pub fn on_msg(&mut self, now: SimTime, from: ProcId, msg: EngineMsg<P>) -> EngineOut<P> {
         let mut out = EngineOut::default();
+        self.on_msg_into(now, from, msg, &mut out);
+        out
+    }
+
+    /// [`Self::on_msg`], appending to the caller's buffer.
+    pub(crate) fn on_msg_into(&mut self, now: SimTime, from: ProcId, msg: EngineMsg<P>, out: &mut EngineOut<P>) {
         // No catch-all: a new EngineMsg variant must be a compile error
         // here rather than silently swallowed (`clippy::wildcard_enum_match_arm`).
         match msg {
@@ -259,10 +260,10 @@ impl<P: Clone> Engine<P> {
                 // request, drops it: the origin retries after the next
                 // install.
                 if self.active && self.stability() == Stability::Collector {
-                    self.order(from, local_id, payload, &mut out);
+                    self.order(from, local_id, payload, out);
                 }
             }
-            EngineMsg::Ordered(m) => self.ingest(m, &mut out),
+            EngineMsg::Ordered(m) => self.ingest(m, out),
             EngineMsg::Ack { up_to } => {
                 let before = self.stable();
                 raise(&mut self.acks, from, up_to);
@@ -297,23 +298,28 @@ impl<P: Clone> Engine<P> {
                         *holding = Some(next_seq);
                         if self.active {
                             *release_at = now + *idle_pass;
-                            self.resubmit(&mut out);
+                            self.resubmit(out);
                         }
                     }
                 }
             }
         }
-        out
     }
 
     /// Periodic maintenance: the collector's batched stability
     /// announcement, pending-request retry, token idle passing.
     pub fn tick(&mut self, now: SimTime) -> EngineOut<P> {
         let mut out = EngineOut::default();
+        self.tick_into(now, &mut out);
+        out
+    }
+
+    /// [`Self::tick`], appending to the caller's buffer.
+    pub(crate) fn tick_into(&mut self, now: SimTime, out: &mut EngineOut<P>) {
         match self.assign {
             Assign::Sequencer { ref mut stable_dirty, ref mut last_request, retry_every, .. } => {
                 if !self.active {
-                    return out;
+                    return;
                 }
                 let announce = std::mem::take(stable_dirty);
                 // Re-request pendings that may have raced a view change
@@ -324,24 +330,20 @@ impl<P: Clone> Engine<P> {
                 }
                 if announce {
                     let up_to = self.stable();
-                    out.sends = self
-                        .others()
-                        .map(|p| (p, EngineMsg::Stable { up_to }))
-                        .collect();
+                    out.sends.extend(self.others().map(|p| (p, EngineMsg::Stable { up_to })));
                 }
                 if retry {
-                    self.resubmit(&mut out);
+                    self.resubmit(out);
                 }
             }
             // Halted or not: a halted holder keeps a token it is handed
             // (`on_msg`) but still passes an idle one on when its time is up.
             Assign::Token { release_at, .. } => {
                 if now >= release_at {
-                    self.pass_token(&mut out);
+                    self.pass_token(out);
                 }
             }
         }
-        out
     }
 
     /// Halt for a view change or pending flush: stop ordering and
@@ -353,22 +355,20 @@ impl<P: Clone> Engine<P> {
 
     /// Resume in the *same* view after an aborted flush: process anything
     /// buffered while halted and resubmit own pendings.
-    pub(crate) fn resume(&mut self, _now: SimTime) -> EngineOut<P> {
+    pub(crate) fn resume(&mut self, _now: SimTime, out: &mut EngineOut<P>) {
         self.active = true;
-        let mut out = EngineOut::default();
         while self.log.contains_key(&self.recv_cursor) {
             self.recv_cursor += 1;
         }
         self.drain_stable(&mut out.deliver);
-        self.ack_sends(&mut out);
+        self.ack_sends(out);
         if let Assign::Sequencer { stable_dirty, .. } = &mut self.assign {
             // Acks absorbed while halted advance stability without
             // setting the dirty flag; re-announce on the next tick so
             // followers waiting on `Stable` are not stranded.
             *stable_dirty |= self.leader;
         }
-        self.resubmit(&mut out);
-        out
+        self.resubmit(out);
     }
 
     /// Produce this member's flush digest.
@@ -426,6 +426,21 @@ impl<P: Clone> Engine<P> {
         dedup: &[(ProcId, u64)],
         leader: bool,
     ) -> EngineOut<P> {
+        let mut out = EngineOut::default();
+        self.install_into(now, members, next_seq, dedup, leader, &mut out);
+        out
+    }
+
+    /// [`Self::install`], appending to the caller's buffer.
+    pub(crate) fn install_into(
+        &mut self,
+        now: SimTime,
+        members: Vec<ProcId>,
+        next_seq: u64,
+        dedup: &[(ProcId, u64)],
+        leader: bool,
+        out: &mut EngineOut<P>,
+    ) {
         self.members = members;
         self.leader = leader;
         self.recv_cursor = self.recv_cursor.max(next_seq);
@@ -449,19 +464,17 @@ impl<P: Clone> Engine<P> {
                 }
             }
         }
-        let mut out = EngineOut::default();
-        self.resubmit(&mut out);
-        out
+        self.resubmit(out);
     }
 
     /// Drop log entries at or below `stable_up_to` (known delivered by the
     /// whole view).
     pub(crate) fn prune(&mut self, stable_up_to: u64) {
         let cutoff = stable_up_to.min(self.delivered_up_to());
-        // Every tick comes through here, and `split_off` allocates a new
-        // tree even when it drops nothing.
-        if self.log.first_key_value().is_some_and(|(&seq, _)| seq <= cutoff) {
-            self.log = self.log.split_off(&(cutoff + 1));
+        // Every tick comes through here: drop the prefix in place
+        // (`split_off` would allocate a new tree each time).
+        while self.log.first_key_value().is_some_and(|(&seq, _)| seq <= cutoff) {
+            self.log.pop_first();
         }
     }
 
@@ -546,7 +559,7 @@ impl<P: Clone> Engine<P> {
         match self.stability() {
             Stability::Follower => {
                 if let Some(&collector) = self.members.first().filter(|&&c| c != self.me) {
-                    out.send(collector, EngineMsg::Ack { up_to });
+                    out.sends.push((collector, EngineMsg::Ack { up_to }));
                 }
             }
             Stability::AllToAll => {
@@ -597,7 +610,7 @@ impl<P: Clone> Engine<P> {
             // resubmitted on the next install.
             Stability::Follower => {
                 if let Some(&sequencer) = self.members.first() {
-                    out.send(sequencer, EngineMsg::Request { local_id, payload });
+                    out.sends.push((sequencer, EngineMsg::Request { local_id, payload }));
                 }
             }
         }
@@ -658,7 +671,7 @@ impl<P: Clone> Engine<P> {
         if self.members.len() > 1 {
             if let Some(next_seq) = holding.take() {
                 let successor = self.members[(idx + 1) % self.members.len()];
-                out.send(successor, EngineMsg::Token { next_seq });
+                out.sends.push((successor, EngineMsg::Token { next_seq }));
             }
         }
     }
@@ -892,7 +905,8 @@ mod tests {
         assert!(out.deliver.is_empty());
         let out = e.on_msg(T0, p(1), EngineMsg::Stable { up_to: 1 });
         assert!(out.deliver.is_empty(), "halted: no delivery");
-        let out = e.resume(T0);
+        let mut out = EngineOut::default();
+        e.resume(T0, &mut out);
         assert_eq!(out.deliver.len(), 1, "buffered message delivered on resume");
         assert_eq!(e.delivered_up_to(), 1);
     }
@@ -1078,7 +1092,8 @@ mod tests {
 
         fn resume(&mut self, i: u32) {
             let now = self.now;
-            let out = self.engine(i).resume(now);
+            let mut out = EngineOut::default();
+            self.engine(i).resume(now, &mut out);
             self.absorb(i, "resume", out);
         }
 

@@ -77,18 +77,24 @@ pub enum GcsEvent<P> {
     Ejected,
 }
 
-/// Frames to transmit and events to hand to the application.
+/// Frames to transmit and events to hand to the application. A caller
+/// that drains `wire` and `events` after each call can hand the same value
+/// to the next one: nothing on the ordering path then allocates per call.
 #[derive(Debug)]
 pub struct Output<P> {
     /// `(destination, frame, wire_size_bytes)` to transmit.
     pub wire: Vec<(ProcId, Wire<P>, u32)>,
     /// Upcalls, in order.
     pub events: Vec<GcsEvent<P>>,
+    /// Where the engine writes before `absorb_engine` frames it: empty
+    /// between calls. Scratch capacity, not protocol state, so it lives
+    /// with the caller's buffer and not in the (cloned, hashed) member.
+    engine: EngineOut<P>,
 }
 
 impl<P> Default for Output<P> {
     fn default() -> Self {
-        Output { wire: Vec::new(), events: Vec::new() }
+        Output { wire: Vec::new(), events: Vec::new(), engine: EngineOut::default() }
     }
 }
 
@@ -345,6 +351,13 @@ impl<P: Clone + 'static> GroupMember<P> {
     /// Call once when the process starts.
     pub fn start(&mut self, now: SimTime) -> Output<P> {
         let mut out = Output::default();
+        self.start_into(now, &mut out);
+        out
+    }
+
+    /// [`Self::start`], writing into the caller's drained buffer.
+    pub(crate) fn start_into(&mut self, now: SimTime, out: &mut Output<P>) {
+        debug_assert!(out.wire.is_empty() && out.events.is_empty());
         match &self.role {
             Role::Member => {
                 let members = self.view.members.clone();
@@ -355,15 +368,14 @@ impl<P: Clone + 'static> GroupMember<P> {
                     }
                 }
                 let leader = self.view.leader() == Some(self.me);
-                let eo = self.engine.install(now, members, 1, &[], leader);
-                self.absorb_engine(now, eo, &mut out);
-                self.send_heartbeats(now, &mut out);
+                self.engine.install_into(now, members, 1, &[], leader, &mut out.engine);
+                self.absorb_engine(now, out);
+                self.send_heartbeats(now, out);
             }
             Role::Joining { .. } => {
-                self.send_join_req(now, &mut out);
+                self.send_join_req(now, out);
             }
         }
-        out
     }
 
     /// Submit a payload for totally ordered delivery to the whole group.
@@ -371,65 +383,89 @@ impl<P: Clone + 'static> GroupMember<P> {
     /// resubmitted automatically after the next install.
     pub fn broadcast(&mut self, now: SimTime, payload: P) -> Output<P> {
         let mut out = Output::default();
-        self.stats.broadcasts += 1;
-        let eo = self.engine.submit(now, payload);
-        self.absorb_engine(now, eo, &mut out);
+        self.broadcast_into(now, payload, &mut out);
         out
+    }
+
+    /// [`Self::broadcast`], writing into the caller's drained buffer.
+    pub(crate) fn broadcast_into(&mut self, now: SimTime, payload: P, out: &mut Output<P>) {
+        debug_assert!(out.wire.is_empty() && out.events.is_empty());
+        self.stats.broadcasts += 1;
+        self.engine.submit_into(now, payload, &mut out.engine);
+        self.absorb_engine(now, out);
     }
 
     /// Announce a voluntary leave. The paper's JOSHUA handles leaves as
     /// forced failures; after calling this the process should stop calling
     /// `tick` (and typically exits).
-    pub(crate) fn leave(&mut self, _now: SimTime) -> Output<P> {
+    pub(crate) fn leave(&mut self, now: SimTime) -> Output<P> {
         let mut out = Output::default();
-        let peers: Vec<ProcId> = self.view.members.iter().copied().filter(|&p| p != self.me).collect();
-        for p in peers {
-            self.push_raw(p, GcsMsg::Leave, &mut out);
-        }
+        self.leave_into(now, &mut out);
         out
+    }
+
+    /// [`Self::leave`], writing into the caller's drained buffer.
+    pub(crate) fn leave_into(&mut self, _now: SimTime, out: &mut Output<P>) {
+        debug_assert!(out.wire.is_empty() && out.events.is_empty());
+        for &p in self.view.members.iter().filter(|&&p| p != self.me) {
+            self.push_raw(p, GcsMsg::Leave, out);
+        }
     }
 
     /// Periodic maintenance; call every `config.tick_every`.
     pub fn tick(&mut self, now: SimTime) -> Output<P> {
         let mut out = Output::default();
-        for (to, frame) in self.links.tick(now) {
-            let bytes = frame.wire_size(self.config.payload_bytes);
+        self.tick_into(now, &mut out);
+        out
+    }
+
+    /// [`Self::tick`], writing into the caller's drained buffer.
+    pub(crate) fn tick_into(&mut self, now: SimTime, out: &mut Output<P>) {
+        debug_assert!(out.wire.is_empty() && out.events.is_empty());
+        let payload_bytes = self.config.payload_bytes;
+        self.links.tick_into(now, |to, frame| {
+            let bytes = frame.wire_size(payload_bytes);
             out.wire.push((to, frame, bytes));
-        }
+        });
         match &self.role {
             Role::Joining { last_req, .. } => {
                 let due = last_req.is_none_or(|t| now.since(t) >= self.config.flush_timeout);
                 if due {
-                    self.send_join_req(now, &mut out);
+                    self.send_join_req(now, out);
                 }
             }
             Role::Member => {
-                self.member_tick(now, &mut out);
+                self.member_tick(now, out);
             }
         }
-        out
     }
 
     /// Feed one received frame.
     pub fn on_wire(&mut self, now: SimTime, from: ProcId, frame: Wire<P>) -> Output<P> {
         let mut out = Output::default();
+        self.on_wire_into(now, from, frame, &mut out);
+        out
+    }
+
+    /// [`Self::on_wire`], writing into the caller's drained buffer.
+    pub(crate) fn on_wire_into(&mut self, now: SimTime, from: ProcId, frame: Wire<P>, out: &mut Output<P>) {
+        debug_assert!(out.wire.is_empty() && out.events.is_empty());
         self.detector.heard(from, now);
         let inbound = self.links.on_wire(now, from, frame);
         if let Some(reply) = inbound.reply {
             let bytes = reply.wire_size(self.config.payload_bytes);
             out.wire.push((from, reply, bytes));
         }
-        for msg in inbound.deliver {
-            self.handle_msg(now, from, msg, &mut out);
+        for msg in inbound.first.into_iter().chain(inbound.rest) {
+            self.handle_msg(now, from, msg, out);
         }
-        out
     }
 
     // ------------------------------------------------------------------
     // Internals: send helpers
     // ------------------------------------------------------------------
 
-    fn push_raw(&mut self, to: ProcId, msg: GcsMsg<P>, out: &mut Output<P>) {
+    fn push_raw(&self, to: ProcId, msg: GcsMsg<P>, out: &mut Output<P>) {
         let frame = Wire::Raw(msg);
         let bytes = frame.wire_size(self.config.payload_bytes);
         out.wire.push((to, frame, bytes));
@@ -441,12 +477,16 @@ impl<P: Clone + 'static> GroupMember<P> {
         out.wire.push((to, frame, bytes));
     }
 
-    fn absorb_engine(&mut self, now: SimTime, eo: EngineOut<P>, out: &mut Output<P>) {
+    /// Frame what the engine just wrote into `out`'s scratch and turn its
+    /// deliveries into upcalls; the scratch is empty again afterwards.
+    fn absorb_engine(&mut self, now: SimTime, out: &mut Output<P>) {
         let view_id = self.view.id;
-        for (to, emsg) in eo.sends {
+        let mut sends = std::mem::take(&mut out.engine.sends);
+        for (to, emsg) in sends.drain(..) {
             self.push_link(now, to, GcsMsg::Engine { view_id, msg: emsg }, out);
         }
-        for m in eo.deliver {
+        out.engine.sends = sends;
+        for m in out.engine.deliver.drain(..) {
             self.stats.delivered += 1;
             out.events.push(GcsEvent::Deliver {
                 seq: m.seq,
@@ -463,9 +503,7 @@ impl<P: Clone + 'static> GroupMember<P> {
             view_size: size32(self.view.len()),
             delivered_up_to: self.engine.delivered_up_to(),
         };
-        let peers: Vec<ProcId> =
-            self.view.members.iter().copied().filter(|&p| p != self.me).collect();
-        for p in peers {
+        for &p in self.view.members.iter().filter(|&&p| p != self.me) {
             self.push_raw(p, hb.clone(), out);
         }
     }
@@ -509,13 +547,13 @@ impl<P: Clone + 'static> GroupMember<P> {
                 view_size: size32(self.view.len()),
                 delivered_up_to: self.engine.delivered_up_to(),
             };
-            for p in self.former_members.clone() {
+            for &p in &self.former_members {
                 self.push_raw(p, hb.clone(), out);
             }
         }
         // Engine maintenance (token circulation).
-        let eo = self.engine.tick(now);
-        self.absorb_engine(now, eo, out);
+        self.engine.tick_into(now, &mut out.engine);
+        self.absorb_engine(now, out);
         // Stability GC: prune what the whole view has delivered.
         let stable = self
             .view
@@ -610,8 +648,8 @@ impl<P: Clone + 'static> GroupMember<P> {
             // (ours aborted, or trigger vanished before we coordinated),
             // resume ordering in the current view.
             if matches!(self.flush, Flush::None) && self.is_installed() && !self.engine.is_active() {
-                let eo = self.engine.resume(now);
-                self.absorb_engine(now, eo, out);
+                self.engine.resume(now, &mut out.engine);
+                self.absorb_engine(now, out);
             }
             return;
         }
@@ -657,13 +695,14 @@ impl<P: Clone + 'static> GroupMember<P> {
     /// promise (`max_epoch_seen`) stands, so the next attempt — ours or a
     /// competitor's — carries a higher epoch and supersedes it.
     fn abort_coordinating(&mut self, now: SimTime, out: &mut Output<P>) {
-        if let Flush::Coordinating { epoch, proposed, .. } = &self.flush {
+        if let Flush::Coordinating { epoch, proposed, .. } = &mut self.flush {
             let epoch = *epoch;
-            let peers: Vec<ProcId> =
-                proposed.iter().copied().filter(|&p| p != self.me).collect();
+            let proposed = std::mem::take(proposed);
             self.flush = Flush::None;
-            for p in peers {
-                self.push_link(now, p, GcsMsg::FlushAbort { epoch }, out);
+            for p in proposed {
+                if p != self.me {
+                    self.push_link(now, p, GcsMsg::FlushAbort { epoch }, out);
+                }
             }
         }
     }
@@ -684,7 +723,6 @@ impl<P: Clone + 'static> GroupMember<P> {
         let mut digests = BTreeMap::new();
         digests.insert(self.me, self.engine.digest(coord_known));
         let joiners: BTreeSet<ProcId> = self.pending_joiners.keys().copied().collect();
-        let peers: Vec<ProcId> = proposal.iter().copied().filter(|&p| p != self.me).collect();
         self.flush = Flush::Coordinating {
             epoch,
             proposed: proposal.clone(),
@@ -694,13 +732,11 @@ impl<P: Clone + 'static> GroupMember<P> {
             acks: BTreeSet::new(),
             started: now,
         };
-        for p in peers {
-            self.push_link(
-                now,
-                p,
-                GcsMsg::FlushReq { epoch, proposed: proposal.clone(), coord_known },
-                out,
-            );
+        for &p in &proposal {
+            if p != self.me {
+                let req = GcsMsg::FlushReq { epoch, proposed: proposal.clone(), coord_known };
+                self.push_link(now, p, req, out);
+            }
         }
         self.try_finalize(now, out);
     }
@@ -739,15 +775,15 @@ impl<P: Clone + 'static> GroupMember<P> {
                         // Our promise (max_epoch_seen) stands; a restart by
                         // the same coordinator will carry a higher attempt.
                         self.flush = Flush::None;
-                        let eo = self.engine.resume(now);
-                        self.absorb_engine(now, eo, out);
+                        self.engine.resume(now, &mut out.engine);
+                        self.absorb_engine(now, out);
                     }
                 }
             }
             GcsMsg::Engine { view_id, msg } => {
                 if self.is_installed() && view_id == self.view.id {
-                    let eo = self.engine.on_msg(now, from, msg);
-                    self.absorb_engine(now, eo, out);
+                    self.engine.on_msg_into(now, from, msg, &mut out.engine);
+                    self.absorb_engine(now, out);
                 }
             }
         }
@@ -1112,14 +1148,14 @@ impl<P: Clone + 'static> GroupMember<P> {
         self.stats.view_changes += 1;
         // 3. Restart the engine in the new view (resubmits own pendings).
         let leader = view.leader() == Some(self.me);
-        let eo = self.engine.install(now, view.members.clone(), next_seq, dedup, leader);
+        self.engine.install_into(now, view.members.clone(), next_seq, dedup, leader, &mut out.engine);
         // Joiners start a fresh submission stream: drop any floors their
         // previous life left in the merged dedup state (every replica does
         // this identically, so the floors stay agreed).
         for j in &joined {
             self.engine.reset_submitter(*j);
         }
-        self.absorb_engine(now, eo, out);
+        self.absorb_engine(now, out);
         // 4. Tell the application.
         out.events.push(GcsEvent::ViewChange { view, joined, left });
         // 5. Announce the new view promptly (lets stragglers detect they
@@ -1157,5 +1193,232 @@ impl<P: Clone + 'static> GroupMember<P> {
         self.role = Role::Joining { contacts, last_req: None, answered: None };
         out.events.push(GcsEvent::Ejected);
         self.send_join_req(now, out);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::EngineKind;
+    use jrs_sim::SimDuration;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
+
+    /// One stimulus of one member.
+    enum Call {
+        Start,
+        Wire(ProcId, Wire<u32>),
+        Tick,
+        Broadcast(u32),
+        Leave,
+    }
+
+    /// Members over one FIFO queue (the delivery order of `testkit::Pump::run`).
+    /// Every call goes either through the by-value methods or, when
+    /// `reused` is set, through the out-parameter forms with that one
+    /// `Output` shared by every member and never replaced; either way the
+    /// transcript gets a line per frame and per upcall the call produced.
+    struct Net {
+        config: GroupConfig,
+        members: BTreeMap<ProcId, GroupMember<u32>>,
+        queue: VecDeque<(ProcId, ProcId, Wire<u32>)>,
+        now: SimTime,
+        reused: Option<Output<u32>>,
+        transcript: Vec<String>,
+    }
+
+    impl Net {
+        fn group(n: u32, kind: EngineKind, reuse: bool) -> Net {
+            let mut net = Net {
+                config: GroupConfig::with_engine(kind),
+                members: BTreeMap::new(),
+                queue: VecDeque::new(),
+                now: SimTime::ZERO,
+                reused: reuse.then(Output::default),
+                transcript: Vec::new(),
+            };
+            let ids: Vec<ProcId> = (0..n).map(ProcId).collect();
+            for &id in &ids {
+                net.add(id, ids.clone());
+            }
+            net
+        }
+
+        fn add(&mut self, id: ProcId, initial: Vec<ProcId>) {
+            self.members.insert(id, GroupMember::new(id, self.config.clone(), initial));
+            self.call(id, Call::Start);
+            self.run();
+        }
+
+        fn call(&mut self, who: ProcId, call: Call) {
+            let Some(m) = self.members.get_mut(&who) else { return }; // crashed
+            let now = self.now;
+            let mut fresh;
+            let out = if let Some(out) = &mut self.reused {
+                match call {
+                    Call::Start => m.start_into(now, out),
+                    Call::Wire(from, frame) => m.on_wire_into(now, from, frame, out),
+                    Call::Tick => m.tick_into(now, out),
+                    Call::Broadcast(p) => m.broadcast_into(now, p, out),
+                    Call::Leave => m.leave_into(now, out),
+                }
+                assert!(out.engine.sends.is_empty() && out.engine.deliver.is_empty(), "engine scratch left full");
+                out
+            } else {
+                fresh = match call {
+                    Call::Start => m.start(now),
+                    Call::Wire(from, frame) => m.on_wire(now, from, frame),
+                    Call::Tick => m.tick(now),
+                    Call::Broadcast(p) => m.broadcast(now, p),
+                    Call::Leave => m.leave(now),
+                };
+                &mut fresh
+            };
+            for (to, frame, bytes) in out.wire.drain(..) {
+                self.transcript.push(format!("{who}>{to} {bytes}B {frame:?}"));
+                self.queue.push_back((who, to, frame));
+            }
+            for ev in out.events.drain(..) {
+                self.transcript.push(format!("{who}! {ev:?}"));
+            }
+        }
+
+        fn run(&mut self) {
+            while let Some((from, to, frame)) = self.queue.pop_front() {
+                self.call(to, Call::Wire(from, frame));
+            }
+        }
+
+        fn tick(&mut self, d: SimDuration) {
+            self.now += d;
+            for id in self.ids() {
+                self.call(id, Call::Tick);
+            }
+            self.run();
+        }
+
+        fn ids(&self) -> Vec<ProcId> {
+            self.members.keys().copied().collect()
+        }
+
+        fn pick(&self, sel: u8) -> ProcId {
+            let ids = self.ids();
+            ids[sel as usize % ids.len()]
+        }
+    }
+
+    #[derive(Clone, Debug)]
+    enum Step {
+        Broadcast(u8),
+        Advance(u8),
+        Crash(u8),
+        Leave(u8),
+        Join,
+    }
+
+    fn step_strategy() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            6 => any::<u8>().prop_map(Step::Broadcast),
+            4 => (1u8..30).prop_map(Step::Advance),
+            1 => any::<u8>().prop_map(Step::Crash),
+            1 => any::<u8>().prop_map(Step::Leave),
+            1 => Just(Step::Join),
+        ]
+    }
+
+    /// Run one schedule; returns the transcript and every survivor's
+    /// protocol-state fingerprint.
+    fn run_schedule(kind: EngineKind, n: u32, steps: &[Step], reuse: bool) -> (Vec<String>, Vec<u64>) {
+        let tick = SimDuration::from_millis(5);
+        let mut net = Net::group(n, kind, reuse);
+        let mut joiner = 100;
+        for (i, step) in steps.iter().enumerate() {
+            match *step {
+                Step::Broadcast(sel) => {
+                    net.call(net.pick(sel), Call::Broadcast(i as u32));
+                    net.run();
+                }
+                Step::Advance(k) => (0..k).for_each(|_| net.tick(tick)),
+                Step::Crash(sel) if net.members.len() > 1 => {
+                    net.members.remove(&net.pick(sel));
+                }
+                Step::Leave(sel) if net.members.len() > 1 => {
+                    let who = net.pick(sel);
+                    net.call(who, Call::Leave);
+                    net.members.remove(&who);
+                    net.run();
+                }
+                Step::Crash(_) | Step::Leave(_) => {}
+                Step::Join => {
+                    joiner += 1;
+                    net.add(ProcId(joiner), net.ids());
+                }
+            }
+        }
+        (0..200).for_each(|_| net.tick(tick));
+        (net.transcript, net.members.values().map(GroupMember::state_hash).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// The by-value methods and the out-parameter forms are one path:
+        /// the same schedule (broadcasts, ticks, crashes, leaves, joins)
+        /// gives the same frames (destination, size, content), the same
+        /// upcalls and the same member states, call for call, when every
+        /// call of every member writes into one never-replaced `Output`.
+        #[test]
+        fn reused_output_matches_fresh_output_call_for_call(
+            n in 1u32..5,
+            steps in proptest::collection::vec(step_strategy(), 1..40),
+        ) {
+            for kind in [EngineKind::Sequencer, EngineKind::Token] {
+                let (fresh, fresh_states) = run_schedule(kind, n, &steps, false);
+                let (reused, reused_states) = run_schedule(kind, n, &steps, true);
+                prop_assert!(fresh.len() > n as usize, "the schedule produced traffic");
+                for (i, (f, r)) in fresh.iter().zip(&reused).enumerate() {
+                    prop_assert_eq!(f, r, "{:?}: transcripts part at line {}", kind, i);
+                }
+                prop_assert_eq!(fresh.len(), reused.len());
+                prop_assert_eq!(fresh_states, reused_states);
+            }
+        }
+    }
+
+    /// The reuse hazard: a view change puts dozens of frames and several
+    /// upcalls through the buffer, several per call; the idle tick after it
+    /// must see none of them.
+    #[test]
+    fn nothing_stale_in_the_reused_output_after_a_view_change() {
+        let tick = SimDuration::from_millis(5);
+        let mut net = Net::group(4, EngineKind::Sequencer, true);
+        net.call(ProcId(1), Call::Broadcast(7));
+        net.run();
+        net.members.remove(&ProcId(3));
+        let before = net.transcript.len();
+        while net.members.values().any(|m| m.view().len() != 3 || m.is_blocked()) {
+            net.tick(tick);
+            assert!(net.now < SimTime::ZERO + SimDuration::from_secs(5), "no view change");
+        }
+        let change = &net.transcript[before..];
+        let frames = change.iter().filter(|l| l.contains('>')).count();
+        let installs = change.iter().filter(|l| l.contains("ViewChange")).count();
+        assert!(frames >= 40 && installs == 3, "{frames} frames, {installs} installs:\n{}", change.join("\n"));
+        let out = net.reused.as_ref().unwrap();
+        assert!(out.wire.capacity() >= 4 && out.events.capacity() >= 1, "the one buffer carried the view change");
+        assert!(out.wire.is_empty() && out.events.is_empty());
+
+        // An idle tick through the used buffer emits exactly what the same
+        // tick emits into a fresh one.
+        net.now += tick;
+        for id in net.ids() {
+            let want = net.members[&id].clone().tick(net.now);
+            let out = net.reused.as_mut().unwrap();
+            net.members.get_mut(&id).unwrap().tick_into(net.now, out);
+            assert_eq!(format!("{:?}", out.wire), format!("{:?}", want.wire), "member {id}");
+            assert_eq!(format!("{:?}", out.events), format!("{:?}", want.events), "member {id}");
+            assert!(out.events.is_empty() && out.wire.len() <= 3, "an idle tick: heartbeats at most");
+            out.wire.clear();
+        }
     }
 }

@@ -50,10 +50,14 @@ pub struct LinkManager<P> {
     pub retransmissions: u64,
 }
 
-/// Result of processing one incoming wire frame.
+/// Result of processing one incoming wire frame. What is now deliverable
+/// in FIFO order is `first`, then `rest`.
 pub struct Inbound<P> {
-    /// Messages now deliverable in FIFO order.
-    pub deliver: Vec<GcsMsg<P>>,
+    /// The frame's own message, when it arrived in order (or unsequenced).
+    pub first: Option<GcsMsg<P>>,
+    /// Buffered successors an in-order frame released: empty, and
+    /// unallocated, unless it closed a gap.
+    pub rest: Vec<GcsMsg<P>>,
     /// Ack to send back, if any.
     pub reply: Option<Wire<P>>,
 }
@@ -83,47 +87,55 @@ impl<P: Clone> LinkManager<P> {
     /// Process an incoming frame from `peer`.
     ///
     /// `Raw` frames pass straight through; `Data` frames are sequenced and
-    /// delivered in order (duplicates dropped, gaps buffered); `Ack` frames
-    /// clear the retransmission buffer.
+    /// delivered in order (duplicates dropped, gaps buffered; the in-order
+    /// frame never visits the buffer); `Ack` frames clear the
+    /// retransmission buffer.
     pub fn on_wire(&mut self, _now: SimTime, peer: ProcId, wire: Wire<P>) -> Inbound<P> {
+        let mut inbound = Inbound { first: None, rest: Vec::new(), reply: None };
         match wire {
-            Wire::Raw(msg) => Inbound { deliver: vec![msg], reply: None },
+            Wire::Raw(msg) => inbound.first = Some(msg),
             Wire::Data { seq, msg } => {
                 let link = self.inc.entry(peer).or_default();
-                if seq > link.cum {
+                if seq == link.cum + 1 {
+                    link.cum += 1;
+                    inbound.first = Some(msg);
+                    while let Some(m) = link.buffer.remove(&(link.cum + 1)) {
+                        link.cum += 1;
+                        inbound.rest.push(m);
+                    }
+                } else if seq > link.cum {
                     link.buffer.entry(seq).or_insert(msg);
                 }
-                let mut deliver = Vec::new();
-                while let Some(m) = link.buffer.remove(&(link.cum + 1)) {
-                    link.cum += 1;
-                    deliver.push(m);
-                }
-                let cum = link.cum;
-                Inbound { deliver, reply: Some(Wire::Ack { cum }) }
+                inbound.reply = Some(Wire::Ack { cum: link.cum });
             }
             Wire::Ack { cum } => {
                 if let Some(link) = self.out.get_mut(&peer) {
                     link.unacked.retain(|&s, _| s > cum);
                 }
-                Inbound { deliver: vec![], reply: None }
             }
         }
+        inbound
     }
 
     /// Collect frames that need retransmission (unacked for longer than the
     /// RTO). Marks them as retransmitted at `now`.
     pub fn tick(&mut self, now: SimTime) -> Vec<(ProcId, Wire<P>)> {
         let mut resend = Vec::new();
+        self.tick_into(now, |peer, frame| resend.push((peer, frame)));
+        resend
+    }
+
+    /// [`Self::tick`], handing each frame to the caller's `resend`.
+    pub(crate) fn tick_into(&mut self, now: SimTime, mut resend: impl FnMut(ProcId, Wire<P>)) {
         for (&peer, link) in self.out.iter_mut() {
             for (&seq, (msg, last)) in link.unacked.iter_mut() {
                 if now.since(*last) >= self.rto {
                     *last = now;
                     self.retransmissions += 1;
-                    resend.push((peer, Wire::Data { seq, msg: msg.clone() }));
+                    resend(peer, Wire::Data { seq, msg: msg.clone() });
                 }
             }
         }
-        resend
     }
 
     /// Forget all state for a peer (it left or was ejected); a future
@@ -166,6 +178,11 @@ mod tests {
         }
     }
 
+    /// Heartbeat view numbers of everything `r` makes deliverable, in order.
+    fn views(r: &Inbound<u32>) -> Vec<u64> {
+        r.first.iter().chain(&r.rest).map(hb_view).collect()
+    }
+
     const T0: SimTime = SimTime::ZERO;
     const A: ProcId = ProcId(1);
 
@@ -176,11 +193,10 @@ mod tests {
         let w1 = tx.send(T0, A, hb(1));
         let w2 = tx.send(T0, A, hb(2));
         let r1 = rx.on_wire(T0, A, w1);
-        assert_eq!(r1.deliver.len(), 1);
-        assert_eq!(hb_view(&r1.deliver[0]), 1);
+        assert_eq!(views(&r1), vec![1]);
         assert!(matches!(r1.reply, Some(Wire::Ack { cum: 1 })));
         let r2 = rx.on_wire(T0, A, w2);
-        assert_eq!(hb_view(&r2.deliver[0]), 2);
+        assert_eq!(views(&r2), vec![2]);
         assert!(matches!(r2.reply, Some(Wire::Ack { cum: 2 })));
     }
 
@@ -192,14 +208,38 @@ mod tests {
         let w2 = tx.send(T0, A, hb(2));
         let w3 = tx.send(T0, A, hb(3));
         let r3 = rx.on_wire(T0, A, w3);
-        assert!(r3.deliver.is_empty());
+        assert!(views(&r3).is_empty());
         assert!(matches!(r3.reply, Some(Wire::Ack { cum: 0 })));
         let r2 = rx.on_wire(T0, A, w2);
-        assert!(r2.deliver.is_empty());
+        assert!(views(&r2).is_empty());
         let r1 = rx.on_wire(T0, A, w1);
-        let views: Vec<u64> = r1.deliver.iter().map(hb_view).collect();
-        assert_eq!(views, vec![1, 2, 3]);
+        assert_eq!(views(&r1), vec![1, 2, 3]);
         assert!(matches!(r1.reply, Some(Wire::Ack { cum: 3 })));
+    }
+
+    #[test]
+    fn in_order_frame_releases_the_buffered_run_behind_it() {
+        let mut rx: LinkManager<u32> = LinkManager::new(SimDuration::from_millis(10));
+        let mut tx: LinkManager<u32> = LinkManager::new(SimDuration::from_millis(10));
+        let w: Vec<Wire<u32>> = (1..=6).map(|v| tx.send(T0, A, hb(v))).collect();
+        // 1 in order; 3, 4 and 6 wait behind the missing 2 and 5.
+        for i in [0, 2, 3, 5] {
+            let r = rx.on_wire(T0, A, w[i].clone());
+            assert_eq!(views(&r), if i == 0 { vec![1] } else { vec![] });
+            assert!(matches!(r.reply, Some(Wire::Ack { cum: 1 })));
+        }
+        // 2 arrives in order while later frames are buffered: it goes up
+        // with the whole contiguous run, and only that run.
+        let r = rx.on_wire(T0, A, w[1].clone());
+        assert_eq!(r.first.as_ref().map(hb_view), Some(2), "the frame itself, not via the buffer");
+        assert_eq!(views(&r), vec![2, 3, 4]);
+        assert!(matches!(r.reply, Some(Wire::Ack { cum: 4 })));
+        // A duplicate of a buffered frame is not delivered early or twice.
+        let r = rx.on_wire(T0, A, w[5].clone());
+        assert!(views(&r).is_empty());
+        let r = rx.on_wire(T0, A, w[4].clone());
+        assert_eq!(views(&r), vec![5, 6]);
+        assert!(matches!(r.reply, Some(Wire::Ack { cum: 6 })));
     }
 
     #[test]
@@ -208,9 +248,9 @@ mod tests {
         let mut tx: LinkManager<u32> = LinkManager::new(SimDuration::from_millis(10));
         let w1 = tx.send(T0, A, hb(1));
         let r = rx.on_wire(T0, A, w1.clone());
-        assert_eq!(r.deliver.len(), 1);
+        assert_eq!(views(&r), vec![1]);
         let r = rx.on_wire(T0, A, w1);
-        assert!(r.deliver.is_empty());
+        assert!(views(&r).is_empty());
         // Still acks so the sender stops retransmitting.
         assert!(matches!(r.reply, Some(Wire::Ack { cum: 1 })));
     }
@@ -246,7 +286,7 @@ mod tests {
     fn raw_frames_bypass_sequencing() {
         let mut rx: LinkManager<u32> = LinkManager::new(SimDuration::from_millis(10));
         let r = rx.on_wire(T0, A, Wire::Raw(hb(9)));
-        assert_eq!(r.deliver.len(), 1);
+        assert_eq!(views(&r), vec![9]);
         assert!(r.reply.is_none());
     }
 
@@ -265,7 +305,7 @@ mod tests {
             _ => panic!(),
         }
         let r = rx.on_wire(T0, A, w);
-        assert_eq!(r.deliver.len(), 1);
+        assert_eq!(views(&r), vec![7]);
     }
 
     #[test]
@@ -277,6 +317,6 @@ mod tests {
         let resend = tx.tick(t1);
         assert_eq!(resend.len(), 1);
         let r = rx.on_wire(t1, A, resend.into_iter().next().unwrap().1);
-        assert_eq!(r.deliver.len(), 1);
+        assert_eq!(views(&r), vec![1]);
     }
 }

@@ -1,11 +1,12 @@
 //! The one embedding of a [`GroupMember`] into a `jrs-sim` process.
 //!
-//! [`GroupHost`] owns the member, its tick timer and the embedder's CPU
-//! charge policy; every path that puts the member's [`Output`] on the
-//! simulated wire goes through its private `transmit`. An embedder calls
-//! the host from its `Process` callbacks and gets back only the ordered
-//! upcalls ([`GcsEvent`]): how a frame is charged, sent and how the tick
-//! is re-armed is not its business.
+//! [`GroupHost`] owns the member, its tick timer, the embedder's CPU
+//! charge policy and the one [`Output`] the member ever writes into; every
+//! path that puts that output on the simulated wire goes through its
+//! private `transmit`. An embedder calls the host from its `Process`
+//! callbacks and gets back only the ordered upcalls ([`GcsEvent`]), in a
+//! `Vec` it drains and hands back ([`GroupHost::recycle`]): how a frame is
+//! charged, sent and how the tick is re-armed is not its business.
 //!
 //! Two embedders exist. [`GcsProcess`] (below) charges nothing and
 //! publishes the upcalls through `Ctx::emit`: the vehicle for running the
@@ -32,6 +33,9 @@ pub struct GroupHost<P> {
     member: GroupMember<P>,
     tick_every: SimDuration,
     charge: Charge<P>,
+    /// The member's output buffer: drained by `transmit` after every call,
+    /// its capacity kept for the next one.
+    out: Output<P>,
 }
 
 impl<P: Clone + 'static> GroupHost<P> {
@@ -44,7 +48,8 @@ impl<P: Clone + 'static> GroupHost<P> {
         charge: impl Fn(&Wire<P>) -> SimDuration + 'static,
     ) -> Self {
         let tick_every = config.tick_every;
-        GroupHost { member: GroupMember::new(me, config, initial), tick_every, charge: Box::new(charge) }
+        let member = GroupMember::new(me, config, initial);
+        GroupHost { member, tick_every, charge: Box::new(charge), out: Output::default() }
     }
 
     /// Read-only access to the wrapped member.
@@ -65,8 +70,8 @@ impl<P: Clone + 'static> GroupHost<P> {
 
     /// Start the member and arm the first tick; call from `on_start`.
     pub fn start(&mut self, ctx: &mut Ctx<'_>) -> Vec<GcsEvent<P>> {
-        let out = self.member.start(ctx.now());
-        let events = self.transmit(ctx, out);
+        self.member.start_into(ctx.now(), &mut self.out);
+        let events = self.transmit(ctx);
         ctx.set_timer(self.tick_every, TICK_TAG);
         events
     }
@@ -75,8 +80,8 @@ impl<P: Clone + 'static> GroupHost<P> {
     /// group frame (single fallible downcast, no check-then-expect: the no-panic lints).
     pub fn on_message(&mut self, ctx: &mut Ctx<'_>, from: ProcId, msg: Msg) -> Result<Vec<GcsEvent<P>>, Msg> {
         let frame = msg.downcast::<Wire<P>>()?;
-        let out = self.member.on_wire(ctx.now(), from, *frame);
-        Ok(self.transmit(ctx, out))
+        self.member.on_wire_into(ctx.now(), from, *frame, &mut self.out);
+        Ok(self.transmit(ctx))
     }
 
     /// Feed a fired timer. `None` when the tag is not the host's tick.
@@ -84,33 +89,43 @@ impl<P: Clone + 'static> GroupHost<P> {
         if tag != TICK_TAG {
             return None;
         }
-        let out = self.member.tick(ctx.now());
-        let events = self.transmit(ctx, out);
+        self.member.tick_into(ctx.now(), &mut self.out);
+        let events = self.transmit(ctx);
         ctx.set_timer(self.tick_every, TICK_TAG);
         Some(events)
     }
 
     /// Submit a payload for totally ordered broadcast.
     pub fn broadcast(&mut self, ctx: &mut Ctx<'_>, payload: P) -> Vec<GcsEvent<P>> {
-        let out = self.member.broadcast(ctx.now(), payload);
-        self.transmit(ctx, out)
+        self.member.broadcast_into(ctx.now(), payload, &mut self.out);
+        self.transmit(ctx)
     }
 
     /// Announce a voluntary leave; the embedder exits afterwards.
     pub fn leave(&mut self, ctx: &mut Ctx<'_>) -> Vec<GcsEvent<P>> {
-        let out = self.member.leave(ctx.now());
-        self.transmit(ctx, out)
+        self.member.leave_into(ctx.now(), &mut self.out);
+        self.transmit(ctx)
     }
 
-    /// Put one `Output` on the wire. The CPU is serial: each frame leaves
-    /// after its own charge *and* that of every frame queued before it.
-    fn transmit(&self, ctx: &mut Ctx<'_>, out: Output<P>) -> Vec<GcsEvent<P>> {
+    /// Put the buffered output on the wire. The CPU is serial: each frame
+    /// leaves after its own charge *and* that of every frame queued before
+    /// it. The upcalls leave with the caller, who hands the `Vec` back.
+    fn transmit(&mut self, ctx: &mut Ctx<'_>) -> Vec<GcsEvent<P>> {
         let mut busy = SimDuration::ZERO;
-        for (to, frame, bytes) in out.wire {
+        for (to, frame, bytes) in self.out.wire.drain(..) {
             busy += (self.charge)(&frame);
             ctx.send_sized_after(to, frame, bytes, busy);
         }
-        out.events
+        std::mem::take(&mut self.out.events)
+    }
+
+    /// Take back the upcall `Vec` of an earlier call, drained, so the next
+    /// call pushes into its capacity instead of allocating.
+    pub fn recycle(&mut self, events: Vec<GcsEvent<P>>) {
+        debug_assert!(events.is_empty());
+        if events.capacity() > self.out.events.capacity() {
+            self.out.events = events;
+        }
     }
 }
 
@@ -149,18 +164,19 @@ impl<P: Clone + 'static> GcsProcess<P> {
     pub fn tick_interval(&self) -> SimDuration {
         self.host.tick_interval()
     }
-}
 
-fn emit_all<P: 'static>(ctx: &mut Ctx<'_>, events: Vec<GcsEvent<P>>) {
-    for ev in events {
-        ctx.emit(ev);
+    fn emit_all(&mut self, ctx: &mut Ctx<'_>, mut events: Vec<GcsEvent<P>>) {
+        for ev in events.drain(..) {
+            ctx.emit(ev);
+        }
+        self.host.recycle(events);
     }
 }
 
 impl<P: Clone + 'static> Process for GcsProcess<P> {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         let events = self.host.start(ctx);
-        emit_all(ctx, events);
+        self.emit_all(ctx, events);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: ProcId, msg: Msg) {
@@ -175,16 +191,16 @@ impl<P: Clone + 'static> Process for GcsProcess<P> {
                     events
                 }
             };
-            return emit_all(ctx, events);
+            return self.emit_all(ctx, events);
         }
         if let Ok(events) = self.host.on_message(ctx, from, msg) {
-            emit_all(ctx, events);
+            self.emit_all(ctx, events);
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _timer: TimerId, tag: u64) {
         if let Some(events) = self.host.on_timer(ctx, tag) {
-            emit_all(ctx, events);
+            self.emit_all(ctx, events);
         }
     }
 }

@@ -78,7 +78,7 @@ proptest! {
                     Fate::Duplicate => {
                         in_flight.push_back(frame.clone());
                         let inb = rx.on_wire(now, PEER, frame);
-                        delivered.extend(inb.deliver.iter().map(msg_id));
+                        delivered.extend(inb.first.iter().chain(&inb.rest).map(msg_id));
                         if let Some(reply) = inb.reply {
                             let _ = tx.on_wire(now, PEER, reply);
                         }
@@ -86,7 +86,7 @@ proptest! {
                     Fate::DelayBehindNext => in_flight.push_back(frame),
                     Fate::Deliver => {
                         let inb = rx.on_wire(now, PEER, frame);
-                        delivered.extend(inb.deliver.iter().map(msg_id));
+                        delivered.extend(inb.first.iter().chain(&inb.rest).map(msg_id));
                         if let Some(reply) = inb.reply {
                             let _ = tx.on_wire(now, PEER, reply);
                         }
@@ -108,7 +108,7 @@ proptest! {
         // Drain remaining frames cleanly: nothing further may deliver.
         while let Some(frame) = in_flight.pop_front() {
             let inb = rx.on_wire(now, PEER, frame);
-            prop_assert!(inb.deliver.is_empty(), "late duplicate delivered twice");
+            prop_assert!(inb.first.is_none() && inb.rest.is_empty(), "late duplicate delivered twice");
         }
     }
 }
