@@ -4,21 +4,33 @@ use jrs_pbs::{JobId, JobSpec, ServerCmd};
 use jrs_sim::SimDuration;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::fmt::Write;
+use std::rc::Rc;
 
 /// The paper's measurement workload: `n` back-to-back submissions of a
 /// trivial job (Figures 10 and 11 use 10/50/100 of these).
 pub fn burst(n: usize) -> Vec<ServerCmd> {
-    (0..n)
-        .map(|i| ServerCmd::Qsub(JobSpec::trivial(format!("job-{i}"))))
-        .collect()
+    qsubs(n, &JobSpec::trivial(""))
 }
 
 /// Submissions of jobs with a fixed simulated runtime (failure tests use
 /// longer-running jobs so crashes land mid-execution).
 pub fn burst_with_runtime(n: usize, runtime: SimDuration) -> Vec<ServerCmd> {
-    (0..n)
-        .map(|i| ServerCmd::Qsub(JobSpec::with_runtime(format!("job-{i}"), runtime)))
-        .collect()
+    qsubs(n, &JobSpec::with_runtime("", runtime))
+}
+
+/// `n` submissions of `base` named `job-0`, `job-1`, ...
+fn qsubs(n: usize, base: &JobSpec) -> Vec<ServerCmd> {
+    let mut buf = String::new();
+    (0..n).map(|i| qsub(base, &mut buf, "job-", i)).collect()
+}
+
+/// `base` named `{prefix}{i}`: the jobs of a script share the template's
+/// `user`, and `buf` saves the second allocation of `format!(..).into()`.
+fn qsub(base: &JobSpec, buf: &mut String, prefix: &str, i: usize) -> ServerCmd {
+    buf.clear();
+    let _ = write!(buf, "{prefix}{i}");
+    ServerCmd::Qsub(JobSpec { name: Rc::from(buf.as_str()), ..base.clone() })
 }
 
 /// A mixed interactive session: submissions interleaved with status
@@ -28,11 +40,12 @@ pub fn mixed(n: usize, seed: u64) -> Vec<ServerCmd> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut cmds = Vec::with_capacity(n);
     let mut submitted = 0u64;
+    let (base, mut buf) = (JobSpec::trivial(""), String::new());
     for i in 0..n {
         let dice = rng.random_range(0..10u32);
         let cmd = if submitted == 0 || dice < 5 {
             submitted += 1;
-            ServerCmd::Qsub(JobSpec::trivial(format!("mix-{i}")))
+            qsub(&base, &mut buf, "mix-", i)
         } else if dice < 7 {
             ServerCmd::Qstat(None)
         } else if dice < 8 {

@@ -66,7 +66,7 @@ fn pool() -> NodePool {
 }
 
 fn status(id: u64, state: char, exit_status: Option<i32>) -> JobStatus {
-    JobStatus { id: JobId(id), name: format!("job-{id}"), user: "alice".into(), state, exit_status }
+    JobStatus { id: JobId(id), name: format!("job-{id}").into(), user: "alice".into(), state, exit_status }
 }
 
 /// A grant (job 2) and a release (job 1).

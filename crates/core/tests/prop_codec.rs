@@ -60,8 +60,8 @@ fn small_string(rng: &mut StdRng) -> String {
 
 fn job_spec(rng: &mut StdRng) -> JobSpec {
     JobSpec {
-        name: small_string(rng),
-        user: small_string(rng),
+        name: small_string(rng).into(),
+        user: small_string(rng).into(),
         nodes: rng.random_range(1u32..32),
         walltime: SimDuration::from_millis(rng.random_range(1u64..100_000)),
         runtime: SimDuration::from_nanos(rng.random_range(0u64..u64::MAX / 2)),

@@ -2,6 +2,7 @@
 
 use jrs_sim::SimDuration;
 use std::fmt;
+use std::rc::Rc;
 
 /// Server-assigned job identifier.
 ///
@@ -26,12 +27,15 @@ impl fmt::Display for JobId {
 }
 
 /// What the user submits (`qsub`).
+///
+/// `name` and `user` are shared: every copy of a job holds the same
+/// allocation (DESIGN.md 3.3).
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct JobSpec {
     /// Human-readable job name.
-    pub name: String,
+    pub name: Rc<str>,
     /// Submitting user.
-    pub user: String,
+    pub user: Rc<str>,
     /// Requested node count.
     pub nodes: u32,
     /// Requested maximum runtime; the mom kills the job when exceeded.
@@ -44,7 +48,7 @@ pub struct JobSpec {
 impl JobSpec {
     /// A trivial single-node job, as used by the paper's latency and
     /// throughput measurements (`echo`-style scripts).
-    pub fn trivial(name: impl Into<String>) -> Self {
+    pub fn trivial(name: impl Into<Rc<str>>) -> Self {
         JobSpec {
             name: name.into(),
             user: "user".into(),
@@ -55,7 +59,7 @@ impl JobSpec {
     }
 
     /// A job with an explicit runtime.
-    pub fn with_runtime(name: impl Into<String>, runtime: SimDuration) -> Self {
+    pub fn with_runtime(name: impl Into<Rc<str>>, runtime: SimDuration) -> Self {
         JobSpec { runtime, ..JobSpec::trivial(name) }
     }
 }
@@ -126,9 +130,9 @@ pub struct JobStatus {
     /// Identifier.
     pub id: JobId,
     /// Job name.
-    pub name: String,
+    pub name: Rc<str>,
     /// Owner.
-    pub user: String,
+    pub user: Rc<str>,
     /// State letter (Q/R/E/C/H).
     pub state: char,
     /// Exit status for completed jobs.
@@ -177,6 +181,6 @@ mod tests {
         let st: JobStatus = (&j).into();
         assert_eq!((st.state, st.exit_status), ('C', Some(0)));
         assert_eq!(st.id, JobId(1));
-        assert_eq!(st.name, "hello");
+        assert_eq!(&*st.name, "hello");
     }
 }

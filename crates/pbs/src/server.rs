@@ -563,7 +563,21 @@ mod tests {
         let (reply, _) = s.apply(T0, &ServerCmd::Qstat(Some(id2)));
         let CmdReply::Status(rows) = reply else { panic!() };
         assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].name, "b");
+        assert_eq!(&*rows[0].name, "b");
+    }
+
+    #[test]
+    fn rows_and_snapshots_share_the_jobs_strings() {
+        use std::rc::Rc;
+        let mut s = server(1);
+        let (id, _) = submit(&mut s, "shared");
+        let live = s.job(id).unwrap().spec.clone();
+        let (reply, _) = s.apply(T0, &ServerCmd::Qstat(None));
+        let CmdReply::Status(rows) = reply else { panic!() };
+        assert!(Rc::ptr_eq(&rows[0].name, &live.name) && Rc::ptr_eq(&rows[0].user, &live.user));
+        let snap = s.snapshot();
+        let copy = &snap.jobs[0].spec;
+        assert!(Rc::ptr_eq(&copy.name, &live.name) && Rc::ptr_eq(&copy.user, &live.user));
     }
 
     #[test]

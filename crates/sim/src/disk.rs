@@ -34,6 +34,19 @@ struct FileState {
     volatile: Vec<u8>,
 }
 
+impl FileState {
+    /// Move the volatile tail onto the platter as one fsync batch; a file
+    /// with nothing durable yet (a snapshot's temp file) takes its buffer.
+    fn land_tail(&mut self) {
+        self.synced_floor = self.durable.len();
+        if self.durable.is_empty() {
+            self.durable = std::mem::take(&mut self.volatile);
+        } else {
+            self.durable.append(&mut self.volatile);
+        }
+    }
+}
+
 /// A deterministic simulated disk with explicit write/fsync semantics.
 ///
 /// Files are named by flat string paths. All operations are infallible in
@@ -92,9 +105,7 @@ impl SimDisk {
         }
         if let Some(f) = self.files.get_mut(path) {
             if !f.volatile.is_empty() {
-                f.synced_floor = f.durable.len();
-                let tail = std::mem::take(&mut f.volatile);
-                f.durable.extend_from_slice(&tail);
+                f.land_tail();
                 self.last_fsynced = Some(path.to_string());
                 self.fsyncs += 1;
             }
@@ -154,9 +165,7 @@ impl SimDisk {
             return false;
         };
         if !f.volatile.is_empty() {
-            f.synced_floor = f.durable.len();
-            let tail = std::mem::take(&mut f.volatile);
-            f.durable.extend_from_slice(&tail);
+            f.land_tail();
         }
         if self.last_fsynced.as_deref() == Some(from) {
             self.last_fsynced = Some(to.to_string());

@@ -183,17 +183,24 @@ fn decode_len(r: &mut Reader<'_>) -> Result<usize, DecodeError> {
     Ok(len)
 }
 
-impl Codec for String {
-    fn encode(&self, out: &mut Vec<u8>) {
-        encode_len(self.len(), out);
-        out.extend_from_slice(self.as_bytes());
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let len = decode_len(r)?;
-        let bytes = r.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::Invalid("utf-8"))
-    }
+/// `String` and the shared `Rc<str>` (job names and users): the same
+/// bytes, a `u32` length then UTF-8.
+macro_rules! str_codec {
+    ($($t:ty),*) => {$(
+        impl Codec for $t {
+            fn encode(&self, out: &mut Vec<u8>) {
+                encode_len(self.len(), out);
+                out.extend_from_slice(self.as_bytes());
+            }
+            fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                let len = decode_len(r)?;
+                std::str::from_utf8(r.take(len)?).map(<$t>::from).map_err(|_| DecodeError::Invalid("utf-8"))
+            }
+        }
+    )*};
 }
+
+str_codec!(String, std::rc::Rc<str>);
 
 impl<T: Codec> Codec for Option<T> {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -476,6 +483,7 @@ macro_rules! codec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::rc::Rc;
 
     fn round_trip<T: Codec + PartialEq + std::fmt::Debug>(v: T) {
         let bytes = v.to_bytes();
@@ -503,6 +511,21 @@ mod tests {
         round_trip(BTreeMap::from([(1u32, String::from("a")), (2, String::from("b"))]));
         round_trip(BTreeSet::from([5u64, 7]));
         round_trip((1u8, String::from("x"), vec![2u64]));
+        round_trip(Rc::<str>::from("job-0"));
+        round_trip(Rc::<str>::from(""));
+        round_trip(Rc::<str>::from("λ-ジョブ-🚀"));
+        round_trip(vec![Rc::<str>::from("a"), Rc::from("")]);
+    }
+
+    #[test]
+    fn shared_str_encodes_like_string() {
+        for text in ["", "job-0", "λ-ジョブ-🚀"] {
+            assert_eq!(Rc::<str>::from(text).to_bytes(), String::from(text).to_bytes());
+        }
+        let mut bad = 2u32.to_bytes();
+        bad.extend_from_slice(&[0xC3, 0x28]);
+        assert_eq!(Rc::<str>::from_bytes(&bad), Err(DecodeError::Invalid("utf-8")));
+        assert_eq!(String::from_bytes(&bad), Err(DecodeError::Invalid("utf-8")));
     }
 
     #[test]

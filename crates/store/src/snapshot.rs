@@ -32,12 +32,14 @@ impl SnapshotStore {
     /// returned (the previous snapshot, if any, stays intact — the caller
     /// simply retries at the next interval).
     pub fn save(&self, disk: &mut SimDisk, now: SimTime, applied_index: u64, state: &[u8]) -> bool {
-        let mut payload = Vec::with_capacity(8 + state.len());
-        payload.extend_from_slice(&applied_index.to_le_bytes());
-        payload.extend_from_slice(state);
-        let mut file = Vec::with_capacity(4 + payload.len());
-        file.extend_from_slice(&crc32(&payload).to_le_bytes());
-        file.extend_from_slice(&payload);
+        // `[crc][applied_index][state]`, framed in one buffer: the CRC
+        // covers what follows it and is filled in last.
+        let mut file = Vec::with_capacity(4 + 8 + state.len());
+        file.extend_from_slice(&[0; 4]);
+        file.extend_from_slice(&applied_index.to_le_bytes());
+        file.extend_from_slice(state);
+        let crc = crc32(&file[4..]);
+        file[..4].copy_from_slice(&crc.to_le_bytes());
 
         let tmp = self.tmp_path();
         disk.remove(&tmp);
