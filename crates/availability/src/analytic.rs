@@ -24,7 +24,10 @@ pub struct NodeReliability {
 impl NodeReliability {
     /// The paper's working values: MTTF = 5000 h, MTTR = 72 h.
     pub fn paper() -> Self {
-        NodeReliability { mttf_hours: 5000.0, mttr_hours: 72.0 }
+        NodeReliability {
+            mttf_hours: 5000.0,
+            mttr_hours: 72.0,
+        }
     }
 
     /// Eq. 1 — steady-state availability of a single node.

@@ -106,7 +106,11 @@ fn run_trial(cfg: &McConfig, seed: u64) -> (f64, u64) {
         } else {
             let i = i_min;
             up[i] = !up[i];
-            let mean = if up[i] { cfg.node.mttf_hours } else { cfg.node.mttr_hours };
+            let mean = if up[i] {
+                cfg.node.mttf_hours
+            } else {
+                cfg.node.mttr_hours
+            };
             next_flip[i] = t + sample_exp(&mut rng, mean);
         }
         let any_up = up.iter().any(|&u| u);
@@ -237,7 +241,11 @@ mod tests {
 
     #[test]
     fn deterministic_for_fixed_seed() {
-        let cfg = McConfig { trials: 2, span_hours: 8760.0, ..McConfig::paper(2) };
+        let cfg = McConfig {
+            trials: 2,
+            span_hours: 8760.0,
+            ..McConfig::paper(2)
+        };
         let a = run(&cfg);
         let b = run(&cfg);
         assert_eq!(a.availability, b.availability);

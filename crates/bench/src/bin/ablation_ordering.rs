@@ -36,12 +36,8 @@ fn main() {
             seed,
             EngineKind::Sequencer,
         );
-        let tok = latency_experiment_with_engine(
-            HaMode::Joshua { heads },
-            jobs,
-            seed,
-            EngineKind::Token,
-        );
+        let tok =
+            latency_experiment_with_engine(HaMode::Joshua { heads }, jobs, seed, EngineKind::Token);
         rows.push(vec![
             heads.to_string(),
             format!("{:.0}ms", seq.mean_ms),

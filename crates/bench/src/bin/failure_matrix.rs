@@ -81,13 +81,18 @@ fn main() {
         }));
     }
     for heads in [3usize, 4] {
-        outcomes.push(run_scenario("double simultaneous crash", heads, jobs, |c| {
-            let (a, b) = (c.head_nodes[0], c.head_nodes[1]);
-            c.world.schedule_at(secs(2), move |w| {
-                w.crash_node(a);
-                w.crash_node(b);
-            });
-        }));
+        outcomes.push(run_scenario(
+            "double simultaneous crash",
+            heads,
+            jobs,
+            |c| {
+                let (a, b) = (c.head_nodes[0], c.head_nodes[1]);
+                c.world.schedule_at(secs(2), move |w| {
+                    w.crash_node(a);
+                    w.crash_node(b);
+                });
+            },
+        ));
     }
     outcomes.push(run_scenario("cascade to last survivor", 4, jobs, |c| {
         for (i, k) in [0usize, 1, 2].iter().enumerate() {
@@ -134,19 +139,17 @@ fn main() {
                 format!("{:.0}ms", o.max_gap_ms),
                 format!("{}/{}", o.real_runs, o.expected),
                 o.consistent.to_string(),
-                if state_ok { "PASS".into() } else { "FAIL".into() },
+                if state_ok {
+                    "PASS".into()
+                } else {
+                    "FAIL".into()
+                },
             ]
         })
         .collect();
     report::table(
         &[
-            "Scenario",
-            "Heads",
-            "Answered",
-            "MaxGap",
-            "RealRuns",
-            "Agreeing",
-            "Verdict",
+            "Scenario", "Heads", "Answered", "MaxGap", "RealRuns", "Agreeing", "Verdict",
         ],
         &rows,
     );

@@ -36,7 +36,14 @@ fn main() {
         ]);
     }
     report::table(
-        &["#", "Availability", "Nines", "Downtime/Year", "Paper", "MonteCarlo"],
+        &[
+            "#",
+            "Availability",
+            "Nines",
+            "Downtime/Year",
+            "Paper",
+            "MonteCarlo",
+        ],
         &rows,
     );
 

@@ -31,7 +31,10 @@ fn run(mode: HaMode, jobs: usize) -> Outcome {
     let mut cfg = ClusterConfig::new(mode);
     cfg.seed = 2006;
     let mut c = Cluster::build(cfg);
-    c.spawn_client(workload::burst_with_runtime(jobs, SimDuration::from_secs(2)));
+    c.spawn_client(workload::burst_with_runtime(
+        jobs,
+        SimDuration::from_secs(2),
+    ));
     let n0 = c.head_nodes[0];
     c.world.schedule_at(secs(1), move |w| w.crash_node(n0));
     c.run_until(secs((jobs as u64 + 60) * 6));
@@ -98,7 +101,14 @@ fn main() {
         ]);
     }
     report::table(
-        &["System", "Answered", "MaxGap", "Restarted", "RealRuns", "Verdict"],
+        &[
+            "System",
+            "Answered",
+            "MaxGap",
+            "Restarted",
+            "RealRuns",
+            "Verdict",
+        ],
         &rows,
     );
 }

@@ -109,7 +109,12 @@ pub fn throughput_experiment(mode: HaMode, batches: &[usize], seed: u64) -> Thro
         let horizon = SimTime::ZERO + SimDuration::from_secs((batch as u64 + 10) * 5);
         cluster.run_until(horizon);
         let dones = cluster.take_dones();
-        assert_eq!(dones.len(), 1, "{}: batch {batch} did not finish", mode.label());
+        assert_eq!(
+            dones.len(),
+            1,
+            "{}: batch {batch} did not finish",
+            mode.label()
+        );
         let total = dones[0].finished.since(dones[0].started);
         totals.push((batch, total.as_secs_f64()));
     }

@@ -123,7 +123,10 @@ pub struct Cluster {
 
 /// The `(node name, mom)` table: compute node `i` is `c0i`, run by `moms[i]`.
 fn node_table(moms: &[ProcId]) -> Vec<(String, ProcId)> {
-    moms.iter().enumerate().map(|(i, m)| (format!("c{i:02}"), *m)).collect()
+    moms.iter()
+        .enumerate()
+        .map(|(i, m)| (format!("c{i:02}"), *m))
+        .collect()
 }
 
 /// The daemon configuration every JOSHUA head of this cluster gets.
@@ -139,8 +142,11 @@ fn joshua_config(cfg: &ClusterConfig, moms: &[ProcId]) -> JoshuaConfig {
 
 /// An unreplicated PBS server owning `nodes`, their moms registered.
 fn pbs_core(name: String, cfg: &ClusterConfig, nodes: &[(String, ProcId)]) -> PbsServerCore {
-    let mut core =
-        PbsServerCore::new(name, nodes.iter().map(|(n, _)| n.clone()), cfg.policy.make());
+    let mut core = PbsServerCore::new(
+        name,
+        nodes.iter().map(|(n, _)| n.clone()),
+        cfg.policy.make(),
+    );
     for (n, m) in nodes {
         core.register_mom(n, *m);
     }
@@ -164,10 +170,10 @@ impl Cluster {
         );
 
         // Topology: head nodes first, compute nodes, then a login node.
-        let head_nodes: Vec<NodeId> =
-            (0..h).map(|i| world.add_node(format!("head-{i}"))).collect();
-        let mom_nodes: Vec<NodeId> =
-            (0..c).map(|i| world.add_node(format!("c{i:02}"))).collect();
+        let head_nodes: Vec<NodeId> = (0..h)
+            .map(|i| world.add_node(format!("head-{i}")))
+            .collect();
+        let mom_nodes: Vec<NodeId> = (0..c).map(|i| world.add_node(format!("c{i:02}"))).collect();
         let login_node = world.add_node("login");
 
         // Process ids are sequential: heads 0..h, moms h..h+c.
@@ -181,10 +187,7 @@ impl Cluster {
         match cfg.mode {
             HaMode::SingleHead => {
                 let core = pbs_core("head-0".into(), &cfg, &all_nodes);
-                let p = world.add_process(
-                    head_nodes[0],
-                    PbsHeadProcess::new(core, cfg.cost.pbs),
-                );
+                let p = world.add_process(head_nodes[0], PbsHeadProcess::new(core, cfg.cost.pbs));
                 heads.push(p);
             }
             HaMode::ActiveStandby => {
@@ -193,13 +196,7 @@ impl Cluster {
                     let peer = head_ids[1 - i];
                     let p = world.add_process(
                         head_nodes[i],
-                        ActiveStandbyHead::new(
-                            core,
-                            cfg.standby,
-                            peer,
-                            i == 0,
-                            mom_ids.clone(),
-                        ),
+                        ActiveStandbyHead::new(core, cfg.standby, peer, i == 0, mom_ids.clone()),
                     );
                     heads.push(p);
                 }
@@ -215,10 +212,8 @@ impl Cluster {
                         .map(|(_, nm)| nm.clone())
                         .collect();
                     let core = pbs_core(format!("head-{i}"), &cfg, &my_nodes);
-                    let p = world.add_process(
-                        head_nodes[i],
-                        PbsHeadProcess::new(core, cfg.cost.pbs),
-                    );
+                    let p =
+                        world.add_process(head_nodes[i], PbsHeadProcess::new(core, cfg.cost.pbs));
                     heads.push(p);
                 }
             }
@@ -309,7 +304,9 @@ impl Cluster {
         let HaMode::Joshua { .. } = self.cfg.mode else {
             panic!("replacement heads only exist in JOSHUA mode");
         };
-        let node = self.world.add_node(format!("head-{}", self.head_nodes.len()));
+        let node = self
+            .world
+            .add_node(format!("head-{}", self.head_nodes.len()));
         let contacts = self.heads.clone();
         let jc = joshua_config(&self.cfg, &self.moms);
         // The new process id is not in `contacts`, so it starts as a
@@ -332,8 +329,7 @@ impl Cluster {
     /// a full snapshot.
     pub fn restart_joshua_head(&mut self, i: usize) -> ProcId {
         let me = self.heads[i];
-        let contacts: Vec<ProcId> =
-            self.heads.iter().copied().filter(|p| *p != me).collect();
+        let contacts: Vec<ProcId> = self.heads.iter().copied().filter(|p| *p != me).collect();
         if contacts.is_empty() {
             // No survivors to join through (single-head cluster): this is
             // a one-member cold restart — bootstrap as the initial member.

@@ -51,7 +51,10 @@ mod tests {
 
     #[test]
     fn control_commands_are_pbs_commands() {
-        assert_eq!(jsub(JobSpec::trivial("x")), ServerCmd::Qsub(JobSpec::trivial("x")));
+        assert_eq!(
+            jsub(JobSpec::trivial("x")),
+            ServerCmd::Qsub(JobSpec::trivial("x"))
+        );
         assert_eq!(jdel(JobId(3)), ServerCmd::Qdel(JobId(3)));
         assert_eq!(jstat(), ServerCmd::Qstat(None));
         assert_eq!(jstat_job(JobId(9)), ServerCmd::Qstat(Some(JobId(9))));

@@ -82,13 +82,19 @@ pub struct PersistConfig {
 impl PersistConfig {
     /// Durability on, with defaults sized for the paper's testbed scale.
     pub fn durable() -> Self {
-        PersistConfig { enabled: true, snapshot_every: 32 }
+        PersistConfig {
+            enabled: true,
+            snapshot_every: 32,
+        }
     }
 }
 
 impl Default for PersistConfig {
     fn default() -> Self {
-        PersistConfig { enabled: false, snapshot_every: 32 }
+        PersistConfig {
+            enabled: false,
+            snapshot_every: 32,
+        }
     }
 }
 

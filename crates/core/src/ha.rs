@@ -92,7 +92,11 @@ impl ActiveStandbyHead {
             core,
             cfg,
             peer,
-            role: if primary { Role::Primary } else { Role::Standby },
+            role: if primary {
+                Role::Primary
+            } else {
+                Role::Standby
+            },
             last_primary_sign: SimTime::ZERO,
             restarted_jobs: 0,
             checkpoints: 0,
@@ -154,7 +158,14 @@ impl Process for ActiveStandbyHead {
             }
             let cost = self.cfg.cost.cost_of(&req.cmd);
             let (reply, actions) = self.core.apply(now, &req.cmd);
-            ctx.send_after(req.client, ClientReply { req_id: req.req_id, reply }, cost);
+            ctx.send_after(
+                req.client,
+                ClientReply {
+                    req_id: req.req_id,
+                    reply,
+                },
+                cost,
+            );
             dispatch(ctx, actions, None, cost + self.cfg.cost.dispatch_processing);
             return;
         }
@@ -173,8 +184,7 @@ impl Process for ActiveStandbyHead {
                         ctx.send(self.peer, AsHeartbeat);
                         // Piggyback a checkpoint on schedule.
                         if self.checkpoints == 0
-                            || now.as_nanos()
-                                % self.cfg.checkpoint_every.as_nanos().max(1)
+                            || now.as_nanos() % self.cfg.checkpoint_every.as_nanos().max(1)
                                 < self.cfg.heartbeat_every.as_nanos()
                         {
                             self.checkpoints += 1;
@@ -191,10 +201,9 @@ impl Process for ActiveStandbyHead {
                 }
                 ctx.set_timer(self.cfg.heartbeat_every, 0);
             }
-            1
-                if self.role == Role::TakingOver => {
-                    self.complete_takeover(ctx);
-                }
+            1 if self.role == Role::TakingOver => {
+                self.complete_takeover(ctx);
+            }
             _ => {}
         }
     }

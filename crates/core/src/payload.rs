@@ -201,7 +201,14 @@ impl JMutexState {
                 JMutexOutcome::Denied
             };
         }
-        self.granted.insert(job, Grant { mom, session, granter });
+        self.granted.insert(
+            job,
+            Grant {
+                mom,
+                session,
+                granter,
+            },
+        );
         JMutexOutcome::Granted
     }
 
@@ -306,10 +313,19 @@ mod tests {
     #[test]
     fn first_acquire_wins_rest_denied() {
         let mut t = JMutexState::new();
-        assert_eq!(t.acquire(JobId(1), MOM, 10, G1, false), JMutexOutcome::Granted);
+        assert_eq!(
+            t.acquire(JobId(1), MOM, 10, G1, false),
+            JMutexOutcome::Granted
+        );
         // Competing sessions (same mom, other heads' ballots) lose.
-        assert_eq!(t.acquire(JobId(1), MOM, 11, G2, false), JMutexOutcome::Denied);
-        assert_eq!(t.acquire(JobId(1), MOM, 12, G1, false), JMutexOutcome::Denied);
+        assert_eq!(
+            t.acquire(JobId(1), MOM, 11, G2, false),
+            JMutexOutcome::Denied
+        );
+        assert_eq!(
+            t.acquire(JobId(1), MOM, 12, G1, false),
+            JMutexOutcome::Denied
+        );
         let g = t.holder(JobId(1)).unwrap();
         assert_eq!(g.session, 10);
         assert_eq!(g.granter, G1);
@@ -319,8 +335,14 @@ mod tests {
     #[test]
     fn independent_jobs_do_not_interfere() {
         let mut t = JMutexState::new();
-        assert_eq!(t.acquire(JobId(1), MOM, 1, G1, false), JMutexOutcome::Granted);
-        assert_eq!(t.acquire(JobId(2), MOM, 2, G2, false), JMutexOutcome::Granted);
+        assert_eq!(
+            t.acquire(JobId(1), MOM, 1, G1, false),
+            JMutexOutcome::Granted
+        );
+        assert_eq!(
+            t.acquire(JobId(2), MOM, 2, G2, false),
+            JMutexOutcome::Granted
+        );
         assert_eq!(t.outstanding(), 2);
     }
 
@@ -373,20 +395,39 @@ mod tests {
     #[test]
     fn regrant_and_reclaim_semantics() {
         let mut t = JMutexState::new();
-        assert_eq!(t.acquire(JobId(1), MOM, 10, G1, false), JMutexOutcome::Granted);
+        assert_eq!(
+            t.acquire(JobId(1), MOM, 10, G1, false),
+            JMutexOutcome::Granted
+        );
         // Replayed acquire after a blackout: same mom + session wins again
         // (the verdict was lost with the heads; the mom still waits).
-        assert_eq!(t.acquire(JobId(1), MOM, 10, G2, false), JMutexOutcome::Granted);
+        assert_eq!(
+            t.acquire(JobId(1), MOM, 10, G2, false),
+            JMutexOutcome::Granted
+        );
         // A plain fresh session still loses (steady-state competition).
-        assert_eq!(t.acquire(JobId(1), MOM, 11, G2, false), JMutexOutcome::Denied);
+        assert_eq!(
+            t.acquire(JobId(1), MOM, 11, G2, false),
+            JMutexOutcome::Denied
+        );
         // The mom itself was rebooted: its reclaim re-wins with a fresh
         // session and the grant adopts it (the old launch died with it).
-        assert_eq!(t.acquire(JobId(1), MOM, 12, G2, true), JMutexOutcome::Granted);
+        assert_eq!(
+            t.acquire(JobId(1), MOM, 12, G2, true),
+            JMutexOutcome::Granted
+        );
         assert_eq!(t.holder(JobId(1)).unwrap().session, 12);
         // A reclaim from another mom is still denied.
-        assert_eq!(t.acquire(JobId(1), MOM2, 13, G2, true), JMutexOutcome::Denied);
+        assert_eq!(
+            t.acquire(JobId(1), MOM2, 13, G2, true),
+            JMutexOutcome::Denied
+        );
         assert_eq!(t.outstanding(), 1);
-        assert_eq!(t.holder(JobId(1)).unwrap().granter, G1, "original grant kept");
+        assert_eq!(
+            t.holder(JobId(1)).unwrap().granter,
+            G1,
+            "original grant kept"
+        );
     }
 
     #[test]
@@ -398,8 +439,15 @@ mod tests {
                 req_id: 3,
                 cmd: ServerCmd::Qsub(JobSpec::trivial("j")),
             },
-            Payload::Output { client: ProcId(20), req_id: 3 },
-            Payload::MomFinished { job: JobId(1), exit: -2, mom: MOM },
+            Payload::Output {
+                client: ProcId(20),
+                req_id: 3,
+            },
+            Payload::MomFinished {
+                job: JobId(1),
+                exit: -2,
+                mom: MOM,
+            },
             Payload::JMutexAcquire {
                 job: JobId(1),
                 mom: MOM,
@@ -408,7 +456,11 @@ mod tests {
                 reclaim: true,
             },
             Payload::JMutexRelease { job: JobId(2) },
-            Payload::Hello { member: G2, applied_index: 11, fingerprint: 99 },
+            Payload::Hello {
+                member: G2,
+                applied_index: 11,
+                fingerprint: 99,
+            },
             Payload::Snapshot {
                 targets: vec![G2],
                 as_of_seq: 5,

@@ -177,7 +177,9 @@ mod tests {
     }
 
     fn cmd(i: u64) -> Payload {
-        Payload::JMutexRelease { job: jrs_pbs::JobId(i) }
+        Payload::JMutexRelease {
+            job: jrs_pbs::JobId(i),
+        }
     }
 
     #[test]
@@ -239,7 +241,11 @@ mod tests {
         // Flip a byte inside record 2 (mid-log, not the tail).
         assert!(disk.corrupt_byte("joshua.wal", first_len + 9));
         let rec = store.recover(&mut disk);
-        assert_eq!(rec.corruption_offset, Some(first_len), "offset of the bad record");
+        assert_eq!(
+            rec.corruption_offset,
+            Some(first_len),
+            "offset of the bad record"
+        );
         assert!(rec.entries.is_empty(), "snapshot-only recovery");
         assert_eq!(rec.state.as_ref().unwrap().applied_index, 1);
         assert!(disk.read("joshua.wal").is_none(), "log quarantined");

@@ -30,7 +30,10 @@ fn qsubs(n: usize, base: &JobSpec) -> Vec<ServerCmd> {
 fn qsub(base: &JobSpec, buf: &mut String, prefix: &str, i: usize) -> ServerCmd {
     buf.clear();
     let _ = write!(buf, "{prefix}{i}");
-    ServerCmd::Qsub(JobSpec { name: Rc::from(buf.as_str()), ..base.clone() })
+    ServerCmd::Qsub(JobSpec {
+        name: Rc::from(buf.as_str()),
+        ..base.clone()
+    })
 }
 
 /// A mixed interactive session: submissions interleaved with status

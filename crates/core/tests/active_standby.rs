@@ -70,7 +70,10 @@ fn stale_checkpoint_loses_recent_submissions() {
     // Jobs acknowledged by the primary after its last checkpoint are gone
     // from the standby's world...
     let known = standby.core().jobs_in_order().count();
-    assert!(known < 10, "rollback must lose post-checkpoint submissions, knows {known}");
+    assert!(
+        known < 10,
+        "rollback must lose post-checkpoint submissions, knows {known}"
+    );
     // ...yet the client was told they were submitted: acknowledged-but-
     // lost work, which symmetric active/active can never produce.
     let acked = c.take_records().len();
@@ -89,6 +92,10 @@ fn joshua_has_no_staleness_window_under_same_fault() {
     c.run_until(secs(600));
     assert_eq!(c.take_records().len(), 10);
     let survivor = c.joshua(1);
-    assert_eq!(survivor.pbs().jobs_in_order().count(), 10, "no acknowledged job lost");
+    assert_eq!(
+        survivor.pbs().jobs_in_order().count(),
+        10,
+        "no acknowledged job lost"
+    );
     assert_eq!(survivor.pbs().count_state(JobState::Complete), 10);
 }

@@ -26,7 +26,10 @@ fn durable_cfg(heads: usize) -> ClusterConfig {
 #[test]
 fn warm_restart_catches_up_with_delta() {
     let mut c = Cluster::build(durable_cfg(3));
-    c.spawn_client(workload::burst_with_runtime(20, SimDuration::from_millis(500)));
+    c.spawn_client(workload::burst_with_runtime(
+        20,
+        SimDuration::from_millis(500),
+    ));
     c.run_until(secs(2));
     c.crash_head(1);
     c.run_until(secs(8));
@@ -60,7 +63,10 @@ fn warm_restart_catches_up_with_delta() {
 #[test]
 fn full_blackout_cold_restart_recovers_every_job() {
     let mut c = Cluster::build(durable_cfg(3));
-    c.spawn_client(workload::burst_with_runtime(12, SimDuration::from_millis(400)));
+    c.spawn_client(workload::burst_with_runtime(
+        12,
+        SimDuration::from_millis(400),
+    ));
     c.run_until(secs(3));
     let done_before = c.joshua(0).pbs().count_state(JobState::Complete);
     c.blackout();
@@ -68,7 +74,11 @@ fn full_blackout_cold_restart_recovers_every_job() {
     c.cold_restart();
     c.run_until(secs(300));
 
-    assert_eq!(c.take_records().len(), 12, "client retries cover the outage");
+    assert_eq!(
+        c.take_records().len(),
+        12,
+        "client retries cover the outage"
+    );
     assert_eq!(c.assert_replicas_consistent(), 3);
     for i in 0..3 {
         let h = c.joshua(i);
@@ -103,7 +113,10 @@ fn full_blackout_cold_restart_recovers_every_job() {
 #[test]
 fn torn_wal_tail_truncated_then_delta_rejoin() {
     let mut c = Cluster::build(durable_cfg(3));
-    c.spawn_client(workload::burst_with_runtime(10, SimDuration::from_millis(300)));
+    c.spawn_client(workload::burst_with_runtime(
+        10,
+        SimDuration::from_millis(300),
+    ));
     c.run_until(secs(2));
     // Arm the fault: at the next crash, the most recently fsynced file on
     // head 1's disk keeps only 4 bytes of its final write batch.
@@ -132,7 +145,10 @@ fn torn_wal_tail_truncated_then_delta_rejoin() {
 #[test]
 fn corrupt_wal_quarantined_then_rejoin() {
     let mut c = Cluster::build(durable_cfg(3));
-    c.spawn_client(workload::burst_with_runtime(10, SimDuration::from_millis(300)));
+    c.spawn_client(workload::burst_with_runtime(
+        10,
+        SimDuration::from_millis(300),
+    ));
     c.run_until(secs(4));
     c.crash_head(1);
     c.run_until(secs(5));
@@ -147,7 +163,10 @@ fn corrupt_wal_quarantined_then_rejoin() {
     let h1 = c.joshua(1);
     assert!(h1.is_established());
     let rec = h1.recovery_report().expect("recovery ran");
-    assert!(rec.corruption_offset.is_some(), "corruption detected with offset");
+    assert!(
+        rec.corruption_offset.is_some(),
+        "corruption detected with offset"
+    );
     assert_eq!(h1.state_fingerprint(), c.joshua(0).state_fingerprint());
     // The damaged log was moved aside, and the new life started a clean one.
     assert!(c.world.disk(node).exists("joshua.wal.corrupt"));
@@ -160,7 +179,10 @@ fn corrupt_wal_quarantined_then_rejoin() {
 #[test]
 fn revive_without_restart_does_not_wedge_survivors() {
     let mut c = Cluster::build(ClusterConfig::new(HaMode::Joshua { heads: 3 }));
-    c.spawn_client(workload::burst_with_runtime(10, SimDuration::from_millis(300)));
+    c.spawn_client(workload::burst_with_runtime(
+        10,
+        SimDuration::from_millis(300),
+    ));
     c.run_until(secs(1));
     c.crash_head(2);
     c.run_until(secs(4));

@@ -27,7 +27,11 @@ fn cluster(heads: usize, persist: PersistConfig) -> Cluster {
 /// latency fingerprint)` with the pinned tuple.
 fn finish(mut c: Cluster, want: (u64, u64, u64, u64, u64)) {
     c.run_for(SimDuration::from_secs(120));
-    let lat_ns: Vec<u64> = c.take_records().iter().map(|r| r.latency.as_nanos()).collect();
+    let lat_ns: Vec<u64> = c
+        .take_records()
+        .iter()
+        .map(|r| r.latency.as_nanos())
+        .collect();
     assert_eq!(lat_ns.len(), 12, "every command answered");
     let net = c.world.network();
     let got = (
@@ -56,7 +60,13 @@ fn one_head_diskless() {
 fn four_heads_diskless() {
     finish(
         cluster(4, PersistConfig::default()),
-        (120_000_000_000, 133_633, 37554, 3_429_616, 0xe480_874b_57c0_c439),
+        (
+            120_000_000_000,
+            133_633,
+            37554,
+            3_429_616,
+            0xe480_874b_57c0_c439,
+        ),
     );
 }
 
@@ -67,5 +77,14 @@ fn three_heads_durable_crash_and_restart() {
     c.crash_head(1);
     c.run_until(secs(5));
     c.restart_joshua_head(1);
-    finish(c, (125_000_000_000, 92696, 18218, 1_637_808, 0x3b20_ca72_5981_4b9b));
+    finish(
+        c,
+        (
+            125_000_000_000,
+            92696,
+            18218,
+            1_637_808,
+            0x3b20_ca72_5981_4b9b,
+        ),
+    );
 }

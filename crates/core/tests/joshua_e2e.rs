@@ -174,7 +174,11 @@ fn crash_then_replace_then_crash_again() {
     c.world.schedule_at(secs(151), move |w| w.crash_node(n1));
     c.run_until(secs(400));
     let records = c.take_records();
-    assert_eq!(records.len(), 30, "service continuity across the whole sequence");
+    assert_eq!(
+        records.len(),
+        30,
+        "service continuity across the whole sequence"
+    );
     assert_eq!(c.total_real_runs(), 30);
     assert!(c.assert_replicas_consistent() >= 2);
 }

@@ -20,8 +20,10 @@ fn primary_component_majority_keeps_serving_through_partition() {
     c.spawn_client(workload::burst(15));
     // Cut head-2 off the LAN at t=1s (pulled cable), heal at t=20s.
     let isolated = c.head_nodes[2];
-    c.world.schedule_at(secs(1), move |w| w.set_partition_group(isolated, 9));
-    c.world.schedule_at(secs(20), move |w| w.network_mut().heal_partitions());
+    c.world
+        .schedule_at(secs(1), move |w| w.set_partition_group(isolated, 9));
+    c.world
+        .schedule_at(secs(20), move |w| w.network_mut().heal_partitions());
     c.run_until(secs(300));
 
     let records = c.take_records();
@@ -33,7 +35,10 @@ fn primary_component_majority_keeps_serving_through_partition() {
     let h2 = c.joshua(2);
     assert!(h2.is_established());
     assert_eq!(h2.pbs().count_state(JobState::Complete), 15);
-    assert!(h2.group_stats().ejections >= 1, "minority must have rejoined via ejection");
+    assert!(
+        h2.group_stats().ejections >= 1,
+        "minority must have rejoined via ejection"
+    );
 }
 
 #[test]
@@ -47,8 +52,10 @@ fn failstop_policy_remerges_after_partition() {
     let mut c = Cluster::build(cfg);
     c.spawn_client(workload::burst(15));
     let isolated = c.head_nodes[2];
-    c.world.schedule_at(secs(1), move |w| w.set_partition_group(isolated, 9));
-    c.world.schedule_at(secs(20), move |w| w.network_mut().heal_partitions());
+    c.world
+        .schedule_at(secs(1), move |w| w.set_partition_group(isolated, 9));
+    c.world
+        .schedule_at(secs(20), move |w| w.network_mut().heal_partitions());
     c.run_until(secs(300));
 
     let records = c.take_records();
@@ -81,7 +88,11 @@ fn client_retry_after_responder_death_is_deduplicated() {
     // Dedup: exactly ten jobs exist, with ids 1..=10 and no duplicates.
     let survivor = c.joshua(1);
     let ids: Vec<u64> = survivor.pbs().jobs_in_order().map(|j| j.id.0).collect();
-    assert_eq!(ids, (1..=10).collect::<Vec<u64>>(), "duplicate or lost submissions");
+    assert_eq!(
+        ids,
+        (1..=10).collect::<Vec<u64>>(),
+        "duplicate or lost submissions"
+    );
     // Replies carried the right ids too.
     for (i, r) in records.iter().enumerate() {
         let CmdReply::Submitted(id) = r.reply else {
@@ -100,7 +111,9 @@ fn qstat_reads_are_ordered_and_consistent() {
     let mut c = Cluster::build(ClusterConfig::new(HaMode::Joshua { heads: 3 }));
     let mut script = Vec::new();
     for i in 0..5 {
-        script.push(jrs_pbs::ServerCmd::Qsub(jrs_pbs::JobSpec::trivial(format!("j{i}"))));
+        script.push(jrs_pbs::ServerCmd::Qsub(jrs_pbs::JobSpec::trivial(
+            format!("j{i}"),
+        )));
         script.push(jrs_pbs::ServerCmd::Qstat(None));
     }
     c.spawn_client(script);
@@ -109,7 +122,9 @@ fn qstat_reads_are_ordered_and_consistent() {
     assert_eq!(records.len(), 10);
     for (k, r) in records.iter().enumerate() {
         if k % 2 == 1 {
-            let CmdReply::Status(rows) = &r.reply else { panic!() };
+            let CmdReply::Status(rows) = &r.reply else {
+                panic!()
+            };
             // After the (k/2+1)-th submission, exactly that many jobs
             // exist — reads are linearizable with writes.
             assert_eq!(rows.len(), k / 2 + 1, "qstat #{k} saw {} rows", rows.len());

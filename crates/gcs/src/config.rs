@@ -80,6 +80,9 @@ impl Default for GroupConfig {
 impl GroupConfig {
     /// Default configuration with a specific engine.
     pub fn with_engine(engine: EngineKind) -> Self {
-        GroupConfig { engine, ..Default::default() }
+        GroupConfig {
+            engine,
+            ..Default::default()
+        }
     }
 }

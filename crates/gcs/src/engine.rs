@@ -48,7 +48,10 @@ pub struct EngineOut<P> {
 
 impl<P> Default for EngineOut<P> {
     fn default() -> Self {
-        EngineOut { sends: Vec::new(), deliver: Vec::new() }
+        EngineOut {
+            sends: Vec::new(),
+            deliver: Vec::new(),
+        }
     }
 }
 
@@ -251,7 +254,13 @@ impl<P: Clone> Engine<P> {
     }
 
     /// [`Self::on_msg`], appending to the caller's buffer.
-    pub(crate) fn on_msg_into(&mut self, now: SimTime, from: ProcId, msg: EngineMsg<P>, out: &mut EngineOut<P>) {
+    pub(crate) fn on_msg_into(
+        &mut self,
+        now: SimTime,
+        from: ProcId,
+        msg: EngineMsg<P>,
+        out: &mut EngineOut<P>,
+    ) {
         // No catch-all: a new EngineMsg variant must be a compile error
         // here rather than silently swallowed (`clippy::wildcard_enum_match_arm`).
         match msg {
@@ -287,7 +296,13 @@ impl<P: Clone> Engine<P> {
                 }
             }
             EngineMsg::Token { next_seq } => {
-                if let Assign::Token { holding, floor, release_at, idle_pass } = &mut self.assign {
+                if let Assign::Token {
+                    holding,
+                    floor,
+                    release_at,
+                    idle_pass,
+                } = &mut self.assign
+                {
                     // Token seq can only move forward; a stale duplicate
                     // is discarded. (Equal is legitimate: an idle token
                     // circulates unchanged.) A halted holder keeps the
@@ -317,7 +332,12 @@ impl<P: Clone> Engine<P> {
     /// [`Self::tick`], appending to the caller's buffer.
     pub(crate) fn tick_into(&mut self, now: SimTime, out: &mut EngineOut<P>) {
         match self.assign {
-            Assign::Sequencer { ref mut stable_dirty, ref mut last_request, retry_every, .. } => {
+            Assign::Sequencer {
+                ref mut stable_dirty,
+                ref mut last_request,
+                retry_every,
+                ..
+            } => {
                 if !self.active {
                     return;
                 }
@@ -330,7 +350,8 @@ impl<P: Clone> Engine<P> {
                 }
                 if announce {
                     let up_to = self.stable();
-                    out.sends.extend(self.others().map(|p| (p, EngineMsg::Stable { up_to })));
+                    out.sends
+                        .extend(self.others().map(|p| (p, EngineMsg::Stable { up_to })));
                 }
                 if retry {
                     self.resubmit(out);
@@ -389,7 +410,11 @@ impl<P: Clone> Engine<P> {
     /// Apply the coordinator's reconciled batch: the agreed history is
     /// stable by agreement, so everything up to `next_seq - 1` is
     /// delivered. Returns the new deliveries.
-    pub(crate) fn apply_flush(&mut self, msgs: &[OrderedMsg<P>], next_seq: u64) -> Vec<OrderedMsg<P>> {
+    pub(crate) fn apply_flush(
+        &mut self,
+        msgs: &[OrderedMsg<P>],
+        next_seq: u64,
+    ) -> Vec<OrderedMsg<P>> {
         // Our contiguous received prefix is part of the agreed history
         // (the union covers every survivor's prefix). Anything buffered
         // beyond it may have been renumbered by the coordinator: replace
@@ -454,7 +479,12 @@ impl<P: Clone> Engine<P> {
         self.active = true;
         match &mut self.assign {
             Assign::Sequencer { waiting, .. } => waiting.clear(),
-            Assign::Token { holding, floor, release_at, idle_pass } => {
+            Assign::Token {
+                holding,
+                floor,
+                release_at,
+                idle_pass,
+            } => {
                 *floor = (*floor).max(next_seq);
                 // Any token held across the flush belongs to the old
                 // view; the new leader seeds a fresh one.
@@ -473,7 +503,11 @@ impl<P: Clone> Engine<P> {
         let cutoff = stable_up_to.min(self.delivered_up_to());
         // Every tick comes through here: drop the prefix in place
         // (`split_off` would allocate a new tree each time).
-        while self.log.first_key_value().is_some_and(|(&seq, _)| seq <= cutoff) {
+        while self
+            .log
+            .first_key_value()
+            .is_some_and(|(&seq, _)| seq <= cutoff)
+        {
             self.log.pop_first();
         }
     }
@@ -563,7 +597,8 @@ impl<P: Clone> Engine<P> {
                 }
             }
             Stability::AllToAll => {
-                out.sends.extend(self.others().map(|p| (p, EngineMsg::Ack { up_to })));
+                out.sends
+                    .extend(self.others().map(|p| (p, EngineMsg::Ack { up_to })));
             }
             Stability::Collector => {}
         }
@@ -610,7 +645,8 @@ impl<P: Clone> Engine<P> {
             // resubmitted on the next install.
             Stability::Follower => {
                 if let Some(&sequencer) = self.members.first() {
-                    out.sends.push((sequencer, EngineMsg::Request { local_id, payload }));
+                    out.sends
+                        .push((sequencer, EngineMsg::Request { local_id, payload }));
                 }
             }
         }
@@ -621,7 +657,9 @@ impl<P: Clone> Engine<P> {
     /// retried) is buffered; a duplicate is dropped.
     fn order(&mut self, origin: ProcId, local_id: u64, payload: P, out: &mut EngineOut<P>) {
         let expected = self.expected_local(origin);
-        let Assign::Sequencer { waiting, .. } = &mut self.assign else { return };
+        let Assign::Sequencer { waiting, .. } = &mut self.assign else {
+            return;
+        };
         if local_id > expected {
             waiting.entry(origin).or_default().insert(local_id, payload);
             return;
@@ -633,8 +671,12 @@ impl<P: Clone> Engine<P> {
         // Drain any buffered successors that are now in order.
         loop {
             let next = self.expected_local(origin);
-            let Assign::Sequencer { waiting, .. } = &mut self.assign else { break };
-            let Some(p) = waiting.get_mut(&origin).and_then(|buf| buf.remove(&next)) else { break };
+            let Assign::Sequencer { waiting, .. } = &mut self.assign else {
+                break;
+            };
+            let Some(p) = waiting.get_mut(&origin).and_then(|buf| buf.remove(&next)) else {
+                break;
+            };
             self.assign_seq(origin, next, p, out);
         }
     }
@@ -648,7 +690,11 @@ impl<P: Clone> Engine<P> {
                 let last = self.log.keys().next_back().map_or(0, |&s| s + 1);
                 last.max(self.recv_cursor)
             }
-            Assign::Token { holding: Some(next_seq), floor, .. } => {
+            Assign::Token {
+                holding: Some(next_seq),
+                floor,
+                ..
+            } => {
                 *next_seq += 1;
                 *floor = (*floor).max(*next_seq);
                 *next_seq - 1
@@ -656,8 +702,14 @@ impl<P: Clone> Engine<P> {
             Assign::Token { holding: None, .. } => return,
         };
         raise(&mut self.assign_floor, origin, local_id);
-        let m = OrderedMsg { seq, origin, local_id, payload };
-        out.sends.extend(self.others().map(|p| (p, EngineMsg::Ordered(m.clone()))));
+        let m = OrderedMsg {
+            seq,
+            origin,
+            local_id,
+            payload,
+        };
+        out.sends
+            .extend(self.others().map(|p| (p, EngineMsg::Ordered(m.clone()))));
         self.ingest(m, out);
     }
 
@@ -666,8 +718,12 @@ impl<P: Clone> Engine<P> {
     /// mid-ejection) rather than send it into the void: the next install
     /// either reseats us or seeds a fresh token.
     fn pass_token(&mut self, out: &mut EngineOut<P>) {
-        let Assign::Token { holding, .. } = &mut self.assign else { return };
-        let Some(idx) = self.members.iter().position(|&p| p == self.me) else { return };
+        let Assign::Token { holding, .. } = &mut self.assign else {
+            return;
+        };
+        let Some(idx) = self.members.iter().position(|&p| p == self.me) else {
+            return;
+        };
         if self.members.len() > 1 {
             if let Some(next_seq) = holding.take() {
                 let successor = self.members[(idx + 1) % self.members.len()];
@@ -689,8 +745,12 @@ mod tests {
     }
 
     fn installed(kind: EngineKind, me: u32, members: &[u32]) -> Engine<&'static str> {
-        let mut e =
-            Engine::with_retry(kind, p(me), SimDuration::from_millis(5), SimDuration::from_millis(100));
+        let mut e = Engine::with_retry(
+            kind,
+            p(me),
+            SimDuration::from_millis(5),
+            SimDuration::from_millis(100),
+        );
         let mem: Vec<ProcId> = members.iter().map(|&i| p(i)).collect();
         let leader = mem[0] == p(me);
         let _ = e.install(T0, mem, 1, &[], leader);
@@ -745,7 +805,10 @@ mod tests {
         let mut seq = installed(EngineKind::Sequencer, 1, &[1, 2]);
         let mut member = installed(EngineKind::Sequencer, 2, &[1, 2]);
         let s_out = seq.submit(T0, "x");
-        assert!(s_out.deliver.is_empty(), "collector needs the follower's ack");
+        assert!(
+            s_out.deliver.is_empty(),
+            "collector needs the follower's ack"
+        );
         let ordered = s_out
             .sends
             .iter()
@@ -818,10 +881,27 @@ mod tests {
     #[test]
     fn sequencer_suppresses_duplicate_requests() {
         let mut seq = installed(EngineKind::Sequencer, 1, &[1, 2]);
-        let out1 = seq.on_msg(T0, p(2), EngineMsg::Request { local_id: 1, payload: "x" });
-        assert!(out1.sends.iter().any(|(_, m)| matches!(m, EngineMsg::Ordered(_))));
+        let out1 = seq.on_msg(
+            T0,
+            p(2),
+            EngineMsg::Request {
+                local_id: 1,
+                payload: "x",
+            },
+        );
+        assert!(out1
+            .sends
+            .iter()
+            .any(|(_, m)| matches!(m, EngineMsg::Ordered(_))));
         // Duplicate before delivery (assign floor catches it).
-        let out2 = seq.on_msg(T0, p(2), EngineMsg::Request { local_id: 1, payload: "x" });
+        let out2 = seq.on_msg(
+            T0,
+            p(2),
+            EngineMsg::Request {
+                local_id: 1,
+                payload: "x",
+            },
+        );
         assert!(out2.sends.is_empty() && out2.deliver.is_empty());
         assert_eq!(seq.received_up_to(), 1);
     }
@@ -859,7 +939,12 @@ mod tests {
         // still reports it in the flush digest — that is what makes
         // output-commit safe across view changes.
         let mut member = installed(EngineKind::Sequencer, 2, &[1, 2]);
-        let m1 = OrderedMsg { seq: 1, origin: p(1), local_id: 1, payload: "a" };
+        let m1 = OrderedMsg {
+            seq: 1,
+            origin: p(1),
+            local_id: 1,
+            payload: "a",
+        };
         let out = member.on_msg(T0, p(1), EngineMsg::Ordered(m1));
         assert!(out.deliver.is_empty(), "not stable yet");
         member.halt();
@@ -871,9 +956,19 @@ mod tests {
     #[test]
     fn apply_flush_delivers_everything_agreed() {
         let mut e = installed(EngineKind::Sequencer, 2, &[1, 2]);
-        let m1 = OrderedMsg { seq: 1, origin: p(1), local_id: 1, payload: "a" };
+        let m1 = OrderedMsg {
+            seq: 1,
+            origin: p(1),
+            local_id: 1,
+            payload: "a",
+        };
         let _ = e.on_msg(T0, p(1), EngineMsg::Ordered(m1.clone()));
-        let m2 = OrderedMsg { seq: 2, origin: p(1), local_id: 2, payload: "b" };
+        let m2 = OrderedMsg {
+            seq: 2,
+            origin: p(1),
+            local_id: 2,
+            payload: "b",
+        };
         e.halt();
         let delivered = e.apply_flush(&[m1, m2], 3);
         let seqs: Vec<u64> = delivered.iter().map(|m| m.seq).collect();
@@ -900,7 +995,12 @@ mod tests {
     fn resume_after_abort_delivers_buffered() {
         let mut e = installed(EngineKind::Sequencer, 2, &[1, 2]);
         e.halt();
-        let m1 = OrderedMsg { seq: 1, origin: p(1), local_id: 1, payload: "a" };
+        let m1 = OrderedMsg {
+            seq: 1,
+            origin: p(1),
+            local_id: 1,
+            payload: "a",
+        };
         let out = e.on_msg(T0, p(1), EngineMsg::Ordered(m1));
         assert!(out.deliver.is_empty());
         let out = e.on_msg(T0, p(1), EngineMsg::Stable { up_to: 1 });
@@ -951,7 +1051,10 @@ mod tests {
         let later = T0 + SimDuration::from_millis(5);
         let out = a.tick(later);
         assert_eq!(out.sends.len(), 1);
-        assert!(matches!(out.sends[0].1, EngineMsg::Token { next_seq: 1, .. }));
+        assert!(matches!(
+            out.sends[0].1,
+            EngineMsg::Token { next_seq: 1, .. }
+        ));
     }
 
     #[test]
@@ -996,7 +1099,12 @@ mod tests {
         assert_eq!(e.delivered_up_to(), 0);
         // View change removes member 3; the flush agrees history 1.
         e.halt();
-        let m1 = OrderedMsg { seq: 1, origin: p(1), local_id: 1, payload: "a" };
+        let m1 = OrderedMsg {
+            seq: 1,
+            origin: p(1),
+            local_id: 1,
+            payload: "a",
+        };
         let delivered = e.apply_flush(&[m1], 2);
         assert_eq!(delivered.len(), 1);
         let _ = e.install(T0, vec![p(1), p(2)], 2, &[], true);
@@ -1074,7 +1182,9 @@ mod tests {
             let mem: Vec<ProcId> = members.iter().map(|&i| p(i)).collect();
             for &i in members {
                 let now = self.now;
-                let out = self.engine(i).install(now, mem.clone(), next_seq, dedup, i == members[0]);
+                let out =
+                    self.engine(i)
+                        .install(now, mem.clone(), next_seq, dedup, i == members[0]);
                 self.absorb(i, "install", out);
             }
         }
@@ -1100,7 +1210,11 @@ mod tests {
         /// Deliver everything in flight, in FIFO order.
         fn pump(&mut self) {
             while let Some((from, to, m)) = self.queue.pop_front() {
-                let halted = if self.engine(to.0).is_active() { "" } else { " (halted)" };
+                let halted = if self.engine(to.0).is_active() {
+                    ""
+                } else {
+                    " (halted)"
+                };
                 let what = format!("<{} {}{halted}", from.0, show(&m));
                 let now = self.now;
                 let out = self.engine(to.0).on_msg(now, from, m);
@@ -1135,10 +1249,9 @@ mod tests {
             for _ in 0..200 {
                 self.pump();
                 let first = self.engine(who[0]).delivered_up_to();
-                if who
-                    .iter()
-                    .all(|&i| self.engine(i).pending_count() == 0 && self.engine(i).delivered_up_to() == first)
-                {
+                if who.iter().all(|&i| {
+                    self.engine(i).pending_count() == 0 && self.engine(i).delivered_up_to() == first
+                }) {
                     return;
                 }
                 self.tick();
@@ -1152,8 +1265,10 @@ mod tests {
         /// `install` at each survivor.
         fn view_change(&mut self, survivors: &[u32]) {
             let known = self.engine(survivors[0]).delivered_up_to();
-            let digests: Vec<FlushDigest<&'static str>> =
-                survivors.iter().map(|&i| self.engine(i).digest(known)).collect();
+            let digests: Vec<FlushDigest<&'static str>> = survivors
+                .iter()
+                .map(|&i| self.engine(i).digest(known))
+                .collect();
             let mut union = BTreeMap::new();
             let mut dedup = BTreeMap::new();
             for d in &digests {
@@ -1174,7 +1289,14 @@ mod tests {
             let dedup: Vec<(ProcId, u64)> = dedup.into_iter().collect();
             for &i in survivors {
                 let deliver = self.engine(i).apply_flush(&msgs, next_seq);
-                self.absorb(i, "apply_flush", EngineOut { sends: vec![], deliver });
+                self.absorb(
+                    i,
+                    "apply_flush",
+                    EngineOut {
+                        sends: vec![],
+                        deliver,
+                    },
+                );
             }
             self.install(survivors, next_seq, &dedup);
         }
@@ -1223,7 +1345,11 @@ mod tests {
     fn assert_golden(kind: EngineKind, want: &str) {
         let s = golden_script(kind);
         let got = s.lines.join("\n");
-        let want: Vec<&str> = want.lines().map(str::trim).filter(|l| !l.is_empty()).collect();
+        let want: Vec<&str> = want
+            .lines()
+            .map(str::trim)
+            .filter(|l| !l.is_empty())
+            .collect();
         assert_eq!(got, want.join("\n"), "transcript of {kind:?}:\n{got}\n");
         assert_eq!(s.delivered[0], "abcdefghi", "member 1");
         assert_eq!(s.delivered[1], "abcdefghi", "member 2");

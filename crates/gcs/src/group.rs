@@ -94,7 +94,11 @@ pub struct Output<P> {
 
 impl<P> Default for Output<P> {
     fn default() -> Self {
-        Output { wire: Vec::new(), events: Vec::new(), engine: EngineOut::default() }
+        Output {
+            wire: Vec::new(),
+            events: Vec::new(),
+            engine: EngineOut::default(),
+        }
     }
 }
 
@@ -143,7 +147,10 @@ struct Finalized<P> {
 enum Flush<P> {
     None,
     /// Answered someone's FlushReq; awaiting their FlushFinal.
-    Blocked { epoch: Epoch, since: SimTime },
+    Blocked {
+        epoch: Epoch,
+        since: SimTime,
+    },
     /// We are coordinating.
     Coordinating {
         epoch: Epoch,
@@ -195,8 +202,12 @@ impl<P: Clone + 'static> GroupMember<P> {
     /// the same list). Otherwise it starts as a joiner using `initial` as
     /// contact points.
     pub fn new(me: ProcId, config: GroupConfig, initial: Vec<ProcId>) -> Self {
-        let engine =
-            Engine::with_retry(config.engine, me, config.token_idle_pass, config.request_retry);
+        let engine = Engine::with_retry(
+            config.engine,
+            me,
+            config.token_idle_pass,
+            config.request_retry,
+        );
         let links = LinkManager::new(config.rto);
         let detector = FailureDetector::new(config.fail_after);
         let is_member = initial.contains(&me);
@@ -205,7 +216,11 @@ impl<P: Clone + 'static> GroupMember<P> {
         } else {
             (
                 View::new(ViewId::NONE, Vec::new()),
-                Role::Joining { contacts: initial, last_req: None, answered: None },
+                Role::Joining {
+                    contacts: initial,
+                    last_req: None,
+                    answered: None,
+                },
             )
         };
         GroupMember {
@@ -368,7 +383,8 @@ impl<P: Clone + 'static> GroupMember<P> {
                     }
                 }
                 let leader = self.view.leader() == Some(self.me);
-                self.engine.install_into(now, members, 1, &[], leader, &mut out.engine);
+                self.engine
+                    .install_into(now, members, 1, &[], leader, &mut out.engine);
                 self.absorb_engine(now, out);
                 self.send_heartbeats(now, out);
             }
@@ -448,7 +464,13 @@ impl<P: Clone + 'static> GroupMember<P> {
     }
 
     /// [`Self::on_wire`], writing into the caller's drained buffer.
-    pub(crate) fn on_wire_into(&mut self, now: SimTime, from: ProcId, frame: Wire<P>, out: &mut Output<P>) {
+    pub(crate) fn on_wire_into(
+        &mut self,
+        now: SimTime,
+        from: ProcId,
+        frame: Wire<P>,
+        out: &mut Output<P>,
+    ) {
         debug_assert!(out.wire.is_empty() && out.events.is_empty());
         self.detector.heard(from, now);
         let inbound = self.links.on_wire(now, from, frame);
@@ -511,7 +533,9 @@ impl<P: Clone + 'static> GroupMember<P> {
     fn send_join_req(&mut self, now: SimTime, out: &mut Output<P>) {
         let incarnation = self.incarnation;
         let contacts = match &mut self.role {
-            Role::Joining { contacts, last_req, .. } => {
+            Role::Joining {
+                contacts, last_req, ..
+            } => {
                 *last_req = Some(now);
                 contacts.clone()
             }
@@ -530,7 +554,9 @@ impl<P: Clone + 'static> GroupMember<P> {
 
     fn member_tick(&mut self, now: SimTime, out: &mut Output<P>) {
         // Heartbeats.
-        let hb_due = self.last_hb.is_none_or(|t| now.since(t) >= self.config.heartbeat_every);
+        let hb_due = self
+            .last_hb
+            .is_none_or(|t| now.since(t) >= self.config.heartbeat_every);
         if hb_due {
             self.send_heartbeats(now, out);
         }
@@ -538,8 +564,9 @@ impl<P: Clone + 'static> GroupMember<P> {
         // partition would otherwise never hear from us again (both sides
         // only heartbeat their own view) and split components could not
         // re-merge.
-        let probe_due =
-            self.last_probe.is_none_or(|t| now.since(t) >= self.config.fail_after);
+        let probe_due = self
+            .last_probe
+            .is_none_or(|t| now.since(t) >= self.config.fail_after);
         if probe_due && !self.former_members.is_empty() {
             self.last_probe = Some(now);
             let hb = GcsMsg::Heartbeat {
@@ -591,9 +618,13 @@ impl<P: Clone + 'static> GroupMember<P> {
                 // coordinator (maybe us) takes over.
                 Stall::GiveUpBlocked(epoch.coord)
             }
-            Flush::Coordinating { epoch, started, finalized, proposed, .. }
-                if now.since(*started) >= self.config.flush_timeout =>
-            {
+            Flush::Coordinating {
+                epoch,
+                started,
+                finalized,
+                proposed,
+                ..
+            } if now.since(*started) >= self.config.flush_timeout => {
                 let someone_dead = proposed
                     .iter()
                     .any(|&p| p != me && detector.suspected(p, now));
@@ -647,7 +678,8 @@ impl<P: Clone + 'static> GroupMember<P> {
             // No change needed; if we halted for a flush that fizzled
             // (ours aborted, or trigger vanished before we coordinated),
             // resume ordering in the current view.
-            if matches!(self.flush, Flush::None) && self.is_installed() && !self.engine.is_active() {
+            if matches!(self.flush, Flush::None) && self.is_installed() && !self.engine.is_active()
+            {
                 self.engine.resume(now, &mut out.engine);
                 self.absorb_engine(now, out);
             }
@@ -695,7 +727,10 @@ impl<P: Clone + 'static> GroupMember<P> {
     /// promise (`max_epoch_seen`) stands, so the next attempt — ours or a
     /// competitor's — carries a higher epoch and supersedes it.
     fn abort_coordinating(&mut self, now: SimTime, out: &mut Output<P>) {
-        if let Flush::Coordinating { epoch, proposed, .. } = &mut self.flush {
+        if let Flush::Coordinating {
+            epoch, proposed, ..
+        } = &mut self.flush
+        {
             let epoch = *epoch;
             let proposed = std::mem::take(proposed);
             self.flush = Flush::None;
@@ -716,7 +751,11 @@ impl<P: Clone + 'static> GroupMember<P> {
             Some(e) if e.view_id == self.view.id => e.attempt + 1,
             _ => 0,
         };
-        let epoch = Epoch { view_id: self.view.id, attempt, coord: self.me };
+        let epoch = Epoch {
+            view_id: self.view.id,
+            attempt,
+            coord: self.me,
+        };
         self.max_epoch_seen = Some(epoch);
         self.engine.halt();
         let coord_known = self.engine.delivered_up_to();
@@ -734,7 +773,11 @@ impl<P: Clone + 'static> GroupMember<P> {
         };
         for &p in &proposal {
             if p != self.me {
-                let req = GcsMsg::FlushReq { epoch, proposed: proposal.clone(), coord_known };
+                let req = GcsMsg::FlushReq {
+                    epoch,
+                    proposed: proposal.clone(),
+                    coord_known,
+                };
                 self.push_link(now, p, req, out);
             }
         }
@@ -747,7 +790,11 @@ impl<P: Clone + 'static> GroupMember<P> {
 
     fn handle_msg(&mut self, now: SimTime, from: ProcId, msg: GcsMsg<P>, out: &mut Output<P>) {
         match msg {
-            GcsMsg::Heartbeat { view_id, view_size, delivered_up_to } => {
+            GcsMsg::Heartbeat {
+                view_id,
+                view_size,
+                delivered_up_to,
+            } => {
                 self.on_heartbeat(now, from, view_id, view_size, delivered_up_to, out);
             }
             GcsMsg::JoinReq { incarnation } => {
@@ -757,13 +804,24 @@ impl<P: Clone + 'static> GroupMember<P> {
                 self.detector.watch(from, SimTime::ZERO);
                 self.detector.condemn(from);
             }
-            GcsMsg::FlushReq { epoch, proposed, coord_known } => {
+            GcsMsg::FlushReq {
+                epoch,
+                proposed,
+                coord_known,
+            } => {
                 self.on_flush_req(now, from, epoch, proposed, coord_known, out);
             }
             GcsMsg::FlushInfo { epoch, digest } => {
                 self.on_flush_info(now, from, epoch, digest, out);
             }
-            GcsMsg::FlushFinal { epoch, view, joined, msgs, next_seq, dedup } => {
+            GcsMsg::FlushFinal {
+                epoch,
+                view,
+                joined,
+                msgs,
+                next_seq,
+                dedup,
+            } => {
                 self.on_flush_final(now, from, epoch, view, joined, msgs, next_seq, dedup, out);
             }
             GcsMsg::InstallAck { epoch } => {
@@ -811,7 +869,11 @@ impl<P: Clone + 'static> GroupMember<P> {
         // (it missed installs); between concurrent views with equal
         // counters (fail-stop split brain), the smaller component loses,
         // then the lower coordinator id.
-        let ours = (self.view.id.num, size32(self.view.len()), self.view.id.coord);
+        let ours = (
+            self.view.id.num,
+            size32(self.view.len()),
+            self.view.id.coord,
+        );
         let theirs = (view_id.num, view_size, view_id.coord);
         if theirs > ours {
             match self.behind_since {
@@ -868,8 +930,11 @@ impl<P: Clone + 'static> GroupMember<P> {
                     return;
                 }
                 *answered = Some(epoch);
-                let digest =
-                    FlushDigest { max_contig: 0, extra: Vec::new(), dedup: Vec::new() };
+                let digest = FlushDigest {
+                    max_contig: 0,
+                    extra: Vec::new(),
+                    dedup: Vec::new(),
+                };
                 self.push_link(now, from, GcsMsg::FlushInfo { epoch, digest }, out);
             }
             Role::Member => {
@@ -901,8 +966,13 @@ impl<P: Clone + 'static> GroupMember<P> {
         digest: FlushDigest<P>,
         out: &mut Output<P>,
     ) {
-        let Flush::Coordinating { epoch: my_epoch, proposed, digests, finalized, .. } =
-            &mut self.flush
+        let Flush::Coordinating {
+            epoch: my_epoch,
+            proposed,
+            digests,
+            finalized,
+            ..
+        } = &mut self.flush
         else {
             return;
         };
@@ -914,8 +984,14 @@ impl<P: Clone + 'static> GroupMember<P> {
     }
 
     fn try_finalize(&mut self, now: SimTime, out: &mut Output<P>) {
-        let Flush::Coordinating { epoch, proposed, joiners, digests, finalized, .. } =
-            &mut self.flush
+        let Flush::Coordinating {
+            epoch,
+            proposed,
+            joiners,
+            digests,
+            finalized,
+            ..
+        } = &mut self.flush
         else {
             return;
         };
@@ -1021,7 +1097,10 @@ impl<P: Clone + 'static> GroupMember<P> {
         self.maybe_commit(now, out);
     }
 
-    #[expect(clippy::too_many_arguments, reason = "mirrors the FlushFinal wire message")]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "mirrors the FlushFinal wire message"
+    )]
     fn on_flush_final(
         &mut self,
         now: SimTime,
@@ -1060,7 +1139,12 @@ impl<P: Clone + 'static> GroupMember<P> {
     }
 
     fn on_install_ack(&mut self, now: SimTime, from: ProcId, epoch: Epoch, out: &mut Output<P>) {
-        let Flush::Coordinating { epoch: my_epoch, finalized, acks, .. } = &mut self.flush
+        let Flush::Coordinating {
+            epoch: my_epoch,
+            finalized,
+            acks,
+            ..
+        } = &mut self.flush
         else {
             return;
         };
@@ -1072,7 +1156,13 @@ impl<P: Clone + 'static> GroupMember<P> {
     }
 
     fn maybe_commit(&mut self, now: SimTime, out: &mut Output<P>) {
-        let Flush::Coordinating { proposed, finalized, acks, .. } = &self.flush else {
+        let Flush::Coordinating {
+            proposed,
+            finalized,
+            acks,
+            ..
+        } = &self.flush
+        else {
             return;
         };
         let Some(f) = finalized else { return };
@@ -1089,7 +1179,10 @@ impl<P: Clone + 'static> GroupMember<P> {
     }
 
     /// Common installation path for coordinator, members and joiners.
-    #[expect(clippy::too_many_arguments, reason = "mirrors the FlushFinal wire message")]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "mirrors the FlushFinal wire message"
+    )]
     fn install_view(
         &mut self,
         now: SimTime,
@@ -1137,7 +1230,9 @@ impl<P: Clone + 'static> GroupMember<P> {
         while self.former_members.len() > 16 {
             // `len() > 16` guarantees an element, but bind fallibly: the
             // probe-set trim must never be able to panic a replica (the no-panic lints).
-            let Some(&first) = self.former_members.iter().next() else { break };
+            let Some(&first) = self.former_members.iter().next() else {
+                break;
+            };
             self.former_members.remove(&first);
         }
         self.view = view.clone();
@@ -1148,7 +1243,14 @@ impl<P: Clone + 'static> GroupMember<P> {
         self.stats.view_changes += 1;
         // 3. Restart the engine in the new view (resubmits own pendings).
         let leader = view.leader() == Some(self.me);
-        self.engine.install_into(now, view.members.clone(), next_seq, dedup, leader, &mut out.engine);
+        self.engine.install_into(
+            now,
+            view.members.clone(),
+            next_seq,
+            dedup,
+            leader,
+            &mut out.engine,
+        );
         // Joiners start a fresh submission stream: drop any floors their
         // previous life left in the merged dedup state (every replica does
         // this identically, so the floors stay agreed).
@@ -1190,7 +1292,11 @@ impl<P: Clone + 'static> GroupMember<P> {
         self.behind_since = None;
         self.incarnation += 1;
         self.view = View::new(ViewId::NONE, Vec::new());
-        self.role = Role::Joining { contacts, last_req: None, answered: None };
+        self.role = Role::Joining {
+            contacts,
+            last_req: None,
+            answered: None,
+        };
         out.events.push(GcsEvent::Ejected);
         self.send_join_req(now, out);
     }
@@ -1245,13 +1351,16 @@ mod tests {
         }
 
         fn add(&mut self, id: ProcId, initial: Vec<ProcId>) {
-            self.members.insert(id, GroupMember::new(id, self.config.clone(), initial));
+            self.members
+                .insert(id, GroupMember::new(id, self.config.clone(), initial));
             self.call(id, Call::Start);
             self.run();
         }
 
         fn call(&mut self, who: ProcId, call: Call) {
-            let Some(m) = self.members.get_mut(&who) else { return }; // crashed
+            let Some(m) = self.members.get_mut(&who) else {
+                return;
+            }; // crashed
             let now = self.now;
             let mut fresh;
             let out = if let Some(out) = &mut self.reused {
@@ -1262,7 +1371,10 @@ mod tests {
                     Call::Broadcast(p) => m.broadcast_into(now, p, out),
                     Call::Leave => m.leave_into(now, out),
                 }
-                assert!(out.engine.sends.is_empty() && out.engine.deliver.is_empty(), "engine scratch left full");
+                assert!(
+                    out.engine.sends.is_empty() && out.engine.deliver.is_empty(),
+                    "engine scratch left full"
+                );
                 out
             } else {
                 fresh = match call {
@@ -1275,7 +1387,8 @@ mod tests {
                 &mut fresh
             };
             for (to, frame, bytes) in out.wire.drain(..) {
-                self.transcript.push(format!("{who}>{to} {bytes}B {frame:?}"));
+                self.transcript
+                    .push(format!("{who}>{to} {bytes}B {frame:?}"));
                 self.queue.push_back((who, to, frame));
             }
             for ev in out.events.drain(..) {
@@ -1328,7 +1441,12 @@ mod tests {
 
     /// Run one schedule; returns the transcript and every survivor's
     /// protocol-state fingerprint.
-    fn run_schedule(kind: EngineKind, n: u32, steps: &[Step], reuse: bool) -> (Vec<String>, Vec<u64>) {
+    fn run_schedule(
+        kind: EngineKind,
+        n: u32,
+        steps: &[Step],
+        reuse: bool,
+    ) -> (Vec<String>, Vec<u64>) {
         let tick = SimDuration::from_millis(5);
         let mut net = Net::group(n, kind, reuse);
         let mut joiner = 100;
@@ -1356,7 +1474,10 @@ mod tests {
             }
         }
         (0..200).for_each(|_| net.tick(tick));
-        (net.transcript, net.members.values().map(GroupMember::state_hash).collect())
+        (
+            net.transcript,
+            net.members.values().map(GroupMember::state_hash).collect(),
+        )
     }
 
     proptest! {
@@ -1396,16 +1517,30 @@ mod tests {
         net.run();
         net.members.remove(&ProcId(3));
         let before = net.transcript.len();
-        while net.members.values().any(|m| m.view().len() != 3 || m.is_blocked()) {
+        while net
+            .members
+            .values()
+            .any(|m| m.view().len() != 3 || m.is_blocked())
+        {
             net.tick(tick);
-            assert!(net.now < SimTime::ZERO + SimDuration::from_secs(5), "no view change");
+            assert!(
+                net.now < SimTime::ZERO + SimDuration::from_secs(5),
+                "no view change"
+            );
         }
         let change = &net.transcript[before..];
         let frames = change.iter().filter(|l| l.contains('>')).count();
         let installs = change.iter().filter(|l| l.contains("ViewChange")).count();
-        assert!(frames >= 40 && installs == 3, "{frames} frames, {installs} installs:\n{}", change.join("\n"));
+        assert!(
+            frames >= 40 && installs == 3,
+            "{frames} frames, {installs} installs:\n{}",
+            change.join("\n")
+        );
         let out = net.reused.as_ref().unwrap();
-        assert!(out.wire.capacity() >= 4 && out.events.capacity() >= 1, "the one buffer carried the view change");
+        assert!(
+            out.wire.capacity() >= 4 && out.events.capacity() >= 1,
+            "the one buffer carried the view change"
+        );
         assert!(out.wire.is_empty() && out.events.is_empty());
 
         // An idle tick through the used buffer emits exactly what the same
@@ -1415,9 +1550,20 @@ mod tests {
             let want = net.members[&id].clone().tick(net.now);
             let out = net.reused.as_mut().unwrap();
             net.members.get_mut(&id).unwrap().tick_into(net.now, out);
-            assert_eq!(format!("{:?}", out.wire), format!("{:?}", want.wire), "member {id}");
-            assert_eq!(format!("{:?}", out.events), format!("{:?}", want.events), "member {id}");
-            assert!(out.events.is_empty() && out.wire.len() <= 3, "an idle tick: heartbeats at most");
+            assert_eq!(
+                format!("{:?}", out.wire),
+                format!("{:?}", want.wire),
+                "member {id}"
+            );
+            assert_eq!(
+                format!("{:?}", out.events),
+                format!("{:?}", want.events),
+                "member {id}"
+            );
+            assert!(
+                out.events.is_empty() && out.wire.len() <= 3,
+                "an idle tick: heartbeats at most"
+            );
             out.wire.clear();
         }
     }

@@ -20,7 +20,10 @@ struct OutLink<P> {
 
 impl<P> Default for OutLink<P> {
     fn default() -> Self {
-        OutLink { next_seq: 1, unacked: BTreeMap::new() }
+        OutLink {
+            next_seq: 1,
+            unacked: BTreeMap::new(),
+        }
     }
 }
 
@@ -34,7 +37,10 @@ struct InLink<P> {
 
 impl<P> Default for InLink<P> {
     fn default() -> Self {
-        InLink { cum: 0, buffer: BTreeMap::new() }
+        InLink {
+            cum: 0,
+            buffer: BTreeMap::new(),
+        }
     }
 }
 
@@ -91,7 +97,11 @@ impl<P: Clone> LinkManager<P> {
     /// frame never visits the buffer); `Ack` frames clear the
     /// retransmission buffer.
     pub fn on_wire(&mut self, _now: SimTime, peer: ProcId, wire: Wire<P>) -> Inbound<P> {
-        let mut inbound = Inbound { first: None, rest: Vec::new(), reply: None };
+        let mut inbound = Inbound {
+            first: None,
+            rest: Vec::new(),
+            reply: None,
+        };
         match wire {
             Wire::Raw(msg) => inbound.first = Some(msg),
             Wire::Data { seq, msg } => {
@@ -132,7 +142,13 @@ impl<P: Clone> LinkManager<P> {
                 if now.since(*last) >= self.rto {
                     *last = now;
                     self.retransmissions += 1;
-                    resend(peer, Wire::Data { seq, msg: msg.clone() });
+                    resend(
+                        peer,
+                        Wire::Data {
+                            seq,
+                            msg: msg.clone(),
+                        },
+                    );
                 }
             }
         }
@@ -165,7 +181,10 @@ mod tests {
 
     fn hb(v: u64) -> M {
         GcsMsg::Heartbeat {
-            view_id: crate::view::ViewId { num: v, coord: ProcId(0) },
+            view_id: crate::view::ViewId {
+                num: v,
+                coord: ProcId(0),
+            },
             view_size: 1,
             delivered_up_to: 0,
         }
@@ -231,7 +250,11 @@ mod tests {
         // 2 arrives in order while later frames are buffered: it goes up
         // with the whole contiguous run, and only that run.
         let r = rx.on_wire(T0, A, w[1].clone());
-        assert_eq!(r.first.as_ref().map(hb_view), Some(2), "the frame itself, not via the buffer");
+        assert_eq!(
+            r.first.as_ref().map(hb_view),
+            Some(2),
+            "the frame itself, not via the buffer"
+        );
         assert_eq!(views(&r), vec![2, 3, 4]);
         assert!(matches!(r.reply, Some(Wire::Ack { cum: 4 })));
         // A duplicate of a buffered frame is not delivered early or twice.

@@ -201,7 +201,13 @@ impl<P> GcsMsg<P> {
                 96 + len32(digest.extra.len()) * (40 + payload_bytes)
                     + 16 * len32(digest.dedup.len())
             }
-            GcsMsg::FlushFinal { msgs, view, joined, dedup, .. } => {
+            GcsMsg::FlushFinal {
+                msgs,
+                view,
+                joined,
+                dedup,
+                ..
+            } => {
                 96 + len32(msgs.len()) * (40 + payload_bytes)
                     + 8 * len32(view.members.len() + joined.len())
                     + 16 * len32(dedup.len())
@@ -235,7 +241,10 @@ mod tests {
     #[test]
     fn epoch_ordering() {
         let e = |v: u64, a, c| Epoch {
-            view_id: ViewId { num: v, coord: ProcId(0) },
+            view_id: ViewId {
+                num: v,
+                coord: ProcId(0),
+            },
             attempt: a,
             coord: ProcId(c),
         };
@@ -244,8 +253,14 @@ mod tests {
         assert!(e(2, 1, 1) < e(2, 1, 2));
         assert_eq!(e(3, 2, 4), e(3, 2, 4));
         // Same counter, different coordinator: distinct view ids.
-        let v1 = ViewId { num: 2, coord: ProcId(1) };
-        let v2 = ViewId { num: 2, coord: ProcId(2) };
+        let v1 = ViewId {
+            num: 2,
+            coord: ProcId(1),
+        };
+        let v2 = ViewId {
+            num: 2,
+            coord: ProcId(2),
+        };
         assert!(v1 < v2);
         assert_ne!(v1, v2);
     }
@@ -253,7 +268,10 @@ mod tests {
     #[test]
     fn wire_sizes_scale_with_payload() {
         let small = GcsMsg::Engine {
-            view_id: ViewId { num: 1, coord: ProcId(0) },
+            view_id: ViewId {
+                num: 1,
+                coord: ProcId(0),
+            },
             msg: EngineMsg::Ordered(OrderedMsg {
                 seq: 1,
                 origin: ProcId(0),
@@ -263,7 +281,10 @@ mod tests {
         };
         assert!(small.wire_size(64) < small.wire_size(4096));
         let hb: GcsMsg<()> = GcsMsg::Heartbeat {
-            view_id: ViewId { num: 1, coord: ProcId(0) },
+            view_id: ViewId {
+                num: 1,
+                coord: ProcId(0),
+            },
             view_size: 1,
             delivered_up_to: 0,
         };
@@ -274,11 +295,20 @@ mod tests {
     fn flush_final_size_scales_with_msgs() {
         let mk = |n: usize| GcsMsg::FlushFinal {
             epoch: Epoch {
-                view_id: ViewId { num: 1, coord: ProcId(0) },
+                view_id: ViewId {
+                    num: 1,
+                    coord: ProcId(0),
+                },
                 attempt: 0,
                 coord: ProcId(0),
             },
-            view: View::new(ViewId { num: 2, coord: ProcId(0) }, vec![ProcId(0)]),
+            view: View::new(
+                ViewId {
+                    num: 2,
+                    coord: ProcId(0),
+                },
+                vec![ProcId(0)],
+            ),
             joined: vec![],
             msgs: (0..n)
                 .map(|i| OrderedMsg {

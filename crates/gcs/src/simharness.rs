@@ -49,7 +49,12 @@ impl<P: Clone + 'static> GroupHost<P> {
     ) -> Self {
         let tick_every = config.tick_every;
         let member = GroupMember::new(me, config, initial);
-        GroupHost { member, tick_every, charge: Box::new(charge), out: Output::default() }
+        GroupHost {
+            member,
+            tick_every,
+            charge: Box::new(charge),
+            out: Output::default(),
+        }
     }
 
     /// Read-only access to the wrapped member.
@@ -78,9 +83,15 @@ impl<P: Clone + 'static> GroupHost<P> {
 
     /// Feed a received message. `Err` hands back a message that is not a
     /// group frame (single fallible downcast, no check-then-expect: the no-panic lints).
-    pub fn on_message(&mut self, ctx: &mut Ctx<'_>, from: ProcId, msg: Msg) -> Result<Vec<GcsEvent<P>>, Msg> {
+    pub fn on_message(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        from: ProcId,
+        msg: Msg,
+    ) -> Result<Vec<GcsEvent<P>>, Msg> {
         let frame = msg.downcast::<Wire<P>>()?;
-        self.member.on_wire_into(ctx.now(), from, *frame, &mut self.out);
+        self.member
+            .on_wire_into(ctx.now(), from, *frame, &mut self.out);
         Ok(self.transmit(ctx))
     }
 
@@ -97,7 +108,8 @@ impl<P: Clone + 'static> GroupHost<P> {
 
     /// Submit a payload for totally ordered broadcast.
     pub fn broadcast(&mut self, ctx: &mut Ctx<'_>, payload: P) -> Vec<GcsEvent<P>> {
-        self.member.broadcast_into(ctx.now(), payload, &mut self.out);
+        self.member
+            .broadcast_into(ctx.now(), payload, &mut self.out);
         self.transmit(ctx)
     }
 
@@ -152,7 +164,9 @@ pub struct GcsProcess<P> {
 impl<P: Clone + 'static> GcsProcess<P> {
     /// Wrap a configured member.
     pub fn new(me: ProcId, config: GroupConfig, initial: Vec<ProcId>) -> Self {
-        GcsProcess { host: GroupHost::new(me, config, initial, |_| SimDuration::ZERO) }
+        GcsProcess {
+            host: GroupHost::new(me, config, initial, |_| SimDuration::ZERO),
+        }
     }
 
     /// Read-only access to the wrapped member (post-run inspection).
@@ -182,7 +196,9 @@ impl<P: Clone + 'static> Process for GcsProcess<P> {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: ProcId, msg: Msg) {
         if from == EXTERNAL {
             // Unknown harness payloads are dropped, not fatal (the no-panic lints).
-            let Ok(cmd) = msg.downcast::<GcsCommand<P>>() else { return };
+            let Ok(cmd) = msg.downcast::<GcsCommand<P>>() else {
+                return;
+            };
             let events = match *cmd {
                 GcsCommand::Broadcast(p) => self.host.broadcast(ctx, p),
                 GcsCommand::Leave => {

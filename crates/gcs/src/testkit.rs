@@ -107,11 +107,18 @@ impl<P: Clone + 'static> Pump<P> {
         for (to, frame, _bytes) in out.wire {
             let stamp = self.arrivals;
             self.arrivals += 1;
-            self.channels.entry((who, to)).or_default().push_back((stamp, frame));
+            self.channels
+                .entry((who, to))
+                .or_default()
+                .push_back((stamp, frame));
         }
         for ev in out.events {
             match &ev {
-                GcsEvent::Deliver { seq, origin, payload } => {
+                GcsEvent::Deliver {
+                    seq,
+                    origin,
+                    payload,
+                } => {
                     let view = self.cur_view.get(&who).copied().unwrap_or(ViewId::NONE);
                     self.delivered.entry(who).or_default().push(Delivered {
                         seq: *seq,
@@ -122,7 +129,10 @@ impl<P: Clone + 'static> Pump<P> {
                 }
                 GcsEvent::ViewChange { view, .. } => {
                     self.cur_view.insert(who, view.id);
-                    self.views.entry(who).or_default().push(view.members.clone());
+                    self.views
+                        .entry(who)
+                        .or_default()
+                        .push(view.members.clone());
                 }
                 GcsEvent::Ejected => {
                     self.cur_view.insert(who, ViewId::NONE);
@@ -162,7 +172,10 @@ impl<P: Clone + 'static> Pump<P> {
     /// pair is cut or the target crashed). Returns whether a member
     /// processed it.
     pub fn deliver_from(&mut self, from: ProcId, to: ProcId) -> bool {
-        let Some((_, frame)) = self.channels.get_mut(&(from, to)).and_then(VecDeque::pop_front)
+        let Some((_, frame)) = self
+            .channels
+            .get_mut(&(from, to))
+            .and_then(VecDeque::pop_front)
         else {
             return false;
         };

@@ -19,16 +19,25 @@ pub struct ViewId {
 
 impl ViewId {
     /// The pre-membership placeholder (a joiner that has never installed).
-    pub const NONE: ViewId = ViewId { num: 0, coord: ProcId(0) };
+    pub const NONE: ViewId = ViewId {
+        num: 0,
+        coord: ProcId(0),
+    };
 
     /// The bootstrap view id of a statically configured group.
     pub fn bootstrap(leader: ProcId) -> Self {
-        ViewId { num: 1, coord: leader }
+        ViewId {
+            num: 1,
+            coord: leader,
+        }
     }
 
     /// The id a flush coordinated by `coord` would install after this view.
     pub(crate) fn next(self, coord: ProcId) -> Self {
-        ViewId { num: self.num + 1, coord }
+        ViewId {
+            num: self.num + 1,
+            coord,
+        }
     }
 }
 
@@ -66,7 +75,10 @@ impl View {
     }
 
     /// The initial (bootstrap) view of a statically configured group.
-    #[expect(clippy::expect_used, reason = "an empty bootstrap list is a configuration error")]
+    #[expect(
+        clippy::expect_used,
+        reason = "an empty bootstrap list is a configuration error"
+    )]
     pub(crate) fn initial(members: Vec<ProcId>) -> Self {
         let mut v = View::new(ViewId::NONE, members);
         v.id = ViewId::bootstrap(v.leader().expect("bootstrap view must be non-empty"));
@@ -121,7 +133,10 @@ mod tests {
     }
 
     fn vid(n: u64) -> ViewId {
-        ViewId { num: n, coord: p(0) }
+        ViewId {
+            num: n,
+            coord: p(0),
+        }
     }
 
     #[test]

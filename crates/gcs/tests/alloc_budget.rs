@@ -77,9 +77,14 @@ fn ordered_broadcast_stays_inside_its_allocation_budget() {
         }
         world.run_for(SimDuration::from_millis(500));
         let events = world.take_emitted::<GcsEvent<u32>>();
-        delivered += events.iter().filter(|(_, _, ev)| matches!(ev, GcsEvent::Deliver { .. })).count();
+        delivered += events
+            .iter()
+            .filter(|(_, _, ev)| matches!(ev, GcsEvent::Deliver { .. }))
+            .count();
         assert!(
-            events.iter().all(|(_, _, ev)| matches!(ev, GcsEvent::Deliver { .. })),
+            events
+                .iter()
+                .all(|(_, _, ev)| matches!(ev, GcsEvent::Deliver { .. })),
             "a fault-free run installs no view and ejects nobody"
         );
     };
@@ -96,6 +101,12 @@ fn ordered_broadcast_stays_inside_its_allocation_budget() {
         allocs % 100 / 10,
         bytes / 100
     );
-    assert!(allocs <= ALLOCS_PER_HUNDRED_MAX, "{allocs} allocations per 100 broadcasts, budget {ALLOCS_PER_HUNDRED_MAX}");
-    assert!(bytes <= BYTES_PER_HUNDRED_MAX, "{bytes} B per 100 broadcasts, budget {BYTES_PER_HUNDRED_MAX}");
+    assert!(
+        allocs <= ALLOCS_PER_HUNDRED_MAX,
+        "{allocs} allocations per 100 broadcasts, budget {ALLOCS_PER_HUNDRED_MAX}"
+    );
+    assert!(
+        bytes <= BYTES_PER_HUNDRED_MAX,
+        "{bytes} B per 100 broadcasts, budget {BYTES_PER_HUNDRED_MAX}"
+    );
 }

@@ -12,13 +12,29 @@ fn churn_storm_converges_despite_ejection() {
     let mut pump: Pump<u32> = Pump::group(3, GroupConfig::default());
     let tick = SimDuration::from_millis(5);
     pump.leave(ProcId(0));
-    pump.add_joiner(ProcId(100), vec![ProcId(1), ProcId(2)], GroupConfig::default());
+    pump.add_joiner(
+        ProcId(100),
+        vec![ProcId(1), ProcId(2)],
+        GroupConfig::default(),
+    );
     pump.leave(ProcId(1));
     pump.tick(tick);
-    pump.add_joiner(ProcId(101), vec![ProcId(2), ProcId(100)], GroupConfig::default());
-    pump.add_joiner(ProcId(102), vec![ProcId(2), ProcId(100), ProcId(101)], GroupConfig::default());
+    pump.add_joiner(
+        ProcId(101),
+        vec![ProcId(2), ProcId(100)],
+        GroupConfig::default(),
+    );
+    pump.add_joiner(
+        ProcId(102),
+        vec![ProcId(2), ProcId(100), ProcId(101)],
+        GroupConfig::default(),
+    );
     pump.crash(ProcId(101));
-    pump.add_joiner(ProcId(103), vec![ProcId(2), ProcId(100), ProcId(102)], GroupConfig::default());
+    pump.add_joiner(
+        ProcId(103),
+        vec![ProcId(2), ProcId(100), ProcId(102)],
+        GroupConfig::default(),
+    );
     pump.leave(ProcId(102));
     pump.tick(tick);
     pump.leave(ProcId(103));
@@ -37,7 +53,10 @@ fn churn_storm_converges_despite_ejection() {
     // is live afterwards.
     let delivered = pump.delivered_payloads(ProcId(2)).contains(&0);
     let ejected = pump.ejections.get(&ProcId(2)).copied().unwrap_or(0) > 0;
-    assert!(delivered || ejected, "payload silently lost without ejection");
+    assert!(
+        delivered || ejected,
+        "payload silently lost without ejection"
+    );
     pump.broadcast(ProcId(100), 7);
     // Followers deliver after the collector's (tick-batched) stability
     // announcement.

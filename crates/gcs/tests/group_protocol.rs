@@ -309,6 +309,9 @@ fn view_change_during_burst_loses_nothing_from_survivors() {
     assert_eq!(d1, d2, "survivors diverged");
     for i in 0..10 {
         let want = format!("mid{i}");
-        assert!(d1.iter().any(|s| *s == want), "lost survivor submission {want}");
+        assert!(
+            d1.iter().any(|s| *s == want),
+            "lost survivor submission {want}"
+        );
     }
 }

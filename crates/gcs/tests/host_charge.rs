@@ -6,7 +6,9 @@
 use jrs_gcs::config::GroupConfig;
 use jrs_gcs::simharness::GroupHost;
 use jrs_gcs::GcsEvent;
-use jrs_sim::{Ctx, Msg, NetworkConfig, ProcId, Process, SimDuration, SimTime, TimerId, World, EXTERNAL};
+use jrs_sim::{
+    Ctx, Msg, NetworkConfig, ProcId, Process, SimDuration, SimTime, TimerId, World, EXTERNAL,
+};
 use std::collections::BTreeMap;
 
 type Payload = u32;
@@ -32,11 +34,15 @@ impl Process for Hosted {
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: ProcId, msg: Msg) {
         let events = if from == EXTERNAL {
-            let Ok(p) = msg.downcast::<Payload>() else { return };
+            let Ok(p) = msg.downcast::<Payload>() else {
+                return;
+            };
             self.host.broadcast(ctx, *p)
         } else {
             self.arrivals.push((ctx.now(), from));
-            let Ok(events) = self.host.on_message(ctx, from, msg) else { return };
+            let Ok(events) = self.host.on_message(ctx, from, msg) else {
+                return;
+            };
             events
         };
         publish(ctx, events);
@@ -60,7 +66,16 @@ fn run(charge: SimDuration) -> (Delivered, Vec<SimTime>) {
     for id in &ids {
         let node = world.add_node(format!("head-{id}"));
         let host = GroupHost::new(*id, GroupConfig::default(), ids.clone(), move |_| charge);
-        assert_eq!(world.add_process(node, Hosted { host, arrivals: Vec::new() }), *id);
+        assert_eq!(
+            world.add_process(
+                node,
+                Hosted {
+                    host,
+                    arrivals: Vec::new()
+                }
+            ),
+            *id
+        );
     }
     for i in 0..12u32 {
         let who = ids[(i % 3) as usize];
@@ -72,8 +87,15 @@ fn run(charge: SimDuration) -> (Delivered, Vec<SimTime>) {
     let mut delivered = Delivered::new();
     for (_t, at, ev) in world.take_emitted::<GcsEvent<Payload>>() {
         match ev {
-            GcsEvent::Deliver { seq, origin, payload } => {
-                delivered.entry(at).or_default().push((seq, origin, payload));
+            GcsEvent::Deliver {
+                seq,
+                origin,
+                payload,
+            } => {
+                delivered
+                    .entry(at)
+                    .or_default()
+                    .push((seq, origin, payload));
             }
             other => panic!("fault-free run, yet {at} saw {other:?}"),
         }
@@ -99,11 +121,17 @@ fn charge_moves_departures_not_deliveries() {
     for seq in free.values() {
         assert_eq!(seq.len(), 12, "every member delivers every broadcast");
     }
-    assert_eq!(free, charged, "the charge must not change what is delivered, or in what order");
+    assert_eq!(
+        free, charged,
+        "the charge must not change what is delivered, or in what order"
+    );
 
     // Member 0's `start` output is one heartbeat per peer. Uncharged they
     // leave together; charged, each leaves one charge after the previous.
     let lan = SimDuration::from_micros(10);
     assert_eq!(free_first, [SimTime::ZERO + lan, SimTime::ZERO + lan]);
-    assert_eq!(charged_first, [SimTime::ZERO + ms + lan, SimTime::ZERO + ms + ms + lan]);
+    assert_eq!(
+        charged_first,
+        [SimTime::ZERO + ms + lan, SimTime::ZERO + ms + ms + lan]
+    );
 }

@@ -14,7 +14,10 @@ const PEER: ProcId = ProcId(1);
 
 fn msg(n: u64) -> GcsMsg<u32> {
     GcsMsg::Heartbeat {
-        view_id: ViewId { num: n, coord: ProcId(0) },
+        view_id: ViewId {
+            num: n,
+            coord: ProcId(0),
+        },
         view_size: 1,
         delivered_up_to: 0,
     }

@@ -25,11 +25,18 @@ fn build(n: u32, seed: u64, net: NetworkConfig, cfg: GroupConfig) -> Cluster {
     for i in 0..n {
         let node = world.add_node(format!("head-{i}"));
         nodes.push(node);
-        let p = world.add_process(node, GcsProcess::<Payload>::new(ids[i as usize], cfg.clone(), ids.clone()));
+        let p = world.add_process(
+            node,
+            GcsProcess::<Payload>::new(ids[i as usize], cfg.clone(), ids.clone()),
+        );
         assert_eq!(p, ids[i as usize]);
         procs.push(p);
     }
-    Cluster { world, procs, nodes }
+    Cluster {
+        world,
+        procs,
+        nodes,
+    }
 }
 
 /// Collect per-member delivered payload sequences from emitted events.
@@ -103,7 +110,8 @@ fn head_node_crash_mid_burst_over_sim() {
     }
     // Crash the sequencer (member 0) in the middle of the burst.
     let dead_node = c.nodes[0];
-    c.world.schedule_at(at(300), move |w| w.crash_node(dead_node));
+    c.world
+        .schedule_at(at(300), move |w| w.crash_node(dead_node));
     c.world.run_until(at(6000));
     let d = deliveries(&mut c.world);
     let d1: Vec<(u64, Payload)> = d[&c.procs[1]].clone();
@@ -114,7 +122,10 @@ fn head_node_crash_mid_burst_over_sim() {
     assert_eq!(d1, d2, "survivors diverged after crash");
     let payloads: Vec<Payload> = d1.iter().map(|(_, p)| *p).collect();
     for i in 0..30u32 {
-        assert!(payloads.contains(&i), "submission {i} lost across view change");
+        assert!(
+            payloads.contains(&i),
+            "submission {i} lost across view change"
+        );
     }
     // View shrank to the survivors.
     let m1 = c
@@ -165,7 +176,11 @@ fn long_soak_with_periodic_traffic_stays_stable() {
     assert_eq!(reference.len(), 500);
     for p in &c.procs {
         assert_eq!(&d[p], reference);
-        let m = c.world.proc_ref::<GcsProcess<Payload>>(*p).unwrap().member();
+        let m = c
+            .world
+            .proc_ref::<GcsProcess<Payload>>(*p)
+            .unwrap()
+            .member();
         assert!(
             m.log_len() < 100,
             "ordered-message log not garbage collected: {}",

@@ -82,7 +82,8 @@ impl Budget {
     }
 
     fn expired(&self) -> bool {
-        self.deadline.is_some_and(|d| std::time::Instant::now() >= d)
+        self.deadline
+            .is_some_and(|d| std::time::Instant::now() >= d)
     }
 }
 
@@ -98,7 +99,9 @@ struct Visited {
 
 impl Visited {
     fn new() -> Self {
-        Visited { map: HashMap::new() }
+        Visited {
+            map: HashMap::new(),
+        }
     }
 
     /// True if a recorded expansion subsumes this one.
@@ -215,7 +218,11 @@ pub struct Search {
 impl Search {
     /// A deduplicating, unbudgeted search in the given mode.
     pub fn new(mode: Mode) -> Self {
-        Search { mode, dedup: true, budget: Budget::unlimited() }
+        Search {
+            mode,
+            dedup: true,
+            budget: Budget::unlimited(),
+        }
     }
 
     /// Disable visited-state dedup (stateless search).
@@ -263,7 +270,12 @@ pub fn check(cfg: McConfig, depth: u32, mode: Mode, budget: Budget) -> Outcome {
 /// prefix); used by regression tests to pin a protocol state and then
 /// exhaust the interleavings around it.
 pub fn check_from(world: &World, depth: u32, mode: Mode, budget: Budget) -> Outcome {
-    Search { mode, dedup: true, budget }.run(world, depth)
+    Search {
+        mode,
+        dedup: true,
+        budget,
+    }
+    .run(world, depth)
 }
 
 /// Replay a trace from `start`, checking invariants at every step and the
@@ -356,15 +368,19 @@ mod tests {
             ..small()
         };
         let start = World::new(cfg);
-        let Outcome::Violation { violation, trace, .. } =
-            check_from(&start, 6, Mode::Dpor, Budget::unlimited())
+        let Outcome::Violation {
+            violation, trace, ..
+        } = check_from(&start, 6, Mode::Dpor, Budget::unlimited())
         else {
             panic!("seeded grant-on-forward bug not found");
         };
         assert!(matches!(violation, Violation::DuplicateLaunch { .. }));
         let min = minimize(&start, &trace);
         assert!(min.len() <= trace.len());
-        assert!(replay(&start, &min).is_some(), "minimized trace must replay");
+        assert!(
+            replay(&start, &min).is_some(),
+            "minimized trace must replay"
+        );
     }
 
     #[test]

@@ -9,8 +9,8 @@
 
 use jrs_gcs::EngineKind;
 use jrs_mc::{
-    format_trace, minimize, parse_trace, replay, Budget, McConfig, Mode, Mutation, Outcome,
-    Search, Stats, World,
+    format_trace, minimize, parse_trace, replay, Budget, McConfig, Mode, Mutation, Outcome, Search,
+    Stats, World,
 };
 use std::process::ExitCode;
 
@@ -126,7 +126,11 @@ where
 }
 
 fn print_stats(label: &str, s: Stats) {
-    let trunc = if s.truncated { " (budget expired, bound not covered)" } else { "" };
+    let trunc = if s.truncated {
+        " (budget expired, bound not covered)"
+    } else {
+        ""
+    };
     println!(
         "{label}: explored {} states, deduped {}, slept {}, settled {} terminals{trunc}",
         s.explored, s.deduped, s.slept, s.settled
@@ -142,10 +146,15 @@ fn run_check(args: &[String]) -> Result<ExitCode, String> {
         return Err("--json and --compare are mutually exclusive".into());
     }
     if !o.json {
-    println!(
-        "jrs-mc check: procs={} depth={} faults={} submits={} engine={:?} mutate={}",
-        o.cfg.procs, o.depth, o.cfg.faults, o.cfg.submits, o.cfg.engine, o.cfg.mutation.name()
-    );
+        println!(
+            "jrs-mc check: procs={} depth={} faults={} submits={} engine={:?} mutate={}",
+            o.cfg.procs,
+            o.depth,
+            o.cfg.faults,
+            o.cfg.submits,
+            o.cfg.engine,
+            o.cfg.mutation.name()
+        );
     }
     let start = World::new(o.cfg.clone());
     if o.compare {
@@ -212,7 +221,9 @@ fn report_json(start: &World, o: &Opts, out: Outcome) -> Result<ExitCode, String
             j.push_str(",\"outcome\":\"clean\"}");
             ExitCode::SUCCESS
         }
-        Outcome::Violation { violation, trace, .. } => {
+        Outcome::Violation {
+            violation, trace, ..
+        } => {
             let min = minimize(start, &trace);
             j.push_str(&format!(
                 ",\"outcome\":\"violation\",\"violation\":{},\"trace\":{}}}",
@@ -243,10 +254,16 @@ fn report(start: &World, o: &Opts, out: Outcome) -> Result<ExitCode, String> {
             }
             Ok(ExitCode::SUCCESS)
         }
-        Outcome::Violation { violation, trace, .. } => {
+        Outcome::Violation {
+            violation, trace, ..
+        } => {
             println!("VIOLATION: {violation:?}");
             let min = minimize(start, &trace);
-            println!("counterexample ({} steps, minimized from {}):", min.len(), trace.len());
+            println!(
+                "counterexample ({} steps, minimized from {}):",
+                min.len(),
+                trace.len()
+            );
             for (i, &a) in min.iter().enumerate() {
                 println!("  {:>3}. {}", i + 1, jrs_mc::trace::format_action(a));
             }
@@ -270,7 +287,12 @@ fn run_replay(args: &[String]) -> Result<ExitCode, String> {
     let mut start = World::new(o.cfg.clone());
     // Read once here; `check` never consults the environment.
     start.narrate = std::env::var_os("JRS_MC_TRACE_EVENTS").is_some();
-    println!("replaying {} steps on procs={} mutate={}", trace.len(), o.cfg.procs, o.cfg.mutation.name());
+    println!(
+        "replaying {} steps on procs={} mutate={}",
+        trace.len(),
+        o.cfg.procs,
+        o.cfg.mutation.name()
+    );
     match replay(&start, &trace) {
         Some(v) => {
             println!("VIOLATION reproduced: {v:?}");

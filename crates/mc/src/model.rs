@@ -8,12 +8,12 @@
 //! convergence, exactly-once launch) are checked by `World::settle`,
 //! which runs the remaining protocol to quiescence under FIFO delivery.
 
+use joshua_core::payload::{self, JMutexOutcome, JMutexState};
 use jrs_gcs::testkit::Pump;
 use jrs_gcs::{EngineKind, GcsEvent, GroupConfig, MembershipPolicy, View, ViewId};
 use jrs_pbs::sched::FifoExclusive;
 use jrs_pbs::{JobId, JobSpec, MomReport, PbsServerCore, ServerAction, ServerCmd};
 use jrs_sim::{Fnv64, ProcId, SimDuration};
-use joshua_core::payload::{self, JMutexOutcome, JMutexState};
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
 
@@ -285,8 +285,16 @@ impl App {
 
     fn state_hash(&self) -> u64 {
         // Named field by field, no `..`: see `GroupMember::state_hash`.
-        let App { me, pbs, jmutex, view, view_id, joined_current, last_seq, awaiting_transfer } =
-            self;
+        let App {
+            me,
+            pbs,
+            jmutex,
+            view,
+            view_id,
+            joined_current,
+            last_seq,
+            awaiting_transfer,
+        } = self;
         let mut h = Fnv64::new();
         me.hash(&mut h);
         pbs.state_hash().hash(&mut h);
@@ -303,7 +311,11 @@ impl App {
 fn fresh_pbs() -> PbsServerCore {
     // One compute node under the paper's exclusive FIFO policy: one job
     // runs at a time, every queued job eventually gets a Start action.
-    PbsServerCore::new("head", std::iter::once("c00".to_string()), Box::new(FifoExclusive))
+    PbsServerCore::new(
+        "head",
+        std::iter::once("c00".to_string()),
+        Box::new(FifoExclusive),
+    )
 }
 
 /// Session id of the launch a head would forward for a job: unique per
@@ -427,7 +439,10 @@ impl World {
                 };
                 self.submits_done += 1;
                 let name = format!("job-{}", self.submits_done);
-                self.pump.submit(head, McPayload::Cmd(ServerCmd::Qsub(JobSpec::trivial(name))));
+                self.pump.submit(
+                    head,
+                    McPayload::Cmd(ServerCmd::Qsub(JobSpec::trivial(name))),
+                );
             }
             Action::Deliver { from, to } => {
                 if !self.pump.deliver_from(from, to) {
@@ -504,7 +519,10 @@ impl World {
         if self.narrate {
             match &ev {
                 GcsEvent::Deliver { seq, origin, .. } => {
-                    eprintln!("[ev] t={:?} {who:?} deliver seq={seq} origin={origin:?}", self.pump.now)
+                    eprintln!(
+                        "[ev] t={:?} {who:?} deliver seq={seq} origin={origin:?}",
+                        self.pump.now
+                    )
                 }
                 GcsEvent::ViewChange { view, joined, left } => eprintln!(
                     "[ev] t={:?} {who:?} view {:?} members={:?} joined={joined:?} left={left:?}",
@@ -514,7 +532,11 @@ impl World {
             }
         }
         match ev {
-            GcsEvent::Deliver { seq, origin, payload } => self.on_deliver(who, seq, origin, payload),
+            GcsEvent::Deliver {
+                seq,
+                origin,
+                payload,
+            } => self.on_deliver(who, seq, origin, payload),
             GcsEvent::ViewChange { view, joined, .. } => self.on_view_change(who, &view, &joined),
             GcsEvent::Ejected => {
                 // The group moved on without this member; its replica state
@@ -581,8 +603,14 @@ impl World {
                         let session = session_of(me, job);
                         // Forward the launch through the jmutex: ordered
                         // acquire; the verdict decides who really launches.
-                        self.pump
-                            .submit(me, McPayload::Acquire { job, session, granter: me });
+                        self.pump.submit(
+                            me,
+                            McPayload::Acquire {
+                                job,
+                                session,
+                                granter: me,
+                            },
+                        );
                         if self.cfg.mutation == Mutation::GrantOnForward {
                             // BUG: launch immediately on forward.
                             if let Some(v) = self.record_launch(job, session) {
@@ -592,7 +620,11 @@ impl World {
                     }
                 }
             }
-            McPayload::Acquire { job, session, granter } => {
+            McPayload::Acquire {
+                job,
+                session,
+                granter,
+            } => {
                 let outcome = app.jmutex.acquire(job, MOM, session, granter, false);
                 let sender = payload::verdict_sender(&app.view, granter, app.responder());
                 if sender == who && outcome == JMutexOutcome::Granted {
@@ -615,7 +647,10 @@ impl World {
         // Invariant: self-inclusion — a member is never handed a view it
         // is not part of (exclusion must arrive as `Ejected`).
         if !view.contains(who) {
-            return Some(Violation::SelfExclusion { member: who, view: view.id });
+            return Some(Violation::SelfExclusion {
+                member: who,
+                view: view.id,
+            });
         }
         let app = self.apps.get_mut(&who)?;
         app.view = view.members.clone();
@@ -627,8 +662,11 @@ impl World {
             && !app.awaiting_transfer
             && app.responder() == Some(who)
         {
-            let lost: Vec<(JobId, u64)> =
-                app.jmutex.orphaned_grants(&view.members).map(|(job, g)| (job, g.session)).collect();
+            let lost: Vec<(JobId, u64)> = app
+                .jmutex
+                .orphaned_grants(&view.members)
+                .map(|(job, g)| (job, g.session))
+                .collect();
             for (job, session) in lost {
                 if let Some(v) = self.record_launch(job, session) {
                     return Some(v);
@@ -676,7 +714,11 @@ impl World {
                 None
             };
             if let Some(what) = what {
-                return Some(Violation::Divergence { a: a.me, b: b.me, what });
+                return Some(Violation::Divergence {
+                    a: a.me,
+                    b: b.me,
+                    what,
+                });
             }
         }
         // Exactly-once launch: every outstanding grant any live replica
@@ -713,7 +755,11 @@ mod tests {
         assert!(w.pump.pending().is_empty());
         assert_eq!(w.pump.members.len(), 3);
         let w2 = World::new(McConfig::default());
-        assert_eq!(w.state_hash(), w2.state_hash(), "construction is deterministic");
+        assert_eq!(
+            w.state_hash(),
+            w2.state_hash(),
+            "construction is deterministic"
+        );
     }
 
     #[test]
@@ -735,10 +781,16 @@ mod tests {
 
     #[test]
     fn infeasible_actions_are_reported() {
-        let mut w = World::new(McConfig { submits: 0, ..McConfig::default() });
+        let mut w = World::new(McConfig {
+            submits: 0,
+            ..McConfig::default()
+        });
         assert!(matches!(w.apply(Action::Submit), StepResult::Infeasible));
         assert!(matches!(
-            w.apply(Action::Deliver { from: ProcId(0), to: ProcId(1) }),
+            w.apply(Action::Deliver {
+                from: ProcId(0),
+                to: ProcId(1)
+            }),
             StepResult::Infeasible
         ));
         assert!(matches!(

@@ -43,18 +43,28 @@ pub(crate) fn parse_action(tok: &str) -> Result<Action, String> {
     }
     if let Some(rest) = tok.strip_prefix("deliver:") {
         let (f, t) = parse_pair(rest)?;
-        return Ok(Action::Deliver { from: ProcId(f), to: ProcId(t) });
+        return Ok(Action::Deliver {
+            from: ProcId(f),
+            to: ProcId(t),
+        });
     }
     if let Some(rest) = tok.strip_prefix("drop:") {
         let (f, t) = parse_pair(rest)?;
-        return Ok(Action::Drop { from: ProcId(f), to: ProcId(t) });
+        return Ok(Action::Drop {
+            from: ProcId(f),
+            to: ProcId(t),
+        });
     }
     if let Some(rest) = tok.strip_prefix("crash:") {
-        let p = rest.parse::<u32>().map_err(|e| format!("bad proc id {rest:?}: {e}"))?;
+        let p = rest
+            .parse::<u32>()
+            .map_err(|e| format!("bad proc id {rest:?}: {e}"))?;
         return Ok(Action::Crash { who: ProcId(p) });
     }
     if let Some(rest) = tok.strip_prefix("complete:") {
-        let j = rest.parse::<u64>().map_err(|e| format!("bad job id {rest:?}: {e}"))?;
+        let j = rest
+            .parse::<u64>()
+            .map_err(|e| format!("bad job id {rest:?}: {e}"))?;
         return Ok(Action::Complete { job: JobId(j) });
     }
     Err(format!("unknown trace token {tok:?}"))
@@ -64,8 +74,12 @@ fn parse_pair(s: &str) -> Result<(u32, u32), String> {
     let (a, b) = s
         .split_once('-')
         .ok_or_else(|| format!("expected F-T in {s:?}"))?;
-    let f = a.parse::<u32>().map_err(|e| format!("bad proc id {a:?}: {e}"))?;
-    let t = b.parse::<u32>().map_err(|e| format!("bad proc id {b:?}: {e}"))?;
+    let f = a
+        .parse::<u32>()
+        .map_err(|e| format!("bad proc id {a:?}: {e}"))?;
+    let t = b
+        .parse::<u32>()
+        .map_err(|e| format!("bad proc id {b:?}: {e}"))?;
     Ok((f, t))
 }
 
@@ -85,8 +99,14 @@ mod tests {
     fn round_trips() {
         let trace = vec![
             Action::Submit,
-            Action::Deliver { from: ProcId(0), to: ProcId(1) },
-            Action::Drop { from: ProcId(2), to: ProcId(0) },
+            Action::Deliver {
+                from: ProcId(0),
+                to: ProcId(1),
+            },
+            Action::Drop {
+                from: ProcId(2),
+                to: ProcId(0),
+            },
             Action::Crash { who: ProcId(1) },
             Action::Tick,
             Action::Complete { job: JobId(1) },

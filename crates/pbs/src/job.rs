@@ -60,7 +60,10 @@ impl JobSpec {
 
     /// A job with an explicit runtime.
     pub fn with_runtime(name: impl Into<Rc<str>>, runtime: SimDuration) -> Self {
-        JobSpec { runtime, ..JobSpec::trivial(name) }
+        JobSpec {
+            runtime,
+            ..JobSpec::trivial(name)
+        }
     }
 }
 
@@ -120,7 +123,13 @@ pub struct Job {
 impl Job {
     /// A freshly queued job.
     pub fn queued(id: JobId, spec: JobSpec) -> Self {
-        Job { id, spec, state: JobState::Queued, exit_status: None, allocated: Vec::new() }
+        Job {
+            id,
+            spec,
+            state: JobState::Queued,
+            exit_status: None,
+            allocated: Vec::new(),
+        }
     }
 }
 

@@ -25,12 +25,23 @@
 
 #![warn(missing_docs)]
 // Replica code: the construct bans of DESIGN.md 7.2 (name lists: /clippy.toml).
-#![cfg_attr(not(test), deny(
-    clippy::disallowed_types, clippy::disallowed_methods, clippy::cast_possible_truncation,
-    clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo,
-    clippy::unimplemented, clippy::wildcard_enum_match_arm, clippy::allow_attributes,
-    clippy::allow_attributes_without_reason
-))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        clippy::cast_possible_truncation,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::wildcard_enum_match_arm,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub mod codec;
 pub mod job;

@@ -172,7 +172,10 @@ impl PbsMomCore {
     /// Is the given job really running here?
     #[cfg(test)]
     pub(crate) fn is_running(&self, job: JobId) -> bool {
-        matches!(self.jobs.get(&job).map(|j| &j.phase), Some(Phase::Running { .. }))
+        matches!(
+            self.jobs.get(&job).map(|j| &j.phase),
+            Some(Phase::Running { .. })
+        )
     }
 
     /// Handle one inbound message.
@@ -182,13 +185,19 @@ impl PbsMomCore {
                 self.servers.insert(server);
                 vec![]
             }
-            MomInbound::Start { job, spec, nodes: _, server, arbiter } => {
-                self.on_start(job, spec, server, arbiter)
-            }
+            MomInbound::Start {
+                job,
+                spec,
+                nodes: _,
+                server,
+                arbiter,
+            } => self.on_start(job, spec, server, arbiter),
             MomInbound::Cancel { job, server } => self.on_cancel(job, server),
-            MomInbound::Verdict { job, session, granted } => {
-                self.on_verdict(job, session, granted)
-            }
+            MomInbound::Verdict {
+                job,
+                session,
+                granted,
+            } => self.on_verdict(job, session, granted),
         }
     }
 
@@ -252,7 +261,10 @@ impl PbsMomCore {
                 }
                 Phase::Done { exit } => {
                     return vec![
-                        MomAction::Report { to: server, report: MomReport::Started { job } },
+                        MomAction::Report {
+                            to: server,
+                            report: MomReport::Started { job },
+                        },
                         MomAction::Report {
                             to: server,
                             report: MomReport::Finished { job, exit },
@@ -266,10 +278,22 @@ impl PbsMomCore {
             Phase::Arbitrating => {
                 let id = *next_session;
                 *next_session += 1;
-                entry.sessions.insert(server, Session { id, arbiter, denied: false });
+                entry.sessions.insert(
+                    server,
+                    Session {
+                        id,
+                        arbiter,
+                        denied: false,
+                    },
+                );
                 match arbiter {
                     Some(a) => {
-                        vec![MomAction::AskArbiter { arbiter: a, job, session: id, reclaim: false }]
+                        vec![MomAction::AskArbiter {
+                            arbiter: a,
+                            job,
+                            session: id,
+                            reclaim: false,
+                        }]
                     }
                     // Local grant (plain single-head PBS): run immediately.
                     None => self.grant(job, server),
@@ -278,11 +302,20 @@ impl PbsMomCore {
             Phase::Running { .. } => {
                 // Late attempt while the job already runs: emulate the
                 // start for this head.
-                vec![MomAction::Report { to: server, report: MomReport::Started { job } }]
+                vec![MomAction::Report {
+                    to: server,
+                    report: MomReport::Started { job },
+                }]
             }
             Phase::Done { exit } => vec![
-                MomAction::Report { to: server, report: MomReport::Started { job } },
-                MomAction::Report { to: server, report: MomReport::Finished { job, exit } },
+                MomAction::Report {
+                    to: server,
+                    report: MomReport::Started { job },
+                },
+                MomAction::Report {
+                    to: server,
+                    report: MomReport::Finished { job, exit },
+                },
             ],
         }
     }
@@ -314,27 +347,47 @@ impl PbsMomCore {
             let id = *next_session;
             *next_session += 1;
             let arbiter = entry.sessions.get(&server).and_then(|s| s.arbiter);
-            entry.sessions.insert(server, Session { id, arbiter, denied: false });
+            entry.sessions.insert(
+                server,
+                Session {
+                    id,
+                    arbiter,
+                    denied: false,
+                },
+            );
             if let Some(a) = arbiter {
-                return vec![MomAction::AskArbiter { arbiter: a, job, session: id, reclaim: true }];
+                return vec![MomAction::AskArbiter {
+                    arbiter: a,
+                    job,
+                    session: id,
+                    reclaim: true,
+                }];
             }
         }
         // Denied: emulate the start for this head only.
-        vec![MomAction::Report { to: server, report: MomReport::Started { job } }]
+        vec![MomAction::Report {
+            to: server,
+            report: MomReport::Started { job },
+        }]
     }
 
     /// A session won the launch mutex (or local grant): really execute.
     fn grant(&mut self, job: JobId, server: ProcId) -> Vec<MomAction> {
         // A verdict for a job this mom no longer tracks (e.g. cancelled
         // while the acquire was in flight) is ignorable, not fatal (the no-panic lints).
-        let Some(entry) = self.jobs.get_mut(&job) else { return vec![] };
+        let Some(entry) = self.jobs.get_mut(&job) else {
+            return vec![];
+        };
         let session = entry.sessions.get(&server).map(|s| s.id).unwrap_or(0);
         match entry.phase {
             Phase::Arbitrating => {
                 entry.phase = Phase::Running { session };
                 self.real_runs += 1;
                 let run_for = entry.spec.runtime.min(entry.spec.walltime);
-                let mut acts = vec![MomAction::StartTimer { job, after: run_for }];
+                let mut acts = vec![MomAction::StartTimer {
+                    job,
+                    after: run_for,
+                }];
                 for &s in &entry.interested {
                     acts.push(MomAction::Report {
                         to: s,
@@ -406,7 +459,10 @@ impl PbsMomCore {
         let report = MomReport::Finished { job, exit: code };
         if self.obituary_bug {
             // Paper's TORQUE defect: only the owner head learns.
-            acts.push(MomAction::Report { to: entry.owner, report });
+            acts.push(MomAction::Report {
+                to: entry.owner,
+                report,
+            });
         } else {
             let mut targets: BTreeSet<ProcId> = self.servers.clone();
             targets.extend(entry.interested.iter().copied());
@@ -449,12 +505,20 @@ mod tests {
     fn local_grant_runs_immediately() {
         let mut mom = PbsMomCore::new();
         let acts = mom.on_msg(start(1, 10, None));
-        assert!(acts.iter().any(|a| matches!(a, MomAction::StartTimer { .. })));
+        assert!(acts
+            .iter()
+            .any(|a| matches!(a, MomAction::StartTimer { .. })));
         assert!(mom.is_running(JobId(1)));
         assert_eq!(mom.real_runs, 1);
         let done = mom.on_timer(JobId(1));
         let r = reports(&done);
-        assert!(r.contains(&(ProcId(10), MomReport::Finished { job: JobId(1), exit: exit::OK })));
+        assert!(r.contains(&(
+            ProcId(10),
+            MomReport::Finished {
+                job: JobId(1),
+                exit: exit::OK
+            }
+        )));
         assert!(!mom.is_running(JobId(1)));
     }
 
@@ -464,7 +528,12 @@ mod tests {
         let acts = mom.on_msg(start(1, 10, Some(99)));
         assert_eq!(acts.len(), 1);
         let session = match &acts[0] {
-            MomAction::AskArbiter { arbiter, job, session, .. } => {
+            MomAction::AskArbiter {
+                arbiter,
+                job,
+                session,
+                ..
+            } => {
                 assert_eq!(*arbiter, ProcId(99));
                 assert_eq!(*job, JobId(1));
                 *session
@@ -472,9 +541,15 @@ mod tests {
             other => panic!("{other:?}"),
         };
         assert!(!mom.is_running(JobId(1)));
-        let acts = mom.on_msg(MomInbound::Verdict { job: JobId(1), session, granted: true });
+        let acts = mom.on_msg(MomInbound::Verdict {
+            job: JobId(1),
+            session,
+            granted: true,
+        });
         assert!(mom.is_running(JobId(1)));
-        assert!(acts.iter().any(|a| matches!(a, MomAction::StartTimer { .. })));
+        assert!(acts
+            .iter()
+            .any(|a| matches!(a, MomAction::StartTimer { .. })));
     }
 
     #[test]
@@ -493,13 +568,31 @@ mod tests {
         }
         assert_eq!(sessions.len(), 3);
         // Grant the second session, deny the others (order scrambled).
-        let _ = mom.on_msg(MomInbound::Verdict { job: JobId(1), session: sessions[1], granted: true });
-        let d0 = mom.on_msg(MomInbound::Verdict { job: JobId(1), session: sessions[0], granted: false });
-        let d2 = mom.on_msg(MomInbound::Verdict { job: JobId(1), session: sessions[2], granted: false });
+        let _ = mom.on_msg(MomInbound::Verdict {
+            job: JobId(1),
+            session: sessions[1],
+            granted: true,
+        });
+        let d0 = mom.on_msg(MomInbound::Verdict {
+            job: JobId(1),
+            session: sessions[0],
+            granted: false,
+        });
+        let d2 = mom.on_msg(MomInbound::Verdict {
+            job: JobId(1),
+            session: sessions[2],
+            granted: false,
+        });
         assert_eq!(mom.real_runs, 1, "exactly one real execution");
         // Denied sessions emulated the start towards their heads.
-        assert_eq!(reports(&d0), vec![(ProcId(10), MomReport::Started { job: JobId(1) })]);
-        assert_eq!(reports(&d2), vec![(ProcId(12), MomReport::Started { job: JobId(1) })]);
+        assert_eq!(
+            reports(&d0),
+            vec![(ProcId(10), MomReport::Started { job: JobId(1) })]
+        );
+        assert_eq!(
+            reports(&d2),
+            vec![(ProcId(12), MomReport::Started { job: JobId(1) })]
+        );
         // Completion reaches all three heads.
         let done = mom.on_timer(JobId(1));
         let finished: Vec<ProcId> = reports(&done)
@@ -553,7 +646,9 @@ mod tests {
         // Head 10 restarts and re-dispatches, now naming a fresh arbiter.
         let a2 = mom.on_msg(start(1, 10, Some(98)));
         match &a2[..] {
-            [MomAction::AskArbiter { arbiter, session, .. }] => {
+            [MomAction::AskArbiter {
+                arbiter, session, ..
+            }] => {
                 assert_eq!(*arbiter, ProcId(98), "retry follows the new arbiter");
                 assert_eq!(*session, s1, "same session, no second ballot");
             }
@@ -567,7 +662,10 @@ mod tests {
         let mut mom = PbsMomCore::new();
         let _ = mom.on_msg(start(1, 10, None));
         let a2 = mom.on_msg(start(1, 10, None));
-        assert_eq!(reports(&a2), vec![(ProcId(10), MomReport::Started { job: JobId(1) })]);
+        assert_eq!(
+            reports(&a2),
+            vec![(ProcId(10), MomReport::Started { job: JobId(1) })]
+        );
         assert_eq!(mom.real_runs, 1, "retry never re-executes");
     }
 
@@ -597,27 +695,35 @@ mod tests {
             server: ProcId(10),
             arbiter: None,
         });
-        match acts.iter().find(|a| matches!(a, MomAction::StartTimer { .. })) {
+        match acts
+            .iter()
+            .find(|a| matches!(a, MomAction::StartTimer { .. }))
+        {
             Some(MomAction::StartTimer { after, .. }) => {
                 assert_eq!(*after, SimDuration::from_secs(10), "killed at walltime");
             }
             _ => panic!("no timer"),
         }
         let done = mom.on_timer(JobId(1));
-        assert!(reports(&done)
-            .iter()
-            .any(|(_, r)| matches!(r, MomReport::Finished { exit, .. } if *exit == exit::WALLTIME)));
+        assert!(reports(&done).iter().any(
+            |(_, r)| matches!(r, MomReport::Finished { exit, .. } if *exit == exit::WALLTIME)
+        ));
     }
 
     #[test]
     fn cancel_running_job() {
         let mut mom = PbsMomCore::new();
         let _ = mom.on_msg(start(1, 10, None));
-        let acts = mom.on_msg(MomInbound::Cancel { job: JobId(1), server: ProcId(10) });
-        assert!(acts.iter().any(|a| matches!(a, MomAction::CancelTimer { .. })));
-        assert!(reports(&acts)
+        let acts = mom.on_msg(MomInbound::Cancel {
+            job: JobId(1),
+            server: ProcId(10),
+        });
+        assert!(acts
             .iter()
-            .any(|(_, r)| matches!(r, MomReport::Finished { exit, .. } if *exit == exit::CANCELLED)));
+            .any(|a| matches!(a, MomAction::CancelTimer { .. })));
+        assert!(reports(&acts).iter().any(
+            |(_, r)| matches!(r, MomReport::Finished { exit, .. } if *exit == exit::CANCELLED)
+        ));
         // A later timer fire (wrapper failed to cancel in time) is a no-op.
         assert!(mom.on_timer(JobId(1)).is_empty());
     }
@@ -630,9 +736,19 @@ mod tests {
             MomAction::AskArbiter { session, .. } => *session,
             other => panic!("{other:?}"),
         };
-        let _ = mom.on_msg(MomInbound::Cancel { job: JobId(1), server: ProcId(10) });
-        let acts = mom.on_msg(MomInbound::Verdict { job: JobId(1), session, granted: true });
-        assert!(acts.is_empty(), "late grant after cancel must not run the job");
+        let _ = mom.on_msg(MomInbound::Cancel {
+            job: JobId(1),
+            server: ProcId(10),
+        });
+        let acts = mom.on_msg(MomInbound::Verdict {
+            job: JobId(1),
+            session,
+            granted: true,
+        });
+        assert!(
+            acts.is_empty(),
+            "late grant after cancel must not run the job"
+        );
         assert_eq!(mom.real_runs, 0);
     }
 

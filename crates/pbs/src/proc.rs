@@ -113,14 +113,37 @@ impl PbsHeadProcess {
 /// translation every head process uses. `arbiter` is who the mom's launch
 /// prologue must ask for the jmutex (a JOSHUA head names itself; the
 /// unreplicated baselines have none).
-pub fn dispatch(ctx: &mut Ctx<'_>, actions: Vec<ServerAction>, arbiter: Option<ProcId>, delay: SimDuration) {
+pub fn dispatch(
+    ctx: &mut Ctx<'_>,
+    actions: Vec<ServerAction>,
+    arbiter: Option<ProcId>,
+    delay: SimDuration,
+) {
     let server = ctx.me();
     for a in actions {
         match a {
-            ServerAction::Start { mom: Some(mom), job, spec, nodes } => {
-                ctx.send_after(mom, MomInbound::Start { job, spec, nodes, server, arbiter }, delay);
+            ServerAction::Start {
+                mom: Some(mom),
+                job,
+                spec,
+                nodes,
+            } => {
+                ctx.send_after(
+                    mom,
+                    MomInbound::Start {
+                        job,
+                        spec,
+                        nodes,
+                        server,
+                        arbiter,
+                    },
+                    delay,
+                );
             }
-            ServerAction::Cancel { mom: Some(mom), job } => {
+            ServerAction::Cancel {
+                mom: Some(mom),
+                job,
+            } => {
                 ctx.send_after(mom, MomInbound::Cancel { job, server }, delay);
             }
             // No mom registered for the node: nothing to tell.
@@ -135,7 +158,14 @@ impl Process for PbsHeadProcess {
         if let Some(req) = msg.downcast_ref::<ClientRequest>() {
             let cost = self.cost.cost_of(&req.cmd);
             let (reply, actions) = self.core.apply(now, &req.cmd);
-            ctx.send_after(req.client, ClientReply { req_id: req.req_id, reply }, cost);
+            ctx.send_after(
+                req.client,
+                ClientReply {
+                    req_id: req.req_id,
+                    reply,
+                },
+                cost,
+            );
             dispatch(ctx, actions, None, cost + self.cost.dispatch_processing);
             return;
         }
@@ -155,7 +185,10 @@ pub struct PbsMomProcess {
 impl PbsMomProcess {
     /// Wrap a mom core.
     pub fn new(core: PbsMomCore) -> Self {
-        PbsMomProcess { core, timers: BTreeMap::new() }
+        PbsMomProcess {
+            core,
+            timers: BTreeMap::new(),
+        }
     }
 
     /// Inspect the mom (post-run assertions, e.g. `real_runs`).
@@ -167,8 +200,21 @@ impl PbsMomProcess {
         for a in actions {
             match a {
                 MomAction::Report { to, report } => ctx.send(to, report),
-                MomAction::AskArbiter { arbiter, job, session, reclaim } => {
-                    ctx.send(arbiter, ArbiterRequest { job, session, mom: ctx.me(), reclaim });
+                MomAction::AskArbiter {
+                    arbiter,
+                    job,
+                    session,
+                    reclaim,
+                } => {
+                    ctx.send(
+                        arbiter,
+                        ArbiterRequest {
+                            job,
+                            session,
+                            mom: ctx.me(),
+                            reclaim,
+                        },
+                    );
                 }
                 MomAction::ReleaseArbiter { arbiter, job } => {
                     ctx.send(arbiter, ArbiterRelease { job, mom: ctx.me() });
@@ -190,7 +236,9 @@ impl PbsMomProcess {
 impl Process for PbsMomProcess {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: ProcId, msg: Msg) {
         // A daemon must degrade on an unexpected payload, not die (the no-panic lints).
-        let Ok(msg) = msg.downcast::<MomInbound>() else { return };
+        let Ok(msg) = msg.downcast::<MomInbound>() else {
+            return;
+        };
         let actions = self.core.on_msg(*msg);
         self.perform(ctx, actions);
     }
@@ -287,7 +335,11 @@ impl PbsClientProcess {
     fn send_next(&mut self, ctx: &mut Ctx<'_>) {
         let Some(cmd) = self.script.pop_front() else {
             let started = self.started.unwrap_or(ctx.now());
-            ctx.emit(ClientDone { started, finished: ctx.now(), count: self.index });
+            ctx.emit(ClientDone {
+                started,
+                finished: ctx.now(),
+                count: self.index,
+            });
             return;
         };
         let req_id = self.next_req;
@@ -300,7 +352,11 @@ impl PbsClientProcess {
         let target = self.targets[self.current_target];
         ctx.send(
             target,
-            ClientRequest { client: ctx.me(), req_id, cmd: cmd.clone() },
+            ClientRequest {
+                client: ctx.me(),
+                req_id,
+                cmd: cmd.clone(),
+            },
         );
         let timer = ctx.set_timer(self.timeout, 1);
         self.outstanding = Some(Outstanding {
@@ -365,7 +421,11 @@ impl Process for PbsClientProcess {
         out.attempts += 1;
         out.sent = now;
         out.timer = timer;
-        let req = ClientRequest { client: me, req_id: out.req_id, cmd: out.cmd.clone() };
+        let req = ClientRequest {
+            client: me,
+            req_id: out.req_id,
+            cmd: out.cmd.clone(),
+        };
         ctx.send(target, req);
     }
 }

@@ -83,7 +83,10 @@ impl Policy for FifoExclusive {
         if nodes.is_empty() || (head.spec.nodes as usize) > nodes.len() {
             return None;
         }
-        Some(Allocation { job: head.id, nodes })
+        Some(Allocation {
+            job: head.id,
+            nodes,
+        })
     }
 }
 
@@ -114,7 +117,10 @@ impl Policy for FifoShared {
         if want == 0 || want > free.len() {
             return None;
         }
-        Some(Allocation { job: head.id, nodes: free[..want].to_vec() })
+        Some(Allocation {
+            job: head.id,
+            nodes: free[..want].to_vec(),
+        })
     }
 }
 
@@ -146,7 +152,10 @@ impl Policy for Backfill {
         let free = pool.free_nodes();
         let want_head = head.spec.nodes as usize;
         if want_head <= free.len() && want_head > 0 {
-            return Some(Allocation { job: head.id, nodes: free[..want_head].to_vec() });
+            return Some(Allocation {
+                job: head.id,
+                nodes: free[..want_head].to_vec(),
+            });
         }
         // Head blocked: when could it start at the earliest? Nodes come
         // back as running jobs hit their walltimes (worst case).
@@ -172,7 +181,10 @@ impl Policy for Backfill {
                 continue;
             }
             if now + j.spec.walltime <= head_start {
-                return Some(Allocation { job: j.id, nodes: free[..want].to_vec() });
+                return Some(Allocation {
+                    job: j.id,
+                    nodes: free[..want].to_vec(),
+                });
             }
         }
         None
@@ -218,14 +230,18 @@ mod tests {
         let mut running = job(1, 1, 100);
         running.state = crate::job::JobState::Running;
         running.allocated = vec!["c00".into()];
-        assert!(FifoExclusive.select(T0, &mut [&j2].into_iter(), &p, &[(&running, T0)]).is_none());
+        assert!(FifoExclusive
+            .select(T0, &mut [&j2].into_iter(), &p, &[(&running, T0)])
+            .is_none());
     }
 
     #[test]
     fn exclusive_refuses_oversized_job() {
         let p = pool(2);
         let big = job(1, 5, 100);
-        assert!(FifoExclusive.select(T0, &mut [&big].into_iter(), &p, &[]).is_none());
+        assert!(FifoExclusive
+            .select(T0, &mut [&big].into_iter(), &p, &[])
+            .is_none());
     }
 
     #[test]
@@ -233,7 +249,9 @@ mod tests {
         let mut p = pool(4);
         p.allocate(&["c00".to_string()]);
         let j = job(7, 2, 100);
-        let alloc = FifoShared.select(T0, &mut [&j].into_iter(), &p, &[]).unwrap();
+        let alloc = FifoShared
+            .select(T0, &mut [&j].into_iter(), &p, &[])
+            .unwrap();
         assert_eq!(alloc.nodes, vec!["c01".to_string(), "c02".to_string()]);
     }
 
@@ -244,7 +262,9 @@ mod tests {
         let head = job(1, 3, 100); // needs 3, only 2 free
         let small = job(2, 1, 1);
         assert!(
-            FifoShared.select(T0, &mut [&head, &small].into_iter(), &p, &[]).is_none(),
+            FifoShared
+                .select(T0, &mut [&head, &small].into_iter(), &p, &[])
+                .is_none(),
             "FIFO must not let job 2 overtake"
         );
     }
@@ -282,7 +302,9 @@ mod tests {
         let p = pool(4);
         let head = job(1, 2, 100);
         let other = job(2, 1, 1);
-        let alloc = Backfill.select(T0, &mut [&head, &other].into_iter(), &p, &[]).unwrap();
+        let alloc = Backfill
+            .select(T0, &mut [&head, &other].into_iter(), &p, &[])
+            .unwrap();
         assert_eq!(alloc.job, JobId(1));
     }
 
@@ -301,7 +323,11 @@ mod tests {
         }
         // Head blocked: the FIFO policies stop there, backfill walks on.
         p.allocate(&["c00".to_string(), "c01".to_string()]);
-        assert_eq!(pulled_by(&FifoExclusive, &p), 0, "busy cluster: no look at the queue");
+        assert_eq!(
+            pulled_by(&FifoExclusive, &p),
+            0,
+            "busy cluster: no look at the queue"
+        );
         assert_eq!(pulled_by(&FifoShared, &p), 1);
         assert_eq!(pulled_by(&Backfill, &p), 50);
     }

@@ -63,7 +63,11 @@ fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
 }
 
 fn server() -> PbsServerCore {
-    PbsServerCore::new("head", (0..2).map(|i| format!("c{i:02}")), Box::new(FifoExclusive))
+    PbsServerCore::new(
+        "head",
+        (0..2).map(|i| format!("c{i:02}")),
+        Box::new(FifoExclusive),
+    )
 }
 
 #[test]
@@ -72,7 +76,13 @@ fn full_history_reads_do_not_allocate_per_job() {
     let mut pbs = server();
     for i in 1..=HISTORY {
         let _ = pbs.apply(now, &ServerCmd::Qsub(JobSpec::trivial(format!("job-{i}"))));
-        let _ = pbs.on_report(now, &MomReport::Finished { job: JobId(i), exit: exit::OK });
+        let _ = pbs.on_report(
+            now,
+            &MomReport::Finished {
+                job: JobId(i),
+                exit: exit::OK,
+            },
+        );
     }
     let mut joiner = server();
 
@@ -89,7 +99,16 @@ fn full_history_reads_do_not_allocate_per_job() {
     println!(
         "alloc_history: h{HISTORY}: Qstat(None) {qstat}, snapshot() {snapshot}, restore {restore} allocations"
     );
-    assert!(qstat <= QSTAT_MAX, "Qstat(None): {qstat} allocations, budget {QSTAT_MAX}");
-    assert!(snapshot <= SNAPSHOT_MAX, "snapshot(): {snapshot} allocations, budget {SNAPSHOT_MAX}");
-    assert!(restore <= RESTORE_MAX, "restore: {restore} allocations, budget {RESTORE_MAX}");
+    assert!(
+        qstat <= QSTAT_MAX,
+        "Qstat(None): {qstat} allocations, budget {QSTAT_MAX}"
+    );
+    assert!(
+        snapshot <= SNAPSHOT_MAX,
+        "snapshot(): {snapshot} allocations, budget {SNAPSHOT_MAX}"
+    );
+    assert!(
+        restore <= RESTORE_MAX,
+        "restore: {restore} allocations, budget {RESTORE_MAX}"
+    );
 }

@@ -4,9 +4,8 @@
 //! architecture and the "TORQUE" row of Figures 10/11.
 
 use jrs_pbs::{
-    ClientDone, CmdReply, FifoExclusive, JobId, JobSpec, JobState, PbsClientProcess,
-    PbsCostModel, PbsHeadProcess, PbsMomCore, PbsMomProcess, PbsServerCore, ServerCmd,
-    SubmitRecord,
+    ClientDone, CmdReply, FifoExclusive, JobId, JobSpec, JobState, PbsClientProcess, PbsCostModel,
+    PbsHeadProcess, PbsMomCore, PbsMomProcess, PbsServerCore, ServerCmd, SubmitRecord,
 };
 use jrs_sim::{NetworkConfig, ProcId, SimDuration, SimTime, World};
 
@@ -29,7 +28,10 @@ fn testbed(compute_nodes: usize, script: Vec<ServerCmd>) -> Testbed {
     for i in 0..compute_nodes {
         core.register_mom(&format!("c{i:02}"), ProcId(1 + i as u32));
     }
-    let head = world.add_process(head_node, PbsHeadProcess::new(core, PbsCostModel::default()));
+    let head = world.add_process(
+        head_node,
+        PbsHeadProcess::new(core, PbsCostModel::default()),
+    );
     let mut moms = Vec::new();
     for i in 0..compute_nodes {
         let n = world.add_node(format!("c{i:02}"));
@@ -39,11 +41,17 @@ fn testbed(compute_nodes: usize, script: Vec<ServerCmd>) -> Testbed {
     }
     let login = world.add_node("login");
     let client = world.add_process(login, PbsClientProcess::new(vec![head], script));
-    Testbed { world, head, moms, client }
+    Testbed {
+        world,
+        head,
+        moms,
+        client,
+    }
 }
 
 fn run_to_idle(tb: &mut Testbed) {
-    tb.world.run_until(SimTime::ZERO + SimDuration::from_secs(600));
+    tb.world
+        .run_until(SimTime::ZERO + SimDuration::from_secs(600));
 }
 
 #[test]
@@ -59,7 +67,11 @@ fn submit_run_complete_cycle() {
     assert_eq!(head.job(JobId(1)).unwrap().exit_status, Some(0));
     assert_eq!(head.job(JobId(2)).unwrap().exit_status, Some(0));
     // Exactly one real execution per job, on the first node's mom.
-    let mom0 = tb.world.proc_ref::<PbsMomProcess>(tb.moms[0]).unwrap().core();
+    let mom0 = tb
+        .world
+        .proc_ref::<PbsMomProcess>(tb.moms[0])
+        .unwrap()
+        .core();
     assert_eq!(mom0.real_runs, 2);
 }
 
@@ -68,14 +80,18 @@ fn submission_latency_in_paper_ballpark() {
     // Figure 10 baseline: ~98 ms per submission on the paper's testbed.
     // The cost model is calibrated to land near that; assert the ballpark
     // so calibration regressions are caught.
-    let script: Vec<ServerCmd> =
-        (0..20).map(|i| ServerCmd::Qsub(JobSpec::trivial(format!("j{i}")))).collect();
+    let script: Vec<ServerCmd> = (0..20)
+        .map(|i| ServerCmd::Qsub(JobSpec::trivial(format!("j{i}"))))
+        .collect();
     let mut tb = testbed(2, script);
     run_to_idle(&mut tb);
     let records = tb.world.take_emitted::<SubmitRecord>();
     assert_eq!(records.len(), 20);
-    let mean_ns =
-        records.iter().map(|(_, _, r)| r.latency.as_nanos()).sum::<u64>() / records.len() as u64;
+    let mean_ns = records
+        .iter()
+        .map(|(_, _, r)| r.latency.as_nanos())
+        .sum::<u64>()
+        / records.len() as u64;
     assert!(
         (85_000_000..115_000_000).contains(&mean_ns),
         "baseline submission latency {mean_ns}ns is outside the calibrated \
@@ -86,8 +102,9 @@ fn submission_latency_in_paper_ballpark() {
 #[test]
 fn throughput_batch_matches_serialized_latency() {
     // Figure 11 baseline: 10 jobs ≈ 0.93 s (≈ 10 × latency, closed loop).
-    let script: Vec<ServerCmd> =
-        (0..10).map(|i| ServerCmd::Qsub(JobSpec::trivial(format!("j{i}")))).collect();
+    let script: Vec<ServerCmd> = (0..10)
+        .map(|i| ServerCmd::Qsub(JobSpec::trivial(format!("j{i}"))))
+        .collect();
     let mut tb = testbed(2, script);
     run_to_idle(&mut tb);
     let done = tb.world.take_emitted::<ClientDone>();
@@ -118,7 +135,10 @@ fn qdel_running_job_via_client() {
 #[test]
 fn qstat_reports_current_states() {
     let script = vec![
-        ServerCmd::Qsub(JobSpec::with_runtime("running", SimDuration::from_secs(300))),
+        ServerCmd::Qsub(JobSpec::with_runtime(
+            "running",
+            SimDuration::from_secs(300),
+        )),
         ServerCmd::Qsub(JobSpec::trivial("queued")),
         ServerCmd::Qstat(None),
     ];
@@ -156,15 +176,17 @@ fn walltime_kill_end_to_end() {
 fn head_crash_stops_service_baseline() {
     // The motivating failure: with a single head, a crash interrupts the
     // whole service — later submissions never get replies.
-    let script: Vec<ServerCmd> =
-        (0..10).map(|i| ServerCmd::Qsub(JobSpec::trivial(format!("j{i}")))).collect();
+    let script: Vec<ServerCmd> = (0..10)
+        .map(|i| ServerCmd::Qsub(JobSpec::trivial(format!("j{i}"))))
+        .collect();
     let mut tb = testbed(1, script);
     let head_node = jrs_sim::NodeId(0);
-    tb.world.schedule_at(
-        SimTime::ZERO + SimDuration::from_millis(250),
-        move |w| w.crash_node(head_node),
-    );
-    tb.world.run_until(SimTime::ZERO + SimDuration::from_secs(120));
+    tb.world
+        .schedule_at(SimTime::ZERO + SimDuration::from_millis(250), move |w| {
+            w.crash_node(head_node)
+        });
+    tb.world
+        .run_until(SimTime::ZERO + SimDuration::from_secs(120));
     let records = tb.world.take_emitted::<SubmitRecord>();
     assert!(
         records.len() < 10,

@@ -8,8 +8,8 @@
 //! reply is a no-op, never a panic, and never double-counts a command.
 
 use jrs_pbs::{
-    ClientDone, ClientReply, ClientRequest, CmdReply, JobId, JobSpec, PbsClientProcess,
-    ServerCmd, SubmitRecord,
+    ClientDone, ClientReply, ClientRequest, CmdReply, JobId, JobSpec, PbsClientProcess, ServerCmd,
+    SubmitRecord,
 };
 use jrs_sim::{Ctx, Msg, NetworkConfig, ProcId, Process, SimDuration, SimTime, World};
 
@@ -22,13 +22,21 @@ struct EchoStorm {
 
 impl Process for EchoStorm {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: ProcId, msg: Msg) {
-        let Ok(req) = msg.downcast::<ClientRequest>() else { return };
+        let Ok(req) = msg.downcast::<ClientRequest>() else {
+            return;
+        };
         let reply = ClientReply {
             req_id: req.req_id,
             reply: CmdReply::Submitted(JobId(req.req_id)),
         };
         // 1. Stale: a reply to a request id this client never retried.
-        ctx.send(from, ClientReply { req_id: req.req_id + 1000, reply: reply.reply.clone() });
+        ctx.send(
+            from,
+            ClientReply {
+                req_id: req.req_id + 1000,
+                reply: reply.reply.clone(),
+            },
+        );
         // 2. The real reply.
         ctx.send(from, reply.clone());
         // 3. An exact duplicate, landing after the client moved on.
@@ -44,7 +52,9 @@ struct AnswerLate;
 
 impl Process for AnswerLate {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: ProcId, msg: Msg) {
-        let Ok(req) = msg.downcast::<ClientRequest>() else { return };
+        let Ok(req) = msg.downcast::<ClientRequest>() else {
+            return;
+        };
         // Answer well after the client's failover timeout, so the reply
         // arrives while a retried copy of the same req_id is in flight.
         let reply = ClientReply {
@@ -57,7 +67,12 @@ impl Process for AnswerLate {
 
 fn script(n: u64) -> Vec<ServerCmd> {
     (0..n)
-        .map(|i| ServerCmd::Qsub(JobSpec::with_runtime(format!("j{i}"), SimDuration::from_secs(1))))
+        .map(|i| {
+            ServerCmd::Qsub(JobSpec::with_runtime(
+                format!("j{i}"),
+                SimDuration::from_secs(1),
+            ))
+        })
         .collect()
 }
 
@@ -73,7 +88,11 @@ fn duplicate_and_stale_replies_are_noops() {
     // Every command completed exactly once, in order, despite each reply
     // arriving three ways (stale id, real, duplicate).
     let records = world.take_emitted::<SubmitRecord>();
-    assert_eq!(records.len(), 4, "each command must be recorded exactly once");
+    assert_eq!(
+        records.len(),
+        4,
+        "each command must be recorded exactly once"
+    );
     for (i, (_, from, rec)) in records.iter().enumerate() {
         assert_eq!(*from, client);
         assert_eq!(rec.index, i);
@@ -102,7 +121,10 @@ fn late_reply_racing_a_retry_does_not_panic_or_double_count() {
     assert_eq!(records.len(), 3, "each command must complete exactly once");
     for (_, from, rec) in &records {
         assert_eq!(*from, client);
-        assert!(rec.attempts >= 2, "the silent head must have forced a retry");
+        assert!(
+            rec.attempts >= 2,
+            "the silent head must have forced a retry"
+        );
     }
     assert_eq!(world.take_emitted::<ClientDone>().len(), 1);
 }

@@ -61,7 +61,9 @@ impl DurationHistogram {
             return None;
         }
         let total: u128 = self.samples.iter().map(|d| d.as_nanos() as u128).sum();
-        Some(SimDuration::from_nanos((total / self.samples.len() as u128) as u64))
+        Some(SimDuration::from_nanos(
+            (total / self.samples.len() as u128) as u64,
+        ))
     }
 
     /// Smallest sample.

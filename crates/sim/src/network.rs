@@ -62,7 +62,11 @@ impl Latency {
                     SimDuration::from_nanos(rng.random_range(min.as_nanos()..=max.as_nanos()))
                 }
             }
-            Latency::Normal { mean, stddev, floor } => {
+            Latency::Normal {
+                mean,
+                stddev,
+                floor,
+            } => {
                 // Irwin–Hall: sum of 12 U(0,1) minus 6 approximates N(0,1).
                 let mut z = -6.0f64;
                 for _ in 0..12 {
@@ -91,7 +95,10 @@ pub struct LinkConfig {
 impl LinkConfig {
     /// A perfectly reliable constant-latency link.
     pub(crate) fn constant(latency: SimDuration) -> Self {
-        LinkConfig { latency: Latency::Constant(latency), drop_prob: 0 }
+        LinkConfig {
+            latency: Latency::Constant(latency),
+            drop_prob: 0,
+        }
     }
 }
 
@@ -338,7 +345,10 @@ mod tests {
         let n = 5000u64;
         let total: u64 = (0..n).map(|_| l.sample(&mut r).as_nanos()).sum();
         let mean = total / n;
-        assert!((mean as i64 - 500_000).unsigned_abs() < 10_000, "mean={mean}");
+        assert!(
+            (mean as i64 - 500_000).unsigned_abs() < 10_000,
+            "mean={mean}"
+        );
     }
 
     #[test]

@@ -65,24 +65,21 @@ impl Ctx<'_> {
 
     /// Send a message, declaring its wire size for the bandwidth/hub model.
     pub(crate) fn send_sized<M: Any>(&mut self, to: ProcId, msg: M, bytes: u32) {
-        self.world.route_message(self.me, to, Box::new(msg), bytes, SimDuration::ZERO);
+        self.world
+            .route_message(self.me, to, Box::new(msg), bytes, SimDuration::ZERO);
     }
 
     /// Send a message after an extra sender-side processing delay — models
     /// CPU cost of producing the message without a separate timer dance.
     pub fn send_after<M: Any>(&mut self, to: ProcId, msg: M, delay: SimDuration) {
-        self.world.route_message(self.me, to, Box::new(msg), 512, delay);
+        self.world
+            .route_message(self.me, to, Box::new(msg), 512, delay);
     }
 
     /// Send with both explicit size and sender-side delay.
-    pub fn send_sized_after<M: Any>(
-        &mut self,
-        to: ProcId,
-        msg: M,
-        bytes: u32,
-        delay: SimDuration,
-    ) {
-        self.world.route_message(self.me, to, Box::new(msg), bytes, delay);
+    pub fn send_sized_after<M: Any>(&mut self, to: ProcId, msg: M, bytes: u32, delay: SimDuration) {
+        self.world
+            .route_message(self.me, to, Box::new(msg), bytes, delay);
     }
 
     /// Arm a one-shot timer; `tag` is returned to `on_timer` for

@@ -20,9 +20,22 @@ enum EventKind {
     // dispatch drops events addressed to an earlier incarnation, so a
     // restarted process never sees its predecessor's in-flight messages or
     // stale timers.
-    Start { proc: ProcId, incarnation: u32 },
-    Deliver { from: ProcId, to: ProcId, msg: Msg, incarnation: u32 },
-    Timer { proc: ProcId, timer: TimerId, tag: u64, incarnation: u32 },
+    Start {
+        proc: ProcId,
+        incarnation: u32,
+    },
+    Deliver {
+        from: ProcId,
+        to: ProcId,
+        msg: Msg,
+        incarnation: u32,
+    },
+    Timer {
+        proc: ProcId,
+        timer: TimerId,
+        tag: u64,
+        incarnation: u32,
+    },
     Call(Thunk),
 }
 
@@ -157,7 +170,10 @@ impl World {
     /// [`SimDisk`].
     pub fn add_node(&mut self, name: impl Into<String>) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(NodeSlot { name: name.into(), alive: true });
+        self.nodes.push(NodeSlot {
+            name: name.into(),
+            alive: true,
+        });
         self.disks.push(SimDisk::new());
         id
     }
@@ -187,9 +203,20 @@ impl World {
         assert!(node.index() < self.nodes.len(), "unknown node {node}");
         let id = ProcId(self.procs.len() as u32);
         let alive = self.nodes[node.index()].alive;
-        self.procs.push(ProcSlot { node, alive, incarnation: 1, process: Some(process) });
+        self.procs.push(ProcSlot {
+            node,
+            alive,
+            incarnation: 1,
+            process: Some(process),
+        });
         if alive {
-            self.push_event(self.clock, EventKind::Start { proc: id, incarnation: 1 });
+            self.push_event(
+                self.clock,
+                EventKind::Start {
+                    proc: id,
+                    incarnation: 1,
+                },
+            );
         }
         id
     }
@@ -213,7 +240,13 @@ impl World {
         slot.incarnation += 1;
         let incarnation = slot.incarnation;
         slot.process = Some(process);
-        self.push_event(self.clock, EventKind::Start { proc: p, incarnation });
+        self.push_event(
+            self.clock,
+            EventKind::Start {
+                proc: p,
+                incarnation,
+            },
+        );
         incarnation
     }
 
@@ -309,7 +342,13 @@ impl World {
 
     /// Inject a message to a process from the reserved EXTERNAL sender.
     pub fn inject<M: Any>(&mut self, to: ProcId, msg: M) {
-        self.route_message(crate::process::EXTERNAL, to, Box::new(msg), 0, SimDuration::ZERO);
+        self.route_message(
+            crate::process::EXTERNAL,
+            to,
+            Box::new(msg),
+            0,
+            SimDuration::ZERO,
+        );
     }
 
     pub(crate) fn route_message(
@@ -327,7 +366,15 @@ impl World {
         let incarnation = self.procs[to.index()].incarnation;
         // EXTERNAL bypasses the network model: harness → process, zero delay.
         if from == crate::process::EXTERNAL {
-            self.push_event(now + extra_delay, EventKind::Deliver { from, to, msg, incarnation });
+            self.push_event(
+                now + extra_delay,
+                EventKind::Deliver {
+                    from,
+                    to,
+                    msg,
+                    incarnation,
+                },
+            );
             return;
         }
         let from_node = self.node_of(from);
@@ -336,9 +383,20 @@ impl World {
             return;
         }
         let send_at = now + extra_delay;
-        match self.net.route(&mut self.rng, send_at, from_node, to_node, bytes) {
+        match self
+            .net
+            .route(&mut self.rng, send_at, from_node, to_node, bytes)
+        {
             Outcome::Deliver(delay) => {
-                self.push_event(send_at + delay, EventKind::Deliver { from, to, msg, incarnation });
+                self.push_event(
+                    send_at + delay,
+                    EventKind::Deliver {
+                        from,
+                        to,
+                        msg,
+                        incarnation,
+                    },
+                );
             }
             // The network counted the drop; nothing reaches the receiver.
             Outcome::Drop(_) => {}
@@ -350,7 +408,15 @@ impl World {
         self.next_timer += 1;
         let at = self.clock + delay;
         let incarnation = self.procs[proc.index()].incarnation;
-        self.push_event(at, EventKind::Timer { proc, timer, tag, incarnation });
+        self.push_event(
+            at,
+            EventKind::Timer {
+                proc,
+                timer,
+                tag,
+                incarnation,
+            },
+        );
         timer
     }
 
@@ -359,7 +425,11 @@ impl World {
     }
 
     pub(crate) fn push_emitted(&mut self, from: ProcId, value: Box<dyn Any>) {
-        self.emitted.push(Emitted { at: self.clock, from, value });
+        self.emitted.push(Emitted {
+            at: self.clock,
+            from,
+            value,
+        });
     }
 
     /// Drain emitted values of one concrete type, leaving others in place.
@@ -369,7 +439,11 @@ impl World {
         for e in std::mem::take(&mut self.emitted) {
             match e.value.downcast::<T>() {
                 Ok(v) => taken.push((e.at, e.from, *v)),
-                Err(v) => kept.push(Emitted { at: e.at, from: e.from, value: v }),
+                Err(v) => kept.push(Emitted {
+                    at: e.at,
+                    from: e.from,
+                    value: v,
+                }),
             }
         }
         self.emitted = kept;
@@ -400,12 +474,22 @@ impl World {
                     self.dispatch(proc, |p, ctx| p.on_start(ctx));
                 }
             }
-            EventKind::Deliver { from, to, msg, incarnation } => {
+            EventKind::Deliver {
+                from,
+                to,
+                msg,
+                incarnation,
+            } => {
                 if self.is_proc_alive(to) && self.proc_incarnation(to) == incarnation {
                     self.dispatch(to, |p, ctx| p.on_message(ctx, from, msg));
                 }
             }
-            EventKind::Timer { proc, timer, tag, incarnation } => {
+            EventKind::Timer {
+                proc,
+                timer,
+                tag,
+                incarnation,
+            } => {
                 if self.cancelled_timers.remove(&timer.0) {
                     // cancelled; swallow
                 } else if self.is_proc_alive(proc) && self.proc_incarnation(proc) == incarnation {
@@ -426,7 +510,10 @@ impl World {
             .take()
             .expect("process re-entered");
         {
-            let mut ctx = Ctx { world: self, me: proc };
+            let mut ctx = Ctx {
+                world: self,
+                me: proc,
+            };
             f(boxed.as_mut(), &mut ctx);
         }
         self.procs[proc.index()].process = Some(boxed);
@@ -510,7 +597,14 @@ mod tests {
     fn ping_pong_round_trip() {
         let (mut w, a, b) = two_node_world();
         let echo = w.add_process(b, Echo { got: vec![] });
-        let pinger = w.add_process(a, Pinger { peer: echo, count: 3, replies: vec![] });
+        let pinger = w.add_process(
+            a,
+            Pinger {
+                peer: echo,
+                count: 3,
+                replies: vec![],
+            },
+        );
         w.run_until_idle();
         let p = w.proc_ref::<Pinger>(pinger).unwrap();
         assert_eq!(p.replies, vec![1, 2, 3]);
@@ -526,7 +620,14 @@ mod tests {
             let a = w.add_node("a");
             let b = w.add_node("b");
             let echo = w.add_process(b, Echo { got: vec![] });
-            let _ = w.add_process(a, Pinger { peer: echo, count: 50, replies: vec![] });
+            let _ = w.add_process(
+                a,
+                Pinger {
+                    peer: echo,
+                    count: 50,
+                    replies: vec![],
+                },
+            );
             w.run_until_idle();
             (w.now(), w.events_processed())
         };
@@ -539,7 +640,14 @@ mod tests {
     fn crash_node_stops_delivery() {
         let (mut w, a, b) = two_node_world();
         let echo = w.add_process(b, Echo { got: vec![] });
-        let _ = w.add_process(a, Pinger { peer: echo, count: 1, replies: vec![] });
+        let _ = w.add_process(
+            a,
+            Pinger {
+                peer: echo,
+                count: 1,
+                replies: vec![],
+            },
+        );
         w.crash_node(b);
         w.run_until_idle();
         let e = w.proc_ref::<Echo>(echo).unwrap();
@@ -579,7 +687,13 @@ mod tests {
             }
         }
         let (mut w, a, _b) = two_node_world();
-        let p = w.add_process(a, T { fired: vec![], cancel_me: None });
+        let p = w.add_process(
+            a,
+            T {
+                fired: vec![],
+                cancel_me: None,
+            },
+        );
         w.run_until_idle();
         assert_eq!(w.proc_ref::<T>(p).unwrap().fired, vec![3, 1]);
     }
@@ -669,7 +783,14 @@ mod tests {
     fn partition_blocks_then_heals() {
         let (mut w, a, b) = two_node_world();
         let echo = w.add_process(b, Echo { got: vec![] });
-        let pinger = w.add_process(a, Pinger { peer: echo, count: 1, replies: vec![] });
+        let pinger = w.add_process(
+            a,
+            Pinger {
+                peer: echo,
+                count: 1,
+                replies: vec![],
+            },
+        );
         w.set_partition_group(b, 1);
         w.run_until_idle();
         assert!(w.proc_ref::<Echo>(echo).unwrap().got.is_empty());

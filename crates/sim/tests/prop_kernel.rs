@@ -3,7 +3,9 @@
 
 use jrs_sim::metrics::DurationHistogram;
 use jrs_sim::network::{Latency, Network, NetworkConfig, Outcome};
-use jrs_sim::{Ctx, Msg, NetworkConfig as NC, NodeId, ProcId, Process, SimDuration, SimTime, World};
+use jrs_sim::{
+    Ctx, Msg, NetworkConfig as NC, NodeId, ProcId, Process, SimDuration, SimTime, World,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -35,7 +37,13 @@ fn run_world(seed: u64, nodes: u32, injections: &[(u32, u32)]) -> (u64, Vec<Vec<
     }
     let ids: Vec<ProcId> = (0..nodes).map(ProcId).collect();
     for (n, _) in &procs {
-        let _ = w.add_process(*n, Relay { peers: ids.clone(), seen: vec![] });
+        let _ = w.add_process(
+            *n,
+            Relay {
+                peers: ids.clone(),
+                seen: vec![],
+            },
+        );
     }
     for &(to, v) in injections {
         w.inject(ProcId(to % nodes), v % 64);

@@ -24,8 +24,20 @@ fn network_counters_reflect_traffic() {
     let mut w = World::with_network(3, NetworkConfig::default());
     let a = w.add_node("a");
     let b = w.add_node("b");
-    let rx = w.add_process(b, Chatter { peer: None, count: 0 });
-    let _tx = w.add_process(a, Chatter { peer: Some(rx), count: 10 });
+    let rx = w.add_process(
+        b,
+        Chatter {
+            peer: None,
+            count: 0,
+        },
+    );
+    let _tx = w.add_process(
+        a,
+        Chatter {
+            peer: Some(rx),
+            count: 10,
+        },
+    );
     w.run_until_idle();
     assert_eq!(w.network().sent, 10);
     assert!(w.network().bytes_sent >= 10 * 512);
@@ -36,8 +48,20 @@ fn network_counters_reflect_traffic() {
 fn procs_on_lists_only_live_processes() {
     let mut w = World::with_network(0, NetworkConfig::ideal());
     let n = w.add_node("x");
-    let p1 = w.add_process(n, Chatter { peer: None, count: 0 });
-    let p2 = w.add_process(n, Chatter { peer: None, count: 0 });
+    let p1 = w.add_process(
+        n,
+        Chatter {
+            peer: None,
+            count: 0,
+        },
+    );
+    let p2 = w.add_process(
+        n,
+        Chatter {
+            peer: None,
+            count: 0,
+        },
+    );
     assert_eq!(w.procs_on(n), vec![p1, p2]);
     w.kill_proc(p1);
     assert_eq!(w.procs_on(n), vec![p2]);

@@ -17,7 +17,11 @@ const fn make_tables() -> [[u32; 256]; 8] {
         let mut crc = i;
         let mut bit = 0;
         while bit < 64 {
-            crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ POLY
+            } else {
+                crc >> 1
+            };
             bit += 1;
             if bit % 8 == 0 {
                 tables[bit / 8 - 1][i as usize] = crc;
@@ -42,7 +46,14 @@ pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &[b0, b1, b2, b3, b4, b5, b6, b7] in blocks {
         let [a0, a1, a2, a3] = (crc ^ u32::from_le_bytes([b0, b1, b2, b3])).to_le_bytes();
-        crc = at(7, a0) ^ at(6, a1) ^ at(5, a2) ^ at(4, a3) ^ at(3, b4) ^ at(2, b5) ^ at(1, b6) ^ at(0, b7);
+        crc = at(7, a0)
+            ^ at(6, a1)
+            ^ at(5, a2)
+            ^ at(4, a3)
+            ^ at(3, b4)
+            ^ at(2, b5)
+            ^ at(1, b6)
+            ^ at(0, b7);
     }
     tail.iter().fold(crc, |crc, &b| step(crc, b)) ^ 0xFFFF_FFFF
 }

@@ -44,7 +44,10 @@ impl std::fmt::Display for WalError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WalError::Corruption { offset } => {
-                write!(f, "WAL corruption: CRC mismatch in record at byte offset {offset}")
+                write!(
+                    f,
+                    "WAL corruption: CRC mismatch in record at byte offset {offset}"
+                )
             }
         }
     }
@@ -114,7 +117,11 @@ impl Wal {
             let remaining = data.len() - pos;
             if remaining < HEADER {
                 // Partial frame header: torn tail.
-                return Ok(Replay { entries, valid_len: pos, torn: true });
+                return Ok(Replay {
+                    entries,
+                    valid_len: pos,
+                    torn: true,
+                });
             }
             // `remaining >= HEADER` bounds both reads; the helpers cannot
             // panic regardless, and u32 → usize is a widening cast here.
@@ -124,13 +131,21 @@ impl Wal {
             if len < IDX || end > data.len() {
                 // Payload runs past end-of-file (or is impossibly short,
                 // which only a half-written length can produce): torn tail.
-                return Ok(Replay { entries, valid_len: pos, torn: true });
+                return Ok(Replay {
+                    entries,
+                    valid_len: pos,
+                    torn: true,
+                });
             }
             let payload = &data[pos + HEADER..end];
             if crc32(payload) != want_crc {
                 if end == data.len() {
                     // Damaged record is the very last: a torn write.
-                    return Ok(Replay { entries, valid_len: pos, torn: true });
+                    return Ok(Replay {
+                        entries,
+                        valid_len: pos,
+                        torn: true,
+                    });
                 }
                 // Damage strictly mid-log: corruption, not a torn write.
                 // (usize → u64 is widening on every supported platform.)
@@ -141,7 +156,11 @@ impl Wal {
             entries.push((crate::codec::le_u64_at(payload, 0), payload[IDX..].to_vec()));
             pos = end;
         }
-        Ok(Replay { entries, valid_len: pos, torn: false })
+        Ok(Replay {
+            entries,
+            valid_len: pos,
+            torn: false,
+        })
     }
 
     /// Truncate a torn tail back to the last valid record boundary.
@@ -191,7 +210,11 @@ mod tests {
         let r = wal.replay(&disk).unwrap();
         assert_eq!(
             r.entries,
-            vec![(1, b"alpha".to_vec()), (2, b"beta".to_vec()), (3, Vec::new())]
+            vec![
+                (1, b"alpha".to_vec()),
+                (2, b"beta".to_vec()),
+                (3, Vec::new())
+            ]
         );
         assert!(!r.torn);
         assert_eq!(r.valid_len, disk.read("joshua/wal").unwrap().len());

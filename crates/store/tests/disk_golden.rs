@@ -69,7 +69,10 @@ fn wal_file_bytes_are_pinned() {
     disk.on_crash();
     assert_eq!(pin(&disk, "joshua/wal"), WAL_TORN);
     let replay = wal.replay(&disk).unwrap();
-    assert_eq!((replay.entries.len(), replay.valid_len, replay.torn), (lens.len(), WAL.0, true));
+    assert_eq!(
+        (replay.entries.len(), replay.valid_len, replay.torn),
+        (lens.len(), WAL.0, true)
+    );
 }
 
 /// `(length, fingerprint)` of the published snapshot file.

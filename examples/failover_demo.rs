@@ -21,9 +21,14 @@ fn secs(s: u64) -> SimTime {
 fn demo(mode: HaMode) {
     println!("== {} ==", mode.label());
     let mut cluster = Cluster::build(ClusterConfig::new(mode));
-    cluster.spawn_client(workload::burst_with_runtime(JOBS, SimDuration::from_secs(2)));
+    cluster.spawn_client(workload::burst_with_runtime(
+        JOBS,
+        SimDuration::from_secs(2),
+    ));
     let victim = cluster.head_nodes[0];
-    cluster.world.schedule_at(secs(1), move |w| w.crash_node(victim));
+    cluster
+        .world
+        .schedule_at(secs(1), move |w| w.crash_node(victim));
     cluster.run_until(secs(400));
 
     let records = cluster.take_records();

@@ -37,7 +37,10 @@ fn durable_cluster(heads: usize) -> Cluster {
 fn warm_restart() {
     println!("== act 1: one head crashes and recovers from its own disk ==");
     let mut c = durable_cluster(3);
-    c.spawn_client(workload::burst_with_runtime(20, SimDuration::from_millis(500)));
+    c.spawn_client(workload::burst_with_runtime(
+        20,
+        SimDuration::from_millis(500),
+    ));
     c.run_until(secs(2));
     c.crash_head(1);
     c.run_until(secs(8));
@@ -52,15 +55,24 @@ fn warm_restart() {
     println!("  jobs executed           : {}", c.total_real_runs());
     println!("  recovered from disk     : index {}", rec.recovered_index);
     println!("  WAL commands replayed   : {}", rec.wal_replayed);
-    println!("  delta catch-ups applied : {}", h1.stats().catch_ups_applied);
+    println!(
+        "  delta catch-ups applied : {}",
+        h1.stats().catch_ups_applied
+    );
     println!("  fingerprints agree      : {agree}");
-    println!("  consistent replicas     : {}\n", c.assert_replicas_consistent());
+    println!(
+        "  consistent replicas     : {}\n",
+        c.assert_replicas_consistent()
+    );
 }
 
 fn blackout() {
     println!("== act 2: total power outage, cold restart ==");
     let mut c = durable_cluster(3);
-    c.spawn_client(workload::burst_with_runtime(12, SimDuration::from_millis(400)));
+    c.spawn_client(workload::burst_with_runtime(
+        12,
+        SimDuration::from_millis(400),
+    ));
     c.run_until(secs(3));
     let done_before = c.joshua(0).pbs().count_state(JobState::Complete);
     println!("  outage at t=3s          : {done_before}/12 jobs already complete");
@@ -71,7 +83,10 @@ fn blackout() {
 
     let answered = c.take_records().len();
     println!("  submissions answered    : {answered}/12 (client retried through the outage)");
-    println!("  jobs relaunched         : {} (finished ones were not)", c.total_real_runs());
+    println!(
+        "  jobs relaunched         : {} (finished ones were not)",
+        c.total_real_runs()
+    );
     for i in 0..3 {
         let h = c.joshua(i);
         let rec = h.recovery_report().expect("recovery ran");
@@ -82,13 +97,19 @@ fn blackout() {
             h.pbs().count_state(JobState::Complete),
         );
     }
-    println!("  consistent replicas     : {}\n", c.assert_replicas_consistent());
+    println!(
+        "  consistent replicas     : {}\n",
+        c.assert_replicas_consistent()
+    );
 }
 
 fn torn_write() {
     println!("== act 3: power dies mid-WAL-append (torn write) ==");
     let mut c = durable_cluster(3);
-    c.spawn_client(workload::burst_with_runtime(10, SimDuration::from_millis(300)));
+    c.spawn_client(workload::burst_with_runtime(
+        10,
+        SimDuration::from_millis(300),
+    ));
     c.run_until(secs(2));
     c.world.disk_mut(c.head_nodes[1]).arm_torn_write(4);
     c.run_until(secs(3));
@@ -107,7 +128,10 @@ fn torn_write() {
         "  fingerprints agree      : {}",
         h1.state_fingerprint() == c.joshua(0).state_fingerprint()
     );
-    println!("  consistent replicas     : {}", c.assert_replicas_consistent());
+    println!(
+        "  consistent replicas     : {}",
+        c.assert_replicas_consistent()
+    );
 }
 
 fn main() {

@@ -35,7 +35,9 @@ fn main() {
     let records = cluster.take_records();
     println!("submissions answered: {}/10", records.len());
     for r in &records {
-        let CmdReply::Submitted(id) = &r.reply else { continue };
+        let CmdReply::Submitted(id) = &r.reply else {
+            continue;
+        };
         println!(
             "  job {id}: latency {:>7.1}ms, attempts {}",
             r.latency.as_millis_f64(),

@@ -192,19 +192,28 @@ pub mod collection {
     impl From<core::ops::Range<usize>> for SizeRange {
         fn from(r: core::ops::Range<usize>) -> Self {
             assert!(r.start < r.end, "empty collection size range");
-            SizeRange { min: r.start, max_incl: r.end - 1 }
+            SizeRange {
+                min: r.start,
+                max_incl: r.end - 1,
+            }
         }
     }
 
     impl From<core::ops::RangeInclusive<usize>> for SizeRange {
         fn from(r: core::ops::RangeInclusive<usize>) -> Self {
-            SizeRange { min: *r.start(), max_incl: *r.end() }
+            SizeRange {
+                min: *r.start(),
+                max_incl: *r.end(),
+            }
         }
     }
 
     impl From<usize> for SizeRange {
         fn from(n: usize) -> Self {
-            SizeRange { min: n, max_incl: n }
+            SizeRange {
+                min: n,
+                max_incl: n,
+            }
         }
     }
 
@@ -217,7 +226,10 @@ pub mod collection {
 
     /// `Vec` strategy: length in `size`, elements from `elem`.
     pub fn vec<S: Strategy>(elem: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
-        VecStrategy { elem, size: size.into() }
+        VecStrategy {
+            elem,
+            size: size.into(),
+        }
     }
 
     impl<S: Strategy> Strategy for VecStrategy<S> {
@@ -248,7 +260,10 @@ pub mod test_runner {
 
     impl Default for ProptestConfig {
         fn default() -> Self {
-            ProptestConfig { cases: 256, max_shrink_iters: 0 }
+            ProptestConfig {
+                cases: 256,
+                max_shrink_iters: 0,
+            }
         }
     }
 
@@ -260,7 +275,9 @@ pub mod test_runner {
 
     impl TestCaseError {
         pub fn fail(message: impl Into<String>) -> Self {
-            TestCaseError { message: message.into() }
+            TestCaseError {
+                message: message.into(),
+            }
         }
     }
 

@@ -21,15 +21,21 @@ fn paper_functional_matrix_in_one_run() {
     c.spawn_client(workload::burst(25));
 
     let crash_node = c.head_nodes[2];
-    c.world.schedule_at(secs(2), move |w| w.crash_node(crash_node));
+    c.world
+        .schedule_at(secs(2), move |w| w.crash_node(crash_node));
     let leaver = c.heads[3];
-    c.world.schedule_at(secs(8), move |w| w.inject(leaver, LeaveCmd));
+    c.world
+        .schedule_at(secs(8), move |w| w.inject(leaver, LeaveCmd));
     c.run_until(secs(30));
     let _replacement = c.add_joshua_head();
     c.run_until(secs(300));
 
     let records = c.take_records();
-    assert_eq!(records.len(), 25, "continuous service through crash+leave+join");
+    assert_eq!(
+        records.len(),
+        25,
+        "continuous service through crash+leave+join"
+    );
     assert_eq!(c.total_real_runs(), 25, "exactly-once execution");
     assert!(c.assert_replicas_consistent() >= 3);
 }
@@ -147,7 +153,11 @@ fn deterministic_full_cluster_runs() {
         let n0 = c.head_nodes[0];
         c.world.schedule_at(secs(2), move |w| w.crash_node(n0));
         c.run_until(secs(200));
-        let lat: Vec<u64> = c.take_records().iter().map(|r| r.latency.as_nanos()).collect();
+        let lat: Vec<u64> = c
+            .take_records()
+            .iter()
+            .map(|r| r.latency.as_nanos())
+            .collect();
         (lat, c.world.events_processed())
     };
     assert_eq!(run(9), run(9), "same seed, same universe");

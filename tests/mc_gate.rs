@@ -38,13 +38,20 @@ fn cfg(engine: EngineKind, faults: u32, mutation: Mutation) -> McConfig {
 }
 
 fn assert_clean(cfg: McConfig, depth: u32) {
-    let out = check_from(&World::new(cfg.clone()), depth, Mode::Dpor, Budget::unlimited());
+    let out = check_from(
+        &World::new(cfg.clone()),
+        depth,
+        Mode::Dpor,
+        Budget::unlimited(),
+    );
     match out {
         Outcome::Clean(s) => {
             assert!(!s.truncated, "unbudgeted run cannot truncate");
             assert!(s.explored > 0);
         }
-        Outcome::Violation { violation, trace, .. } => panic!(
+        Outcome::Violation {
+            violation, trace, ..
+        } => panic!(
             "{:?} engine, faults={}, depth={depth}: unexpected {violation:?} via {:?}",
             cfg.engine, cfg.faults, trace
         ),
@@ -67,8 +74,9 @@ fn token_sweep_is_clean() {
 fn seeded_ordering_bug_is_caught_with_replayable_trace() {
     let config = cfg(EngineKind::Sequencer, 0, Mutation::GrantOnForward);
     let start = World::new(config);
-    let Outcome::Violation { violation, trace, .. } =
-        check_from(&start, 6, Mode::Dpor, Budget::unlimited())
+    let Outcome::Violation {
+        violation, trace, ..
+    } = check_from(&start, 6, Mode::Dpor, Budget::unlimited())
     else {
         panic!("grant-on-forward duplicate launch not found");
     };
@@ -80,7 +88,10 @@ fn seeded_ordering_bug_is_caught_with_replayable_trace() {
     // single step loses it (1-minimality).
     let min = minimize(&start, &trace);
     assert!(min.len() <= trace.len());
-    assert!(replay(&start, &min).is_some(), "minimized trace must replay");
+    assert!(
+        replay(&start, &min).is_some(),
+        "minimized trace must replay"
+    );
     for i in 0..min.len() {
         let mut shorter = min.clone();
         shorter.remove(i);
@@ -118,8 +129,9 @@ fn jmutex_holder_crash_launches_exactly_once() {
 fn no_cover_mutation_loses_a_launch() {
     let mut start = World::new(cfg(EngineKind::Token, 1, Mutation::NoCoverOnViewChange));
     assert!(matches!(start.apply(Action::Submit), StepResult::Ok));
-    let Outcome::Violation { violation, trace, .. } =
-        check_from(&start, 6, Mode::Dpor, Budget::unlimited())
+    let Outcome::Violation {
+        violation, trace, ..
+    } = check_from(&start, 6, Mode::Dpor, Budget::unlimited())
     else {
         panic!("disabled verdict redelivery not detected");
     };
