@@ -45,7 +45,7 @@ use jrs_gcs::{EngineMsg, GcsEvent, GcsMsg, View, Wire};
 use jrs_pbs::proc::{dispatch, ArbiterRelease, ArbiterRequest, ClientReply, ClientRequest};
 use jrs_pbs::server::{MomReport, PbsServerCore, ServerAction};
 use jrs_pbs::{JobState, MomInbound};
-use jrs_sim::{Ctx, Msg, ProcId, Process, SimDuration, TimerId};
+use jrs_sim::{Ctx, Msg, ProcId, Process, SimDuration, SimTime, TimerId};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Control message: gracefully leave the group and shut down (the paper's
@@ -1104,6 +1104,12 @@ impl Process for JoshuaServer {
                 self.broadcast(ctx, payload);
             }
         }
+    }
+
+    /// An idle group tick delivers no upcall, so `on_group` would have
+    /// nothing to do either.
+    fn periodic_idle(&self, now: SimTime, tag: u64) -> bool {
+        self.group.periodic_idle(now, tag)
     }
 }
 

@@ -1,27 +1,34 @@
-//! ROADMAP item 1(a), token form: a fault-free group must not change its
-//! membership. Nothing crashes, no frame is dropped, no partition is set,
-//! so every view change or ejection here is a live member suspected by its
-//! peers.
+//! ROADMAP item 1(a): a fault-free group must not change its membership,
+//! nor resend what its peers received. Nothing crashes, no frame is
+//! dropped, no partition is set, so every view change or ejection here is
+//! a live member suspected by its peers, and every retransmission is a
+//! frame whose ack had not left when `rto` expired.
 //!
-//! Observed at the time of writing (seed 2006, the run
-//! `ablation_ordering -- 50` prints as its `4` row): the four token heads
-//! install 217 views and eject members 133 times in total, and all 50
-//! submissions are still answered. The test is ignored until item 1's fix
-//! lands; `cargo test -p joshua-core --test fault_free_churn -- --ignored`
-//! runs it, and it fails with those counts.
+//! Observed at the time of writing (seed 2006, the runs
+//! `ablation_ordering -- 50` prints as its `4` rows):
+//! - token form: the four token heads install 217 views and eject members
+//!   133 times in total, and all 50 submissions are still answered;
+//! - sequencer form: the four sequencer heads install no view and eject
+//!   no one, but retransmit about 13.7k link frames in total, against
+//!   about 3.8k link data frames sent.
+//!
+//! Both tests are ignored until item 1's fix lands;
+//! `cargo test -p joshua-core --test fault_free_churn -- --ignored` runs
+//! them, and they fail with those counts.
 
 use joshua_core::cluster::{Cluster, ClusterConfig, HaMode};
 use joshua_core::{workload, JoshuaServer};
-use jrs_gcs::EngineKind;
+use jrs_gcs::{EngineKind, GroupStats};
 use jrs_sim::{SimDuration, SimTime};
 
-#[test]
-#[ignore = "ROADMAP item 1(a)"]
-fn token_four_heads_fifty_serial_submissions_keep_one_view() {
-    const JOBS: usize = 50;
+const JOBS: usize = 50;
+
+/// 50 serial submissions on four fault-free heads running `engine`; every
+/// one must be answered. Returns each head's group counters.
+fn four_heads_fifty_serial_submissions(engine: EngineKind) -> Vec<GroupStats> {
     let mut cfg = ClusterConfig::new(HaMode::Joshua { heads: 4 });
     cfg.seed = 2006;
-    cfg.group.engine = EngineKind::Token;
+    cfg.group.engine = engine;
     let mut cluster = Cluster::build(cfg);
     cluster.spawn_client(workload::burst(JOBS));
     cluster.run_until(SimTime::ZERO + SimDuration::from_secs((JOBS as u64 + 10) * 5));
@@ -30,16 +37,36 @@ fn token_four_heads_fifty_serial_submissions_keep_one_view() {
         JOBS,
         "every submission is answered"
     );
-
-    let (views, ejections) = cluster
+    cluster
         .heads
         .iter()
         .filter_map(|&p| cluster.world.proc_ref::<JoshuaServer>(p))
         .map(JoshuaServer::group_stats)
+        .collect()
+}
+
+#[test]
+#[ignore = "ROADMAP item 1(a)"]
+fn token_four_heads_fifty_serial_submissions_keep_one_view() {
+    let (views, ejections) = four_heads_fifty_serial_submissions(EngineKind::Token)
+        .iter()
         .fold((0, 0), |(v, e), g| (v + g.view_changes, e + g.ejections));
     assert_eq!(
         (views, ejections),
         (0, 0),
         "a fault-free token group changed views {views} times and ejected members {ejections} times"
+    );
+}
+
+#[test]
+#[ignore = "ROADMAP item 1"]
+fn sequencer_four_heads_fifty_serial_submissions_retransmit_nothing() {
+    let retransmissions: u64 = four_heads_fifty_serial_submissions(EngineKind::Sequencer)
+        .iter()
+        .map(|g| g.retransmissions)
+        .sum();
+    assert_eq!(
+        retransmissions, 0,
+        "a fault-free sequencer group retransmitted {retransmissions} link frames"
     );
 }

@@ -331,39 +331,72 @@ impl<P: Clone> Engine<P> {
 
     /// [`Self::tick`], appending to the caller's buffer.
     pub(crate) fn tick_into(&mut self, now: SimTime, out: &mut EngineOut<P>) {
+        let announce = self.announce_due();
+        let retry = self.retry_due(now);
+        if let Assign::Sequencer {
+            stable_dirty,
+            last_request,
+            ..
+        } = &mut self.assign
+        {
+            if announce {
+                *stable_dirty = false;
+            }
+            if retry {
+                *last_request = now;
+            }
+        }
+        if announce {
+            let up_to = self.stable();
+            out.sends
+                .extend(self.others().map(|p| (p, EngineMsg::Stable { up_to })));
+        }
+        if retry {
+            self.resubmit(out);
+        }
+        if self.token_pass_due(now) {
+            self.pass_token(out);
+        }
+    }
+
+    /// Would [`Self::tick`] at `now` do nothing? The three guards below
+    /// are the whole of what a tick does.
+    pub(crate) fn tick_is_idle(&self, now: SimTime) -> bool {
+        !self.announce_due() && !self.retry_due(now) && !self.token_pass_due(now)
+    }
+
+    /// Collector: stability advanced since the last `Stable` announcement
+    /// (a halted one announces after `resume`).
+    fn announce_due(&self) -> bool {
+        match self.assign {
+            Assign::Sequencer { stable_dirty, .. } => self.active && stable_dirty,
+            Assign::Token { .. } => false,
+        }
+    }
+
+    /// Re-request pendings that may have raced a view change (e.g. sent to
+    /// a sequencer that had not installed yet).
+    fn retry_due(&self, now: SimTime) -> bool {
         match self.assign {
             Assign::Sequencer {
-                ref mut stable_dirty,
-                ref mut last_request,
+                last_request,
                 retry_every,
                 ..
-            } => {
-                if !self.active {
-                    return;
-                }
-                let announce = std::mem::take(stable_dirty);
-                // Re-request pendings that may have raced a view change
-                // (e.g. sent to a sequencer that had not installed yet).
-                let retry = !self.pending.is_empty() && now.since(*last_request) >= retry_every;
-                if retry {
-                    *last_request = now;
-                }
-                if announce {
-                    let up_to = self.stable();
-                    out.sends
-                        .extend(self.others().map(|p| (p, EngineMsg::Stable { up_to })));
-                }
-                if retry {
-                    self.resubmit(out);
-                }
-            }
-            // Halted or not: a halted holder keeps a token it is handed
-            // (`on_msg`) but still passes an idle one on when its time is up.
-            Assign::Token { release_at, .. } => {
-                if now >= release_at {
-                    self.pass_token(out);
-                }
-            }
+            } => self.active && !self.pending.is_empty() && now.since(last_request) >= retry_every,
+            Assign::Token { .. } => false,
+        }
+    }
+
+    /// Halted or not: a halted holder keeps a token it is handed (`on_msg`)
+    /// but still passes an idle one on when its time is up.
+    fn token_pass_due(&self, now: SimTime) -> bool {
+        match self.assign {
+            Assign::Token {
+                holding,
+                release_at,
+                ..
+            } => holding.is_some() && now >= release_at,
+            Assign::Sequencer { .. } => false,
         }
     }
 
@@ -500,16 +533,19 @@ impl<P: Clone> Engine<P> {
     /// Drop log entries at or below `stable_up_to` (known delivered by the
     /// whole view).
     pub(crate) fn prune(&mut self, stable_up_to: u64) {
-        let cutoff = stable_up_to.min(self.delivered_up_to());
         // Every tick comes through here: drop the prefix in place
         // (`split_off` would allocate a new tree each time).
-        while self
-            .log
-            .first_key_value()
-            .is_some_and(|(&seq, _)| seq <= cutoff)
-        {
+        while self.prune_due(stable_up_to) {
             self.log.pop_first();
         }
+    }
+
+    /// Has [`Self::prune`] an entry to drop?
+    pub(crate) fn prune_due(&self, stable_up_to: u64) -> bool {
+        let cutoff = stable_up_to.min(self.delivered_up_to());
+        self.log
+            .first_key_value()
+            .is_some_and(|(&seq, _)| seq <= cutoff)
     }
 
     // ---- delivery and stability: the same for every policy ------------

@@ -115,6 +115,8 @@ pub struct GroupStats {
     pub flush_attempts: u64,
     /// Times this member ejected itself and rejoined.
     pub ejections: u64,
+    /// Link frames sent again because no ack came within `rto`.
+    pub retransmissions: u64,
 }
 
 #[derive(Clone, Debug, Hash)]
@@ -294,9 +296,13 @@ impl<P: Clone + 'static> GroupMember<P> {
         self.engine.delivered_up_to()
     }
 
-    /// Counters.
+    /// Counters. `retransmissions` adds the live link layer's count to
+    /// what the links an ejection replaced had counted.
     pub fn stats(&self) -> GroupStats {
-        self.stats
+        GroupStats {
+            retransmissions: self.stats.retransmissions + self.links.retransmissions,
+            ..self.stats
+        }
     }
 
     /// Retained ordered-message log length (stability GC diagnostics).
@@ -311,7 +317,7 @@ impl<P: Clone + 'static> GroupMember<P> {
     /// visited-state deduplication. Excludes diagnostic counters
     /// ([`GroupStats`]) and the static configuration.
     #[must_use]
-    pub(crate) fn state_hash(&self) -> u64
+    pub fn state_hash(&self) -> u64
     where
         P: Hash,
     {
@@ -444,14 +450,38 @@ impl<P: Clone + 'static> GroupMember<P> {
             out.wire.push((to, frame, bytes));
         });
         match &self.role {
-            Role::Joining { last_req, .. } => {
-                let due = last_req.is_none_or(|t| now.since(t) >= self.config.flush_timeout);
-                if due {
+            Role::Joining { .. } => {
+                if self.join_req_due(now) {
                     self.send_join_req(now, out);
                 }
             }
             Role::Member => {
                 self.member_tick(now, out);
+            }
+        }
+    }
+
+    /// Would [`Self::tick`] at `now` do nothing at all: no frame, no
+    /// upcall, no state change? True only when none of the tick's guards
+    /// holds; each guard is the helper the tick itself tests. A host may
+    /// then skip the call (`GroupHost` answers `Process::periodic_idle`
+    /// with it).
+    pub fn tick_is_idle(&self, now: SimTime) -> bool {
+        if self.links.resend_due(now) {
+            return false;
+        }
+        match &self.role {
+            Role::Joining { .. } => !self.join_req_due(now),
+            Role::Member => {
+                !self.heartbeat_due(now)
+                    && !self.probe_due(now)
+                    && self.engine.tick_is_idle(now)
+                    && !self.engine.prune_due(self.stable_floor())
+                    && self.pending_joiners.is_empty()
+                    // A flush under way (which always halts the engine),
+                    // or a halted engine for the tick to resume.
+                    && !self.is_blocked()
+                    && self.suspects(now).next().is_none()
             }
         }
     }
@@ -552,22 +582,53 @@ impl<P: Clone + 'static> GroupMember<P> {
     // Internals: member periodic work
     // ------------------------------------------------------------------
 
+    /// Joiner: the last `JoinReq` went unanswered for `flush_timeout`.
+    fn join_req_due(&self, now: SimTime) -> bool {
+        matches!(&self.role, Role::Joining { last_req, .. }
+            if last_req.is_none_or(|t| now.since(t) >= self.config.flush_timeout))
+    }
+
+    fn heartbeat_due(&self, now: SimTime) -> bool {
+        self.last_hb
+            .is_none_or(|t| now.since(t) >= self.config.heartbeat_every)
+    }
+
+    /// Occasional probes to former members: the other side of a healed
+    /// partition would otherwise never hear from us again (both sides only
+    /// heartbeat their own view) and split components could not re-merge.
+    fn probe_due(&self, now: SimTime) -> bool {
+        !self.former_members.is_empty()
+            && self
+                .last_probe
+                .is_none_or(|t| now.since(t) >= self.config.fail_after)
+    }
+
+    /// What every other view member has delivered (our own cursor when
+    /// alone): stability GC prunes up to here.
+    fn stable_floor(&self) -> u64 {
+        self.view
+            .members
+            .iter()
+            .filter(|&&p| p != self.me)
+            .map(|p| self.peer_delivered.get(p).copied().unwrap_or(0))
+            .min()
+            .unwrap_or(self.engine.delivered_up_to())
+    }
+
+    /// View members other than us the detector suspects, in view order.
+    fn suspects(&self, now: SimTime) -> impl Iterator<Item = ProcId> + '_ {
+        self.view
+            .members
+            .iter()
+            .copied()
+            .filter(move |&p| p != self.me && self.detector.suspected(p, now))
+    }
+
     fn member_tick(&mut self, now: SimTime, out: &mut Output<P>) {
-        // Heartbeats.
-        let hb_due = self
-            .last_hb
-            .is_none_or(|t| now.since(t) >= self.config.heartbeat_every);
-        if hb_due {
+        if self.heartbeat_due(now) {
             self.send_heartbeats(now, out);
         }
-        // Occasional probes to former members: the other side of a healed
-        // partition would otherwise never hear from us again (both sides
-        // only heartbeat their own view) and split components could not
-        // re-merge.
-        let probe_due = self
-            .last_probe
-            .is_none_or(|t| now.since(t) >= self.config.fail_after);
-        if probe_due && !self.former_members.is_empty() {
+        if self.probe_due(now) {
             self.last_probe = Some(now);
             let hb = GcsMsg::Heartbeat {
                 view_id: self.view.id,
@@ -578,19 +639,11 @@ impl<P: Clone + 'static> GroupMember<P> {
                 self.push_raw(p, hb.clone(), out);
             }
         }
-        // Engine maintenance (token circulation).
+        // Engine maintenance: batched `Stable`, request retry, token pass.
         self.engine.tick_into(now, &mut out.engine);
         self.absorb_engine(now, out);
         // Stability GC: prune what the whole view has delivered.
-        let stable = self
-            .view
-            .members
-            .iter()
-            .filter(|&&p| p != self.me)
-            .map(|p| self.peer_delivered.get(p).copied().unwrap_or(0))
-            .min()
-            .unwrap_or(self.engine.delivered_up_to());
-        self.engine.prune(stable);
+        self.engine.prune(self.stable_floor());
 
         // Drop suspected joiners.
         let dead_joiners: Vec<ProcId> = self
@@ -667,13 +720,7 @@ impl<P: Clone + 'static> GroupMember<P> {
         }
 
         // Membership change needed?
-        let suspects: Vec<ProcId> = self
-            .view
-            .members
-            .iter()
-            .copied()
-            .filter(|&p| p != self.me && self.detector.suspected(p, now))
-            .collect();
+        let suspects: Vec<ProcId> = self.suspects(now).collect();
         if suspects.is_empty() && self.pending_joiners.is_empty() {
             // No change needed; if we halted for a flush that fizzled
             // (ours aborted, or trigger vanished before we coordinated),
@@ -1281,6 +1328,7 @@ impl<P: Clone + 'static> GroupMember<P> {
             self.config.token_idle_pass,
             self.config.request_retry,
         );
+        self.stats.retransmissions += self.links.retransmissions;
         self.links = LinkManager::new(self.config.rto);
         self.detector = FailureDetector::new(self.config.fail_after);
         self.flush = Flush::None;
@@ -1324,6 +1372,8 @@ mod tests {
     /// `reused` is set, through the out-parameter forms with that one
     /// `Output` shared by every member and never replaced; either way the
     /// transcript gets a line per frame and per upcall the call produced.
+    /// When `idle_ticks` is set, every tick a member reports idle is first
+    /// run on a clone, which must emit nothing and keep its fingerprint.
     struct Net {
         config: GroupConfig,
         members: BTreeMap<ProcId, GroupMember<u32>>,
@@ -1331,6 +1381,7 @@ mod tests {
         now: SimTime,
         reused: Option<Output<u32>>,
         transcript: Vec<String>,
+        idle_ticks: Option<u32>,
     }
 
     impl Net {
@@ -1342,6 +1393,7 @@ mod tests {
                 now: SimTime::ZERO,
                 reused: reuse.then(Output::default),
                 transcript: Vec::new(),
+                idle_ticks: None,
             };
             let ids: Vec<ProcId> = (0..n).map(ProcId).collect();
             for &id in &ids {
@@ -1362,6 +1414,22 @@ mod tests {
                 return;
             }; // crashed
             let now = self.now;
+            if let (Call::Tick, Some(idle)) = (&call, &mut self.idle_ticks) {
+                if m.tick_is_idle(now) {
+                    let mut probe = m.clone();
+                    let out = probe.tick(now);
+                    assert!(
+                        out.wire.is_empty() && out.events.is_empty(),
+                        "{who} reported its tick at {now:?} idle and emitted {out:?}"
+                    );
+                    assert_eq!(
+                        probe.state_hash(),
+                        m.state_hash(),
+                        "{who} reported its tick at {now:?} idle and changed state"
+                    );
+                    *idle += 1;
+                }
+            }
             let mut fresh;
             let out = if let Some(out) = &mut self.reused {
                 match call {
@@ -1403,11 +1471,16 @@ mod tests {
         }
 
         fn tick(&mut self, d: SimDuration) {
+            self.tick_members(d);
+            self.run();
+        }
+
+        /// Tick every member without delivering what the ticks send.
+        fn tick_members(&mut self, d: SimDuration) {
             self.now += d;
             for id in self.ids() {
                 self.call(id, Call::Tick);
             }
-            self.run();
         }
 
         fn ids(&self) -> Vec<ProcId> {
@@ -1427,6 +1500,10 @@ mod tests {
         Crash(u8),
         Leave(u8),
         Join,
+        /// Tick this many times with the network silent, then deliver
+        /// the backlog: peers are suspected and flushes start, then life
+        /// signs arrive while they are under way.
+        Stall(u8),
     }
 
     fn step_strategy() -> impl Strategy<Value = Step> {
@@ -1439,16 +1516,28 @@ mod tests {
         ]
     }
 
-    /// Run one schedule; returns the transcript and every survivor's
-    /// protocol-state fingerprint.
+    /// [`step_strategy`] plus silent stretches of up to 0.5 s, long enough
+    /// for suspicion (250 ms) and flush stalls (300 ms).
+    fn stall_strategy() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            8 => step_strategy(),
+            1 => (1u8..100).prop_map(Step::Stall),
+        ]
+    }
+
+    /// Run one schedule; returns the transcript, every survivor's
+    /// protocol-state fingerprint and, with `check_idle`, how many ticks
+    /// were reported idle (each checked against a clone).
     fn run_schedule(
         kind: EngineKind,
         n: u32,
         steps: &[Step],
         reuse: bool,
-    ) -> (Vec<String>, Vec<u64>) {
+        check_idle: bool,
+    ) -> (Vec<String>, Vec<u64>, Option<u32>) {
         let tick = SimDuration::from_millis(5);
         let mut net = Net::group(n, kind, reuse);
+        net.idle_ticks = check_idle.then_some(0);
         let mut joiner = 100;
         for (i, step) in steps.iter().enumerate() {
             match *step {
@@ -1471,12 +1560,17 @@ mod tests {
                     joiner += 1;
                     net.add(ProcId(joiner), net.ids());
                 }
+                Step::Stall(k) => {
+                    (0..k).for_each(|_| net.tick_members(tick));
+                    net.run();
+                }
             }
         }
         (0..200).for_each(|_| net.tick(tick));
         (
             net.transcript,
             net.members.values().map(GroupMember::state_hash).collect(),
+            net.idle_ticks,
         )
     }
 
@@ -1494,8 +1588,8 @@ mod tests {
             steps in proptest::collection::vec(step_strategy(), 1..40),
         ) {
             for kind in [EngineKind::Sequencer, EngineKind::Token] {
-                let (fresh, fresh_states) = run_schedule(kind, n, &steps, false);
-                let (reused, reused_states) = run_schedule(kind, n, &steps, true);
+                let (fresh, fresh_states, _) = run_schedule(kind, n, &steps, false, false);
+                let (reused, reused_states, _) = run_schedule(kind, n, &steps, true, false);
                 prop_assert!(fresh.len() > n as usize, "the schedule produced traffic");
                 for (i, (f, r)) in fresh.iter().zip(&reused).enumerate() {
                     prop_assert_eq!(f, r, "{:?}: transcripts part at line {}", kind, i);
@@ -1503,6 +1597,118 @@ mod tests {
                 prop_assert_eq!(fresh.len(), reused.len());
                 prop_assert_eq!(fresh_states, reused_states);
             }
+        }
+
+        /// Idle means no-op: over the same schedules plus silent stretches
+        /// (peers suspected, then heard again), every tick for which
+        /// `tick_is_idle` holds emits nothing and keeps `state_hash` when
+        /// run on a clone (`Net::call` checks it before the real tick).
+        /// The 200 quiet ticks that close every schedule are mostly idle
+        /// under the sequencer, so the check is never vacuous there. The
+        /// one guard these schedules never isolate, `is_blocked`, has its
+        /// own test below.
+        #[test]
+        fn idle_ticks_emit_nothing_and_keep_the_fingerprint(
+            n in 1u32..5,
+            steps in proptest::collection::vec(stall_strategy(), 1..40),
+        ) {
+            for kind in [EngineKind::Sequencer, EngineKind::Token] {
+                let (_, _, idle) = run_schedule(kind, n, &steps, true, true);
+                // A sole token holder reports every tick busy once its
+                // token's rest is over, so only the sequencer's count is
+                // bounded below.
+                if kind == EngineKind::Sequencer {
+                    prop_assert!(idle.is_some_and(|i| i > 100), "{:?} idle ticks", idle);
+                }
+            }
+        }
+    }
+
+    /// The `is_blocked` guard of `tick_is_idle`, in the two states where it
+    /// alone keeps a tick busy: a member blocked on a flush whose
+    /// coordinator is alive but never finishes, until the stall timeout
+    /// condemns the coordinator and ends the block; then the same member
+    /// with its engine still halted, until the coordinator's next
+    /// heartbeat lifts the condemnation and the tick resumes ordering.
+    /// (The schedules above finish every flush within one delivery run or
+    /// with a suspect in the view.) `Net::call` checks every tick.
+    #[test]
+    fn a_stalled_flush_and_the_halted_engine_it_leaves_are_not_idle() {
+        let tick = SimDuration::from_millis(5);
+        let (p0, p2) = (ProcId(0), ProcId(2));
+        let mut net = Net::group(3, EngineKind::Sequencer, false);
+        net.idle_ticks = Some(0);
+        // Off the 50 ms heartbeat grid, so the stall timeout at +300 ms
+        // falls on a tick with no heartbeat due.
+        (0..21).for_each(|_| net.tick(tick));
+        let epoch = Epoch {
+            view_id: net.members[&p2].view().id,
+            attempt: 0,
+            coord: p0,
+        };
+        let req = GcsMsg::FlushReq {
+            epoch,
+            proposed: vec![p0, ProcId(1), p2],
+            coord_known: 0,
+        };
+        net.call(p2, Call::Wire(p0, Wire::Raw(req)));
+        net.run();
+        assert!(matches!(net.members[&p2].flush, Flush::Blocked { .. }));
+        let mut phases = Vec::new();
+        for _ in 0..100 {
+            net.tick(tick);
+            let m = &net.members[&p2];
+            let phase = (
+                matches!(m.flush, Flush::Blocked { .. }),
+                m.engine.is_active(),
+            );
+            if phases.last() != Some(&phase) {
+                phases.push(phase);
+            }
+        }
+        assert_eq!(
+            phases,
+            [(true, false), (false, false), (false, true)],
+            "blocked, then released with the engine halted, then resumed"
+        );
+        assert_eq!(net.members[&p2].view().len(), 3, "no view change");
+        assert!(net.idle_ticks.is_some_and(|i| i > 100));
+    }
+
+    /// ROADMAP item 6(a): no frame is lost, yet false suspicion (silent
+    /// stretches), one crash and one join make a coordinator finalize a
+    /// view, abandon the flush and install a different membership under
+    /// the same `ViewId`; in a debug build `try_finalize`'s "gap in
+    /// delivered region" assertion fires first. Found by the idle proptest
+    /// with longer and more frequent stalls and minimized by deleting
+    /// steps; the token engine fails on a similar schedule.
+    #[test]
+    #[ignore = "ROADMAP item 6(a)"]
+    fn false_suspicion_a_crash_and_a_join_never_alias_a_view_id() {
+        use Step::{Advance, Broadcast, Crash, Join, Stall};
+        let steps = [
+            Stall(87),
+            Stall(54),
+            Broadcast(43),
+            Crash(11),
+            Stall(119),
+            Join,
+            Advance(8),
+            Stall(112),
+        ];
+        let (transcript, _, _) = run_schedule(EngineKind::Sequencer, 3, &steps, false, false);
+        let mut members_of: BTreeMap<&str, &str> = BTreeMap::new();
+        for line in &transcript {
+            let Some(view) = line
+                .split("ViewChange { view: View { id: ")
+                .nth(1)
+                .and_then(|v| v.split(" }, joined").next())
+            else {
+                continue;
+            };
+            let (id, members) = view.split_once(", members: ").unwrap();
+            let first = *members_of.entry(id).or_insert(members);
+            assert_eq!(first, members, "view {id} installed with two memberships");
         }
     }
 

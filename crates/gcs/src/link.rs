@@ -44,6 +44,11 @@ impl<P> Default for InLink<P> {
     }
 }
 
+/// Is a frame last sent at `last` due for retransmission at `now`?
+fn overdue(last: SimTime, now: SimTime, rto: SimDuration) -> bool {
+    now.since(last) >= rto
+}
+
 /// All reliable links of one member, keyed by peer. Ordered maps so
 /// retransmission scans walk peers in a deterministic order
 /// (`clippy::disallowed_types`).
@@ -139,7 +144,7 @@ impl<P: Clone> LinkManager<P> {
     pub(crate) fn tick_into(&mut self, now: SimTime, mut resend: impl FnMut(ProcId, Wire<P>)) {
         for (&peer, link) in self.out.iter_mut() {
             for (&seq, (msg, last)) in link.unacked.iter_mut() {
-                if now.since(*last) >= self.rto {
+                if overdue(*last, now, self.rto) {
                     *last = now;
                     self.retransmissions += 1;
                     resend(
@@ -152,6 +157,14 @@ impl<P: Clone> LinkManager<P> {
                 }
             }
         }
+    }
+
+    /// Would [`Self::tick`] at `now` resend anything?
+    pub(crate) fn resend_due(&self, now: SimTime) -> bool {
+        self.out
+            .values()
+            .flat_map(|link| link.unacked.values())
+            .any(|(_, last)| overdue(*last, now, self.rto))
     }
 
     /// Forget all state for a peer (it left or was ejected); a future

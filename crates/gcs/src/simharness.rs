@@ -8,6 +8,11 @@
 //! `Vec` it drains and hands back ([`GroupHost::recycle`]): how a frame is
 //! charged, sent and how the tick is re-armed is not its business.
 //!
+//! The tick is a periodic timer (`Ctx::set_periodic`). Most ticks find
+//! nothing to do, and an embedder that answers `Process::periodic_idle`
+//! with [`GroupHost::periodic_idle`] lets the kernel skip those without
+//! moving any other event.
+//!
 //! Two embedders exist. [`GcsProcess`] (below) charges nothing and
 //! publishes the upcalls through `Ctx::emit`: the vehicle for running the
 //! group communication system alone over the realistic network model —
@@ -18,7 +23,7 @@
 use crate::config::GroupConfig;
 use crate::group::{GcsEvent, GroupMember, Output};
 use crate::msg::Wire;
-use jrs_sim::{Ctx, Msg, ProcId, Process, SimDuration, TimerId, EXTERNAL};
+use jrs_sim::{Ctx, Msg, ProcId, Process, SimDuration, SimTime, TimerId, EXTERNAL};
 
 /// Timer tag of the host's group tick. An embedder multiplexing its own
 /// timers on the same process must not use it.
@@ -77,8 +82,16 @@ impl<P: Clone + 'static> GroupHost<P> {
     pub fn start(&mut self, ctx: &mut Ctx<'_>) -> Vec<GcsEvent<P>> {
         self.member.start_into(ctx.now(), &mut self.out);
         let events = self.transmit(ctx);
-        ctx.set_timer(self.tick_every, TICK_TAG);
+        ctx.set_periodic(self.tick_every, TICK_TAG);
         events
+    }
+
+    /// Would the firing of timer `tag` at `now` do nothing but re-arm the
+    /// tick? Only the tick can be idle
+    /// ([`GroupMember::tick_is_idle`]); an embedder's `Process::periodic_idle`
+    /// returns this.
+    pub fn periodic_idle(&self, now: SimTime, tag: u64) -> bool {
+        tag == TICK_TAG && self.member.tick_is_idle(now)
     }
 
     /// Feed a received message. `Err` hands back a message that is not a
@@ -102,7 +115,7 @@ impl<P: Clone + 'static> GroupHost<P> {
         }
         self.member.tick_into(ctx.now(), &mut self.out);
         let events = self.transmit(ctx);
-        ctx.set_timer(self.tick_every, TICK_TAG);
+        ctx.set_periodic(self.tick_every, TICK_TAG);
         Some(events)
     }
 
@@ -218,5 +231,9 @@ impl<P: Clone + 'static> Process for GcsProcess<P> {
         if let Some(events) = self.host.on_timer(ctx, tag) {
             self.emit_all(ctx, events);
         }
+    }
+
+    fn periodic_idle(&self, now: SimTime, tag: u64) -> bool {
+        self.host.periodic_idle(now, tag)
     }
 }

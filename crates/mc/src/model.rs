@@ -10,10 +10,10 @@
 
 use joshua_core::payload::{self, JMutexOutcome, JMutexState};
 use jrs_gcs::testkit::Pump;
-use jrs_gcs::{EngineKind, GcsEvent, GroupConfig, MembershipPolicy, View, ViewId};
+use jrs_gcs::{EngineKind, GcsEvent, GroupConfig, GroupMember, MembershipPolicy, View, ViewId};
 use jrs_pbs::sched::FifoExclusive;
 use jrs_pbs::{JobId, JobSpec, MomReport, PbsServerCore, ServerAction, ServerCmd};
-use jrs_sim::{Fnv64, ProcId, SimDuration};
+use jrs_sim::{Fnv64, ProcId, SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
 
@@ -221,6 +221,13 @@ pub enum Violation {
         /// The job.
         job: JobId,
     },
+    /// A member reported its tick idle (`GroupMember::tick_is_idle`), yet
+    /// the tick emitted a frame or an upcall or changed its fingerprint: a
+    /// host that skips idle ticks would have changed the run.
+    IdleTickDidWork {
+        /// The member.
+        member: ProcId,
+    },
     /// Replicas failed to converge to equal state at quiescence.
     Divergence {
         /// First differing pair.
@@ -322,6 +329,17 @@ fn fresh_pbs() -> PbsServerCore {
 /// (head, job) so duplicate launches are observable.
 fn session_of(p: ProcId, job: JobId) -> u64 {
     u64::from(p.0) * 1000 + job.0
+}
+
+/// Does `m` report its tick at `now` idle, and yet, run on a clone, emit
+/// a frame or an upcall or change its fingerprint?
+fn idle_tick_did_work(m: &GroupMember<McPayload>, now: SimTime) -> bool {
+    if !m.tick_is_idle(now) {
+        return false;
+    }
+    let mut probe = m.clone();
+    let out = probe.tick(now);
+    !out.wire.is_empty() || !out.events.is_empty() || probe.state_hash() != m.state_hash()
 }
 
 /// One explorable state of the whole model.
@@ -467,6 +485,15 @@ impl World {
                 self.apps.remove(&who);
             }
             Action::Tick => {
+                let now = self.pump.now + TICK;
+                let busy = self
+                    .pump
+                    .members
+                    .iter()
+                    .find(|(_, m)| idle_tick_did_work(m, now));
+                if let Some((&member, _)) = busy {
+                    return StepResult::Violated(Violation::IdleTickDidWork { member });
+                }
                 self.pump.tick_members(TICK);
             }
             Action::Complete { job } => {

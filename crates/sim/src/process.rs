@@ -28,8 +28,19 @@ pub trait Process: Any {
     /// Called for every delivered message.
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: ProcId, msg: Msg);
 
-    /// Called when a timer set via [`Ctx::set_timer`] fires.
+    /// Called when a timer set via [`Ctx::set_timer`] or
+    /// [`Ctx::set_periodic`] fires.
     fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _timer: TimerId, _tag: u64) {}
+
+    /// Asked before a firing of the periodic timer `tag` is dispatched.
+    /// `true` promises that `on_timer` at `now` would do nothing but call
+    /// `set_periodic` with the same period and tag: no send, no timer, no
+    /// emit, no state change. The world then re-arms the timer itself, in
+    /// the place in the event order that call would have given it, and
+    /// skips the dispatch.
+    fn periodic_idle(&self, _now: SimTime, _tag: u64) -> bool {
+        false
+    }
 }
 
 impl dyn Process {
@@ -88,7 +99,17 @@ impl Ctx<'_> {
         self.world.set_timer(self.me, delay, tag)
     }
 
-    /// Cancel a pending timer. Cancelling an already-fired timer is a no-op.
+    /// Arm this process's periodic timer `tag` to fire `period` from now,
+    /// replacing its pending firing if one is armed. A firing is dispatched
+    /// to `on_timer` like a one-shot timer's, and the timer lapses unless
+    /// `on_timer` arms it again; a firing [`Process::periodic_idle`] reports
+    /// idle is re-armed by the world without a dispatch.
+    pub fn set_periodic(&mut self, period: SimDuration, tag: u64) {
+        self.world.set_periodic(self.me, period, tag);
+    }
+
+    /// Cancel a pending one-shot timer. Cancelling an already-fired timer is
+    /// a no-op.
     pub fn cancel_timer(&mut self, timer: TimerId) {
         self.world.cancel_timer(timer);
     }

@@ -67,6 +67,28 @@ impl Ord for QueuedEvent {
     }
 }
 
+/// An armed periodic timer ([`Ctx::set_periodic`]): its next firing, kept
+/// beside the heap rather than in it. `at` and `seq` are what a one-shot
+/// timer armed at the same call would have had, so merging the two by
+/// `(at, seq)` gives the order the heap alone would give.
+struct Periodic {
+    at: SimTime,
+    seq: u64,
+    proc: ProcId,
+    timer: TimerId,
+    tag: u64,
+    period: SimDuration,
+    incarnation: u32,
+}
+
+/// Where the next event comes from.
+#[derive(Clone, Copy)]
+enum Next {
+    Queue,
+    /// Index into `World::periodic`.
+    Periodic(usize),
+}
+
 struct NodeSlot {
     #[allow(dead_code)]
     name: String,
@@ -95,6 +117,8 @@ struct Emitted {
 pub struct World {
     clock: SimTime,
     queue: BinaryHeap<QueuedEvent>,
+    /// Armed periodic timers, at most one per (process, tag, incarnation).
+    periodic: Vec<Periodic>,
     next_seq: u64,
     rng: StdRng,
     nodes: Vec<NodeSlot>,
@@ -122,6 +146,7 @@ impl World {
         World {
             clock: SimTime::ZERO,
             queue: BinaryHeap::new(),
+            periodic: Vec::new(),
             next_seq: 0,
             rng: StdRng::seed_from_u64(seed),
             nodes: Vec::new(),
@@ -327,9 +352,18 @@ impl World {
     // Scheduling primitives
     // ------------------------------------------------------------------
 
-    fn push_event(&mut self, at: SimTime, kind: EventKind) {
-        let seq = self.next_seq;
+    fn take_seq(&mut self) -> u64 {
         self.next_seq += 1;
+        self.next_seq - 1
+    }
+
+    fn take_timer(&mut self) -> TimerId {
+        self.next_timer += 1;
+        TimerId(self.next_timer - 1)
+    }
+
+    fn push_event(&mut self, at: SimTime, kind: EventKind) {
+        let seq = self.take_seq();
         self.queue.push(QueuedEvent { at, seq, kind });
     }
 
@@ -404,8 +438,7 @@ impl World {
     }
 
     pub(crate) fn set_timer(&mut self, proc: ProcId, delay: SimDuration, tag: u64) -> TimerId {
-        let timer = TimerId(self.next_timer);
-        self.next_timer += 1;
+        let timer = self.take_timer();
         let at = self.clock + delay;
         let incarnation = self.procs[proc.index()].incarnation;
         self.push_event(
@@ -418,6 +451,30 @@ impl World {
             },
         );
         timer
+    }
+
+    /// Arm `proc`'s periodic timer `tag` to fire `period` from now,
+    /// replacing its pending firing if one is armed. Takes a `TimerId` and a
+    /// `seq` exactly as [`Self::set_timer`] does.
+    pub(crate) fn set_periodic(&mut self, proc: ProcId, period: SimDuration, tag: u64) {
+        let incarnation = self.procs[proc.index()].incarnation;
+        let armed = Periodic {
+            at: self.clock + period,
+            seq: self.take_seq(),
+            proc,
+            timer: self.take_timer(),
+            tag,
+            period,
+            incarnation,
+        };
+        match self
+            .periodic
+            .iter_mut()
+            .find(|p| p.proc == proc && p.tag == tag && p.incarnation == incarnation)
+        {
+            Some(slot) => *slot = armed,
+            None => self.periodic.push(armed),
+        }
     }
 
     pub(crate) fn cancel_timer(&mut self, timer: TimerId) {
@@ -454,16 +511,40 @@ impl World {
     // Execution
     // ------------------------------------------------------------------
 
+    /// The next event, first by `(at, seq)` across the heap and the armed
+    /// periodic timers, and when it is due.
+    fn peek_next(&self) -> Option<(SimTime, Next)> {
+        let mut next = self.queue.peek().map(|ev| (ev.at, ev.seq, Next::Queue));
+        for (i, p) in self.periodic.iter().enumerate() {
+            if next.is_none_or(|(at, seq, _)| (p.at, p.seq) < (at, seq)) {
+                next = Some((p.at, p.seq, Next::Periodic(i)));
+            }
+        }
+        next.map(|(at, _, from)| (at, from))
+    }
+
     /// Process a single event. Returns `false` when the queue is empty or
     /// the event budget is exhausted.
     pub(crate) fn step(&mut self) -> bool {
+        self.peek_next()
+            .is_some_and(|(_, next)| self.step_from(next))
+    }
+
+    fn step_from(&mut self, next: Next) -> bool {
         if let Some(max) = self.max_events {
             if self.events_processed >= max {
                 return false;
             }
         }
-        let Some(ev) = self.queue.pop() else {
-            return false;
+        let ev = match next {
+            Next::Periodic(i) => {
+                self.fire_periodic(i);
+                return true;
+            }
+            Next::Queue => match self.queue.pop() {
+                Some(ev) => ev,
+                None => return false,
+            },
         };
         debug_assert!(ev.at >= self.clock, "time went backwards");
         self.clock = ev.at;
@@ -501,6 +582,41 @@ impl World {
         true
     }
 
+    /// Fire `self.periodic[i]`. A firing the process reports idle
+    /// ([`Process::periodic_idle`]) is re-armed in place with the `seq` and
+    /// `TimerId` its own re-arm would have taken, and is not dispatched; any
+    /// other firing leaves the vector and is dispatched like a one-shot
+    /// timer, so the process re-arms it or lets it lapse. Either way it
+    /// counts as one event.
+    fn fire_periodic(&mut self, i: usize) {
+        let p = &self.periodic[i];
+        debug_assert!(p.at >= self.clock, "time went backwards");
+        self.clock = p.at;
+        self.events_processed += 1;
+        let slot = &self.procs[p.proc.index()];
+        let current = slot.alive && slot.incarnation == p.incarnation;
+        if current
+            && slot
+                .process
+                .as_deref()
+                .is_some_and(|pr| pr.periodic_idle(self.clock, p.tag))
+        {
+            let seq = self.take_seq();
+            let timer = self.take_timer();
+            let p = &mut self.periodic[i];
+            p.at = self.clock + p.period;
+            p.seq = seq;
+            p.timer = timer;
+            return;
+        }
+        let Periodic {
+            proc, timer, tag, ..
+        } = self.periodic.swap_remove(i);
+        if current {
+            self.dispatch(proc, |p, ctx| p.on_timer(ctx, timer, tag));
+        }
+    }
+
     fn dispatch(&mut self, proc: ProcId, f: impl FnOnce(&mut dyn Process, &mut Ctx<'_>)) {
         if !self.is_proc_alive(proc) {
             return;
@@ -522,11 +638,8 @@ impl World {
     /// Run until the queue drains or `deadline` passes (the clock stops at
     /// the deadline even if later events remain queued).
     pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(ev) = self.queue.peek() {
-            if ev.at > deadline {
-                break;
-            }
-            if !self.step() {
+        while let Some((at, next)) = self.peek_next() {
+            if at > deadline || !self.step_from(next) {
                 break;
             }
         }
@@ -828,6 +941,114 @@ mod tests {
         // Incarnation 1's timer (due t=10s) is discarded; only incarnation
         // 2's own timer (armed on restart, due t=11s) fires.
         assert_eq!(w.proc_ref::<T>(p).unwrap().fired, 1);
+    }
+
+    const BEAT: SimDuration = SimDuration::from_millis(5);
+    /// The ideal network's LAN delay: a send after `BEAT - LAN` lands on
+    /// the next beat.
+    const LAN: SimDuration = SimDuration::from_micros(10);
+
+    /// How a [`Beat`] re-arms its beat.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Rearm {
+        /// `set_periodic`, answering `periodic_idle` (idle beats skipped).
+        Skip,
+        /// `set_periodic`, never idle (every beat dispatched).
+        Dispatch,
+        /// `set_timer`, the one-shot re-arm a periodic timer replaces.
+        OneShot,
+    }
+
+    /// A beat every 5 ms with work on every third, beside one-shot timers
+    /// and deliveries on the same instants. On a busy beat it re-arms first,
+    /// then arms a one-shot timer for its next busy beat (due there before
+    /// the beat, by `seq`) and pings its peer on the next beat. The peer's
+    /// busy beats come one beat earlier, so its pings land on this one's
+    /// busy beats, after the beat by `seq`. Everything handled is emitted.
+    struct Beat {
+        peer: ProcId,
+        phase: u64,
+        rearm: Rearm,
+        dispatched: u32,
+    }
+
+    impl Beat {
+        fn busy(&self, now: SimTime) -> bool {
+            (now.as_nanos() / BEAT.as_nanos() + self.phase).is_multiple_of(3)
+        }
+
+        fn arm(&self, ctx: &mut Ctx<'_>) {
+            if self.rearm == Rearm::OneShot {
+                ctx.set_timer(BEAT, 0);
+            } else {
+                ctx.set_periodic(BEAT, 0);
+            }
+        }
+    }
+
+    impl Process for Beat {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            self.arm(ctx);
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: ProcId, msg: Msg) {
+            ctx.emit(("msg", *msg.downcast::<u64>().unwrap()));
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: TimerId, tag: u64) {
+            if tag != 0 {
+                return ctx.emit(("timer", tag));
+            }
+            self.dispatched += 1;
+            self.arm(ctx);
+            let now = ctx.now();
+            if self.busy(now) {
+                ctx.emit(("beat", now.as_nanos()));
+                ctx.set_timer(BEAT * 3, 1);
+                ctx.send_after(self.peer, now.as_nanos(), BEAT - LAN);
+            }
+        }
+        fn periodic_idle(&self, now: SimTime, _tag: u64) -> bool {
+            self.rearm == Rearm::Skip && !self.busy(now)
+        }
+    }
+
+    #[test]
+    fn skipped_idle_periodic_firings_keep_the_event_order() {
+        let run = |rearm: Rearm| {
+            let (mut w, a, b) = two_node_world();
+            let (p, q) = (ProcId(0), ProcId(1));
+            for (node, peer, phase) in [(a, q, 0), (b, p, 1)] {
+                w.add_process(
+                    node,
+                    Beat {
+                        peer,
+                        phase,
+                        rearm,
+                        dispatched: 0,
+                    },
+                );
+            }
+            w.run_until(SimTime::ZERO + SimDuration::from_millis(200));
+            let dispatched = [p, q].map(|p| w.proc_ref::<Beat>(p).unwrap().dispatched);
+            let trace = w.take_emitted::<(&str, u64)>();
+            let counters = (w.events_processed(), w.next_seq, w.next_timer);
+            (trace, counters, dispatched)
+        };
+        let one_shot = run(Rearm::OneShot);
+        let trace = &one_shot.0;
+        let at_once = |first: &str, then: &str| {
+            trace.iter().enumerate().any(|(i, (t, _, (k, _)))| {
+                *k == first && trace[i..].iter().any(|(u, _, (l, _))| u == t && *l == then)
+            })
+        };
+        assert!(at_once("timer", "beat"), "a one-shot timer before a beat");
+        assert!(at_once("beat", "msg"), "a ping after a beat");
+        let [dispatched, skipped] = [Rearm::Dispatch, Rearm::Skip].map(run);
+        for periodic in [&dispatched, &skipped] {
+            assert_eq!(periodic.0, one_shot.0, "same trace");
+            assert_eq!(periodic.1, one_shot.1, "same events, seqs and timer ids");
+        }
+        assert_eq!(dispatched.2, [40, 40]);
+        assert_eq!(skipped.2, [13, 13], "two beats in three skipped");
     }
 
     #[test]
