@@ -3,13 +3,13 @@
 //! architectures the paper discusses (Figures 1–4), and provides the
 //! fault-injection and inspection hooks the experiments use.
 
-use crate::config::{JoshuaConfig, JoshuaCostModel, PersistConfig, PolicyKind};
+use crate::config::{JoshuaConfig, JoshuaCostModel, PersistConfig};
 use crate::ha::{ActiveStandbyConfig, ActiveStandbyHead};
 use crate::server::JoshuaServer;
 use jrs_gcs::GroupConfig;
 use jrs_pbs::proc::{PbsClientProcess, PbsHeadProcess, PbsMomProcess};
 use jrs_pbs::server::PbsServerCore;
-use jrs_pbs::{ClientDone, PbsMomCore, ServerCmd, SubmitRecord};
+use jrs_pbs::{ClientDone, FifoExclusive, PbsMomCore, ServerCmd, SubmitRecord};
 use jrs_sim::{NetworkConfig, NodeId, ProcId, SimDuration, SimTime, World};
 
 /// Which high-availability architecture to build.
@@ -69,8 +69,6 @@ pub struct ClusterConfig {
     pub cost: JoshuaCostModel,
     /// Group communication tunables (JOSHUA mode).
     pub group: GroupConfig,
-    /// Scheduling policy on every head.
-    pub policy: PolicyKind,
     /// Active/standby tunables.
     pub standby: ActiveStandbyConfig,
     /// Durability of head-node state (JOSHUA mode): WAL + snapshots on
@@ -93,7 +91,6 @@ impl ClusterConfig {
             net: NetworkConfig::default(),
             cost: JoshuaCostModel::default(),
             group: GroupConfig::default(),
-            policy: PolicyKind::FifoExclusive,
             standby: ActiveStandbyConfig::default(),
             persist: PersistConfig::default(),
             mom_obituary_bug: false,
@@ -133,7 +130,6 @@ fn node_table(moms: &[ProcId]) -> Vec<(String, ProcId)> {
 fn joshua_config(cfg: &ClusterConfig, moms: &[ProcId]) -> JoshuaConfig {
     JoshuaConfig {
         nodes: node_table(moms),
-        policy: cfg.policy,
         group: cfg.group.clone(),
         cost: cfg.cost,
         persist: cfg.persist,
@@ -141,12 +137,8 @@ fn joshua_config(cfg: &ClusterConfig, moms: &[ProcId]) -> JoshuaConfig {
 }
 
 /// An unreplicated PBS server owning `nodes`, their moms registered.
-fn pbs_core(name: String, cfg: &ClusterConfig, nodes: &[(String, ProcId)]) -> PbsServerCore {
-    let mut core = PbsServerCore::new(
-        name,
-        nodes.iter().map(|(n, _)| n.clone()),
-        cfg.policy.make(),
-    );
+fn pbs_core(nodes: &[(String, ProcId)]) -> PbsServerCore {
+    let mut core = PbsServerCore::new("", nodes.iter().map(|(n, _)| n.clone()), FifoExclusive);
     for (n, m) in nodes {
         core.register_mom(n, *m);
     }
@@ -160,14 +152,6 @@ impl Cluster {
         let h = cfg.mode.head_count();
         let c = cfg.compute_nodes;
         assert!(h >= 1 && c >= 1);
-        // Backfill compares walltime estimates with each head's own clock
-        // at delivery, so replicas would start different jobs.
-        let replicated = matches!(cfg.mode, HaMode::Joshua { heads } if heads > 1);
-        assert!(
-            !(replicated && cfg.policy == PolicyKind::Backfill),
-            "PolicyKind::Backfill is not replication-safe and cannot be combined with \
-             {h} JOSHUA heads: use one head, or FifoExclusive / FifoShared"
-        );
 
         // Topology: head nodes first, compute nodes, then a login node.
         let head_nodes: Vec<NodeId> = (0..h)
@@ -186,13 +170,13 @@ impl Cluster {
         let mut heads = Vec::new();
         match cfg.mode {
             HaMode::SingleHead => {
-                let core = pbs_core("head-0".into(), &cfg, &all_nodes);
+                let core = pbs_core(&all_nodes);
                 let p = world.add_process(head_nodes[0], PbsHeadProcess::new(core, cfg.cost.pbs));
                 heads.push(p);
             }
             HaMode::ActiveStandby => {
                 for i in 0..2 {
-                    let core = pbs_core(format!("head-{i}"), &cfg, &all_nodes);
+                    let core = pbs_core(&all_nodes);
                     let peer = head_ids[1 - i];
                     let p = world.add_process(
                         head_nodes[i],
@@ -211,7 +195,7 @@ impl Cluster {
                         .filter(|(j, _)| j % n == i)
                         .map(|(_, nm)| nm.clone())
                         .collect();
-                    let core = pbs_core(format!("head-{i}"), &cfg, &my_nodes);
+                    let core = pbs_core(&my_nodes);
                     let p =
                         world.add_process(head_nodes[i], PbsHeadProcess::new(core, cfg.cost.pbs));
                     heads.push(p);

@@ -2,31 +2,25 @@
 
 use jrs_gcs::GroupConfig;
 use jrs_pbs::proc::PbsCostModel;
-use jrs_pbs::sched::{Backfill, FifoExclusive, FifoShared, Policy};
+use jrs_pbs::FifoExclusive;
 use jrs_sim::{ProcId, SimDuration};
 
-/// Scheduling policy selector (replicable, unlike a boxed trait object).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Names the one scheduler. Nothing in the workspace selects it; the
+/// benchmark package calls `PolicyKind::FifoExclusive.make()`, so it
+/// leaves with ROADMAP item 3(a)'s `benchmark` PR, together with
+/// [`PbsServerCore::new`](jrs_pbs::PbsServerCore::new)'s ignored
+/// arguments.
+#[derive(Clone, Copy, Debug)]
 pub enum PolicyKind {
     /// The paper's Maui configuration: FIFO, exclusive cluster access.
     FifoExclusive,
-    /// Space-shared FIFO (deterministic, replication-safe).
-    FifoShared,
-    /// Conservative backfill. Time-dependent, so rejected at build in
-    /// any multi-head JOSHUA mode ([`Cluster::build`] panics; see
-    /// DESIGN.md section 6).
-    ///
-    /// [`Cluster::build`]: crate::cluster::Cluster::build
-    Backfill,
 }
 
 impl PolicyKind {
-    /// Instantiate the policy.
-    pub fn make(self) -> Box<dyn Policy> {
+    /// The scheduler.
+    pub fn make(self) -> FifoExclusive {
         match self {
-            PolicyKind::FifoExclusive => Box::new(FifoExclusive),
-            PolicyKind::FifoShared => Box::new(FifoShared),
-            PolicyKind::Backfill => Box::new(Backfill),
+            PolicyKind::FifoExclusive => FifoExclusive,
         }
     }
 }
@@ -103,8 +97,6 @@ impl Default for PersistConfig {
 pub struct JoshuaConfig {
     /// Compute nodes and their mom daemon processes.
     pub nodes: Vec<(String, ProcId)>,
-    /// Scheduling policy (must be identical on every head).
-    pub policy: PolicyKind,
     /// Group communication tunables.
     pub group: GroupConfig,
     /// Cost model.

@@ -44,7 +44,7 @@ use jrs_gcs::simharness::GroupHost;
 use jrs_gcs::{EngineMsg, GcsEvent, GcsMsg, View, Wire};
 use jrs_pbs::proc::{dispatch, ArbiterRelease, ArbiterRequest, ClientReply, ClientRequest};
 use jrs_pbs::server::{MomReport, PbsServerCore, ServerAction};
-use jrs_pbs::{JobState, MomInbound};
+use jrs_pbs::{FifoExclusive, JobState, MomInbound};
 use jrs_sim::{Ctx, Msg, ProcId, Process, SimDuration, SimTime, TimerId};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -210,7 +210,7 @@ impl JoshuaServer {
         let group = GroupHost::new(me, config.group.clone(), initial_heads.clone(), move |f| {
             charge(&cost, f)
         });
-        let replica = Replica::new(Self::fresh_pbs(&config, me));
+        let replica = Replica::new(Self::fresh_pbs(&config));
         let store = config.persist.enabled.then(HeadStore::new);
         // With a durable store, even an initial member defers establishment
         // to `on_start` recovery + reconciliation (it may hold state from a
@@ -245,11 +245,11 @@ impl JoshuaServer {
         }
     }
 
-    fn fresh_pbs(config: &JoshuaConfig, me: ProcId) -> PbsServerCore {
+    fn fresh_pbs(config: &JoshuaConfig) -> PbsServerCore {
         let mut pbs = PbsServerCore::new(
-            format!("joshua-{me}"),
+            "",
             config.nodes.iter().map(|(n, _)| n.clone()),
-            config.policy.make(),
+            FifoExclusive,
         );
         for (node, mom) in &config.nodes {
             pbs.register_mom(node, *mom);
@@ -394,7 +394,7 @@ impl JoshuaServer {
             GcsEvent::ViewChange { view, joined, left } => {
                 self.on_view_change(ctx, view, joined, left);
             }
-            GcsEvent::Ejected => self.on_ejected(ctx),
+            GcsEvent::Ejected => self.on_ejected(),
         }
     }
 
@@ -959,10 +959,10 @@ impl JoshuaServer {
         self.recovery = Some(report);
     }
 
-    fn on_ejected(&mut self, ctx: &mut Ctx<'_>) {
+    fn on_ejected(&mut self) {
         // Total state reset; the group layer rejoins automatically and a
         // snapshot will arrive after the next view change.
-        self.replica.reset(Self::fresh_pbs(&self.config, ctx.me()));
+        self.replica.reset(Self::fresh_pbs(&self.config));
         self.needs_snapshot.clear();
         self.joined_current.clear();
         self.sync = SyncMode::AwaitState(Vec::new());

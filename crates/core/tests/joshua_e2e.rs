@@ -4,7 +4,6 @@
 //! testbed.
 
 use joshua_core::cluster::{Cluster, ClusterConfig, HaMode};
-use joshua_core::config::PolicyKind;
 use joshua_core::workload;
 use jrs_pbs::{CmdReply, JobState, ServerCmd};
 use jrs_sim::{SimDuration, SimTime};
@@ -15,14 +14,6 @@ fn joshua(heads: usize) -> Cluster {
 
 fn secs(s: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_secs(s)
-}
-
-#[test]
-#[should_panic(expected = "Backfill is not replication-safe")]
-fn backfill_is_rejected_with_replicated_heads() {
-    let mut cfg = ClusterConfig::new(HaMode::Joshua { heads: 2 });
-    cfg.policy = PolicyKind::Backfill;
-    Cluster::build(cfg);
 }
 
 #[test]

@@ -318,11 +318,7 @@ impl App {
 fn fresh_pbs() -> PbsServerCore {
     // One compute node under the paper's exclusive FIFO policy: one job
     // runs at a time, every queued job eventually gets a Start action.
-    PbsServerCore::new(
-        "head",
-        std::iter::once("c00".to_string()),
-        Box::new(FifoExclusive),
-    )
+    PbsServerCore::new("head", std::iter::once("c00".to_string()), FifoExclusive)
 }
 
 /// Session id of the launch a head would forward for a job: unique per

@@ -79,11 +79,7 @@ mod tests {
 
     #[test]
     fn live_server_snapshot_round_trips_exactly() {
-        let mut s = PbsServerCore::new(
-            "head",
-            (0..3).map(|i| format!("c{i:02}")),
-            Box::new(FifoExclusive),
-        );
+        let mut s = PbsServerCore::new("head", (0..3).map(|i| format!("c{i:02}")), FifoExclusive);
         s.register_mom("c00", ProcId(9));
         let now = SimTime::ZERO;
         let _ = s.apply(now, &ServerCmd::Qsub(JobSpec::trivial("a")));

@@ -7,9 +7,9 @@
 //!   state machine**: the property symmetric active/active replication
 //!   requires (identical command streams → identical state on every
 //!   replica), verified by tests and snapshots.
-//! * [`sched`] — scheduling policies: the paper's Maui configuration
-//!   (FIFO, exclusive whole-cluster allocation) plus space-shared FIFO and
-//!   conservative backfill extensions.
+//! * [`sched`] — the scheduler: the paper's Maui configuration (FIFO,
+//!   exclusive whole-cluster allocation), one fixed decision that never
+//!   reads the clock.
 //! * [`mom::PbsMomCore`] — the compute-node execution daemon with
 //!   **launch sessions**: each head's start attempt runs a prologue that
 //!   asks an arbiter (JOSHUA's jmutex) for permission, so a job executes
@@ -58,5 +58,5 @@ pub use proc::{
     PbsCostModel, PbsHeadProcess, PbsMomProcess, SubmitRecord,
 };
 pub use resources::{ComputeNode, NodePool, NodeState};
-pub use sched::{Allocation, Backfill, FifoExclusive, FifoShared, Policy};
+pub use sched::FifoExclusive;
 pub use server::{CmdReply, MomReport, PbsServerCore, ServerAction, ServerCmd, ServerSnapshot};

@@ -72,15 +72,6 @@ impl NodePool {
         self.nodes.get(name).and_then(|n| n.mom)
     }
 
-    /// Names of currently free nodes, sorted.
-    pub(crate) fn free_nodes(&self) -> Vec<String> {
-        self.nodes
-            .values()
-            .filter(|n| n.state == NodeState::Free)
-            .map(|n| n.name.clone())
-            .collect()
-    }
-
     /// Names of all non-offline nodes, sorted.
     pub(crate) fn online_nodes(&self) -> Vec<String> {
         self.nodes
@@ -88,15 +79,6 @@ impl NodePool {
             .filter(|n| n.state != NodeState::Offline)
             .map(|n| n.name.clone())
             .collect()
-    }
-
-    /// Count of free nodes.
-    #[cfg(test)]
-    pub(crate) fn free_count(&self) -> usize {
-        self.nodes
-            .values()
-            .filter(|n| n.state == NodeState::Free)
-            .count()
     }
 
     /// Are all non-offline nodes free (cluster idle)?
@@ -177,22 +159,22 @@ mod tests {
         assert!(p.all_idle());
         let alloc = vec!["n1".to_string(), "n2".to_string()];
         p.allocate(&alloc);
-        assert_eq!(p.free_nodes(), vec!["n3"]);
+        let states: Vec<NodeState> = p.iter().map(|n| n.state).collect();
+        assert_eq!(states, [NodeState::Busy, NodeState::Busy, NodeState::Free]);
         assert!(!p.all_idle());
         p.release(&alloc);
-        assert_eq!(p.free_count(), 3);
+        assert!(p.iter().all(|n| n.state == NodeState::Free));
     }
 
     #[test]
-    fn offline_excluded_from_free() {
+    fn offline_excluded_from_online() {
         let mut p = pool();
         p.set_offline("n2");
-        assert_eq!(p.free_nodes(), vec!["n1", "n3"]);
         assert_eq!(p.online_nodes(), vec!["n1", "n3"]);
         // A cluster with running nothing but an offline node is still idle.
         assert!(p.all_idle());
         p.set_online("n2");
-        assert_eq!(p.free_count(), 3);
+        assert_eq!(p.online_nodes(), vec!["n1", "n2", "n3"]);
     }
 
     #[test]

@@ -7,17 +7,17 @@
 //! replication depends on — every replica applies the totally ordered
 //! command stream to its own server and must reach the same state.
 //!
-//! Note on time: the paper's configuration
-//! ([`FifoExclusive`](crate::sched::FifoExclusive)) makes no scheduling
-//! decision based on
-//! the clock, so replicas that deliver commands at slightly different
-//! (virtual) times still agree. The [`Backfill`](crate::sched::Backfill)
-//! extension consults walltime estimates against `now` and is therefore
-//! suitable for single-head deployments only (see DESIGN.md).
+//! Note on time: no decision here reads the clock. The scheduler,
+//! [`FifoExclusive`], decides from the queue head, the node pool and
+//! whether any job still runs. `now` is only recorded as a job's start
+//! time, which is replica-local and left out of
+//! [`ServerSnapshot::consistent_with`] and [`PbsServerCore::state_hash`].
+//! So replicas that deliver a command at different (virtual) times still
+//! start the same job on the same nodes.
 
 use crate::job::{exit, Job, JobId, JobSpec, JobState, JobStatus};
 use crate::resources::{ComputeNode, NodePool};
-use crate::sched::Policy;
+use crate::sched::FifoExclusive;
 use jrs_sim::{ProcId, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -133,14 +133,13 @@ impl ServerSnapshot {
 #[derive(Clone, Debug)]
 pub struct PbsServerCore {
     jobs: BTreeMap<JobId, Job>,
-    /// Ids of the `Queued` jobs: what a scheduling pass walks, instead of
-    /// every job ever submitted. Derived from `jobs` (only `set_state`
+    /// Ids of the `Queued` jobs: a scheduling pass reads the first, instead
+    /// of scanning every job ever submitted. Derived from `jobs` (only `set_state`
     /// changes it, `restore` rebuilds it), so it is never snapshotted,
     /// hashed or encoded.
     queue: BTreeSet<JobId>,
     next_id: u64,
     pool: NodePool,
-    policy: Box<dyn Policy>,
     /// Start times of exactly the `Running` and `Exiting` jobs.
     running_since: BTreeMap<JobId, SimTime>,
 }
@@ -157,22 +156,22 @@ fn set_state(queue: &mut BTreeSet<JobId>, job: &mut Job, to: JobState) {
 }
 
 impl PbsServerCore {
-    /// New server managing the named compute nodes under a policy.
+    /// New server managing the named compute nodes.
     ///
-    /// `_name` is accepted and ignored. Nothing ever read the server's
-    /// name, but the benchmark package passes one, so the parameter leaves
-    /// with that package's next edit (ROADMAP item 3).
+    /// `_name` and `_sched` are accepted and ignored. Nothing ever read the
+    /// server's name, and [`FifoExclusive`] is the only scheduler, but the
+    /// benchmark package passes both, so they leave with ROADMAP item
+    /// 3(a)'s `benchmark` PR.
     pub fn new(
         _name: impl Into<String>,
         nodes: impl IntoIterator<Item = String>,
-        policy: Box<dyn Policy>,
+        _sched: FifoExclusive,
     ) -> Self {
         PbsServerCore {
             jobs: BTreeMap::new(),
             queue: BTreeSet::new(),
             next_id: 1,
             pool: NodePool::new(nodes),
-            policy,
             running_since: BTreeMap::new(),
         }
     }
@@ -346,44 +345,31 @@ impl PbsServerCore {
         }
     }
 
-    /// Run a scheduling pass: start queued jobs until the policy finds
-    /// nothing more that can run. Every command and report that can change
-    /// the answer runs one itself; recovery calls this after restoring
-    /// durable state, because queued jobs must not wait for the next client
-    /// command to be considered.
+    /// Run a scheduling pass: start the queue head if [`FifoExclusive`]
+    /// lets it run. Exclusive access starts at most one job per pass. Every
+    /// command and report that can change the answer runs one itself;
+    /// recovery calls this after restoring durable state, because queued
+    /// jobs must not wait for the next client command to be considered.
+    /// `now` becomes the start time; the decision never reads it.
     pub fn kick_schedule(&mut self, now: SimTime) -> Vec<ServerAction> {
-        let mut actions = Vec::new();
-        while !self.queue.is_empty() {
-            let running: Vec<(&Job, SimTime)> = self
-                .running_since
-                .iter()
-                .filter_map(|(id, t)| self.jobs.get(id).map(|j| (j, *t)))
-                .collect();
-            // The policy pulls from the queue head; a job is looked up
-            // only when it does.
-            let mut queued = self.queue.iter().filter_map(|id| self.jobs.get(id));
-            let Some(alloc) = self.policy.select(now, &mut queued, &self.pool, &running) else {
-                break;
-            };
-            // Check the job before committing the allocation: a policy
-            // that names an unknown job must stall the pass, not panic a
-            // replica mid-delivery (the no-panic lints).
-            let Some(job) = self.jobs.get_mut(&alloc.job) else {
-                break;
-            };
-            self.pool.allocate(&alloc.nodes);
-            set_state(&mut self.queue, job, JobState::Running);
-            job.allocated = alloc.nodes.clone();
-            self.running_since.insert(alloc.job, now);
-            let mom = alloc.nodes.first().and_then(|n| self.pool.mom_of(n));
-            actions.push(ServerAction::Start {
-                mom,
-                job: alloc.job,
-                spec: job.spec.clone(),
-                nodes: alloc.nodes,
-            });
-        }
-        actions
+        let busy = !self.running_since.is_empty();
+        let Some(job) = self.queue.first().and_then(|id| self.jobs.get_mut(id)) else {
+            return vec![];
+        };
+        let Some(nodes) = FifoExclusive::select(job, &self.pool, busy) else {
+            return vec![];
+        };
+        self.pool.allocate(&nodes);
+        set_state(&mut self.queue, job, JobState::Running);
+        job.allocated = nodes.clone();
+        self.running_since.insert(job.id, now);
+        let mom = nodes.first().and_then(|n| self.pool.mom_of(n));
+        vec![ServerAction::Start {
+            mom,
+            job: job.id,
+            spec: job.spec.clone(),
+            nodes,
+        }]
     }
 
     /// Deterministic fingerprint of the *replicated* server state: jobs in
@@ -457,7 +443,6 @@ impl PbsServerCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::{FifoExclusive, FifoShared};
     use jrs_sim::SimDuration;
 
     const T0: SimTime = SimTime::ZERO;
@@ -466,7 +451,7 @@ mod tests {
         PbsServerCore::new(
             "head",
             (0..nodes).map(|i| format!("c{i:02}")),
-            Box::new(FifoExclusive),
+            FifoExclusive,
         )
     }
 
@@ -704,11 +689,8 @@ mod tests {
         let _ = submit(&mut s, "a");
         let _ = submit(&mut s, "b");
         let snap = s.snapshot();
-        let mut fresh = PbsServerCore::new(
-            "joiner",
-            (0..2).map(|i| format!("c{i:02}")),
-            Box::new(FifoExclusive),
-        );
+        let mut fresh =
+            PbsServerCore::new("joiner", (0..2).map(|i| format!("c{i:02}")), FifoExclusive);
         fresh.register_mom("c00", ProcId(7));
         fresh.restore(&snap);
         assert!(fresh.snapshot().consistent_with(&snap));
@@ -726,24 +708,27 @@ mod tests {
     }
 
     #[test]
-    fn shared_policy_runs_jobs_concurrently() {
-        let mut s = PbsServerCore::new(
-            "head",
-            (0..4).map(|i| format!("c{i:02}")),
-            Box::new(FifoShared),
+    fn a_running_job_whose_node_went_offline_still_holds_the_cluster() {
+        let mut s = server(2);
+        let _ = s.set_node_online(T0, "c00", false);
+        let (running, _) = submit(&mut s, "on-c01");
+        // Its only node fails: no node is busy any more, yet it still runs.
+        let _ = s.set_node_online(T0, "c01", false);
+        let (queued, _) = submit(&mut s, "waits");
+        assert!(s.set_node_online(T0, "c00", true).is_empty());
+        let actions = s.on_report(
+            T0,
+            &MomReport::Finished {
+                job: running,
+                exit: exit::OK,
+            },
         );
-        let mk = |name: &str| {
-            let mut spec = JobSpec::trivial(name);
-            spec.nodes = 2;
-            spec
-        };
-        let (_, a1) = s.apply(T0, &ServerCmd::Qsub(mk("a")));
-        let (_, a2) = s.apply(T0, &ServerCmd::Qsub(mk("b")));
-        assert_eq!(a1.len(), 1);
-        assert_eq!(a2.len(), 1, "two 2-node jobs fit a 4-node cluster");
-        assert_eq!(s.count_state(JobState::Running), 2);
-        let (_, a3) = s.apply(T0, &ServerCmd::Qsub(mk("c")));
-        assert!(a3.is_empty(), "cluster full");
+        match &actions[..] {
+            [ServerAction::Start { job, nodes, .. }] => {
+                assert_eq!((*job, &nodes[..]), (queued, &["c00".to_string()][..]));
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

@@ -63,11 +63,7 @@ fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
 }
 
 fn server() -> PbsServerCore {
-    PbsServerCore::new(
-        "head",
-        (0..2).map(|i| format!("c{i:02}")),
-        Box::new(FifoExclusive),
-    )
+    PbsServerCore::new("head", (0..2).map(|i| format!("c{i:02}")), FifoExclusive)
 }
 
 #[test]

@@ -22,7 +22,7 @@ fn testbed(compute_nodes: usize, script: Vec<ServerCmd>) -> Testbed {
     let mut core = PbsServerCore::new(
         "head",
         (0..compute_nodes).map(|i| format!("c{i:02}")),
-        Box::new(FifoExclusive),
+        FifoExclusive,
     );
     // Moms get the ProcIds right after the head's (head is proc 0).
     for i in 0..compute_nodes {
