@@ -6,7 +6,7 @@
 use crate::config::{JoshuaConfig, JoshuaCostModel, PersistConfig};
 use crate::ha::{ActiveStandbyConfig, ActiveStandbyHead};
 use crate::server::JoshuaServer;
-use jrs_gcs::GroupConfig;
+use jrs_gcs::{FrameCost, GroupConfig};
 use jrs_pbs::proc::{PbsClientProcess, PbsHeadProcess, PbsMomProcess};
 use jrs_pbs::server::PbsServerCore;
 use jrs_pbs::{ClientDone, FifoExclusive, PbsMomCore, ServerCmd, SubmitRecord};
@@ -67,7 +67,7 @@ pub struct ClusterConfig {
     pub net: NetworkConfig,
     /// Head-node cost model.
     pub cost: JoshuaCostModel,
-    /// Group communication tunables (JOSHUA mode).
+    /// Group communication tunables and frame cost (JOSHUA mode).
     pub group: GroupConfig,
     /// Active/standby tunables.
     pub standby: ActiveStandbyConfig,
@@ -90,7 +90,10 @@ impl ClusterConfig {
             seed: 42,
             net: NetworkConfig::default(),
             cost: JoshuaCostModel::default(),
-            group: GroupConfig::default(),
+            group: GroupConfig {
+                cost: FrameCost::TRANSIS,
+                ..GroupConfig::default()
+            },
             standby: ActiveStandbyConfig::default(),
             persist: PersistConfig::default(),
             mom_obituary_bug: false,

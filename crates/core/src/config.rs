@@ -25,23 +25,13 @@ impl PolicyKind {
     }
 }
 
-/// CPU cost model of the JOSHUA layer, standing in for the paper's
-/// measured overheads (jsub/joshua interception, Transis daemon
-/// processing). Calibrated against Figure 10 — see EXPERIMENTS.md.
+/// CPU cost model of the JOSHUA layer (jsub/joshua interception), calibrated
+/// against Figure 10 — see EXPERIMENTS.md. The Transis daemon's per-frame
+/// cost is the group's own, [`GroupConfig::cost`](jrs_gcs::GroupConfig::cost).
 #[derive(Clone, Copy, Debug)]
 pub struct JoshuaCostModel {
     /// PBS server costs (shared with the baseline).
     pub pbs: PbsCostModel,
-    /// Per-frame CPU cost of the group communication daemon (Transis-era
-    /// user-space processing on a 450 MHz PII); applied serially to each
-    /// outgoing protocol frame (ordering traffic, flush traffic).
-    pub gcs_frame_delay: SimDuration,
-    /// Cost of producing a stability acknowledgement (Transis's
-    /// timer-batched acknowledgement path — noticeably slower than the
-    /// data fast path).
-    pub gcs_ack_delay: SimDuration,
-    /// Cost of background datagrams (heartbeats) and bare link-layer acks.
-    pub gcs_background_delay: SimDuration,
     /// Fixed cost of intercepting a client command (jsub → joshua local
     /// round) and of relaying the output back.
     pub intercept_overhead: SimDuration,
@@ -51,9 +41,6 @@ impl Default for JoshuaCostModel {
     fn default() -> Self {
         JoshuaCostModel {
             pbs: PbsCostModel::default(),
-            gcs_frame_delay: SimDuration::from_millis(9),
-            gcs_ack_delay: SimDuration::from_millis(30),
-            gcs_background_delay: SimDuration::from_micros(500),
             intercept_overhead: SimDuration::from_millis(18),
         }
     }

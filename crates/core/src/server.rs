@@ -11,8 +11,8 @@
 //!
 //! Like the paper's daemon on Transis, this file is application logic
 //! only: it submits payloads and reacts to ordered upcalls. Sending,
-//! tick arming and frame dispatch live in the host; the one thing the
-//! daemon supplies is `charge`, the calibrated CPU cost of a frame.
+//! tick arming, frame dispatch and the per-frame CPU cost live in the
+//! group layer; the cost table arrives in `JoshuaConfig::group`.
 //!
 //! ## Data paths
 //!
@@ -36,12 +36,12 @@
 //!   and replay everything ordered after it — the paper's "copying the
 //!   current state of an active service over to the joining head node".
 
-use crate::config::{JoshuaConfig, JoshuaCostModel};
+use crate::config::JoshuaConfig;
 use crate::payload::{self, JMutexOutcome, Payload, ReplicaState};
 use crate::persist::{HeadStore, Recovered};
 use crate::replica::{Applied, Replica};
 use jrs_gcs::simharness::GroupHost;
-use jrs_gcs::{EngineMsg, GcsEvent, GcsMsg, View, Wire};
+use jrs_gcs::{GcsEvent, View};
 use jrs_pbs::proc::{dispatch, ArbiterRelease, ArbiterRequest, ClientReply, ClientRequest};
 use jrs_pbs::server::{MomReport, PbsServerCore, ServerAction};
 use jrs_pbs::{FifoExclusive, JobState, MomInbound};
@@ -112,51 +112,6 @@ pub struct RecoveryReport {
     pub recovered_fingerprint: u64,
 }
 
-/// Sender-side CPU cost of one group frame, by class: protocol frames pay
-/// the full daemon processing cost, stability acknowledgements pay the
-/// (slower, timer-batched) ack-path cost, and background datagrams / bare
-/// link acks are nearly free. Calibration table in EXPERIMENTS.md; the
-/// host charges the frames of one output serially.
-fn charge(cost: &JoshuaCostModel, frame: &Wire<Payload>) -> SimDuration {
-    // Exhaustive over the wire protocol: a new frame kind must be
-    // assigned a CPU cost here, not silently inherit one (`clippy::wildcard_enum_match_arm`).
-    match frame {
-        Wire::Ack { .. } => cost.gcs_background_delay,
-        Wire::Raw(m) => match m {
-            GcsMsg::Heartbeat { .. } | GcsMsg::JoinReq { .. } => cost.gcs_background_delay,
-            GcsMsg::Leave
-            | GcsMsg::FlushReq { .. }
-            | GcsMsg::FlushInfo { .. }
-            | GcsMsg::FlushFinal { .. }
-            | GcsMsg::FlushAbort { .. }
-            | GcsMsg::InstallAck { .. }
-            | GcsMsg::Engine { .. } => cost.gcs_frame_delay,
-        },
-        Wire::Data { msg, .. } => match msg {
-            GcsMsg::Engine {
-                msg: EngineMsg::Ack { .. },
-                ..
-            } => cost.gcs_ack_delay,
-            GcsMsg::Engine {
-                msg:
-                    EngineMsg::Request { .. }
-                    | EngineMsg::Ordered(_)
-                    | EngineMsg::Stable { .. }
-                    | EngineMsg::Token { .. },
-                ..
-            } => cost.gcs_frame_delay,
-            GcsMsg::Heartbeat { .. }
-            | GcsMsg::JoinReq { .. }
-            | GcsMsg::Leave
-            | GcsMsg::FlushReq { .. }
-            | GcsMsg::FlushInfo { .. }
-            | GcsMsg::FlushFinal { .. }
-            | GcsMsg::FlushAbort { .. }
-            | GcsMsg::InstallAck { .. } => cost.gcs_frame_delay,
-        },
-    }
-}
-
 /// The JOSHUA daemon. See module docs.
 pub struct JoshuaServer {
     config: JoshuaConfig,
@@ -206,10 +161,7 @@ impl JoshuaServer {
     /// list (all initial heads configured identically); a process not in
     /// the list joins through them instead.
     pub(crate) fn new(me: ProcId, config: JoshuaConfig, initial_heads: Vec<ProcId>) -> Self {
-        let cost = config.cost;
-        let group = GroupHost::new(me, config.group.clone(), initial_heads.clone(), move |f| {
-            charge(&cost, f)
-        });
+        let group = GroupHost::new(me, config.group.clone(), initial_heads.clone());
         let replica = Replica::new(Self::fresh_pbs(&config));
         let store = config.persist.enabled.then(HeadStore::new);
         // With a durable store, even an initial member defers establishment
@@ -1110,108 +1062,5 @@ impl Process for JoshuaServer {
     /// nothing to do either.
     fn periodic_idle(&self, now: SimTime, tag: u64) -> bool {
         self.group.periodic_idle(now, tag)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use jrs_gcs::{Epoch, FlushDigest, OrderedMsg, ViewId};
-
-    /// The calibrated frame classes (EXPERIMENTS.md): which wire frames
-    /// are background, which ride the slow ack path, which pay the full
-    /// daemon cost. Distinct sentinel costs so a swapped class shows.
-    #[test]
-    fn charge_classes_are_pinned() {
-        let cost = JoshuaCostModel {
-            gcs_background_delay: SimDuration::from_millis(1),
-            gcs_ack_delay: SimDuration::from_millis(2),
-            gcs_frame_delay: SimDuration::from_millis(3),
-            ..JoshuaCostModel::default()
-        };
-        let (background, ack, frame) = (
-            cost.gcs_background_delay,
-            cost.gcs_ack_delay,
-            cost.gcs_frame_delay,
-        );
-        let view_id = ViewId::bootstrap(ProcId(0));
-        let epoch = Epoch {
-            view_id,
-            attempt: 1,
-            coord: ProcId(0),
-        };
-        let payload = Payload::JMutexRelease {
-            job: jrs_pbs::JobId(1),
-        };
-        let engine = |msg| GcsMsg::Engine { view_id, msg };
-        let data = |msg| Wire::Data { seq: 1, msg };
-        let heartbeat = || GcsMsg::Heartbeat {
-            view_id,
-            view_size: 3,
-            delivered_up_to: 0,
-        };
-        let digest = FlushDigest {
-            max_contig: 0,
-            extra: Vec::new(),
-            dedup: Vec::new(),
-        };
-        let ordered = OrderedMsg {
-            seq: 1,
-            origin: ProcId(0),
-            local_id: 1,
-            payload: payload.clone(),
-        };
-
-        // Nearly free: bare link acks and the unreliable datagrams.
-        assert_eq!(charge(&cost, &Wire::Ack { cum: 7 }), background);
-        assert_eq!(charge(&cost, &Wire::Raw(heartbeat())), background);
-        assert_eq!(
-            charge(&cost, &Wire::Raw(GcsMsg::JoinReq { incarnation: 2 })),
-            background
-        );
-
-        // The slow, timer-batched stability acknowledgement.
-        assert_eq!(
-            charge(&cost, &data(engine(EngineMsg::Ack { up_to: 1 }))),
-            ack
-        );
-
-        // Everything else pays the full daemon cost.
-        let full = [
-            data(engine(EngineMsg::Request {
-                local_id: 1,
-                payload,
-            })),
-            data(engine(EngineMsg::Ordered(ordered))),
-            data(engine(EngineMsg::Stable { up_to: 1 })),
-            data(engine(EngineMsg::Token { next_seq: 2 })),
-            data(GcsMsg::FlushReq {
-                epoch,
-                proposed: vec![ProcId(0)],
-                coord_known: 0,
-            }),
-            data(GcsMsg::FlushInfo { epoch, digest }),
-            data(GcsMsg::FlushFinal {
-                epoch,
-                view: View::new(view_id, vec![ProcId(0)]),
-                joined: Vec::new(),
-                msgs: Vec::new(),
-                next_seq: 1,
-                dedup: Vec::new(),
-            }),
-            data(GcsMsg::FlushAbort { epoch }),
-            data(GcsMsg::InstallAck { epoch }),
-            data(GcsMsg::Leave),
-            Wire::Raw(GcsMsg::Leave),
-            Wire::Raw(GcsMsg::FlushAbort { epoch }),
-            Wire::Raw(engine(EngineMsg::Ack { up_to: 1 })),
-            // Reliable-channel copies of the datagram kinds are protocol
-            // frames like any other.
-            data(heartbeat()),
-            data(GcsMsg::JoinReq { incarnation: 2 }),
-        ];
-        for f in &full {
-            assert_eq!(charge(&cost, f), frame, "{f:?}");
-        }
     }
 }

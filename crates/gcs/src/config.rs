@@ -29,6 +29,27 @@ pub enum MembershipPolicy {
     PrimaryComponent,
 }
 
+/// Sender-side CPU cost of one frame, by class; a host charges the frames
+/// of one output serially. The default charges nothing.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct FrameCost {
+    /// Ordering and flush traffic: the full daemon processing cost.
+    pub frame: SimDuration,
+    /// A stability acknowledgement on a link (the slower ack path).
+    pub ack: SimDuration,
+    /// Heartbeat and join datagrams, and bare link acks.
+    pub background: SimDuration,
+}
+
+impl FrameCost {
+    /// Transis on the paper's head nodes, calibrated on Fig 10 (EXPERIMENTS.md).
+    pub const TRANSIS: FrameCost = FrameCost {
+        frame: SimDuration::from_millis(9),
+        ack: SimDuration::from_millis(30),
+        background: SimDuration::from_micros(500),
+    };
+}
+
 /// Tunables for a [`crate::GroupMember`].
 #[derive(Clone, Debug)]
 pub struct GroupConfig {
@@ -58,6 +79,8 @@ pub struct GroupConfig {
     pub request_retry: SimDuration,
     /// Assumed wire size of one application payload, for the network model.
     pub payload_bytes: u32,
+    /// Sender-side CPU cost of each outgoing frame.
+    pub cost: FrameCost,
 }
 
 impl Default for GroupConfig {
@@ -73,6 +96,7 @@ impl Default for GroupConfig {
             token_idle_pass: SimDuration::from_millis(5),
             request_retry: SimDuration::from_millis(100),
             payload_bytes: 256,
+            cost: FrameCost::default(),
         }
     }
 }

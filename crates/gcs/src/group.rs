@@ -276,6 +276,11 @@ impl<P: Clone + 'static> GroupMember<P> {
         self.me
     }
 
+    /// The configuration this member was built with.
+    pub(crate) fn config(&self) -> &GroupConfig {
+        &self.config
+    }
+
     /// The currently installed view (empty placeholder while joining).
     pub fn view(&self) -> &View {
         &self.view
@@ -444,11 +449,9 @@ impl<P: Clone + 'static> GroupMember<P> {
     /// [`Self::tick`], writing into the caller's drained buffer.
     pub(crate) fn tick_into(&mut self, now: SimTime, out: &mut Output<P>) {
         debug_assert!(out.wire.is_empty() && out.events.is_empty());
-        let payload_bytes = self.config.payload_bytes;
-        self.links.tick_into(now, |to, frame| {
-            let bytes = frame.wire_size(payload_bytes);
-            out.wire.push((to, frame, bytes));
-        });
+        let config = &self.config;
+        self.links
+            .tick_into(now, |to, frame| Self::emit(config, to, frame, out));
         match &self.role {
             Role::Joining { .. } => {
                 if self.join_req_due(now) {
@@ -505,8 +508,7 @@ impl<P: Clone + 'static> GroupMember<P> {
         self.detector.heard(from, now);
         let inbound = self.links.on_wire(now, from, frame);
         if let Some(reply) = inbound.reply {
-            let bytes = reply.wire_size(self.config.payload_bytes);
-            out.wire.push((from, reply, bytes));
+            Self::emit(&self.config, from, reply, out);
         }
         for msg in inbound.first.into_iter().chain(inbound.rest) {
             self.handle_msg(now, from, msg, out);
@@ -517,16 +519,20 @@ impl<P: Clone + 'static> GroupMember<P> {
     // Internals: send helpers
     // ------------------------------------------------------------------
 
-    fn push_raw(&self, to: ProcId, msg: GcsMsg<P>, out: &mut Output<P>) {
-        let frame = Wire::Raw(msg);
-        let bytes = frame.wire_size(self.config.payload_bytes);
+    /// The one path from a frame into `out.wire`. Takes `config`, not
+    /// `&self`, so `tick_into` can call it while `self.links` is borrowed.
+    fn emit(config: &GroupConfig, to: ProcId, frame: Wire<P>, out: &mut Output<P>) {
+        let bytes = frame.wire_size(config.payload_bytes);
         out.wire.push((to, frame, bytes));
+    }
+
+    fn push_raw(&self, to: ProcId, msg: GcsMsg<P>, out: &mut Output<P>) {
+        Self::emit(&self.config, to, Wire::Raw(msg), out);
     }
 
     fn push_link(&mut self, now: SimTime, to: ProcId, msg: GcsMsg<P>, out: &mut Output<P>) {
         let frame = self.links.send(now, to, msg);
-        let bytes = frame.wire_size(self.config.payload_bytes);
-        out.wire.push((to, frame, bytes));
+        Self::emit(&self.config, to, frame, out);
     }
 
     /// Frame what the engine just wrote into `out`'s scratch and turn its

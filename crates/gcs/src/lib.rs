@@ -69,7 +69,7 @@ pub mod simharness;
 pub mod testkit;
 pub mod view;
 
-pub use config::{EngineKind, GroupConfig, MembershipPolicy};
+pub use config::{EngineKind, FrameCost, GroupConfig, MembershipPolicy};
 pub use group::{GcsEvent, GroupMember, GroupStats, Output};
 pub use msg::{EngineMsg, Epoch, FlushDigest, GcsMsg, OrderedMsg, Wire};
 pub use view::{View, ViewId};

@@ -1,7 +1,8 @@
 //! Wire messages exchanged between group members.
 
+use crate::config::FrameCost;
 use crate::view::{View, ViewId};
-use jrs_sim::ProcId;
+use jrs_sim::{ProcId, SimDuration};
 
 /// Flush-protocol epoch: identifies one view-change attempt. Orders first by
 /// the view being replaced, then by attempt counter, then by coordinator id
@@ -232,6 +233,44 @@ impl<P> Wire<P> {
             Wire::Ack { .. } => 40,
         }
     }
+
+    /// Sender-side CPU cost of this frame under `cost`, by class.
+    pub(crate) fn cost(&self, cost: &FrameCost) -> SimDuration {
+        // Exhaustive over the wire protocol: a new frame kind must be
+        // assigned a CPU cost here, not silently inherit one (`clippy::wildcard_enum_match_arm`).
+        match self {
+            Wire::Ack { .. } | Wire::Raw(GcsMsg::Heartbeat { .. } | GcsMsg::JoinReq { .. }) => {
+                cost.background
+            }
+            Wire::Data {
+                msg:
+                    GcsMsg::Engine {
+                        msg: EngineMsg::Ack { .. },
+                        ..
+                    },
+                ..
+            } => cost.ack,
+            Wire::Raw(msg) | Wire::Data { msg, .. } => match msg {
+                GcsMsg::Heartbeat { .. }
+                | GcsMsg::JoinReq { .. }
+                | GcsMsg::Leave
+                | GcsMsg::FlushReq { .. }
+                | GcsMsg::FlushInfo { .. }
+                | GcsMsg::FlushFinal { .. }
+                | GcsMsg::FlushAbort { .. }
+                | GcsMsg::InstallAck { .. }
+                | GcsMsg::Engine {
+                    msg:
+                        EngineMsg::Request { .. }
+                        | EngineMsg::Ordered(_)
+                        | EngineMsg::Ack { .. }
+                        | EngineMsg::Stable { .. }
+                        | EngineMsg::Token { .. },
+                    ..
+                } => cost.frame,
+            },
+        }
+    }
 }
 
 #[cfg(test)]
@@ -322,5 +361,94 @@ mod tests {
             dedup: vec![],
         };
         assert!(mk(10).wire_size(100) > mk(1).wire_size(100));
+    }
+
+    /// The calibrated frame classes (EXPERIMENTS.md): which wire frames
+    /// are background, which ride the slow ack path, which pay the full
+    /// daemon cost. Distinct sentinel costs so a swapped class shows.
+    #[test]
+    fn charge_classes_are_pinned() {
+        let cost = FrameCost {
+            background: SimDuration::from_millis(1),
+            ack: SimDuration::from_millis(2),
+            frame: SimDuration::from_millis(3),
+        };
+        let view_id = ViewId::bootstrap(ProcId(0));
+        let epoch = Epoch {
+            view_id,
+            attempt: 1,
+            coord: ProcId(0),
+        };
+        let payload = 7u32;
+        let engine = |msg| GcsMsg::Engine { view_id, msg };
+        let data = |msg| Wire::Data { seq: 1, msg };
+        let heartbeat = || GcsMsg::Heartbeat {
+            view_id,
+            view_size: 3,
+            delivered_up_to: 0,
+        };
+        let digest = FlushDigest {
+            max_contig: 0,
+            extra: Vec::new(),
+            dedup: Vec::new(),
+        };
+        let ordered = OrderedMsg {
+            seq: 1,
+            origin: ProcId(0),
+            local_id: 1,
+            payload,
+        };
+
+        // Nearly free: bare link acks and the unreliable datagrams.
+        assert_eq!(Wire::<u32>::Ack { cum: 7 }.cost(&cost), cost.background);
+        assert_eq!(Wire::Raw(heartbeat()).cost(&cost), cost.background);
+        assert_eq!(
+            Wire::<u32>::Raw(GcsMsg::JoinReq { incarnation: 2 }).cost(&cost),
+            cost.background
+        );
+
+        // The slow, timer-batched stability acknowledgement.
+        assert_eq!(
+            data(engine(EngineMsg::Ack { up_to: 1 })).cost(&cost),
+            cost.ack
+        );
+
+        // Everything else pays the full daemon cost.
+        let full = [
+            data(engine(EngineMsg::Request {
+                local_id: 1,
+                payload,
+            })),
+            data(engine(EngineMsg::Ordered(ordered))),
+            data(engine(EngineMsg::Stable { up_to: 1 })),
+            data(engine(EngineMsg::Token { next_seq: 2 })),
+            data(GcsMsg::FlushReq {
+                epoch,
+                proposed: vec![ProcId(0)],
+                coord_known: 0,
+            }),
+            data(GcsMsg::FlushInfo { epoch, digest }),
+            data(GcsMsg::FlushFinal {
+                epoch,
+                view: View::new(view_id, vec![ProcId(0)]),
+                joined: Vec::new(),
+                msgs: Vec::new(),
+                next_seq: 1,
+                dedup: Vec::new(),
+            }),
+            data(GcsMsg::FlushAbort { epoch }),
+            data(GcsMsg::InstallAck { epoch }),
+            data(GcsMsg::Leave),
+            Wire::Raw(GcsMsg::Leave),
+            Wire::Raw(GcsMsg::FlushAbort { epoch }),
+            Wire::Raw(engine(EngineMsg::Ack { up_to: 1 })),
+            // Reliable-channel copies of the datagram kinds are protocol
+            // frames like any other.
+            data(heartbeat()),
+            data(GcsMsg::JoinReq { incarnation: 2 }),
+        ];
+        for f in &full {
+            assert_eq!(f.cost(&cost), cost.frame, "{f:?}");
+        }
     }
 }

@@ -1,24 +1,25 @@
 //! The one embedding of a [`GroupMember`] into a `jrs-sim` process.
 //!
-//! [`GroupHost`] owns the member, its tick timer, the embedder's CPU
-//! charge policy and the one [`Output`] the member ever writes into; every
-//! path that puts that output on the simulated wire goes through its
-//! private `transmit`. An embedder calls the host from its `Process`
-//! callbacks and gets back only the ordered upcalls ([`GcsEvent`]), in a
-//! `Vec` it drains and hands back ([`GroupHost::recycle`]): how a frame is
-//! charged, sent and how the tick is re-armed is not its business.
+//! [`GroupHost`] owns the member, its tick timer and the one [`Output`]
+//! the member ever writes into; every path that puts that output on the
+//! simulated wire goes through its private `transmit`, which charges each
+//! frame its class's cost in the member's `GroupConfig::cost`. An embedder
+//! calls the host from its `Process` callbacks and gets back only the
+//! ordered upcalls ([`GcsEvent`]), in a `Vec` it drains and hands back
+//! ([`GroupHost::recycle`]): how a frame is charged, sent and how the tick
+//! is re-armed is not its business.
 //!
 //! The tick is a periodic timer (`Ctx::set_periodic`). Most ticks find
 //! nothing to do, and an embedder that answers `Process::periodic_idle`
 //! with [`GroupHost::periodic_idle`] lets the kernel skip those without
 //! moving any other event.
 //!
-//! Two embedders exist. [`GcsProcess`] (below) charges nothing and
-//! publishes the upcalls through `Ctx::emit`: the vehicle for running the
-//! group communication system alone over the realistic network model —
-//! latency jitter, shared-hub contention, message loss, partitions and
-//! node crashes. `joshua_core::JoshuaServer` supplies its calibrated cost
-//! table as the charge and attaches the application logic.
+//! Two embedders exist. [`GcsProcess`] (below) publishes the upcalls
+//! through `Ctx::emit`: the vehicle for running the group communication
+//! system alone over the realistic network model — latency jitter,
+//! shared-hub contention, message loss, partitions and node crashes.
+//! `joshua_core::JoshuaServer` attaches the application logic; its cluster
+//! configures the calibrated `FrameCost::TRANSIS` (the default is zero).
 
 use crate::config::GroupConfig;
 use crate::group::{GcsEvent, GroupMember, Output};
@@ -29,35 +30,21 @@ use jrs_sim::{Ctx, Msg, ProcId, Process, SimDuration, SimTime, TimerId, EXTERNAL
 /// timers on the same process must not use it.
 pub const TICK_TAG: u64 = 0;
 
-/// The embedder's policy: sender-side CPU cost of one frame.
-type Charge<P> = Box<dyn Fn(&Wire<P>) -> SimDuration>;
-
-/// A [`GroupMember`] wired to a sim process: member, tick timer and the
-/// per-frame CPU charge. See module docs.
+/// A [`GroupMember`] wired to a sim process: member, tick timer and
+/// output buffer. See module docs.
 pub struct GroupHost<P> {
     member: GroupMember<P>,
-    tick_every: SimDuration,
-    charge: Charge<P>,
     /// The member's output buffer: drained by `transmit` after every call,
     /// its capacity kept for the next one.
     out: Output<P>,
 }
 
 impl<P: Clone + 'static> GroupHost<P> {
-    /// Wrap a configured member. `charge` is the sender-side CPU cost of
-    /// one frame; the frames of one [`Output`] are charged serially.
-    pub fn new(
-        me: ProcId,
-        config: GroupConfig,
-        initial: Vec<ProcId>,
-        charge: impl Fn(&Wire<P>) -> SimDuration + 'static,
-    ) -> Self {
-        let tick_every = config.tick_every;
-        let member = GroupMember::new(me, config, initial);
+    /// Wrap a configured member. The frames of one [`Output`] are charged
+    /// serially, each at `config.cost`.
+    pub fn new(me: ProcId, config: GroupConfig, initial: Vec<ProcId>) -> Self {
         GroupHost {
-            member,
-            tick_every,
-            charge: Box::new(charge),
+            member: GroupMember::new(me, config, initial),
             out: Output::default(),
         }
     }
@@ -73,16 +60,11 @@ impl<P: Clone + 'static> GroupHost<P> {
         &mut self.member
     }
 
-    /// The tick interval this host re-arms.
-    pub(crate) fn tick_interval(&self) -> SimDuration {
-        self.tick_every
-    }
-
     /// Start the member and arm the first tick; call from `on_start`.
     pub fn start(&mut self, ctx: &mut Ctx<'_>) -> Vec<GcsEvent<P>> {
         self.member.start_into(ctx.now(), &mut self.out);
         let events = self.transmit(ctx);
-        ctx.set_periodic(self.tick_every, TICK_TAG);
+        ctx.set_periodic(self.member.config().tick_every, TICK_TAG);
         events
     }
 
@@ -115,7 +97,7 @@ impl<P: Clone + 'static> GroupHost<P> {
         }
         self.member.tick_into(ctx.now(), &mut self.out);
         let events = self.transmit(ctx);
-        ctx.set_periodic(self.tick_every, TICK_TAG);
+        ctx.set_periodic(self.member.config().tick_every, TICK_TAG);
         Some(events)
     }
 
@@ -133,12 +115,13 @@ impl<P: Clone + 'static> GroupHost<P> {
     }
 
     /// Put the buffered output on the wire. The CPU is serial: each frame
-    /// leaves after its own charge *and* that of every frame queued before
+    /// leaves after its own cost *and* that of every frame queued before
     /// it. The upcalls leave with the caller, who hands the `Vec` back.
     fn transmit(&mut self, ctx: &mut Ctx<'_>) -> Vec<GcsEvent<P>> {
+        let cost = self.member.config().cost;
         let mut busy = SimDuration::ZERO;
         for (to, frame, bytes) in self.out.wire.drain(..) {
-            busy += (self.charge)(&frame);
+            busy += frame.cost(&cost);
             ctx.send_sized_after(to, frame, bytes, busy);
         }
         std::mem::take(&mut self.out.events)
@@ -164,8 +147,7 @@ pub enum GcsCommand<P> {
     Leave,
 }
 
-/// A simulation process that is nothing but a [`GroupHost`] with a zero
-/// charge.
+/// A simulation process that is nothing but a [`GroupHost`].
 ///
 /// Delivered messages, view changes and ejections are published through
 /// `Ctx::emit` as [`GcsEvent`] values; drain them with
@@ -178,7 +160,7 @@ impl<P: Clone + 'static> GcsProcess<P> {
     /// Wrap a configured member.
     pub fn new(me: ProcId, config: GroupConfig, initial: Vec<ProcId>) -> Self {
         GcsProcess {
-            host: GroupHost::new(me, config, initial, |_| SimDuration::ZERO),
+            host: GroupHost::new(me, config, initial),
         }
     }
 
@@ -189,7 +171,7 @@ impl<P: Clone + 'static> GcsProcess<P> {
 
     /// The tick interval used by this embedding.
     pub fn tick_interval(&self) -> SimDuration {
-        self.host.tick_interval()
+        self.host.member().config().tick_every
     }
 
     fn emit_all(&mut self, ctx: &mut Ctx<'_>, mut events: Vec<GcsEvent<P>>) {

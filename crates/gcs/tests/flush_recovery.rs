@@ -20,7 +20,7 @@
 //! the silence was transient) and all members deliver.
 
 use jrs_gcs::testkit::Pump;
-use jrs_gcs::{EngineKind, GroupConfig, MembershipPolicy};
+use jrs_gcs::{EngineKind, FrameCost, GroupConfig, MembershipPolicy};
 use jrs_sim::{ProcId, SimDuration};
 
 fn cfg() -> GroupConfig {
@@ -35,6 +35,7 @@ fn cfg() -> GroupConfig {
         token_idle_pass: SimDuration::from_millis(10),
         request_retry: SimDuration::from_millis(30),
         payload_bytes: 128,
+        cost: FrameCost::default(),
     }
 }
 

@@ -1,9 +1,10 @@
-//! What [`GroupHost`] owns, written down once: the charge policy moves
-//! *when* frames leave, never *what* the group delivers, and the frames
-//! of one `Output` are charged serially (each leaves one charge after
-//! the previous one — the serial-CPU rule the cost calibration rests on).
+//! What [`GroupHost`] owns, written down once: the frame cost in
+//! `GroupConfig::cost` moves *when* frames leave, never *what* the group
+//! delivers, and the frames of one `Output` are charged serially (each
+//! leaves one charge after the previous one — the serial-CPU rule the
+//! cost calibration rests on).
 
-use jrs_gcs::config::GroupConfig;
+use jrs_gcs::config::{FrameCost, GroupConfig};
 use jrs_gcs::simharness::GroupHost;
 use jrs_gcs::GcsEvent;
 use jrs_sim::{
@@ -65,7 +66,16 @@ fn run(charge: SimDuration) -> (Delivered, Vec<SimTime>) {
     let ids: Vec<ProcId> = (0..3).map(ProcId).collect();
     for id in &ids {
         let node = world.add_node(format!("head-{id}"));
-        let host = GroupHost::new(*id, GroupConfig::default(), ids.clone(), move |_| charge);
+        let cost = FrameCost {
+            frame: charge,
+            ack: charge,
+            background: charge,
+        };
+        let config = GroupConfig {
+            cost,
+            ..GroupConfig::default()
+        };
+        let host = GroupHost::new(*id, config, ids.clone());
         assert_eq!(
             world.add_process(
                 node,

@@ -123,6 +123,7 @@ fn group_config(engine: EngineKind) -> GroupConfig {
         token_idle_pass: SimDuration::from_millis(10),
         request_retry: SimDuration::from_millis(30),
         payload_bytes: 128,
+        cost: jrs_gcs::FrameCost::default(),
     }
 }
 
