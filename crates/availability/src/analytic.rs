@@ -1,13 +1,15 @@
 //! The paper's availability analysis (Section 5, Equations 1–3 and
-//! Figure 12).
+//! Figure 12), solved exactly as a Markov chain over head states.
 //!
 //! * Eq. 1: `A_node = MTTF / (MTTF + MTTR)`
 //! * Eq. 2: `A_service = 1 − (1 − A_node)^n` (parallel redundancy — valid
 //!   for JOSHUA because failover is instantaneous: no additional
 //!   system-wide MTTR is introduced)
 //! * Eq. 3: `t_down = 8760 h · (1 − A_service)`
-
-use std::fmt;
+//!
+//! [`unavailability`] gives Eq. 2 exactly when there are no rack outages,
+//! and with them the correlated-failure floor the paper names as the
+//! caveat to Eq. 2.
 
 /// Hours in a (non-leap) year, as used by Eq. 3.
 pub const HOURS_PER_YEAR: f64 = 8760.0;
@@ -29,17 +31,89 @@ impl NodeReliability {
             mttr_hours: 72.0,
         }
     }
+}
 
-    /// Eq. 1 — steady-state availability of a single node.
-    pub(crate) fn availability(&self) -> f64 {
-        self.mttf_hours / (self.mttf_hours + self.mttr_hours)
+/// A correlated outage (rack or machine room) that takes every head down
+/// at once, in hours.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct RackFailure {
+    /// Mean time between rack outages.
+    pub mttf_hours: f64,
+    /// Mean time to restore one head after a rack outage.
+    pub mttr_hours: f64,
+}
+
+impl RackFailure {
+    /// Experiment E3's correlated case: an outage every 50 000 h, 24 h to
+    /// restore each head.
+    pub fn e3() -> Self {
+        RackFailure {
+            mttf_hours: 50_000.0,
+            mttr_hours: 24.0,
+        }
     }
 }
 
-/// Eq. 2 — availability of `n` redundant nodes in parallel (service up
-/// while at least one is up).
-pub fn parallel_availability(node: NodeReliability, n: u32) -> f64 {
-    1.0 - (1.0 - node.availability()).powi(n as i32)
+/// Steady-state probability that none of `n` heads is up.
+///
+/// The chain's state is (heads down from an ordinary failure, heads down
+/// from a rack outage); the rest are up. An up head fails at 1/MTTF, an
+/// ordinarily-down head is repaired at 1/MTTR, a rack-down head at
+/// 1/rack MTTR, and a rack outage (1/rack MTTF) moves every head to
+/// rack-down. Without rack outages this is the `n + 1`-state birth-death
+/// chain whose answer is `(1 − A_node)^n`, Eq. 2.
+pub fn unavailability(node: NodeReliability, n: u32, rack: Option<RackFailure>) -> f64 {
+    // The states reachable from all-up, which is index 0.
+    let max_rack_down = if rack.is_some() { n } else { 0 };
+    let states: Vec<(u32, u32)> = (0..=max_rack_down)
+        .flat_map(|r| (0..=n - r).map(move |d| (d, r)))
+        .collect();
+    let m = states.len();
+    let mut rate = vec![vec![0.0; m]; m];
+    for (i, &(d, r)) in states.iter().enumerate() {
+        let up = n - d - r;
+        let moves = [
+            (up > 0).then(|| ((d + 1, r), f64::from(up) / node.mttf_hours)),
+            (d > 0).then(|| ((d - 1, r), f64::from(d) / node.mttr_hours)),
+            rack.filter(|_| r > 0)
+                .map(|k| ((d, r - 1), f64::from(r) / k.mttr_hours)),
+            rack.filter(|_| r < n).map(|k| ((0, n), 1.0 / k.mttf_hours)),
+        ];
+        for (to, x) in moves.into_iter().flatten() {
+            if let Some(j) = states.iter().position(|&s| s == to) {
+                rate[i][j] += x;
+            }
+        }
+    }
+    // Gaussian elimination without subtraction (Grassmann–Taksar–Heyman):
+    // fold the last state's flows into the others. Nothing cancels, so a
+    // probability as small as the 4-head Eq. 2 row (4e-8) keeps its
+    // relative accuracy.
+    for k in (1..m).rev() {
+        let (rows, last) = rate.split_at_mut(k);
+        let last = &last[0][..k];
+        let out: f64 = last.iter().sum();
+        for row in rows {
+            let via = row[k] / out;
+            for (x, y) in row.iter_mut().zip(last) {
+                *x += via * y;
+            }
+        }
+    }
+    // Back-substitute each state's balance in the chain it was folded
+    // from; no later fold touches its row or column.
+    let mut pi = vec![1.0; m];
+    for k in 1..m {
+        let inflow: f64 = (0..k).map(|i| pi[i] * rate[i][k]).sum();
+        pi[k] = inflow / rate[k][..k].iter().sum::<f64>();
+    }
+    let down: f64 = states
+        .iter()
+        .zip(&pi)
+        .filter(|((d, r), _)| d + r == n)
+        .map(|(_, p)| p)
+        .sum();
+    down / pi.iter().sum::<f64>()
 }
 
 /// Eq. 3 — expected downtime per year (hours) for a service availability.
@@ -89,7 +163,7 @@ pub fn format_downtime(hours: f64) -> String {
 pub struct AvailabilityRow {
     /// Head-node count.
     pub nodes: u32,
-    /// Service availability (Eq. 2).
+    /// Service availability.
     pub availability: f64,
     /// Nines.
     pub nines: u32,
@@ -97,24 +171,28 @@ pub struct AvailabilityRow {
     pub downtime_hours: f64,
 }
 
-impl fmt::Display for AvailabilityRow {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} node(s): A={:.8} ({} nines), downtime/year = {}",
-            self.nodes,
-            self.availability,
-            self.nines,
-            format_downtime(self.downtime_hours)
-        )
+impl AvailabilityRow {
+    /// The row as printed: heads, availability in percent to `digits`
+    /// places, nines, downtime per year.
+    pub fn cells(&self, digits: usize) -> Vec<String> {
+        vec![
+            self.nodes.to_string(),
+            format!("{:.digits$}%", self.availability * 100.0),
+            self.nines.to_string(),
+            format_downtime(self.downtime_hours),
+        ]
     }
 }
 
 /// Compute the Figure 12 table for 1..=max_nodes head nodes.
-pub fn figure12(node: NodeReliability, max_nodes: u32) -> Vec<AvailabilityRow> {
+pub fn figure12(
+    node: NodeReliability,
+    max_nodes: u32,
+    rack: Option<RackFailure>,
+) -> Vec<AvailabilityRow> {
     (1..=max_nodes)
         .map(|n| {
-            let a = parallel_availability(node, n);
+            let a = 1.0 - unavailability(node, n, rack);
             AvailabilityRow {
                 nodes: n,
                 availability: a,
@@ -125,36 +203,26 @@ pub fn figure12(node: NodeReliability, max_nodes: u32) -> Vec<AvailabilityRow> {
         .collect()
 }
 
-/// Availability of an **active/standby** system with failover time
-/// `failover_hours`: each node failure of the primary adds a failover
-/// interruption even though a standby exists. Approximation:
-/// unavailability ≈ P(both down) + failure_rate_of_primary × failover.
-/// Used by the HA-model comparison (E6), not by the paper's Figure 12.
-pub fn active_standby_availability(node: NodeReliability, failover_hours: f64) -> f64 {
-    let both_down = (1.0 - node.availability()).powi(2);
-    // Primary fails once per MTTF+MTTR cycle; each costs a failover.
-    let failover_frac = failover_hours / (node.mttf_hours + node.mttr_hours);
-    (1.0 - both_down - failover_frac).clamp(0.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn paper_node() -> NodeReliability {
         NodeReliability::paper()
     }
 
-    #[test]
-    fn eq1_single_node_availability() {
-        // 5000/5072 = 0.98580... → "98.6%" in the paper.
-        let a = paper_node().availability();
-        assert!((a - 0.985804).abs() < 1e-5, "{a}");
+    /// Eq. 2's `(1 − A_node)^n`, with `1 − A_node` written as
+    /// `MTTR / (MTTF + MTTR)` so no digits cancel.
+    fn eq2_unavailability(node: NodeReliability, n: u32) -> f64 {
+        (node.mttr_hours / (node.mttf_hours + node.mttr_hours)).powi(n as i32)
     }
 
     #[test]
     fn figure12_matches_paper_rows() {
-        let rows = figure12(paper_node(), 4);
+        let rows = figure12(paper_node(), 4, None);
+        // Eq. 1: 5000/5072 = 0.98580... → "98.6%" in the paper.
+        assert!((rows[0].availability - 5000.0 / 5072.0).abs() < 1e-12);
         // Paper: 98.6% / 99.98% / 99.9997% / 99.999996%
         assert!((rows[0].availability - 0.9858).abs() < 1e-3);
         assert!((rows[1].availability - 0.9998).abs() < 1e-4);
@@ -167,7 +235,7 @@ mod tests {
 
     #[test]
     fn figure12_downtimes_match_paper() {
-        let rows = figure12(paper_node(), 4);
+        let rows = figure12(paper_node(), 4, None);
         // Paper: 5d 4h 21min; 1h 45min; 1min 30s; 1s.
         let d0 = rows[0].downtime_hours;
         assert!((d0 - 124.36).abs() < 0.5, "{d0}"); // ≈ 5d 4.4h
@@ -198,24 +266,63 @@ mod tests {
     }
 
     #[test]
-    fn parallel_availability_monotone_in_n() {
-        let node = paper_node();
-        let mut last = 0.0;
-        for n in 1..=6 {
-            let a = parallel_availability(node, n);
-            assert!(a > last);
-            last = a;
-        }
-        assert!(last < 1.0);
+    fn one_head_with_rack_outages_is_the_three_state_closed_form() {
+        // States up / down / rack-down with failure λ, repair μ, rack
+        // outage γ and rack repair ρ: π_rack = γ / (γ + ρ) and
+        // π_up = ρ (μ + γ) / ((γ + ρ)(λ + μ + γ)).
+        let (node, rack) = (paper_node(), RackFailure::e3());
+        let (l, mu) = (1.0 / node.mttf_hours, 1.0 / node.mttr_hours);
+        let (g, rho) = (1.0 / rack.mttf_hours, 1.0 / rack.mttr_hours);
+        let up = rho * (mu + g) / ((g + rho) * (l + mu + g));
+        let chain = unavailability(node, 1, Some(rack));
+        assert!(
+            (chain - (1.0 - up)).abs() <= 1e-15,
+            "{chain} vs {}",
+            1.0 - up
+        );
     }
 
     #[test]
-    fn active_standby_worse_than_symmetric_two_nodes() {
-        let node = paper_node();
-        let sym = parallel_availability(node, 2);
-        let asb = active_standby_availability(node, 0.001); // 3.6 s failover
-        assert!(asb < sym, "failover interruptions must cost availability");
-        // But still far better than a single node.
-        assert!(asb > node.availability());
+    fn correlated_rows_are_pinned() {
+        // Agrees with an exact rational solve of the same chain.
+        let printed: Vec<Vec<String>> = figure12(paper_node(), 4, Some(RackFailure::e3()))
+            .iter()
+            .map(|row| row.cells(6))
+            .collect();
+        let expected = [
+            ["1", "98.535157%", "1", "5d 8h 19min"],
+            ["2", "99.955736%", "3", "3h 52min"],
+            ["3", "99.983667%", "3", "1h 25min"],
+            ["4", "99.987974%", "3", "1h 3min"],
+        ];
+        assert_eq!(printed, expected.map(|row| row.map(String::from)));
+    }
+
+    proptest! {
+        #[test]
+        fn chain_is_eq2_and_monotone(
+            mttf in 10.0f64..1.0e6,
+            mttr in 0.1f64..1.0e3,
+            rack_mttf in 100.0f64..1.0e7,
+            rack_mttr in 0.1f64..1.0e3,
+        ) {
+            let node = NodeReliability { mttf_hours: mttf, mttr_hours: mttr };
+            let rack = Some(RackFailure { mttf_hours: rack_mttf, mttr_hours: rack_mttr });
+            let mut last = (1.0, 1.0);
+            for n in 1..=6 {
+                let (free, with_rack) = (unavailability(node, n, None), unavailability(node, n, rack));
+                let eq2 = eq2_unavailability(node, n);
+                prop_assert!((free - eq2).abs() <= 1e-12 * eq2, "n={} chain {} vs Eq. 2 {}", n, free, eq2);
+                prop_assert!(free <= last.0 * (1.0 + 1e-12), "n={} downtime rose: {} > {}", n, free, last.0);
+                prop_assert!(with_rack <= last.1 * (1.0 + 1e-12), "n={} downtime rose: {} > {}", n, with_rack, last.1);
+                // A rack outage also moves an ordinarily-down head to
+                // rack-down, which speeds its repair when rack MTTR < MTTR;
+                // only a slower rack repair is sure to cost downtime.
+                if rack_mttr >= mttr {
+                    prop_assert!(with_rack >= free * (1.0 - 1e-12), "n={} rack {} < free {}", n, with_rack, free);
+                }
+                last = (free, with_rack);
+            }
+        }
     }
 }
