@@ -3,14 +3,17 @@
 //! architectures the paper discusses (Figures 1–4), and provides the
 //! fault-injection and inspection hooks the experiments use.
 
-use crate::config::{JoshuaConfig, JoshuaCostModel, PersistConfig};
-use crate::ha::{ActiveStandbyConfig, ActiveStandbyHead};
+use crate::config::{JoshuaConfig, PersistConfig};
+use crate::ha::ActiveStandbyHead;
 use crate::server::JoshuaServer;
 use jrs_gcs::{FrameCost, GroupConfig};
 use jrs_pbs::proc::{PbsClientProcess, PbsHeadProcess, PbsMomProcess};
 use jrs_pbs::server::PbsServerCore;
-use jrs_pbs::{ClientDone, FifoExclusive, PbsMomCore, ServerCmd, SubmitRecord};
-use jrs_sim::{NetworkConfig, NodeId, ProcId, SimDuration, SimTime, World};
+use jrs_pbs::{ClientDone, PbsMomCore, ServerCmd, SubmitRecord};
+use jrs_sim::{NodeId, ProcId, SimDuration, SimTime, World};
+
+/// Compute nodes of every cluster, as on the paper's testbed.
+const COMPUTE_NODES: usize = 2;
 
 /// Which high-availability architecture to build.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -59,18 +62,13 @@ impl HaMode {
 pub struct ClusterConfig {
     /// HA architecture.
     pub mode: HaMode,
-    /// Number of compute nodes (the paper used 2).
-    pub compute_nodes: usize,
     /// Simulation seed.
     pub seed: u64,
-    /// Network model (default: Fast-Ethernet hub, like the testbed).
-    pub net: NetworkConfig,
-    /// Head-node cost model.
-    pub cost: JoshuaCostModel,
     /// Group communication tunables and frame cost (JOSHUA mode).
     pub group: GroupConfig,
-    /// Active/standby tunables.
-    pub standby: ActiveStandbyConfig,
+    /// How often an active/standby primary checkpoints its state to the
+    /// standby.
+    pub checkpoint_every: SimDuration,
     /// Durability of head-node state (JOSHUA mode): WAL + snapshots on
     /// each head's local simulated disk. Off by default (the paper's
     /// diskless configuration).
@@ -86,15 +84,12 @@ impl ClusterConfig {
     pub fn new(mode: HaMode) -> Self {
         ClusterConfig {
             mode,
-            compute_nodes: 2,
             seed: 42,
-            net: NetworkConfig::default(),
-            cost: JoshuaCostModel::default(),
             group: GroupConfig {
                 cost: FrameCost::TRANSIS,
                 ..GroupConfig::default()
             },
-            standby: ActiveStandbyConfig::default(),
+            checkpoint_every: SimDuration::from_secs(10),
             persist: PersistConfig::default(),
             mom_obituary_bug: false,
             client_timeout: SimDuration::from_millis(1500),
@@ -134,27 +129,17 @@ fn joshua_config(cfg: &ClusterConfig, moms: &[ProcId]) -> JoshuaConfig {
     JoshuaConfig {
         nodes: node_table(moms),
         group: cfg.group.clone(),
-        cost: cfg.cost,
         persist: cfg.persist,
     }
-}
-
-/// An unreplicated PBS server owning `nodes`, their moms registered.
-fn pbs_core(nodes: &[(String, ProcId)]) -> PbsServerCore {
-    let mut core = PbsServerCore::new("", nodes.iter().map(|(n, _)| n.clone()), FifoExclusive);
-    for (n, m) in nodes {
-        core.register_mom(n, *m);
-    }
-    core
 }
 
 impl Cluster {
     /// Build the cluster (no clients yet).
     pub fn build(cfg: ClusterConfig) -> Cluster {
-        let mut world = World::with_network(cfg.seed, cfg.net.clone());
+        let mut world = World::new(cfg.seed);
         let h = cfg.mode.head_count();
-        let c = cfg.compute_nodes;
-        assert!(h >= 1 && c >= 1);
+        let c = COMPUTE_NODES;
+        assert!(h >= 1);
 
         // Topology: head nodes first, compute nodes, then a login node.
         let head_nodes: Vec<NodeId> = (0..h)
@@ -173,18 +158,22 @@ impl Cluster {
         let mut heads = Vec::new();
         match cfg.mode {
             HaMode::SingleHead => {
-                let core = pbs_core(&all_nodes);
-                let p = world.add_process(head_nodes[0], PbsHeadProcess::new(core, cfg.cost.pbs));
+                let core = PbsServerCore::with_moms(&all_nodes);
+                let p = world.add_process(head_nodes[0], PbsHeadProcess::new(core));
                 heads.push(p);
             }
             HaMode::ActiveStandby => {
                 for i in 0..2 {
-                    let core = pbs_core(&all_nodes);
+                    let core = PbsServerCore::with_moms(&all_nodes);
                     let peer = head_ids[1 - i];
-                    let p = world.add_process(
-                        head_nodes[i],
-                        ActiveStandbyHead::new(core, cfg.standby, peer, i == 0, mom_ids.clone()),
+                    let head = ActiveStandbyHead::new(
+                        core,
+                        cfg.checkpoint_every,
+                        peer,
+                        i == 0,
+                        mom_ids.clone(),
                     );
+                    let p = world.add_process(head_nodes[i], head);
                     heads.push(p);
                 }
             }
@@ -198,9 +187,8 @@ impl Cluster {
                         .filter(|(j, _)| j % n == i)
                         .map(|(_, nm)| nm.clone())
                         .collect();
-                    let core = pbs_core(&my_nodes);
-                    let p =
-                        world.add_process(head_nodes[i], PbsHeadProcess::new(core, cfg.cost.pbs));
+                    let core = PbsServerCore::with_moms(&my_nodes);
+                    let p = world.add_process(head_nodes[i], PbsHeadProcess::new(core));
                     heads.push(p);
                 }
             }

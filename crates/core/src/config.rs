@@ -37,13 +37,13 @@ pub struct JoshuaCostModel {
     pub intercept_overhead: SimDuration,
 }
 
-impl Default for JoshuaCostModel {
-    fn default() -> Self {
-        JoshuaCostModel {
-            pbs: PbsCostModel::default(),
-            intercept_overhead: SimDuration::from_millis(18),
-        }
-    }
+impl JoshuaCostModel {
+    /// [`PbsCostModel::TORQUE`] plus the 18 ms interception round,
+    /// calibrated on Fig 10 (EXPERIMENTS.md).
+    pub const PAPER: JoshuaCostModel = JoshuaCostModel {
+        pbs: PbsCostModel::TORQUE,
+        intercept_overhead: SimDuration::from_millis(18),
+    };
 }
 
 /// Durability tunables: write-ahead logging of applied commands plus
@@ -86,8 +86,6 @@ pub struct JoshuaConfig {
     pub nodes: Vec<(String, ProcId)>,
     /// Group communication tunables.
     pub group: GroupConfig,
-    /// Cost model.
-    pub cost: JoshuaCostModel,
     /// Durability (WAL + snapshots on the head's local disk).
     pub persist: PersistConfig,
 }

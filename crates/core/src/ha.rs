@@ -17,33 +17,13 @@ use jrs_pbs::server::{MomReport, PbsServerCore, ServerSnapshot};
 use jrs_pbs::MomInbound;
 use jrs_sim::{Ctx, Msg, ProcId, Process, SimDuration, SimTime, TimerId};
 
-/// Active/standby tunables.
-#[derive(Clone, Copy, Debug)]
-pub struct ActiveStandbyConfig {
-    /// How often the primary checkpoints its state to the standby.
-    pub checkpoint_every: SimDuration,
-    /// Primary heartbeat period.
-    pub heartbeat_every: SimDuration,
-    /// Standby declares the primary dead after this silence.
-    pub fail_after: SimDuration,
-    /// Warm-standby service restart time after detection (the paper cites
-    /// 3–5 s failovers for HA-OSCAR/SLURM).
-    pub takeover_delay: SimDuration,
-    /// PBS server cost model.
-    pub cost: PbsCostModel,
-}
-
-impl Default for ActiveStandbyConfig {
-    fn default() -> Self {
-        ActiveStandbyConfig {
-            checkpoint_every: SimDuration::from_secs(10),
-            heartbeat_every: SimDuration::from_millis(500),
-            fail_after: SimDuration::from_secs(2),
-            takeover_delay: SimDuration::from_secs(2),
-            cost: PbsCostModel::default(),
-        }
-    }
-}
+/// Primary heartbeat period.
+const HEARTBEAT_EVERY: SimDuration = SimDuration::from_millis(500);
+/// The standby declares the primary dead after this silence.
+const FAIL_AFTER: SimDuration = SimDuration::from_secs(2);
+/// Warm-standby service restart time after detection (the paper cites
+/// 3–5 s failovers for HA-OSCAR/SLURM).
+const TAKEOVER_DELAY: SimDuration = SimDuration::from_secs(2);
 
 /// Heartbeat from primary to standby.
 #[derive(Clone, Copy, Debug)]
@@ -66,7 +46,8 @@ enum Role {
 /// (primary first).
 pub struct ActiveStandbyHead {
     core: PbsServerCore,
-    cfg: ActiveStandbyConfig,
+    /// How often the primary checkpoints its state to the standby.
+    checkpoint_every: SimDuration,
     peer: ProcId,
     role: Role,
     last_primary_sign: SimTime,
@@ -83,14 +64,14 @@ impl ActiveStandbyHead {
     /// Build one half of the pair.
     pub(crate) fn new(
         core: PbsServerCore,
-        cfg: ActiveStandbyConfig,
+        checkpoint_every: SimDuration,
         peer: ProcId,
         primary: bool,
         moms: Vec<ProcId>,
     ) -> Self {
         ActiveStandbyHead {
             core,
-            cfg,
+            checkpoint_every,
             peer,
             role: if primary {
                 Role::Primary
@@ -123,14 +104,14 @@ impl ActiveStandbyHead {
         }
         let (requeued, actions) = self.core.requeue_all_running(ctx.now());
         self.restarted_jobs += requeued.len() as u64;
-        dispatch(ctx, actions, None, self.cfg.cost.dispatch_processing);
+        dispatch(ctx, actions, None, PbsCostModel::TORQUE.dispatch_processing);
     }
 }
 
 impl Process for ActiveStandbyHead {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.last_primary_sign = ctx.now();
-        ctx.set_timer(self.cfg.heartbeat_every, 0);
+        ctx.set_timer(HEARTBEAT_EVERY, 0);
         if self.role == Role::Primary {
             for mom in self.moms.clone() {
                 ctx.send(mom, MomInbound::RegisterServer { server: ctx.me() });
@@ -156,7 +137,7 @@ impl Process for ActiveStandbyHead {
                 // retries — the paper's "interruption of service".
                 return;
             }
-            let cost = self.cfg.cost.cost_of(&req.cmd);
+            let cost = PbsCostModel::TORQUE.cost_of(&req.cmd);
             let (reply, actions) = self.core.apply(now, &req.cmd);
             ctx.send_after(
                 req.client,
@@ -166,12 +147,17 @@ impl Process for ActiveStandbyHead {
                 },
                 cost,
             );
-            dispatch(ctx, actions, None, cost + self.cfg.cost.dispatch_processing);
+            dispatch(
+                ctx,
+                actions,
+                None,
+                cost + PbsCostModel::TORQUE.dispatch_processing,
+            );
             return;
         }
         if let Ok(report) = msg.downcast::<MomReport>() {
             let actions = self.core.on_report(now, &report);
-            dispatch(ctx, actions, None, self.cfg.cost.dispatch_processing);
+            dispatch(ctx, actions, None, PbsCostModel::TORQUE.dispatch_processing);
         }
     }
 
@@ -184,22 +170,22 @@ impl Process for ActiveStandbyHead {
                         ctx.send(self.peer, AsHeartbeat);
                         // Piggyback a checkpoint on schedule.
                         if self.checkpoints == 0
-                            || now.as_nanos() % self.cfg.checkpoint_every.as_nanos().max(1)
-                                < self.cfg.heartbeat_every.as_nanos()
+                            || now.as_nanos() % self.checkpoint_every.as_nanos().max(1)
+                                < HEARTBEAT_EVERY.as_nanos()
                         {
                             self.checkpoints += 1;
                             ctx.send(self.peer, AsCheckpoint(self.core.snapshot()));
                         }
                     }
                     Role::Standby => {
-                        if now.since(self.last_primary_sign) >= self.cfg.fail_after {
+                        if now.since(self.last_primary_sign) >= FAIL_AFTER {
                             self.role = Role::TakingOver;
-                            ctx.set_timer(self.cfg.takeover_delay, 1);
+                            ctx.set_timer(TAKEOVER_DELAY, 1);
                         }
                     }
                     Role::TakingOver => {}
                 }
-                ctx.set_timer(self.cfg.heartbeat_every, 0);
+                ctx.set_timer(HEARTBEAT_EVERY, 0);
             }
             1 if self.role == Role::TakingOver => {
                 self.complete_takeover(ctx);

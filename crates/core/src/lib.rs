@@ -62,17 +62,16 @@
     reason = "harness, not a replica: a mis-built cluster must stop the experiment"
 )]
 pub mod cluster;
-pub mod commands;
 pub mod config;
 pub mod ha;
 pub mod payload;
 pub mod persist;
-mod replica;
+#[doc(hidden)]
+pub mod replica;
 pub mod server;
 pub mod workload;
 
 pub use cluster::{Cluster, ClusterConfig, HaMode};
-pub use commands::{jdel, jhold, jrls, jstat, jstat_job, jsub};
 pub use config::{JoshuaConfig, JoshuaCostModel, PersistConfig, PolicyKind};
 pub use payload::{JMutexState, Payload, ReplicaState};
 pub use persist::{HeadStore, Recovered};

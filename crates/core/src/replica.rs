@@ -13,6 +13,10 @@
 //! The methods take no `Ctx`. They change state and return what the daemon
 //! must do about it (the PBS actions to dispatch, a jmutex verdict), so
 //! every effect that leaves the head stays in `JoshuaServer`, in order.
+//!
+//! The type is `pub` but hidden from the docs for one outside caller: the
+//! model checker (`jrs-mc`) applies its ordered stream through this same
+//! state machine. The fields stay private there too.
 
 use crate::payload::{JMutexOutcome, JMutexState, Payload, ReplicaState};
 use jrs_pbs::server::{MomReport, PbsServerCore, ServerAction};
@@ -21,7 +25,8 @@ use jrs_sim::{ProcId, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The replicated state machine of one head. See module docs.
-pub(crate) struct Replica {
+#[derive(Clone, Debug)]
+pub struct Replica {
     pbs: PbsServerCore,
     jmutex: JMutexState,
     /// Per-client duplicate-suppression floor and cached reply.
@@ -32,7 +37,7 @@ pub(crate) struct Replica {
 }
 
 /// What applying one ordered command asks of the daemon.
-pub(crate) enum Applied<'p> {
+pub enum Applied<'p> {
     /// A client command ran and its reply is cached for release.
     Ran {
         client: ProcId,
@@ -60,7 +65,7 @@ pub(crate) enum Applied<'p> {
 
 impl Replica {
     /// Genesis: `pbs` as configured, empty tables, index 0.
-    pub(crate) fn new(pbs: PbsServerCore) -> Self {
+    pub fn new(pbs: PbsServerCore) -> Self {
         Replica {
             pbs,
             jmutex: JMutexState::new(),
@@ -70,12 +75,12 @@ impl Replica {
     }
 
     /// The embedded PBS server.
-    pub(crate) fn pbs(&self) -> &PbsServerCore {
+    pub fn pbs(&self) -> &PbsServerCore {
         &self.pbs
     }
 
     /// The launch mutex table.
-    pub(crate) fn jmutex(&self) -> &JMutexState {
+    pub fn jmutex(&self) -> &JMutexState {
         &self.jmutex
     }
 
@@ -93,11 +98,13 @@ impl Replica {
         }
     }
 
-    /// Deterministic fingerprint of the replicated state.
-    pub(crate) fn fingerprint(&self) -> u64 {
+    /// Deterministic fingerprint of the replicated state, reply cache
+    /// included.
+    pub fn fingerprint(&self) -> u64 {
         jrs_sim::fingerprint(&(
             self.pbs.state_hash(),
             self.jmutex.state_hash(),
+            &self.applied,
             self.applied_index,
         ))
     }
@@ -125,7 +132,7 @@ impl Replica {
 
     /// Apply one of the four state-machine commands (`Client`,
     /// `MomFinished`, `JMutexAcquire`, `JMutexRelease`) and number it.
-    pub(crate) fn apply<'p>(&mut self, now: SimTime, payload: &'p Payload) -> Applied<'p> {
+    pub fn apply<'p>(&mut self, now: SimTime, payload: &'p Payload) -> Applied<'p> {
         self.applied_index += 1;
         match *payload {
             Payload::Client {
@@ -201,5 +208,35 @@ impl Replica {
     /// Total state reset after an ejection: genesis with `pbs`.
     pub(crate) fn reset(&mut self, pbs: PbsServerCore) {
         *self = Replica::new(pbs);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use jrs_pbs::JobSpec;
+
+    fn qsub(client: u32, req_id: u64) -> Payload {
+        Payload::Client {
+            client: ProcId(client),
+            req_id,
+            cmd: ServerCmd::Qsub(JobSpec::trivial("j")),
+        }
+    }
+
+    #[test]
+    fn fingerprint_covers_the_reply_cache() {
+        let pbs = PbsServerCore::with_moms(&[("c00".to_string(), ProcId(9))]);
+        let (mut a, mut b) = (Replica::new(pbs.clone()), Replica::new(pbs));
+        let _ = a.apply(SimTime::ZERO, &qsub(100, 1));
+        let _ = b.apply(SimTime::ZERO, &qsub(101, 7));
+        assert_eq!(a.pbs.state_hash(), b.pbs.state_hash());
+        assert_eq!(a.jmutex, b.jmutex);
+        assert_eq!(a.applied_index, b.applied_index);
+        assert_ne!(
+            a.fingerprint(),
+            b.fingerprint(),
+            "replicas that owe different clients a reply are not the same state"
+        );
     }
 }

@@ -12,7 +12,8 @@
 //! Like the paper's daemon on Transis, this file is application logic
 //! only: it submits payloads and reacts to ordered upcalls. Sending,
 //! tick arming, frame dispatch and the per-frame CPU cost live in the
-//! group layer; the cost table arrives in `JoshuaConfig::group`.
+//! group layer; the cost table arrives in `JoshuaConfig::group`. The
+//! JOSHUA layer's own costs are [`JoshuaCostModel::PAPER`].
 //!
 //! ## Data paths
 //!
@@ -36,7 +37,7 @@
 //!   and replay everything ordered after it — the paper's "copying the
 //!   current state of an active service over to the joining head node".
 
-use crate::config::JoshuaConfig;
+use crate::config::{JoshuaConfig, JoshuaCostModel};
 use crate::payload::{self, JMutexOutcome, Payload, ReplicaState};
 use crate::persist::{HeadStore, Recovered};
 use crate::replica::{Applied, Replica};
@@ -44,7 +45,7 @@ use jrs_gcs::simharness::GroupHost;
 use jrs_gcs::{GcsEvent, View};
 use jrs_pbs::proc::{dispatch, ArbiterRelease, ArbiterRequest, ClientReply, ClientRequest};
 use jrs_pbs::server::{MomReport, PbsServerCore, ServerAction};
-use jrs_pbs::{FifoExclusive, JobState, MomInbound};
+use jrs_pbs::{JobId, JobState, MomInbound};
 use jrs_sim::{Ctx, Msg, ProcId, Process, SimDuration, SimTime, TimerId};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -92,6 +93,16 @@ enum SyncMode {
     /// every member's recovery announcement is in and the group has
     /// agreed whose state is most advanced.
     Reconciling(Vec<(u64, Payload)>),
+}
+
+/// A payload waiting on a timer, keyed by its tag.
+enum Deferred {
+    /// Broadcast once a modelled CPU cost (interception, PBS command
+    /// processing) has elapsed.
+    Broadcast(Payload),
+    /// Witness duty for an obituary: re-broadcast it after a grace period
+    /// unless the job completed in the meantime.
+    Witness { job: JobId, exit: i32, mom: ProcId },
 }
 
 /// Forensics from the durable-state recovery pass, for tests and traces.
@@ -146,12 +157,8 @@ pub struct JoshuaServer {
     persisted_incarnation: u64,
     /// What recovery found (None until `on_start`, or without a store).
     recovery: Option<RecoveryReport>,
-    /// Payloads whose broadcast is delayed by a modelled CPU cost
-    /// (interception, PBS command processing); keyed by timer tag.
-    deferred: BTreeMap<u64, Payload>,
-    /// Witness obituaries: re-broadcast after a grace period unless the
-    /// job completed in the meantime.
-    witness: BTreeMap<u64, Payload>,
+    /// Payloads waiting on a timer, keyed by timer tag.
+    deferred: BTreeMap<u64, Deferred>,
     next_tag: u64,
     stats: JoshuaStats,
 }
@@ -162,7 +169,7 @@ impl JoshuaServer {
     /// the list joins through them instead.
     pub(crate) fn new(me: ProcId, config: JoshuaConfig, initial_heads: Vec<ProcId>) -> Self {
         let group = GroupHost::new(me, config.group.clone(), initial_heads.clone());
-        let replica = Replica::new(Self::fresh_pbs(&config));
+        let replica = Replica::new(PbsServerCore::with_moms(&config.nodes));
         let store = config.persist.enabled.then(HeadStore::new);
         // With a durable store, even an initial member defers establishment
         // to `on_start` recovery + reconciliation (it may hold state from a
@@ -191,22 +198,9 @@ impl JoshuaServer {
             persisted_incarnation: 0,
             recovery: None,
             deferred: BTreeMap::new(),
-            witness: BTreeMap::new(),
             next_tag: 1,
             stats: JoshuaStats::default(),
         }
-    }
-
-    fn fresh_pbs(config: &JoshuaConfig) -> PbsServerCore {
-        let mut pbs = PbsServerCore::new(
-            "",
-            config.nodes.iter().map(|(n, _)| n.clone()),
-            FifoExclusive,
-        );
-        for (node, mom) in &config.nodes {
-            pbs.register_mom(node, *mom);
-        }
-        pbs
     }
 
     // ------------------------------------------------------------------
@@ -296,19 +290,15 @@ impl JoshuaServer {
     /// produces it). Keeps cost serialization correct even for the
     /// single-head case where self-delivery is synchronous.
     fn defer_broadcast(&mut self, ctx: &mut Ctx<'_>, payload: Payload, delay: SimDuration) {
-        let tag = self.next_tag;
-        self.next_tag += 1;
-        self.deferred.insert(tag, payload);
-        ctx.set_timer(delay, tag);
+        self.defer(ctx, Deferred::Broadcast(payload), delay);
     }
 
-    /// Witness duty for an obituary: re-broadcast after a grace period
-    /// unless the completion became visible in the replicated state.
-    fn defer_witness(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
+    /// Park `entry` until a timer `delay` from now fires.
+    fn defer(&mut self, ctx: &mut Ctx<'_>, entry: Deferred, delay: SimDuration) {
         let tag = self.next_tag;
         self.next_tag += 1;
-        self.witness.insert(tag, payload);
-        ctx.set_timer(SimDuration::from_secs(2), tag);
+        self.deferred.insert(tag, entry);
+        ctx.set_timer(delay, tag);
     }
 
     fn on_gcs_event(&mut self, ctx: &mut Ctx<'_>, ev: GcsEvent<Payload>) {
@@ -389,7 +379,7 @@ impl JoshuaServer {
                         ctx.send_after(
                             client,
                             ClientReply { req_id, reply },
-                            self.config.cost.intercept_overhead,
+                            JoshuaCostModel::PAPER.intercept_overhead,
                         );
                     }
                 }
@@ -431,7 +421,7 @@ impl JoshuaServer {
                 cmd,
                 actions,
             } => {
-                let cost = self.config.cost.pbs.cost_of(cmd);
+                let cost = JoshuaCostModel::PAPER.pbs.cost_of(cmd);
                 self.dispatch(ctx, actions, cost);
                 if self.is_responder() && !self.replaying {
                     // Second ordering round, once the PBS server has
@@ -443,7 +433,7 @@ impl JoshuaServer {
                 // The client retried through another head: re-release the
                 // cached output.
                 if self.is_responder() && !self.replaying {
-                    let delay = self.config.cost.intercept_overhead;
+                    let delay = JoshuaCostModel::PAPER.intercept_overhead;
                     self.defer_broadcast(ctx, Payload::Output { client, req_id }, delay);
                 }
             }
@@ -521,7 +511,7 @@ impl JoshuaServer {
                 ctx,
                 actions,
                 Some(me),
-                delay + self.config.cost.pbs.dispatch_processing,
+                delay + JoshuaCostModel::PAPER.pbs.dispatch_processing,
             );
         }
     }
@@ -914,7 +904,8 @@ impl JoshuaServer {
     fn on_ejected(&mut self) {
         // Total state reset; the group layer rejoins automatically and a
         // snapshot will arrive after the next view change.
-        self.replica.reset(Self::fresh_pbs(&self.config));
+        self.replica
+            .reset(PbsServerCore::with_moms(&self.config.nodes));
         self.needs_snapshot.clear();
         self.joined_current.clear();
         self.sync = SyncMode::AwaitState(Vec::new());
@@ -966,7 +957,7 @@ impl Process for JoshuaServer {
                     cmd,
                 } = *req;
                 // Interception cost (jsub → joshua local round), then order.
-                let delay = self.config.cost.intercept_overhead;
+                let delay = JoshuaCostModel::PAPER.intercept_overhead;
                 return self.defer_broadcast(
                     ctx,
                     Payload::Client {
@@ -987,15 +978,12 @@ impl Process for JoshuaServer {
                 // the mom); the others act as witnesses, re-broadcasting
                 // after a grace period if the completion never appears —
                 // covering a responder that died holding the report.
-                let p = Payload::MomFinished {
-                    job: *job,
-                    exit: *exit,
-                    mom: from,
-                };
+                let (job, exit, mom) = (*job, *exit, from);
                 if self.is_responder() {
-                    self.broadcast(ctx, p);
+                    self.broadcast(ctx, Payload::MomFinished { job, exit, mom });
                 } else {
-                    self.defer_witness(ctx, p);
+                    let witness = Deferred::Witness { job, exit, mom };
+                    self.defer(ctx, witness, SimDuration::from_secs(2));
                 }
             }
             return;
@@ -1029,32 +1017,15 @@ impl Process for JoshuaServer {
         if let Some(events) = self.group.on_timer(ctx, tag) {
             return self.on_group(ctx, events);
         }
-        if let Some(payload) = self.deferred.remove(&tag) {
-            self.broadcast(ctx, payload);
-            return;
-        }
-        if let Some(payload) = self.witness.remove(&tag) {
-            let still_needed = match &payload {
-                Payload::MomFinished { job, .. } => self
-                    .replica
-                    .pbs()
-                    .job(*job)
-                    .map(|j| j.state != jrs_pbs::JobState::Complete)
-                    .unwrap_or(false),
-                // Witness duty exists only for obituaries today; name the
-                // rest so a future witnessed payload must decide its
-                // re-broadcast condition here (`clippy::wildcard_enum_match_arm`).
-                Payload::Client { .. }
-                | Payload::Output { .. }
-                | Payload::JMutexAcquire { .. }
-                | Payload::JMutexRelease { .. }
-                | Payload::Snapshot { .. }
-                | Payload::Hello { .. }
-                | Payload::CatchUp { .. } => false,
-            };
-            if still_needed {
-                self.broadcast(ctx, payload);
+        match self.deferred.remove(&tag) {
+            Some(Deferred::Broadcast(payload)) => self.broadcast(ctx, payload),
+            Some(Deferred::Witness { job, exit, mom }) => {
+                let pbs = self.replica.pbs();
+                if pbs.job(job).is_some_and(|j| j.state != JobState::Complete) {
+                    self.broadcast(ctx, Payload::MomFinished { job, exit, mom });
+                }
             }
+            None => {}
         }
     }
 

@@ -14,7 +14,7 @@ fn secs(s: u64) -> SimTime {
 
 fn standby_cluster(checkpoint_secs: u64) -> Cluster {
     let mut cfg = ClusterConfig::new(HaMode::ActiveStandby);
-    cfg.standby.checkpoint_every = SimDuration::from_secs(checkpoint_secs);
+    cfg.checkpoint_every = SimDuration::from_secs(checkpoint_secs);
     cfg.client_timeout = SimDuration::from_millis(800);
     Cluster::build(cfg)
 }

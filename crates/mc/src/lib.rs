@@ -2,8 +2,9 @@
 //!
 //! The checker drives the *real* protocol implementation — the
 //! [`jrs_gcs`] group members behind the testkit [`Pump`]'s stepping
-//! primitives, with a deterministic [`jrs_pbs`] replica and the
-//! [`joshua_core::payload::JMutexState`] launch mutex on top — through
+//! primitives, each applying the shipped [`joshua_core::payload::Payload`]
+//! stream through the daemon's own replicated state machine (the PBS
+//! server and the jmutex launch mutex) — through
 //! every interleaving of message deliveries, drops, crashes and timer
 //! ticks up to a configurable depth. No protocol re-model: a bug found
 //! here is a bug in the shipping code.

@@ -1,6 +1,8 @@
-//! The model under check: a cluster of GCS members each running a
-//! deterministic PBS replica plus the jmutex launch-arbitration layer,
-//! driven step by step through the [`Pump`]'s stepping primitives.
+//! The model under check: a cluster of GCS members each running the
+//! daemon's own replicated state machine ([`Replica`]: the PBS server plus
+//! the jmutex launch-arbitration table), driven step by step through the
+//! [`Pump`]'s stepping primitives. Every ordered [`Payload`] goes through
+//! `Replica::apply`, so the checker explores the code the daemon ships.
 //!
 //! A [`World`] is one explorable state. The checker clones it, applies one
 //! [`Action`], drains the resulting application upcalls and checks the
@@ -8,11 +10,11 @@
 //! convergence, exactly-once launch) are checked by `World::settle`,
 //! which runs the remaining protocol to quiescence under FIFO delivery.
 
-use joshua_core::payload::{self, JMutexOutcome, JMutexState};
+use joshua_core::payload::{self, JMutexOutcome, Payload};
+use joshua_core::replica::{Applied, Replica};
 use jrs_gcs::testkit::Pump;
 use jrs_gcs::{EngineKind, GcsEvent, GroupConfig, GroupMember, MembershipPolicy, View, ViewId};
-use jrs_pbs::sched::FifoExclusive;
-use jrs_pbs::{JobId, JobSpec, MomReport, PbsServerCore, ServerAction, ServerCmd};
+use jrs_pbs::{JobId, JobSpec, PbsServerCore, ServerAction, ServerCmd};
 use jrs_sim::{Fnv64, ProcId, SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
@@ -20,27 +22,8 @@ use std::hash::{Hash, Hasher};
 /// The stand-in mom process id (never a group member).
 const MOM: ProcId = ProcId(99);
 
-/// The replicated command stream of the model: a strict subset of the real
-/// JOSHUA payload (client commands, jmutex acquire/release).
-#[derive(Clone, Debug, PartialEq, Hash)]
-pub enum McPayload {
-    /// An intercepted PBS command.
-    Cmd(ServerCmd),
-    /// jmutex acquire forwarded by `granter` for a launch session.
-    Acquire {
-        /// The job.
-        job: JobId,
-        /// Launch session (unique per forwarding head).
-        session: u64,
-        /// The head that forwarded this acquire.
-        granter: ProcId,
-    },
-    /// jdone: release the launch mutex after completion.
-    Release {
-        /// The job.
-        job: JobId,
-    },
-}
+/// The stand-in client process id (never a group member).
+const CLIENT: ProcId = ProcId(100);
 
 /// Seedable protocol bugs, used to prove the checker catches real ordering
 /// errors (and that the corresponding production logic is load-bearing).
@@ -251,13 +234,12 @@ pub enum StepResult {
     Violated(Violation),
 }
 
-/// Per-replica application state above the GCS: the PBS server, the
-/// jmutex table and the view bookkeeping the responder rule needs.
+/// Per-replica application state above the GCS: the daemon's replicated
+/// state machine and the view bookkeeping the responder rule needs.
 #[derive(Clone, Debug)]
 struct App {
     me: ProcId,
-    pbs: PbsServerCore,
-    jmutex: JMutexState,
+    replica: Replica,
     view: Vec<ProcId>,
     view_id: ViewId,
     /// Members that joined in the current view (excluded from responder
@@ -277,8 +259,7 @@ impl App {
     fn new(me: ProcId, view: &View) -> Self {
         App {
             me,
-            pbs: fresh_pbs(),
-            jmutex: JMutexState::new(),
+            replica: genesis(),
             view: view.members.clone(),
             view_id: view.id,
             joined_current: BTreeSet::new(),
@@ -295,8 +276,7 @@ impl App {
         // Named field by field, no `..`: see `GroupMember::state_hash`.
         let App {
             me,
-            pbs,
-            jmutex,
+            replica,
             view,
             view_id,
             joined_current,
@@ -305,8 +285,7 @@ impl App {
         } = self;
         let mut h = Fnv64::new();
         me.hash(&mut h);
-        pbs.state_hash().hash(&mut h);
-        jmutex.state_hash().hash(&mut h);
+        replica.fingerprint().hash(&mut h);
         view.hash(&mut h);
         view_id.hash(&mut h);
         joined_current.hash(&mut h);
@@ -316,10 +295,11 @@ impl App {
     }
 }
 
-fn fresh_pbs() -> PbsServerCore {
-    // One compute node under the paper's exclusive FIFO policy: one job
-    // runs at a time, every queued job eventually gets a Start action.
-    PbsServerCore::new("head", std::iter::once("c00".to_string()), FifoExclusive)
+/// A replica at genesis. One compute node under the paper's exclusive
+/// FIFO policy: one job runs at a time, every queued job eventually gets
+/// a Start action.
+fn genesis() -> Replica {
+    Replica::new(PbsServerCore::with_moms(&[("c00".to_string(), MOM)]))
 }
 
 /// Session id of the launch a head would forward for a job: unique per
@@ -330,7 +310,7 @@ fn session_of(p: ProcId, job: JobId) -> u64 {
 
 /// Does `m` report its tick at `now` idle, and yet, run on a clone, emit
 /// a frame or an upcall or change its fingerprint?
-fn idle_tick_did_work(m: &GroupMember<McPayload>, now: SimTime) -> bool {
+fn idle_tick_did_work(m: &GroupMember<Payload>, now: SimTime) -> bool {
     if !m.tick_is_idle(now) {
         return false;
     }
@@ -343,7 +323,7 @@ fn idle_tick_did_work(m: &GroupMember<McPayload>, now: SimTime) -> bool {
 #[derive(Clone, Debug)]
 pub struct World {
     /// The cluster (members + network).
-    pub pump: Pump<McPayload>,
+    pub pump: Pump<Payload>,
     apps: BTreeMap<ProcId, App>,
     cfg: McConfig,
     /// Jobs submitted so far.
@@ -454,10 +434,12 @@ impl World {
                 };
                 self.submits_done += 1;
                 let name = format!("job-{}", self.submits_done);
-                self.pump.submit(
-                    head,
-                    McPayload::Cmd(ServerCmd::Qsub(JobSpec::trivial(name))),
-                );
+                let submit = Payload::Client {
+                    client: CLIENT,
+                    req_id: u64::from(self.submits_done),
+                    cmd: ServerCmd::Qsub(JobSpec::trivial(name)),
+                };
+                self.pump.submit(head, submit);
             }
             Action::Deliver { from, to } => {
                 if !self.pump.deliver_from(from, to) {
@@ -502,7 +484,15 @@ impl World {
                     return StepResult::Infeasible;
                 };
                 self.completed.insert(job);
-                self.pump.submit(head, McPayload::Release { job });
+                // The mom's jdone, then its obituary, as `PbsMomCore` sends
+                // them.
+                self.pump.submit(head, Payload::JMutexRelease { job });
+                let obituary = Payload::MomFinished {
+                    job,
+                    exit: 0,
+                    mom: MOM,
+                };
+                self.pump.submit(head, obituary);
             }
         }
         match self.drain_events() {
@@ -539,7 +529,7 @@ impl World {
         }
     }
 
-    fn on_event(&mut self, who: ProcId, ev: GcsEvent<McPayload>) -> Option<Violation> {
+    fn on_event(&mut self, who: ProcId, ev: GcsEvent<Payload>) -> Option<Violation> {
         if self.narrate {
             match &ev {
                 GcsEvent::Deliver { seq, origin, .. } => {
@@ -567,8 +557,7 @@ impl World {
                 // is void until state transfer, which the model does not
                 // perform — the app stays void after rejoining.
                 if let Some(app) = self.apps.get_mut(&who) {
-                    app.pbs = fresh_pbs();
-                    app.jmutex = JMutexState::new();
+                    app.replica = genesis();
                     app.view = Vec::new();
                     app.view_id = ViewId::NONE;
                     app.joined_current.clear();
@@ -585,7 +574,7 @@ impl World {
         who: ProcId,
         seq: u64,
         origin: ProcId,
-        payload: McPayload,
+        payload: Payload,
     ) -> Option<Violation> {
         let fp = jrs_sim::fingerprint(&payload);
         let view_id = self.apps.get(&who).map_or(ViewId::NONE, |a| a.view_id);
@@ -617,52 +606,49 @@ impl World {
             // delivery-level invariants above.
             return None;
         }
-        let now = self.pump.now;
-        match payload {
-            McPayload::Cmd(cmd) => {
-                let (_reply, actions) = app.pbs.apply(now, &cmd);
-                let me = app.me;
+        let me = app.me;
+        match app.replica.apply(self.pump.now, &payload) {
+            Applied::Ran { actions, .. } | Applied::Finished(actions) => {
                 for a in actions {
                     if let ServerAction::Start { job, .. } = a {
-                        let session = session_of(me, job);
-                        // Forward the launch through the jmutex: ordered
-                        // acquire; the verdict decides who really launches.
-                        self.pump.submit(
-                            me,
-                            McPayload::Acquire {
-                                job,
-                                session,
-                                granter: me,
-                            },
-                        );
-                        if self.cfg.mutation == Mutation::GrantOnForward {
-                            // BUG: launch immediately on forward.
-                            if let Some(v) = self.record_launch(job, session) {
-                                return Some(v);
-                            }
+                        if let Some(v) = self.forward_launch(me, job) {
+                            return Some(v);
                         }
                     }
                 }
             }
-            McPayload::Acquire {
+            Applied::Decided {
                 job,
                 session,
                 granter,
+                outcome,
+                ..
             } => {
-                let outcome = app.jmutex.acquire(job, MOM, session, granter, false);
                 let sender = payload::verdict_sender(&app.view, granter, app.responder());
                 if sender == who && outcome == JMutexOutcome::Granted {
-                    if let Some(v) = self.record_launch(job, session) {
-                        return Some(v);
-                    }
+                    return self.record_launch(job, session);
                 }
             }
-            McPayload::Release { job } => {
-                app.jmutex.release(job);
-                let _ = app
-                    .pbs
-                    .on_report(now, &MomReport::Finished { job, exit: 0 });
-            }
+            Applied::Retried { .. } | Applied::Quiet => {}
+        }
+        None
+    }
+
+    /// The mom asks `me` for the launch mutex: `me` forwards an ordered
+    /// acquire, and its verdict decides who really launches.
+    fn forward_launch(&mut self, me: ProcId, job: JobId) -> Option<Violation> {
+        let session = session_of(me, job);
+        let acquire = Payload::JMutexAcquire {
+            job,
+            mom: MOM,
+            session,
+            granter: me,
+            reclaim: false,
+        };
+        self.pump.submit(me, acquire);
+        if self.cfg.mutation == Mutation::GrantOnForward {
+            // BUG: launch immediately on forward.
+            return self.record_launch(job, session);
         }
         None
     }
@@ -687,7 +673,8 @@ impl World {
             && app.responder() == Some(who)
         {
             let lost: Vec<(JobId, u64)> = app
-                .jmutex
+                .replica
+                .jmutex()
                 .orphaned_grants(&view.members)
                 .map(|(job, g)| (job, g.session))
                 .collect();
@@ -730,9 +717,9 @@ impl World {
             let (a, b) = (w[0], w[1]);
             let what = if a.view != b.view || a.view_id != b.view_id {
                 Some("view")
-            } else if a.pbs.state_hash() != b.pbs.state_hash() {
+            } else if a.replica.pbs().state_hash() != b.replica.pbs().state_hash() {
                 Some("pbs")
-            } else if a.jmutex.state_hash() != b.jmutex.state_hash() {
+            } else if a.replica.jmutex().state_hash() != b.replica.jmutex().state_hash() {
                 Some("jmutex")
             } else {
                 None
@@ -748,7 +735,7 @@ impl World {
         // Exactly-once launch: every outstanding grant any live replica
         // still holds must have exactly one recorded launch session.
         for app in &installed {
-            for (job, g) in app.jmutex.grants() {
+            for (job, g) in app.replica.jmutex().grants() {
                 match self.launches.get(&job).map_or(0, BTreeSet::len) {
                     // A void replica may have been the designated verdict
                     // sender; without state transfer it cannot launch, so
@@ -791,6 +778,38 @@ mod tests {
         let mut w = World::new(McConfig::default());
         assert!(matches!(w.apply(Action::Submit), StepResult::Ok));
         assert!(w.clone().settle().is_none());
+    }
+
+    /// Deliver every frame in flight, FIFO, through `World::apply`.
+    fn run_fifo(w: &mut World) {
+        while let Some(&(from, to)) = w.pump.pending().first() {
+            assert!(matches!(
+                w.apply(Action::Deliver { from, to }),
+                StepResult::Ok
+            ));
+        }
+    }
+
+    #[test]
+    fn completing_a_job_launches_the_next_exactly_once() {
+        let mut w = World::new(McConfig {
+            submits: 2,
+            ..McConfig::default()
+        });
+        assert!(matches!(w.apply(Action::Submit), StepResult::Ok));
+        assert!(matches!(w.apply(Action::Submit), StepResult::Ok));
+        run_fifo(&mut w);
+        assert_eq!(w.launches.len(), 1, "one node, one job at a time");
+        assert!(matches!(
+            w.apply(Action::Complete { job: JobId(1) }),
+            StepResult::Ok
+        ));
+        run_fifo(&mut w);
+        // The obituary frees the node, so job 2 starts at every replica and
+        // the jmutex lets exactly one forwarded launch through.
+        let job2 = w.launches.get(&JobId(2)).map_or(0, BTreeSet::len);
+        assert_eq!(job2, 1, "launches {:?}", w.launches);
+        assert_eq!(w.clone().settle(), None);
     }
 
     #[test]

@@ -68,17 +68,14 @@ pub struct PbsCostModel {
     pub dispatch_processing: SimDuration,
 }
 
-impl Default for PbsCostModel {
-    fn default() -> Self {
-        PbsCostModel {
-            cmd_processing: SimDuration::from_millis(96),
-            stat_processing: SimDuration::from_millis(40),
-            dispatch_processing: SimDuration::from_millis(5),
-        }
-    }
-}
-
 impl PbsCostModel {
+    /// TORQUE on the paper's head nodes, calibrated on Fig 10 (EXPERIMENTS.md).
+    pub const TORQUE: PbsCostModel = PbsCostModel {
+        cmd_processing: SimDuration::from_millis(96),
+        stat_processing: SimDuration::from_millis(40),
+        dispatch_processing: SimDuration::from_millis(5),
+    };
+
     /// Cost of one command.
     pub fn cost_of(&self, cmd: &ServerCmd) -> SimDuration {
         match cmd {
@@ -94,13 +91,12 @@ impl PbsCostModel {
 /// (TORQUE row of Figures 10/11).
 pub struct PbsHeadProcess {
     core: PbsServerCore,
-    cost: PbsCostModel,
 }
 
 impl PbsHeadProcess {
     /// Wrap a server core.
-    pub fn new(core: PbsServerCore, cost: PbsCostModel) -> Self {
-        PbsHeadProcess { core, cost }
+    pub fn new(core: PbsServerCore) -> Self {
+        PbsHeadProcess { core }
     }
 
     /// Inspect the server (post-run assertions).
@@ -156,7 +152,7 @@ impl Process for PbsHeadProcess {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: ProcId, msg: Msg) {
         let now = ctx.now();
         if let Some(req) = msg.downcast_ref::<ClientRequest>() {
-            let cost = self.cost.cost_of(&req.cmd);
+            let cost = PbsCostModel::TORQUE.cost_of(&req.cmd);
             let (reply, actions) = self.core.apply(now, &req.cmd);
             ctx.send_after(
                 req.client,
@@ -166,12 +162,17 @@ impl Process for PbsHeadProcess {
                 },
                 cost,
             );
-            dispatch(ctx, actions, None, cost + self.cost.dispatch_processing);
+            dispatch(
+                ctx,
+                actions,
+                None,
+                cost + PbsCostModel::TORQUE.dispatch_processing,
+            );
             return;
         }
         if let Ok(report) = msg.downcast::<MomReport>() {
             let actions = self.core.on_report(now, &report);
-            dispatch(ctx, actions, None, self.cost.dispatch_processing);
+            dispatch(ctx, actions, None, PbsCostModel::TORQUE.dispatch_processing);
         }
     }
 }

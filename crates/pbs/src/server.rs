@@ -176,6 +176,16 @@ impl PbsServerCore {
         }
     }
 
+    /// A server owning the named compute nodes, each with its mom
+    /// registered: how every head process builds its server.
+    pub fn with_moms(nodes: &[(String, ProcId)]) -> Self {
+        let mut core = PbsServerCore::new("", nodes.iter().map(|(n, _)| n.clone()), FifoExclusive);
+        for (node, mom) in nodes {
+            core.register_mom(node, *mom);
+        }
+        core
+    }
+
     /// Register the mom daemon process for a node.
     pub fn register_mom(&mut self, node: &str, mom: ProcId) {
         self.pool.set_mom(node, mom);

@@ -4,7 +4,7 @@
 //! architecture and the "TORQUE" row of Figures 10/11.
 
 use jrs_pbs::{
-    ClientDone, CmdReply, FifoExclusive, JobId, JobSpec, JobState, PbsClientProcess, PbsCostModel,
+    ClientDone, CmdReply, FifoExclusive, JobId, JobSpec, JobState, PbsClientProcess,
     PbsHeadProcess, PbsMomCore, PbsMomProcess, PbsServerCore, ServerCmd, SubmitRecord,
 };
 use jrs_sim::{NetworkConfig, ProcId, SimDuration, SimTime, World};
@@ -28,10 +28,7 @@ fn testbed(compute_nodes: usize, script: Vec<ServerCmd>) -> Testbed {
     for i in 0..compute_nodes {
         core.register_mom(&format!("c{i:02}"), ProcId(1 + i as u32));
     }
-    let head = world.add_process(
-        head_node,
-        PbsHeadProcess::new(core, PbsCostModel::default()),
-    );
+    let head = world.add_process(head_node, PbsHeadProcess::new(core));
     let mut moms = Vec::new();
     for i in 0..compute_nodes {
         let n = world.add_node(format!("c{i:02}"));
