@@ -663,10 +663,23 @@ impl<P: Clone> Engine<P> {
         if self.pending.is_empty() || matches!(self.assign, Assign::Token { holding: None, .. }) {
             return;
         }
-        for (local_id, payload) in self.pending.clone() {
-            if !self.is_assigned(self.me, local_id) {
-                self.offer(local_id, payload, out);
+        // Only the ids unassigned on entry can be offered. An offer may
+        // assign (and deliver) later ones, so each is checked again, and
+        // only a payload that is offered is cloned.
+        let unassigned: Vec<u64> = self
+            .pending
+            .iter()
+            .map(|&(local_id, _)| local_id)
+            .filter(|&local_id| !self.is_assigned(self.me, local_id))
+            .collect();
+        for local_id in unassigned {
+            if self.is_assigned(self.me, local_id) {
+                continue;
             }
+            let Some((_, payload)) = self.pending.iter().find(|(l, _)| *l == local_id) else {
+                continue;
+            };
+            self.offer(local_id, payload.clone(), out);
         }
         self.pass_token(out);
     }

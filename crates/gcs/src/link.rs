@@ -9,20 +9,21 @@
 
 use crate::msg::{GcsMsg, Wire};
 use jrs_sim::{ProcId, SimDuration, SimTime};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 #[derive(Clone, Debug, Hash)]
 struct OutLink<P> {
     next_seq: u64,
-    /// seq → (message, last transmission time).
-    unacked: BTreeMap<u64, (GcsMsg<P>, SimTime)>,
+    /// (seq, message, last transmission time), oldest first: sends push at
+    /// the back, a cumulative ack pops from the front.
+    unacked: VecDeque<(u64, GcsMsg<P>, SimTime)>,
 }
 
 impl<P> Default for OutLink<P> {
     fn default() -> Self {
         OutLink {
             next_seq: 1,
-            unacked: BTreeMap::new(),
+            unacked: VecDeque::new(),
         }
     }
 }
@@ -91,7 +92,7 @@ impl<P: Clone> LinkManager<P> {
         let link = self.out.entry(peer).or_default();
         let seq = link.next_seq;
         link.next_seq += 1;
-        link.unacked.insert(seq, (msg.clone(), now));
+        link.unacked.push_back((seq, msg.clone(), now));
         Wire::Data { seq, msg }
     }
 
@@ -125,7 +126,9 @@ impl<P: Clone> LinkManager<P> {
             }
             Wire::Ack { cum } => {
                 if let Some(link) = self.out.get_mut(&peer) {
-                    link.unacked.retain(|&s, _| s > cum);
+                    while link.unacked.front().is_some_and(|&(s, ..)| s <= cum) {
+                        link.unacked.pop_front();
+                    }
                 }
             }
         }
@@ -143,14 +146,14 @@ impl<P: Clone> LinkManager<P> {
     /// [`Self::tick`], handing each frame to the caller's `resend`.
     pub(crate) fn tick_into(&mut self, now: SimTime, mut resend: impl FnMut(ProcId, Wire<P>)) {
         for (&peer, link) in self.out.iter_mut() {
-            for (&seq, (msg, last)) in link.unacked.iter_mut() {
+            for (seq, msg, last) in link.unacked.iter_mut() {
                 if overdue(*last, now, self.rto) {
                     *last = now;
                     self.retransmissions += 1;
                     resend(
                         peer,
                         Wire::Data {
-                            seq,
+                            seq: *seq,
                             msg: msg.clone(),
                         },
                     );
@@ -163,8 +166,8 @@ impl<P: Clone> LinkManager<P> {
     pub(crate) fn resend_due(&self, now: SimTime) -> bool {
         self.out
             .values()
-            .flat_map(|link| link.unacked.values())
-            .any(|(_, last)| overdue(*last, now, self.rto))
+            .flat_map(|link| &link.unacked)
+            .any(|(_, _, last)| overdue(*last, now, self.rto))
     }
 
     /// Forget all state for a peer (it left or was ejected); a future

@@ -9,6 +9,11 @@
 //! ([`GroupHost::recycle`]): how a frame is charged, sent and how the tick
 //! is re-armed is not its business.
 //!
+//! A frame travels in a recycled box: `transmit` puts it into an empty box
+//! from the host's free list and the receiving host's `on_message` takes it
+//! out and keeps the box for its own next send, so a box is allocated only
+//! when the sender's list is empty.
+//!
 //! The tick is a periodic timer (`Ctx::set_periodic`). Most ticks find
 //! nothing to do, and an embedder that answers `Process::periodic_idle`
 //! with [`GroupHost::periodic_idle`] lets the kernel skip those without
@@ -37,6 +42,9 @@ pub struct GroupHost<P> {
     /// The member's output buffer: drained by `transmit` after every call,
     /// its capacity kept for the next one.
     out: Output<P>,
+    /// Empty frame boxes: filled and sent by `transmit`, pushed back by
+    /// `on_message` when a frame is taken out of one.
+    boxes: Vec<Box<Option<Wire<P>>>>,
 }
 
 impl<P: Clone + 'static> GroupHost<P> {
@@ -46,6 +54,7 @@ impl<P: Clone + 'static> GroupHost<P> {
         GroupHost {
             member: GroupMember::new(me, config, initial),
             out: Output::default(),
+            boxes: Vec::new(),
         }
     }
 
@@ -76,17 +85,23 @@ impl<P: Clone + 'static> GroupHost<P> {
         tag == TICK_TAG && self.member.tick_is_idle(now)
     }
 
-    /// Feed a received message. `Err` hands back a message that is not a
-    /// group frame (single fallible downcast, no check-then-expect: the no-panic lints).
+    /// Feed a received message. `Err` hands back, unchanged, a message that
+    /// is not a frame box filled by a host's `transmit` (single fallible
+    /// downcast, no check-then-expect: the no-panic lints). The emptied box
+    /// joins this host's free list.
     pub fn on_message(
         &mut self,
         ctx: &mut Ctx<'_>,
         from: ProcId,
         msg: Msg,
     ) -> Result<Vec<GcsEvent<P>>, Msg> {
-        let frame = msg.downcast::<Wire<P>>()?;
+        let mut slot = msg.downcast::<Option<Wire<P>>>()?;
+        let Some(frame) = slot.take() else {
+            return Err(slot);
+        };
+        self.boxes.push(slot);
         self.member
-            .on_wire_into(ctx.now(), from, *frame, &mut self.out);
+            .on_wire_into(ctx.now(), from, frame, &mut self.out);
         Ok(self.transmit(ctx))
     }
 
@@ -114,15 +129,19 @@ impl<P: Clone + 'static> GroupHost<P> {
         self.transmit(ctx)
     }
 
-    /// Put the buffered output on the wire. The CPU is serial: each frame
-    /// leaves after its own cost *and* that of every frame queued before
-    /// it. The upcalls leave with the caller, who hands the `Vec` back.
+    /// Put the buffered output on the wire, each frame in a box from the
+    /// free list (a new one only when it is empty). The CPU is serial: each
+    /// frame leaves after its own cost *and* that of every frame queued
+    /// before it. The upcalls leave with the caller, who hands the `Vec`
+    /// back.
     fn transmit(&mut self, ctx: &mut Ctx<'_>) -> Vec<GcsEvent<P>> {
         let cost = self.member.config().cost;
         let mut busy = SimDuration::ZERO;
         for (to, frame, bytes) in self.out.wire.drain(..) {
             busy += frame.cost(&cost);
-            ctx.send_sized_after(to, frame, bytes, busy);
+            let mut slot = self.boxes.pop().unwrap_or_default();
+            *slot = Some(frame);
+            ctx.send_boxed(to, slot, bytes, busy);
         }
         std::mem::take(&mut self.out.events)
     }
@@ -217,5 +236,59 @@ impl<P: Clone + 'static> Process for GcsProcess<P> {
 
     fn periodic_idle(&self, now: SimTime, tag: u64) -> bool {
         self.host.periodic_idle(now, tag)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use jrs_sim::World;
+
+    /// A host that emits what `on_message` hands back: the `Err` value, or
+    /// the size of its free list after a frame was taken.
+    struct Probe {
+        host: GroupHost<u32>,
+    }
+
+    impl Process for Probe {
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, from: ProcId, msg: Msg) {
+            match self.host.on_message(ctx, from, msg) {
+                Ok(_) => ctx.emit(self.host.boxes.len()),
+                Err(msg) => ctx.emit(msg),
+            }
+        }
+    }
+
+    #[test]
+    fn only_a_filled_frame_box_is_taken() {
+        let mut world = World::new(1);
+        let node = world.add_node("head");
+        let host = GroupHost::new(ProcId(0), GroupConfig::default(), vec![ProcId(0)]);
+        let id = world.add_process(node, Probe { host });
+        let ack = || Wire::<u32>::Ack { cum: 3 };
+        world.inject(id, ack());
+        world.inject(id, None::<Wire<u32>>);
+        world.inject(id, 7_u64);
+        world.inject(id, Some(ack()));
+        world.run_for(SimDuration::from_millis(1));
+
+        let back = world.take_emitted::<Msg>();
+        assert_eq!(
+            back.len(),
+            3,
+            "the three messages that are no filled box come back"
+        );
+        let mut back = back.into_iter().map(|(_, _, msg)| msg);
+        let bare = back.next().and_then(|m| m.downcast::<Wire<u32>>().ok());
+        assert_eq!(format!("{bare:?}"), format!("{:?}", Some(Box::new(ack()))));
+        let empty = back
+            .next()
+            .and_then(|m| m.downcast::<Option<Wire<u32>>>().ok());
+        assert!(empty.is_some_and(|slot| slot.is_none()));
+        let other = back.next().and_then(|m| m.downcast::<u64>().ok());
+        assert_eq!(other.as_deref(), Some(&7));
+        let kept = world.take_emitted::<usize>();
+        assert_eq!(kept.len(), 1, "the filled box is taken");
+        assert_eq!(kept[0].2, 1, "and its box joins the free list");
     }
 }

@@ -87,10 +87,11 @@ impl Ctx<'_> {
             .route_message(self.me, to, Box::new(msg), 512, delay);
     }
 
-    /// Send with both explicit size and sender-side delay.
-    pub fn send_sized_after<M: Any>(&mut self, to: ProcId, msg: M, bytes: u32, delay: SimDuration) {
-        self.world
-            .route_message(self.me, to, Box::new(msg), bytes, delay);
+    /// Send a message that is already boxed, with explicit size and
+    /// sender-side delay: the box itself travels, so a sender that recycles
+    /// boxes allocates none.
+    pub fn send_boxed(&mut self, to: ProcId, msg: Msg, bytes: u32, delay: SimDuration) {
+        self.world.route_message(self.me, to, msg, bytes, delay);
     }
 
     /// Arm a one-shot timer; `tag` is returned to `on_timer` for
