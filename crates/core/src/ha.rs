@@ -12,8 +12,8 @@
 //!   round-robin; improved throughput, but stateful services on a failed
 //!   head are simply gone (composed in `cluster.rs` from single heads).
 
-use jrs_pbs::proc::{dispatch, ClientReply, ClientRequest, PbsCostModel};
-use jrs_pbs::server::{MomReport, PbsServerCore, ServerSnapshot};
+use jrs_pbs::proc::{dispatch, serve, ClientRequest, PbsCostModel};
+use jrs_pbs::server::{PbsServerCore, ServerSnapshot};
 use jrs_pbs::MomInbound;
 use jrs_sim::{Ctx, Msg, ProcId, Process, SimDuration, SimTime, TimerId};
 
@@ -131,34 +131,12 @@ impl Process for ActiveStandbyHead {
             self.core.restore(snap);
             return;
         }
-        if let Some(req) = msg.downcast_ref::<ClientRequest>() {
-            if self.role != Role::Primary {
-                // Standby gives no service: the client times out and
-                // retries — the paper's "interruption of service".
-                return;
-            }
-            let cost = PbsCostModel::TORQUE.cost_of(&req.cmd);
-            let (reply, actions) = self.core.apply(now, &req.cmd);
-            ctx.send_after(
-                req.client,
-                ClientReply {
-                    req_id: req.req_id,
-                    reply,
-                },
-                cost,
-            );
-            dispatch(
-                ctx,
-                actions,
-                None,
-                cost + PbsCostModel::TORQUE.dispatch_processing,
-            );
+        if self.role != Role::Primary && msg.is::<ClientRequest>() {
+            // Standby gives no service: the client times out and retries —
+            // the paper's "interruption of service".
             return;
         }
-        if let Ok(report) = msg.downcast::<MomReport>() {
-            let actions = self.core.on_report(now, &report);
-            dispatch(ctx, actions, None, PbsCostModel::TORQUE.dispatch_processing);
-        }
+        serve(&mut self.core, ctx, &msg);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _timer: TimerId, tag: u64) {

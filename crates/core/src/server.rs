@@ -825,7 +825,6 @@ impl JoshuaServer {
                     let msg = MomInbound::Start {
                         job: job.id,
                         spec: job.spec.clone(),
-                        nodes: job.allocated.clone(),
                         server: me,
                         arbiter: Some(me),
                     };

@@ -2,17 +2,12 @@
 //! seed 2006; head 0 crashes at 5 s and `Cluster::restart_joshua_head`
 //! boots a fresh daemon under its process id at 10 s. Nothing else fails.
 //!
-//! Observed at the time of writing:
-//! - idle: head 0 is not established at 60 s, diskless or durable, while
-//!   heads 1 and 2 are;
-//! - under one `burst(40)` client: 31 of the 40 submissions are answered,
-//!   in about 889k kernel events. The same run restarting head 1 instead
-//!   answers all 40 in about 54k events (`durability.rs` restarts head 1
-//!   in place and passes).
-//!
-//! All three tests are ignored until item 1's fix lands;
-//! `cargo test -p joshua-core --test restart_in_place -- --ignored` runs
-//! them, and they fail with those counts.
+//! While the engine made rank 0 of a view its sequencer, the restarted
+//! head 0 ordered frames that reached the flush coordinator, head 1,
+//! before head 1 had installed the view; they were dropped and the total
+//! order stopped. Then head 0 was not established at 60 s, and one
+//! `burst(40)` client got 31 of its 40 submissions answered. The leader of
+//! a view is now the coordinator that installed it, which installs last.
 
 use joshua_core::cluster::{Cluster, ClusterConfig, HaMode};
 use joshua_core::config::PersistConfig;
@@ -54,19 +49,16 @@ fn assert_every_head_established(cluster: &Cluster) {
 }
 
 #[test]
-#[ignore = "ROADMAP item 1(c)"]
 fn idle_diskless_head_zero_rejoins() {
     assert_every_head_established(&restart_head_zero(PersistConfig::default(), 0));
 }
 
 #[test]
-#[ignore = "ROADMAP item 1(c)"]
 fn idle_durable_head_zero_rejoins() {
     assert_every_head_established(&restart_head_zero(PersistConfig::durable(), 0));
 }
 
 #[test]
-#[ignore = "ROADMAP item 1(c)"]
 fn head_zero_restarted_under_traffic_answers_every_submission() {
     const JOBS: usize = 40;
     let mut cluster = restart_head_zero(PersistConfig::default(), JOBS);

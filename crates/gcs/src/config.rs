@@ -5,8 +5,9 @@ use jrs_sim::SimDuration;
 /// Which total-order engine to run inside a view.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineKind {
-    /// Fixed sequencer: the lowest-ranked view member assigns sequence
-    /// numbers (ISIS style). Lowest latency for small groups.
+    /// Fixed sequencer: the view's leader, the coordinator that installed
+    /// it, assigns sequence numbers (ISIS style). Lowest latency for small
+    /// groups.
     Sequencer,
     /// Rotating token: members take turns assigning sequence numbers from a
     /// circulating token (Totem style). Ablation baseline.
@@ -23,9 +24,9 @@ pub enum MembershipPolicy {
     /// side ejects and rejoins with state transfer.
     FailStop,
     /// Primary-component model: a new view requires a strict majority of
-    /// the previous view (or exactly half including its lowest-ranked
-    /// member). Split brain is impossible, but a string of unlucky
-    /// failures can block the group.
+    /// the previous view (or exactly half including its leader). Split
+    /// brain is impossible, but a string of unlucky failures can block the
+    /// group.
     PrimaryComponent,
 }
 

@@ -22,9 +22,11 @@
 //! The policy (`Assign`) decides two things only: who may give a
 //! submission its sequence number (the view leader on request, or whoever
 //! holds the token), and with it how acks travel (to the leader, who
-//! announces stability on its tick, or all-to-all). Receiving, stability,
-//! delivery, duplicate suppression and the flush interface are the same
-//! code for both.
+//! announces stability on its tick, or all-to-all). The leader is the
+//! member the group names at install, the coordinator whose flush
+//! installed the view; under the token it seeds the token. Receiving,
+//! stability, delivery, duplicate suppression and the flush interface are
+//! the same code for both.
 //!
 //! The engine only runs *inside* an installed view; the view-change flush
 //! in [`crate::group`] halts it, collects the digests (based on the
@@ -70,7 +72,7 @@ enum Stability {
 /// Who assigns sequence numbers, and the state only that policy needs.
 #[derive(Clone, Debug, Hash)]
 enum Assign<P> {
-    /// The view leader (rank 0) assigns; everyone else sends it requests.
+    /// The view leader assigns; everyone else sends it requests.
     Sequencer {
         /// Leader: stability advanced since the last announcement.
         stable_dirty: bool,
@@ -104,8 +106,9 @@ enum Assign<P> {
 pub struct Engine<P> {
     me: ProcId,
     assign: Assign<P>,
-    /// We are rank 0 of the installed view.
-    leader: bool,
+    /// The installed view's leader (`View::leader`, the coordinator that
+    /// installed it); `None` before the first install.
+    leader: Option<ProcId>,
     /// Follower: the collector's announced stability floor.
     stable_floor: u64,
     /// Current view members (sorted). Empty until first install.
@@ -168,7 +171,7 @@ impl<P: Clone> Engine<P> {
         Engine {
             me,
             assign,
-            leader: false,
+            leader: None,
             stable_floor: 0,
             members: Vec::new(),
             recv_cursor: 1,
@@ -278,14 +281,14 @@ impl<P: Clone> Engine<P> {
                 raise(&mut self.acks, from, up_to);
                 if self.active {
                     self.drain_stable(&mut out.deliver);
-                    let advanced = self.stable() > before;
+                    let announce = self.leads() && self.stable() > before;
                     if let Assign::Sequencer { stable_dirty, .. } = &mut self.assign {
                         // Batch the announcement: followers learn on the
                         // next engine tick (they don't sit on the reply
                         // fast path, which runs through the collector
                         // itself). Acks absorbed while halted are
                         // announced by `resume`.
-                        *stable_dirty |= self.leader && advanced;
+                        *stable_dirty |= announce;
                     }
                 }
             }
@@ -416,11 +419,12 @@ impl<P: Clone> Engine<P> {
         }
         self.drain_stable(&mut out.deliver);
         self.ack_sends(out);
+        let leads = self.leads();
         if let Assign::Sequencer { stable_dirty, .. } = &mut self.assign {
             // Acks absorbed while halted advance stability without
             // setting the dirty flag; re-announce on the next tick so
             // followers waiting on `Stable` are not stranded.
-            *stable_dirty |= self.leader;
+            *stable_dirty |= leads;
         }
         self.resubmit(out);
     }
@@ -472,10 +476,9 @@ impl<P: Clone> Engine<P> {
         self.deliver_cursor = next_seq;
     }
 
-    /// Install a new view and resume. `leader` must be true exactly at the
-    /// view's rank-0 member (it seeds the token / becomes sequencer).
-    /// Resubmits pending own messages (duplicates are filtered by the
-    /// assign floor).
+    /// Install a view led by its rank-0 member, as a bootstrap view is:
+    /// `leader` must be true exactly there. [`Self::install_into`] takes
+    /// any leader.
     pub fn install(
         &mut self,
         now: SimTime,
@@ -484,23 +487,29 @@ impl<P: Clone> Engine<P> {
         dedup: &[(ProcId, u64)],
         leader: bool,
     ) -> EngineOut<P> {
+        let rank0 = members.first().copied().unwrap_or(self.me);
+        debug_assert_eq!(leader, rank0 == self.me, "rank 0 leads");
         let mut out = EngineOut::default();
-        self.install_into(now, members, next_seq, dedup, leader, &mut out);
+        self.install_into(now, members, next_seq, dedup, rank0, &mut out);
         out
     }
 
-    /// [`Self::install`], appending to the caller's buffer.
+    /// Install a new view led by `leader` and resume: the leader becomes
+    /// sequencer or seeds the token. Resubmits pending own messages
+    /// (duplicates are filtered by the assign floor). Appends to the
+    /// caller's buffer.
     pub(crate) fn install_into(
         &mut self,
         now: SimTime,
         members: Vec<ProcId>,
         next_seq: u64,
         dedup: &[(ProcId, u64)],
-        leader: bool,
+        leader: ProcId,
         out: &mut EngineOut<P>,
     ) {
         self.members = members;
-        self.leader = leader;
+        self.leader = Some(leader);
+        let leads = self.leads();
         self.recv_cursor = self.recv_cursor.max(next_seq);
         self.deliver_cursor = self.deliver_cursor.max(next_seq);
         self.stable_floor = next_seq - 1;
@@ -521,8 +530,8 @@ impl<P: Clone> Engine<P> {
                 *floor = (*floor).max(next_seq);
                 // Any token held across the flush belongs to the old
                 // view; the new leader seeds a fresh one.
-                *holding = leader.then_some(next_seq);
-                if leader {
+                *holding = leads.then_some(next_seq);
+                if leads {
                     *release_at = now + *idle_pass;
                 }
             }
@@ -555,8 +564,13 @@ impl<P: Clone> Engine<P> {
         self.members.iter().copied().filter(move |&p| p != me)
     }
 
+    /// Do we lead the installed view?
+    fn leads(&self) -> bool {
+        self.leader == Some(self.me)
+    }
+
     fn stability(&self) -> Stability {
-        match (&self.assign, self.leader) {
+        match (&self.assign, self.leads()) {
             (Assign::Sequencer { .. }, true) => Stability::Collector,
             (Assign::Sequencer { .. }, false) => Stability::Follower,
             (Assign::Token { .. }, _) => Stability::AllToAll,
@@ -628,7 +642,7 @@ impl<P: Clone> Engine<P> {
         let up_to = self.received_up_to();
         match self.stability() {
             Stability::Follower => {
-                if let Some(&collector) = self.members.first().filter(|&&c| c != self.me) {
+                if let Some(collector) = self.leader {
                     out.sends.push((collector, EngineMsg::Ack { up_to }));
                 }
             }
@@ -693,7 +707,7 @@ impl<P: Clone> Engine<P> {
             // No installed view yet: the submission stays pending and is
             // resubmitted on the next install.
             Stability::Follower => {
-                if let Some(&sequencer) = self.members.first() {
+                if let Some(sequencer) = self.leader {
                     out.sends
                         .push((sequencer, EngineMsg::Request { local_id, payload }));
                 }
@@ -887,6 +901,35 @@ mod tests {
         let m_out = member.on_msg(T0, p(1), EngineMsg::Stable { up_to: stable });
         assert_eq!(m_out.deliver.len(), 1);
         assert_eq!(m_out.deliver[0].payload, "x");
+    }
+
+    /// The leader is the member the group names at install, not rank 0:
+    /// rank 0 requests from it and acks to it, and it orders on its own.
+    #[test]
+    fn the_named_leader_sequences_not_rank_zero() {
+        let led_by_two = |me: u32| {
+            let mut e = Engine::with_retry(
+                EngineKind::Sequencer,
+                p(me),
+                SimDuration::from_millis(5),
+                SimDuration::from_millis(100),
+            );
+            let mut out = EngineOut::default();
+            e.install_into(T0, vec![p(1), p(2), p(3)], 1, &[], p(2), &mut out);
+            assert!(out.sends.is_empty() && out.deliver.is_empty());
+            e
+        };
+        let (mut rank0, mut leader) = (led_by_two(1), led_by_two(2));
+        let out = rank0.submit(T0, "x");
+        let [(to, req)] = &out.sends[..] else {
+            panic!("one request: {:?}", out.sends);
+        };
+        assert_eq!(*to, p(2));
+        let out = leader.on_msg(T0, p(1), req.clone());
+        let ordered: Vec<ProcId> = out.sends.iter().map(|(to, _)| *to).collect();
+        assert_eq!(ordered, [p(1), p(3)], "the leader orders the request");
+        let out = rank0.on_msg(T0, p(2), out.sends[0].1.clone());
+        assert_eq!(acks(&out), [(p(2), 1)], "rank 0 acks to the leader");
     }
 
     #[test]

@@ -21,7 +21,9 @@
 //!    tail compactly, and sends `FlushFinal`.
 //! 4. Members deliver the reconciled tail, install the view, and ack. The
 //!    coordinator installs only after *every* proposed member has acked, so
-//!    it can never move to a view nobody else accepted.
+//!    it can never move to a view nobody else accepted. It leads the new
+//!    view (`View::leader`): installing last, it orders nothing a member
+//!    still in the old view could receive and drop.
 //!
 //! Failures during the flush are handled by epoch takeover: a member that
 //! waits too long condemns the coordinator and the next-lowest live member
@@ -188,7 +190,7 @@ pub struct GroupMember<P> {
     /// Former members (left our view but may still be alive, e.g. the
     /// other side of a healed partition). Probed occasionally so split
     /// components re-merge.
-    former_members: std::collections::BTreeSet<ProcId>,
+    former_members: BTreeSet<ProcId>,
     last_hb: Option<SimTime>,
     last_probe: Option<SimTime>,
     behind_since: Option<SimTime>,
@@ -238,7 +240,7 @@ impl<P: Clone + 'static> GroupMember<P> {
             pending_joiners: BTreeMap::new(),
             join_incarnations: BTreeMap::new(),
             peer_delivered: BTreeMap::new(),
-            former_members: std::collections::BTreeSet::new(),
+            former_members: BTreeSet::new(),
             last_hb: None,
             last_probe: None,
             behind_since: None,
@@ -393,7 +395,7 @@ impl<P: Clone + 'static> GroupMember<P> {
                         self.peer_delivered.insert(p, 0);
                     }
                 }
-                let leader = self.view.leader() == Some(self.me);
+                let leader = self.view.leader();
                 self.engine
                     .install_into(now, members, 1, &[], leader, &mut out.engine);
                 self.absorb_engine(now, out);
@@ -554,13 +556,18 @@ impl<P: Clone + 'static> GroupMember<P> {
         }
     }
 
-    fn send_heartbeats(&mut self, now: SimTime, out: &mut Output<P>) {
-        self.last_hb = Some(now);
-        let hb = GcsMsg::Heartbeat {
+    /// Our installed view and delivery cursor, as a heartbeat carries them.
+    fn heartbeat(&self) -> GcsMsg<P> {
+        GcsMsg::Heartbeat {
             view_id: self.view.id,
             view_size: size32(self.view.len()),
             delivered_up_to: self.engine.delivered_up_to(),
-        };
+        }
+    }
+
+    fn send_heartbeats(&mut self, now: SimTime, out: &mut Output<P>) {
+        self.last_hb = Some(now);
+        let hb = self.heartbeat();
         for &p in self.view.members.iter().filter(|&&p| p != self.me) {
             self.push_raw(p, hb.clone(), out);
         }
@@ -636,11 +643,7 @@ impl<P: Clone + 'static> GroupMember<P> {
         }
         if self.probe_due(now) {
             self.last_probe = Some(now);
-            let hb = GcsMsg::Heartbeat {
-                view_id: self.view.id,
-                view_size: size32(self.view.len()),
-                delivered_up_to: self.engine.delivered_up_to(),
-            };
+            let hb = self.heartbeat();
             for &p in &self.former_members {
                 self.push_raw(p, hb.clone(), out);
             }
@@ -667,7 +670,7 @@ impl<P: Clone + 'static> GroupMember<P> {
         enum Stall {
             Nothing,
             GiveUpBlocked(ProcId),
-            Abandon(Epoch, Vec<ProcId>),
+            Abandon,
         }
         let me = self.me;
         let detector = &self.detector;
@@ -678,7 +681,6 @@ impl<P: Clone + 'static> GroupMember<P> {
                 Stall::GiveUpBlocked(epoch.coord)
             }
             Flush::Coordinating {
-                epoch,
                 started,
                 finalized,
                 proposed,
@@ -693,7 +695,7 @@ impl<P: Clone + 'static> GroupMember<P> {
                     *started = now;
                     Stall::Nothing
                 } else {
-                    Stall::Abandon(*epoch, proposed.clone())
+                    Stall::Abandon
                 }
             }
             Flush::None | Flush::Blocked { .. } | Flush::Coordinating { .. } => Stall::Nothing,
@@ -709,20 +711,12 @@ impl<P: Clone + 'static> GroupMember<P> {
                 // alive but its attempt orphaned), the fizzled-flush path
                 // resumes ordering in the current view instead of halting
                 // forever on a condemnation the next heartbeat clears.
-                self.detector.watch(c, SimTime::ZERO);
                 self.detector.condemn(c);
                 self.flush = Flush::None;
             }
-            Stall::Abandon(epoch, proposed) => {
-                self.flush = Flush::None;
-                // Unblock members we halted; if a restart is needed it
-                // happens below with a fresh (higher) epoch.
-                for p in proposed {
-                    if p != self.me {
-                        self.push_link(now, p, GcsMsg::FlushAbort { epoch }, out);
-                    }
-                }
-            }
+            // Unblock members we halted; if a restart is needed it happens
+            // below with a fresh (higher) epoch.
+            Stall::Abandon => self.abort_coordinating(now, out),
         }
 
         // Membership change needed?
@@ -853,10 +847,7 @@ impl<P: Clone + 'static> GroupMember<P> {
             GcsMsg::JoinReq { incarnation } => {
                 self.on_join_req(now, from, incarnation);
             }
-            GcsMsg::Leave => {
-                self.detector.watch(from, SimTime::ZERO);
-                self.detector.condemn(from);
-            }
+            GcsMsg::Leave => self.detector.condemn(from),
             GcsMsg::FlushReq {
                 epoch,
                 proposed,
@@ -941,12 +932,7 @@ impl<P: Clone + 'static> GroupMember<P> {
             // our view (e.g. a healed minority node), it receives no
             // regular heartbeats from us — answer directly so it can
             // discover the newer view and rejoin.
-            let hb = GcsMsg::Heartbeat {
-                view_id: self.view.id,
-                view_size: size32(self.view.len()),
-                delivered_up_to: self.engine.delivered_up_to(),
-            };
-            self.push_raw(from, hb, out);
+            self.push_raw(from, self.heartbeat(), out);
         }
     }
 
@@ -1294,8 +1280,11 @@ impl<P: Clone + 'static> GroupMember<P> {
         self.max_epoch_seen = None;
         self.behind_since = None;
         self.stats.view_changes += 1;
-        // 3. Restart the engine in the new view (resubmits own pendings).
-        let leader = view.leader() == Some(self.me);
+        // 3. Restart the engine in the new view (resubmits own pendings),
+        //    led by the coordinator that installed it. That member
+        //    installs last (`maybe_commit`), so nothing it orders can reach
+        //    a member still in the old view.
+        let leader = view.leader();
         self.engine.install_into(
             now,
             view.members.clone(),
@@ -1318,39 +1307,23 @@ impl<P: Clone + 'static> GroupMember<P> {
         self.send_heartbeats(now, out);
     }
 
+    /// Start over as a fresh joiner under the next incarnation; only the
+    /// counters carry over.
     fn eject(&mut self, now: SimTime, out: &mut Output<P>) {
-        self.stats.ejections += 1;
         // Contact everyone we ever shared a view with: after a fail-stop
         // partition the ejecting side may have shrunk to a singleton view,
         // so its current members alone would be an empty contact list.
-        let mut contact_set: std::collections::BTreeSet<ProcId> =
-            self.view.members.iter().copied().collect();
-        contact_set.extend(self.former_members.iter().copied());
-        contact_set.remove(&self.me);
-        let contacts: Vec<ProcId> = contact_set.into_iter().collect();
-        self.engine = Engine::with_retry(
-            self.config.engine,
-            self.me,
-            self.config.token_idle_pass,
-            self.config.request_retry,
-        );
-        self.stats.retransmissions += self.links.retransmissions;
-        self.links = LinkManager::new(self.config.rto);
-        self.detector = FailureDetector::new(self.config.fail_after);
-        self.flush = Flush::None;
-        self.max_epoch_seen = None;
-        self.pending_joiners.clear();
-        self.join_incarnations.clear();
-        self.peer_delivered.clear();
-        self.former_members.clear();
-        self.behind_since = None;
-        self.incarnation += 1;
-        self.view = View::new(ViewId::NONE, Vec::new());
-        self.role = Role::Joining {
-            contacts,
-            last_req: None,
-            answered: None,
+        let mut contacts: BTreeSet<ProcId> = self.view.members.iter().copied().collect();
+        contacts.extend(self.former_members.iter().copied());
+        contacts.remove(&self.me);
+        let mut fresh =
+            GroupMember::new(self.me, self.config.clone(), contacts.into_iter().collect());
+        fresh.incarnation = self.incarnation + 1;
+        fresh.stats = GroupStats {
+            ejections: self.stats.ejections + 1,
+            ..self.stats()
         };
+        *self = fresh;
         out.events.push(GcsEvent::Ejected);
         self.send_join_req(now, out);
     }

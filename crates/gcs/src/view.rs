@@ -56,8 +56,11 @@ impl fmt::Display for ViewId {
 /// A membership view: an agreed snapshot of who is in the group.
 ///
 /// Members are kept sorted; a member's *rank* is its position in the sorted
-/// list. Rank 0 (the lowest `ProcId`) acts as sequencer (sequencer engine)
-/// and as the default flush coordinator.
+/// list. The view's *leader* is the coordinator whose flush installed it
+/// (`id.coord`; the lowest member for a bootstrap view): it sequences
+/// (sequencer engine) or seeds the token, and it breaks quorum ties. It
+/// installs the view last, so nothing it orders can reach a member that
+/// has not installed the view yet.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct View {
     /// Unique view identifier.
@@ -81,7 +84,7 @@ impl View {
     )]
     pub(crate) fn initial(members: Vec<ProcId>) -> Self {
         let mut v = View::new(ViewId::NONE, members);
-        v.id = ViewId::bootstrap(v.leader().expect("bootstrap view must be non-empty"));
+        v.id = ViewId::bootstrap(*v.members.first().expect("bootstrap view must be non-empty"));
         v
     }
 
@@ -95,32 +98,26 @@ impl View {
         self.members.binary_search(&p).is_ok()
     }
 
-    /// The lowest-ranked member (sequencer / default coordinator).
-    pub(crate) fn leader(&self) -> Option<ProcId> {
-        self.members.first().copied()
+    /// The coordinator that installed this view: its sequencer (or token
+    /// seeder) and quorum tie-breaker.
+    pub(crate) fn leader(&self) -> ProcId {
+        self.id.coord
     }
 
     /// Primary-component check: may a component with member set `survivors`
     /// succeed this view?
     ///
     /// Rule: the survivors must be a strict majority of this view, or
-    /// exactly half of it *including this view's lowest-ranked member* (the
-    /// deterministic tie-breaker). Under the paper's crash-stop assumption
+    /// exactly half of it *including this view's leader* (the deterministic
+    /// tie-breaker). Under the paper's crash-stop assumption
     /// the survivor set is always the full live set, so availability
     /// degrades gracefully down to a single node: {a,b,c,d} → {a,b,c} →
     /// {a,b} → {a}. Under a true network partition at most one side can
     /// satisfy the rule, preventing split-brain job scheduling.
     pub(crate) fn quorum(&self, survivors: &[ProcId]) -> bool {
         let in_view = survivors.iter().filter(|p| self.contains(**p)).count();
-        if 2 * in_view > self.members.len() {
-            return true;
-        }
-        if 2 * in_view == self.members.len() {
-            if let Some(leader) = self.leader() {
-                return survivors.contains(&leader);
-            }
-        }
-        false
+        2 * in_view > self.members.len()
+            || (2 * in_view == self.members.len() && survivors.contains(&self.leader()))
     }
 }
 
@@ -132,31 +129,35 @@ mod tests {
         ProcId(i)
     }
 
-    fn vid(n: u64) -> ViewId {
+    /// View `n`, installed by `coord`.
+    fn vid(n: u64, coord: u32) -> ViewId {
         ViewId {
             num: n,
-            coord: p(0),
+            coord: p(coord),
         }
     }
 
     #[test]
     fn members_sorted_and_deduped() {
-        let v = View::new(vid(1), vec![p(3), p(1), p(2), p(1)]);
+        let v = View::new(vid(1, 1), vec![p(3), p(1), p(2), p(1)]);
         assert_eq!(v.members, vec![p(1), p(2), p(3)]);
         assert_eq!(v.len(), 3);
     }
 
     #[test]
     fn leader_and_membership() {
-        let v = View::new(vid(1), vec![p(5), p(9), p(7)]);
-        assert_eq!(v.leader(), Some(p(5)));
+        let v = View::new(vid(1, 5), vec![p(5), p(9), p(7)]);
+        assert_eq!(v.leader(), p(5));
         assert!(v.contains(p(5)));
         assert!(!v.contains(p(6)));
+        // A joiner below the coordinator does not take over the lead.
+        let v = View::new(vid(2, 5), vec![p(5), p(9), p(7), p(1)]);
+        assert_eq!(v.leader(), p(5));
     }
 
     #[test]
     fn quorum_majority() {
-        let v = View::new(vid(1), vec![p(1), p(2), p(3), p(4)]);
+        let v = View::new(vid(1, 1), vec![p(1), p(2), p(3), p(4)]);
         assert!(v.quorum(&[p(1), p(2), p(3)]));
         assert!(v.quorum(&[p(2), p(3), p(4)]));
         assert!(!v.quorum(&[p(3), p(4)]));
@@ -164,23 +165,27 @@ mod tests {
 
     #[test]
     fn quorum_even_split_needs_leader() {
-        let v = View::new(vid(1), vec![p(1), p(2), p(3), p(4)]);
+        let v = View::new(vid(1, 1), vec![p(1), p(2), p(3), p(4)]);
         assert!(v.quorum(&[p(1), p(2)]));
         assert!(!v.quorum(&[p(2), p(3)]));
+        // The tie goes to the installing coordinator, not to rank 0.
+        let v = View::new(vid(2, 2), vec![p(1), p(2), p(3), p(4)]);
+        assert!(v.quorum(&[p(2), p(3)]));
+        assert!(!v.quorum(&[p(1), p(4)]));
     }
 
     #[test]
     fn quorum_degrades_to_single_node() {
-        let v2 = View::new(vid(5), vec![p(1), p(2)]);
+        let v2 = View::new(vid(5, 1), vec![p(1), p(2)]);
         assert!(v2.quorum(&[p(1)]));
         assert!(!v2.quorum(&[p(2)]));
-        let v1 = View::new(vid(6), vec![p(1)]);
+        let v1 = View::new(vid(6, 1), vec![p(1)]);
         assert!(v1.quorum(&[p(1)]));
     }
 
     #[test]
     fn quorum_ignores_non_members() {
-        let v = View::new(vid(1), vec![p(1), p(2), p(3)]);
+        let v = View::new(vid(1, 1), vec![p(1), p(2), p(3)]);
         // Joiners don't count toward quorum of the *previous* view.
         assert!(!v.quorum(&[p(3), p(9), p(10)]));
         assert!(v.quorum(&[p(1), p(2), p(9)]));

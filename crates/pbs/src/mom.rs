@@ -29,8 +29,6 @@ pub enum MomInbound {
         job: JobId,
         /// Its spec.
         spec: JobSpec,
-        /// Allocated nodes (first = this mom's node, the mother superior).
-        nodes: Vec<String>,
         /// The head-node process making this attempt.
         server: ProcId,
         /// Arbiter to ask for launch permission; `None` grants locally
@@ -188,7 +186,6 @@ impl PbsMomCore {
             MomInbound::Start {
                 job,
                 spec,
-                nodes: _,
                 server,
                 arbiter,
             } => self.on_start(job, spec, server, arbiter),
@@ -226,55 +223,22 @@ impl PbsMomCore {
             phase: Phase::Arbitrating,
             reclaimed: false,
         });
-        if entry.interested.contains(&server) {
-            // Repeated attempt from a head we already know — a restarted
-            // head re-dispatching after recovery. Answer by phase so the
-            // retry converges instead of dropping it on the floor.
-            match entry.phase {
-                Phase::Arbitrating => {
-                    // Re-ask through the existing session (no second
-                    // ballot); the retry may name a replacement arbiter.
-                    let Some(sess) = entry.sessions.get_mut(&server) else {
-                        return vec![];
-                    };
-                    if arbiter.is_some() {
-                        sess.arbiter = arbiter;
-                    }
-                    let (id, arb) = (sess.id, sess.arbiter);
-                    return match arb {
-                        Some(a) => {
-                            vec![MomAction::AskArbiter {
-                                arbiter: a,
-                                job,
-                                session: id,
-                                reclaim: false,
-                            }]
-                        }
-                        None => self.grant(job, server),
-                    };
+        let repeat = !entry.interested.insert(server);
+        let (session, arbiter) = match entry.phase {
+            // A repeated attempt from a head we already know — a restarted
+            // head re-dispatching after recovery — re-asks through the
+            // existing session (no second ballot), so the retry converges
+            // instead of dropping on the floor; it may name a replacement
+            // arbiter.
+            Phase::Arbitrating if repeat => {
+                let Some(sess) = entry.sessions.get_mut(&server) else {
+                    return vec![];
+                };
+                if arbiter.is_some() {
+                    sess.arbiter = arbiter;
                 }
-                Phase::Running { .. } => {
-                    return vec![MomAction::Report {
-                        to: server,
-                        report: MomReport::Started { job },
-                    }];
-                }
-                Phase::Done { exit } => {
-                    return vec![
-                        MomAction::Report {
-                            to: server,
-                            report: MomReport::Started { job },
-                        },
-                        MomAction::Report {
-                            to: server,
-                            report: MomReport::Finished { job, exit },
-                        },
-                    ];
-                }
+                (sess.id, sess.arbiter)
             }
-        }
-        entry.interested.insert(server);
-        match entry.phase {
             Phase::Arbitrating => {
                 let id = *next_session;
                 *next_session += 1;
@@ -286,37 +250,38 @@ impl PbsMomCore {
                         denied: false,
                     },
                 );
-                match arbiter {
-                    Some(a) => {
-                        vec![MomAction::AskArbiter {
-                            arbiter: a,
-                            job,
-                            session: id,
-                            reclaim: false,
-                        }]
-                    }
-                    // Local grant (plain single-head PBS): run immediately.
-                    None => self.grant(job, server),
-                }
+                (id, arbiter)
             }
+            // A late or repeated attempt while the job runs or after it
+            // ended: emulate the start (and the end) for this head.
             Phase::Running { .. } => {
-                // Late attempt while the job already runs: emulate the
-                // start for this head.
-                vec![MomAction::Report {
+                return vec![MomAction::Report {
                     to: server,
                     report: MomReport::Started { job },
-                }]
+                }];
             }
-            Phase::Done { exit } => vec![
-                MomAction::Report {
-                    to: server,
-                    report: MomReport::Started { job },
-                },
-                MomAction::Report {
-                    to: server,
-                    report: MomReport::Finished { job, exit },
-                },
-            ],
+            Phase::Done { exit } => {
+                return vec![
+                    MomAction::Report {
+                        to: server,
+                        report: MomReport::Started { job },
+                    },
+                    MomAction::Report {
+                        to: server,
+                        report: MomReport::Finished { job, exit },
+                    },
+                ];
+            }
+        };
+        match arbiter {
+            Some(a) => vec![MomAction::AskArbiter {
+                arbiter: a,
+                job,
+                session,
+                reclaim: false,
+            }],
+            // Local grant (plain single-head PBS): run immediately.
+            None => self.grant(job, server),
         }
     }
 
@@ -486,7 +451,6 @@ mod tests {
         MomInbound::Start {
             job: JobId(job),
             spec: spec(),
-            nodes: vec!["c00".into()],
             server: ProcId(server),
             arbiter: arbiter.map(ProcId),
         }
@@ -691,7 +655,6 @@ mod tests {
         let acts = mom.on_msg(MomInbound::Start {
             job: JobId(1),
             spec: s,
-            nodes: vec!["c00".into()],
             server: ProcId(10),
             arbiter: None,
         });

@@ -122,14 +122,13 @@ pub fn dispatch(
                 mom: Some(mom),
                 job,
                 spec,
-                nodes,
+                ..
             } => {
                 ctx.send_after(
                     mom,
                     MomInbound::Start {
                         job,
                         spec,
-                        nodes,
                         server,
                         arbiter,
                     },
@@ -148,32 +147,34 @@ pub fn dispatch(
     }
 }
 
+/// Serve one message without replication, as a plain head or the
+/// primary of an active/standby pair does: a [`ClientRequest`] is applied
+/// and answered after its TORQUE cost, a [`MomReport`] is applied, and the
+/// resulting actions go to the moms. Any other message is ignored.
+pub fn serve(core: &mut PbsServerCore, ctx: &mut Ctx<'_>, msg: &Msg) {
+    let now = ctx.now();
+    let processing = PbsCostModel::TORQUE.dispatch_processing;
+    if let Some(req) = msg.downcast_ref::<ClientRequest>() {
+        let cost = PbsCostModel::TORQUE.cost_of(&req.cmd);
+        let (reply, actions) = core.apply(now, &req.cmd);
+        ctx.send_after(
+            req.client,
+            ClientReply {
+                req_id: req.req_id,
+                reply,
+            },
+            cost,
+        );
+        dispatch(ctx, actions, None, cost + processing);
+    } else if let Some(report) = msg.downcast_ref::<MomReport>() {
+        let actions = core.on_report(now, report);
+        dispatch(ctx, actions, None, processing);
+    }
+}
+
 impl Process for PbsHeadProcess {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: ProcId, msg: Msg) {
-        let now = ctx.now();
-        if let Some(req) = msg.downcast_ref::<ClientRequest>() {
-            let cost = PbsCostModel::TORQUE.cost_of(&req.cmd);
-            let (reply, actions) = self.core.apply(now, &req.cmd);
-            ctx.send_after(
-                req.client,
-                ClientReply {
-                    req_id: req.req_id,
-                    reply,
-                },
-                cost,
-            );
-            dispatch(
-                ctx,
-                actions,
-                None,
-                cost + PbsCostModel::TORQUE.dispatch_processing,
-            );
-            return;
-        }
-        if let Ok(report) = msg.downcast::<MomReport>() {
-            let actions = self.core.on_report(now, &report);
-            dispatch(ctx, actions, None, PbsCostModel::TORQUE.dispatch_processing);
-        }
+        serve(&mut self.core, ctx, &msg);
     }
 }
 
@@ -296,7 +297,6 @@ pub struct PbsClientProcess {
 struct Outstanding {
     req_id: u64,
     cmd: ServerCmd,
-    sent: SimTime,
     first_sent: SimTime,
     attempts: u32,
     timer: TimerId,
@@ -363,7 +363,6 @@ impl PbsClientProcess {
         self.outstanding = Some(Outstanding {
             req_id,
             cmd,
-            sent: now,
             first_sent: now,
             attempts: 1,
             timer,
@@ -410,7 +409,6 @@ impl Process for PbsClientProcess {
         self.current_target = next_target;
         let target = self.targets[next_target];
         let me = ctx.me();
-        let now = ctx.now();
         let timer = ctx.set_timer(self.timeout, 1);
         // One borrow of the outstanding slot for the whole update:
         // no second `as_mut().unwrap()` that could race a reply
@@ -420,7 +418,6 @@ impl Process for PbsClientProcess {
             return;
         };
         out.attempts += 1;
-        out.sent = now;
         out.timer = timer;
         let req = ClientRequest {
             client: me,
