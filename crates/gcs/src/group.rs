@@ -14,16 +14,27 @@
 //!    It halts its engine and sends `FlushReq` to every proposed member of
 //!    the next view (survivors + joiners).
 //! 2. Members halt and answer `FlushInfo` with a digest of their ordering
-//!    state (a promise: they will ignore flushes with lower epochs).
-//! 3. With all digests in hand — and only if the proposal passes the
+//!    state (a promise: they will ignore flushes with lower epochs). A
+//!    joiner answers `None`; the answers alone say who joins.
+//! 3. With every answer in hand — and only if the proposal passes the
 //!    primary-component quorum check against the current view — the
-//!    coordinator reconciles one agreed history, renumbers any undelivered
-//!    tail compactly, and sends `FlushFinal`.
-//! 4. Members deliver the reconciled tail, install the view, and ack. The
-//!    coordinator installs only after *every* proposed member has acked, so
-//!    it can never move to a view nobody else accepted. It leads the new
-//!    view (`View::leader`): installing last, it orders nothing a member
-//!    still in the old view could receive and drop.
+//!    coordinator reconciles one agreed history from the digests, renumbers
+//!    any undelivered tail compactly, and sends `FlushFinal`. The attempt is
+//!    then committed: nothing aborts, restarts or re-proposes it, so one
+//!    `ViewId` never names two memberships.
+//! 4. Members deliver the reconciled tail, install the view, and ack. A
+//!    member installs a committed `FlushFinal` whatever higher epoch it
+//!    has promised since, unless it committed a flush of its own. The
+//!    coordinator installs once every proposed member has acked or been
+//!    given up on (suspected, or a joiner dropped as suspected); such a
+//!    member that installs later gets the same view, and the next flush
+//!    removes it. Under `PrimaryComponent` it gives up on members only
+//!    while it and the members that acked are a quorum of the old view;
+//!    otherwise it waits, and if the others install a view without it,
+//!    their heartbeats eject it. The coordinator leads the new view
+//!    (`View::leader`): it installs after every member that acked, and its
+//!    `FlushFinal` precedes its engine frames on every link, so nothing it
+//!    orders reaches a member still in the old view.
 //!
 //! Failures during the flush are handled by epoch takeover: a member that
 //! waits too long condemns the coordinator and the next-lowest live member
@@ -66,8 +77,9 @@ pub enum GcsEvent<P> {
     ViewChange {
         /// The newly installed view.
         view: View,
-        /// Members present now but not in the previous view (from the
-        /// perspective of the whole group: includes rejoiners).
+        /// Members that answered this view's flush as joiners: new
+        /// processes and members that ejected themselves. They need state
+        /// transfer.
         joined: Vec<ProcId>,
         /// Members of the previous view that are gone.
         left: Vec<ProcId>,
@@ -135,19 +147,6 @@ enum Role {
 }
 
 #[derive(Clone, Debug, Hash)]
-struct Finalized<P> {
-    view: View,
-    joined: Vec<ProcId>,
-    msgs: Vec<OrderedMsg<P>>,
-    next_seq: u64,
-    dedup: Vec<(ProcId, u64)>,
-}
-
-#[derive(Clone, Debug, Hash)]
-#[expect(
-    clippy::large_enum_variant,
-    reason = "Coordinating carries the reconciliation state; boxing it buys nothing here"
-)]
 enum Flush<P> {
     None,
     /// Answered someone's FlushReq; awaiting their FlushFinal.
@@ -155,15 +154,25 @@ enum Flush<P> {
         epoch: Epoch,
         since: SimTime,
     },
-    /// We are coordinating.
+    /// We coordinate and collect answers (`None` from a joiner). A stall or
+    /// a new proposal abandons the attempt.
     Coordinating {
         epoch: Epoch,
         proposed: Vec<ProcId>,
-        joiners: BTreeSet<ProcId>,
-        digests: BTreeMap<ProcId, FlushDigest<P>>,
-        finalized: Option<Finalized<P>>,
-        acks: BTreeSet<ProcId>,
+        answers: BTreeMap<ProcId, Option<FlushDigest<P>>>,
         started: SimTime,
+    },
+    /// We sent the `FlushFinal` these fields mirror. Nothing aborts,
+    /// restarts or re-proposes it: we install `view` once every other
+    /// member has acked or been given up on (`maybe_commit`).
+    Committing {
+        epoch: Epoch,
+        view: View,
+        joined: Vec<ProcId>,
+        msgs: Vec<OrderedMsg<P>>,
+        next_seq: u64,
+        dedup: Vec<(ProcId, u64)>,
+        acks: BTreeSet<ProcId>,
     },
 }
 
@@ -654,7 +663,8 @@ impl<P: Clone + 'static> GroupMember<P> {
         // Stability GC: prune what the whole view has delivered.
         self.engine.prune(self.stable_floor());
 
-        // Drop suspected joiners.
+        // Drop suspected joiners. One still in our view (it ejected itself)
+        // stays watched, so the next flush can remove it.
         let dead_joiners: Vec<ProcId> = self
             .pending_joiners
             .keys()
@@ -663,60 +673,38 @@ impl<P: Clone + 'static> GroupMember<P> {
             .collect();
         for j in dead_joiners {
             self.pending_joiners.remove(&j);
-            self.detector.unwatch(j);
+            if !self.view.contains(j) {
+                self.detector.unwatch(j);
+            }
         }
 
         // Flush stall handling.
-        enum Stall {
-            Nothing,
-            GiveUpBlocked(ProcId),
-            Abandon,
-        }
-        let me = self.me;
-        let detector = &self.detector;
-        let stall = match &mut self.flush {
-            Flush::Blocked { epoch, since } if now.since(*since) >= self.config.flush_timeout => {
-                // Coordinator is taking too long: treat it as dead so a new
-                // coordinator (maybe us) takes over.
-                Stall::GiveUpBlocked(epoch.coord)
-            }
-            Flush::Coordinating {
-                started,
-                finalized,
-                proposed,
-                ..
-            } if now.since(*started) >= self.config.flush_timeout => {
-                let someone_dead = proposed
-                    .iter()
-                    .any(|&p| p != me && detector.suspected(p, now));
-                if finalized.is_some() && !someone_dead {
-                    // All proposed members look alive; the links keep
-                    // retransmitting FlushFinal until everyone acks.
-                    *started = now;
-                    Stall::Nothing
-                } else {
-                    Stall::Abandon
-                }
-            }
-            Flush::None | Flush::Blocked { .. } | Flush::Coordinating { .. } => Stall::Nothing,
-        };
-        match stall {
-            Stall::Nothing => {}
-            Stall::GiveUpBlocked(c) => {
-                // Epoch takeover: condemn the stalled coordinator and give
-                // up the block. The epoch promise in `max_epoch_seen`
-                // stands, so a restart by anyone carries a higher epoch.
-                // If we are the next candidate we coordinate the takeover
-                // below; if the group otherwise looks healthy (coordinator
-                // alive but its attempt orphaned), the fizzled-flush path
-                // resumes ordering in the current view instead of halting
-                // forever on a condemnation the next heartbeat clears.
-                self.detector.condemn(c);
+        match self.flush {
+            Flush::Blocked { epoch, since } if now.since(since) >= self.config.flush_timeout => {
+                // Epoch takeover: the coordinator is taking too long, so
+                // condemn it and give up the block. The epoch promise in
+                // `max_epoch_seen` stands, so a restart by anyone carries a
+                // higher epoch. If we are the next candidate we coordinate
+                // the takeover below; if the group otherwise looks healthy
+                // (coordinator alive but its attempt orphaned), the
+                // fizzled-flush path resumes ordering in the current view
+                // instead of halting forever on a condemnation the next
+                // heartbeat clears.
+                self.detector.condemn(epoch.coord);
                 self.flush = Flush::None;
             }
             // Unblock members we halted; if a restart is needed it happens
             // below with a fresh (higher) epoch.
-            Stall::Abandon => self.abort_coordinating(now, out),
+            Flush::Coordinating { started, .. }
+                if now.since(started) >= self.config.flush_timeout =>
+            {
+                self.abort_coordinating(now, out);
+            }
+            // A committed flush does not stall: it installs once each member
+            // has acked or been given up on, and the links keep resending
+            // `FlushFinal` to the rest.
+            Flush::Committing { .. } => self.maybe_commit(now, out),
+            Flush::None | Flush::Blocked { .. } | Flush::Coordinating { .. } => {}
         }
 
         // Membership change needed?
@@ -762,6 +750,8 @@ impl<P: Clone + 'static> GroupMember<P> {
                 // We answered someone else's ongoing flush; let it run
                 // until the stall timeout above condemns the coordinator.
             }
+            // A committed flush installs before anything new is proposed.
+            Flush::Committing { .. } => {}
             Flush::None | Flush::Blocked { .. } | Flush::Coordinating { .. } => {
                 self.start_flush(now, proposal, out)
             }
@@ -806,16 +796,11 @@ impl<P: Clone + 'static> GroupMember<P> {
         self.max_epoch_seen = Some(epoch);
         self.engine.halt();
         let coord_known = self.engine.delivered_up_to();
-        let mut digests = BTreeMap::new();
-        digests.insert(self.me, self.engine.digest(coord_known));
-        let joiners: BTreeSet<ProcId> = self.pending_joiners.keys().copied().collect();
+        let answers = BTreeMap::from([(self.me, Some(self.engine.digest(coord_known)))]);
         self.flush = Flush::Coordinating {
             epoch,
             proposed: proposal.clone(),
-            joiners,
-            digests,
-            finalized: None,
-            acks: BTreeSet::new(),
+            answers,
             started: now,
         };
         for &p in &proposal {
@@ -969,15 +954,15 @@ impl<P: Clone + 'static> GroupMember<P> {
                     return;
                 }
                 *answered = Some(epoch);
-                let digest = FlushDigest {
-                    max_contig: 0,
-                    extra: Vec::new(),
-                    dedup: Vec::new(),
+                let info = GcsMsg::FlushInfo {
+                    epoch,
+                    digest: None,
                 };
-                self.push_link(now, from, GcsMsg::FlushInfo { epoch, digest }, out);
+                self.push_link(now, from, info, out);
             }
             Role::Member => {
-                if epoch.view_id != self.view.id {
+                // Our committed flush is not given up for anyone's.
+                if epoch.view_id != self.view.id || matches!(self.flush, Flush::Committing { .. }) {
                     return;
                 }
                 if let Some(max) = self.max_epoch_seen {
@@ -991,7 +976,7 @@ impl<P: Clone + 'static> GroupMember<P> {
                 // our own attempt if any, releasing the members it blocked.
                 self.abort_coordinating(now, out);
                 self.flush = Flush::Blocked { epoch, since: now };
-                let digest = self.engine.digest(coord_known);
+                let digest = Some(self.engine.digest(coord_known));
                 self.push_link(now, epoch.coord, GcsMsg::FlushInfo { epoch, digest }, out);
             }
         }
@@ -1002,23 +987,22 @@ impl<P: Clone + 'static> GroupMember<P> {
         now: SimTime,
         from: ProcId,
         epoch: Epoch,
-        digest: FlushDigest<P>,
+        digest: Option<FlushDigest<P>>,
         out: &mut Output<P>,
     ) {
         let Flush::Coordinating {
             epoch: my_epoch,
             proposed,
-            digests,
-            finalized,
+            answers,
             ..
         } = &mut self.flush
         else {
             return;
         };
-        if epoch != *my_epoch || finalized.is_some() || !proposed.contains(&from) {
+        if epoch != *my_epoch || !proposed.contains(&from) {
             return;
         }
-        digests.insert(from, digest);
+        answers.insert(from, digest);
         self.try_finalize(now, out);
     }
 
@@ -1026,15 +1010,13 @@ impl<P: Clone + 'static> GroupMember<P> {
         let Flush::Coordinating {
             epoch,
             proposed,
-            joiners,
-            digests,
-            finalized,
+            answers,
             ..
-        } = &mut self.flush
+        } = &self.flush
         else {
             return;
         };
-        if finalized.is_some() || !proposed.iter().all(|p| digests.contains_key(p)) {
+        if !proposed.iter().all(|p| answers.contains_key(p)) {
             return;
         }
         // Primary-component check (counts old-view members in the
@@ -1045,29 +1027,15 @@ impl<P: Clone + 'static> GroupMember<P> {
         {
             return;
         }
-        // Old members contribute their history; joiners are state-less.
-        let old_members: Vec<ProcId> = proposed
-            .iter()
-            .copied()
-            .filter(|p| self.view.contains(*p) && !joiners.contains(p))
-            .collect();
-        debug_assert!(old_members.contains(&self.me));
-        let min_d = old_members
-            .iter()
-            .map(|p| digests[p].max_contig)
-            .min()
-            .unwrap_or(0);
-        let max_d = old_members
-            .iter()
-            .map(|p| digests[p].max_contig)
-            .max()
-            .unwrap_or(0);
+        // Old members contribute their history; joiners answered `None`.
+        let digests = || answers.values().flatten();
+        debug_assert!(answers.get(&self.me).is_some_and(Option::is_some));
+        let min_d = digests().map(|d| d.max_contig).min().unwrap_or(0);
+        let max_d = digests().map(|d| d.max_contig).max().unwrap_or(0);
         // Union of everything anyone knows.
-        let mut union: BTreeMap<u64, OrderedMsg<P>> = BTreeMap::new();
-        for d in digests.values() {
-            for m in &d.extra {
-                union.entry(m.seq).or_insert_with(|| m.clone());
-            }
+        let mut union: BTreeMap<u64, &OrderedMsg<P>> = BTreeMap::new();
+        for m in digests().flat_map(|d| &d.extra) {
+            union.entry(m.seq).or_insert(m);
         }
         // Contiguous delivered region (min_d, max_d] must be fully present.
         debug_assert!(
@@ -1080,59 +1048,54 @@ impl<P: Clone + 'static> GroupMember<P> {
         let mut msgs: Vec<OrderedMsg<P>> = union
             .range(min_d + 1..)
             .take_while(|(&s, _)| s <= max_d)
-            .map(|(_, m)| m.clone())
+            .map(|(_, &m)| m.clone())
             .collect();
         let mut next_seq = max_d + 1;
-        for (_, m) in union.range(max_d + 1..) {
-            let mut m = m.clone();
-            m.seq = next_seq;
+        for (_, &m) in union.range(max_d + 1..) {
+            msgs.push(OrderedMsg {
+                seq: next_seq,
+                ..m.clone()
+            });
             next_seq += 1;
-            msgs.push(m);
         }
         // Merge dedup floors.
-        let mut dedup: BTreeMap<ProcId, u64> = BTreeMap::new();
-        for d in digests.values() {
-            for &(p, l) in &d.dedup {
-                let e = dedup.entry(p).or_insert(0);
-                *e = (*e).max(l);
-            }
+        let mut floors: BTreeMap<ProcId, u64> = BTreeMap::new();
+        let delivered = msgs.iter().map(|m| (m.origin, m.local_id));
+        for (p, l) in digests()
+            .flat_map(|d| d.dedup.iter().copied())
+            .chain(delivered)
+        {
+            let e = floors.entry(p).or_insert(0);
+            *e = (*e).max(l);
         }
-        for m in &msgs {
-            let e = dedup.entry(m.origin).or_insert(0);
-            *e = (*e).max(m.local_id);
-        }
-        let dedup: Vec<(ProcId, u64)> = dedup.into_iter().collect();
-        let new_view = View::new(self.view.id.next(self.me), proposed.clone());
-        let joined: Vec<ProcId> = new_view
-            .members
+        let dedup: Vec<(ProcId, u64)> = floors.into_iter().collect();
+        let view = View::new(self.view.id.next(self.me), proposed.clone());
+        let joined: Vec<ProcId> = answers
             .iter()
-            .copied()
-            .filter(|p| joiners.contains(p) || !self.view.contains(*p))
+            .filter(|(_, d)| d.is_none())
+            .map(|(&p, _)| p)
             .collect();
-        *finalized = Some(Finalized {
-            view: new_view.clone(),
-            joined: joined.clone(),
-            msgs: msgs.clone(),
-            next_seq,
-            dedup: dedup.clone(),
-        });
-        let epoch = *epoch;
-        let peers: Vec<ProcId> = proposed.iter().copied().filter(|&p| p != self.me).collect();
-        for p in peers {
-            self.push_link(
-                now,
-                p,
-                GcsMsg::FlushFinal {
-                    epoch,
-                    view: new_view.clone(),
-                    joined: joined.clone(),
-                    msgs: msgs.clone(),
-                    next_seq,
-                    dedup: dedup.clone(),
-                },
-                out,
-            );
+        let (epoch, me) = (*epoch, self.me);
+        for &p in view.members.iter().filter(|&&p| p != me) {
+            let fin = GcsMsg::FlushFinal {
+                epoch,
+                view: view.clone(),
+                joined: joined.clone(),
+                msgs: msgs.clone(),
+                next_seq,
+                dedup: dedup.clone(),
+            };
+            self.push_link(now, p, fin, out);
         }
+        self.flush = Flush::Committing {
+            epoch,
+            view,
+            joined,
+            msgs,
+            next_seq,
+            dedup,
+            acks: BTreeSet::new(),
+        };
         self.maybe_commit(now, out);
     }
 
@@ -1168,7 +1131,11 @@ impl<P: Clone + 'static> GroupMember<P> {
                 self.push_link(now, from, GcsMsg::InstallAck { epoch }, out);
             }
             Role::Member => {
-                if epoch.view_id != self.view.id || self.max_epoch_seen != Some(epoch) {
+                // A committed flush outranks any epoch we promised since:
+                // its coordinator waits for our ack and cannot re-propose.
+                // Only a flush we committed ourselves keeps us out; members
+                // blocked on an attempt of ours get this `FlushFinal` too.
+                if epoch.view_id != self.view.id || matches!(self.flush, Flush::Committing { .. }) {
                     return;
                 }
                 self.install_view(now, view, joined, &msgs, next_seq, &dedup, out);
@@ -1178,43 +1145,52 @@ impl<P: Clone + 'static> GroupMember<P> {
     }
 
     fn on_install_ack(&mut self, now: SimTime, from: ProcId, epoch: Epoch, out: &mut Output<P>) {
-        let Flush::Coordinating {
-            epoch: my_epoch,
-            finalized,
-            acks,
-            ..
-        } = &mut self.flush
-        else {
-            return;
-        };
-        if epoch != *my_epoch || finalized.is_none() {
-            return;
+        if let Flush::Committing { epoch: e, acks, .. } = &mut self.flush {
+            if *e == epoch {
+                acks.insert(from);
+                self.maybe_commit(now, out);
+            }
         }
-        acks.insert(from);
-        self.maybe_commit(now, out);
     }
 
+    /// Install our committed flush's view once every other member has acked
+    /// it or been given up on: suspected, or a joiner `member_tick` dropped
+    /// (neither in our view nor pending). Under `PrimaryComponent` we give
+    /// up on members only while we and the members that acked pass the
+    /// quorum check `try_finalize` made; otherwise we wait, and if the
+    /// others installed a view without us, their heartbeats eject us.
     fn maybe_commit(&mut self, now: SimTime, out: &mut Output<P>) {
-        let Flush::Coordinating {
-            proposed,
-            finalized,
-            acks,
-            ..
-        } = &self.flush
-        else {
+        let Flush::Committing { view, acks, .. } = &self.flush else {
             return;
         };
-        let Some(f) = finalized else { return };
-        let all_acked = proposed.iter().all(|&p| p == self.me || acks.contains(&p));
-        if !all_acked {
+        let given_up = |p: ProcId| {
+            self.detector.suspected(p, now)
+                || !(self.view.contains(p) || self.pending_joiners.contains_key(&p))
+        };
+        if view
+            .members
+            .iter()
+            .any(|&p| p != self.me && !acks.contains(&p) && !given_up(p))
+        {
             return;
         }
-        let view = f.view.clone();
-        let joined = f.joined.clone();
-        let msgs = f.msgs.clone();
-        let next_seq = f.next_seq;
-        let dedup = f.dedup.clone();
-        self.install_view(now, view, joined, &msgs, next_seq, &dedup, out);
+        if self.config.membership == MembershipPolicy::PrimaryComponent {
+            let installed: Vec<ProcId> = acks.iter().copied().chain([self.me]).collect();
+            if !self.view.quorum(&installed) {
+                return;
+            }
+        }
+        if let Flush::Committing {
+            view,
+            joined,
+            msgs,
+            next_seq,
+            dedup,
+            ..
+        } = std::mem::replace(&mut self.flush, Flush::None)
+        {
+            self.install_view(now, view, joined, &msgs, next_seq, &dedup, out);
+        }
     }
 
     /// Common installation path for coordinator, members and joiners.
@@ -1281,9 +1257,10 @@ impl<P: Clone + 'static> GroupMember<P> {
         self.behind_since = None;
         self.stats.view_changes += 1;
         // 3. Restart the engine in the new view (resubmits own pendings),
-        //    led by the coordinator that installed it. That member
-        //    installs last (`maybe_commit`), so nothing it orders can reach
-        //    a member still in the old view.
+        //    led by the coordinator that installed it. That member installs
+        //    after every member that acked (`maybe_commit`), and its
+        //    `FlushFinal` precedes its engine frames on every link, so
+        //    nothing it orders can reach a member still in the old view.
         let leader = view.leader();
         self.engine.install_into(
             now,
@@ -1353,6 +1330,12 @@ mod tests {
     /// transcript gets a line per frame and per upcall the call produced.
     /// When `idle_ticks` is set, every tick a member reports idle is first
     /// run on a clone, which must emit nothing and keep its fingerprint.
+    /// Every upcall is checked against two membership properties: one
+    /// `ViewId` names one membership wherever it is installed, and a member
+    /// that ejected itself is listed in `joined` by the next view it
+    /// installs (the application awaits state transfer until then).
+    /// Frames from or to the member in `cut` are dropped, as a partition
+    /// does; its links resend them once the cut is lifted.
     struct Net {
         config: GroupConfig,
         members: BTreeMap<ProcId, GroupMember<u32>>,
@@ -1361,18 +1344,30 @@ mod tests {
         reused: Option<Output<u32>>,
         transcript: Vec<String>,
         idle_ticks: Option<u32>,
+        /// Each installed view's membership, as first installed.
+        views: BTreeMap<ViewId, Vec<ProcId>>,
+        /// Members that ejected and have not installed a view since.
+        ejected: BTreeSet<ProcId>,
+        cut: Option<ProcId>,
     }
 
     impl Net {
         fn group(n: u32, kind: EngineKind, reuse: bool) -> Net {
+            Net::with_config(GroupConfig::with_engine(kind), n, reuse)
+        }
+
+        fn with_config(config: GroupConfig, n: u32, reuse: bool) -> Net {
             let mut net = Net {
-                config: GroupConfig::with_engine(kind),
+                config,
                 members: BTreeMap::new(),
                 queue: VecDeque::new(),
                 now: SimTime::ZERO,
                 reused: reuse.then(Output::default),
                 transcript: Vec::new(),
                 idle_ticks: None,
+                views: BTreeMap::new(),
+                ejected: BTreeSet::new(),
+                cut: None,
             };
             let ids: Vec<ProcId> = (0..n).map(ProcId).collect();
             for &id in &ids {
@@ -1440,12 +1435,33 @@ mod tests {
             }
             for ev in out.events.drain(..) {
                 self.transcript.push(format!("{who}! {ev:?}"));
+                match ev {
+                    GcsEvent::ViewChange { view, joined, .. } => {
+                        let first = self.views.entry(view.id).or_insert(view.members.clone());
+                        assert_eq!(
+                            *first, view.members,
+                            "{who} installed {:?} with a second membership",
+                            view.id
+                        );
+                        assert!(
+                            !self.ejected.remove(&who) || joined.contains(&who),
+                            "{who} ejected, then installed {:?} without being in joined {joined:?}",
+                            view.id
+                        );
+                    }
+                    GcsEvent::Ejected => {
+                        self.ejected.insert(who);
+                    }
+                    GcsEvent::Deliver { .. } => {}
+                }
             }
         }
 
         fn run(&mut self) {
             while let Some((from, to, frame)) = self.queue.pop_front() {
-                self.call(to, Call::Wire(from, frame));
+                if self.cut.is_none_or(|c| c != from && c != to) {
+                    self.call(to, Call::Wire(from, frame));
+                }
             }
         }
 
@@ -1464,6 +1480,29 @@ mod tests {
 
         fn ids(&self) -> Vec<ProcId> {
             self.members.keys().copied().collect()
+        }
+
+        /// Tick and deliver frame by frame until a frame line starting with
+        /// `prefix` and naming `msg` is sent, leaving the rest queued.
+        fn deliver_until_sent(&mut self, prefix: &str, msg: &str) {
+            let sent = |net: &Net| {
+                net.transcript
+                    .iter()
+                    .any(|l| l.starts_with(prefix) && l.contains(msg))
+            };
+            for _ in 0..1000 {
+                while !sent(self) {
+                    let Some((from, to, frame)) = self.queue.pop_front() else {
+                        break;
+                    };
+                    self.call(to, Call::Wire(from, frame));
+                }
+                if sent(self) {
+                    return;
+                }
+                self.tick_members(SimDuration::from_millis(5));
+            }
+            panic!("no {prefix} {msg} within 5 s");
         }
 
         fn pick(&self, sel: u8) -> ProcId {
@@ -1495,18 +1534,20 @@ mod tests {
         ]
     }
 
-    /// [`step_strategy`] plus silent stretches of up to 0.5 s, long enough
-    /// for suspicion (250 ms) and flush stalls (300 ms).
+    /// [`step_strategy`] plus frequent silent stretches of up to 1 s, long
+    /// enough for suspicion (250 ms), flush stalls (300 ms) and ejection
+    /// (600 ms behind a newer view).
     fn stall_strategy() -> impl Strategy<Value = Step> {
         prop_oneof![
-            8 => step_strategy(),
-            1 => (1u8..100).prop_map(Step::Stall),
+            3 => step_strategy(),
+            2 => (1u8..200).prop_map(Step::Stall),
         ]
     }
 
     /// Run one schedule; returns the transcript, every survivor's
     /// protocol-state fingerprint and, with `check_idle`, how many ticks
-    /// were reported idle (each checked against a clone).
+    /// were reported idle (each checked against a clone). `Net::call`
+    /// checks the membership properties on the way.
     fn run_schedule(
         kind: EngineKind,
         n: u32,
@@ -1514,6 +1555,16 @@ mod tests {
         reuse: bool,
         check_idle: bool,
     ) -> (Vec<String>, Vec<u64>, Option<u32>) {
+        let net = schedule(kind, n, steps, reuse, check_idle);
+        (
+            net.transcript,
+            net.members.values().map(GroupMember::state_hash).collect(),
+            net.idle_ticks,
+        )
+    }
+
+    /// [`run_schedule`]'s network as the schedule leaves it.
+    fn schedule(kind: EngineKind, n: u32, steps: &[Step], reuse: bool, check_idle: bool) -> Net {
         let tick = SimDuration::from_millis(5);
         let mut net = Net::group(n, kind, reuse);
         net.idle_ticks = check_idle.then_some(0);
@@ -1546,11 +1597,7 @@ mod tests {
             }
         }
         (0..200).for_each(|_| net.tick(tick));
-        (
-            net.transcript,
-            net.members.values().map(GroupMember::state_hash).collect(),
-            net.idle_ticks,
-        )
+        net
     }
 
     proptest! {
@@ -1577,6 +1624,10 @@ mod tests {
                 prop_assert_eq!(fresh_states, reused_states);
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
         /// Idle means no-op: over the same schedules plus silent stretches
         /// (peers suspected, then heard again), every tick for which
@@ -1585,7 +1636,9 @@ mod tests {
         /// The 200 quiet ticks that close every schedule are mostly idle
         /// under the sequencer, so the check is never vacuous there. The
         /// one guard these schedules never isolate, `is_blocked`, has its
-        /// own test below.
+        /// own test below. The stretches are long and frequent enough to
+        /// drive flushes through false suspicion, ejection and rejoin, so
+        /// these cases are also where `Net::call`'s membership checks bite.
         #[test]
         fn idle_ticks_emit_nothing_and_keep_the_fingerprint(
             n in 1u32..5,
@@ -1654,15 +1707,12 @@ mod tests {
         assert!(net.idle_ticks.is_some_and(|i| i > 100));
     }
 
-    /// ROADMAP item 6(a): no frame is lost, yet false suspicion (silent
-    /// stretches), one crash and one join make a coordinator finalize a
-    /// view, abandon the flush and install a different membership under
-    /// the same `ViewId`; in a debug build `try_finalize`'s "gap in
-    /// delivered region" assertion fires first. Found by the idle proptest
-    /// with longer and more frequent stalls and minimized by deleting
-    /// steps; the token engine fails on a similar schedule.
+    /// ROADMAP item 6(a), a finalized flush stays committed: with no frame
+    /// lost, false suspicion (silent stretches), one crash and one join
+    /// drive p0 to finalize `v4@p0` = [p0, p1, p101] and then to want a
+    /// different membership before every ack is in. `Net::call` checks
+    /// that `v4@p0` names that one membership wherever it is installed.
     #[test]
-    #[ignore = "ROADMAP item 6(a)"]
     fn false_suspicion_a_crash_and_a_join_never_alias_a_view_id() {
         use Step::{Advance, Broadcast, Crash, Join, Stall};
         let steps = [
@@ -1675,20 +1725,211 @@ mod tests {
             Advance(8),
             Stall(112),
         ];
+        run_schedule(EngineKind::Sequencer, 3, &steps, false, false);
+    }
+
+    /// ROADMAP item 6(a), the answers decide who joins: p1 ejects and asks
+    /// to rejoin, and p0 drops the request as a suspected joiner (its
+    /// repeats carry the same incarnation and are ignored), while p1 is
+    /// still in p0's view. p1 answers p0's next flush as a joiner, so the
+    /// view it installs lists it in `joined` (checked by `Net::call`) and
+    /// its application awaits state transfer; counted as an old member
+    /// holding nothing, it would trip `try_finalize`'s "gap in delivered
+    /// region" assertion.
+    #[test]
+    fn an_ejected_member_the_coordinator_forgot_still_rejoins_as_a_joiner() {
+        use Step::{Advance, Join, Leave, Stall};
+        let steps = [
+            Stall(50),
+            Leave(98),
+            Advance(13),
+            Stall(107),
+            Stall(1),
+            Stall(50),
+            Join,
+        ];
         let (transcript, _, _) = run_schedule(EngineKind::Sequencer, 3, &steps, false, false);
-        let mut members_of: BTreeMap<&str, &str> = BTreeMap::new();
-        for line in &transcript {
-            let Some(view) = line
-                .split("ViewChange { view: View { id: ")
-                .nth(1)
-                .and_then(|v| v.split(" }, joined").next())
-            else {
-                continue;
-            };
-            let (id, members) = view.split_once(", members: ").unwrap();
-            let first = *members_of.entry(id).or_insert(members);
-            assert_eq!(first, members, "view {id} installed with two memberships");
+        assert!(
+            transcript.iter().any(|l| l.starts_with("p1! Ejected")),
+            "the schedule ejects p1"
+        );
+    }
+
+    /// A committed flush installs past a joiner that fell silent after
+    /// answering. The detector suspects it and `member_tick` drops it as a
+    /// suspected joiner, which stops watching it; the commit gives up on a
+    /// member that is neither in the view nor pending, where counting only
+    /// suspected members would wait forever. The view lists the joiner,
+    /// and the next flush removes it.
+    #[test]
+    fn a_committed_flush_installs_past_a_joiner_that_fell_silent() {
+        let tick = SimDuration::from_millis(5);
+        let p101 = ProcId(101);
+        let mut net = Net::group(2, EngineKind::Sequencer, false);
+        net.add(p101, net.ids());
+        net.deliver_until_sent("p101>p0", "FlushInfo");
+        net.members.remove(&p101);
+        (0..200).for_each(|_| net.tick(tick));
+        let views: Vec<&str> = net
+            .transcript
+            .iter()
+            .filter_map(|l| l.strip_prefix("p0! ViewChange { view: View { id: "))
+            .collect();
+        assert_eq!(views.len(), 2, "{views:?}");
+        assert!(
+            views[0].contains("members: [p0, p1, p101] }, joined: [p101]"),
+            "{}",
+            views[0]
+        );
+        assert!(
+            views[1].contains("members: [p0, p1] }, joined: [], left: [p101]"),
+            "{}",
+            views[1]
+        );
+    }
+
+    /// Under `PrimaryComponent`, a coordinator cut off right after sending
+    /// `FlushFinal` does not install the committed view by giving up on
+    /// everyone: it alone is no quorum of the old view, so it waits. The
+    /// majority condemns it and installs a smaller view of its own; when
+    /// the cut heals, that view's heartbeats eject the coordinator, which
+    /// rejoins it. Installing alone would have made the coordinator's view
+    /// (same number, more members) outrank the majority's, ejecting every
+    /// member that kept working.
+    #[test]
+    fn a_coordinator_cut_off_after_flush_final_yields_to_the_majority() {
+        let tick = SimDuration::from_millis(5);
+        let p0 = ProcId(0);
+        let mut config = GroupConfig::with_engine(EngineKind::Sequencer);
+        config.membership = MembershipPolicy::PrimaryComponent;
+        let mut net = Net::with_config(config, 5, false);
+        net.members.remove(&ProcId(4));
+        net.deliver_until_sent("p0>", "FlushFinal");
+        net.cut = Some(p0);
+        (0..400).for_each(|_| net.tick(tick));
+        net.cut = None;
+        (0..400).for_each(|_| net.tick(tick));
+        let ejected: Vec<&str> = net
+            .transcript
+            .iter()
+            .filter(|l| l.ends_with("! Ejected"))
+            .map(String::as_str)
+            .collect();
+        assert_eq!(ejected, ["p0! Ejected"]);
+        let views: Vec<&View> = net.members.values().map(GroupMember::view).collect();
+        assert!(views.iter().all(|v| *v == views[0]), "{views:?}");
+        assert_eq!(views[0].members.len(), 4, "{views:?}");
+    }
+
+    /// A member that promised a higher epoch still installs a committed
+    /// view. p2 crashes and p0 commits [p0, p1], but its `FlushFinal` to p1
+    /// is held back for 1 s while heartbeats flow. p1's flush stalls, it
+    /// condemns p0 and proposes [p1] alone under a higher epoch, which is no
+    /// quorum of [p0, p1, p2]. When the `FlushFinal` arrives, p1 installs
+    /// it: dropping it for the promise would leave p0 waiting for p1's ack
+    /// and p1 waiting for p0, both alive, forever.
+    #[test]
+    fn a_member_that_promised_a_higher_epoch_installs_the_committed_view() {
+        let tick = SimDuration::from_millis(5);
+        let mut config = GroupConfig::with_engine(EngineKind::Sequencer);
+        config.membership = MembershipPolicy::PrimaryComponent;
+        let mut net = Net::with_config(config, 3, false);
+        net.members.remove(&ProcId(2));
+        for _ in 0..200 {
+            net.tick_members(tick);
+            while let Some((from, to, frame)) = net.queue.pop_front() {
+                if !format!("{frame:?}").contains("FlushFinal") {
+                    net.call(to, Call::Wire(from, frame));
+                }
+            }
         }
+        assert!(
+            net.members[&ProcId(1)]
+                .max_epoch_seen
+                .is_some_and(|e| e.coord == ProcId(1)),
+            "p1 proposed under its own epoch"
+        );
+        (0..200).for_each(|_| net.tick(tick));
+        for who in [ProcId(0), ProcId(1)] {
+            assert_eq!(
+                net.members[&who].view().members,
+                [ProcId(0), ProcId(1)],
+                "{who}"
+            );
+        }
+    }
+
+    /// ROADMAP item 6(e), not fixed: the cut-off coordinator of
+    /// `a_coordinator_cut_off_after_flush_final_yields_to_the_majority`
+    /// does not install its committed view, but a joiner it admitted can.
+    /// p0 commits [p0, p1, p2, p101] and is cut off. p1 and p2 drop p101
+    /// as a suspected joiner (it sends `JoinReq` every 300 ms and is
+    /// suspected after 250 ms) and install [p1, p2]. After the heal p101
+    /// gets p0's `FlushFinal`, installs the four-member view alone, and
+    /// its heartbeats outrank the majority's view and eject p1 and p2.
+    #[test]
+    #[ignore = "ROADMAP item 6(e)"]
+    fn a_joiner_cannot_carry_a_cut_off_coordinators_view_past_the_majority() {
+        let tick = SimDuration::from_millis(5);
+        let p0 = ProcId(0);
+        let mut config = GroupConfig::with_engine(EngineKind::Sequencer);
+        config.membership = MembershipPolicy::PrimaryComponent;
+        let mut net = Net::with_config(config, 3, false);
+        net.add(ProcId(101), net.ids());
+        net.deliver_until_sent("p0>", "FlushFinal");
+        net.cut = Some(p0);
+        (0..400).for_each(|_| net.tick(tick));
+        net.cut = None;
+        (0..400).for_each(|_| net.tick(tick));
+        let ejected: Vec<&str> = net
+            .transcript
+            .iter()
+            .filter(|l| l.ends_with("! Ejected"))
+            .map(String::as_str)
+            .collect();
+        assert_eq!(ejected, ["p0! Ejected"]);
+    }
+
+    /// A joiner that is still in the coordinator's view (it ejected
+    /// itself) and stops answering is given up on. p2 ejects, answers p1's
+    /// flush as a joiner and never gets the `FlushFinal` (item 6(d)'s stale
+    /// link stream). p1 drops it as a suspected joiner but keeps watching
+    /// it, since it is still in p1's view, so the commit gives up on it
+    /// once it is suspected again, and the next flush removes it. Had p1
+    /// stopped watching it, p1 would wait in `Committing` forever.
+    #[test]
+    fn a_coordinator_gives_up_on_a_view_member_that_rejoins_and_falls_silent() {
+        use Step::{Crash, Leave, Stall};
+        let steps = [Stall(1), Leave(68), Stall(134), Crash(194)];
+        let mut net = schedule(EngineKind::Sequencer, 4, &steps, false, false);
+        (0..1000).for_each(|_| net.tick(SimDuration::from_millis(5)));
+        let p1 = &net.members[&ProcId(1)];
+        assert!(!matches!(p1.flush, Flush::Committing { .. }));
+        assert_eq!(p1.view().members, [ProcId(1)]);
+    }
+
+    /// ROADMAP item 6(d), not fixed: a joiner admitted while a member
+    /// ejects never installs. p0 ejects, and its fresh links restart their
+    /// streams at seq 1; joiner p101 never ran `on_join_req`, so it never
+    /// reset its side and still holds p0's old inbound `cum = 2`. It acks
+    /// p0's next `FlushReq` (seq 1) as a duplicate and drops it, and p0
+    /// pops it from `unacked`: the request is lost without a trace. p0 and
+    /// p1 meanwhile install about 20 views.
+    #[test]
+    #[ignore = "ROADMAP item 6(d)"]
+    fn a_joiner_installs_while_a_member_ejects_and_rejoins() {
+        use Step::{Advance, Join, Stall};
+        let mut steps = vec![Join, Stall(60)];
+        steps.extend((0..8).map(|_| Advance(250)));
+        let (transcript, _, _) = run_schedule(EngineKind::Sequencer, 2, &steps, false, false);
+        let count = |prefix: &str| transcript.iter().filter(|l| l.starts_with(prefix)).count();
+        assert!(
+            count("p101! ViewChange") > 0,
+            "p101 never installed a view; p0 ejected {} times, and p0 and p1 installed {} and {} views",
+            count("p0! Ejected"),
+            count("p0! ViewChange"),
+            count("p1! ViewChange"),
+        );
     }
 
     /// The reuse hazard: a view change puts dozens of frames and several

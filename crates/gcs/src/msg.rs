@@ -112,12 +112,15 @@ pub enum GcsMsg<P> {
         /// the coordinator might miss.
         coord_known: u64,
     },
-    /// Member answers a `FlushReq` with its ordering digest.
+    /// A proposed member answers a `FlushReq`. The answer alone says what
+    /// it is in the next view: an installed member of the flushed view
+    /// sends its ordering digest, a joiner (a fresh process, or a member
+    /// that ejected itself) sends `None` and is listed in `joined`.
     FlushInfo {
         /// Echoed epoch.
         epoch: Epoch,
-        /// The member's digest.
-        digest: FlushDigest<P>,
+        /// The member's digest; `None` from a joiner, which holds nothing.
+        digest: Option<FlushDigest<P>>,
     },
     /// Coordinator concludes the flush: everyone delivers `msgs`, installs
     /// `view`, and the engine restarts at `next_seq`.
@@ -126,8 +129,9 @@ pub enum GcsMsg<P> {
         epoch: Epoch,
         /// The new view.
         view: View,
-        /// Members of `view` that were not members of the previous view
-        /// (joiners and rejoiners — they need application state transfer).
+        /// Members of `view` that answered as joiners (no digest): new
+        /// processes and ejected members rejoining. They need application
+        /// state transfer.
         joined: Vec<ProcId>,
         /// Ordered messages filling every member up to `next_seq - 1`;
         /// starts right after the smallest `max_contig` among old members.
@@ -145,9 +149,11 @@ pub enum GcsMsg<P> {
         epoch: Epoch,
     },
     /// A member confirms it installed the view of `epoch`'s flush. The
-    /// coordinator installs only after every proposed member acked,
-    /// preventing a coordinator from unilaterally installing a view nobody
-    /// else accepted.
+    /// coordinator installs once every proposed member has acked or been
+    /// given up on (under `PrimaryComponent`, only while it and the members
+    /// that acked are a quorum of the old view); such a member that
+    /// installs later gets the same view, since nothing can change a
+    /// finalized flush.
     InstallAck {
         /// The epoch of the flush being acknowledged.
         epoch: Epoch,
@@ -198,9 +204,11 @@ impl<P> GcsMsg<P> {
             GcsMsg::InstallAck { .. } => 56,
             GcsMsg::FlushAbort { .. } => 56,
             GcsMsg::FlushReq { proposed, .. } => 72 + 8 * len32(proposed.len()),
+            // A joiner's `None` costs what an empty digest does.
             GcsMsg::FlushInfo { digest, .. } => {
-                96 + len32(digest.extra.len()) * (40 + payload_bytes)
-                    + 16 * len32(digest.dedup.len())
+                96 + digest.as_ref().map_or(0, |d| {
+                    len32(d.extra.len()) * (40 + payload_bytes) + 16 * len32(d.dedup.len())
+                })
             }
             GcsMsg::FlushFinal {
                 msgs,
@@ -363,6 +371,25 @@ mod tests {
         assert!(mk(10).wire_size(100) > mk(1).wire_size(100));
     }
 
+    /// A joiner's answer carries no digest and is charged what an empty
+    /// one is (96 bytes), so it weighs what it did on the simulated wire.
+    #[test]
+    fn a_joiners_answer_costs_an_empty_digest() {
+        let epoch = Epoch {
+            view_id: ViewId::bootstrap(ProcId(0)),
+            attempt: 0,
+            coord: ProcId(0),
+        };
+        let info = |digest| GcsMsg::<u32>::FlushInfo { epoch, digest };
+        let empty = FlushDigest {
+            max_contig: 0,
+            extra: Vec::new(),
+            dedup: Vec::new(),
+        };
+        assert_eq!(info(None).wire_size(64), 96);
+        assert_eq!(info(Some(empty)).wire_size(64), 96);
+    }
+
     /// The calibrated frame classes (EXPERIMENTS.md): which wire frames
     /// are background, which ride the slow ack path, which pay the full
     /// daemon cost. Distinct sentinel costs so a swapped class shows.
@@ -387,11 +414,11 @@ mod tests {
             view_size: 3,
             delivered_up_to: 0,
         };
-        let digest = FlushDigest {
+        let digest = Some(FlushDigest {
             max_contig: 0,
             extra: Vec::new(),
             dedup: Vec::new(),
-        };
+        });
         let ordered = OrderedMsg {
             seq: 1,
             origin: ProcId(0),
