@@ -9,9 +9,19 @@
 //! * `joshua.snap` — periodic full [`ReplicaState`] snapshot with the
 //!   index it covers; bounds WAL replay time and rescues recovery when
 //!   the log is damaged beyond the snapshot point.
-//! * `joshua.inc` — the group-membership incarnation last announced, so a
-//!   restarted process rejoins with a strictly greater one (peers ignore
-//!   stale join requests).
+//! * `joshua.inc` — the group-membership incarnation, so a restarted
+//!   process rejoins with a strictly greater one (peers ignore stale join
+//!   requests). It is replaced atomically (tmp + fsync + rename), and a
+//!   restarted head joins only once it landed, so a stalled disk cannot
+//!   leave it behind what the head announced.
+//!
+//! Every write is encoded once, straight into the file's buffer on the
+//! [`SimDisk`]: a command into its framed WAL record
+//! ([`jrs_store::Wal::append_with`]), a snapshot from the live replica
+//! (`Replica::encode_state`) into the snapshot's temp file
+//! ([`HeadStore::save_snapshot_with`]). [`HeadStore::save_snapshot`],
+//! which takes a built [`ReplicaState`], is a thin wrapper over the
+//! latter.
 //!
 //! Recovery tolerates exactly the damage the fault layer injects: a torn
 //! tail (crash mid-write, or an armed [`jrs_sim::SimDisk`] torn-write
@@ -24,7 +34,7 @@
 
 use crate::payload::{Payload, ReplicaState};
 use jrs_sim::{SimDisk, SimTime};
-use jrs_store::{Codec, SnapshotStore, Wal, WalError};
+use jrs_store::{publish, Codec, SnapshotStore, Wal, WalError};
 
 /// What recovery found on the local disk.
 #[derive(Clone, Debug, Default)]
@@ -49,8 +59,11 @@ pub struct Recovered {
 pub struct HeadStore {
     wal: Wal,
     snap: SnapshotStore,
-    inc_path: String,
 }
+
+/// The incarnation file and the temp file it is published through.
+const INC: &str = "joshua.inc";
+const INC_TMP: &str = "joshua.inc.tmp";
 
 impl HeadStore {
     /// Store rooted at the conventional per-head file names.
@@ -58,7 +71,6 @@ impl HeadStore {
         HeadStore {
             wal: Wal::new("joshua.wal"),
             snap: SnapshotStore::new("joshua.snap"),
-            inc_path: "joshua.inc".to_string(),
         }
     }
 
@@ -72,7 +84,8 @@ impl HeadStore {
         applied_index: u64,
         payload: &Payload,
     ) -> bool {
-        self.wal.append(disk, applied_index, &payload.to_bytes());
+        self.wal
+            .append_with(disk, applied_index, |out| payload.encode(out));
         disk.fsync(self.wal.path(), now)
     }
 
@@ -86,14 +99,31 @@ impl HeadStore {
         applied_index: u64,
         state: &ReplicaState,
     ) -> bool {
-        self.snap.save(disk, now, applied_index, &state.to_bytes())
+        self.save_snapshot_with(disk, now, applied_index, |out| state.encode(out))
     }
 
-    /// Persist the group incarnation (overwrites; fsyncs).
-    pub(crate) fn save_incarnation(&self, disk: &mut SimDisk, now: SimTime, incarnation: u64) {
-        disk.truncate(&self.inc_path, 0);
-        disk.append(&self.inc_path, &incarnation.to_bytes());
-        disk.fsync(&self.inc_path, now);
+    /// [`Self::save_snapshot`] with the [`ReplicaState`] bytes written by
+    /// `encode` straight into the snapshot file.
+    pub fn save_snapshot_with(
+        &self,
+        disk: &mut SimDisk,
+        now: SimTime,
+        applied_index: u64,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> bool {
+        self.snap.save_with(disk, now, applied_index, encode)
+    }
+
+    /// Persist the group incarnation, replacing the old value atomically
+    /// (tmp + fsync + rename). Returns false when the fsync did not land:
+    /// the file still holds the previous value, and the caller retries.
+    pub(crate) fn save_incarnation(
+        &self,
+        disk: &mut SimDisk,
+        now: SimTime,
+        incarnation: u64,
+    ) -> bool {
+        publish(disk, now, INC_TMP, INC, |out| incarnation.encode(out))
     }
 
     /// Recover everything the disk still vouches for. Never fails: any
@@ -102,7 +132,7 @@ impl HeadStore {
     pub fn recover(&self, disk: &mut SimDisk) -> Recovered {
         let mut rec = Recovered::default();
 
-        if let Some(bytes) = disk.read(&self.inc_path) {
+        if let Some(bytes) = disk.read(INC) {
             if let Ok(inc) = u64::from_bytes(&bytes) {
                 rec.incarnation = inc;
             }
@@ -191,7 +221,7 @@ mod tests {
         for i in 1..=5 {
             assert!(store.log_command(&mut disk, now, i, &cmd(i)));
         }
-        store.save_incarnation(&mut disk, now, 3);
+        assert!(store.save_incarnation(&mut disk, now, 3));
         disk.on_crash();
 
         let rec = store.recover(&mut disk);

@@ -22,6 +22,7 @@ use crate::payload::{JMutexOutcome, JMutexState, Payload, ReplicaState};
 use jrs_pbs::server::{MomReport, PbsServerCore, ServerAction};
 use jrs_pbs::{CmdReply, JobId, ServerCmd};
 use jrs_sim::{ProcId, SimTime};
+use jrs_store::{encode_seq, Codec};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The replicated state machine of one head. See module docs.
@@ -109,8 +110,34 @@ impl Replica {
         ))
     }
 
+    /// Encode [`Self::state`] into `out` from the live state, byte for
+    /// byte what `state(..).encode(out)` writes, without building it: no
+    /// job, grant or cached reply is cloned. This is what a snapshot file
+    /// holds.
+    pub fn encode_state(
+        &self,
+        needs_snapshot: &BTreeSet<ProcId>,
+        hellos: &BTreeMap<ProcId, (u64, u64)>,
+        out: &mut Vec<u8>,
+    ) {
+        self.pbs.encode_snapshot(out);
+        self.jmutex.encode(out);
+        encode_seq(self.applied.iter(), out, |(client, (id, reply)), out| {
+            client.encode(out);
+            id.encode(out);
+            reply.encode(out);
+        });
+        encode_seq(needs_snapshot.iter(), out, ProcId::encode);
+        self.applied_index.encode(out);
+        encode_seq(hellos.iter(), out, |(member, (index, print)), out| {
+            member.encode(out);
+            index.encode(out);
+            print.encode(out);
+        });
+    }
+
     /// The full replicated state plus the daemon's membership bookkeeping,
-    /// for donation and snapshot files.
+    /// for donation.
     pub(crate) fn state(
         &self,
         needs_snapshot: &BTreeSet<ProcId>,

@@ -103,6 +103,8 @@ enum Deferred {
     /// Witness duty for an obituary: re-broadcast it after a grace period
     /// unless the job completed in the meantime.
     Witness { job: JobId, exit: i32, mom: ProcId },
+    /// Retry joining the group: the disk did not take the incarnation.
+    Join,
 }
 
 /// Forensics from the durable-state recovery pass, for tests and traces.
@@ -269,15 +271,53 @@ impl JoshuaServer {
             self.on_gcs_event(ctx, ev);
         }
         self.group.recycle(events);
-        // Persist the group incarnation whenever it advances, so a future
-        // restart rejoins with one the survivors will not ignore.
+        // An ejection announced a new incarnation: a stalled disk keeps
+        // the old value, and the next group call retries.
+        self.persist_incarnation(ctx);
+    }
+
+    /// Persist the group incarnation if it advanced, so a future restart
+    /// rejoins with one the survivors will not ignore. False while the
+    /// disk keeps the previous value (a stalled fsync).
+    fn persist_incarnation(&mut self, ctx: &mut Ctx<'_>) -> bool {
         let inc = self.group.member().incarnation();
-        if inc != self.persisted_incarnation {
-            if let Some(store) = &self.store {
+        if inc == self.persisted_incarnation {
+            return true;
+        }
+        let landed = match &self.store {
+            Some(store) => {
                 let now = ctx.now();
-                store.save_incarnation(ctx.disk_mut(), now, inc);
+                store.save_incarnation(ctx.disk_mut(), now, inc)
             }
+            None => true,
+        };
+        if landed {
             self.persisted_incarnation = inc;
+        }
+        landed
+    }
+
+    /// Start the group protocol once the incarnation it announces is
+    /// durable. Announced and then lost in a crash, it would be announced
+    /// again by the next life, and the survivors ignore a join whose
+    /// incarnation they have seen. A stalled disk defers the join by a
+    /// group tick.
+    fn join(&mut self, ctx: &mut Ctx<'_>) {
+        if !self.persist_incarnation(ctx) {
+            let retry = self.config.group.tick_every;
+            return self.defer(ctx, Deferred::Join, retry);
+        }
+        let events = self.group.start(ctx);
+        self.on_group(ctx, events);
+        // Initial members register with the moms right away.
+        if self.group.member().is_installed() {
+            self.register_with_moms(ctx);
+            // Cold restart: announce the recovered state so the bootstrap
+            // group can agree whose is the reference (non-initial members
+            // announce on their join view change instead).
+            if self.store.is_some() {
+                self.announce(ctx);
+            }
         }
     }
 
@@ -495,9 +535,13 @@ impl JoshuaServer {
     /// no-op when diskless).
     fn write_snapshot(&mut self, ctx: &mut Ctx<'_>) {
         let Some(store) = &self.store else { return };
-        let state = self.replica.state(&self.needs_snapshot, &self.hellos);
         let now = ctx.now();
-        if store.save_snapshot(ctx.disk_mut(), now, state.applied_index, &state) {
+        let encode = |out: &mut Vec<u8>| {
+            self.replica
+                .encode_state(&self.needs_snapshot, &self.hellos, out);
+        };
+        let index = self.replica.applied_index();
+        if store.save_snapshot_with(ctx.disk_mut(), now, index, encode) {
             self.stats.snapshots_written += 1;
         }
     }
@@ -925,18 +969,7 @@ impl Process for JoshuaServer {
             self.store = Some(store);
             self.adopt_recovery(ctx, rec);
         }
-        let events = self.group.start(ctx);
-        self.on_group(ctx, events);
-        // Initial members register with the moms right away.
-        if self.group.member().is_installed() {
-            self.register_with_moms(ctx);
-            // Cold restart: announce the recovered state so the bootstrap
-            // group can agree whose is the reference (non-initial members
-            // announce on their join view change instead).
-            if self.store.is_some() {
-                self.announce(ctx);
-            }
-        }
+        self.join(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: ProcId, msg: Msg) {
@@ -1024,6 +1057,7 @@ impl Process for JoshuaServer {
                     self.broadcast(ctx, Payload::MomFinished { job, exit, mom });
                 }
             }
+            Some(Deferred::Join) => self.join(ctx),
             None => {}
         }
     }
@@ -1032,5 +1066,125 @@ impl Process for JoshuaServer {
     /// nothing to do either.
     fn periodic_idle(&self, now: SimTime, tag: u64) -> bool {
         self.group.periodic_idle(now, tag)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::{Cluster, ClusterConfig, HaMode};
+    use crate::config::PersistConfig;
+    use crate::workload;
+    use jrs_pbs::{CmdReply, JobSpec, ServerCmd};
+    use jrs_store::Codec;
+    use proptest::prelude::*;
+
+    /// What the sampled states held, so a case shows it exercised each
+    /// part of the encoders.
+    #[derive(Default)]
+    struct Seen {
+        states: BTreeSet<JobState>,
+        status_replies: bool,
+        grants: bool,
+        hellos: bool,
+        needs_snapshot: bool,
+    }
+
+    /// Both borrowed encoders against the owned state they stand for.
+    fn check(
+        head: &JoshuaServer,
+        needs_snapshot: &BTreeSet<ProcId>,
+        hellos: &BTreeMap<ProcId, (u64, u64)>,
+    ) -> Result<(), TestCaseError> {
+        let (replica, pbs) = (&head.replica, head.replica.pbs());
+        let mut borrowed = Vec::new();
+        replica.encode_state(needs_snapshot, hellos, &mut borrowed);
+        let owned = replica.state(needs_snapshot, hellos).to_bytes();
+        prop_assert!(
+            borrowed == owned,
+            "Replica::encode_state differs from state().to_bytes()"
+        );
+        let mut borrowed = Vec::new();
+        pbs.encode_snapshot(&mut borrowed);
+        let owned = pbs.snapshot().to_bytes();
+        prop_assert!(
+            borrowed == owned,
+            "encode_snapshot differs from snapshot().to_bytes()"
+        );
+        Ok(())
+    }
+
+    fn observe(head: &JoshuaServer, seen: &mut Seen) {
+        let state = head.replica.state(&head.needs_snapshot, &head.hellos);
+        seen.states.extend(state.pbs.jobs.iter().map(|j| j.state));
+        seen.status_replies |= state
+            .applied
+            .iter()
+            .any(|(_, _, reply)| matches!(reply, CmdReply::Status(rows) if !rows.is_empty()));
+        seen.grants |= head.replica.jmutex().grants().next().is_some();
+        seen.hellos |= !head.hellos.is_empty();
+        seen.needs_snapshot |= !head.needs_snapshot.is_empty();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+
+        /// A durable three-head cluster runs a mixed script while head 2
+        /// crashes, recovers and rejoins; every 5 ms every head's two
+        /// borrowed encoders must write exactly the bytes of the owned
+        /// `ReplicaState` / `ServerSnapshot`, under the head's own
+        /// membership bookkeeping and under arbitrary bookkeeping.
+        #[test]
+        fn borrowed_encoders_write_the_owned_states_bytes(
+            n in 30usize..60,
+            seed in 0u64..1000,
+            crash_ms in 400u64..2000,
+            needs in proptest::collection::vec(0u32..8, 1..4),
+            hellos in proptest::collection::vec((0u32..8, any::<u64>(), any::<u64>()), 1..4),
+        ) {
+            let needs: BTreeSet<ProcId> = needs.into_iter().map(ProcId).collect();
+            let hellos: BTreeMap<ProcId, (u64, u64)> =
+                hellos.into_iter().map(|(m, i, f)| (ProcId(m), (i, f))).collect();
+            let mut cfg = ClusterConfig::new(HaMode::Joshua { heads: 3 });
+            cfg.persist = PersistConfig::durable();
+            let mut c = Cluster::build(cfg);
+            // A fixed prologue puts a job in each state: jobs 1 and 2 run
+            // for 10 s on the two nodes, job 3 waits and is held, job 1 is
+            // deleted while it runs (exiting until its mom reports).
+            let spec = JobSpec::with_runtime("pro", SimDuration::from_secs(10));
+            let mut script = vec![
+                ServerCmd::Qsub(spec.clone()),
+                ServerCmd::Qsub(spec.clone()),
+                ServerCmd::Qsub(spec),
+                ServerCmd::Qhold(JobId(3)),
+                ServerCmd::Qdel(JobId(1)),
+            ];
+            script.extend(workload::mixed(n, seed));
+            c.spawn_client(script);
+            let mut seen = Seen::default();
+            for step in 1..=1_600u64 {
+                let ms = step * 5;
+                c.run_until(SimTime::ZERO + SimDuration::from_millis(ms));
+                if ms == crash_ms / 5 * 5 {
+                    c.crash_head(2);
+                }
+                if ms == crash_ms / 5 * 5 + 1_000 {
+                    c.restart_joshua_head(2);
+                }
+                for i in 0..3 {
+                    let head = c.joshua(i);
+                    check(head, &head.needs_snapshot, &head.hellos)?;
+                    check(head, &needs, &hellos)?;
+                    observe(head, &mut seen);
+                }
+            }
+            let states: Vec<JobState> = seen.states.into_iter().collect();
+            prop_assert_eq!(
+                states,
+                vec![JobState::Queued, JobState::Running, JobState::Exiting, JobState::Complete, JobState::Held]
+            );
+            prop_assert!(seen.status_replies && seen.grants, "a cached qstat listing and a jmutex grant");
+            prop_assert!(seen.hellos && seen.needs_snapshot, "head 2's rejoin left bookkeeping to encode");
+        }
     }
 }

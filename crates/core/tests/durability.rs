@@ -196,3 +196,37 @@ fn revive_without_restart_does_not_wedge_survivors() {
     assert!(c.joshua(0).is_established());
     assert!(c.joshua(1).is_established());
 }
+
+/// A restarted head whose disk stalls must not announce an incarnation it
+/// could not make durable and then forget it: the life after its next
+/// crash would rejoin with one its peers already saw and be ignored for
+/// good. Head 1 restarts onto a stalled disk, joins (announcing its new
+/// incarnation), crashes before the stall ends, and restarts again; it
+/// must rejoin and converge.
+#[test]
+fn incarnation_survives_a_stalled_disk_across_two_restarts() {
+    let mut c = Cluster::build(durable_cfg(3));
+    c.spawn_client(workload::burst_with_runtime(
+        10,
+        SimDuration::from_millis(300),
+    ));
+    c.run_until(secs(2));
+    c.crash_head(1);
+    c.world.disk_mut(c.head_nodes[1]).stall_until(secs(30));
+    c.run_until(secs(4));
+    c.restart_joshua_head(1);
+    c.run_until(secs(10));
+    c.crash_head(1);
+    c.run_until(secs(12));
+    c.restart_joshua_head(1);
+    c.run_until(secs(300));
+
+    assert_eq!(c.take_records().len(), 10);
+    let h1 = c.joshua(1);
+    assert!(
+        h1.is_established(),
+        "head 1 never rejoined after its second restart"
+    );
+    assert_eq!(c.assert_replicas_consistent(), 3);
+    assert_eq!(h1.state_fingerprint(), c.joshua(0).state_fingerprint());
+}

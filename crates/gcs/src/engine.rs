@@ -477,7 +477,7 @@ impl<P: Clone> Engine<P> {
     }
 
     /// Install a view led by its rank-0 member, as a bootstrap view is:
-    /// `leader` must be true exactly there. [`Self::install_into`] takes
+    /// `leader` must be true exactly there. `Self::install_into` takes
     /// any leader.
     pub fn install(
         &mut self,

@@ -124,7 +124,7 @@ impl NodePool {
     }
 
     /// Iterate nodes in name order.
-    pub fn iter(&self) -> impl Iterator<Item = &ComputeNode> {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &ComputeNode> {
         self.nodes.values()
     }
 

@@ -19,6 +19,7 @@ use crate::job::{exit, Job, JobId, JobSpec, JobState, JobStatus};
 use crate::resources::{ComputeNode, NodePool};
 use crate::sched::FifoExclusive;
 use jrs_sim::{ProcId, SimTime};
+use jrs_store::{encode_seq, Codec};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Commands of the PBS user interface.
@@ -412,6 +413,18 @@ impl PbsServerCore {
                 .map(|(id, t)| (*id, t.as_nanos()))
                 .collect(),
         }
+    }
+
+    /// Encode [`Self::snapshot`] into `out` from the live state, byte for
+    /// byte what `snapshot().encode(out)` writes, without cloning a job.
+    pub fn encode_snapshot(&self, out: &mut Vec<u8>) {
+        encode_seq(self.jobs.values(), out, Job::encode);
+        self.next_id.encode(out);
+        encode_seq(self.pool.iter(), out, ComputeNode::encode);
+        encode_seq(self.running_since.iter(), out, |(id, t), out| {
+            id.encode(out);
+            t.as_nanos().encode(out);
+        });
     }
 
     /// Restore state from a snapshot (joining replica).

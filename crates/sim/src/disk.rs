@@ -47,6 +47,19 @@ impl FileState {
     }
 }
 
+/// Point `slot` at `path`, reusing its buffer: the disk's bookkeeping
+/// allocates only when a path is longer than any it held before.
+fn set_path(slot: &mut Option<String>, path: &str) {
+    match slot {
+        Some(held) if held == path => {}
+        Some(held) => {
+            held.clear();
+            held.push_str(path);
+        }
+        None => *slot = Some(path.to_string()),
+    }
+}
+
 /// A deterministic simulated disk with explicit write/fsync semantics.
 ///
 /// Files are named by flat string paths. All operations are infallible in
@@ -81,12 +94,22 @@ impl SimDisk {
 
     /// Append bytes to a file's volatile tail, creating the file if needed.
     pub fn append(&mut self, path: &str, bytes: &[u8]) {
+        self.append_with(path, |tail| tail.extend_from_slice(bytes));
+    }
+
+    /// Let `write` append to a file's volatile tail in place, creating the
+    /// file if needed: a record is encoded straight into the page cache,
+    /// with no buffer of its own. `write` must only append; the bytes
+    /// already in the tail are the file's.
+    pub fn append_with(&mut self, path: &str, write: impl FnOnce(&mut Vec<u8>)) {
         self.appends += 1;
-        self.files
-            .entry(path.to_string())
-            .or_default()
-            .volatile
-            .extend_from_slice(bytes);
+        // Look the file up first: its key is allocated only on creation.
+        if !self.files.contains_key(path) {
+            self.files.insert(path.to_string(), FileState::default());
+        }
+        if let Some(f) = self.files.get_mut(path) {
+            write(&mut f.volatile);
+        }
     }
 
     /// Flush a file's volatile tail to durable storage.
@@ -106,7 +129,7 @@ impl SimDisk {
         if let Some(f) = self.files.get_mut(path) {
             if !f.volatile.is_empty() {
                 f.land_tail();
-                self.last_fsynced = Some(path.to_string());
+                set_path(&mut self.last_fsynced, path);
                 self.fsyncs += 1;
             }
         }
@@ -168,9 +191,14 @@ impl SimDisk {
             f.land_tail();
         }
         if self.last_fsynced.as_deref() == Some(from) {
-            self.last_fsynced = Some(to.to_string());
+            set_path(&mut self.last_fsynced, to);
         }
-        self.files.insert(to.to_string(), f);
+        match self.files.get_mut(to) {
+            Some(dest) => *dest = f,
+            None => {
+                self.files.insert(to.to_string(), f);
+            }
+        }
         true
     }
 
@@ -276,6 +304,60 @@ mod tests {
         assert!(d.fsync("wal", T0));
         d.on_crash();
         assert_eq!(d.read("wal").unwrap(), b"aaaabbcc");
+    }
+
+    #[test]
+    fn torn_write_lands_on_the_file_fsynced_last_across_paths_and_renames() {
+        // A WAL and a snapshot temp file take turns: the torn write must
+        // follow the last fsync, through a rename and back.
+        let snapshot = |d: &mut SimDisk, bytes: &[u8]| {
+            d.append_with("snap.tmp", |tail| tail.extend_from_slice(bytes));
+            assert!(d.fsync("snap.tmp", T0));
+            assert!(d.rename("snap.tmp", "snap"));
+        };
+        let mut d = SimDisk::new();
+        d.append("wal", b"aaaa");
+        assert!(d.fsync("wal", T0));
+        snapshot(&mut d, b"ssss");
+        d.append("wal", b"bbbb");
+        assert!(d.fsync("wal", T0));
+        snapshot(&mut d, b"tttttt");
+        d.arm_torn_write(2);
+        d.on_crash();
+        assert_eq!(
+            d.read("snap").unwrap(),
+            b"tt",
+            "the renamed snapshot was fsynced last"
+        );
+        assert_eq!(d.read("wal").unwrap(), b"aaaabbbb");
+
+        // Now the WAL after the snapshot: the snapshot stays whole.
+        snapshot(&mut d, b"uuuu");
+        d.append("wal", b"cccc");
+        assert!(d.fsync("wal", T0));
+        d.arm_torn_write(1);
+        d.on_crash();
+        assert_eq!(d.read("snap").unwrap(), b"uuuu");
+        assert_eq!(d.read("wal").unwrap(), b"aaaabbbbc");
+        assert_eq!(d.torn_truncations, 2);
+    }
+
+    #[test]
+    fn append_with_writes_the_tail_in_place() {
+        let mut d = SimDisk::new();
+        d.append_with("wal", |tail| tail.extend_from_slice(b"ab"));
+        d.append_with("wal", |tail| {
+            assert_eq!(tail, b"ab", "the tail so far");
+            tail.push(b'c');
+        });
+        assert!(d.fsync("wal", T0));
+        d.append_with("wal", |tail| {
+            assert!(tail.is_empty(), "fsynced bytes left the tail");
+            tail.push(b'd');
+        });
+        assert_eq!(d.read("wal").unwrap(), b"abcd");
+        assert_eq!(d.appends, 3);
+        assert_eq!(d.durable_len("wal"), 3);
     }
 
     #[test]

@@ -232,6 +232,21 @@ fn encode_len(len: usize, out: &mut Vec<u8>) {
         .encode(out);
 }
 
+/// Encode a sequence as a `Vec` of its items is encoded: a `u32` count,
+/// then each item as `item` writes it. The one statement of that layout:
+/// the containers below use it, and so does a writer that encodes a
+/// `Vec` field from borrowed state without building the `Vec`.
+pub fn encode_seq<I: ExactSizeIterator>(
+    items: I,
+    out: &mut Vec<u8>,
+    mut item: impl FnMut(I::Item, &mut Vec<u8>),
+) {
+    encode_len(items.len(), out);
+    for x in items {
+        item(x, out);
+    }
+}
+
 fn decode_len(r: &mut Reader<'_>) -> Result<usize, DecodeError> {
     let len = u32::decode(r)?;
     let len = usize::try_from(len).map_err(|_| DecodeError::Invalid("length"))?;
@@ -299,10 +314,7 @@ impl<T: Codec> Codec for Box<T> {
 impl<T> Sealed for Vec<T> {}
 impl<T: Codec> Codec for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
-        encode_len(self.len(), out);
-        for item in self {
-            item.encode(out);
-        }
+        encode_seq(self.iter(), out, T::encode);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let len = decode_len(r)?;
@@ -317,11 +329,10 @@ impl<T: Codec> Codec for Vec<T> {
 impl<K, V> Sealed for BTreeMap<K, V> {}
 impl<K: Codec + Ord, V: Codec> Codec for BTreeMap<K, V> {
     fn encode(&self, out: &mut Vec<u8>) {
-        encode_len(self.len(), out);
-        for (k, v) in self {
+        encode_seq(self.iter(), out, |(k, v), out| {
             k.encode(out);
             v.encode(out);
-        }
+        });
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let len = decode_len(r)?;
@@ -338,10 +349,7 @@ impl<K: Codec + Ord, V: Codec> Codec for BTreeMap<K, V> {
 impl<T> Sealed for BTreeSet<T> {}
 impl<T: Codec + Ord> Codec for BTreeSet<T> {
     fn encode(&self, out: &mut Vec<u8>) {
-        encode_len(self.len(), out);
-        for item in self {
-            item.encode(out);
-        }
+        encode_seq(self.iter(), out, T::encode);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let len = decode_len(r)?;

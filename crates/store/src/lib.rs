@@ -45,7 +45,7 @@ pub mod crc;
 pub mod snapshot;
 pub mod wal;
 
-pub use codec::{Codec, DecodeError, Reader};
+pub use codec::{encode_seq, Codec, DecodeError, Reader};
 pub use crc::crc32;
-pub use snapshot::SnapshotStore;
+pub use snapshot::{publish, SnapshotStore};
 pub use wal::{Replay, Wal, WalError};

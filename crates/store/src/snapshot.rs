@@ -5,24 +5,49 @@
 //! The file is CRC-framed like a WAL record; a snapshot that fails its
 //! checksum is ignored (recovery falls back to a full WAL replay), so a
 //! half-written or corrupted snapshot can never poison a replica.
+//!
+//! The state is encoded straight into the temp file's buffer
+//! ([`SnapshotStore::save_with`]), reserved to the size of the snapshot
+//! it replaces, so publishing one costs a constant number of allocations
+//! however long the job history it carries.
 
 use crate::crc::crc32;
 use jrs_sim::{SimDisk, SimTime};
+
+/// Replace the file at `path` atomically with what `write` writes:
+/// write it into a fresh `tmp`, fsync, rename over `path`. Returns
+/// `false`, with `path` untouched and `tmp` gone, when the fsync did not
+/// land (a stalled disk).
+pub fn publish(
+    disk: &mut SimDisk,
+    now: SimTime,
+    tmp: &str,
+    path: &str,
+    write: impl FnOnce(&mut Vec<u8>),
+) -> bool {
+    disk.remove(tmp);
+    disk.append_with(tmp, write);
+    if !disk.fsync(tmp, now) {
+        disk.remove(tmp);
+        return false;
+    }
+    disk.rename(tmp, path)
+}
 
 /// A snapshot slot bound to one file path on a node's disk.
 #[derive(Debug, Clone)]
 pub struct SnapshotStore {
     path: String,
+    /// `<path>.tmp`, where a snapshot is written before it is published.
+    tmp: String,
 }
 
 impl SnapshotStore {
     /// A snapshot store living at `path`.
     pub fn new(path: impl Into<String>) -> Self {
-        SnapshotStore { path: path.into() }
-    }
-
-    fn tmp_path(&self) -> String {
-        format!("{}.tmp", self.path)
+        let path = path.into();
+        let tmp = format!("{path}.tmp");
+        SnapshotStore { path, tmp }
     }
 
     /// Durably publish a snapshot of `state` taken at `applied_index`.
@@ -32,24 +57,29 @@ impl SnapshotStore {
     /// returned (the previous snapshot, if any, stays intact — the caller
     /// simply retries at the next interval).
     pub fn save(&self, disk: &mut SimDisk, now: SimTime, applied_index: u64, state: &[u8]) -> bool {
-        // `[crc][applied_index][state]`, framed in one buffer: the CRC
-        // covers what follows it and is filled in last.
-        let mut file = Vec::with_capacity(4 + 8 + state.len());
-        file.extend_from_slice(&[0; 4]);
-        file.extend_from_slice(&applied_index.to_le_bytes());
-        file.extend_from_slice(state);
-        let crc = crc32(&file[4..]);
-        file[..4].copy_from_slice(&crc.to_le_bytes());
+        self.save_with(disk, now, applied_index, |out| out.extend_from_slice(state))
+    }
 
-        let tmp = self.tmp_path();
-        disk.remove(&tmp);
-        disk.append(&tmp, &file);
-        if !disk.fsync(&tmp, now) {
-            disk.remove(&tmp);
-            return false;
-        }
-        disk.rename(&tmp, &self.path);
-        true
+    /// [`Self::save`] with the state encoded by `encode` straight into the
+    /// temp file, `[crc][applied_index][state]`: the buffer is reserved
+    /// to the previous snapshot's size, and the CRC, which covers what
+    /// follows it, is patched in last.
+    pub fn save_with(
+        &self,
+        disk: &mut SimDisk,
+        now: SimTime,
+        applied_index: u64,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> bool {
+        let reserve = disk.durable_len(&self.path);
+        publish(disk, now, &self.tmp, &self.path, |file| {
+            file.reserve(reserve);
+            file.extend_from_slice(&[0; 4]);
+            file.extend_from_slice(&applied_index.to_le_bytes());
+            encode(file);
+            let crc = crc32(&file[4..]);
+            file[..4].copy_from_slice(&crc.to_le_bytes());
+        })
     }
 
     /// Load the newest valid snapshot: `(applied_index, state_bytes)`.

@@ -8,7 +8,12 @@
 //! ```
 //!
 //! `len` is the payload length, `crc` is the CRC-32 of the payload, and
-//! `idx` is the replica's monotonically increasing applied index. Recovery
+//! `idx` is the replica's monotonically increasing applied index. A
+//! record is framed in place, in the log file's volatile tail
+//! ([`SimDisk::append_with`]): the writer reserves the header, writes
+//! `idx`, lets the caller encode the blob after it, then patches `len`
+//! and the CRC. Appending a record allocates nothing once the tail has
+//! grown to a record's size. Recovery
 //! ([`Wal::replay`]) scans from the front and classifies damage:
 //!
 //! * an incomplete header or payload at end-of-file is a **torn tail**
@@ -83,28 +88,31 @@ impl Wal {
         &self.path
     }
 
-    /// Frame one record (without writing it anywhere).
-    pub(crate) fn frame(idx: u64, blob: &[u8]) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(IDX + blob.len());
-        payload.extend_from_slice(&idx.to_le_bytes());
-        payload.extend_from_slice(blob);
-        #[expect(
-            clippy::expect_used,
-            reason = "a >4 GiB record is unrepresentable in the u32 frame format; failing loudly at the writer beats silently truncating the length and corrupting every later record"
-        )]
-        let len = u32::try_from(payload.len()).expect("WAL record exceeds u32 length");
-        let mut rec = Vec::with_capacity(HEADER + payload.len());
-        rec.extend_from_slice(&len.to_le_bytes());
-        rec.extend_from_slice(&crc32(&payload).to_le_bytes());
-        rec.extend_from_slice(&payload);
-        rec
-    }
-
     /// Append one record to the volatile tail of the log file. The record
     /// is durable only after a subsequent successful fsync of the path.
     pub fn append(&self, disk: &mut SimDisk, idx: u64, blob: &[u8]) {
-        let rec = Self::frame(idx, blob);
-        disk.append(&self.path, &rec);
+        self.append_with(disk, idx, |out| out.extend_from_slice(blob));
+    }
+
+    /// Append one record whose blob `encode` writes, framed in place in
+    /// the file's tail: reserve `[len][crc]`, write `idx`, let `encode`
+    /// append the blob, then patch `len` and the CRC over what followed.
+    pub fn append_with(&self, disk: &mut SimDisk, idx: u64, encode: impl FnOnce(&mut Vec<u8>)) {
+        disk.append_with(&self.path, |out| {
+            let start = out.len();
+            out.extend_from_slice(&[0; HEADER]);
+            out.extend_from_slice(&idx.to_le_bytes());
+            encode(out);
+            let payload = &out[start + HEADER..];
+            #[expect(
+                clippy::expect_used,
+                reason = "a >4 GiB record is unrepresentable in the u32 frame format; failing loudly at the writer beats silently truncating the length and corrupting every later record"
+            )]
+            let len = u32::try_from(payload.len()).expect("WAL record exceeds u32 length");
+            let crc = crc32(payload);
+            out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+            out[start + 4..start + HEADER].copy_from_slice(&crc.to_le_bytes());
+        });
     }
 
     /// Scan the log, returning every valid record and classifying any
@@ -242,9 +250,10 @@ mod tests {
         let (mut disk, wal) = wal_with(&[(1, b"alpha")]);
         let good_len = disk.read("joshua/wal").unwrap().len();
         // Full header of a record whose payload never finished writing.
-        let rec = Wal::frame(2, b"beta-unfinished");
-        disk.append("joshua/wal", &rec[..rec.len() - 4]);
+        wal.append(&mut disk, 2, b"beta-unfinished");
         assert!(disk.fsync("joshua/wal", T0));
+        let full = disk.durable_len("joshua/wal");
+        disk.truncate("joshua/wal", full - 4);
         let r = wal.replay(&disk).unwrap();
         assert!(r.torn);
         assert_eq!(r.valid_len, good_len);
@@ -255,7 +264,7 @@ mod tests {
         // Damage in the LAST record → torn.
         let (mut disk, wal) = wal_with(&[(1, b"alpha"), (2, b"beta")]);
         let all = disk.read("joshua/wal").unwrap();
-        let first_len = Wal::frame(1, b"alpha").len();
+        let first_len = wal_with(&[(1, b"alpha")]).0.durable_len("joshua/wal");
         disk.corrupt_byte("joshua/wal", u64::try_from(all.len() - 1).unwrap());
         let r = wal.replay(&disk).unwrap();
         assert!(r.torn);
