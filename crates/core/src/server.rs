@@ -861,7 +861,7 @@ impl JoshuaServer {
             let mom = job
                 .allocated
                 .first()
-                .and_then(|node| self.config.nodes.iter().find(|(n, _)| n == node))
+                .and_then(|node| self.config.nodes.iter().find(|(n, _)| **n == **node))
                 .map(|(_, m)| *m);
             let Some(mom) = mom else { continue };
             match job.state {

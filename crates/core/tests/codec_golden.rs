@@ -49,7 +49,7 @@ fn job(id: u64, state: JobState, exit_status: Option<i32>, allocated: &[&str]) -
         spec: spec(&format!("job-{id}"), 1),
         state,
         exit_status,
-        allocated: allocated.iter().map(|n| n.to_string()).collect(),
+        allocated: allocated.iter().map(|&n| n.into()).collect(),
     }
 }
 

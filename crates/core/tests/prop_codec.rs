@@ -89,7 +89,7 @@ fn job(rng: &mut StdRng) -> Job {
             Some(rng.random_range(-20i32..20))
         },
         allocated: (0..rng.random_range(0usize..4))
-            .map(|_| small_string(rng))
+            .map(|_| small_string(rng).into())
             .collect(),
     }
 }
@@ -104,7 +104,7 @@ fn node_pool(rng: &mut StdRng) -> Vec<ComputeNode> {
     let n = rng.random_range(0usize..6);
     (0..n)
         .map(|i| ComputeNode {
-            name: format!("n{i}-{}", small_string(rng)),
+            name: format!("n{i}-{}", small_string(rng)).into(),
             mom: if rng.random_range(0u8..2) == 0 {
                 None
             } else {

@@ -674,19 +674,17 @@ impl<P: Clone> Engine<P> {
     /// is still undelivered (an idle token rests until `release_at` to
     /// limit chatter).
     fn resubmit(&mut self, out: &mut EngineOut<P>) {
-        if self.pending.is_empty() || matches!(self.assign, Assign::Token { holding: None, .. }) {
+        let Some(&(newest, _)) = self.pending.back() else {
+            return;
+        };
+        if matches!(self.assign, Assign::Token { holding: None, .. }) {
             return;
         }
-        // Only the ids unassigned on entry can be offered. An offer may
+        // Only the ids unassigned on entry can be offered: those from
+        // `expected_local` up to the newest pending one. An offer may
         // assign (and deliver) later ones, so each is checked again, and
         // only a payload that is offered is cloned.
-        let unassigned: Vec<u64> = self
-            .pending
-            .iter()
-            .map(|&(local_id, _)| local_id)
-            .filter(|&local_id| !self.is_assigned(self.me, local_id))
-            .collect();
-        for local_id in unassigned {
+        for local_id in self.expected_local(self.me)..=newest {
             if self.is_assigned(self.me, local_id) {
                 continue;
             }

@@ -104,6 +104,10 @@ pub struct Output<P> {
     /// between calls. Scratch capacity, not protocol state, so it lives
     /// with the caller's buffer and not in the (cloned, hashed) member.
     engine: EngineOut<P>,
+    /// Where the links put the buffered successors a received frame
+    /// releases, until they are handled: empty between calls, like
+    /// `engine`.
+    released: Vec<GcsMsg<P>>,
 }
 
 impl<P> Default for Output<P> {
@@ -112,6 +116,7 @@ impl<P> Default for Output<P> {
             wire: Vec::new(),
             events: Vec::new(),
             engine: EngineOut::default(),
+            released: Vec::new(),
         }
     }
 }
@@ -515,15 +520,34 @@ impl<P: Clone + 'static> GroupMember<P> {
         frame: Wire<P>,
         out: &mut Output<P>,
     ) {
+        self.receive_into(now, from, &mut Some(frame), out);
+    }
+
+    /// Feed one received frame where it lies (in the box it crossed the
+    /// wire in), leaving `frame` empty and writing into the caller's
+    /// drained buffer. The ack goes out first, then the frame's own
+    /// message and the successors it released are handled, in order.
+    pub(crate) fn receive_into(
+        &mut self,
+        now: SimTime,
+        from: ProcId,
+        frame: &mut Option<Wire<P>>,
+        out: &mut Output<P>,
+    ) {
         debug_assert!(out.wire.is_empty() && out.events.is_empty());
         self.detector.heard(from, now);
-        let inbound = self.links.on_wire(now, from, frame);
-        if let Some(reply) = inbound.reply {
-            Self::emit(&self.config, from, reply, out);
+        let mut released = std::mem::take(&mut out.released);
+        let (ack, first) = self.links.receive(from, frame, &mut released);
+        if let Some(cum) = ack {
+            Self::emit(&self.config, from, Wire::Ack { cum }, out);
         }
-        for msg in inbound.first.into_iter().chain(inbound.rest) {
+        if let Some(msg) = first {
             self.handle_msg(now, from, msg, out);
         }
+        for msg in released.drain(..) {
+            self.handle_msg(now, from, msg, out);
+        }
+        out.released = released;
     }
 
     // ------------------------------------------------------------------

@@ -9,6 +9,7 @@
 
 use crate::msg::{GcsMsg, Wire};
 use jrs_sim::{ProcId, SimDuration, SimTime};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 
 #[derive(Clone, Debug, Hash)]
@@ -96,43 +97,69 @@ impl<P: Clone> LinkManager<P> {
         Wire::Data { seq, msg }
     }
 
-    /// Process an incoming frame from `peer`.
+    /// Process an incoming frame from `peer`: `receive`, with the
+    /// released successors in a `Vec` of their own and the ack framed.
+    pub fn on_wire(&mut self, _now: SimTime, peer: ProcId, wire: Wire<P>) -> Inbound<P> {
+        let mut rest = Vec::new();
+        let (ack, first) = self.receive(peer, &mut Some(wire), &mut rest);
+        Inbound {
+            first,
+            rest,
+            reply: ack.map(|cum| Wire::Ack { cum }),
+        }
+    }
+
+    /// Process the frame from `peer` where it lies, leaving `frame` empty.
     ///
     /// `Raw` frames pass straight through; `Data` frames are sequenced and
     /// delivered in order (duplicates dropped, gaps buffered; the in-order
     /// frame never visits the buffer); `Ack` frames clear the
-    /// retransmission buffer.
-    pub fn on_wire(&mut self, _now: SimTime, peer: ProcId, wire: Wire<P>) -> Inbound<P> {
-        let mut inbound = Inbound {
-            first: None,
-            rest: Vec::new(),
-            reply: None,
-        };
-        match wire {
-            Wire::Raw(msg) => inbound.first = Some(msg),
-            Wire::Data { seq, msg } => {
+    /// retransmission buffer. Only a message that is delivered or
+    /// buffered is moved out of the frame.
+    ///
+    /// Returns the cumulative ack to send back (for every `Data` frame) and
+    /// the frame's own message when it is deliverable now. The buffered
+    /// successors it releases are appended to `released`, to be delivered
+    /// after it.
+    pub(crate) fn receive(
+        &mut self,
+        peer: ProcId,
+        frame: &mut Option<Wire<P>>,
+        released: &mut Vec<GcsMsg<P>>,
+    ) -> (Option<u64>, Option<GcsMsg<P>>) {
+        // What a delivered or buffered message leaves in the frame until
+        // the frame is emptied below.
+        let take = |msg: &mut GcsMsg<P>| std::mem::replace(msg, GcsMsg::Leave);
+        let (mut ack, mut first) = (None, None);
+        match frame {
+            None => {}
+            Some(Wire::Raw(msg)) => first = Some(take(msg)),
+            Some(Wire::Data { seq, msg }) => {
                 let link = self.inc.entry(peer).or_default();
-                if seq == link.cum + 1 {
+                if *seq == link.cum + 1 {
                     link.cum += 1;
-                    inbound.first = Some(msg);
+                    first = Some(take(msg));
                     while let Some(m) = link.buffer.remove(&(link.cum + 1)) {
                         link.cum += 1;
-                        inbound.rest.push(m);
+                        released.push(m);
                     }
-                } else if seq > link.cum {
-                    link.buffer.entry(seq).or_insert(msg);
+                } else if *seq > link.cum {
+                    if let Entry::Vacant(slot) = link.buffer.entry(*seq) {
+                        slot.insert(take(msg));
+                    }
                 }
-                inbound.reply = Some(Wire::Ack { cum: link.cum });
+                ack = Some(link.cum);
             }
-            Wire::Ack { cum } => {
+            Some(Wire::Ack { cum }) => {
                 if let Some(link) = self.out.get_mut(&peer) {
-                    while link.unacked.front().is_some_and(|&(s, ..)| s <= cum) {
+                    while link.unacked.front().is_some_and(|&(s, ..)| s <= *cum) {
                         link.unacked.pop_front();
                     }
                 }
             }
         }
-        inbound
+        *frame = None;
+        (ack, first)
     }
 
     /// Collect frames that need retransmission (unacked for longer than the

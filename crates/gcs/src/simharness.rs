@@ -10,9 +10,12 @@
 //! is re-armed is not its business.
 //!
 //! A frame travels in a recycled box: `transmit` puts it into an empty box
-//! from the host's free list and the receiving host's `on_message` takes it
-//! out and keeps the box for its own next send, so a box is allocated only
-//! when the sender's list is empty.
+//! from the host's free list, and the receiving host's `on_message` has the
+//! member read the frame where it lies (`GroupMember::receive_into`): the
+//! link moves out only a message it delivers or buffers, and the emptied
+//! box is kept for the host's own next send. So a box is allocated only
+//! when the sender's list is empty, and an ack or a duplicate is never
+//! copied out of its box.
 //!
 //! The tick is a periodic timer (`Ctx::set_periodic`). Most ticks find
 //! nothing to do, and an embedder that answers `Process::periodic_idle`
@@ -87,8 +90,8 @@ impl<P: Clone + 'static> GroupHost<P> {
 
     /// Feed a received message. `Err` hands back, unchanged, a message that
     /// is not a frame box filled by a host's `transmit` (single fallible
-    /// downcast, no check-then-expect: the no-panic lints). The emptied box
-    /// joins this host's free list.
+    /// downcast, no check-then-expect: the no-panic lints). The frame is
+    /// read in its box, and the emptied box joins this host's free list.
     pub fn on_message(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -96,12 +99,12 @@ impl<P: Clone + 'static> GroupHost<P> {
         msg: Msg,
     ) -> Result<Vec<GcsEvent<P>>, Msg> {
         let mut slot = msg.downcast::<Option<Wire<P>>>()?;
-        let Some(frame) = slot.take() else {
+        if slot.is_none() {
             return Err(slot);
-        };
-        self.boxes.push(slot);
+        }
         self.member
-            .on_wire_into(ctx.now(), from, frame, &mut self.out);
+            .receive_into(ctx.now(), from, &mut slot, &mut self.out);
+        self.boxes.push(slot);
         Ok(self.transmit(ctx))
     }
 

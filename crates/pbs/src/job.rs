@@ -116,8 +116,8 @@ pub struct Job {
     pub state: JobState,
     /// Exit status once `Complete`.
     pub exit_status: Option<i32>,
-    /// Node names allocated while running.
-    pub allocated: Vec<String>,
+    /// Node names allocated while running, shared with the node pool.
+    pub allocated: Vec<Rc<str>>,
 }
 
 impl Job {

@@ -138,10 +138,17 @@ struct MomJob {
 /// The mom state machine. Timers are owned by the embedding process; the
 /// core only emits `StartTimer`/`CancelTimer` actions and receives
 /// `on_timer` calls.
+///
+/// Each call returns its actions in the `Vec` of the one before: the
+/// embedder drains it and hands it back (`recycle`), so a
+/// call allocates no action list of its own.
 pub struct PbsMomCore {
     next_session: u64,
     jobs: BTreeMap<JobId, MomJob>,
     servers: BTreeSet<ProcId>,
+    /// Where a call writes its actions: empty between calls, its capacity
+    /// kept by `recycle`.
+    acts: Vec<MomAction>,
     /// Reproduce the paper's TORQUE obituary defect.
     pub obituary_bug: bool,
     /// Number of *real* job executions performed (the exactly-once
@@ -162,6 +169,7 @@ impl PbsMomCore {
             next_session: 1,
             jobs: BTreeMap::new(),
             servers: BTreeSet::new(),
+            acts: Vec::new(),
             obituary_bug: false,
             real_runs: 0,
         }
@@ -181,7 +189,6 @@ impl PbsMomCore {
         match msg {
             MomInbound::RegisterServer { server } => {
                 self.servers.insert(server);
-                vec![]
             }
             MomInbound::Start {
                 job,
@@ -196,15 +203,19 @@ impl PbsMomCore {
                 granted,
             } => self.on_verdict(job, session, granted),
         }
+        std::mem::take(&mut self.acts)
     }
 
-    fn on_start(
-        &mut self,
-        job: JobId,
-        spec: JobSpec,
-        server: ProcId,
-        arbiter: Option<ProcId>,
-    ) -> Vec<MomAction> {
+    /// Take back the action `Vec` of an earlier call, drained, so the next
+    /// call pushes into its capacity instead of allocating.
+    pub(crate) fn recycle(&mut self, acts: Vec<MomAction>) {
+        debug_assert!(acts.is_empty());
+        if acts.capacity() > self.acts.capacity() {
+            self.acts = acts;
+        }
+    }
+
+    fn on_start(&mut self, job: JobId, spec: JobSpec, server: ProcId, arbiter: Option<ProcId>) {
         self.servers.insert(server);
         // A job that was cancelled may be rerun (failover restart): the
         // new start opens a fresh incarnation.
@@ -232,7 +243,7 @@ impl PbsMomCore {
             // arbiter.
             Phase::Arbitrating if repeat => {
                 let Some(sess) = entry.sessions.get_mut(&server) else {
-                    return vec![];
+                    return;
                 };
                 if arbiter.is_some() {
                     sess.arbiter = arbiter;
@@ -255,13 +266,14 @@ impl PbsMomCore {
             // A late or repeated attempt while the job runs or after it
             // ended: emulate the start (and the end) for this head.
             Phase::Running { .. } => {
-                return vec![MomAction::Report {
+                self.acts.push(MomAction::Report {
                     to: server,
                     report: MomReport::Started { job },
-                }];
+                });
+                return;
             }
             Phase::Done { exit } => {
-                return vec![
+                self.acts.extend([
                     MomAction::Report {
                         to: server,
                         report: MomReport::Started { job },
@@ -270,31 +282,33 @@ impl PbsMomCore {
                         to: server,
                         report: MomReport::Finished { job, exit },
                     },
-                ];
+                ]);
+                return;
             }
         };
         match arbiter {
-            Some(a) => vec![MomAction::AskArbiter {
+            Some(a) => self.acts.push(MomAction::AskArbiter {
                 arbiter: a,
                 job,
                 session,
                 reclaim: false,
-            }],
+            }),
             // Local grant (plain single-head PBS): run immediately.
             None => self.grant(job, server),
         }
     }
 
-    fn on_verdict(&mut self, job: JobId, session: u64, granted: bool) -> Vec<MomAction> {
+    fn on_verdict(&mut self, job: JobId, session: u64, granted: bool) {
         let next_session = &mut self.next_session;
         let Some(entry) = self.jobs.get_mut(&job) else {
-            return vec![];
+            return;
         };
         let Some((&server, _)) = entry.sessions.iter().find(|(_, s)| s.id == session) else {
-            return vec![];
+            return;
         };
         if granted {
-            return self.grant(job, server);
+            self.grant(job, server);
+            return;
         }
         if let Some(sess) = entry.sessions.get_mut(&server) {
             sess.denied = true;
@@ -321,27 +335,28 @@ impl PbsMomCore {
                 },
             );
             if let Some(a) = arbiter {
-                return vec![MomAction::AskArbiter {
+                self.acts.push(MomAction::AskArbiter {
                     arbiter: a,
                     job,
                     session: id,
                     reclaim: true,
-                }];
+                });
+                return;
             }
         }
         // Denied: emulate the start for this head only.
-        vec![MomAction::Report {
+        self.acts.push(MomAction::Report {
             to: server,
             report: MomReport::Started { job },
-        }]
+        });
     }
 
     /// A session won the launch mutex (or local grant): really execute.
-    fn grant(&mut self, job: JobId, server: ProcId) -> Vec<MomAction> {
+    fn grant(&mut self, job: JobId, server: ProcId) {
         // A verdict for a job this mom no longer tracks (e.g. cancelled
         // while the acquire was in flight) is ignorable, not fatal (the no-panic lints).
         let Some(entry) = self.jobs.get_mut(&job) else {
-            return vec![];
+            return;
         };
         let session = entry.sessions.get(&server).map(|s| s.id).unwrap_or(0);
         match entry.phase {
@@ -349,93 +364,86 @@ impl PbsMomCore {
                 entry.phase = Phase::Running { session };
                 self.real_runs += 1;
                 let run_for = entry.spec.runtime.min(entry.spec.walltime);
-                let mut acts = vec![MomAction::StartTimer {
+                self.acts.push(MomAction::StartTimer {
                     job,
                     after: run_for,
-                }];
+                });
                 for &s in &entry.interested {
-                    acts.push(MomAction::Report {
+                    self.acts.push(MomAction::Report {
                         to: s,
                         report: MomReport::Started { job },
                     });
                 }
-                acts
             }
             // A second grant can only be a stale duplicate; the arbiter
             // grants a job's mutex once.
-            Phase::Running { .. } | Phase::Done { .. } => vec![],
+            Phase::Running { .. } | Phase::Done { .. } => {}
         }
     }
 
     /// Execution timer fired: the job ran to completion (or walltime).
     pub(crate) fn on_timer(&mut self, job: JobId) -> Vec<MomAction> {
-        let Some(entry) = self.jobs.get(&job) else {
-            return vec![];
-        };
-        if !matches!(entry.phase, Phase::Running { .. }) {
-            return vec![];
+        if let Some(entry) = self.jobs.get(&job) {
+            if matches!(entry.phase, Phase::Running { .. }) {
+                let code = if entry.spec.runtime > entry.spec.walltime {
+                    exit::WALLTIME
+                } else {
+                    exit::OK
+                };
+                self.finish(job, code);
+            }
         }
-        let code = if entry.spec.runtime > entry.spec.walltime {
-            exit::WALLTIME
-        } else {
-            exit::OK
-        };
-        self.finish(job, code)
+        std::mem::take(&mut self.acts)
     }
 
-    fn on_cancel(&mut self, job: JobId, _server: ProcId) -> Vec<MomAction> {
+    fn on_cancel(&mut self, job: JobId, _server: ProcId) {
         let Some(entry) = self.jobs.get_mut(&job) else {
-            return vec![];
+            return;
         };
         match entry.phase {
             Phase::Running { .. } => {
-                let mut acts = vec![MomAction::CancelTimer { job }];
-                acts.extend(self.finish(job, exit::CANCELLED));
-                acts
+                self.acts.push(MomAction::CancelTimer { job });
+                self.finish(job, exit::CANCELLED);
             }
-            Phase::Arbitrating => {
-                // Cancelled before any grant arrived: mark done so a late
-                // grant is ignored, and report to the interested heads.
-                self.finish(job, exit::CANCELLED)
-            }
-            Phase::Done { .. } => vec![],
+            // Cancelled before any grant arrived: mark done so a late
+            // grant is ignored, and report to the interested heads.
+            Phase::Arbitrating => self.finish(job, exit::CANCELLED),
+            Phase::Done { .. } => {}
         }
     }
 
-    fn finish(&mut self, job: JobId, code: i32) -> Vec<MomAction> {
+    fn finish(&mut self, job: JobId, code: i32) {
         let Some(entry) = self.jobs.get_mut(&job) else {
-            return vec![];
+            return;
         };
         let was_running_session = match entry.phase {
             Phase::Running { session } => Some(session),
             Phase::Arbitrating | Phase::Done { .. } => None,
         };
         entry.phase = Phase::Done { exit: code };
-        let mut acts = Vec::new();
         // Release the launch mutex (jdone) through the arbiter of the
         // winning session.
         if let Some(sess) = was_running_session {
             if let Some((_, s)) = entry.sessions.iter().find(|(_, s)| s.id == sess) {
                 if let Some(a) = s.arbiter {
-                    acts.push(MomAction::ReleaseArbiter { arbiter: a, job });
+                    self.acts
+                        .push(MomAction::ReleaseArbiter { arbiter: a, job });
                 }
             }
         }
         let report = MomReport::Finished { job, exit: code };
         if self.obituary_bug {
             // Paper's TORQUE defect: only the owner head learns.
-            acts.push(MomAction::Report {
+            self.acts.push(MomAction::Report {
                 to: entry.owner,
                 report,
             });
         } else {
-            let mut targets: BTreeSet<ProcId> = self.servers.clone();
-            targets.extend(entry.interested.iter().copied());
-            for to in targets {
-                acts.push(MomAction::Report { to, report });
+            // Every registered or interested head, once each, in id order.
+            for &to in self.servers.union(&entry.interested) {
+                self.acts.push(MomAction::Report { to, report });
             }
         }
-        acts
     }
 }
 

@@ -122,7 +122,6 @@ pub fn dispatch(
                 mom: Some(mom),
                 job,
                 spec,
-                ..
             } => {
                 ctx.send_after(
                     mom,
@@ -198,8 +197,9 @@ impl PbsMomProcess {
         &self.core
     }
 
-    fn perform(&mut self, ctx: &mut Ctx<'_>, actions: Vec<MomAction>) {
-        for a in actions {
+    /// Carry out a call's actions and hand their `Vec` back to the core.
+    fn perform(&mut self, ctx: &mut Ctx<'_>, mut actions: Vec<MomAction>) {
+        for a in actions.drain(..) {
             match a {
                 MomAction::Report { to, report } => ctx.send(to, report),
                 MomAction::AskArbiter {
@@ -232,6 +232,7 @@ impl PbsMomProcess {
                 }
             }
         }
+        self.core.recycle(actions);
     }
 }
 

@@ -2,6 +2,7 @@
 
 use jrs_sim::ProcId;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// State of one compute node from the server's perspective.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -17,8 +18,10 @@ pub enum NodeState {
 /// One compute node.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct ComputeNode {
-    /// Node name (sorted order defines deterministic allocation).
-    pub name: String,
+    /// Node name (sorted order defines deterministic allocation). Shared:
+    /// the pool's key, its online list and a job's allocation hold the
+    /// same allocation.
+    pub name: Rc<str>,
     /// The mom daemon process serving this node, once known.
     pub mom: Option<ProcId>,
     /// Allocation state.
@@ -31,7 +34,7 @@ pub struct ComputeNode {
 /// allocates the same nodes to the same job.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct NodePool {
-    nodes: BTreeMap<String, ComputeNode>,
+    nodes: BTreeMap<Rc<str>, ComputeNode>,
 }
 
 impl NodePool {
@@ -40,8 +43,9 @@ impl NodePool {
         let nodes = names
             .into_iter()
             .map(|name| {
+                let name: Rc<str> = name.into();
                 (
-                    name.clone(),
+                    Rc::clone(&name),
                     ComputeNode {
                         name,
                         mom: None,
@@ -56,7 +60,7 @@ impl NodePool {
     /// Pool from fully described nodes (decoding a durable snapshot).
     pub fn from_nodes(nodes: impl IntoIterator<Item = ComputeNode>) -> Self {
         NodePool {
-            nodes: nodes.into_iter().map(|n| (n.name.clone(), n)).collect(),
+            nodes: nodes.into_iter().map(|n| (Rc::clone(&n.name), n)).collect(),
         }
     }
 
@@ -73,11 +77,11 @@ impl NodePool {
     }
 
     /// Names of all non-offline nodes, sorted.
-    pub(crate) fn online_nodes(&self) -> Vec<String> {
+    pub(crate) fn online_nodes(&self) -> Vec<Rc<str>> {
         self.nodes
             .values()
             .filter(|n| n.state != NodeState::Offline)
-            .map(|n| n.name.clone())
+            .map(|n| Rc::clone(&n.name))
             .collect()
     }
 
@@ -87,7 +91,7 @@ impl NodePool {
     }
 
     /// Mark nodes busy (allocation).
-    pub fn allocate(&mut self, names: &[String]) {
+    pub fn allocate(&mut self, names: &[Rc<str>]) {
         for name in names {
             if let Some(n) = self.nodes.get_mut(name) {
                 debug_assert_eq!(n.state, NodeState::Free, "double allocation of {name}");
@@ -97,7 +101,7 @@ impl NodePool {
     }
 
     /// Mark nodes free again (job finished).
-    pub fn release(&mut self, names: &[String]) {
+    pub fn release(&mut self, names: &[Rc<str>]) {
         for name in names {
             if let Some(n) = self.nodes.get_mut(name) {
                 if n.state == NodeState::Busy {
@@ -130,10 +134,10 @@ impl NodePool {
 
     /// Allocation state only — excludes mom registrations, which are
     /// replica-local wiring rather than replicated state.
-    pub fn alloc_state(&self) -> Vec<(String, NodeState)> {
+    pub fn alloc_state(&self) -> Vec<(Rc<str>, NodeState)> {
         self.nodes
             .values()
-            .map(|n| (n.name.clone(), n.state))
+            .map(|n| (Rc::clone(&n.name), n.state))
             .collect()
     }
 }
@@ -149,7 +153,7 @@ mod tests {
     #[test]
     fn nodes_sorted_by_name() {
         let p = pool();
-        let names: Vec<&str> = p.iter().map(|n| n.name.as_str()).collect();
+        let names: Vec<&str> = p.iter().map(|n| &*n.name).collect();
         assert_eq!(names, vec!["n1", "n2", "n3"]);
     }
 
@@ -157,7 +161,7 @@ mod tests {
     fn allocate_and_release() {
         let mut p = pool();
         assert!(p.all_idle());
-        let alloc = vec!["n1".to_string(), "n2".to_string()];
+        let alloc = ["n1", "n2"].map(Rc::from);
         p.allocate(&alloc);
         let states: Vec<NodeState> = p.iter().map(|n| n.state).collect();
         assert_eq!(states, [NodeState::Busy, NodeState::Busy, NodeState::Free]);
@@ -170,11 +174,11 @@ mod tests {
     fn offline_excluded_from_online() {
         let mut p = pool();
         p.set_offline("n2");
-        assert_eq!(p.online_nodes(), vec!["n1", "n3"]);
+        assert_eq!(p.online_nodes(), ["n1", "n3"].map(Rc::from));
         // A cluster with running nothing but an offline node is still idle.
         assert!(p.all_idle());
         p.set_online("n2");
-        assert_eq!(p.online_nodes(), vec!["n1", "n2", "n3"]);
+        assert_eq!(p.online_nodes(), ["n1", "n2", "n3"].map(Rc::from));
     }
 
     #[test]

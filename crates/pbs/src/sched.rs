@@ -9,6 +9,7 @@
 
 use crate::job::Job;
 use crate::resources::NodePool;
+use std::rc::Rc;
 
 /// The paper's configuration: strict FIFO, one job at a time, whole
 /// cluster per job.
@@ -23,7 +24,7 @@ impl FifoExclusive {
     ///
     /// `busy` is its own input because the pool cannot see every running
     /// job: one whose nodes all went offline leaves no node busy.
-    pub(crate) fn select(head: &Job, pool: &NodePool, busy: bool) -> Option<Vec<String>> {
+    pub(crate) fn select(head: &Job, pool: &NodePool, busy: bool) -> Option<Vec<Rc<str>>> {
         if busy || !pool.all_idle() {
             return None;
         }
@@ -56,7 +57,7 @@ mod tests {
     #[test]
     fn exclusive_refuses_while_any_job_runs() {
         let mut p = pool(2);
-        p.allocate(&["c00".to_string()]);
+        p.allocate(&[Rc::from("c00")]);
         assert_eq!(FifoExclusive::select(&job(1), &p, true), None);
     }
 

@@ -21,6 +21,7 @@ use crate::sched::FifoExclusive;
 use jrs_sim::{ProcId, SimTime};
 use jrs_store::{encode_seq, Codec};
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 /// Commands of the PBS user interface.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -58,8 +59,8 @@ pub enum CmdReply {
 /// embedding process).
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum ServerAction {
-    /// Start `job` on `nodes`; `mom` is the mother-superior daemon (first
-    /// allocated node), if registered.
+    /// Start `job` on the nodes in its `allocated` list; `mom` is the
+    /// mother-superior daemon (first allocated node), if registered.
     Start {
         /// Mother-superior mom process.
         mom: Option<ProcId>,
@@ -67,8 +68,6 @@ pub enum ServerAction {
         job: JobId,
         /// Its spec (the mom needs runtime/walltime).
         spec: JobSpec,
-        /// Allocated node names.
-        nodes: Vec<String>,
     },
     /// Cancel a running job.
     Cancel {
@@ -372,14 +371,13 @@ impl PbsServerCore {
         };
         self.pool.allocate(&nodes);
         set_state(&mut self.queue, job, JobState::Running);
-        job.allocated = nodes.clone();
-        self.running_since.insert(job.id, now);
         let mom = nodes.first().and_then(|n| self.pool.mom_of(n));
+        job.allocated = nodes;
+        self.running_since.insert(job.id, now);
         vec![ServerAction::Start {
             mom,
             job: job.id,
             spec: job.spec.clone(),
-            nodes,
         }]
     }
 
@@ -446,10 +444,10 @@ impl PbsServerCore {
             .collect();
         self.next_id = snap.next_id;
         // Keep our own mom registrations but adopt allocation states.
-        let moms: Vec<(String, ProcId)> = self
+        let moms: Vec<(Rc<str>, ProcId)> = self
             .pool
             .iter()
-            .filter_map(|n| n.mom.map(|m| (n.name.clone(), m)))
+            .filter_map(|n| n.mom.map(|m| (Rc::clone(&n.name), m)))
             .collect();
         self.pool = NodePool::from_nodes(snap.pool.iter().cloned());
         for (node, mom) in moms {
@@ -493,9 +491,13 @@ mod tests {
         assert_eq!(id1, JobId(1));
         assert_eq!(a1.len(), 1, "idle cluster starts job immediately");
         match &a1[0] {
-            ServerAction::Start { job, nodes, .. } => {
+            ServerAction::Start { job, .. } => {
                 assert_eq!(*job, id1);
-                assert_eq!(nodes.len(), 2, "exclusive allocation");
+                assert_eq!(
+                    s.job(id1).unwrap().allocated.len(),
+                    2,
+                    "exclusive allocation"
+                );
             }
             other => panic!("{other:?}"),
         }
@@ -747,8 +749,9 @@ mod tests {
             },
         );
         match &actions[..] {
-            [ServerAction::Start { job, nodes, .. }] => {
-                assert_eq!((*job, &nodes[..]), (queued, &["c00".to_string()][..]));
+            [ServerAction::Start { job, .. }] => {
+                let nodes = &s.job(queued).unwrap().allocated;
+                assert_eq!((*job, &nodes[..]), (queued, &[Rc::from("c00")][..]));
             }
             other => panic!("{other:?}"),
         }

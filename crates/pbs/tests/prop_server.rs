@@ -10,6 +10,7 @@ use jrs_pbs::{
 use jrs_sim::{ProcId, SimDuration, SimTime};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 /// A randomized input to the server: a command or a mom report.
 #[derive(Clone, Debug)]
@@ -173,12 +174,12 @@ proptest! {
         let mut s = mk_server(4);
         // drive() checks internally via NodePool debug asserts; externally:
         let _ = drive(&mut s, &inputs, SimTime::ZERO);
-        let allocated: Vec<String> = s
+        let allocated: Vec<Rc<str>> = s
             .jobs_in_order()
             .filter(|j| j.state == JobState::Running)
             .flat_map(|j| j.allocated.clone())
             .collect();
-        let unique: BTreeSet<&String> = allocated.iter().collect();
+        let unique: BTreeSet<&Rc<str>> = allocated.iter().collect();
         prop_assert_eq!(unique.len(), allocated.len(), "node double-allocated");
         prop_assert!(allocated.len() <= 4);
     }
@@ -299,7 +300,7 @@ impl RefServer {
         self.jobs.iter_mut().find(|j| j.id == id)
     }
 
-    fn mom_of(&self, nodes: &[String]) -> Option<ProcId> {
+    fn mom_of(&self, nodes: &[Rc<str>]) -> Option<ProcId> {
         nodes.first().and_then(|n| self.pool.mom_of(n))
     }
 
@@ -441,11 +442,11 @@ impl RefServer {
             let Some(i) = self.jobs.iter().position(|j| j.state == JobState::Queued) else {
                 break;
             };
-            let nodes: Vec<String> = self
+            let nodes: Vec<Rc<str>> = self
                 .pool
                 .iter()
                 .filter(|n| n.state != NodeState::Offline)
-                .map(|n| n.name.clone())
+                .map(|n| Rc::clone(&n.name))
                 .collect();
             if nodes.is_empty() || self.jobs[i].spec.nodes as usize > nodes.len() {
                 break;
@@ -455,12 +456,11 @@ impl RefServer {
             let job = &mut self.jobs[i];
             self.running_since.insert(job.id, now);
             job.state = JobState::Running;
-            job.allocated = nodes.clone();
+            job.allocated = nodes;
             actions.push(ServerAction::Start {
                 mom,
                 job: job.id,
                 spec: job.spec.clone(),
-                nodes,
             });
         }
         actions

@@ -1,5 +1,11 @@
 //! The discrete-event world: virtual clock, event queue, node/process
 //! registry, network routing and fault injection entry points.
+//!
+//! Values a process publishes with `Ctx::emit` wait in one buffer, in
+//! emission order, until the harness takes them by type
+//! ([`World::take_emitted`]). A take moves the matching values out in
+//! place, so the buffer keeps its capacity and the other values keep
+//! their order, and a take that matches nothing allocates nothing.
 
 use crate::disk::SimDisk;
 use crate::ids::{NodeId, ProcId, TimerId};
@@ -489,22 +495,15 @@ impl World {
         });
     }
 
-    /// Drain emitted values of one concrete type, leaving others in place.
+    /// Drain emitted values of one concrete type, leaving the others in
+    /// place and in emission order. The values are taken out where they
+    /// lie, so the buffer keeps its capacity, and a call that matches
+    /// nothing allocates nothing.
     pub fn take_emitted<T: Any>(&mut self) -> Vec<(SimTime, ProcId, T)> {
-        let mut taken = Vec::new();
-        let mut kept = Vec::new();
-        for e in std::mem::take(&mut self.emitted) {
-            match e.value.downcast::<T>() {
-                Ok(v) => taken.push((e.at, e.from, *v)),
-                Err(v) => kept.push(Emitted {
-                    at: e.at,
-                    from: e.from,
-                    value: v,
-                }),
-            }
-        }
-        self.emitted = kept;
-        taken
+        self.emitted
+            .extract_if(.., |e| e.value.is::<T>())
+            .filter_map(|e| Some((e.at, e.from, *e.value.downcast::<T>().ok()?)))
+            .collect()
     }
 
     // ------------------------------------------------------------------

@@ -77,3 +77,58 @@ fn run_for_advances_relative_time() {
     w.run_for(SimDuration::from_secs(5));
     assert_eq!(w.now(), SimTime::ZERO + SimDuration::from_secs(10));
 }
+
+/// Emits `0..6` interleaved as two types: even values as `u32`, odd ones
+/// as `u64`.
+struct Interleaved;
+
+impl Process for Interleaved {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        for i in 0..6_u32 {
+            if i % 2 == 0 {
+                ctx.emit(i);
+            } else {
+                ctx.emit(u64::from(i));
+            }
+        }
+    }
+    fn on_message(&mut self, _ctx: &mut Ctx<'_>, _from: ProcId, _msg: Msg) {}
+}
+
+#[test]
+fn take_emitted_takes_one_type_and_keeps_the_rest_in_order() {
+    let mut w = World::new(0);
+    let n = w.add_node("x");
+    let p = w.add_process(n, Interleaved);
+    w.run_until_idle();
+
+    let values = |taken: &[(SimTime, ProcId, u64)]| -> Vec<u64> {
+        assert!(taken
+            .iter()
+            .all(|&(at, from, _)| at == SimTime::ZERO && from == p));
+        taken.iter().map(|&(_, _, v)| v).collect()
+    };
+    let evens = w.take_emitted::<u32>();
+    let evens: Vec<(SimTime, ProcId, u64)> = evens
+        .into_iter()
+        .map(|(at, from, v)| (at, from, u64::from(v)))
+        .collect();
+    assert_eq!(values(&evens), [0, 2, 4]);
+
+    let none = w.take_emitted::<u32>();
+    assert!(none.is_empty());
+    assert_eq!(
+        none.capacity(),
+        0,
+        "a take that matches nothing allocates nothing"
+    );
+    assert_eq!(w.take_emitted::<&str>().capacity(), 0);
+
+    let odds = w.take_emitted::<u64>();
+    assert_eq!(
+        values(&odds),
+        [1, 3, 5],
+        "the other type, later, in emission order"
+    );
+    assert!(w.take_emitted::<u64>().is_empty());
+}
