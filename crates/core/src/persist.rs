@@ -11,15 +11,16 @@
 //!   the log is damaged beyond the snapshot point.
 //! * `joshua.inc` — the group-membership incarnation, so a restarted
 //!   process rejoins with a strictly greater one (peers ignore stale join
-//!   requests). It is replaced atomically (tmp + fsync + rename), and a
-//!   restarted head joins only once it landed, so a stalled disk cannot
-//!   leave it behind what the head announced.
+//!   requests). It is replaced atomically ([`SimDisk::replace_with`]),
+//!   and a restarted head joins only once it landed, so a stalled disk
+//!   cannot leave it behind what the head announced.
 //!
 //! Every write is encoded once, straight into the file's buffer on the
 //! [`SimDisk`]: a command into its framed WAL record
 //! ([`jrs_store::Wal::append_with`]), a snapshot from the live replica
-//! (`Replica::encode_state`) into the snapshot's temp file
-//! ([`HeadStore::save_snapshot_with`]). [`HeadStore::save_snapshot`],
+//! (`Replica::encode_state`) into the buffer of the snapshot file it
+//! replaces ([`HeadStore::save_snapshot_with`]), so a snapshot allocates
+//! only when it outgrows the last one. [`HeadStore::save_snapshot`],
 //! which takes a built [`ReplicaState`], is a thin wrapper over the
 //! latter.
 //!
@@ -34,7 +35,7 @@
 
 use crate::payload::{Payload, ReplicaState};
 use jrs_sim::{SimDisk, SimTime};
-use jrs_store::{publish, Codec, SnapshotStore, Wal, WalError};
+use jrs_store::{Codec, SnapshotStore, Wal, WalError};
 
 /// What recovery found on the local disk.
 #[derive(Clone, Debug, Default)]
@@ -61,9 +62,8 @@ pub struct HeadStore {
     snap: SnapshotStore,
 }
 
-/// The incarnation file and the temp file it is published through.
+/// The incarnation file.
 const INC: &str = "joshua.inc";
-const INC_TMP: &str = "joshua.inc.tmp";
 
 impl HeadStore {
     /// Store rooted at the conventional per-head file names.
@@ -89,9 +89,9 @@ impl HeadStore {
         disk.fsync(self.wal.path(), now)
     }
 
-    /// Write a full-state snapshot covering `applied_index`. Publication
-    /// is atomic (tmp + fsync + rename); on a stalled fsync the previous
-    /// snapshot stays intact and this returns false.
+    /// Write a full-state snapshot covering `applied_index`. The file is
+    /// replaced atomically; on a stalled fsync the previous snapshot
+    /// stays intact and this returns false.
     pub fn save_snapshot(
         &self,
         disk: &mut SimDisk,
@@ -114,16 +114,16 @@ impl HeadStore {
         self.snap.save_with(disk, now, applied_index, encode)
     }
 
-    /// Persist the group incarnation, replacing the old value atomically
-    /// (tmp + fsync + rename). Returns false when the fsync did not land:
-    /// the file still holds the previous value, and the caller retries.
+    /// Persist the group incarnation, replacing the old value atomically.
+    /// Returns false when the fsync did not land: the file still holds
+    /// the previous value, and the caller retries.
     pub(crate) fn save_incarnation(
         &self,
         disk: &mut SimDisk,
         now: SimTime,
         incarnation: u64,
     ) -> bool {
-        publish(disk, now, INC_TMP, INC, |out| incarnation.encode(out))
+        disk.replace_with(INC, now, |out| incarnation.encode(out))
     }
 
     /// Recover everything the disk still vouches for. Never fails: any

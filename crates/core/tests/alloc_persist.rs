@@ -4,23 +4,30 @@
 //! `HeadStore::save_snapshot_with`) and through the by-value
 //! `HeadStore::save_snapshot(&ReplicaState)`.
 //!
-//! A record is framed in place in the WAL file's tail and a snapshot is
-//! encoded from the live state straight into its temp file, reserved to
-//! the size of the snapshot it replaces. So a record allocates nothing,
-//! and a snapshot allocates the temp file's name, its buffer and at most
-//! one growth of that buffer, at any history. Where each path stood
-//! before (a record was encoded into a `Vec`, framed into two more, and
-//! the disk copied its path twice; a snapshot cloned the replica state
-//! and grew its buffer from empty, once per doubling of the history):
+//! A record is framed in place in the WAL file's tail, and a snapshot is
+//! encoded from the live state straight into the buffer of the snapshot
+//! file it replaces (`SimDisk::replace_with`). So a record allocates
+//! nothing, and a snapshot allocates at most one growth of that buffer,
+//! at any history; one no larger than the buffer already holds
+//! allocates nothing. Where each path stood before:
 //!
-//! | path | before | now |
-//! |---|---|---|
-//! | `log_command`, per record | 8 | 0 |
-//! | server's snapshot write at 100 / 1 000 jobs | 25 / 28 | 3 / 3 |
-//! | `save_snapshot(&ReplicaState)` at 100 / 1 000 jobs | 19 / 22 | 3 / 3 |
+//! | path | record in a `Vec`, cloned state | temp file + rename | file's own buffer |
+//! |---|---|---|---|
+//! | `log_command`, per record | 8 | 0 | 0 |
+//! | server's snapshot write at 100 / 1 000 jobs | 25 / 28 | 3 / 3 | 0 / 0 |
+//! | `save_snapshot(&ReplicaState)` at 100 / 1 000 jobs | 19 / 22 | 3 / 3 | 0 / 0 |
+//! | a snapshot no larger than the one it replaces | | | 0 |
 //!
-//! ("Before" for the server's path is `Replica::state` then
-//! `save_snapshot`, what `JoshuaServer` did.)
+//! In the first column a record was encoded into a `Vec` and framed into
+//! two more, the disk copied its path twice, and the server's snapshot
+//! was `Replica::state` (a cloned replica state) then `save_snapshot`,
+//! its buffer grown from empty once per doubling of the history. In the
+//! second each snapshot was written into a fresh temp file, reserved to
+//! the previous snapshot's size: the temp file's name, its buffer and a
+//! growth when the new snapshot was larger. The growth the ceiling
+//! below allows is paid only when a snapshot outgrows every buffer
+//! before it; a head's snapshot 32 commands after the last fits in the
+//! slack of the doubling that made room for that one.
 //!
 //! The simulated platter (the durable prefix of each file) still grows
 //! geometrically as the log does; that is the disk's storage, amortised
@@ -78,9 +85,9 @@ static GLOBAL: Counting = Counting;
 const WAL: &str = "joshua.wal";
 const MOM: ProcId = ProcId(9);
 const CLIENT: ProcId = ProcId(100);
-/// Allocations one snapshot write may make at any history: the temp
-/// file's name, its buffer, one growth of that buffer.
-const SNAPSHOT_MAX: u64 = 3;
+/// Allocations one snapshot write may make at any history: one growth
+/// of the snapshot file's buffer.
+const SNAPSHOT_MAX: u64 = 1;
 
 /// Allocations `f` makes, and its result.
 fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
@@ -137,16 +144,16 @@ fn replica(history: u64) -> Replica {
     r
 }
 
-/// Allocations of a snapshot write at `history` jobs, through the
-/// server's path and the by-value one, each after a first snapshot of a
-/// history 32 commands shorter (the previous one, as a head writes them).
-fn snapshot_allocs(history: u64) -> (u64, u64) {
+/// Allocations of a snapshot write of a `history`-job replica, through
+/// the server's path and the by-value one, each over a first snapshot of
+/// a `previous`-job one.
+fn snapshot_allocs(previous: u64, history: u64) -> (u64, u64) {
     let (store, now) = (HeadStore::new(), SimTime::ZERO);
     let (needs, hellos) = (
         BTreeSet::from([ProcId(3)]),
         BTreeMap::from([(ProcId(3), (7, 8))]),
     );
-    let older = replica(history - 16);
+    let older = replica(previous);
     let r = replica(history);
     let mut disk = SimDisk::new();
     let encode_older = |out: &mut Vec<u8>| older.encode_state(&needs, &hellos, out);
@@ -175,8 +182,10 @@ fn snapshot_allocs(history: u64) -> (u64, u64) {
 
 #[test]
 fn a_snapshot_write_costs_the_same_at_any_history() {
-    let (small, small_by_value) = snapshot_allocs(100);
-    let (large, large_by_value) = snapshot_allocs(1_000);
+    // Over the previous snapshot, 32 commands (16 jobs) shorter, as a
+    // head writes them.
+    let (small, small_by_value) = snapshot_allocs(84, 100);
+    let (large, large_by_value) = snapshot_allocs(984, 1_000);
     println!(
         "snapshot write: {small} / {large} allocations at 100 / 1000 jobs \
          (by value: {small_by_value} / {large_by_value})"
@@ -197,4 +206,14 @@ fn a_snapshot_write_costs_the_same_at_any_history() {
         large_by_value <= SNAPSHOT_MAX,
         "{large_by_value} allocations, budget {SNAPSHOT_MAX}"
     );
+}
+
+#[test]
+fn a_snapshot_no_larger_than_the_last_allocates_nothing() {
+    let (borrowed, by_value) = snapshot_allocs(1_000, 984);
+    println!(
+        "snapshot write over a larger one: {borrowed} allocations (by value: {by_value})"
+    );
+    assert_eq!(borrowed, 0, "the server's snapshot write allocated");
+    assert_eq!(by_value, 0, "save_snapshot allocated");
 }

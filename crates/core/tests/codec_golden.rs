@@ -178,7 +178,7 @@ fn pinned() -> Pinned {
     p.pin("CmdReply::Released", &CmdReply::Released(JobId(13)));
     p.pin(
         "CmdReply::Status",
-        &CmdReply::Status(vec![status(1, 'C', Some(0)), status(2, 'R', None)]),
+        &CmdReply::Status(vec![status(1, 'C', Some(0)), status(2, 'R', None)].into()),
     );
     p.pin("CmdReply::Error", &CmdReply::Error("nope".into()));
     p.pin("MomReport::Started", &MomReport::Started { job: JobId(14) });

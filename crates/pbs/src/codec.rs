@@ -69,7 +69,7 @@ mod tests {
         round_trip(CmdReply::Submitted(JobId(1)));
         round_trip(CmdReply::Error("nope".into()));
         let j = Job::queued(JobId(1), JobSpec::trivial("x"));
-        round_trip(CmdReply::Status(vec![JobStatus::from(&j)]));
+        round_trip(CmdReply::Status(vec![JobStatus::from(&j)].into()));
         round_trip(MomReport::Started { job: JobId(1) });
         round_trip(MomReport::Finished {
             job: JobId(2),

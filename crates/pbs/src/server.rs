@@ -49,8 +49,9 @@ pub enum CmdReply {
     Held(JobId),
     /// Job released.
     Released(JobId),
-    /// Status listing.
-    Status(Vec<JobStatus>),
+    /// Status listing. Built once per head and shared, not copied, by the
+    /// reply cache, the released reply and the client's record.
+    Status(Rc<[JobStatus]>),
     /// Command failed.
     Error(String),
 }
@@ -255,7 +256,7 @@ impl PbsServerCore {
                 },
             },
             ServerCmd::Qstat(filter) => {
-                let rows: Vec<JobStatus> = match filter {
+                let rows: Rc<[JobStatus]> = match filter {
                     Some(id) => self.jobs.get(id).map(JobStatus::from).into_iter().collect(),
                     None => self.jobs_in_order().map(JobStatus::from).collect(),
                 };

@@ -1,20 +1,24 @@
 //! What a full-history read of the PBS server allocates: one `Qstat(None)`,
-//! one `snapshot()` and one `restore` at a 1 000-job `FifoExclusive`
-//! history. JOSHUA applies every jstat on every head, and a durable head
-//! snapshots its whole job table every 32 commands, so a cost per job here
-//! is paid per job, per head, per query.
+//! a copy of its reply, one `snapshot()` and one `restore` at a 1 000-job
+//! `FifoExclusive` history. JOSHUA applies every jstat on every head, and
+//! a durable head snapshots its whole job table every 32 commands, so a
+//! cost per job here is paid per job, per head, per query.
 //!
 //! Allocations per call:
 //!
-//! | commit | `Qstat(None)` | `snapshot()` | `restore` |
-//! |---|---|---|---|
-//! | parent `b98e79d` (`String` name and user, copied per row and job) | 2 001 | 2 006 | 2 099 |
-//! | shared `Rc<str>` name and user | 1 | 6 | 99 |
+//! | commit | `Qstat(None)` | reply clone | `snapshot()` | `restore` |
+//! |---|---|---|---|---|
+//! | parent `b98e79d` (`String` name and user, copied per row and job) | 2 001 | | 2 006 | 2 099 |
+//! | shared `Rc<str>` name and user | 1 | | 6 | 99 |
+//! | `ca85d68`, node names shared too (listing in a `Vec`) | 1 | 1 | 2 | 96 |
+//! | listing shared as `Rc<[JobStatus]>` | 1 | 0 | 2 | 96 |
 //!
-//! The row `Vec` is the one allocation a listing needs; a snapshot copies
-//! the job `Vec` and the node pool; a restore builds the job and queue
-//! trees. The ceilings below fail the parent and any per-job copy that
-//! creeps back in.
+//! A listing is one allocation, collected straight into the shared slice
+//! (through a `Vec` it would be two), and every copy of the reply (the
+//! reply cache, the released reply, the client's record) shares it. A
+//! snapshot copies the job `Vec` and the node pool; a restore builds the
+//! job and queue trees. The ceilings below fail each earlier row and any
+//! per-job copy that creeps back in.
 //!
 //! An integration test is its own binary, so the counting allocator below
 //! counts nothing but this file's one test.
@@ -23,6 +27,7 @@ use jrs_pbs::job::exit;
 use jrs_pbs::{CmdReply, FifoExclusive, JobId, JobSpec, MomReport, PbsServerCore, ServerCmd};
 use jrs_sim::SimTime;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 struct Counting;
@@ -83,8 +88,12 @@ fn full_history_reads_do_not_allocate_per_job() {
     let mut joiner = server();
 
     let (qstat, (reply, _)) = counted(|| pbs.apply(now, &ServerCmd::Qstat(None)));
-    let rows = match &reply {
-        CmdReply::Status(rows) => rows.len(),
+    let (clone, copy) = counted(|| reply.clone());
+    let rows = match (&reply, &copy) {
+        (CmdReply::Status(rows), CmdReply::Status(shared)) => {
+            assert!(Rc::ptr_eq(rows, shared), "a cloned reply copied the listing");
+            rows.len()
+        }
         other => panic!("{other:?}"),
     };
     let (snapshot, snap) = counted(|| pbs.snapshot());
@@ -93,12 +102,13 @@ fn full_history_reads_do_not_allocate_per_job() {
     assert!(joiner.snapshot().consistent_with(&snap));
 
     println!(
-        "alloc_history: h{HISTORY}: Qstat(None) {qstat}, snapshot() {snapshot}, restore {restore} allocations"
+        "alloc_history: h{HISTORY}: Qstat(None) {qstat}, reply clone {clone}, snapshot() {snapshot}, restore {restore} allocations"
     );
     assert!(
         qstat <= QSTAT_MAX,
         "Qstat(None): {qstat} allocations, budget {QSTAT_MAX}"
     );
+    assert_eq!(clone, 0, "cloning the Status reply allocated");
     assert!(
         snapshot <= SNAPSHOT_MAX,
         "snapshot(): {snapshot} allocations, budget {SNAPSHOT_MAX}"

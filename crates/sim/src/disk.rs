@@ -7,6 +7,10 @@
 //!
 //! * [`SimDisk::append`] writes into a volatile tail (the OS page cache);
 //! * [`SimDisk::fsync`] moves the volatile tail onto the durable platter;
+//! * [`SimDisk::replace_with`] replaces a whole file durably and
+//!   atomically (write-temp / fsync / rename as one operation), writing
+//!   into the file's own buffer, so a file rewritten at about the same
+//!   size (a snapshot) costs no allocation;
 //! * [`SimDisk::on_crash`] (called by `World::crash_node`) discards
 //!   every volatile tail and applies any armed torn-write damage.
 //!
@@ -36,7 +40,7 @@ struct FileState {
 
 impl FileState {
     /// Move the volatile tail onto the platter as one fsync batch; a file
-    /// with nothing durable yet (a snapshot's temp file) takes its buffer.
+    /// with nothing durable yet takes its buffer.
     fn land_tail(&mut self) {
         self.synced_floor = self.durable.len();
         if self.durable.is_empty() {
@@ -119,16 +123,60 @@ impl SimDisk {
     /// crash). Syncing a missing or already-clean file is a successful
     /// no-op.
     pub fn fsync(&mut self, path: &str, now: SimTime) -> bool {
-        if let Some(until) = self.stalled_until {
-            if now < until {
-                self.stalled_fsyncs += 1;
-                return false;
-            }
-            self.stalled_until = None;
+        if self.stalled(now) {
+            return false;
         }
         if let Some(f) = self.files.get_mut(path) {
             if !f.volatile.is_empty() {
                 f.land_tail();
+                set_path(&mut self.last_fsynced, path);
+                self.fsyncs += 1;
+            }
+        }
+        true
+    }
+
+    /// Whether an injected stall swallows an fsync at `now`, counting it
+    /// when it does; a stall that has run out is cleared.
+    fn stalled(&mut self, now: SimTime) -> bool {
+        if let Some(until) = self.stalled_until {
+            if now < until {
+                self.stalled_fsyncs += 1;
+                return true;
+            }
+            self.stalled_until = None;
+        }
+        false
+    }
+
+    /// Replace a file's whole content with what `write` writes, durably
+    /// and atomically: the write-temp / fsync / rename idiom as one
+    /// operation, which no crash can fall inside. The file (created if
+    /// needed) is cleared and `write` fills its own buffer, so a rewrite
+    /// no larger than the capacity the file already holds allocates
+    /// nothing. The new content lands as one fsync batch, so armed
+    /// torn-write damage falls on it as it would on a renamed temp file.
+    ///
+    /// Returns `false`, with the old content untouched and `write` not
+    /// called, when an injected stall swallows the fsync.
+    pub fn replace_with(
+        &mut self,
+        path: &str,
+        now: SimTime,
+        write: impl FnOnce(&mut Vec<u8>),
+    ) -> bool {
+        if self.stalled(now) {
+            return false;
+        }
+        if !self.files.contains_key(path) {
+            self.files.insert(path.to_string(), FileState::default());
+        }
+        if let Some(f) = self.files.get_mut(path) {
+            f.durable.clear();
+            f.volatile.clear();
+            f.synced_floor = 0;
+            write(&mut f.durable);
+            if !f.durable.is_empty() {
                 set_path(&mut self.last_fsynced, path);
                 self.fsyncs += 1;
             }
@@ -180,9 +228,8 @@ impl SimDisk {
         self.files.remove(path).is_some()
     }
 
-    /// Atomically rename a file, fsyncing its content first (the classic
-    /// write-temp / fsync / rename durable-publish idiom collapses to one
-    /// call here). Overwrites any existing destination.
+    /// Atomically rename a file, fsyncing its content first. Overwrites
+    /// any existing destination.
     pub fn rename(&mut self, from: &str, to: &str) -> bool {
         let Some(mut f) = self.files.remove(from) else {
             return false;
@@ -394,6 +441,69 @@ mod tests {
         assert!(!d.exists("snap.tmp"));
         d.on_crash();
         assert_eq!(d.read("snap").unwrap(), b"state");
+    }
+
+    fn replace(d: &mut SimDisk, path: &str, now: SimTime, bytes: &[u8]) -> bool {
+        d.replace_with(path, now, |file| file.extend_from_slice(bytes))
+    }
+
+    #[test]
+    fn a_stalled_replace_keeps_the_old_bytes() {
+        let mut d = SimDisk::new();
+        assert!(replace(&mut d, "snap", T0, b"old"));
+        let later = T0 + SimDuration::from_secs(5);
+        d.stall_until(later);
+        let mut called = false;
+        assert!(!d.replace_with("snap", T0, |_| called = true));
+        assert!(!called, "a stalled replace writes nothing");
+        assert_eq!(d.stalled_fsyncs, 1);
+        assert!(!replace(&mut d, "other", T0, b"x"));
+        assert!(!d.exists("other"), "a stalled replace creates no file");
+        d.on_crash();
+        assert_eq!(d.read("snap").unwrap(), b"old");
+        assert!(replace(&mut d, "snap", later, b"new"));
+        assert_eq!(d.read("snap").unwrap(), b"new");
+    }
+
+    #[test]
+    fn a_replace_survives_a_crash() {
+        let mut d = SimDisk::new();
+        assert!(replace(&mut d, "snap", T0, b"first"));
+        assert!(replace(&mut d, "snap", T0, b"second, longer"));
+        d.on_crash();
+        assert_eq!(d.read("snap").unwrap(), b"second, longer");
+        assert_eq!(d.durable_len("snap"), 14);
+        assert_eq!(d.paths(), vec!["snap".to_string()], "no temp file");
+    }
+
+    #[test]
+    fn a_torn_write_after_a_replace_cuts_that_file() {
+        let mut d = SimDisk::new();
+        d.append("wal", b"aaaa");
+        assert!(d.fsync("wal", T0));
+        assert!(replace(&mut d, "snap", T0, b"ssss"));
+        d.append("wal", b"bbbb");
+        assert!(d.fsync("wal", T0));
+        assert!(replace(&mut d, "snap", T0, b"tttttt"));
+        d.arm_torn_write(2);
+        d.on_crash();
+        assert_eq!(d.read("snap").unwrap(), b"tt", "the replace landed last");
+        assert_eq!(d.read("wal").unwrap(), b"aaaabbbb");
+        assert_eq!(d.torn_truncations, 1);
+    }
+
+    #[test]
+    fn a_replace_no_larger_than_the_last_keeps_the_buffer() {
+        let mut d = SimDisk::new();
+        assert!(replace(&mut d, "snap", T0, &[7; 64]));
+        let buffer = |d: &SimDisk| {
+            let f = &d.files["snap"];
+            (f.durable.as_ptr(), f.durable.capacity())
+        };
+        let before = buffer(&d);
+        assert!(replace(&mut d, "snap", T0, &[8; 40]));
+        assert_eq!(buffer(&d), before);
+        assert_eq!(d.read("snap").unwrap(), [8; 40]);
     }
 
     #[test]

@@ -326,6 +326,18 @@ impl<T: Codec> Codec for Vec<T> {
     }
 }
 
+/// A shared slice (a status listing) encodes exactly as the `Vec` it
+/// could have been.
+impl<T> Sealed for std::rc::Rc<[T]> {}
+impl<T: Codec> Codec for std::rc::Rc<[T]> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_seq(self.iter(), out, T::encode);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Vec::decode(r).map(Self::from)
+    }
+}
+
 impl<K, V> Sealed for BTreeMap<K, V> {}
 impl<K: Codec + Ord, V: Codec> Codec for BTreeMap<K, V> {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -633,6 +645,18 @@ mod tests {
         round_trip(Rc::<str>::from(""));
         round_trip(Rc::<str>::from("λ-ジョブ-🚀"));
         round_trip(vec![Rc::<str>::from("a"), Rc::from("")]);
+        round_trip(Rc::<[u32]>::from([1, 2, 3]));
+        round_trip(Rc::<[u64]>::from([]));
+    }
+
+    #[test]
+    fn shared_slice_encodes_like_vec() {
+        let items = vec![Rc::<str>::from("a"), Rc::from(""), Rc::from("job-7")];
+        let shared: Rc<[Rc<str>]> = items.iter().cloned().collect();
+        assert_eq!(shared.to_bytes(), items.to_bytes());
+        assert_eq!(Rc::<[u8]>::from([]).to_bytes(), Vec::<u8>::new().to_bytes());
+        let bytes = 1024u32.to_bytes();
+        assert_eq!(Rc::<[u64]>::from_bytes(&bytes), Err(DecodeError::Eof));
     }
 
     #[test]

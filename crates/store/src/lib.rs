@@ -47,5 +47,5 @@ pub mod wal;
 
 pub use codec::{encode_seq, Codec, DecodeError, Reader};
 pub use crc::crc32;
-pub use snapshot::{publish, SnapshotStore};
+pub use snapshot::SnapshotStore;
 pub use wal::{Replay, Wal, WalError};

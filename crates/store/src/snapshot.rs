@@ -1,4 +1,4 @@
-//! Durable snapshot publication: write-temp, fsync, atomic rename.
+//! Durable snapshot publication: the file is replaced atomically.
 //!
 //! A snapshot captures the full replica state at one applied index so
 //! recovery does not have to replay the WAL from the beginning of time.
@@ -6,64 +6,40 @@
 //! checksum is ignored (recovery falls back to a full WAL replay), so a
 //! half-written or corrupted snapshot can never poison a replica.
 //!
-//! The state is encoded straight into the temp file's buffer
-//! ([`SnapshotStore::save_with`]), reserved to the size of the snapshot
-//! it replaces, so publishing one costs a constant number of allocations
-//! however long the job history it carries.
+//! A snapshot is published with [`SimDisk::replace_with`], the
+//! write-temp / fsync / rename idiom as one disk operation: the state is
+//! encoded ([`SnapshotStore::save_with`]) straight into the buffer of the
+//! file it replaces, so publishing one allocates only when it outgrows
+//! every snapshot before it, however long the job history it carries.
 
 use crate::crc::crc32;
 use jrs_sim::{SimDisk, SimTime};
-
-/// Replace the file at `path` atomically with what `write` writes:
-/// write it into a fresh `tmp`, fsync, rename over `path`. Returns
-/// `false`, with `path` untouched and `tmp` gone, when the fsync did not
-/// land (a stalled disk).
-pub fn publish(
-    disk: &mut SimDisk,
-    now: SimTime,
-    tmp: &str,
-    path: &str,
-    write: impl FnOnce(&mut Vec<u8>),
-) -> bool {
-    disk.remove(tmp);
-    disk.append_with(tmp, write);
-    if !disk.fsync(tmp, now) {
-        disk.remove(tmp);
-        return false;
-    }
-    disk.rename(tmp, path)
-}
 
 /// A snapshot slot bound to one file path on a node's disk.
 #[derive(Debug, Clone)]
 pub struct SnapshotStore {
     path: String,
-    /// `<path>.tmp`, where a snapshot is written before it is published.
-    tmp: String,
 }
 
 impl SnapshotStore {
     /// A snapshot store living at `path`.
     pub fn new(path: impl Into<String>) -> Self {
-        let path = path.into();
-        let tmp = format!("{path}.tmp");
-        SnapshotStore { path, tmp }
+        SnapshotStore { path: path.into() }
     }
 
     /// Durably publish a snapshot of `state` taken at `applied_index`.
     ///
-    /// Uses the write-temp / fsync / rename idiom; if the disk is stalled
-    /// the fsync is swallowed, the temp file is discarded and `false` is
-    /// returned (the previous snapshot, if any, stays intact — the caller
-    /// simply retries at the next interval).
+    /// The file is replaced atomically; if the disk is stalled the fsync
+    /// is swallowed and `false` is returned (the previous snapshot, if
+    /// any, stays intact — the caller simply retries at the next
+    /// interval).
     pub fn save(&self, disk: &mut SimDisk, now: SimTime, applied_index: u64, state: &[u8]) -> bool {
         self.save_with(disk, now, applied_index, |out| out.extend_from_slice(state))
     }
 
     /// [`Self::save`] with the state encoded by `encode` straight into the
-    /// temp file, `[crc][applied_index][state]`: the buffer is reserved
-    /// to the previous snapshot's size, and the CRC, which covers what
-    /// follows it, is patched in last.
+    /// snapshot file's own buffer, `[crc][applied_index][state]`: the CRC,
+    /// which covers what follows it, is patched in last.
     pub fn save_with(
         &self,
         disk: &mut SimDisk,
@@ -71,9 +47,7 @@ impl SnapshotStore {
         applied_index: u64,
         encode: impl FnOnce(&mut Vec<u8>),
     ) -> bool {
-        let reserve = disk.durable_len(&self.path);
-        publish(disk, now, &self.tmp, &self.path, |file| {
-            file.reserve(reserve);
+        disk.replace_with(&self.path, now, |file| {
             file.extend_from_slice(&[0; 4]);
             file.extend_from_slice(&applied_index.to_le_bytes());
             encode(file);
@@ -84,20 +58,23 @@ impl SnapshotStore {
 
     /// Load the newest valid snapshot: `(applied_index, state_bytes)`.
     /// Returns `None` when the file is missing, too short, or fails its
-    /// CRC — callers then recover from the WAL alone.
+    /// CRC — callers then recover from the WAL alone. The state bytes are
+    /// the one copy read off the disk, with the 12-byte header drained
+    /// from their front.
     pub fn load(&self, disk: &SimDisk) -> Option<(u64, Vec<u8>)> {
-        let data = disk.read(&self.path)?;
+        let mut data = disk.read(&self.path)?;
         if data.len() < 12 {
             return None;
         }
         // The `len < 12` check above bounds both reads; the helpers
         // cannot panic regardless (recovery must degrade, not die: the no-panic lints).
         let want_crc = crate::codec::le_u32_at(&data, 0);
-        let payload = &data[4..];
-        if crc32(payload) != want_crc {
+        if crc32(&data[4..]) != want_crc {
             return None;
         }
-        Some((crate::codec::le_u64_at(payload, 0), payload[8..].to_vec()))
+        let applied_index = crate::codec::le_u64_at(&data, 4);
+        data.drain(..12);
+        Some((applied_index, data))
     }
 }
 
@@ -115,7 +92,7 @@ mod tests {
         assert!(store.save(&mut disk, T0, 42, b"state-bytes"));
         disk.on_crash();
         assert_eq!(store.load(&disk), Some((42, b"state-bytes".to_vec())));
-        assert!(!disk.exists("joshua/snap.tmp"));
+        assert_eq!(disk.paths(), vec!["joshua/snap".to_string()]);
     }
 
     #[test]

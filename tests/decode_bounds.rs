@@ -171,7 +171,7 @@ fn replica_state() -> ReplicaState {
         pbs: snapshot(),
         jmutex,
         applied: vec![
-            (ProcId(20), 3, CmdReply::Status(vec![status(1), status(2)])),
+            (ProcId(20), 3, CmdReply::Status(vec![status(1), status(2)].into())),
             (ProcId(21), 1, CmdReply::Error("unknown job 9".into())),
         ],
         needs_snapshot: vec![ProcId(3)],
@@ -249,7 +249,7 @@ fn corrupt_input_allocates_at_most_k_bytes_per_input_byte() {
         "ServerCmd",
         worst::<ServerCmd>("ServerCmd", &ServerCmd::Qsub(spec("job")).to_bytes()),
     ));
-    let status_reply = CmdReply::Status(vec![status(1), status(2), status(3)]);
+    let status_reply = CmdReply::Status(vec![status(1), status(2), status(3)].into());
     rows.push((
         "CmdReply",
         worst::<CmdReply>("CmdReply", &status_reply.to_bytes()),
