@@ -40,7 +40,7 @@ use jrs_sim::{ProcId, SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 
 /// What an engine wants done after handling a stimulus.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct EngineOut<P> {
     /// Reliable sends to perform: `(peer, message)`.
     pub sends: Vec<(ProcId, EngineMsg<P>)>,

@@ -94,7 +94,7 @@ pub enum GcsEvent<P> {
 /// Frames to transmit and events to hand to the application. A caller
 /// that drains `wire` and `events` after each call can hand the same value
 /// to the next one: nothing on the ordering path then allocates per call.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Output<P> {
     /// `(destination, frame, wire_size_bytes)` to transmit.
     pub wire: Vec<(ProcId, Wire<P>, u32)>,
@@ -118,6 +118,18 @@ impl<P> Default for Output<P> {
             engine: EngineOut::default(),
             released: Vec::new(),
         }
+    }
+}
+
+impl<P> Output<P> {
+    /// Nothing left from an earlier call in any of the four buffers: every
+    /// `_into` entry requires it, so by-value and reused buffers agree.
+    pub(crate) fn is_drained(&self) -> bool {
+        self.wire.is_empty()
+            && self.events.is_empty()
+            && self.engine.sends.is_empty()
+            && self.engine.deliver.is_empty()
+            && self.released.is_empty()
     }
 }
 
@@ -399,7 +411,7 @@ impl<P: Clone + 'static> GroupMember<P> {
 
     /// [`Self::start`], writing into the caller's drained buffer.
     pub(crate) fn start_into(&mut self, now: SimTime, out: &mut Output<P>) {
-        debug_assert!(out.wire.is_empty() && out.events.is_empty());
+        debug_assert!(out.is_drained());
         match &self.role {
             Role::Member => {
                 let members = self.view.members.clone();
@@ -432,24 +444,18 @@ impl<P: Clone + 'static> GroupMember<P> {
 
     /// [`Self::broadcast`], writing into the caller's drained buffer.
     pub(crate) fn broadcast_into(&mut self, now: SimTime, payload: P, out: &mut Output<P>) {
-        debug_assert!(out.wire.is_empty() && out.events.is_empty());
+        debug_assert!(out.is_drained());
         self.stats.broadcasts += 1;
         self.engine.submit_into(now, payload, &mut out.engine);
         self.absorb_engine(now, out);
     }
 
-    /// Announce a voluntary leave. The paper's JOSHUA handles leaves as
-    /// forced failures; after calling this the process should stop calling
-    /// `tick` (and typically exits).
-    pub(crate) fn leave(&mut self, now: SimTime) -> Output<P> {
-        let mut out = Output::default();
-        self.leave_into(now, &mut out);
-        out
-    }
-
-    /// [`Self::leave`], writing into the caller's drained buffer.
+    /// Announce a voluntary leave, writing into the caller's drained
+    /// buffer. The paper's JOSHUA handles leaves as forced failures; after
+    /// calling this the process should stop calling `tick` (and typically
+    /// exits).
     pub(crate) fn leave_into(&mut self, _now: SimTime, out: &mut Output<P>) {
-        debug_assert!(out.wire.is_empty() && out.events.is_empty());
+        debug_assert!(out.is_drained());
         for &p in self.view.members.iter().filter(|&&p| p != self.me) {
             self.push_raw(p, GcsMsg::Leave, out);
         }
@@ -464,7 +470,7 @@ impl<P: Clone + 'static> GroupMember<P> {
 
     /// [`Self::tick`], writing into the caller's drained buffer.
     pub(crate) fn tick_into(&mut self, now: SimTime, out: &mut Output<P>) {
-        debug_assert!(out.wire.is_empty() && out.events.is_empty());
+        debug_assert!(out.is_drained());
         let config = &self.config;
         self.links
             .tick_into(now, |to, frame| Self::emit(config, to, frame, out));
@@ -508,19 +514,8 @@ impl<P: Clone + 'static> GroupMember<P> {
     /// Feed one received frame.
     pub fn on_wire(&mut self, now: SimTime, from: ProcId, frame: Wire<P>) -> Output<P> {
         let mut out = Output::default();
-        self.on_wire_into(now, from, frame, &mut out);
+        self.receive_into(now, from, &mut Some(frame), &mut out);
         out
-    }
-
-    /// [`Self::on_wire`], writing into the caller's drained buffer.
-    pub(crate) fn on_wire_into(
-        &mut self,
-        now: SimTime,
-        from: ProcId,
-        frame: Wire<P>,
-        out: &mut Output<P>,
-    ) {
-        self.receive_into(now, from, &mut Some(frame), out);
     }
 
     /// Feed one received frame where it lies (in the box it crossed the
@@ -534,7 +529,7 @@ impl<P: Clone + 'static> GroupMember<P> {
         frame: &mut Option<Wire<P>>,
         out: &mut Output<P>,
     ) {
-        debug_assert!(out.wire.is_empty() && out.events.is_empty());
+        debug_assert!(out.is_drained());
         self.detector.heard(from, now);
         let mut released = std::mem::take(&mut out.released);
         let (ack, first) = self.links.receive(from, frame, &mut released);
@@ -1334,218 +1329,71 @@ impl<P: Clone + 'static> GroupMember<P> {
 mod tests {
     use super::*;
     use crate::config::EngineKind;
+    use crate::testkit::{Pump, Step};
     use jrs_sim::SimDuration;
     use proptest::prelude::*;
-    use std::collections::VecDeque;
 
-    /// One stimulus of one member.
-    enum Call {
-        Start,
-        Wire(ProcId, Wire<u32>),
-        Tick,
-        Broadcast(u32),
-        Leave,
+    fn sequencer() -> GroupConfig {
+        GroupConfig::with_engine(EngineKind::Sequencer)
     }
 
-    /// Members over one FIFO queue (the delivery order of `testkit::Pump::run`).
-    /// Every call goes either through the by-value methods or, when
-    /// `reused` is set, through the out-parameter forms with that one
-    /// `Output` shared by every member and never replaced; either way the
-    /// transcript gets a line per frame and per upcall the call produced.
-    /// When `idle_ticks` is set, every tick a member reports idle is first
-    /// run on a clone, which must emit nothing and keep its fingerprint.
-    /// Every upcall is checked against two membership properties: one
-    /// `ViewId` names one membership wherever it is installed, and a member
-    /// that ejected itself is listed in `joined` by the next view it
-    /// installs (the application awaits state transfer until then).
-    /// Frames from or to the member in `cut` are dropped, as a partition
-    /// does; its links resend them once the cut is lifted.
-    struct Net {
-        config: GroupConfig,
-        members: BTreeMap<ProcId, GroupMember<u32>>,
-        queue: VecDeque<(ProcId, ProcId, Wire<u32>)>,
-        now: SimTime,
-        reused: Option<Output<u32>>,
-        transcript: Vec<String>,
-        idle_ticks: Option<u32>,
-        /// Each installed view's membership, as first installed.
-        views: BTreeMap<ViewId, Vec<ProcId>>,
-        /// Members that ejected and have not installed a view since.
-        ejected: BTreeSet<ProcId>,
-        cut: Option<ProcId>,
+    fn primary() -> GroupConfig {
+        GroupConfig {
+            membership: MembershipPolicy::PrimaryComponent,
+            ..sequencer()
+        }
     }
 
-    impl Net {
-        fn group(n: u32, kind: EngineKind, reuse: bool) -> Net {
-            Net::with_config(GroupConfig::with_engine(kind), n, reuse)
+    /// Apply one step (a broadcast sends `i`); a broken group guarantee
+    /// fails the test.
+    fn step(pump: &mut Pump<u32>, i: usize, s: Step) {
+        if let Err(v) = pump.apply(s, || i as u32) {
+            panic!("step {i} {s:?}: {v:?}");
         }
+    }
 
-        fn with_config(config: GroupConfig, n: u32, reuse: bool) -> Net {
-            let mut net = Net {
-                config,
-                members: BTreeMap::new(),
-                queue: VecDeque::new(),
-                now: SimTime::ZERO,
-                reused: reuse.then(Output::default),
-                transcript: Vec::new(),
-                idle_ticks: None,
-                views: BTreeMap::new(),
-                ejected: BTreeSet::new(),
-                cut: None,
-            };
-            let ids: Vec<ProcId> = (0..n).map(ProcId).collect();
-            for &id in &ids {
-                net.add(id, ids.clone());
-            }
-            net
+    /// Run `steps` on a group of `n`, then 200 quiet ticks.
+    fn play(config: GroupConfig, n: u32, steps: &[Step]) -> Pump<u32> {
+        let mut pump = Pump::group(n, config);
+        for (i, &s) in steps.iter().chain(&[Step::Advance(200)]).enumerate() {
+            step(&mut pump, i, s);
         }
+        pump
+    }
 
-        fn add(&mut self, id: ProcId, initial: Vec<ProcId>) {
-            self.members
-                .insert(id, GroupMember::new(id, self.config.clone(), initial));
-            self.call(id, Call::Start);
-            self.run();
-        }
-
-        fn call(&mut self, who: ProcId, call: Call) {
-            let Some(m) = self.members.get_mut(&who) else {
-                return;
-            }; // crashed
-            let now = self.now;
-            if let (Call::Tick, Some(idle)) = (&call, &mut self.idle_ticks) {
-                if m.tick_is_idle(now) {
-                    let mut probe = m.clone();
-                    let out = probe.tick(now);
-                    assert!(
-                        out.wire.is_empty() && out.events.is_empty(),
-                        "{who} reported its tick at {now:?} idle and emitted {out:?}"
-                    );
-                    assert_eq!(
-                        probe.state_hash(),
-                        m.state_hash(),
-                        "{who} reported its tick at {now:?} idle and changed state"
-                    );
-                    *idle += 1;
-                }
-            }
-            let mut fresh;
-            let out = if let Some(out) = &mut self.reused {
-                match call {
-                    Call::Start => m.start_into(now, out),
-                    Call::Wire(from, frame) => m.on_wire_into(now, from, frame, out),
-                    Call::Tick => m.tick_into(now, out),
-                    Call::Broadcast(p) => m.broadcast_into(now, p, out),
-                    Call::Leave => m.leave_into(now, out),
-                }
-                assert!(
-                    out.engine.sends.is_empty() && out.engine.deliver.is_empty(),
-                    "engine scratch left full"
-                );
-                out
-            } else {
-                fresh = match call {
-                    Call::Start => m.start(now),
-                    Call::Wire(from, frame) => m.on_wire(now, from, frame),
-                    Call::Tick => m.tick(now),
-                    Call::Broadcast(p) => m.broadcast(now, p),
-                    Call::Leave => m.leave(now),
+    /// Tick and deliver frame by frame until `from` has sent a frame naming
+    /// `msg` (to `to`, if given), leaving it and the rest queued.
+    fn deliver_until_sent(pump: &mut Pump<u32>, from: ProcId, to: Option<ProcId>, msg: &str) {
+        let sent = |pump: &Pump<u32>| {
+            pump.channels.iter().any(|(&(f, t), q)| {
+                f == from
+                    && to.is_none_or(|to| to == t)
+                    && q.iter().any(|(_, w)| format!("{w:?}").contains(msg))
+            })
+        };
+        for _ in 0..1000 {
+            while !sent(pump) {
+                let Some((from, to, _)) = pump.next_frame() else {
+                    break;
                 };
-                &mut fresh
-            };
-            for (to, frame, bytes) in out.wire.drain(..) {
-                self.transcript
-                    .push(format!("{who}>{to} {bytes}B {frame:?}"));
-                self.queue.push_back((who, to, frame));
+                step(pump, 0, Step::Deliver { from, to });
             }
-            for ev in out.events.drain(..) {
-                self.transcript.push(format!("{who}! {ev:?}"));
-                match ev {
-                    GcsEvent::ViewChange { view, joined, .. } => {
-                        let first = self.views.entry(view.id).or_insert(view.members.clone());
-                        assert_eq!(
-                            *first, view.members,
-                            "{who} installed {:?} with a second membership",
-                            view.id
-                        );
-                        assert!(
-                            !self.ejected.remove(&who) || joined.contains(&who),
-                            "{who} ejected, then installed {:?} without being in joined {joined:?}",
-                            view.id
-                        );
-                    }
-                    GcsEvent::Ejected => {
-                        self.ejected.insert(who);
-                    }
-                    GcsEvent::Deliver { .. } => {}
-                }
+            if sent(pump) {
+                return;
             }
+            step(pump, 0, Step::Tick);
         }
-
-        fn run(&mut self) {
-            while let Some((from, to, frame)) = self.queue.pop_front() {
-                if self.cut.is_none_or(|c| c != from && c != to) {
-                    self.call(to, Call::Wire(from, frame));
-                }
-            }
-        }
-
-        fn tick(&mut self, d: SimDuration) {
-            self.tick_members(d);
-            self.run();
-        }
-
-        /// Tick every member without delivering what the ticks send.
-        fn tick_members(&mut self, d: SimDuration) {
-            self.now += d;
-            for id in self.ids() {
-                self.call(id, Call::Tick);
-            }
-        }
-
-        fn ids(&self) -> Vec<ProcId> {
-            self.members.keys().copied().collect()
-        }
-
-        /// Tick and deliver frame by frame until a frame line starting with
-        /// `prefix` and naming `msg` is sent, leaving the rest queued.
-        fn deliver_until_sent(&mut self, prefix: &str, msg: &str) {
-            let sent = |net: &Net| {
-                net.transcript
-                    .iter()
-                    .any(|l| l.starts_with(prefix) && l.contains(msg))
-            };
-            for _ in 0..1000 {
-                while !sent(self) {
-                    let Some((from, to, frame)) = self.queue.pop_front() else {
-                        break;
-                    };
-                    self.call(to, Call::Wire(from, frame));
-                }
-                if sent(self) {
-                    return;
-                }
-                self.tick_members(SimDuration::from_millis(5));
-            }
-            panic!("no {prefix} {msg} within 5 s");
-        }
-
-        fn pick(&self, sel: u8) -> ProcId {
-            let ids = self.ids();
-            ids[sel as usize % ids.len()]
-        }
+        panic!("no {from}>{to:?} {msg} within 5 s");
     }
 
-    #[derive(Clone, Debug)]
-    enum Step {
-        Broadcast(u8),
-        Advance(u8),
-        Crash(u8),
-        Leave(u8),
-        Join,
-        /// Tick this many times with the network silent, then deliver
-        /// the backlog: peers are suspected and flushes start, then life
-        /// signs arrive while they are under way.
-        Stall(u8),
+    /// Cut `who` off from every other member, as a partition does; its
+    /// links resend what was lost once the cut heals.
+    fn cut_off(pump: &mut Pump<u32>, who: ProcId) {
+        for other in pump.members.keys().copied().collect::<Vec<_>>() {
+            if other != who {
+                pump.partition(who, other);
+            }
+        }
     }
 
     fn step_strategy() -> impl Strategy<Value = Step> {
@@ -1568,113 +1416,42 @@ mod tests {
         ]
     }
 
-    /// Run one schedule; returns the transcript, every survivor's
-    /// protocol-state fingerprint and, with `check_idle`, how many ticks
-    /// were reported idle (each checked against a clone). `Net::call`
-    /// checks the membership properties on the way.
-    fn run_schedule(
-        kind: EngineKind,
-        n: u32,
-        steps: &[Step],
-        reuse: bool,
-        check_idle: bool,
-    ) -> (Vec<String>, Vec<u64>, Option<u32>) {
-        let net = schedule(kind, n, steps, reuse, check_idle);
-        (
-            net.transcript,
-            net.members.values().map(GroupMember::state_hash).collect(),
-            net.idle_ticks,
-        )
-    }
-
-    /// [`run_schedule`]'s network as the schedule leaves it.
-    fn schedule(kind: EngineKind, n: u32, steps: &[Step], reuse: bool, check_idle: bool) -> Net {
-        let tick = SimDuration::from_millis(5);
-        let mut net = Net::group(n, kind, reuse);
-        net.idle_ticks = check_idle.then_some(0);
-        let mut joiner = 100;
-        for (i, step) in steps.iter().enumerate() {
-            match *step {
-                Step::Broadcast(sel) => {
-                    net.call(net.pick(sel), Call::Broadcast(i as u32));
-                    net.run();
-                }
-                Step::Advance(k) => (0..k).for_each(|_| net.tick(tick)),
-                Step::Crash(sel) if net.members.len() > 1 => {
-                    net.members.remove(&net.pick(sel));
-                }
-                Step::Leave(sel) if net.members.len() > 1 => {
-                    let who = net.pick(sel);
-                    net.call(who, Call::Leave);
-                    net.members.remove(&who);
-                    net.run();
-                }
-                Step::Crash(_) | Step::Leave(_) => {}
-                Step::Join => {
-                    joiner += 1;
-                    net.add(ProcId(joiner), net.ids());
-                }
-                Step::Stall(k) => {
-                    (0..k).for_each(|_| net.tick_members(tick));
-                    net.run();
-                }
-            }
-        }
-        (0..200).for_each(|_| net.tick(tick));
-        net
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-
-        /// The by-value methods and the out-parameter forms are one path:
-        /// the same schedule (broadcasts, ticks, crashes, leaves, joins)
-        /// gives the same frames (destination, size, content), the same
-        /// upcalls and the same member states, call for call, when every
-        /// call of every member writes into one never-replaced `Output`.
-        #[test]
-        fn reused_output_matches_fresh_output_call_for_call(
-            n in 1u32..5,
-            steps in proptest::collection::vec(step_strategy(), 1..40),
-        ) {
-            for kind in [EngineKind::Sequencer, EngineKind::Token] {
-                let (fresh, fresh_states, _) = run_schedule(kind, n, &steps, false, false);
-                let (reused, reused_states, _) = run_schedule(kind, n, &steps, true, false);
-                prop_assert!(fresh.len() > n as usize, "the schedule produced traffic");
-                for (i, (f, r)) in fresh.iter().zip(&reused).enumerate() {
-                    prop_assert_eq!(f, r, "{:?}: transcripts part at line {}", kind, i);
-                }
-                prop_assert_eq!(fresh.len(), reused.len());
-                prop_assert_eq!(fresh_states, reused_states);
-            }
-        }
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
-        /// Idle means no-op: over the same schedules plus silent stretches
+        /// Idle means no-op: over random schedules with silent stretches
         /// (peers suspected, then heard again), every tick for which
-        /// `tick_is_idle` holds emits nothing and keeps `state_hash` when
-        /// run on a clone (`Net::call` checks it before the real tick).
-        /// The 200 quiet ticks that close every schedule are mostly idle
-        /// under the sequencer, so the check is never vacuous there. The
-        /// one guard these schedules never isolate, `is_blocked`, has its
-        /// own test below. The stretches are long and frequent enough to
-        /// drive flushes through false suspicion, ejection and rejoin, so
-        /// these cases are also where `Net::call`'s membership checks bite.
+        /// `tick_is_idle` holds emits nothing and keeps `state_hash` (the
+        /// pump checks every tick). The 200 quiet ticks that close a
+        /// schedule are mostly idle under the sequencer once the group is
+        /// live again, so the check is never vacuous there. The one guard
+        /// these schedules never isolate, `is_blocked`, has its own test
+        /// below. The stretches are long and frequent enough to drive
+        /// flushes through false suspicion, ejection and rejoin, so these
+        /// cases are also where the pump's membership and delivery checks
+        /// bite. They run under `PrimaryComponent`: under `FailStop` a
+        /// false suspicion splits the group, and both sides order on alone
+        /// (DESIGN.md 6), which the group-wide order check rejects; item
+        /// 6(g) below is what such a split breaks inside one view.
         #[test]
         fn idle_ticks_emit_nothing_and_keep_the_fingerprint(
             n in 1u32..5,
             steps in proptest::collection::vec(stall_strategy(), 1..40),
         ) {
             for kind in [EngineKind::Sequencer, EngineKind::Token] {
-                let (_, _, idle) = run_schedule(kind, n, &steps, true, true);
+                let config = GroupConfig {
+                    membership: MembershipPolicy::PrimaryComponent,
+                    ..GroupConfig::with_engine(kind)
+                };
+                let pump = play(config, n, &steps);
                 // A sole token holder reports every tick busy once its
                 // token's rest is over, so only the sequencer's count is
                 // bounded below.
-                if kind == EngineKind::Sequencer {
-                    prop_assert!(idle.is_some_and(|i| i > 100), "{:?} idle ticks", idle);
+                // A group left without a quorum flushes on to the end, so
+                // only a live one is bounded.
+                let live = pump.members.values().all(|m| m.is_installed() && !m.is_blocked());
+                if kind == EngineKind::Sequencer && live {
+                    prop_assert!(pump.idle_ticks > 100, "{} idle ticks", pump.idle_ticks);
                 }
             }
         }
@@ -1687,18 +1464,16 @@ mod tests {
     /// with its engine still halted, until the coordinator's next
     /// heartbeat lifts the condemnation and the tick resumes ordering.
     /// (The schedules above finish every flush within one delivery run or
-    /// with a suspect in the view.) `Net::call` checks every tick.
+    /// with a suspect in the view.) The pump checks every tick.
     #[test]
     fn a_stalled_flush_and_the_halted_engine_it_leaves_are_not_idle() {
-        let tick = SimDuration::from_millis(5);
         let (p0, p2) = (ProcId(0), ProcId(2));
-        let mut net = Net::group(3, EngineKind::Sequencer, false);
-        net.idle_ticks = Some(0);
+        let mut pump = Pump::group(3, sequencer());
         // Off the 50 ms heartbeat grid, so the stall timeout at +300 ms
         // falls on a tick with no heartbeat due.
-        (0..21).for_each(|_| net.tick(tick));
+        step(&mut pump, 0, Step::Advance(21));
         let epoch = Epoch {
-            view_id: net.members[&p2].view().id,
+            view_id: pump.members[&p2].view().id,
             attempt: 0,
             coord: p0,
         };
@@ -1707,13 +1482,13 @@ mod tests {
             proposed: vec![p0, ProcId(1), p2],
             coord_known: 0,
         };
-        net.call(p2, Call::Wire(p0, Wire::Raw(req)));
-        net.run();
-        assert!(matches!(net.members[&p2].flush, Flush::Blocked { .. }));
+        pump.send(p0, p2, Wire::Raw(req));
+        pump.run();
+        assert!(matches!(pump.members[&p2].flush, Flush::Blocked { .. }));
         let mut phases = Vec::new();
         for _ in 0..100 {
-            net.tick(tick);
-            let m = &net.members[&p2];
+            step(&mut pump, 0, Step::Advance(1));
+            let m = &pump.members[&p2];
             let phase = (
                 matches!(m.flush, Flush::Blocked { .. }),
                 m.engine.is_active(),
@@ -1727,15 +1502,15 @@ mod tests {
             [(true, false), (false, false), (false, true)],
             "blocked, then released with the engine halted, then resumed"
         );
-        assert_eq!(net.members[&p2].view().len(), 3, "no view change");
-        assert!(net.idle_ticks.is_some_and(|i| i > 100));
+        assert_eq!(pump.members[&p2].view().len(), 3, "no view change");
+        assert!(pump.idle_ticks > 100);
     }
 
     /// ROADMAP item 6(a), a finalized flush stays committed: with no frame
     /// lost, false suspicion (silent stretches), one crash and one join
     /// drive p0 to finalize `v4@p0` = [p0, p1, p101] and then to want a
-    /// different membership before every ack is in. `Net::call` checks
-    /// that `v4@p0` names that one membership wherever it is installed.
+    /// different membership before every ack is in. The pump checks that
+    /// `v4@p0` names that one membership wherever it is installed.
     #[test]
     fn false_suspicion_a_crash_and_a_join_never_alias_a_view_id() {
         use Step::{Advance, Broadcast, Crash, Join, Stall};
@@ -1749,17 +1524,17 @@ mod tests {
             Advance(8),
             Stall(112),
         ];
-        run_schedule(EngineKind::Sequencer, 3, &steps, false, false);
+        play(sequencer(), 3, &steps);
     }
 
     /// ROADMAP item 6(a), the answers decide who joins: p1 ejects and asks
     /// to rejoin, and p0 drops the request as a suspected joiner (its
     /// repeats carry the same incarnation and are ignored), while p1 is
     /// still in p0's view. p1 answers p0's next flush as a joiner, so the
-    /// view it installs lists it in `joined` (checked by `Net::call`) and
-    /// its application awaits state transfer; counted as an old member
-    /// holding nothing, it would trip `try_finalize`'s "gap in delivered
-    /// region" assertion.
+    /// view it installs lists it in `joined` (checked by the pump) and its
+    /// application awaits state transfer; counted as an old member holding
+    /// nothing, it would trip `try_finalize`'s "gap in delivered region"
+    /// assertion.
     #[test]
     fn an_ejected_member_the_coordinator_forgot_still_rejoins_as_a_joiner() {
         use Step::{Advance, Join, Leave, Stall};
@@ -1772,9 +1547,9 @@ mod tests {
             Stall(50),
             Join,
         ];
-        let (transcript, _, _) = run_schedule(EngineKind::Sequencer, 3, &steps, false, false);
+        let pump = play(sequencer(), 3, &steps);
         assert!(
-            transcript.iter().any(|l| l.starts_with("p1! Ejected")),
+            pump.ejections.contains_key(&ProcId(1)),
             "the schedule ejects p1"
         );
     }
@@ -1787,28 +1562,28 @@ mod tests {
     /// and the next flush removes it.
     #[test]
     fn a_committed_flush_installs_past_a_joiner_that_fell_silent() {
-        let tick = SimDuration::from_millis(5);
-        let p101 = ProcId(101);
-        let mut net = Net::group(2, EngineKind::Sequencer, false);
-        net.add(p101, net.ids());
-        net.deliver_until_sent("p101>p0", "FlushInfo");
-        net.members.remove(&p101);
-        (0..200).for_each(|_| net.tick(tick));
-        let views: Vec<&str> = net
-            .transcript
-            .iter()
-            .filter_map(|l| l.strip_prefix("p0! ViewChange { view: View { id: "))
+        let (p0, p1, p101) = (ProcId(0), ProcId(1), ProcId(101));
+        let mut pump = Pump::group(2, sequencer());
+        step(&mut pump, 0, Step::Join);
+        deliver_until_sent(&mut pump, p101, Some(p0), "FlushInfo");
+        pump.crash(p101);
+        step(&mut pump, 0, Step::Advance(200));
+        let views: Vec<_> = pump
+            .take_events()
+            .into_iter()
+            .filter_map(|(who, ev)| match ev {
+                GcsEvent::ViewChange { view, joined, left } if who == p0 => {
+                    Some((view.members, joined, left))
+                }
+                _ => None,
+            })
             .collect();
-        assert_eq!(views.len(), 2, "{views:?}");
-        assert!(
-            views[0].contains("members: [p0, p1, p101] }, joined: [p101]"),
-            "{}",
-            views[0]
-        );
-        assert!(
-            views[1].contains("members: [p0, p1] }, joined: [], left: [p101]"),
-            "{}",
-            views[1]
+        assert_eq!(
+            views,
+            [
+                (vec![p0, p1, p101], vec![p101], vec![]),
+                (vec![p0, p1], vec![], vec![p101])
+            ]
         );
     }
 
@@ -1822,61 +1597,59 @@ mod tests {
     /// member that kept working.
     #[test]
     fn a_coordinator_cut_off_after_flush_final_yields_to_the_majority() {
-        let tick = SimDuration::from_millis(5);
         let p0 = ProcId(0);
-        let mut config = GroupConfig::with_engine(EngineKind::Sequencer);
-        config.membership = MembershipPolicy::PrimaryComponent;
-        let mut net = Net::with_config(config, 5, false);
-        net.members.remove(&ProcId(4));
-        net.deliver_until_sent("p0>", "FlushFinal");
-        net.cut = Some(p0);
-        (0..400).for_each(|_| net.tick(tick));
-        net.cut = None;
-        (0..400).for_each(|_| net.tick(tick));
-        let ejected: Vec<&str> = net
-            .transcript
-            .iter()
-            .filter(|l| l.ends_with("! Ejected"))
-            .map(String::as_str)
-            .collect();
-        assert_eq!(ejected, ["p0! Ejected"]);
-        let views: Vec<&View> = net.members.values().map(GroupMember::view).collect();
+        let mut pump = Pump::group(5, primary());
+        pump.crash(ProcId(4));
+        deliver_until_sent(&mut pump, p0, None, "FlushFinal");
+        cut_off(&mut pump, p0);
+        for _ in 0..2 {
+            step(&mut pump, 0, Step::Advance(200));
+        }
+        pump.heal();
+        for _ in 0..2 {
+            step(&mut pump, 0, Step::Advance(200));
+        }
+        assert_eq!(pump.ejections, BTreeMap::from([(p0, 1)]));
+        let views: Vec<&View> = pump.members.values().map(GroupMember::view).collect();
         assert!(views.iter().all(|v| *v == views[0]), "{views:?}");
         assert_eq!(views[0].members.len(), 4, "{views:?}");
     }
 
     /// A member that promised a higher epoch still installs a committed
     /// view. p2 crashes and p0 commits [p0, p1], but its `FlushFinal` to p1
-    /// is held back for 1 s while heartbeats flow. p1's flush stalls, it
-    /// condemns p0 and proposes [p1] alone under a higher epoch, which is no
-    /// quorum of [p0, p1, p2]. When the `FlushFinal` arrives, p1 installs
-    /// it: dropping it for the promise would leave p0 waiting for p1's ack
-    /// and p1 waiting for p0, both alive, forever.
+    /// is lost, and so is every resend, for 1 s while heartbeats flow. p1's
+    /// flush stalls, it condemns p0 and proposes [p1] alone under a higher
+    /// epoch, which is no quorum of [p0, p1, p2]. When the `FlushFinal`
+    /// arrives, p1 installs it: dropping it for the promise would leave p0
+    /// waiting for p1's ack and p1 waiting for p0, both alive, forever.
     #[test]
     fn a_member_that_promised_a_higher_epoch_installs_the_committed_view() {
-        let tick = SimDuration::from_millis(5);
-        let mut config = GroupConfig::with_engine(EngineKind::Sequencer);
-        config.membership = MembershipPolicy::PrimaryComponent;
-        let mut net = Net::with_config(config, 3, false);
-        net.members.remove(&ProcId(2));
+        let mut pump = Pump::group(3, primary());
+        pump.crash(ProcId(2));
         for _ in 0..200 {
-            net.tick_members(tick);
-            while let Some((from, to, frame)) = net.queue.pop_front() {
-                if !format!("{frame:?}").contains("FlushFinal") {
-                    net.call(to, Call::Wire(from, frame));
-                }
+            step(&mut pump, 0, Step::Tick);
+            while let Some((from, to, lose)) = pump
+                .next_frame()
+                .map(|(f, t, w)| (f, t, format!("{w:?}").contains("FlushFinal")))
+            {
+                let s = if lose {
+                    Step::Drop { from, to }
+                } else {
+                    Step::Deliver { from, to }
+                };
+                step(&mut pump, 0, s);
             }
         }
         assert!(
-            net.members[&ProcId(1)]
+            pump.members[&ProcId(1)]
                 .max_epoch_seen
                 .is_some_and(|e| e.coord == ProcId(1)),
             "p1 proposed under its own epoch"
         );
-        (0..200).for_each(|_| net.tick(tick));
+        step(&mut pump, 0, Step::Advance(200));
         for who in [ProcId(0), ProcId(1)] {
             assert_eq!(
-                net.members[&who].view().members,
+                pump.members[&who].view().members,
                 [ProcId(0), ProcId(1)],
                 "{who}"
             );
@@ -1894,24 +1667,19 @@ mod tests {
     #[test]
     #[ignore = "ROADMAP item 6(e)"]
     fn a_joiner_cannot_carry_a_cut_off_coordinators_view_past_the_majority() {
-        let tick = SimDuration::from_millis(5);
         let p0 = ProcId(0);
-        let mut config = GroupConfig::with_engine(EngineKind::Sequencer);
-        config.membership = MembershipPolicy::PrimaryComponent;
-        let mut net = Net::with_config(config, 3, false);
-        net.add(ProcId(101), net.ids());
-        net.deliver_until_sent("p0>", "FlushFinal");
-        net.cut = Some(p0);
-        (0..400).for_each(|_| net.tick(tick));
-        net.cut = None;
-        (0..400).for_each(|_| net.tick(tick));
-        let ejected: Vec<&str> = net
-            .transcript
-            .iter()
-            .filter(|l| l.ends_with("! Ejected"))
-            .map(String::as_str)
-            .collect();
-        assert_eq!(ejected, ["p0! Ejected"]);
+        let mut pump = Pump::group(3, primary());
+        step(&mut pump, 0, Step::Join);
+        deliver_until_sent(&mut pump, p0, None, "FlushFinal");
+        cut_off(&mut pump, p0);
+        for _ in 0..2 {
+            step(&mut pump, 0, Step::Advance(200));
+        }
+        pump.heal();
+        for _ in 0..2 {
+            step(&mut pump, 0, Step::Advance(200));
+        }
+        assert_eq!(pump.ejections, BTreeMap::from([(p0, 1)]));
     }
 
     /// A joiner that is still in the coordinator's view (it ejected
@@ -1923,11 +1691,13 @@ mod tests {
     /// stopped watching it, p1 would wait in `Committing` forever.
     #[test]
     fn a_coordinator_gives_up_on_a_view_member_that_rejoins_and_falls_silent() {
-        use Step::{Crash, Leave, Stall};
+        use Step::{Advance, Crash, Leave, Stall};
         let steps = [Stall(1), Leave(68), Stall(134), Crash(194)];
-        let mut net = schedule(EngineKind::Sequencer, 4, &steps, false, false);
-        (0..1000).for_each(|_| net.tick(SimDuration::from_millis(5)));
-        let p1 = &net.members[&ProcId(1)];
+        let mut pump = play(sequencer(), 4, &steps);
+        for _ in 0..5 {
+            step(&mut pump, 0, Advance(200));
+        }
+        let p1 = &pump.members[&ProcId(1)];
         assert!(!matches!(p1.flush, Flush::Committing { .. }));
         assert_eq!(p1.view().members, [ProcId(1)]);
     }
@@ -1945,61 +1715,115 @@ mod tests {
         use Step::{Advance, Join, Stall};
         let mut steps = vec![Join, Stall(60)];
         steps.extend((0..8).map(|_| Advance(250)));
-        let (transcript, _, _) = run_schedule(EngineKind::Sequencer, 2, &steps, false, false);
-        let count = |prefix: &str| transcript.iter().filter(|l| l.starts_with(prefix)).count();
+        let mut pump = play(sequencer(), 2, &steps);
+        let events = pump.take_events();
+        let installs = |p: u32| {
+            let mine = events.iter().filter(|(who, _)| *who == ProcId(p));
+            mine.filter(|(_, ev)| matches!(ev, GcsEvent::ViewChange { .. }))
+                .count()
+        };
         assert!(
-            count("p101! ViewChange") > 0,
+            installs(101) > 0,
             "p101 never installed a view; p0 ejected {} times, and p0 and p1 installed {} and {} views",
-            count("p0! Ejected"),
-            count("p0! ViewChange"),
-            count("p1! ViewChange"),
+            pump.ejections[&ProcId(0)],
+            installs(0),
+            installs(1),
         );
     }
 
+    /// ROADMAP item 6(g), not fixed: under `FailStop` a false suspicion
+    /// splits p2 and p3 out of v3 = [p0, p2, p3], and each side's flush
+    /// renumbers its own undelivered tail in v3. p2 delivers its own
+    /// message as seq 2 of v3 and p3 delivers its own as seq 2 of v3; then
+    /// they install [p2] and [p3]. A split breaks the group-wide order by
+    /// design (DESIGN.md 6), so the pump's verdicts are not read here:
+    /// this test checks only that members agree inside one view.
+    #[test]
+    #[ignore = "ROADMAP item 6(g)"]
+    fn members_of_one_view_deliver_one_message_per_sequence_number() {
+        use Step::{Advance, Broadcast, Crash, Leave, Stall};
+        let steps = [
+            Stall(44),
+            Leave(241),
+            Stall(85),
+            Advance(23),
+            Stall(62),
+            Broadcast(99),
+            Stall(51),
+            Broadcast(232),
+            Advance(25),
+            Broadcast(235),
+            Crash(120),
+            Broadcast(117),
+            Advance(11),
+            Broadcast(98),
+            Stall(86),
+        ];
+        let mut pump = Pump::group(4, GroupConfig::with_engine(EngineKind::Token));
+        for (i, &s) in steps.iter().enumerate() {
+            let _split = pump.apply(s, || i as u32);
+        }
+        let mut first = BTreeMap::new();
+        for (&who, delivered) in &pump.delivered {
+            for d in delivered {
+                let (p, origin, payload) = *first
+                    .entry((d.view, d.seq))
+                    .or_insert((who, d.origin, d.payload));
+                assert_eq!(
+                    (origin, payload),
+                    (d.origin, d.payload),
+                    "{p} and {who} delivered different messages as seq {} of {}",
+                    d.seq,
+                    d.view,
+                );
+            }
+        }
+    }
+
     /// The reuse hazard: a view change puts dozens of frames and several
-    /// upcalls through the buffer, several per call; the idle tick after it
-    /// must see none of them.
+    /// upcalls through the pump's one buffer, several per call; the idle
+    /// tick after it must see none of them.
     #[test]
     fn nothing_stale_in_the_reused_output_after_a_view_change() {
-        let tick = SimDuration::from_millis(5);
-        let mut net = Net::group(4, EngineKind::Sequencer, true);
-        net.call(ProcId(1), Call::Broadcast(7));
-        net.run();
-        net.members.remove(&ProcId(3));
-        let before = net.transcript.len();
-        while net
+        let mut pump = Pump::group(4, sequencer());
+        step(&mut pump, 7, Step::Broadcast(1));
+        pump.crash(ProcId(3));
+        let frames = pump.arrivals;
+        let _ = pump.take_events();
+        while pump
             .members
             .values()
             .any(|m| m.view().len() != 3 || m.is_blocked())
         {
-            net.tick(tick);
+            step(&mut pump, 0, Step::Advance(1));
             assert!(
-                net.now < SimTime::ZERO + SimDuration::from_secs(5),
+                pump.now < SimTime::ZERO + SimDuration::from_secs(5),
                 "no view change"
             );
         }
-        let change = &net.transcript[before..];
-        let frames = change.iter().filter(|l| l.contains('>')).count();
-        let installs = change.iter().filter(|l| l.contains("ViewChange")).count();
+        let frames = pump.arrivals - frames;
+        let installs = pump
+            .take_events()
+            .iter()
+            .filter(|(_, ev)| matches!(ev, GcsEvent::ViewChange { .. }))
+            .count();
         assert!(
             frames >= 40 && installs == 3,
-            "{frames} frames, {installs} installs:\n{}",
-            change.join("\n")
+            "{frames} frames, {installs} installs"
         );
-        let out = net.reused.as_ref().unwrap();
         assert!(
-            out.wire.capacity() >= 4 && out.events.capacity() >= 1,
+            pump.out.wire.capacity() >= 4 && pump.out.events.capacity() >= 1,
             "the one buffer carried the view change"
         );
-        assert!(out.wire.is_empty() && out.events.is_empty());
+        assert!(pump.out.is_drained());
 
         // An idle tick through the used buffer emits exactly what the same
         // tick emits into a fresh one.
-        net.now += tick;
-        for id in net.ids() {
-            let want = net.members[&id].clone().tick(net.now);
-            let out = net.reused.as_mut().unwrap();
-            net.members.get_mut(&id).unwrap().tick_into(net.now, out);
+        let now = pump.now + SimDuration::from_millis(5);
+        for (id, m) in &mut pump.members {
+            let want = m.clone().tick(now);
+            let out = &mut pump.out;
+            m.tick_into(now, out);
             assert_eq!(
                 format!("{:?}", out.wire),
                 format!("{:?}", want.wire),

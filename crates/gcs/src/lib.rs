@@ -12,9 +12,9 @@
 //!   (single and simultaneous) are all membership changes.
 //! * **Virtual synchrony** — members that survive from one view into the
 //!   next deliver the same set of messages before the view change.
-//! * **Primary-component semantics** — after a partition, only the side
-//!   holding a quorum of the previous view makes progress; the minority
-//!   blocks and its members later rejoin with state transfer.
+//! * **Partitions re-merge** — under the default `FailStop` policy both
+//!   sides of a partition proceed and, on heal, the losing side ejects and
+//!   rejoins with state transfer; `PrimaryComponent` lets only a quorum on.
 //!
 //! One total-order engine, with two ways to assign sequence numbers
 //! ([`EngineKind`]): a fixed **sequencer** (ISIS-style, the default) and
@@ -29,10 +29,9 @@
 //! ## Fault model
 //!
 //! Fail-stop, like the paper: components fail by stopping, and a suspected
-//! component is treated as failed. Under partitions the implementation
-//! remains safe (quorum rule, unique view identifiers, epoch-fenced
-//! flushes) but a minority component stalls by design. Byzantine behaviour
-//! is out of scope, as it is for JOSHUA.
+//! component is treated as failed (unique view identifiers, epoch-fenced
+//! flushes). A partition can split the group until it heals (DESIGN.md 6).
+//! Byzantine behaviour is out of scope, as it is for JOSHUA.
 
 #![warn(missing_docs)]
 // Replica code: the construct bans of DESIGN.md 7.2 (name lists: /clippy.toml).
@@ -62,7 +61,6 @@ pub mod link;
 pub mod msg;
 pub mod simharness;
 #[expect(
-    clippy::unwrap_used,
     clippy::expect_used,
     reason = "harness, not a replica: a missing pump member must stop the experiment"
 )]

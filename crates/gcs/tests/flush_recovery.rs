@@ -19,7 +19,7 @@
 //! With the fixes, the group heals in place (no view change is needed —
 //! the silence was transient) and all members deliver.
 
-use jrs_gcs::testkit::Pump;
+use jrs_gcs::testkit::{Pump, Step};
 use jrs_gcs::{EngineKind, FrameCost, GroupConfig, MembershipPolicy};
 use jrs_sim::{ProcId, SimDuration};
 
@@ -41,24 +41,26 @@ fn cfg() -> GroupConfig {
 
 #[test]
 fn orphaned_flush_epoch_recovers_and_delivers() {
+    let (p0, p2) = (ProcId(0), ProcId(2));
     let mut pump: Pump<u64> = Pump::group(3, cfg());
-    let _ = pump.take_events();
-    pump.submit(ProcId(0), 7);
+    pump.submit(p0, 7).expect("no guarantee broken");
     // Asymmetric partial connectivity: only a few frames move between
     // p0 and p2 while p1 hears nothing, until p0's detector fires.
-    assert!(pump.deliver_from(ProcId(0), ProcId(2)));
-    pump.tick_members(SimDuration::from_millis(10));
-    let _ = pump.deliver_from(ProcId(2), ProcId(0));
-    pump.tick_members(SimDuration::from_millis(10));
-    let _ = pump.deliver_from(ProcId(0), ProcId(2));
-    for _ in 0..3 {
-        pump.tick_members(SimDuration::from_millis(10));
-    }
-    // Heal: run to quiescence with regular ticks and full delivery.
-    for _ in 0..28 {
-        pump.tick_members(SimDuration::from_millis(10));
-        pump.run();
-        let _ = pump.take_events();
+    let steps = [
+        Step::Deliver { from: p0, to: p2 },
+        Step::Tick,
+        Step::Deliver { from: p2, to: p0 },
+        Step::Tick,
+        Step::Deliver { from: p0, to: p2 },
+        Step::Tick,
+        Step::Tick,
+        Step::Tick,
+        // Heal: run to quiescence with regular ticks and full delivery.
+        Step::Advance(28),
+    ];
+    for (i, step) in steps.into_iter().enumerate() {
+        let applied = pump.apply(step, || 0).expect("no guarantee broken");
+        assert!(applied || i > 0, "the first frame crosses");
     }
     pump.assert_agreement();
     for (id, m) in &pump.members {

@@ -20,11 +20,14 @@ fn cfg_primary() -> GroupConfig {
     }
 }
 
-const TICK: SimDuration = SimDuration::from_millis(5);
-
 /// Tick long enough for failure detection + flush to complete.
 fn settle(pump: &mut Pump<&'static str>) {
-    pump.tick_for(TICK, SimDuration::from_millis(1500));
+    pump.tick_for(SimDuration::from_millis(1500));
+}
+
+/// Two ticks: the sequencer announces stability, and followers deliver.
+fn stabilize(pump: &mut Pump<&'static str>) {
+    pump.tick_for(SimDuration::from_millis(10));
 }
 
 #[test]
@@ -43,8 +46,8 @@ fn broadcasts_totally_ordered_across_members() {
     pump.broadcast(p(1), "b");
     pump.broadcast(p(2), "c");
     pump.broadcast(p(1), "d");
+    stabilize(&mut pump);
     let order = pump.assert_agreement();
-    pump.assert_same_view_delivery();
     assert_eq!(order.len(), 4);
     // Sequence numbers are gap-free from 1.
     let seqs: Vec<u64> = order.iter().map(|(s, _)| *s).collect();
@@ -61,6 +64,7 @@ fn fifo_per_origin_is_preserved() {
     for pay in ["m1", "m2", "m3", "m4", "m5"] {
         pump.broadcast(p(1), pay);
     }
+    stabilize(&mut pump);
     let d0 = pump.delivered_payloads(p(0));
     assert_eq!(d0, vec!["m1", "m2", "m3", "m4", "m5"]);
 }
@@ -74,6 +78,7 @@ fn crash_of_follower_shrinks_view_and_service_continues() {
     assert_eq!(pump.view_of(p(0)), vec![p(0), p(1)]);
     assert_eq!(pump.view_of(p(1)), vec![p(0), p(1)]);
     pump.broadcast(p(1), "after");
+    stabilize(&mut pump);
     pump.assert_agreement();
     assert_eq!(pump.delivered_payloads(p(0)), vec!["before", "after"]);
 }
@@ -86,18 +91,7 @@ fn crash_of_sequencer_reelects_and_preserves_pending() {
     pump.crash(p(0));
     // A member submits while the group is still detecting the failure;
     // the submission must survive the view change.
-    let out = pump
-        .members
-        .get_mut(&p(1))
-        .unwrap()
-        .broadcast(pump.now, "two");
-    // absorb manually
-    for (to, frame, _) in out.wire {
-        if let Some(m) = pump.members.get_mut(&to) {
-            let o = m.on_wire(pump.now, p(1), frame);
-            assert!(o.events.is_empty());
-        }
-    }
+    pump.broadcast(p(1), "two");
     settle(&mut pump);
     assert_eq!(pump.view_of(p(1)), vec![p(1), p(2)]);
     let d1 = pump.delivered_payloads(p(1));
@@ -116,8 +110,8 @@ fn simultaneous_double_crash_recovers() {
     assert_eq!(pump.view_of(p(2)), vec![p(2), p(3)]);
     assert_eq!(pump.view_of(p(3)), vec![p(2), p(3)]);
     pump.broadcast(p(2), "y");
+    stabilize(&mut pump);
     pump.assert_agreement();
-    pump.assert_same_view_delivery();
 }
 
 #[test]
@@ -144,9 +138,10 @@ fn voluntary_leave_is_fast() {
     pump.leave(p(1));
     // Leave condemns immediately: a single failure-detection round is not
     // needed, only the flush. Give it a few ticks.
-    pump.tick_for(TICK, SimDuration::from_millis(200));
+    pump.tick_for(SimDuration::from_millis(200));
     assert_eq!(pump.view_of(p(0)), vec![p(0), p(2)]);
     pump.broadcast(p(2), "post-leave");
+    stabilize(&mut pump);
     pump.assert_agreement();
 }
 
@@ -154,11 +149,12 @@ fn voluntary_leave_is_fast() {
 fn joiner_is_admitted_and_delivers_only_new_messages() {
     let mut pump = Pump::group(2, cfg(EngineKind::Sequencer));
     pump.broadcast(p(0), "old");
-    pump.add_joiner(p(7), vec![p(0), p(1)], cfg(EngineKind::Sequencer));
+    pump.add_joiner(p(7), vec![p(0), p(1)]);
     settle(&mut pump);
     assert_eq!(pump.view_of(p(0)), vec![p(0), p(1), p(7)]);
     assert_eq!(pump.view_of(p(7)), vec![p(0), p(1), p(7)]);
     pump.broadcast(p(7), "new");
+    stabilize(&mut pump);
     let d7 = pump.delivered_payloads(p(7));
     assert_eq!(d7, vec!["new"], "joiner must not see pre-join history");
     let d0 = pump.delivered_payloads(p(0));
@@ -168,18 +164,18 @@ fn joiner_is_admitted_and_delivers_only_new_messages() {
 #[test]
 fn join_then_crash_then_join_again() {
     let mut pump = Pump::group(2, cfg(EngineKind::Sequencer));
-    pump.add_joiner(p(5), vec![p(0), p(1)], cfg(EngineKind::Sequencer));
+    pump.add_joiner(p(5), vec![p(0), p(1)]);
     settle(&mut pump);
     assert_eq!(pump.view_of(p(0)).len(), 3);
     pump.crash(p(5));
     settle(&mut pump);
     assert_eq!(pump.view_of(p(0)).len(), 2);
-    pump.add_joiner(p(6), vec![p(0), p(1)], cfg(EngineKind::Sequencer));
+    pump.add_joiner(p(6), vec![p(0), p(1)]);
     settle(&mut pump);
     assert_eq!(pump.view_of(p(0)).len(), 3);
     pump.broadcast(p(6), "works");
+    stabilize(&mut pump);
     pump.assert_agreement();
-    pump.assert_same_view_delivery();
 }
 
 #[test]
@@ -209,12 +205,13 @@ fn healed_minority_rejoins_via_ejection() {
     pump.broadcast(p(0), "while-away");
     pump.heal();
     // Needs: behind detection (2x flush timeout) + rejoin flush.
-    pump.tick_for(TICK, SimDuration::from_secs(4));
+    pump.tick_for(SimDuration::from_secs(4));
     assert_eq!(pump.view_of(p(0)), vec![p(0), p(1), p(2)]);
     assert_eq!(pump.view_of(p(2)), vec![p(0), p(1), p(2)]);
     assert!(pump.ejections.get(&p(2)).copied().unwrap_or(0) >= 1);
     // After rejoining, p2 participates again.
     pump.broadcast(p(2), "back");
+    stabilize(&mut pump);
     assert!(pump.delivered_payloads(p(0)).contains(&"back"));
     assert!(pump.delivered_payloads(p(2)).contains(&"back"));
 }
@@ -224,11 +221,11 @@ fn token_engine_orders_across_members() {
     let mut pump = Pump::group(3, cfg(EngineKind::Token));
     pump.broadcast(p(2), "a");
     // Token must circulate before non-holders can order.
-    pump.tick_for(TICK, SimDuration::from_millis(100));
+    pump.tick_for(SimDuration::from_millis(100));
     pump.broadcast(p(1), "b");
-    pump.tick_for(TICK, SimDuration::from_millis(100));
+    pump.tick_for(SimDuration::from_millis(100));
     pump.broadcast(p(0), "c");
-    pump.tick_for(TICK, SimDuration::from_millis(100));
+    pump.tick_for(SimDuration::from_millis(100));
     let order = pump.assert_agreement();
     assert_eq!(order.len(), 3);
     for i in 0..3 {
@@ -240,13 +237,13 @@ fn token_engine_orders_across_members() {
 fn token_engine_survives_holder_crash() {
     let mut pump = Pump::group(3, cfg(EngineKind::Token));
     pump.broadcast(p(0), "pre");
-    pump.tick_for(TICK, SimDuration::from_millis(50));
+    pump.tick_for(SimDuration::from_millis(50));
     // Crash the leader (token origin).
     pump.crash(p(0));
     settle(&mut pump);
     assert_eq!(pump.view_of(p(1)), vec![p(1), p(2)]);
     pump.broadcast(p(1), "post");
-    pump.tick_for(TICK, SimDuration::from_millis(200));
+    pump.tick_for(SimDuration::from_millis(200));
     let d1 = pump.delivered_payloads(p(1));
     let d2 = pump.delivered_payloads(p(2));
     assert!(d1.contains(&"post"));
@@ -261,10 +258,10 @@ fn stability_gc_bounds_log_growth() {
         pump.broadcast(p(i % 3), pay);
         if i % 10 == 0 {
             // Let heartbeats carry stability info.
-            pump.tick(SimDuration::from_millis(60));
+            pump.tick_for(SimDuration::from_millis(60));
         }
     }
-    pump.tick_for(SimDuration::from_millis(60), SimDuration::from_millis(600));
+    pump.tick_for(SimDuration::from_millis(600));
     for i in 0..3 {
         let log = pump.members[&p(i)].log_len();
         assert!(log < 50, "member {i} log grew to {log} entries (GC broken)");
@@ -279,6 +276,7 @@ fn hundreds_of_broadcasts_remain_consistent() {
         let pay: &'static str = Box::leak(format!("j{i}").into_boxed_str());
         pump.broadcast(p(i % 4), pay);
     }
+    stabilize(&mut pump);
     let order = pump.assert_agreement();
     assert_eq!(order.len(), 300);
 }
@@ -295,15 +293,9 @@ fn view_change_during_burst_loses_nothing_from_survivors() {
     for i in 0..10u32 {
         let who = p(1 + (i % 2));
         let pay: &'static str = Box::leak(format!("mid{i}").into_boxed_str());
-        let out = pump.members.get_mut(&who).unwrap().broadcast(pump.now, pay);
-        for (to, frame, _) in out.wire {
-            if let Some(m) = pump.members.get_mut(&to) {
-                let _ = m.on_wire(pump.now, who, frame);
-            }
-        }
+        pump.broadcast(who, pay);
     }
     settle(&mut pump);
-    pump.run();
     let d1 = pump.delivered_payloads(p(1));
     let d2 = pump.delivered_payloads(p(2));
     assert_eq!(d1, d2, "survivors diverged");

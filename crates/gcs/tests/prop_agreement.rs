@@ -13,24 +13,10 @@
 //!    something different at the same position).
 
 use jrs_gcs::config::{EngineKind, GroupConfig};
-use jrs_gcs::testkit::Pump;
+use jrs_gcs::testkit::{Pump, Step};
 use jrs_sim::{ProcId, SimDuration};
 use proptest::prelude::*;
-
-/// One step of a randomized schedule.
-#[derive(Clone, Debug)]
-enum Step {
-    /// Member (index into the live set) broadcasts.
-    Broadcast(u8),
-    /// Advance time by a few ticks.
-    Advance(u8),
-    /// Crash the member with this index (if more than one remains).
-    Crash(u8),
-    /// Voluntary leave (if more than one remains).
-    Leave(u8),
-    /// Add a fresh joiner.
-    Join,
-}
+use std::collections::BTreeMap;
 
 fn step_strategy() -> impl Strategy<Value = Step> {
     prop_oneof![
@@ -42,73 +28,39 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     ]
 }
 
-#[derive(Clone, Debug, Default)]
-struct Model {
-    /// Per-origin submitted payloads, in order.
-    submitted: std::collections::BTreeMap<ProcId, Vec<u32>>,
-}
-
-/// Group and joiners are configured alike: a joiner whose ordering policy
-/// differs from the group's sends messages nobody there acts on, and its
-/// submissions are silently lost.
-fn run_schedule(kind: EngineKind, n_members: u32, steps: &[Step]) -> (Pump<u32>, Model) {
-    let config = GroupConfig::with_engine(kind);
-    let mut pump: Pump<u32> = Pump::group(n_members, config.clone());
-    let mut model = Model::default();
-    let mut next_payload = 0u32;
-    let mut next_joiner = 100u32;
-    let tick = SimDuration::from_millis(5);
-    for step in steps {
+/// Play one schedule; returns the pump and each surviving origin's
+/// submitted payloads, in order. The pump checks every delivery as it
+/// happens: one origin and one payload per sequence number, live or dead,
+/// before or after ejection, one view per message, and increasing
+/// sequence numbers per member.
+fn play(
+    kind: EngineKind,
+    n_members: u32,
+    steps: &[Step],
+) -> (Pump<u32>, BTreeMap<ProcId, Vec<u32>>) {
+    let mut pump: Pump<u32> = Pump::group(n_members, GroupConfig::with_engine(kind));
+    let mut submitted: BTreeMap<ProcId, Vec<u32>> = BTreeMap::new();
+    for (i, &step) in steps.iter().enumerate() {
+        let payload = i as u32;
         match step {
-            Step::Broadcast(sel) => {
-                let ids: Vec<ProcId> = pump.members.keys().copied().collect();
-                if ids.is_empty() {
-                    break;
-                }
-                let who = ids[*sel as usize % ids.len()];
-                // Only count submissions from installed members: a joiner
-                // queues them too, but if it never finishes joining the
-                // payload is legitimately never delivered.
-                let installed = pump.members[&who].is_installed();
-                pump.broadcast(who, next_payload);
-                if installed {
-                    model.submitted.entry(who).or_default().push(next_payload);
-                }
-                next_payload += 1;
+            // Only count submissions from installed members: a joiner
+            // queues them too, but if it never finishes joining the
+            // payload is legitimately never delivered.
+            Step::Broadcast(sel) if pump.members[&pump.pick(sel)].is_installed() => {
+                submitted.entry(pump.pick(sel)).or_default().push(payload);
             }
-            Step::Advance(k) => {
-                for _ in 0..*k {
-                    pump.tick(tick);
-                }
+            Step::Crash(sel) | Step::Leave(sel) if pump.members.len() > 1 => {
+                submitted.remove(&pump.pick(sel));
             }
-            Step::Crash(sel) => {
-                let ids: Vec<ProcId> = pump.members.keys().copied().collect();
-                if ids.len() > 1 {
-                    let who = ids[*sel as usize % ids.len()];
-                    pump.crash(who);
-                    model.submitted.remove(&who);
-                }
-            }
-            Step::Leave(sel) => {
-                let ids: Vec<ProcId> = pump.members.keys().copied().collect();
-                if ids.len() > 1 {
-                    let who = ids[*sel as usize % ids.len()];
-                    pump.leave(who);
-                    model.submitted.remove(&who);
-                }
-            }
-            Step::Join => {
-                let contacts: Vec<ProcId> = pump.members.keys().copied().collect();
-                if !contacts.is_empty() {
-                    pump.add_joiner(ProcId(next_joiner), contacts, config.clone());
-                    next_joiner += 1;
-                }
-            }
+            _ => {}
+        }
+        if let Err(v) = pump.apply(step, || payload) {
+            panic!("step {i} {step:?}: {v:?}");
         }
     }
     // Let everything settle: detection + flush + retries.
-    pump.tick_for(tick, SimDuration::from_secs(3));
-    (pump, model)
+    pump.tick_for(SimDuration::from_secs(3));
+    (pump, submitted)
 }
 
 proptest! {
@@ -128,30 +80,9 @@ proptest! {
 }
 
 fn check_agreement(kind: EngineKind, n: u32, steps: &[Step]) -> Result<(), TestCaseError> {
-    let (pump, model) = run_schedule(kind, n, steps);
-
-    // (1) Pairwise content agreement: no two processes (live or dead,
-    // before or after ejection) ever delivered different payloads at
-    // the same total-order position.
+    let (pump, submitted) = play(kind, n, steps);
     let live: Vec<ProcId> = pump.members.keys().copied().collect();
     prop_assert!(!live.is_empty());
-    let mut by_seq: std::collections::BTreeMap<u64, u32> = Default::default();
-    for (p, dl) in &pump.delivered {
-        for d in dl {
-            match by_seq.get(&d.seq) {
-                None => {
-                    by_seq.insert(d.seq, d.payload);
-                }
-                Some(&x) => prop_assert_eq!(
-                    x,
-                    d.payload,
-                    "member {} delivered a different payload at seq {}",
-                    p,
-                    d.seq
-                ),
-            }
-        }
-    }
 
     // (2) Gap-free order: a never-ejected member's delivered seqs are
     // contiguous from its first delivery (ejection legitimately skips
@@ -173,18 +104,23 @@ fn check_agreement(kind: EngineKind, n: u32, steps: &[Step]) -> Result<(), TestC
     }
 
     // Reference history for the per-origin checks: the union over all
-    // members, which (1) proved consistent.
-    let reference: Vec<(u64, u32)> = by_seq.iter().map(|(&s, &x)| (s, x)).collect();
+    // members, one payload per sequence number (1, checked by the pump).
+    let reference: BTreeMap<u64, u32> = pump
+        .delivered
+        .values()
+        .flatten()
+        .map(|d| (d.seq, d.payload))
+        .collect();
 
     // (3) FIFO per origin + (4) no survivor loss.
-    for (origin, submitted) in &model.submitted {
+    for (origin, submitted) in &submitted {
         if !pump.members.contains_key(origin) {
             continue; // crashed after submitting: loss is allowed
         }
         // Find the origin's payloads in the reference order.
         let delivered_from_origin: Vec<u32> = reference
-            .iter()
-            .map(|(_, pay)| *pay)
+            .values()
+            .copied()
             .filter(|pay| submitted.contains(pay))
             .collect();
         let ejected = pump.ejections.get(origin).copied().unwrap_or(0) > 0;
@@ -211,7 +147,8 @@ fn check_agreement(kind: EngineKind, n: u32, steps: &[Step]) -> Result<(), TestC
         }
     }
 
-    // (5) is subsumed by (1): crashed members' logs participate in the
-    // pairwise same-seq agreement above.
+    // (5) is subsumed by (1): the pump checks every delivery, crashed
+    // members' included, against the first delivery of its sequence
+    // number.
     Ok(())
 }

@@ -3,7 +3,7 @@
 //! deduplication by fingerprint, a wall-clock budget, and ddmin-style
 //! counterexample minimization.
 
-use crate::model::{independent, Action, McConfig, StepResult, Violation, World};
+use crate::model::{independent, Action, Violation, World};
 use std::collections::{BTreeSet, HashMap};
 
 /// Exploration strategy.
@@ -172,12 +172,12 @@ impl Dfs {
             let mut child = world.clone();
             self.path.push(action);
             match child.apply(action) {
-                StepResult::Infeasible => {
+                Ok(false) => {
                     self.path.pop();
                     continue;
                 }
-                StepResult::Violated(v) => return Some(v),
-                StepResult::Ok => {}
+                Err(v) => return Some(v),
+                Ok(true) => {}
             }
             let child_sleep: BTreeSet<Action> = match self.mode {
                 Mode::Naive => BTreeSet::new(),
@@ -261,11 +261,6 @@ impl Search {
     }
 }
 
-/// Explore every interleaving of `cfg`'s model up to `depth` actions.
-pub fn check(cfg: McConfig, depth: u32, mode: Mode, budget: Budget) -> Outcome {
-    check_from(&World::new(cfg), depth, mode, budget)
-}
-
 /// Explore from an arbitrary starting world (e.g. after a scripted
 /// prefix); used by regression tests to pin a protocol state and then
 /// exhaust the interleavings around it.
@@ -285,9 +280,9 @@ pub fn replay(start: &World, trace: &[Action]) -> Option<Violation> {
     let mut world = start.clone();
     for &a in trace {
         match world.apply(a) {
-            StepResult::Ok => {}
-            StepResult::Infeasible => return None,
-            StepResult::Violated(v) => return Some(v),
+            Ok(true) => {}
+            Ok(false) => return None,
+            Err(v) => return Some(v),
         }
     }
     world.settle()
@@ -322,7 +317,7 @@ pub fn minimize(start: &World, trace: &[Action]) -> Vec<Action> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Mutation;
+    use crate::model::{McConfig, Mutation};
 
     fn small() -> McConfig {
         McConfig {
@@ -385,7 +380,8 @@ mod tests {
 
     #[test]
     fn budget_expiry_truncates_cleanly() {
-        let out = check(McConfig::default(), 12, Mode::Naive, Budget::seconds(0));
+        let start = World::new(McConfig::default());
+        let out = check_from(&start, 12, Mode::Naive, Budget::seconds(0));
         let Outcome::Clean(stats) = out else {
             panic!("truncated run must not invent violations");
         };

@@ -1,21 +1,19 @@
 //! `jrs-mc` — bounded model checker for the GCS / jmutex protocol.
 //!
 //! The checker drives the *real* protocol implementation — the
-//! [`jrs_gcs`] group members behind the testkit [`Pump`]'s stepping
-//! primitives, each applying the shipped [`joshua_core::payload::Payload`]
-//! stream through the daemon's own replicated state machine (the PBS
-//! server and the jmutex launch mutex) — through
-//! every interleaving of message deliveries, drops, crashes and timer
-//! ticks up to a configurable depth. No protocol re-model: a bug found
-//! here is a bug in the shipping code.
+//! [`jrs_gcs`] group members behind the testkit [`Pump`]'s schedule
+//! language ([`Step`]), each applying the shipped
+//! [`joshua_core::payload::Payload`] stream through the daemon's own
+//! replicated state machine (the PBS server and the jmutex launch mutex) —
+//! through every interleaving of message deliveries, drops, crashes and
+//! timer ticks up to a configurable depth. No protocol re-model: a bug
+//! found here is a bug in the shipping code.
 //!
 //! Checked invariants:
 //!
-//! - **Total-order agreement** — members that deliver sequence number
-//!   `s` deliver the same `(origin, payload)` at `s`, monotonically.
-//! - **Same-view delivery** — a message is delivered in the same
-//!   installed view at every member that delivers it.
-//! - **Self-inclusion** — no member is handed a view that omits itself.
+//! - **The group's guarantees** — total order, same-view delivery,
+//!   membership and idle ticks, which the pump checks on every upcall and
+//!   tick ([`jrs_gcs::testkit::Violation`]).
 //! - **Exactly-once launch** — the jmutex grants each job to exactly one
 //!   launch session; no duplicate launch, no lost launch (verdict
 //!   redelivery after granter death).
@@ -29,6 +27,7 @@
 //! `replay` subcommand of the `jrs-mc` binary.
 //!
 //! [`Pump`]: jrs_gcs::testkit::Pump
+//! [`Step`]: jrs_gcs::testkit::Step
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -37,6 +36,6 @@ pub mod checker;
 pub mod model;
 pub mod trace;
 
-pub use checker::{check, check_from, minimize, replay, Budget, Mode, Outcome, Search, Stats};
-pub use model::{Action, McConfig, Mutation, StepResult, Violation, World};
-pub use trace::{format_trace, parse_trace};
+pub use checker::{check_from, minimize, replay, Budget, Mode, Outcome, Search, Stats};
+pub use model::{Action, McConfig, Mutation, Violation, World};
+pub use trace::{parse_trace, trace_tokens};

@@ -9,7 +9,7 @@
 
 use jrs_gcs::EngineKind;
 use jrs_mc::{
-    format_trace, minimize, parse_trace, replay, Budget, McConfig, Mode, Mutation, Outcome, Search,
+    minimize, parse_trace, replay, trace_tokens, Budget, McConfig, Mode, Mutation, Outcome, Search,
     Stats, World,
 };
 use std::process::ExitCode;
@@ -228,7 +228,7 @@ fn report_json(start: &World, o: &Opts, out: Outcome) -> Result<ExitCode, String
             j.push_str(&format!(
                 ",\"outcome\":\"violation\",\"violation\":{},\"trace\":{}}}",
                 json_str(&format!("{violation:?}")),
-                json_str(&format_trace(&min))
+                json_str(&trace_tokens(&min).join(","))
             ));
             ExitCode::FAILURE
         }
@@ -264,16 +264,17 @@ fn report(start: &World, o: &Opts, out: Outcome) -> Result<ExitCode, String> {
                 min.len(),
                 trace.len()
             );
-            for (i, &a) in min.iter().enumerate() {
-                println!("  {:>3}. {}", i + 1, jrs_mc::trace::format_action(a));
+            for (i, token) in trace_tokens(&min).iter().enumerate() {
+                println!("  {:>3}. {token}", i + 1);
             }
             println!(
-                "replay: jrs-mc replay --procs {} --faults {} --submits {} --mutate {} --trace \"{}\"",
+                "replay: jrs-mc replay --procs {} --faults {} --submits {} --engine {} --mutate {} --trace \"{}\"",
                 o.cfg.procs,
                 o.cfg.faults,
                 o.cfg.submits,
+                format!("{:?}", o.cfg.engine).to_lowercase(),
                 o.cfg.mutation.name(),
-                format_trace(&min)
+                trace_tokens(&min).join(",")
             );
             Ok(ExitCode::FAILURE)
         }
@@ -283,8 +284,8 @@ fn report(start: &World, o: &Opts, out: Outcome) -> Result<ExitCode, String> {
 fn run_replay(args: &[String]) -> Result<ExitCode, String> {
     let o = parse_opts(args)?;
     let line = o.trace.as_deref().ok_or("replay needs --trace")?;
-    let trace = parse_trace(line)?;
     let mut start = World::new(o.cfg.clone());
+    let trace = parse_trace(line)?;
     // Read once here; `check` never consults the environment.
     start.narrate = std::env::var_os("JRS_MC_TRACE_EVENTS").is_some();
     println!(

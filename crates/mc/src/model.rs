@@ -1,21 +1,22 @@
 //! The model under check: a cluster of GCS members each running the
 //! daemon's own replicated state machine ([`Replica`]: the PBS server plus
 //! the jmutex launch-arbitration table), driven step by step through the
-//! [`Pump`]'s stepping primitives. Every ordered [`Payload`] goes through
+//! [`Pump`]'s [`Step`]s. Every ordered [`Payload`] goes through
 //! `Replica::apply`, so the checker explores the code the daemon ships.
 //!
 //! A [`World`] is one explorable state. The checker clones it, applies one
-//! [`Action`], drains the resulting application upcalls and checks the
-//! safety invariants eagerly. Liveness-flavoured properties (replica
-//! convergence, exactly-once launch) are checked by `World::settle`,
-//! which runs the remaining protocol to quiescence under FIFO delivery.
+//! [`Action`]: the pump checks the group's guarantees on every upcall and
+//! tick, and the model drains the upcalls through the replicas and checks
+//! launches eagerly. Liveness-flavoured properties (replica convergence,
+//! exactly-once launch) are checked by `World::settle`, which runs the
+//! remaining protocol to quiescence under FIFO delivery.
 
 use joshua_core::payload::{self, JMutexOutcome, Payload};
 use joshua_core::replica::{Applied, Replica};
-use jrs_gcs::testkit::Pump;
-use jrs_gcs::{EngineKind, GcsEvent, GroupConfig, GroupMember, MembershipPolicy, View, ViewId};
+use jrs_gcs::testkit::{self, Pump, Step};
+use jrs_gcs::{EngineKind, GcsEvent, GroupConfig, MembershipPolicy, View, ViewId};
 use jrs_pbs::{JobId, JobSpec, PbsServerCore, ServerAction, ServerCmd};
-use jrs_sim::{Fnv64, ProcId, SimDuration, SimTime};
+use jrs_sim::{Fnv64, ProcId, SimDuration};
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
 
@@ -91,14 +92,12 @@ impl Default for McConfig {
     }
 }
 
-/// The members' tick period in the model (virtual time per `Tick` action).
-pub const TICK: SimDuration = SimDuration::from_millis(10);
-
 fn group_config(engine: EngineKind) -> GroupConfig {
     GroupConfig {
         engine,
         membership: MembershipPolicy::PrimaryComponent,
-        tick_every: TICK,
+        // Virtual time per `Tick` step.
+        tick_every: SimDuration::from_millis(10),
         heartbeat_every: SimDuration::from_millis(20),
         fail_after: SimDuration::from_millis(45),
         rto: SimDuration::from_millis(15),
@@ -110,35 +109,22 @@ fn group_config(engine: EngineKind) -> GroupConfig {
     }
 }
 
-/// One schedulable transition of the model.
+/// One schedulable transition of the model: a step of the group, or one
+/// of the environment's two application actions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Action {
-    /// The environment submits a job to the lowest live head.
-    Submit,
-    /// Deliver the head frame of one FIFO channel.
-    Deliver {
-        /// Sending member.
-        from: ProcId,
-        /// Receiving member.
-        to: ProcId,
-    },
-    /// Drop the head frame of one FIFO channel (message loss; counts
-    /// against the fault budget).
-    Drop {
-        /// Sending member.
-        from: ProcId,
-        /// Receiving member.
-        to: ProcId,
-    },
-    /// Crash a head (counts against the fault budget; at least one head
-    /// always survives).
+    /// A group step: the model enumerates `Deliver`, `Tick`, and `Drop`
+    /// against the fault budget.
+    Step(Step),
+    /// `Step::Crash` of the head it names (fault budget; one head always
+    /// survives). Named by `ProcId`, not by selector, so a minimised trace
+    /// that drops an earlier crash still crashes the same head.
     Crash {
         /// The victim.
         who: ProcId,
     },
-    /// Advance virtual time by one tick on every member (timers fire:
-    /// heartbeats, retransmissions, failure detection, flush timeouts).
-    Tick,
+    /// The environment submits a job to the lowest live head.
+    Submit,
     /// The environment completes a launched job (the mom's jdone).
     Complete {
         /// The job.
@@ -153,8 +139,10 @@ impl Action {
     /// target's state and disjoint FIFO channel ends.
     pub(crate) fn target(self) -> Option<ProcId> {
         match self {
-            Action::Deliver { to, .. } | Action::Drop { to, .. } => Some(to),
-            Action::Submit | Action::Tick | Action::Crash { .. } | Action::Complete { .. } => None,
+            Action::Step(Step::Deliver { to, .. } | Step::Drop { to, .. }) => Some(to),
+            Action::Step(_) | Action::Crash { .. } | Action::Submit | Action::Complete { .. } => {
+                None
+            }
         }
     }
 }
@@ -164,37 +152,14 @@ impl Action {
 /// `Tick`, `Crash`, `Submit` and `Complete` touch global state (time, the
 /// member set, the command stream) and are dependent with everything.
 pub(crate) fn independent(a: Action, b: Action) -> bool {
-    match (a.target(), b.target()) {
-        (Some(x), Some(y)) => x != y,
-        _ => false,
-    }
+    matches!((a.target(), b.target()), (Some(x), Some(y)) if x != y)
 }
 
 /// A safety violation, with enough context to read the counterexample.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Violation {
-    /// Two members delivered different payloads (or origins) at the same
-    /// total-order position.
-    TotalOrderDisagreement {
-        /// The disputed sequence number.
-        seq: u64,
-        /// Who saw the conflicting delivery.
-        member: ProcId,
-    },
-    /// The same message was delivered in different installed views.
-    SameViewViolation {
-        /// The disputed sequence number.
-        seq: u64,
-        /// Who delivered it in a different view.
-        member: ProcId,
-    },
-    /// A member was handed a view that does not include itself.
-    SelfExclusion {
-        /// The member.
-        member: ProcId,
-        /// The offending view.
-        view: ViewId,
-    },
+    /// A group guarantee broke, as the pump checks them.
+    Group(testkit::Violation),
     /// Two distinct launch sessions ran for one job.
     DuplicateLaunch {
         /// The job.
@@ -205,13 +170,6 @@ pub enum Violation {
         /// The job.
         job: JobId,
     },
-    /// A member reported its tick idle (`GroupMember::tick_is_idle`), yet
-    /// the tick emitted a frame or an upcall or changed its fingerprint: a
-    /// host that skips idle ticks would have changed the run.
-    IdleTickDidWork {
-        /// The member.
-        member: ProcId,
-    },
     /// Replicas failed to converge to equal state at quiescence.
     Divergence {
         /// First differing pair.
@@ -221,17 +179,6 @@ pub enum Violation {
         /// What diverged ("pbs", "jmutex", "view").
         what: &'static str,
     },
-}
-
-/// Result of applying one action.
-#[derive(Debug)]
-pub enum StepResult {
-    /// Applied cleanly.
-    Ok,
-    /// The action is not currently enabled (replay of a stale trace).
-    Infeasible,
-    /// Applied, and a safety invariant broke.
-    Violated(Violation),
 }
 
 /// Per-replica application state above the GCS: the daemon's replicated
@@ -245,8 +192,6 @@ struct App {
     /// Members that joined in the current view (excluded from responder
     /// duty, see `joshua_core::payload::responder`).
     joined_current: BTreeSet<ProcId>,
-    /// Highest delivered seq (total-order monotonicity check).
-    last_seq: u64,
     /// Set when the member was ejected and rejoined: its replica is void
     /// until state transfer, which the model does not perform. A void
     /// replica still participates in the GCS (delivery-level invariants
@@ -263,7 +208,6 @@ impl App {
             view: view.members.clone(),
             view_id: view.id,
             joined_current: BTreeSet::new(),
-            last_seq: 0,
             awaiting_transfer: false,
         }
     }
@@ -280,7 +224,6 @@ impl App {
             view,
             view_id,
             joined_current,
-            last_seq,
             awaiting_transfer,
         } = self;
         let mut h = Fnv64::new();
@@ -289,7 +232,6 @@ impl App {
         view.hash(&mut h);
         view_id.hash(&mut h);
         joined_current.hash(&mut h);
-        last_seq.hash(&mut h);
         awaiting_transfer.hash(&mut h);
         h.finish()
     }
@@ -308,17 +250,6 @@ fn session_of(p: ProcId, job: JobId) -> u64 {
     u64::from(p.0) * 1000 + job.0
 }
 
-/// Does `m` report its tick at `now` idle, and yet, run on a clone, emit
-/// a frame or an upcall or change its fingerprint?
-fn idle_tick_did_work(m: &GroupMember<Payload>, now: SimTime) -> bool {
-    if !m.tick_is_idle(now) {
-        return false;
-    }
-    let mut probe = m.clone();
-    let out = probe.tick(now);
-    !out.wire.is_empty() || !out.events.is_empty() || probe.state_hash() != m.state_hash()
-}
-
 /// One explorable state of the whole model.
 #[derive(Clone, Debug)]
 pub struct World {
@@ -334,9 +265,6 @@ pub struct World {
     launches: BTreeMap<JobId, BTreeSet<u64>>,
     /// Jobs whose completion has been injected.
     completed: BTreeSet<JobId>,
-    /// Canonical total order observed so far:
-    /// seq → (origin, payload fingerprint, delivery view).
-    canon: BTreeMap<u64, (ProcId, u64, ViewId)>,
     /// Narrate protocol events on stderr: a debugging aid `jrs-mc replay`
     /// switches on, never part of the explored state.
     pub narrate: bool,
@@ -361,7 +289,6 @@ impl World {
             faults_done: 0,
             launches: BTreeMap::new(),
             completed: BTreeSet::new(),
-            canon: BTreeMap::new(),
             narrate: false,
         }
     }
@@ -371,8 +298,7 @@ impl World {
     /// environment budgets and the launch record.
     #[must_use]
     pub(crate) fn state_hash(&self) -> u64 {
-        // `cfg` is constant over a run, `canon` only records what the
-        // invariants compare against, `narrate` is a debugging switch.
+        // `cfg` is constant over a run, `narrate` is a debugging switch.
         let World {
             pump,
             apps,
@@ -381,7 +307,6 @@ impl World {
             faults_done,
             launches,
             completed,
-            canon: _,
             narrate: _,
         } = self;
         let mut h = Fnv64::new();
@@ -403,9 +328,9 @@ impl World {
             acts.push(Action::Submit);
         }
         for (from, to) in self.pump.pending() {
-            acts.push(Action::Deliver { from, to });
+            acts.push(Action::Step(Step::Deliver { from, to }));
             if self.faults_done < self.cfg.faults {
-                acts.push(Action::Drop { from, to });
+                acts.push(Action::Step(Step::Drop { from, to }));
             }
         }
         if self.faults_done < self.cfg.faults && self.pump.members.len() > 1 {
@@ -413,7 +338,7 @@ impl World {
                 acts.push(Action::Crash { who });
             }
         }
-        acts.push(Action::Tick);
+        acts.push(Action::Step(Step::Tick));
         for (&job, sessions) in &self.launches {
             if !sessions.is_empty() && !self.completed.contains(&job) {
                 acts.push(Action::Complete { job });
@@ -422,16 +347,15 @@ impl World {
         acts
     }
 
-    /// Apply one action, drain upcalls, check safety invariants.
-    pub fn apply(&mut self, action: Action) -> StepResult {
-        match action {
+    /// Apply one action, drain upcalls, check safety invariants. As
+    /// [`Pump::apply`]: `Ok(false)` if the action is not enabled (replay of
+    /// a stale trace), `Err` with the first invariant it broke.
+    pub fn apply(&mut self, action: Action) -> Result<bool, Violation> {
+        let applied = match action {
             Action::Submit => {
                 if self.submits_done >= self.cfg.submits {
-                    return StepResult::Infeasible;
+                    return Ok(false);
                 }
-                let Some(&head) = self.pump.members.keys().next() else {
-                    return StepResult::Infeasible;
-                };
                 self.submits_done += 1;
                 let name = format!("job-{}", self.submits_done);
                 let submit = Payload::Client {
@@ -439,66 +363,58 @@ impl World {
                     req_id: u64::from(self.submits_done),
                     cmd: ServerCmd::Qsub(JobSpec::trivial(name)),
                 };
-                self.pump.submit(head, submit);
+                self.pump.submit(self.pump.pick(0), submit).map(|()| true)
             }
-            Action::Deliver { from, to } => {
-                if !self.pump.deliver_from(from, to) {
-                    return StepResult::Infeasible;
-                }
-            }
-            Action::Drop { from, to } => {
-                if self.faults_done >= self.cfg.faults || !self.pump.drop_head(from, to) {
-                    return StepResult::Infeasible;
-                }
-                self.faults_done += 1;
-            }
-            Action::Crash { who } => {
-                if self.faults_done >= self.cfg.faults
-                    || self.pump.members.len() <= 1
-                    || !self.pump.members.contains_key(&who)
-                {
-                    return StepResult::Infeasible;
-                }
-                self.faults_done += 1;
-                self.pump.crash(who);
-                self.apps.remove(&who);
-            }
-            Action::Tick => {
-                let now = self.pump.now + TICK;
-                let busy = self
-                    .pump
-                    .members
-                    .iter()
-                    .find(|(_, m)| idle_tick_did_work(m, now));
-                if let Some((&member, _)) = busy {
-                    return StepResult::Violated(Violation::IdleTickDidWork { member });
-                }
-                self.pump.tick_members(TICK);
-            }
+            Action::Step(step) => self.group_step(step),
+            Action::Crash { who } => match self.pump.selector(who) {
+                Some(sel) => self.group_step(Step::Crash(sel)),
+                None => return Ok(false),
+            },
             Action::Complete { job } => {
                 let launched = self.launches.get(&job).is_some_and(|s| !s.is_empty());
                 if !launched || self.completed.contains(&job) {
-                    return StepResult::Infeasible;
+                    return Ok(false);
                 }
-                let Some(&head) = self.pump.members.keys().next() else {
-                    return StepResult::Infeasible;
-                };
                 self.completed.insert(job);
                 // The mom's jdone, then its obituary, as `PbsMomCore` sends
                 // them.
-                self.pump.submit(head, Payload::JMutexRelease { job });
                 let obituary = Payload::MomFinished {
                     job,
                     exit: 0,
                     mom: MOM,
                 };
-                self.pump.submit(head, obituary);
+                let head = self.pump.pick(0);
+                self.pump
+                    .submit(head, Payload::JMutexRelease { job })
+                    .and_then(|()| self.pump.submit(head, obituary))
+                    .map(|()| true)
             }
+        };
+        if !applied.map_err(Violation::Group)? {
+            return Ok(false);
         }
-        match self.drain_events() {
-            Some(v) => StepResult::Violated(v),
-            None => StepResult::Ok,
+        self.drain_events().map_or(Ok(true), Err)
+    }
+
+    /// Apply one group step, a `Drop` or `Crash` against the fault budget.
+    fn group_step(&mut self, step: Step) -> Result<bool, testkit::Violation> {
+        let fault = matches!(step, Step::Drop { .. } | Step::Crash(_));
+        if fault && self.faults_done >= self.cfg.faults {
+            return Ok(false);
         }
+        let applied = self.step(step);
+        if applied == Ok(true) {
+            self.faults_done += u32::from(fault);
+            self.apps.retain(|id, _| self.pump.members.contains_key(id));
+        }
+        applied
+    }
+
+    /// Apply one group step. The model never enumerates `Broadcast`:
+    /// commands enter through `Action::Submit`.
+    fn step(&mut self, step: Step) -> Result<bool, testkit::Violation> {
+        self.pump
+            .apply(step, || unreachable!("the model enumerates no broadcast"))
     }
 
     /// Record that a launch session actually started a job on the mom.
@@ -531,26 +447,10 @@ impl World {
 
     fn on_event(&mut self, who: ProcId, ev: GcsEvent<Payload>) -> Option<Violation> {
         if self.narrate {
-            match &ev {
-                GcsEvent::Deliver { seq, origin, .. } => {
-                    eprintln!(
-                        "[ev] t={:?} {who:?} deliver seq={seq} origin={origin:?}",
-                        self.pump.now
-                    )
-                }
-                GcsEvent::ViewChange { view, joined, left } => eprintln!(
-                    "[ev] t={:?} {who:?} view {:?} members={:?} joined={joined:?} left={left:?}",
-                    self.pump.now, view.id, view.members
-                ),
-                GcsEvent::Ejected => eprintln!("[ev] t={:?} {who:?} EJECTED", self.pump.now),
-            }
+            eprintln!("[ev] t={:?} {who:?} {ev:?}", self.pump.now);
         }
         match ev {
-            GcsEvent::Deliver {
-                seq,
-                origin,
-                payload,
-            } => self.on_deliver(who, seq, origin, payload),
+            GcsEvent::Deliver { payload, .. } => self.on_deliver(who, &payload),
             GcsEvent::ViewChange { view, joined, .. } => self.on_view_change(who, &view, &joined),
             GcsEvent::Ejected => {
                 // The group moved on without this member; its replica state
@@ -561,7 +461,6 @@ impl World {
                     app.view = Vec::new();
                     app.view_id = ViewId::NONE;
                     app.joined_current.clear();
-                    app.last_seq = 0;
                     app.awaiting_transfer = true;
                 }
                 None
@@ -569,45 +468,16 @@ impl World {
         }
     }
 
-    fn on_deliver(
-        &mut self,
-        who: ProcId,
-        seq: u64,
-        origin: ProcId,
-        payload: Payload,
-    ) -> Option<Violation> {
-        let fp = jrs_sim::fingerprint(&payload);
-        let view_id = self.apps.get(&who).map_or(ViewId::NONE, |a| a.view_id);
-        // Invariant: total-order agreement — every member that delivers
-        // seq delivers the same (origin, payload).
-        match self.canon.get(&seq) {
-            None => {
-                self.canon.insert(seq, (origin, fp, view_id));
-            }
-            Some(&(o, f, v)) => {
-                if o != origin || f != fp {
-                    return Some(Violation::TotalOrderDisagreement { seq, member: who });
-                }
-                // Invariant: same-view delivery (virtual synchrony).
-                if v != view_id {
-                    return Some(Violation::SameViewViolation { seq, member: who });
-                }
-            }
-        }
+    fn on_deliver(&mut self, who: ProcId, payload: &Payload) -> Option<Violation> {
         let app = self.apps.get_mut(&who)?;
-        // Invariant: per-member delivery is monotone in seq.
-        if seq <= app.last_seq {
-            return Some(Violation::TotalOrderDisagreement { seq, member: who });
-        }
-        app.last_seq = seq;
         if app.awaiting_transfer {
             // Void replica: the real system fills it by snapshot transfer
-            // before it may process the stream; here it just observes the
-            // delivery-level invariants above.
+            // before it may process the stream; here the pump just checks
+            // its deliveries.
             return None;
         }
         let me = app.me;
-        match app.replica.apply(self.pump.now, &payload) {
+        match app.replica.apply(self.pump.now, payload) {
             Applied::Ran { actions, .. } | Applied::Finished(actions) => {
                 for a in actions {
                     if let ServerAction::Start { job, .. } = a {
@@ -645,7 +515,9 @@ impl World {
             granter: me,
             reclaim: false,
         };
-        self.pump.submit(me, acquire);
+        if let Err(v) = self.pump.submit(me, acquire) {
+            return Some(Violation::Group(v));
+        }
         if self.cfg.mutation == Mutation::GrantOnForward {
             // BUG: launch immediately on forward.
             return self.record_launch(job, session);
@@ -654,14 +526,6 @@ impl World {
     }
 
     fn on_view_change(&mut self, who: ProcId, view: &View, joined: &[ProcId]) -> Option<Violation> {
-        // Invariant: self-inclusion — a member is never handed a view it
-        // is not part of (exclusion must arrive as `Ejected`).
-        if !view.contains(who) {
-            return Some(Violation::SelfExclusion {
-                member: who,
-                view: view.id,
-            });
-        }
         let app = self.apps.get_mut(&who)?;
         app.view = view.members.clone();
         app.view_id = view.id;
@@ -698,8 +562,9 @@ impl World {
         // flushes (60ms = 6 ticks each) with margin; each round is one
         // tick plus a full FIFO drain.
         for _ in 0..28 {
-            self.pump.tick_members(TICK);
-            self.pump.run();
+            if let Err(v) = self.step(Step::Advance(1)) {
+                return Some(Violation::Group(v));
+            }
             if let Some(v) = self.drain_events() {
                 return Some(v);
             }
@@ -776,17 +641,14 @@ mod tests {
     #[test]
     fn submit_then_fifo_run_launches_exactly_once() {
         let mut w = World::new(McConfig::default());
-        assert!(matches!(w.apply(Action::Submit), StepResult::Ok));
+        assert_eq!(w.apply(Action::Submit), Ok(true));
         assert!(w.clone().settle().is_none());
     }
 
     /// Deliver every frame in flight, FIFO, through `World::apply`.
     fn run_fifo(w: &mut World) {
         while let Some(&(from, to)) = w.pump.pending().first() {
-            assert!(matches!(
-                w.apply(Action::Deliver { from, to }),
-                StepResult::Ok
-            ));
+            assert_eq!(w.apply(Action::Step(Step::Deliver { from, to })), Ok(true));
         }
     }
 
@@ -796,14 +658,11 @@ mod tests {
             submits: 2,
             ..McConfig::default()
         });
-        assert!(matches!(w.apply(Action::Submit), StepResult::Ok));
-        assert!(matches!(w.apply(Action::Submit), StepResult::Ok));
+        assert_eq!(w.apply(Action::Submit), Ok(true));
+        assert_eq!(w.apply(Action::Submit), Ok(true));
         run_fifo(&mut w);
         assert_eq!(w.launches.len(), 1, "one node, one job at a time");
-        assert!(matches!(
-            w.apply(Action::Complete { job: JobId(1) }),
-            StepResult::Ok
-        ));
+        assert_eq!(w.apply(Action::Complete { job: JobId(1) }), Ok(true));
         run_fifo(&mut w);
         // The obituary frees the node, so job 2 starts at every replica and
         // the jmutex lets exactly one forwarded launch through.
@@ -819,7 +678,7 @@ mod tests {
         let a = w.enabled();
         let b = w.clone().enabled();
         assert_eq!(a, b);
-        assert!(a.contains(&Action::Tick));
+        assert!(a.contains(&Action::Step(Step::Tick)));
     }
 
     #[test]
@@ -828,18 +687,37 @@ mod tests {
             submits: 0,
             ..McConfig::default()
         });
-        assert!(matches!(w.apply(Action::Submit), StepResult::Infeasible));
-        assert!(matches!(
-            w.apply(Action::Deliver {
-                from: ProcId(0),
-                to: ProcId(1)
-            }),
-            StepResult::Infeasible
-        ));
-        assert!(matches!(
-            w.apply(Action::Complete { job: JobId(1) }),
-            StepResult::Infeasible
-        ));
+        assert_eq!(w.apply(Action::Submit), Ok(false));
+        let deliver = Step::Deliver {
+            from: ProcId(0),
+            to: ProcId(1),
+        };
+        assert_eq!(w.apply(Action::Step(deliver)), Ok(false));
+        assert_eq!(w.apply(Action::Complete { job: JobId(1) }), Ok(false));
+    }
+
+    /// A crash names its victim: with the earlier crash deleted, as
+    /// minimising a trace does, the same head goes down, and a crash of a
+    /// head already down is not enabled.
+    #[test]
+    fn a_crash_keeps_its_victim_when_an_earlier_crash_is_deleted() {
+        let start = World::new(McConfig {
+            faults: 2,
+            ..McConfig::default()
+        });
+        let (p0, p2) = (
+            Action::Crash { who: ProcId(0) },
+            Action::Crash { who: ProcId(2) },
+        );
+        for trace in [&[p0, p2][..], &[p2]] {
+            let mut w = start.clone();
+            for &a in trace {
+                assert_eq!(w.apply(a), Ok(true));
+            }
+            assert!(!w.pump.members.contains_key(&ProcId(2)));
+            assert!(w.pump.members.contains_key(&ProcId(1)));
+            assert_eq!(w.apply(p2), Ok(false));
+        }
     }
 
     #[test]

@@ -4,32 +4,28 @@
 //! `complete:J`.
 
 use crate::model::Action;
+use jrs_gcs::testkit::Step;
 use jrs_pbs::JobId;
 use jrs_sim::ProcId;
-use std::fmt::Write as _;
 
 /// Render one action as a trace token.
-pub fn format_action(a: Action) -> String {
+fn format_action(a: Action) -> String {
     match a {
         Action::Submit => "submit".to_string(),
-        Action::Deliver { from, to } => format!("deliver:{}-{}", from.0, to.0),
-        Action::Drop { from, to } => format!("drop:{}-{}", from.0, to.0),
+        Action::Step(Step::Deliver { from, to }) => format!("deliver:{}-{}", from.0, to.0),
+        Action::Step(Step::Drop { from, to }) => format!("drop:{}-{}", from.0, to.0),
         Action::Crash { who } => format!("crash:{}", who.0),
-        Action::Tick => "tick".to_string(),
+        Action::Step(Step::Tick) => "tick".to_string(),
+        // Steps the model does not enumerate print as they are written.
+        Action::Step(other) => format!("{other:?}"),
         Action::Complete { job } => format!("complete:{}", job.0),
     }
 }
 
-/// Render a whole trace as one comma-joined line.
-pub fn format_trace(trace: &[Action]) -> String {
-    let mut out = String::new();
-    for (i, &a) in trace.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{}", format_action(a));
-    }
-    out
+/// Render a trace as one token per action (comma-joined, a line `replay`
+/// reads).
+pub fn trace_tokens(trace: &[Action]) -> Vec<String> {
+    trace.iter().map(|&a| format_action(a)).collect()
 }
 
 /// Parse one trace token.
@@ -39,27 +35,20 @@ pub(crate) fn parse_action(tok: &str) -> Result<Action, String> {
         return Ok(Action::Submit);
     }
     if tok == "tick" {
-        return Ok(Action::Tick);
+        return Ok(Action::Step(Step::Tick));
     }
     if let Some(rest) = tok.strip_prefix("deliver:") {
-        let (f, t) = parse_pair(rest)?;
-        return Ok(Action::Deliver {
-            from: ProcId(f),
-            to: ProcId(t),
-        });
+        let (from, to) = parse_pair(rest)?;
+        return Ok(Action::Step(Step::Deliver { from, to }));
     }
     if let Some(rest) = tok.strip_prefix("drop:") {
-        let (f, t) = parse_pair(rest)?;
-        return Ok(Action::Drop {
-            from: ProcId(f),
-            to: ProcId(t),
-        });
+        let (from, to) = parse_pair(rest)?;
+        return Ok(Action::Step(Step::Drop { from, to }));
     }
     if let Some(rest) = tok.strip_prefix("crash:") {
-        let p = rest
-            .parse::<u32>()
-            .map_err(|e| format!("bad proc id {rest:?}: {e}"))?;
-        return Ok(Action::Crash { who: ProcId(p) });
+        return Ok(Action::Crash {
+            who: ProcId(num(rest)?),
+        });
     }
     if let Some(rest) = tok.strip_prefix("complete:") {
         let j = rest
@@ -70,17 +59,16 @@ pub(crate) fn parse_action(tok: &str) -> Result<Action, String> {
     Err(format!("unknown trace token {tok:?}"))
 }
 
-fn parse_pair(s: &str) -> Result<(u32, u32), String> {
+fn num(s: &str) -> Result<u32, String> {
+    s.parse::<u32>()
+        .map_err(|e| format!("bad proc id {s:?}: {e}"))
+}
+
+fn parse_pair(s: &str) -> Result<(ProcId, ProcId), String> {
     let (a, b) = s
         .split_once('-')
         .ok_or_else(|| format!("expected F-T in {s:?}"))?;
-    let f = a
-        .parse::<u32>()
-        .map_err(|e| format!("bad proc id {a:?}: {e}"))?;
-    let t = b
-        .parse::<u32>()
-        .map_err(|e| format!("bad proc id {b:?}: {e}"))?;
-    Ok((f, t))
+    Ok((ProcId(num(a)?), ProcId(num(b)?)))
 }
 
 /// Parse a comma-joined trace line.
@@ -99,19 +87,19 @@ mod tests {
     fn round_trips() {
         let trace = vec![
             Action::Submit,
-            Action::Deliver {
+            Action::Step(Step::Deliver {
                 from: ProcId(0),
                 to: ProcId(1),
-            },
-            Action::Drop {
+            }),
+            Action::Step(Step::Drop {
                 from: ProcId(2),
                 to: ProcId(0),
-            },
+            }),
             Action::Crash { who: ProcId(1) },
-            Action::Tick,
+            Action::Step(Step::Tick),
             Action::Complete { job: JobId(1) },
         ];
-        let line = format_trace(&trace);
+        let line = trace_tokens(&trace).join(",");
         assert_eq!(line, "submit,deliver:0-1,drop:2-0,crash:1,tick,complete:1");
         assert_eq!(parse_trace(&line).unwrap(), trace);
     }

@@ -18,11 +18,14 @@
 //!   (`no-cover` mutation) must be caught as a lost launch;
 //! - reduction sanity: the sleep-set (DPOR-lite) search explores at
 //!   least 2x fewer states than the naive baseline on a stateless
-//!   sweep, and the two searches agree on the verdict.
+//!   sweep, and the two searches agree on the verdict;
+//! - the exploration itself: the state counts of four small sweeps are
+//!   pinned, so a change to what the checker enumerates or fingerprints
+//!   shows as a count that moved.
 
 use jrs_mc::{
     check_from, minimize, replay, Action, Budget, McConfig, Mode, Mutation, Outcome, Search,
-    StepResult, Violation, World,
+    Violation, World,
 };
 
 use jrs_gcs::EngineKind;
@@ -113,7 +116,7 @@ fn jmutex_holder_crash_launches_exactly_once() {
     // Scripted prefix: get the submission into the system, then explore
     // deliveries, crashes and ticks around it.
     let mut start = World::new(cfg(EngineKind::Token, 1, Mutation::None));
-    assert!(matches!(start.apply(Action::Submit), StepResult::Ok));
+    assert_eq!(start.apply(Action::Submit), Ok(true));
     let out = check_from(&start, 6, Mode::Dpor, Budget::unlimited());
     let Outcome::Clean(stats) = out else {
         panic!("holder crash must not lose or duplicate the launch: {out:?}");
@@ -128,7 +131,7 @@ fn jmutex_holder_crash_launches_exactly_once() {
 #[test]
 fn no_cover_mutation_loses_a_launch() {
     let mut start = World::new(cfg(EngineKind::Token, 1, Mutation::NoCoverOnViewChange));
-    assert!(matches!(start.apply(Action::Submit), StepResult::Ok));
+    assert_eq!(start.apply(Action::Submit), Ok(true));
     let Outcome::Violation {
         violation, trace, ..
     } = check_from(&start, 6, Mode::Dpor, Budget::unlimited())
@@ -162,4 +165,32 @@ fn dpor_reduces_states_at_least_2x_and_agrees_with_naive() {
         d.explored
     );
     assert!(d.slept > 0);
+}
+
+/// The exploration is pinned: explored / deduped / slept / settled at
+/// `procs 3, depth 6`, with the CLI's defaults otherwise (one submission,
+/// sleep sets, visited-state dedup), for both engines with and without a
+/// fault. The counts move only with a protocol change, or a change to
+/// what the checker enumerates or fingerprints; such a change regenerates
+/// them deliberately from `jrs-mc check --procs 3 --depth 6 --engine E
+/// --faults F`.
+#[test]
+fn exploration_counts_are_pinned() {
+    let pinned = [
+        (EngineKind::Sequencer, 0, [1604, 303, 475, 1119]),
+        (EngineKind::Sequencer, 1, [5394, 2650, 1605, 3699]),
+        (EngineKind::Token, 0, [2181, 442, 735, 1524]),
+        (EngineKind::Token, 1, [8331, 3678, 2646, 5807]),
+    ];
+    for (engine, faults, want) in pinned {
+        let start = World::new(cfg(engine, faults, Mutation::None));
+        let Outcome::Clean(s) = check_from(&start, 6, Mode::Dpor, Budget::unlimited()) else {
+            panic!("{engine:?} faults={faults}: the sweep must be clean");
+        };
+        assert_eq!(
+            [s.explored, s.deduped, s.slept, s.settled],
+            want,
+            "{engine:?} faults={faults}: explored, deduped, slept, settled"
+        );
+    }
 }
