@@ -211,9 +211,7 @@ fn a_snapshot_write_costs_the_same_at_any_history() {
 #[test]
 fn a_snapshot_no_larger_than_the_last_allocates_nothing() {
     let (borrowed, by_value) = snapshot_allocs(1_000, 984);
-    println!(
-        "snapshot write over a larger one: {borrowed} allocations (by value: {by_value})"
-    );
+    println!("snapshot write over a larger one: {borrowed} allocations (by value: {by_value})");
     assert_eq!(borrowed, 0, "the server's snapshot write allocated");
     assert_eq!(by_value, 0, "save_snapshot allocated");
 }

@@ -5,7 +5,7 @@
 
 use joshua_core::cluster::{Cluster, ClusterConfig, HaMode};
 use joshua_core::workload;
-use jrs_pbs::{CmdReply, JobState, ServerCmd};
+use jrs_pbs::{CmdReply, JobId, JobSpec, JobState, ServerCmd};
 use jrs_sim::{SimDuration, SimTime};
 
 fn joshua(heads: usize) -> Cluster {
@@ -192,6 +192,52 @@ fn qdel_and_qstat_through_replication() {
     // Job 2 got the freed cluster.
     assert_eq!(rows[1].state, 'R');
     assert_eq!(c.assert_replicas_consistent(), 2);
+}
+
+#[test]
+fn ids_outside_the_job_table_are_unknown_on_every_head() {
+    // A head finds a job at index `id - 1`: id 0 and the next id to be
+    // handed out must name no job, never a neighbour's row.
+    let mut c = joshua(3);
+    let verbs: [fn(JobId) -> ServerCmd; 3] = [ServerCmd::Qdel, ServerCmd::Qhold, ServerCmd::Qrls];
+    let hostile: Vec<(ServerCmd, CmdReply)> = [0, 4]
+        .into_iter()
+        .flat_map(|id| {
+            verbs.map(|verb| {
+                (
+                    verb(JobId(id)),
+                    CmdReply::Error(format!("unknown job {}", JobId(id))),
+                )
+            })
+        })
+        .collect();
+    let mut script: Vec<ServerCmd> = (0..3)
+        .map(|i| ServerCmd::Qsub(JobSpec::trivial(format!("j{i}"))))
+        .collect();
+    script.extend(hostile.iter().map(|(cmd, _)| cmd.clone()));
+    c.spawn_client(script);
+    c.run_until(secs(120));
+    let records = c.take_records();
+    let replies: Vec<&CmdReply> = records[3..].iter().map(|r| &r.reply).collect();
+    let unknown: Vec<&CmdReply> = hostile.iter().map(|(_, reply)| reply).collect();
+    assert_eq!(replies, unknown, "the client's replies");
+    assert_eq!(c.assert_replicas_consistent(), 3);
+    for i in 0..3 {
+        let pbs = c.joshua(i).pbs();
+        for id in [0, 4, u64::MAX] {
+            assert!(pbs.job(JobId(id)).is_none(), "head {i} found job {id}");
+        }
+        let mut table = pbs.clone();
+        for (cmd, unknown) in &hostile {
+            let (reply, actions) = table.apply(secs(120), cmd);
+            assert_eq!((&reply, actions.len()), (unknown, 0), "head {i}, {cmd:?}");
+        }
+        assert_eq!(
+            table.state_hash(),
+            pbs.state_hash(),
+            "head {i} changed state"
+        );
+    }
 }
 
 #[test]

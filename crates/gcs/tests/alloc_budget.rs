@@ -13,6 +13,7 @@
 //! | caller-owned buffers (`GroupHost` owns the one `Output`) | 31.8 | 5 748 |
 //! | recycled frame boxes (`GroupHost` keeps a free list) | 5.5 | 1 759 |
 //! | `take_emitted` in place, frames read in their box, no retry `Vec` | 5.08 | 1 420 |
+//! | `take_emitted` sized to its matches | 5.0 | 776 |
 //!
 //! No frame is boxed afresh any more: a box is allocated only when the
 //! sending host's list is empty, and the four hosts allocate 18 boxes in
@@ -22,8 +23,8 @@
 //! together. The last 0.08 is the `Vec` each round's `take_emitted`
 //! returns and growth of what the members keep; the kernel's
 //! emitted-value `Vec` keeps its capacity across rounds, so it is no
-//! longer regrown. The ceilings below sit 10 % above the measured values,
-//! so the parent fails the byte ceiling, and a per-frame box or a per-call
+//! longer regrown. The ceilings below sit 10 % above the fourth row, so
+//! the parent fails the byte ceiling, and a per-frame box or a per-call
 //! `Vec` that creeps back in fails one of them.
 //!
 //! An integration test is its own binary, so the counting allocator below

@@ -129,11 +129,12 @@ impl ServerSnapshot {
 /// The PBS server state machine. See module docs.
 ///
 /// Invariant: ids come from the monotone `next_id` counter and jobs are
-/// never removed, so `jobs` in key order *is* submission order (the FIFO
-/// queue order) and no separate order list exists to fall out of step.
+/// never removed, so the table is dense, `jobs[i].id == JobId(i + 1)`: a
+/// job is found by index and the table *is* submission order (the FIFO
+/// queue order), with no separate order list to fall out of step.
 #[derive(Clone, Debug)]
 pub struct PbsServerCore {
-    jobs: BTreeMap<JobId, Job>,
+    jobs: Vec<Job>,
     /// Ids of the `Queued` jobs: a scheduling pass reads the first, instead
     /// of scanning every job ever submitted. Derived from `jobs` (only `set_state`
     /// changes it, `restore` rebuilds it), so it is never snapshotted,
@@ -156,6 +157,17 @@ fn set_state(queue: &mut BTreeSet<JobId>, job: &mut Job, to: JobState) {
     job.state = to;
 }
 
+/// Job `id` in a dense table, at index `id - 1`. An id of 0, past the end
+/// or beyond `usize` finds nothing.
+fn job_at(jobs: &[Job], id: JobId) -> Option<usize> {
+    let i = usize::try_from(id.0.checked_sub(1)?).ok()?;
+    jobs.get(i).filter(|j| j.id == id).map(|_| i)
+}
+
+fn job_mut(jobs: &mut [Job], id: JobId) -> Option<&mut Job> {
+    jobs.get_mut(job_at(jobs, id)?)
+}
+
 impl PbsServerCore {
     /// New server managing the named compute nodes.
     ///
@@ -169,7 +181,7 @@ impl PbsServerCore {
         _sched: FifoExclusive,
     ) -> Self {
         PbsServerCore {
-            jobs: BTreeMap::new(),
+            jobs: Vec::new(),
             queue: BTreeSet::new(),
             next_id: 1,
             pool: NodePool::new(nodes),
@@ -200,12 +212,12 @@ impl PbsServerCore {
 
     /// Look up a job.
     pub fn job(&self, id: JobId) -> Option<&Job> {
-        self.jobs.get(&id)
+        self.jobs.get(job_at(&self.jobs, id)?)
     }
 
     /// All jobs in submission order.
     pub fn jobs_in_order(&self) -> impl Iterator<Item = &Job> {
-        self.jobs.values()
+        self.jobs.iter()
     }
 
     /// Ids of the jobs waiting in the queue, in submission order.
@@ -215,7 +227,7 @@ impl PbsServerCore {
 
     /// Count of jobs in a given state.
     pub fn count_state(&self, state: JobState) -> usize {
-        self.jobs.values().filter(|j| j.state == state).count()
+        self.jobs.iter().filter(|j| j.state == state).count()
     }
 
     /// Apply one PBS command; returns the user-visible reply and the mom
@@ -225,14 +237,12 @@ impl PbsServerCore {
             ServerCmd::Qsub(spec) => {
                 let id = JobId(self.next_id);
                 self.next_id += 1;
-                let job = self
-                    .jobs
-                    .entry(id)
-                    .or_insert_with(|| Job::queued(id, spec.clone()));
-                set_state(&mut self.queue, job, JobState::Queued);
+                let mut job = Job::queued(id, spec.clone());
+                set_state(&mut self.queue, &mut job, JobState::Queued);
+                self.jobs.push(job);
                 (CmdReply::Submitted(id), self.kick_schedule(now))
             }
-            ServerCmd::Qdel(id) => match self.jobs.get_mut(id) {
+            ServerCmd::Qdel(id) => match job_mut(&mut self.jobs, *id) {
                 None => (CmdReply::Error(format!("unknown job {id}")), vec![]),
                 Some(job) => match job.state {
                     JobState::Queued | JobState::Held => {
@@ -257,12 +267,12 @@ impl PbsServerCore {
             },
             ServerCmd::Qstat(filter) => {
                 let rows: Rc<[JobStatus]> = match filter {
-                    Some(id) => self.jobs.get(id).map(JobStatus::from).into_iter().collect(),
+                    Some(id) => self.job(*id).map(JobStatus::from).into_iter().collect(),
                     None => self.jobs_in_order().map(JobStatus::from).collect(),
                 };
                 (CmdReply::Status(rows), vec![])
             }
-            ServerCmd::Qhold(id) => match self.jobs.get_mut(id) {
+            ServerCmd::Qhold(id) => match job_mut(&mut self.jobs, *id) {
                 Some(job) if job.state == JobState::Queued => {
                     set_state(&mut self.queue, job, JobState::Held);
                     (CmdReply::Held(*id), vec![])
@@ -276,7 +286,7 @@ impl PbsServerCore {
                 ),
                 None => (CmdReply::Error(format!("unknown job {id}")), vec![]),
             },
-            ServerCmd::Qrls(id) => match self.jobs.get_mut(id) {
+            ServerCmd::Qrls(id) => match job_mut(&mut self.jobs, *id) {
                 Some(job) if job.state == JobState::Held => {
                     set_state(&mut self.queue, job, JobState::Queued);
                     (CmdReply::Released(*id), self.kick_schedule(now))
@@ -298,7 +308,7 @@ impl PbsServerCore {
         match report {
             MomReport::Started { .. } => vec![],
             MomReport::Finished { job, exit } => {
-                let Some(j) = self.jobs.get_mut(job) else {
+                let Some(j) = job_mut(&mut self.jobs, *job) else {
                     return vec![];
                 };
                 if j.state == JobState::Complete {
@@ -331,7 +341,7 @@ impl PbsServerCore {
         for id in std::mem::take(&mut self.running_since).into_keys() {
             // `running_since` only names known jobs, but degrade rather
             // than panic on the delivery path if that ever changes (the no-panic lints).
-            let Some(j) = self.jobs.get_mut(&id) else {
+            let Some(j) = job_mut(&mut self.jobs, id) else {
                 continue;
             };
             let nodes = std::mem::take(&mut j.allocated);
@@ -364,7 +374,11 @@ impl PbsServerCore {
     /// `now` becomes the start time; the decision never reads it.
     pub fn kick_schedule(&mut self, now: SimTime) -> Vec<ServerAction> {
         let busy = !self.running_since.is_empty();
-        let Some(job) = self.queue.first().and_then(|id| self.jobs.get_mut(id)) else {
+        let Some(job) = self
+            .queue
+            .first()
+            .and_then(|id| job_mut(&mut self.jobs, *id))
+        else {
             return vec![];
         };
         let Some(nodes) = FifoExclusive::select(job, &self.pool, busy) else {
@@ -403,7 +417,7 @@ impl PbsServerCore {
     /// Snapshot the full state (replica checks, state transfer).
     pub fn snapshot(&self) -> ServerSnapshot {
         ServerSnapshot {
-            jobs: self.jobs_in_order().cloned().collect(),
+            jobs: self.jobs.clone(),
             next_id: self.next_id,
             pool: self.pool.iter().cloned().collect(),
             running_since: self
@@ -417,7 +431,7 @@ impl PbsServerCore {
     /// Encode [`Self::snapshot`] into `out` from the live state, byte for
     /// byte what `snapshot().encode(out)` writes, without cloning a job.
     pub fn encode_snapshot(&self, out: &mut Vec<u8>) {
-        encode_seq(self.jobs.values(), out, Job::encode);
+        encode_seq(self.jobs.iter(), out, Job::encode);
         self.next_id.encode(out);
         encode_seq(self.pool.iter(), out, ComputeNode::encode);
         encode_seq(self.running_since.iter(), out, |(id, t), out| {
@@ -429,14 +443,10 @@ impl PbsServerCore {
     /// Restore state from a snapshot (joining replica).
     pub fn restore(&mut self, snap: &ServerSnapshot) {
         debug_assert!(
-            snap.jobs
-                .iter()
-                .map(|j| j.id.0)
-                .chain([snap.next_id])
-                .is_sorted_by(|a, b| a < b),
-            "snapshot jobs must be in id (= submission) order, below next_id"
+            snap.jobs.iter().map(|j| j.id.0).eq(1..snap.next_id),
+            "snapshot job ids must be dense, 1 up to next_id"
         );
-        self.jobs = snap.jobs.iter().map(|j| (j.id, j.clone())).collect();
+        self.jobs.clone_from(&snap.jobs);
         self.queue = snap
             .jobs
             .iter()
@@ -584,6 +594,29 @@ mod tests {
         let mut s = server(1);
         let (reply, _) = s.apply(T0, &ServerCmd::Qdel(JobId(99)));
         assert!(matches!(reply, CmdReply::Error(_)));
+    }
+
+    #[test]
+    fn ids_outside_the_table_find_no_job() {
+        let mut s = server(1);
+        let (id, _) = submit(&mut s, "only");
+        assert_eq!(s.job(id).map(|j| j.id), Some(JobId(1)));
+        for hostile in [0, 2, u64::MAX] {
+            assert!(s.job(JobId(hostile)).is_none(), "job {hostile}");
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "snapshot job ids must be dense")]
+    fn restore_rejects_a_table_with_a_gap() {
+        let mut s = server(1);
+        for name in ["a", "b", "c"] {
+            let _ = submit(&mut s, name);
+        }
+        let mut snap = s.snapshot();
+        let _ = snap.jobs.remove(1);
+        server(1).restore(&snap);
     }
 
     #[test]

@@ -12,42 +12,71 @@
 //! | shared `Rc<str>` name and user | 1 | | 6 | 99 |
 //! | `ca85d68`, node names shared too (listing in a `Vec`) | 1 | 1 | 2 | 96 |
 //! | listing shared as `Rc<[JobStatus]>` | 1 | 0 | 2 | 96 |
+//! | dense job table, a `Vec` indexed by id | 1 | 0 | 2 | 3 |
 //!
 //! A listing is one allocation, collected straight into the shared slice
 //! (through a `Vec` it would be two), and every copy of the reply (the
 //! reply cache, the released reply, the client's record) shares it. A
-//! snapshot copies the job `Vec` and the node pool; a restore builds the
-//! job and queue trees. The ceilings below fail each earlier row and any
-//! per-job copy that creeps back in.
+//! snapshot copies the job `Vec` and the node pool; a restore copies the
+//! job `Vec` into the joiner's (a B-tree of jobs was one node per few
+//! jobs) and rebuilds the node pool. The ceilings below fail each earlier
+//! row and any per-job copy that creeps back in.
 //!
-//! An integration test is its own binary, so the counting allocator below
-//! counts nothing but this file's one test.
+//! What a job costs to keep: a server with 2 000 submitted jobs, one
+//! running and the rest queued, holds each job's row in the job table
+//! and its id in the queue index. With a `BTreeMap<JobId, Job>` table
+//! that was 230 B per job; the dense table holds 126 B, the 104 B row,
+//! the slack of the table's last doubling (2 048 rows for 2 000 jobs) and
+//! about 20 B per id in the queue's B-tree. The ceiling is 126 B plus
+//! 10 %. Every head pays it for every job it ever saw.
+//!
+//! An integration test is its own binary, and the counting allocator
+//! below counts per thread, so each count is one test's own.
 
 use jrs_pbs::job::exit;
 use jrs_pbs::{CmdReply, FifoExclusive, JobId, JobSpec, MomReport, PbsServerCore, ServerCmd};
 use jrs_sim::SimTime;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 struct Counting;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread: the harness's own threads run
+    /// beside a test and are not counted against it.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread has allocated and freed, as requested.
+    static BYTES: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+}
 
-// SAFETY: every call is forwarded unchanged to `System`; the counter is an
-// atomic and allocates nothing itself.
+/// Counts one allocation (if `count`) of `grown` bytes that freed `freed`.
+fn note(count: bool, grown: usize, freed: usize) {
+    // `try_with`: a thread being torn down still allocates.
+    if count {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
+    let _ = BYTES.try_with(|b| {
+        let (a, f) = b.get();
+        b.set((a + grown, f + freed));
+    });
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counters are
+// const-initialised thread-local cells and allocate nothing themselves.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
+        note(true, layout.size(), 0);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(false, 0, layout.size());
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
+        note(true, new_size, layout.size());
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -58,13 +87,25 @@ static GLOBAL: Counting = Counting;
 const HISTORY: u64 = 1_000;
 const QSTAT_MAX: u64 = 1;
 const SNAPSHOT_MAX: u64 = 16;
-const RESTORE_MAX: u64 = 300;
+const RESTORE_MAX: u64 = 3;
+/// Jobs the footprint test submits: `sustained_concurrent_4h`'s history.
+const SUBMITTED: usize = 2_000;
+/// Live heap bytes per submitted job: the measured figure plus 10 %.
+const LIVE_BYTES_PER_JOB_MAX: usize = 138;
 
 /// Allocations `f` makes, and its result.
 fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCS.load(Relaxed);
+    let before = ALLOCS.with(Cell::get);
     let out = f();
-    (ALLOCS.load(Relaxed) - before, out)
+    (ALLOCS.with(Cell::get) - before, out)
+}
+
+/// Bytes `f` leaves allocated, and its result.
+fn live<T>(f: impl FnOnce() -> T) -> (usize, T) {
+    let (a0, f0) = BYTES.with(Cell::get);
+    let out = f();
+    let (a1, f1) = BYTES.with(Cell::get);
+    ((a1 - a0) - (f1 - f0), out)
 }
 
 fn server() -> PbsServerCore {
@@ -91,7 +132,10 @@ fn full_history_reads_do_not_allocate_per_job() {
     let (clone, copy) = counted(|| reply.clone());
     let rows = match (&reply, &copy) {
         (CmdReply::Status(rows), CmdReply::Status(shared)) => {
-            assert!(Rc::ptr_eq(rows, shared), "a cloned reply copied the listing");
+            assert!(
+                Rc::ptr_eq(rows, shared),
+                "a cloned reply copied the listing"
+            );
             rows.len()
         }
         other => panic!("{other:?}"),
@@ -116,5 +160,29 @@ fn full_history_reads_do_not_allocate_per_job() {
     assert!(
         restore <= RESTORE_MAX,
         "restore: {restore} allocations, budget {RESTORE_MAX}"
+    );
+}
+
+#[test]
+fn a_submitted_job_costs_its_row_and_its_queue_entry() {
+    let now = SimTime::ZERO;
+    // The specs are built first: their strings are the client's, shared
+    // by the job, not part of what the server adds per job.
+    let cmds: Vec<ServerCmd> = (1..=SUBMITTED)
+        .map(|i| ServerCmd::Qsub(JobSpec::trivial(format!("job-{i}"))))
+        .collect();
+    let (bytes, pbs) = live(|| {
+        let mut pbs = server();
+        for cmd in &cmds {
+            let _ = pbs.apply(now, cmd);
+        }
+        pbs
+    });
+    assert_eq!(pbs.queued_ids().count(), SUBMITTED - 1);
+    let per_job = bytes / SUBMITTED;
+    println!("alloc_history: {SUBMITTED} submitted jobs: {bytes} live bytes, {per_job} per job");
+    assert!(
+        per_job <= LIVE_BYTES_PER_JOB_MAX,
+        "{per_job} live bytes per submitted job, ceiling {LIVE_BYTES_PER_JOB_MAX}"
     );
 }

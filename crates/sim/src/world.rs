@@ -497,13 +497,18 @@ impl World {
 
     /// Drain emitted values of one concrete type, leaving the others in
     /// place and in emission order. The values are taken out where they
-    /// lie, so the buffer keeps its capacity, and a call that matches
-    /// nothing allocates nothing.
+    /// lie, so the buffer keeps its capacity. The result is sized to the
+    /// matches (a `collect` would reserve four slots for one), and a call
+    /// that matches nothing allocates nothing.
     pub fn take_emitted<T: Any>(&mut self) -> Vec<(SimTime, ProcId, T)> {
-        self.emitted
-            .extract_if(.., |e| e.value.is::<T>())
-            .filter_map(|e| Some((e.at, e.from, *e.value.downcast::<T>().ok()?)))
-            .collect()
+        let n = self.emitted.iter().filter(|e| e.value.is::<T>()).count();
+        let mut taken = Vec::with_capacity(n);
+        taken.extend(
+            self.emitted
+                .extract_if(.., |e| e.value.is::<T>())
+                .filter_map(|e| Some((e.at, e.from, *e.value.downcast::<T>().ok()?))),
+        );
+        taken
     }
 
     // ------------------------------------------------------------------

@@ -109,6 +109,11 @@ fn take_emitted_takes_one_type_and_keeps_the_rest_in_order() {
         taken.iter().map(|&(_, _, v)| v).collect()
     };
     let evens = w.take_emitted::<u32>();
+    assert_eq!(
+        evens.capacity(),
+        evens.len(),
+        "a take is sized to its matches"
+    );
     let evens: Vec<(SimTime, ProcId, u64)> = evens
         .into_iter()
         .map(|(at, from, v)| (at, from, u64::from(v)))
@@ -129,6 +134,11 @@ fn take_emitted_takes_one_type_and_keeps_the_rest_in_order() {
         values(&odds),
         [1, 3, 5],
         "the other type, later, in emission order"
+    );
+    assert_eq!(
+        odds.capacity(),
+        odds.len(),
+        "a take is sized to its matches"
     );
     assert!(w.take_emitted::<u64>().is_empty());
 }

@@ -171,7 +171,11 @@ fn replica_state() -> ReplicaState {
         pbs: snapshot(),
         jmutex,
         applied: vec![
-            (ProcId(20), 3, CmdReply::Status(vec![status(1), status(2)].into())),
+            (
+                ProcId(20),
+                3,
+                CmdReply::Status(vec![status(1), status(2)].into()),
+            ),
             (ProcId(21), 1, CmdReply::Error("unknown job 9".into())),
         ],
         needs_snapshot: vec![ProcId(3)],
