@@ -142,7 +142,10 @@ pub struct JoshuaServer {
     sync: SyncMode,
     /// Sequence number of the last ordered payload applied.
     last_applied_seq: u64,
-    /// Recent applied commands for delta donation to recovered joiners.
+    /// Recent applied commands for delta donation to recovered joiners,
+    /// kept only with a store: a delta needs a target whose `Hello` carried
+    /// an index above 0, which needs a disk, and persistence is cluster-wide.
+    /// An empty ring falls back to the full snapshot for a target behind.
     ring: VecDeque<(u64, Payload)>,
     /// Unresolved recovery announcements `member → (index, fingerprint)`
     /// (replicated bookkeeping, mirrored into donated state).
@@ -512,14 +515,16 @@ impl JoshuaServer {
         }
     }
 
-    /// Keep a command in the bounded donation ring.
+    /// Keep a command in the bounded donation ring (durable heads only).
     fn remember(&mut self, idx: u64, payload: Payload) {
         /// How many recent commands a head keeps for delta donation; a
         /// recovered joiner further behind gets a full snapshot instead.
         const RING_CAPACITY: usize = 256;
-        self.ring.push_back((idx, payload));
-        while self.ring.len() > RING_CAPACITY {
-            self.ring.pop_front();
+        if self.store.is_some() {
+            self.ring.push_back((idx, payload));
+            while self.ring.len() > RING_CAPACITY {
+                self.ring.pop_front();
+            }
         }
     }
 
@@ -1124,6 +1129,54 @@ mod tests {
         seen.grants |= head.replica.jmutex().grants().next().is_some();
         seen.hellos |= !head.hellos.is_empty();
         seen.needs_snapshot |= !head.needs_snapshot.is_empty();
+    }
+
+    /// `burst(150)` through `cfg`, until the client is done and its jobs
+    /// have finished.
+    fn run_burst(cfg: ClusterConfig) -> Cluster {
+        let mut c = Cluster::build(cfg);
+        c.spawn_client(workload::burst(150));
+        while c.take_dones().is_empty() {
+            assert!(
+                c.world.now().as_nanos() < 300_000_000_000,
+                "burst(150) not done in 300 s"
+            );
+            c.run_for(SimDuration::from_secs(1));
+        }
+        c.run_for(SimDuration::from_secs(5));
+        c
+    }
+
+    /// Only a durable head keeps the donation ring: a diskless head never
+    /// allocates it, a durable one holds exactly the last 256 indices.
+    #[test]
+    fn only_durable_heads_keep_the_donation_ring() {
+        let diskless = run_burst(ClusterConfig::new(HaMode::Joshua { heads: 4 }));
+        for i in 0..4 {
+            let head = diskless.joshua(i);
+            assert!(
+                head.applied_index() > 256,
+                "head {i} applied only {}",
+                head.applied_index()
+            );
+            assert!(
+                head.ring.is_empty() && head.ring.capacity() == 0,
+                "diskless head {i} holds a ring of {} (capacity {})",
+                head.ring.len(),
+                head.ring.capacity()
+            );
+        }
+        let mut cfg = ClusterConfig::new(HaMode::Joshua { heads: 3 });
+        cfg.persist = PersistConfig::durable();
+        let durable = run_burst(cfg);
+        for i in 0..3 {
+            let head = durable.joshua(i);
+            let last = head.applied_index();
+            assert!(last > 256, "head {i} applied only {last}");
+            let indices: Vec<u64> = head.ring.iter().map(|(idx, _)| *idx).collect();
+            let expected: Vec<u64> = (last - 255..=last).collect();
+            assert_eq!(indices, expected, "durable head {i}'s ring");
+        }
     }
 
     proptest! {

@@ -117,7 +117,7 @@ impl Ctx<'_> {
 
     /// Publish a value to the harness (drained via `World::take_emitted`).
     pub fn emit<T: Any>(&mut self, value: T) {
-        self.world.push_emitted(self.me, Box::new(value));
+        self.world.push_emitted(self.me, value);
     }
 
     /// Voluntarily stop this process (it receives no further events).

@@ -1,11 +1,10 @@
 //! The discrete-event world: virtual clock, event queue, node/process
 //! registry, network routing and fault injection entry points.
 //!
-//! Values a process publishes with `Ctx::emit` wait in one buffer, in
-//! emission order, until the harness takes them by type
-//! ([`World::take_emitted`]). A take moves the matching values out in
-//! place, so the buffer keeps its capacity and the other values keep
-//! their order, and a take that matches nothing allocates nothing.
+//! Values a process publishes with `Ctx::emit` wait unboxed in one queue
+//! per type, in emission order, until the harness takes that type's queue
+//! out whole ([`World::take_emitted`]): the queue keeps its capacity, and
+//! a take that matches nothing allocates nothing.
 
 use crate::disk::SimDisk;
 use crate::ids::{NodeId, ProcId, TimerId};
@@ -109,15 +108,9 @@ struct ProcSlot {
     process: Option<Box<dyn Process>>,
 }
 
-/// A value published by a process via `Ctx::emit`.
-struct Emitted {
-    /// When it was emitted.
-    at: SimTime,
-    /// Which process emitted it.
-    from: ProcId,
-    /// The payload.
-    value: Box<dyn Any>,
-}
+/// The values of one type published via `Ctx::emit`: when, by whom, what.
+/// `World::emitted` holds one per type emitted so far.
+type Emitted<T> = Vec<(SimTime, ProcId, T)>;
 
 /// The simulation world. See the crate docs for the execution model.
 pub struct World {
@@ -135,7 +128,7 @@ pub struct World {
     net: Network,
     next_timer: u64,
     cancelled_timers: HashSet<u64>,
-    emitted: Vec<Emitted>,
+    emitted: Vec<Box<dyn Any>>,
     events_processed: u64,
     /// Safety valve against runaway protocols in tests; `None` = unlimited.
     max_events: Option<u64>,
@@ -487,27 +480,29 @@ impl World {
         self.cancelled_timers.insert(timer.0);
     }
 
-    pub(crate) fn push_emitted(&mut self, from: ProcId, value: Box<dyn Any>) {
-        self.emitted.push(Emitted {
-            at: self.clock,
-            from,
-            value,
-        });
+    /// The queue of `T` values, once something has emitted one.
+    fn emitted_mut<T: Any>(&mut self) -> Option<&mut Emitted<T>> {
+        self.emitted.iter_mut().find_map(|q| q.downcast_mut())
     }
 
-    /// Drain emitted values of one concrete type, leaving the others in
-    /// place and in emission order. The values are taken out where they
-    /// lie, so the buffer keeps its capacity. The result is sized to the
-    /// matches (a `collect` would reserve four slots for one), and a call
-    /// that matches nothing allocates nothing.
+    pub(crate) fn push_emitted<T: Any>(&mut self, from: ProcId, value: T) {
+        let entry = (self.clock, from, value);
+        match self.emitted_mut() {
+            Some(queue) => queue.push(entry),
+            None => self.emitted.push(Box::new(vec![entry])),
+        }
+    }
+
+    /// Drain emitted values of one concrete type, in emission order,
+    /// leaving the other types' values in place. The type's queue keeps
+    /// its capacity, the result is sized to its matches, and a call that
+    /// matches nothing allocates nothing.
     pub fn take_emitted<T: Any>(&mut self) -> Vec<(SimTime, ProcId, T)> {
-        let n = self.emitted.iter().filter(|e| e.value.is::<T>()).count();
-        let mut taken = Vec::with_capacity(n);
-        taken.extend(
-            self.emitted
-                .extract_if(.., |e| e.value.is::<T>())
-                .filter_map(|e| Some((e.at, e.from, *e.value.downcast::<T>().ok()?))),
-        );
+        let Some(queue) = self.emitted_mut() else {
+            return Vec::new();
+        };
+        let mut taken = Vec::with_capacity(queue.len());
+        taken.append(queue);
         taken
     }
 
