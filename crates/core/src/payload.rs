@@ -24,7 +24,8 @@ pub enum Payload {
         cmd: ServerCmd,
     },
     /// Agreed output release for a previously applied command: the current
-    /// responder sends the cached reply to the client. Ordering output
+    /// responder sends the cached reply to the client (for a cached read,
+    /// the listing of its state at this point). Ordering output
     /// through the group is the paper's "distributed mutual exclusion to
     /// ensure that output is delivered only once".
     Output {

@@ -30,7 +30,8 @@ use std::collections::{BTreeMap, BTreeSet};
 pub struct Replica {
     pbs: PbsServerCore,
     jmutex: JMutexState,
-    /// Per-client duplicate-suppression floor and cached reply.
+    /// Per-client duplicate-suppression floor and cached reply; a jstat
+    /// caches its read, [`CmdReply::Read`], not a listing.
     applied: BTreeMap<ProcId, (u64, CmdReply)>,
     /// Commands applied since genesis — monotonic across restarts (group
     /// sequence numbers reset per incarnation); the WAL key space.
@@ -39,7 +40,8 @@ pub struct Replica {
 
 /// What applying one ordered command asks of the daemon.
 pub enum Applied<'p> {
-    /// A client command ran and its reply is cached for release.
+    /// A client command ran and its reply (a jstat: its read) is cached
+    /// for release.
     Ran {
         client: ProcId,
         req_id: u64,
@@ -90,11 +92,17 @@ impl Replica {
         self.applied_index
     }
 
-    /// The cached reply to `client`'s request `req_id`, if that is the
-    /// newest request applied for it.
-    pub(crate) fn cached_reply(&self, client: ProcId, req_id: u64) -> Option<&CmdReply> {
+    /// The reply to release for `client`'s request `req_id`, if that is
+    /// the newest request applied for it: a cached reply as cached, a
+    /// cached read as the listing of the state now. Every head holds the
+    /// same state at the same point of the total order, so whichever head
+    /// releases it sends the same rows.
+    pub(crate) fn release(&self, client: ProcId, req_id: u64) -> Option<CmdReply> {
         match self.applied.get(&client) {
-            Some((id, reply)) if *id == req_id => Some(reply),
+            Some((id, CmdReply::Read(filter))) if *id == req_id => {
+                Some(CmdReply::Status(self.pbs.status(*filter)))
+            }
+            Some((id, reply)) if *id == req_id => Some(reply.clone()),
             Some(_) | None => None,
         }
     }
@@ -174,7 +182,15 @@ impl Replica {
                 if req_id < floor {
                     return Applied::Quiet;
                 }
-                let (reply, actions) = self.pbs.apply(now, cmd);
+                // A jstat changes nothing: its listing is built where its
+                // reply is released (`release`), once per cluster.
+                let (reply, actions) = match *cmd {
+                    ServerCmd::Qstat(filter) => (CmdReply::Read(filter), Vec::new()),
+                    ServerCmd::Qsub(_)
+                    | ServerCmd::Qdel(_)
+                    | ServerCmd::Qhold(_)
+                    | ServerCmd::Qrls(_) => self.pbs.apply(now, cmd),
+                };
                 self.applied.insert(client, (req_id, reply));
                 Applied::Ran {
                     client,
@@ -265,5 +281,28 @@ mod tests {
             b.fingerprint(),
             "replicas that owe different clients a reply are not the same state"
         );
+    }
+
+    #[test]
+    fn a_cached_read_lists_the_state_at_release() {
+        let pbs = PbsServerCore::with_moms(&[("c00".to_string(), ProcId(9))]);
+        let mut r = Replica::new(pbs);
+        let _ = r.apply(SimTime::ZERO, &qsub(100, 1));
+        let read = Payload::Client {
+            client: ProcId(101),
+            req_id: 1,
+            cmd: ServerCmd::Qstat(None),
+        };
+        let _ = r.apply(SimTime::ZERO, &read);
+        assert_eq!(
+            r.applied.get(&ProcId(101)),
+            Some(&(1, CmdReply::Read(None)))
+        );
+        let _ = r.apply(SimTime::ZERO, &qsub(100, 2));
+        let Some(CmdReply::Status(rows)) = r.release(ProcId(101), 1) else {
+            panic!("a read released no listing")
+        };
+        assert_eq!(rows.len(), 2, "the listing is the state at release");
+        assert_eq!(r.release(ProcId(101), 2), None, "not an applied request");
     }
 }

@@ -24,7 +24,8 @@
 //!   ([`Payload::Output`]) releases the cached reply at the current
 //!   responder (the lowest-ranked established member) — the paper's
 //!   "output routed through the group communication system for
-//!   distributed mutual exclusion".
+//!   distributed mutual exclusion". A jstat caches only its read; the
+//!   responder builds the listing from its state at the `Output`.
 //! * **Job starts** are dispatched by every replica to the mom, whose
 //!   launch prologue requests the **jmutex** through the dispatching
 //!   head ([`Payload::JMutexAcquire`]); the first acquire in the total
@@ -94,6 +95,10 @@ enum SyncMode {
     /// agreed whose state is most advanced.
     Reconciling(Vec<(u64, Payload)>),
 }
+
+/// How many recent commands a durable head keeps for delta donation; a
+/// recovered joiner further behind gets a full snapshot instead.
+const RING_CAPACITY: usize = 256;
 
 /// A payload waiting on a timer, keyed by its tag.
 enum Deferred {
@@ -415,9 +420,10 @@ impl JoshuaServer {
                 self.on_catch_up(ctx, targets, as_of_seq, entries);
             }
             Payload::Output { client, req_id } => {
+                // Only the responder builds what it releases: a jstat's
+                // listing is the state at this point of the total order.
                 if self.is_responder() {
-                    if let Some(reply) = self.replica.cached_reply(client, req_id) {
-                        let reply = reply.clone();
+                    if let Some(reply) = self.replica.release(client, req_id) {
                         self.stats.replies_sent += 1;
                         ctx.send_after(
                             client,
@@ -517,14 +523,13 @@ impl JoshuaServer {
 
     /// Keep a command in the bounded donation ring (durable heads only).
     fn remember(&mut self, idx: u64, payload: Payload) {
-        /// How many recent commands a head keeps for delta donation; a
-        /// recovered joiner further behind gets a full snapshot instead.
-        const RING_CAPACITY: usize = 256;
         if self.store.is_some() {
-            self.ring.push_back((idx, payload));
-            while self.ring.len() > RING_CAPACITY {
+            // Pop first, so the `VecDeque` never needs a slot past the
+            // capacity (it would double to 512).
+            while self.ring.len() >= RING_CAPACITY {
                 self.ring.pop_front();
             }
+            self.ring.push_back((idx, payload));
         }
     }
 
@@ -1089,7 +1094,7 @@ mod tests {
     #[derive(Default)]
     struct Seen {
         states: BTreeSet<JobState>,
-        status_replies: bool,
+        reads: bool,
         grants: bool,
         hellos: bool,
         needs_snapshot: bool,
@@ -1122,10 +1127,10 @@ mod tests {
     fn observe(head: &JoshuaServer, seen: &mut Seen) {
         let state = head.replica.state(&head.needs_snapshot, &head.hellos);
         seen.states.extend(state.pbs.jobs.iter().map(|j| j.state));
-        seen.status_replies |= state
+        seen.reads |= state
             .applied
             .iter()
-            .any(|(_, _, reply)| matches!(reply, CmdReply::Status(rows) if !rows.is_empty()));
+            .any(|(_, _, reply)| matches!(reply, CmdReply::Read(_)));
         seen.grants |= head.replica.jmutex().grants().next().is_some();
         seen.hellos |= !head.hellos.is_empty();
         seen.needs_snapshot |= !head.needs_snapshot.is_empty();
@@ -1148,7 +1153,8 @@ mod tests {
     }
 
     /// Only a durable head keeps the donation ring: a diskless head never
-    /// allocates it, a durable one holds exactly the last 256 indices.
+    /// allocates it, a durable one holds exactly the last 256 indices in
+    /// no more than 256 slots.
     #[test]
     fn only_durable_heads_keep_the_donation_ring() {
         let diskless = run_burst(ClusterConfig::new(HaMode::Joshua { heads: 4 }));
@@ -1176,7 +1182,124 @@ mod tests {
             let indices: Vec<u64> = head.ring.iter().map(|(idx, _)| *idx).collect();
             let expected: Vec<u64> = (last - 255..=last).collect();
             assert_eq!(indices, expected, "durable head {i}'s ring");
+            assert!(
+                head.ring.capacity() <= RING_CAPACITY,
+                "durable head {i} holds {} entries in {} slots",
+                head.ring.len(),
+                head.ring.capacity()
+            );
         }
+    }
+
+    /// The listings and the reads a reply cache holds, as
+    /// `Replica::state` ships it (to a snapshot file or a joiner).
+    fn listings_and_reads(state: &ReplicaState) -> (usize, usize) {
+        let count =
+            |is: fn(&CmdReply) -> bool| state.applied.iter().filter(|(_, _, r)| is(r)).count();
+        (
+            count(|r| matches!(r, CmdReply::Status(_))),
+            count(|r| matches!(r, CmdReply::Read(_))),
+        )
+    }
+
+    fn durable_cluster(heads: usize) -> Cluster {
+        let mut cfg = ClusterConfig::new(HaMode::Joshua { heads });
+        cfg.persist = PersistConfig::durable();
+        Cluster::build(cfg)
+    }
+
+    /// A durable three-head cluster answers a mixed script while a fourth
+    /// head joins by full snapshot. Every 5 ms no head's reply cache holds
+    /// a listing (so neither does a state it donates), no snapshot file
+    /// holds one at the end, and each jstat lists exactly the jobs
+    /// submitted before it: built at release, a read is still ordered.
+    #[test]
+    fn heads_cache_jstat_reads_not_listings() {
+        let mut c = durable_cluster(3);
+        let script = workload::mixed(60, 5);
+        c.spawn_client(script.clone());
+        let (mut reads, mut step) = (0, 0u64);
+        while c.take_dones().is_empty() {
+            step += 1;
+            assert!(step < 20_000, "the script did not finish in 100 s");
+            if step == 200 {
+                let _ = c.add_joshua_head();
+            }
+            c.run_for(SimDuration::from_millis(5));
+            for i in 0..c.heads.len() {
+                let head = c.joshua(i);
+                let state = head.replica.state(&head.needs_snapshot, &head.hellos);
+                let (listings, held) = listings_and_reads(&state);
+                assert_eq!(listings, 0, "head {i} caches a listing at step {step}");
+                reads += held;
+            }
+        }
+        assert!(reads > 0, "no head ever held a cached read");
+        assert_eq!(
+            c.joshua(3).stats().snapshots_installed,
+            1,
+            "the joiner's donation"
+        );
+        for i in 0..c.heads.len() {
+            let node = c.head_nodes[i];
+            let state = HeadStore::new().recover(c.world.disk_mut(node)).state;
+            let state = state.unwrap_or_else(|| panic!("head {i} wrote no snapshot"));
+            assert_eq!(listings_and_reads(&state).0, 0, "head {i}'s snapshot file");
+        }
+        let records = c.take_records();
+        assert_eq!(records.len(), script.len());
+        for (k, (cmd, r)) in script.iter().zip(&records).enumerate() {
+            if let ServerCmd::Qstat(None) = cmd {
+                let CmdReply::Status(rows) = &r.reply else {
+                    panic!("jstat {k} answered {:?}", r.reply)
+                };
+                let before = script[..k]
+                    .iter()
+                    .filter(|c| matches!(c, ServerCmd::Qsub(_)))
+                    .count();
+                assert_eq!(rows.len(), before, "jstat {k}");
+            }
+        }
+    }
+
+    /// Every head applies a jstat, and the responder dies while its
+    /// `Output` waits out the stat cost. The client retries through head 1,
+    /// which as the next responder builds the listing and answers.
+    #[test]
+    fn a_jstat_whose_responder_dies_before_its_output_is_answered_by_the_next() {
+        let mut c = durable_cluster(3);
+        let mut script = workload::burst(4);
+        script.push(ServerCmd::Qstat(None));
+        let client = c.spawn_client(script);
+        let cached_read = |c: &Cluster| {
+            (0..3).all(|i| {
+                let head = c.joshua(i);
+                let state = head.replica.state(&head.needs_snapshot, &head.hellos);
+                state.applied.iter().any(|(who, id, reply)| {
+                    *who == client && *id == 5 && matches!(reply, CmdReply::Read(None))
+                })
+            })
+        };
+        while !cached_read(&c) {
+            assert!(c.world.now() < SimTime::ZERO + SimDuration::from_secs(60));
+            c.run_for(SimDuration::from_millis(1));
+        }
+        let sent = |c: &Cluster, i: usize| c.joshua(i).stats().replies_sent;
+        assert_eq!((sent(&c, 0), sent(&c, 1), sent(&c, 2)), (4, 0, 0));
+        c.crash_head(0);
+        while c.take_dones().is_empty() {
+            assert!(c.world.now() < SimTime::ZERO + SimDuration::from_secs(120));
+            c.run_for(SimDuration::from_millis(100));
+        }
+        let records = c.take_records();
+        assert_eq!(records.len(), 5);
+        let jstat = &records[4];
+        assert!(jstat.attempts > 1, "answered without a retry");
+        let CmdReply::Status(rows) = &jstat.reply else {
+            panic!("the jstat answered {:?}", jstat.reply)
+        };
+        assert_eq!(rows.len(), 4);
+        assert_eq!((sent(&c, 1), sent(&c, 2)), (1, 0), "head 1 released it");
     }
 
     proptest! {
@@ -1236,7 +1359,7 @@ mod tests {
                 states,
                 vec![JobState::Queued, JobState::Running, JobState::Exiting, JobState::Complete, JobState::Held]
             );
-            prop_assert!(seen.status_replies && seen.grants, "a cached qstat listing and a jmutex grant");
+            prop_assert!(seen.reads && seen.grants, "a cached read and a jmutex grant");
             prop_assert!(seen.hellos && seen.needs_snapshot, "head 2's rejoin left bookkeeping to encode");
         }
     }

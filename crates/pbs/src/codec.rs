@@ -36,6 +36,7 @@ codec!(enum CmdReply {
     3 => Released(id),
     4 => Status(rows),
     5 => Error(msg),
+    6 => Read(filter),
 });
 codec!(enum MomReport { 0 => Started { job }, 1 => Finished { job, exit } });
 codec!(enum NodeState { 0 => Free, 1 => Busy, 2 => Offline });
@@ -70,6 +71,8 @@ mod tests {
         round_trip(CmdReply::Error("nope".into()));
         let j = Job::queued(JobId(1), JobSpec::trivial("x"));
         round_trip(CmdReply::Status(vec![JobStatus::from(&j)].into()));
+        round_trip(CmdReply::Read(None));
+        round_trip(CmdReply::Read(Some(JobId(4))));
         round_trip(MomReport::Started { job: JobId(1) });
         round_trip(MomReport::Finished {
             job: JobId(2),

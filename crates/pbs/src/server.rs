@@ -49,11 +49,17 @@ pub enum CmdReply {
     Held(JobId),
     /// Job released.
     Released(JobId),
-    /// Status listing. Built once per head and shared, not copied, by the
-    /// reply cache, the released reply and the client's record.
+    /// Status listing. Built once, by [`PbsServerCore::status`], and
+    /// shared, not copied, by the released reply and the client's record.
     Status(Rc<[JobStatus]>),
     /// Command failed.
     Error(String),
+    /// A status query held for later: what a replicated head caches for a
+    /// jstat in place of its listing. The head that releases the reply
+    /// builds the [`CmdReply::Status`] from its state at that point, so
+    /// [`PbsServerCore::apply`] never returns one and no client receives
+    /// one.
+    Read(Option<JobId>),
 }
 
 /// Side effects the server wants performed (sent to mom daemons by the
@@ -230,6 +236,15 @@ impl PbsServerCore {
         self.jobs.iter().filter(|j| j.state == state).count()
     }
 
+    /// The qstat listing: job `filter`'s row, or with `None` every job in
+    /// submission order. Collected straight into one shared slice.
+    pub fn status(&self, filter: Option<JobId>) -> Rc<[JobStatus]> {
+        match filter {
+            Some(id) => self.job(id).map(JobStatus::from).into_iter().collect(),
+            None => self.jobs_in_order().map(JobStatus::from).collect(),
+        }
+    }
+
     /// Apply one PBS command; returns the user-visible reply and the mom
     /// dispatch actions it triggered.
     pub fn apply(&mut self, now: SimTime, cmd: &ServerCmd) -> (CmdReply, Vec<ServerAction>) {
@@ -265,13 +280,7 @@ impl PbsServerCore {
                     ),
                 },
             },
-            ServerCmd::Qstat(filter) => {
-                let rows: Rc<[JobStatus]> = match filter {
-                    Some(id) => self.job(*id).map(JobStatus::from).into_iter().collect(),
-                    None => self.jobs_in_order().map(JobStatus::from).collect(),
-                };
-                (CmdReply::Status(rows), vec![])
-            }
+            ServerCmd::Qstat(filter) => (CmdReply::Status(self.status(*filter)), vec![]),
             ServerCmd::Qhold(id) => match job_mut(&mut self.jobs, *id) {
                 Some(job) if job.state == JobState::Queued => {
                     set_state(&mut self.queue, job, JobState::Held);
