@@ -181,6 +181,8 @@ fn pinned() -> Pinned {
         &CmdReply::Status(vec![status(1, 'C', Some(0)), status(2, 'R', None)].into()),
     );
     p.pin("CmdReply::Error", &CmdReply::Error("nope".into()));
+    p.pin("CmdReply::Read(None)", &CmdReply::Read(None));
+    p.pin("CmdReply::Read(Some)", &CmdReply::Read(Some(JobId(16))));
     p.pin("MomReport::Started", &MomReport::Started { job: JobId(14) });
     p.pin(
         "MomReport::Finished",
@@ -256,6 +258,8 @@ const GOLDEN: &[(&str, usize, u64)] = &[
     ("CmdReply::Released", 9, 0x9d600d6dfb8b3350),
     ("CmdReply::Status", 71, 0xccf6edd22d4da810),
     ("CmdReply::Error", 9, 0x04d4cf83db6f359b),
+    ("CmdReply::Read(None)", 2, 0x9b08e5d32785e129),
+    ("CmdReply::Read(Some)", 10, 0x80e85ef7f233736e),
     ("MomReport::Started", 9, 0x2fbdd3010d7cd18a),
     ("MomReport::Finished", 13, 0x6ce254de2e1f476a),
     ("NodeState::Free", 1, 0x529a2cdc8ff533ac),
@@ -278,7 +282,7 @@ const GOLDEN: &[(&str, usize, u64)] = &[
 ];
 
 /// Length and fingerprint of all pinned encodings concatenated.
-const GOLDEN_TOTAL: (usize, u64) = (2227, 0x1e8f844da3804753);
+const GOLDEN_TOTAL: (usize, u64) = (2239, 0xa5703e7dd60a000e);
 
 #[test]
 fn every_product_codec_encodes_to_the_pinned_bytes() {
