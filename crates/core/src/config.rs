@@ -55,8 +55,10 @@ pub struct PersistConfig {
     /// Log + snapshot every applied command; enables crash-restart
     /// recovery from local state.
     pub enabled: bool,
-    /// Write a full snapshot every this many applied commands (the WAL
-    /// keeps full history; snapshots only bound replay time).
+    /// Write a full snapshot every this many applied commands. Each
+    /// landed snapshot lets the WAL drop the records in front of the
+    /// donation ring's, so the log holds at most the ring's capacity plus
+    /// this many records, plus one.
     pub snapshot_every: u64,
 }
 

@@ -3,12 +3,18 @@
 //!
 //! Three files per head:
 //!
-//! * `joshua.wal` — checksummed record-framed log of every applied
-//!   command, keyed by the monotonic applied-command index (full history;
-//!   compaction is a ROADMAP item).
+//! * `joshua.wal` — checksummed record-framed log of applied commands,
+//!   keyed by the monotonic applied-command index. It is a window, not
+//!   the full history: the records the head's donation ring holds plus
+//!   those logged since. Once a snapshot has landed and a later record
+//!   has landed after it, the server drops the records in front of the
+//!   ring's ([`HeadStore::compact_wal`]), so the log holds at most the
+//!   ring's capacity plus one snapshot interval of records (and one more
+//!   while the drop waits for that later record).
 //! * `joshua.snap` — periodic full [`ReplicaState`] snapshot with the
-//!   index it covers; bounds WAL replay time and rescues recovery when
-//!   the log is damaged beyond the snapshot point.
+//!   index it covers: the base the log's window is replayed on, and
+//!   what rescues recovery when the log is damaged beyond the snapshot
+//!   point.
 //! * `joshua.inc` — the group-membership incarnation, so a restarted
 //!   process rejoins with a strictly greater one (peers ignore stale join
 //!   requests). It is replaced atomically ([`SimDisk::replace_with`]),
@@ -29,7 +35,11 @@
 //! fault) is truncated to the last valid record; a CRC failure *before*
 //! the tail is mid-log corruption — the log is quarantined with the
 //! failing record's byte offset reported, and recovery falls back to the
-//! snapshot alone, leaving the head to fetch the rest from its peers.
+//! snapshot alone, leaving the head to fetch the rest from its peers. A
+//! snapshot that fails its checksum is ignored; while the log still
+//! starts at the first command the log alone rebuilds the state, and
+//! once it has been compacted the head has no local base and rejoins by
+//! a full snapshot from a peer.
 //!
 //! [`JoshuaServer`]: crate::server::JoshuaServer
 
@@ -42,9 +52,10 @@ use jrs_store::{Codec, SnapshotStore, Wal, WalError};
 pub struct Recovered {
     /// Snapshot state, if a valid snapshot file existed.
     pub state: Option<ReplicaState>,
-    /// All decodable WAL entries `(applied_index, payload)` in log order —
-    /// including those at or below the snapshot index (the caller uses the
-    /// tail to rebuild its donation ring).
+    /// Every decodable record of the WAL's window `(applied_index,
+    /// payload)` in log order — the donation ring's, some at or below the
+    /// snapshot index (the caller rebuilds its ring from them), then
+    /// those logged since.
     pub entries: Vec<(u64, Payload)>,
     /// A torn tail was detected and truncated to the last valid record.
     pub torn_tail_truncated: bool,
@@ -87,6 +98,15 @@ impl HeadStore {
         self.wal
             .append_with(disk, applied_index, |out| payload.encode(out));
         disk.fsync(self.wal.path(), now)
+    }
+
+    /// Drop all but the WAL's last `keep` records, in place and without
+    /// allocating ([`Wal::keep_last`]). Call it only once a snapshot
+    /// covering the records dropped has landed, and a later record has
+    /// landed after it: until then an armed torn write can still fall on
+    /// that snapshot. Returns the number of records dropped.
+    pub fn compact_wal(&self, disk: &mut SimDisk, keep: usize) -> usize {
+        self.wal.keep_last(disk, keep)
     }
 
     /// Write a full-state snapshot covering `applied_index`. The file is
@@ -227,7 +247,7 @@ mod tests {
         let rec = store.recover(&mut disk);
         assert_eq!(rec.incarnation, 3);
         assert_eq!(rec.state.as_ref().unwrap().applied_index, 2);
-        assert_eq!(rec.entries.len(), 5, "full history kept");
+        assert_eq!(rec.entries.len(), 5, "the store compacts only when asked");
         assert!(!rec.torn_tail_truncated);
         assert_eq!(rec.corruption_offset, None);
     }

@@ -98,7 +98,7 @@ enum SyncMode {
 
 /// How many recent commands a durable head keeps for delta donation; a
 /// recovered joiner further behind gets a full snapshot instead.
-const RING_CAPACITY: usize = 256;
+pub const RING_CAPACITY: usize = 256;
 
 /// A payload waiting on a timer, keyed by its tag.
 enum Deferred {
@@ -157,6 +157,10 @@ pub struct JoshuaServer {
     hellos: BTreeMap<ProcId, (u64, u64)>,
     /// Durable storage, when persistence is enabled.
     store: Option<HeadStore>,
+    /// The index of the last snapshot that landed, while the WAL in front
+    /// of the ring waits for a record to land after it: then it is
+    /// dropped (`compact_wal`).
+    compact_after: Option<u64>,
     /// True while replaying recovered/donated history: suppresses the
     /// externally visible side effects (mom dispatch, output release,
     /// verdicts) that the pre-crash life already performed.
@@ -203,6 +207,7 @@ impl JoshuaServer {
             ring: VecDeque::new(),
             hellos: BTreeMap::new(),
             store,
+            compact_after: None,
             replaying: false,
             resync_pending: false,
             persisted_incarnation: 0,
@@ -455,10 +460,12 @@ impl JoshuaServer {
     /// already in the WAL.
     fn apply_command(&mut self, ctx: &mut Ctx<'_>, payload: Payload, log: bool) {
         let idx = self.replica.applied_index() + 1;
+        let mut landed = false;
         if log {
             if let Some(store) = &self.store {
                 let now = ctx.now();
-                if store.log_command(ctx.disk_mut(), now, idx, &payload) {
+                landed = store.log_command(ctx.disk_mut(), now, idx, &payload);
+                if landed {
                     self.stats.wal_records += 1;
                 }
             }
@@ -516,6 +523,9 @@ impl JoshuaServer {
             Applied::Quiet => {}
         }
         self.remember(idx, payload);
+        if landed {
+            self.compact_wal(ctx, idx);
+        }
         if log {
             self.maybe_snapshot(ctx, idx);
         }
@@ -531,6 +541,20 @@ impl JoshuaServer {
             }
             self.ring.push_back((idx, payload));
         }
+    }
+
+    /// Record `idx` has landed: if a snapshot landed before it, drop the
+    /// WAL in front of the donation ring's records, which end with `idx`
+    /// (or in front of every record since the snapshot, should a stalled
+    /// disk have let those outnumber the ring). Waiting for this record
+    /// keeps the log whole while an armed torn write can still fall on
+    /// the snapshot, since the torn write falls on the last fsync.
+    fn compact_wal(&mut self, ctx: &mut Ctx<'_>, idx: u64) {
+        let (Some(store), Some(snapshot)) = (&self.store, self.compact_after.take()) else {
+            return;
+        };
+        let since = usize::try_from(idx.saturating_sub(snapshot)).unwrap_or(usize::MAX);
+        store.compact_wal(ctx.disk_mut(), self.ring.len().max(since));
     }
 
     /// Write a periodic full-state snapshot (bounds WAL replay time).
@@ -553,6 +577,7 @@ impl JoshuaServer {
         let index = self.replica.applied_index();
         if store.save_snapshot_with(ctx.disk_mut(), now, index, encode) {
             self.stats.snapshots_written += 1;
+            self.compact_after = Some(index);
         }
     }
 
@@ -830,8 +855,11 @@ impl JoshuaServer {
         self.needs_snapshot = needs_snapshot.into_iter().collect();
         self.hellos = hellos.into_iter().map(|(m, i, f)| (m, (i, f))).collect();
         self.needs_snapshot.remove(&ctx.me());
-        // Whatever the ring held belongs to a state we just discarded.
+        // Whatever the ring held belongs to a state we just discarded, and
+        // so does the last snapshot: only one of the new state arms the
+        // next compaction, which then drops every record of the old one.
         self.ring.clear();
+        self.compact_after = None;
         self.establish(ctx, as_of_seq);
         // Anchor the adopted state on disk: our WAL has a gap between our
         // old index and the donor's, so a later crash must recover from
@@ -915,6 +943,9 @@ impl JoshuaServer {
         if let Some(state) = rec.state {
             // The membership bookkeeping it carries is dropped below.
             let _ = self.replica.install(state);
+            // It landed in a past life: the first record of this one may
+            // compact the log behind it.
+            self.compact_after = Some(self.replica.applied_index());
         }
         // Membership bookkeeping from the previous life is stale by
         // construction — everyone re-announces; donors re-derive needs.
@@ -964,6 +995,7 @@ impl JoshuaServer {
         self.sync = SyncMode::AwaitState(Vec::new());
         self.last_applied_seq = 0;
         self.ring.clear();
+        self.compact_after = None;
         self.hellos.clear();
         self.replaying = false;
         self.resync_pending = false;
@@ -1300,6 +1332,69 @@ mod tests {
         };
         assert_eq!(rows.len(), 4);
         assert_eq!((sent(&c, 1), sent(&c, 2)), (1, 0), "head 1 released it");
+    }
+
+    /// The indices a head's donation ring holds.
+    fn ring_indices(head: &JoshuaServer) -> Vec<u64> {
+        head.ring.iter().map(|(idx, _)| *idx).collect()
+    }
+
+    /// Head 1 falls further behind than the ring reaches, so it rejoins by
+    /// a full snapshot, and the first record it logs after installing it
+    /// compacts its log behind the snapshot. After a second crash its log
+    /// holds no record written before the install, and recovery rebuilds
+    /// exactly the ring the crashed life held.
+    #[test]
+    fn recovery_after_an_installed_snapshot_rebuilds_the_new_lifes_ring() {
+        let mut c = durable_cluster(3);
+        c.spawn_client(workload::burst(150));
+        let node = c.head_nodes[1];
+        let wal = jrs_store::Wal::new("joshua.wal");
+        let wal_indices = |c: &Cluster| -> Vec<u64> {
+            let replay = wal.replay(c.world.disk(node)).expect("an undamaged log");
+            replay.entries.iter().map(|(idx, _)| *idx).collect()
+        };
+        c.run_until(SimTime::ZERO + SimDuration::from_secs(2));
+        c.crash_head(1);
+        let old_life = c.joshua(1).applied_index();
+        let ring = u64::try_from(RING_CAPACITY).expect("fits");
+        while c.joshua(0).applied_index() < old_life + ring + 8 {
+            c.run_for(SimDuration::from_millis(5));
+        }
+        c.restart_joshua_head(1);
+        while c.joshua(1).stats().snapshots_installed == 0 {
+            assert!(c.world.now() < SimTime::ZERO + SimDuration::from_secs(100));
+            c.run_for(SimDuration::from_millis(1));
+        }
+        let snap = jrs_store::SnapshotStore::new("joshua.snap");
+        let (installed, _) = snap.load(c.world.disk(node)).expect("the install's snapshot");
+        assert!(installed > old_life + ring, "the ring could not cover head 1");
+        while c.joshua(1).applied_index() < installed + 40 {
+            assert!(c.world.now() < SimTime::ZERO + SimDuration::from_secs(200));
+            c.run_for(SimDuration::from_millis(5));
+        }
+        c.crash_head(1);
+        let held = wal_indices(&c);
+        assert!(
+            held.iter().all(|idx| *idx > installed),
+            "the log still holds records from before the install at {installed}: {held:?}"
+        );
+        let (pre_ring, pre_index) = (ring_indices(c.joshua(1)), c.joshua(1).applied_index());
+        let pre_fingerprint = c.joshua(1).state_fingerprint();
+        assert_eq!(pre_ring.first(), Some(&(installed + 1)), "the ring starts at the install");
+
+        c.restart_joshua_head(1);
+        c.run_for(SimDuration::from_micros(1));
+        let h1 = c.joshua(1);
+        let rec = h1.recovery_report().expect("recovery ran");
+        assert_eq!(
+            (rec.recovered_index, rec.recovered_fingerprint),
+            (pre_index, pre_fingerprint)
+        );
+        assert_eq!(ring_indices(h1), pre_ring, "the recovered ring");
+        c.run_until(SimTime::ZERO + SimDuration::from_secs(300));
+        assert_eq!(c.assert_replicas_consistent(), 3);
+        assert_eq!(c.joshua(1).stats().catch_ups_applied, 1, "rejoined by a delta");
     }
 
     proptest! {

@@ -1,8 +1,9 @@
 //! What a durable head allocates to write: one WAL record
-//! (`HeadStore::log_command`) and one snapshot, through the path
+//! (`HeadStore::log_command`), one snapshot, through the path
 //! `JoshuaServer` takes (`Replica::encode_state` into
 //! `HeadStore::save_snapshot_with`) and through the by-value
-//! `HeadStore::save_snapshot(&ReplicaState)`.
+//! `HeadStore::save_snapshot(&ReplicaState)`, and one compaction of the
+//! log behind a snapshot (`HeadStore::compact_wal`).
 //!
 //! A record is framed in place in the WAL file's tail, and a snapshot is
 //! encoded from the live state straight into the buffer of the snapshot
@@ -29,10 +30,12 @@
 //! before it; a head's snapshot 32 commands after the last fits in the
 //! slack of the doubling that made room for that one.
 //!
-//! The simulated platter (the durable prefix of each file) still grows
-//! geometrically as the log does; that is the disk's storage, amortised
-//! to nothing per record, so the record test rewinds the log to its first
-//! record after warm-up and measures a window the platter already holds.
+//! A compaction walks the frame headers in place and drops the log's
+//! front inside the platter's own buffer, so it allocates nothing, and a
+//! log kept to a window by it never grows the platter again. The record
+//! test rewinds the log to its first record after warm-up and measures a
+//! window the platter already holds; the compaction test logs and
+//! compacts the way a durable head does.
 //!
 //! An integration test is its own binary, and the counting allocator
 //! below counts per thread, so each count is one test's own.
@@ -214,4 +217,33 @@ fn a_snapshot_no_larger_than_the_last_allocates_nothing() {
     println!("snapshot write over a larger one: {borrowed} allocations (by value: {by_value})");
     assert_eq!(borrowed, 0, "the server's snapshot write allocated");
     assert_eq!(by_value, 0, "save_snapshot allocated");
+}
+
+#[test]
+fn a_compaction_allocates_nothing() {
+    const RING: usize = joshua_core::server::RING_CAPACITY;
+    let (store, mut disk, now) = (HeadStore::new(), SimDisk::new(), SimTime::ZERO);
+    let records: Vec<Payload> = (1..=1_000).map(qsub).collect();
+    for (i, p) in (1..).zip(&records) {
+        assert!(store.log_command(&mut disk, now, i, p));
+    }
+    let (allocs, dropped) = counted(|| {
+        // The first compaction, then rounds of a snapshot interval of
+        // records each followed by one, as a head logs and compacts.
+        let mut dropped = store.compact_wal(&mut disk, RING);
+        for round in 0..20 {
+            for (i, p) in (1_001 + 32 * round..).zip(&records[..32]) {
+                assert!(store.log_command(&mut disk, now, i, p));
+            }
+            dropped += store.compact_wal(&mut disk, RING);
+        }
+        dropped
+    });
+    println!("compact_wal: {allocs} allocations in 21 compactions ({dropped} records dropped)");
+    assert_eq!(dropped, 1_000 - RING + 20 * 32);
+    assert_eq!(allocs, 0, "a compaction allocated");
+    let kept = store.recover(&mut disk).entries;
+    let indices: Vec<u64> = kept.iter().map(|(i, _)| *i).collect();
+    let first = 1_641 - u64::try_from(RING).expect("fits");
+    assert_eq!(indices, (first..1_641).collect::<Vec<u64>>(), "the ring's records");
 }

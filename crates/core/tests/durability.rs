@@ -1,13 +1,16 @@
 //! Durable-replica-state end-to-end tests: crash → power-on → local
 //! recovery → rejoin, for a single head (warm restart, delta catch-up),
 //! the whole cluster (blackout, cold restart with reconciliation), and
-//! the disk-fault menu (torn WAL tail, mid-log corruption).
+//! the disk-fault menu (torn WAL tail, mid-log corruption, a torn or
+//! corrupted snapshot beside a compacted log).
 
 use joshua_core::cluster::{Cluster, ClusterConfig, HaMode};
 use joshua_core::config::PersistConfig;
+use joshua_core::server::RING_CAPACITY;
 use joshua_core::workload;
 use jrs_pbs::JobState;
 use jrs_sim::{SimDuration, SimTime};
+use jrs_store::{SnapshotStore, Wal};
 
 fn secs(s: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_secs(s)
@@ -17,6 +20,13 @@ fn durable_cfg(heads: usize) -> ClusterConfig {
     let mut cfg = ClusterConfig::new(HaMode::Joshua { heads });
     cfg.persist = PersistConfig::durable();
     cfg
+}
+
+/// The indices of the records in head `i`'s WAL.
+fn wal_indices(c: &Cluster, i: usize) -> Vec<u64> {
+    let replay = Wal::new("joshua.wal").replay(c.world.disk(c.head_nodes[i]));
+    let entries = replay.expect("an undamaged log").entries;
+    entries.iter().map(|(idx, _)| *idx).collect()
 }
 
 /// Crash one head mid-burst, power it back on later: it recovers its
@@ -228,5 +238,81 @@ fn incarnation_survives_a_stalled_disk_across_two_restarts() {
         "head 1 never rejoined after its second restart"
     );
     assert_eq!(c.assert_replicas_consistent(), 3);
+    assert_eq!(h1.state_fingerprint(), c.joshua(0).state_fingerprint());
+}
+
+/// A snapshot torn by a write armed right after it lands is rescued by
+/// the log: the log is compacted only once a record has landed after the
+/// snapshot (the torn write then falls on that record), so until then it
+/// still reaches back to the first command. With a snapshot interval
+/// past the ring's capacity, compacting as the snapshot landed would
+/// have left a log that no longer does.
+#[test]
+fn a_snapshot_torn_as_it_lands_is_rescued_by_the_uncompacted_log() {
+    let every = u64::try_from(RING_CAPACITY).expect("fits") + 44;
+    let mut cfg = durable_cfg(1);
+    cfg.persist.snapshot_every = every;
+    let mut c = Cluster::build(cfg);
+    c.spawn_client(workload::burst(200));
+    while c.joshua(0).stats().snapshots_written == 0 {
+        assert!(c.world.now() < secs(200), "no snapshot in 200 s");
+        let near = c.joshua(0).applied_index() + 8 >= every;
+        let step = if near { 10 } else { 5_000 };
+        c.run_for(SimDuration::from_micros(step));
+    }
+    assert_eq!(
+        wal_indices(&c, 0),
+        (1..=every).collect::<Vec<u64>>(),
+        "the whole log, and no record after the snapshot"
+    );
+    let node = c.head_nodes[0];
+    c.world.disk_mut(node).arm_torn_write(16);
+    c.crash_head(0);
+    let snap = SnapshotStore::new("joshua.snap");
+    assert_eq!(snap.load(c.world.disk(node)), None, "the torn write fell on the snapshot");
+    let pre_fingerprint = c.joshua(0).state_fingerprint();
+    let crashed = c.world.now();
+    c.restart_joshua_head(0);
+    c.run_until(crashed + SimDuration::from_secs(5));
+
+    let h = c.joshua(0);
+    let rec = h.recovery_report().expect("restart went through recovery");
+    assert_eq!(rec.recovered_index, every, "the log alone rebuilt the state");
+    assert_eq!(rec.wal_replayed, usize::try_from(every).expect("fits"));
+    assert_eq!(rec.recovered_fingerprint, pre_fingerprint);
+    assert!(h.is_established());
+}
+
+/// Media corruption of the snapshot once the log has been compacted is
+/// the trade compaction makes: the log's window starts past the first
+/// command, so the head has no local base, recovers nothing, and rejoins
+/// by a full snapshot from a peer, as mid-log WAL corruption already
+/// makes it do.
+#[test]
+fn a_snapshot_corrupted_after_compaction_rejoins_by_full_snapshot() {
+    let mut c = Cluster::build(durable_cfg(3));
+    c.spawn_client(workload::burst(150));
+    while wal_indices(&c, 1).first().is_none_or(|first| *first == 1) {
+        assert!(c.world.now() < secs(100), "head 1's log was never compacted");
+        c.run_for(SimDuration::from_millis(5));
+    }
+    c.crash_head(1);
+    c.run_until(c.world.now() + SimDuration::from_secs(1));
+    let node = c.head_nodes[1];
+    assert!(c.world.disk_mut(node).corrupt_byte("joshua.snap", 20));
+    c.restart_joshua_head(1);
+    c.run_until(secs(300));
+
+    assert_eq!(c.take_records().len(), 150);
+    assert_eq!(c.assert_replicas_consistent(), 3);
+    let h1 = c.joshua(1);
+    assert!(h1.is_established());
+    let rec = h1.recovery_report().expect("recovery ran");
+    assert_eq!(rec.recovered_index, 0, "no local base");
+    assert_eq!(rec.wal_replayed, 0);
+    assert_eq!(rec.corruption_offset, None, "the log itself was sound");
+    let s = h1.stats();
+    assert_eq!(s.snapshots_installed, 1, "rejoined by a full snapshot");
+    assert_eq!(s.catch_ups_applied, 0);
     assert_eq!(h1.state_fingerprint(), c.joshua(0).state_fingerprint());
 }

@@ -11,6 +11,8 @@
 //!   atomically (write-temp / fsync / rename as one operation), writing
 //!   into the file's own buffer, so a file rewritten at about the same
 //!   size (a snapshot) costs no allocation;
+//! * [`SimDisk::drop_front`] drops a file's oldest durable bytes in place
+//!   (a log compacted behind a snapshot);
 //! * [`SimDisk::on_crash`] (called by `World::crash_node`) discards
 //!   every volatile tail and applies any armed torn-write damage.
 //!
@@ -220,6 +222,27 @@ impl SimDisk {
                 f.volatile.truncate(len - f.durable.len());
             }
             f.synced_floor = f.synced_floor.min(f.durable.len());
+        }
+    }
+
+    /// A file's durable bytes, borrowed: what a post-crash read would
+    /// return, without the copy [`Self::read`] makes. Empty when the file
+    /// is missing.
+    pub fn durable(&self, path: &str) -> &[u8] {
+        self.files.get(path).map_or(&[], |f| f.durable.as_slice())
+    }
+
+    /// Drop a file's first `n` durable bytes, in place: the volatile tail
+    /// and the bytes after `n` keep their order, and armed torn-write
+    /// damage still falls on the same bytes of the last fsynced batch.
+    /// Like [`Self::truncate`], a durable metadata operation; it allocates
+    /// nothing. Dropping more than the durable length is a no-op.
+    pub fn drop_front(&mut self, path: &str, n: usize) {
+        if let Some(f) = self.files.get_mut(path) {
+            if n <= f.durable.len() {
+                f.durable.drain(..n);
+                f.synced_floor = f.synced_floor.saturating_sub(n);
+            }
         }
     }
 
@@ -514,6 +537,62 @@ mod tests {
         d.truncate("wal", 3);
         d.on_crash();
         assert_eq!(d.read("wal").unwrap(), b"abc");
+    }
+
+    #[test]
+    fn a_dropped_prefix_stays_gone_after_a_crash() {
+        let mut d = SimDisk::new();
+        d.append("wal", b"abcdef");
+        assert!(d.fsync("wal", T0));
+        d.append("wal", b"gh");
+        d.drop_front("wal", 4);
+        assert_eq!(d.durable("wal"), b"ef");
+        assert_eq!(d.read("wal").unwrap(), b"efgh", "the tail keeps its place");
+        d.on_crash();
+        assert_eq!(d.read("wal").unwrap(), b"ef");
+        assert_eq!(d.durable_len("wal"), 2);
+    }
+
+    #[test]
+    fn a_torn_write_after_a_drop_tears_only_the_last_batch() {
+        let mut d = SimDisk::new();
+        d.append("wal", b"aaaa");
+        assert!(d.fsync("wal", T0));
+        d.append("wal", b"bbbb");
+        assert!(d.fsync("wal", T0));
+        d.drop_front("wal", 2);
+        d.arm_torn_write(1);
+        d.on_crash();
+        assert_eq!(d.read("wal").unwrap(), b"aab");
+        assert_eq!(d.torn_truncations, 1);
+    }
+
+    #[test]
+    fn dropping_past_the_durable_length_is_a_no_op() {
+        let mut d = SimDisk::new();
+        d.append("wal", b"abc");
+        assert!(d.fsync("wal", T0));
+        d.append("wal", b"d");
+        d.drop_front("wal", 4);
+        assert_eq!(d.read("wal").unwrap(), b"abcd");
+        d.drop_front("missing", 1);
+        assert!(!d.exists("missing"));
+        assert_eq!(d.durable("missing"), b"");
+    }
+
+    #[test]
+    fn dropping_a_prefix_keeps_the_buffer() {
+        let mut d = SimDisk::new();
+        d.append("wal", &[7; 64]);
+        assert!(d.fsync("wal", T0));
+        let buffer = |d: &SimDisk| {
+            let f = &d.files["wal"];
+            (f.durable.as_ptr(), f.durable.capacity())
+        };
+        let before = buffer(&d);
+        d.drop_front("wal", 40);
+        assert_eq!(buffer(&d), before, "the drop allocated");
+        assert_eq!(d.durable("wal"), [7; 24]);
     }
 
     #[test]

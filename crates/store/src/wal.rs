@@ -25,6 +25,10 @@
 //!   carrying the record's byte offset, because everything after it is of
 //!   unknowable validity. The caller quarantines the file and falls back
 //!   to snapshot-only recovery plus peer state transfer.
+//!
+//! The log is compacted from the front ([`Wal::keep_last`]): once a
+//! snapshot covers the older records, all but the last `k` are dropped
+//! in place, found by walking the frame headers.
 
 use crate::crc::crc32;
 use jrs_sim::SimDisk;
@@ -171,6 +175,21 @@ impl Wal {
         })
     }
 
+    /// Drop all but the last `keep` durable records, in place: walk the
+    /// frame headers to count the records, walk them again to the first
+    /// one kept, and drop the bytes in front of it
+    /// ([`SimDisk::drop_front`]). Reads no copy and allocates nothing; the
+    /// volatile tail is untouched. Returns the number of records dropped.
+    pub fn keep_last(&self, disk: &mut SimDisk, keep: usize) -> usize {
+        let data = disk.durable(&self.path);
+        let drop = frame_ends(data).count().saturating_sub(keep);
+        let Some(cut) = drop.checked_sub(1).and_then(|i| frame_ends(data).nth(i)) else {
+            return 0;
+        };
+        disk.drop_front(&self.path, cut);
+        drop
+    }
+
     /// Truncate a torn tail back to the last valid record boundary.
     pub fn truncate_to(&self, disk: &mut SimDisk, valid_len: usize) {
         disk.truncate(&self.path, valid_len);
@@ -185,6 +204,24 @@ impl Wal {
         disk.rename(&self.path, &aside);
         aside
     }
+}
+
+/// End offsets of the whole frames at the front of `data`, read from
+/// their headers alone (no CRC check): the walk stops at a partial frame.
+fn frame_ends(data: &[u8]) -> impl Iterator<Item = usize> + '_ {
+    let mut pos = 0;
+    std::iter::from_fn(move || {
+        if data.len() - pos < HEADER {
+            return None;
+        }
+        // u32 → usize is a widening cast here.
+        let end = pos + HEADER + crate::codec::le_u32_at(data, pos) as usize;
+        if end > data.len() {
+            return None;
+        }
+        pos = end;
+        Some(end)
+    })
 }
 
 #[cfg(test)]
@@ -279,6 +316,41 @@ mod tests {
         let off = u64::try_from(first_len).unwrap();
         disk.corrupt_byte("joshua/wal", off + 9);
         assert_eq!(wal.replay(&disk), Err(WalError::Corruption { offset: off }));
+    }
+
+    #[test]
+    fn keep_last_drops_the_oldest_records() {
+        let (mut disk, wal) = wal_with(&[(1, b"alpha"), (2, b"beta"), (3, b""), (4, b"delta")]);
+        assert_eq!(wal.keep_last(&mut disk, 2), 2);
+        let r = wal.replay(&disk).unwrap();
+        assert_eq!(r.entries, vec![(3, Vec::new()), (4, b"delta".to_vec())]);
+        assert!(!r.torn);
+        // Keeping as many as the log holds, or more, drops nothing.
+        assert_eq!(wal.keep_last(&mut disk, 2), 0);
+        assert_eq!(wal.keep_last(&mut disk, 9), 0);
+        assert_eq!(wal.replay(&disk).unwrap().entries.len(), 2);
+        // Later records frame after the kept ones.
+        wal.append(&mut disk, 5, b"eps");
+        assert!(disk.fsync("joshua/wal", T0));
+        let ids: Vec<u64> = wal.replay(&disk).unwrap().entries.iter().map(|e| e.0).collect();
+        assert_eq!(ids, vec![3, 4, 5]);
+        assert_eq!(wal.keep_last(&mut disk, 0), 3);
+        assert_eq!(disk.durable_len("joshua/wal"), 0);
+    }
+
+    #[test]
+    fn keep_last_counts_whole_durable_frames_only() {
+        let (mut disk, wal) = wal_with(&[(1, b"alpha"), (2, b"beta")]);
+        // A torn frame header at the end, and a record not yet fsynced.
+        disk.append("joshua/wal", &[9, 9, 9]);
+        assert!(disk.fsync("joshua/wal", T0));
+        wal.append(&mut disk, 3, b"gamma");
+        assert_eq!(wal.keep_last(&mut disk, 1), 1);
+        let r = wal.replay(&disk).unwrap();
+        assert_eq!(r.entries, vec![(2, b"beta".to_vec())], "the torn header ends the scan");
+        assert!(r.torn);
+        let missing = Wal::new("nope");
+        assert_eq!(missing.keep_last(&mut disk, 0), 0);
     }
 
     #[test]
