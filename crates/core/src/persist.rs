@@ -101,12 +101,19 @@ impl HeadStore {
     }
 
     /// Drop all but the WAL's last `keep` records, in place and without
-    /// allocating ([`Wal::keep_last`]). Call it only once a snapshot
-    /// covering the records dropped has landed, and a later record has
-    /// landed after it: until then an armed torn write can still fall on
-    /// that snapshot. Returns the number of records dropped.
-    pub fn compact_wal(&self, disk: &mut SimDisk, keep: usize) -> usize {
-        self.wal.keep_last(disk, keep)
+    /// allocating ([`Wal::keep_last`]), where `last` is the index of the
+    /// last record logged. Every record after the snapshot on disk stays,
+    /// should a stalled disk have let those outnumber `keep`; with no
+    /// snapshot on disk nothing is dropped. Call it only once that
+    /// snapshot has landed and a later record has landed after it: until
+    /// then an armed torn write can still fall on the snapshot. Returns
+    /// the number of records dropped.
+    pub fn compact_wal(&self, disk: &mut SimDisk, last: u64, keep: usize) -> usize {
+        let Some(snapshot) = self.snap.index_on_disk(disk) else {
+            return 0;
+        };
+        let since = usize::try_from(last.saturating_sub(snapshot)).unwrap_or(usize::MAX);
+        self.wal.keep_last(disk, keep.max(since))
     }
 
     /// Write a full-state snapshot covering `applied_index`. The file is
@@ -250,6 +257,33 @@ mod tests {
         assert_eq!(rec.entries.len(), 5, "the store compacts only when asked");
         assert!(!rec.torn_tail_truncated);
         assert_eq!(rec.corruption_offset, None);
+    }
+
+    #[test]
+    fn compaction_keeps_every_record_after_the_snapshot() {
+        let mut disk = SimDisk::new();
+        let store = HeadStore::new();
+        let now = SimTime::ZERO;
+        for i in 1..=10 {
+            assert!(store.log_command(&mut disk, now, i, &cmd(i)));
+        }
+        assert_eq!(
+            store.compact_wal(&mut disk, 10, 2),
+            0,
+            "no snapshot on disk"
+        );
+        assert!(store.save_snapshot(&mut disk, now, 4, &state(4)));
+        // Six records follow the snapshot, more than the two asked for.
+        assert_eq!(store.compact_wal(&mut disk, 10, 2), 4);
+        assert!(store.save_snapshot(&mut disk, now, 9, &state(9)));
+        assert_eq!(store.compact_wal(&mut disk, 10, 2), 4);
+        let ids: Vec<u64> = store
+            .recover(&mut disk)
+            .entries
+            .iter()
+            .map(|(i, _)| *i)
+            .collect();
+        assert_eq!(ids, vec![9, 10]);
     }
 
     #[test]

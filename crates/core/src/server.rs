@@ -157,10 +157,9 @@ pub struct JoshuaServer {
     hellos: BTreeMap<ProcId, (u64, u64)>,
     /// Durable storage, when persistence is enabled.
     store: Option<HeadStore>,
-    /// The index of the last snapshot that landed, while the WAL in front
-    /// of the ring waits for a record to land after it: then it is
-    /// dropped (`compact_wal`).
-    compact_after: Option<u64>,
+    /// A snapshot has landed, and the WAL in front of the ring waits for
+    /// a record to land after it: then it is dropped (`compact_wal`).
+    compact_pending: bool,
     /// True while replaying recovered/donated history: suppresses the
     /// externally visible side effects (mom dispatch, output release,
     /// verdicts) that the pre-crash life already performed.
@@ -207,7 +206,7 @@ impl JoshuaServer {
             ring: VecDeque::new(),
             hellos: BTreeMap::new(),
             store,
-            compact_after: None,
+            compact_pending: false,
             replaying: false,
             resync_pending: false,
             persisted_incarnation: 0,
@@ -544,17 +543,15 @@ impl JoshuaServer {
     }
 
     /// Record `idx` has landed: if a snapshot landed before it, drop the
-    /// WAL in front of the donation ring's records, which end with `idx`
-    /// (or in front of every record since the snapshot, should a stalled
-    /// disk have let those outnumber the ring). Waiting for this record
-    /// keeps the log whole while an armed torn write can still fall on
-    /// the snapshot, since the torn write falls on the last fsync.
+    /// WAL in front of the donation ring's records, which end with `idx`.
+    /// Waiting for this record keeps the log whole while an armed torn
+    /// write can still fall on the snapshot, since the torn write falls on
+    /// the last fsync.
     fn compact_wal(&mut self, ctx: &mut Ctx<'_>, idx: u64) {
-        let (Some(store), Some(snapshot)) = (&self.store, self.compact_after.take()) else {
-            return;
-        };
-        let since = usize::try_from(idx.saturating_sub(snapshot)).unwrap_or(usize::MAX);
-        store.compact_wal(ctx.disk_mut(), self.ring.len().max(since));
+        let Some(store) = &self.store else { return };
+        if std::mem::take(&mut self.compact_pending) {
+            store.compact_wal(ctx.disk_mut(), idx, self.ring.len());
+        }
     }
 
     /// Write a periodic full-state snapshot (bounds WAL replay time).
@@ -577,7 +574,7 @@ impl JoshuaServer {
         let index = self.replica.applied_index();
         if store.save_snapshot_with(ctx.disk_mut(), now, index, encode) {
             self.stats.snapshots_written += 1;
-            self.compact_after = Some(index);
+            self.compact_pending = true;
         }
     }
 
@@ -859,7 +856,7 @@ impl JoshuaServer {
         // so does the last snapshot: only one of the new state arms the
         // next compaction, which then drops every record of the old one.
         self.ring.clear();
-        self.compact_after = None;
+        self.compact_pending = false;
         self.establish(ctx, as_of_seq);
         // Anchor the adopted state on disk: our WAL has a gap between our
         // old index and the donor's, so a later crash must recover from
@@ -945,7 +942,7 @@ impl JoshuaServer {
             let _ = self.replica.install(state);
             // It landed in a past life: the first record of this one may
             // compact the log behind it.
-            self.compact_after = Some(self.replica.applied_index());
+            self.compact_pending = true;
         }
         // Membership bookkeeping from the previous life is stale by
         // construction — everyone re-announces; donors re-derive needs.
@@ -995,7 +992,7 @@ impl JoshuaServer {
         self.sync = SyncMode::AwaitState(Vec::new());
         self.last_applied_seq = 0;
         self.ring.clear();
-        self.compact_after = None;
+        self.compact_pending = false;
         self.hellos.clear();
         self.replaying = false;
         self.resync_pending = false;
@@ -1367,8 +1364,13 @@ mod tests {
             c.run_for(SimDuration::from_millis(1));
         }
         let snap = jrs_store::SnapshotStore::new("joshua.snap");
-        let (installed, _) = snap.load(c.world.disk(node)).expect("the install's snapshot");
-        assert!(installed > old_life + ring, "the ring could not cover head 1");
+        let (installed, _) = snap
+            .load(c.world.disk(node))
+            .expect("the install's snapshot");
+        assert!(
+            installed > old_life + ring,
+            "the ring could not cover head 1"
+        );
         while c.joshua(1).applied_index() < installed + 40 {
             assert!(c.world.now() < SimTime::ZERO + SimDuration::from_secs(200));
             c.run_for(SimDuration::from_millis(5));
@@ -1381,7 +1383,11 @@ mod tests {
         );
         let (pre_ring, pre_index) = (ring_indices(c.joshua(1)), c.joshua(1).applied_index());
         let pre_fingerprint = c.joshua(1).state_fingerprint();
-        assert_eq!(pre_ring.first(), Some(&(installed + 1)), "the ring starts at the install");
+        assert_eq!(
+            pre_ring.first(),
+            Some(&(installed + 1)),
+            "the ring starts at the install"
+        );
 
         c.restart_joshua_head(1);
         c.run_for(SimDuration::from_micros(1));
@@ -1394,7 +1400,11 @@ mod tests {
         assert_eq!(ring_indices(h1), pre_ring, "the recovered ring");
         c.run_until(SimTime::ZERO + SimDuration::from_secs(300));
         assert_eq!(c.assert_replicas_consistent(), 3);
-        assert_eq!(c.joshua(1).stats().catch_ups_applied, 1, "rejoined by a delta");
+        assert_eq!(
+            c.joshua(1).stats().catch_ups_applied,
+            1,
+            "rejoined by a delta"
+        );
     }
 
     proptest! {

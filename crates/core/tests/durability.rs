@@ -269,7 +269,11 @@ fn a_snapshot_torn_as_it_lands_is_rescued_by_the_uncompacted_log() {
     c.world.disk_mut(node).arm_torn_write(16);
     c.crash_head(0);
     let snap = SnapshotStore::new("joshua.snap");
-    assert_eq!(snap.load(c.world.disk(node)), None, "the torn write fell on the snapshot");
+    assert_eq!(
+        snap.load(c.world.disk(node)),
+        None,
+        "the torn write fell on the snapshot"
+    );
     let pre_fingerprint = c.joshua(0).state_fingerprint();
     let crashed = c.world.now();
     c.restart_joshua_head(0);
@@ -277,7 +281,10 @@ fn a_snapshot_torn_as_it_lands_is_rescued_by_the_uncompacted_log() {
 
     let h = c.joshua(0);
     let rec = h.recovery_report().expect("restart went through recovery");
-    assert_eq!(rec.recovered_index, every, "the log alone rebuilt the state");
+    assert_eq!(
+        rec.recovered_index, every,
+        "the log alone rebuilt the state"
+    );
     assert_eq!(rec.wal_replayed, usize::try_from(every).expect("fits"));
     assert_eq!(rec.recovered_fingerprint, pre_fingerprint);
     assert!(h.is_established());
@@ -293,7 +300,10 @@ fn a_snapshot_corrupted_after_compaction_rejoins_by_full_snapshot() {
     let mut c = Cluster::build(durable_cfg(3));
     c.spawn_client(workload::burst(150));
     while wal_indices(&c, 1).first().is_none_or(|first| *first == 1) {
-        assert!(c.world.now() < secs(100), "head 1's log was never compacted");
+        assert!(
+            c.world.now() < secs(100),
+            "head 1's log was never compacted"
+        );
         c.run_for(SimDuration::from_millis(5));
     }
     c.crash_head(1);

@@ -1,10 +1,13 @@
 //! Durable snapshot publication: the file is replaced atomically.
 //!
 //! A snapshot captures the full replica state at one applied index so
-//! recovery does not have to replay the WAL from the beginning of time.
-//! The file is CRC-framed like a WAL record; a snapshot that fails its
-//! checksum is ignored (recovery falls back to a full WAL replay), so a
-//! half-written or corrupted snapshot can never poison a replica.
+//! recovery does not have to replay the WAL from the beginning of time,
+//! and so the WAL can be compacted behind it. The file is CRC-framed
+//! like a WAL record; a snapshot that fails its checksum is ignored, so
+//! a half-written or corrupted snapshot can never poison a replica.
+//! Recovery then has only the log: if it still starts at the first
+//! command it rebuilds the state, and once it has been compacted the
+//! head has no local base and rejoins by a full state transfer.
 //!
 //! A snapshot is published with [`SimDisk::replace_with`], the
 //! write-temp / fsync / rename idiom as one disk operation: the state is
@@ -56,9 +59,17 @@ impl SnapshotStore {
         })
     }
 
+    /// The applied index of the snapshot on disk, read in place from its
+    /// header: no copy, and no CRC check. `None` when the file is missing
+    /// or too short.
+    pub fn index_on_disk(&self, disk: &SimDisk) -> Option<u64> {
+        let data = disk.durable(&self.path);
+        (data.len() >= 12).then(|| crate::codec::le_u64_at(data, 4))
+    }
+
     /// Load the newest valid snapshot: `(applied_index, state_bytes)`.
     /// Returns `None` when the file is missing, too short, or fails its
-    /// CRC — callers then recover from the WAL alone. The state bytes are
+    /// CRC — callers then have only the WAL to recover from. The state bytes are
     /// the one copy read off the disk, with the 12-byte header drained
     /// from their front.
     pub fn load(&self, disk: &SimDisk) -> Option<(u64, Vec<u8>)> {
@@ -92,6 +103,7 @@ mod tests {
         assert!(store.save(&mut disk, T0, 42, b"state-bytes"));
         disk.on_crash();
         assert_eq!(store.load(&disk), Some((42, b"state-bytes".to_vec())));
+        assert_eq!(store.index_on_disk(&disk), Some(42));
         assert_eq!(disk.paths(), vec!["joshua/snap".to_string()]);
     }
 
@@ -128,7 +140,10 @@ mod tests {
         let mut disk = SimDisk::new();
         let store = SnapshotStore::new("joshua/snap");
         assert_eq!(store.load(&disk), None);
+        assert_eq!(store.index_on_disk(&disk), None);
         disk.append("joshua/snap", &[1, 2, 3]);
+        assert!(disk.fsync("joshua/snap", T0));
         assert_eq!(store.load(&disk), None);
+        assert_eq!(store.index_on_disk(&disk), None);
     }
 }

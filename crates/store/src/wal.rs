@@ -332,7 +332,13 @@ mod tests {
         // Later records frame after the kept ones.
         wal.append(&mut disk, 5, b"eps");
         assert!(disk.fsync("joshua/wal", T0));
-        let ids: Vec<u64> = wal.replay(&disk).unwrap().entries.iter().map(|e| e.0).collect();
+        let ids: Vec<u64> = wal
+            .replay(&disk)
+            .unwrap()
+            .entries
+            .iter()
+            .map(|e| e.0)
+            .collect();
         assert_eq!(ids, vec![3, 4, 5]);
         assert_eq!(wal.keep_last(&mut disk, 0), 3);
         assert_eq!(disk.durable_len("joshua/wal"), 0);
@@ -347,7 +353,11 @@ mod tests {
         wal.append(&mut disk, 3, b"gamma");
         assert_eq!(wal.keep_last(&mut disk, 1), 1);
         let r = wal.replay(&disk).unwrap();
-        assert_eq!(r.entries, vec![(2, b"beta".to_vec())], "the torn header ends the scan");
+        assert_eq!(
+            r.entries,
+            vec![(2, b"beta".to_vec())],
+            "the torn header ends the scan"
+        );
         assert!(r.torn);
         let missing = Wal::new("nope");
         assert_eq!(missing.keep_last(&mut disk, 0), 0);
