@@ -326,3 +326,36 @@ fn a_snapshot_corrupted_after_compaction_rejoins_by_full_snapshot() {
     assert_eq!(s.catch_ups_applied, 0);
     assert_eq!(h1.state_fingerprint(), c.joshua(0).state_fingerprint());
 }
+
+/// Three durable heads under three mixed scripts: at every step, each
+/// head's log is a window of at most the ring's capacity plus one
+/// snapshot interval of records, plus one while a drop waits, and once
+/// the scripts are done it still holds the ring's records.
+#[test]
+fn every_heads_log_stays_a_window_of_the_ring_and_one_interval() {
+    let cfg = durable_cfg(3);
+    let every = usize::try_from(cfg.persist.snapshot_every).expect("fits");
+    let mut c = Cluster::build(cfg);
+    for seed in 0..3 {
+        c.spawn_client(workload::mixed(300, seed));
+    }
+    let mut done = 0;
+    while done < 3 {
+        assert!(c.world.now() < secs(600), "the scripts did not finish");
+        c.run_for(SimDuration::from_millis(50));
+        done += c.take_dones().len();
+        for i in 0..3 {
+            let held = wal_indices(&c, i).len();
+            assert!(
+                held <= RING_CAPACITY + every + 1,
+                "head {i}'s log holds {held} records"
+            );
+        }
+    }
+    for i in 0..3 {
+        let held = wal_indices(&c, i);
+        assert!(held.len() >= RING_CAPACITY, "head {i} holds {}", held.len());
+        assert_eq!(held.last(), Some(&c.joshua(i).applied_index()));
+    }
+    assert_eq!(c.assert_replicas_consistent(), 3);
+}
