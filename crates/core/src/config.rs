@@ -55,10 +55,11 @@ pub struct PersistConfig {
     /// Log + snapshot every applied command; enables crash-restart
     /// recovery from local state.
     pub enabled: bool,
-    /// Write a full snapshot every this many applied commands. Each
-    /// landed snapshot lets the WAL drop the records in front of the
-    /// donation ring's, so the log holds at most the ring's capacity plus
-    /// this many records, plus one.
+    /// Write a full snapshot every this many applied commands, into the
+    /// older of two slots. Each landed snapshot lets the WAL drop the
+    /// records in front of the donation ring's and of those after the
+    /// older snapshot, so while this is no more than the ring's capacity
+    /// the log holds at most that capacity plus this many records.
     pub snapshot_every: u64,
 }
 

@@ -5,16 +5,19 @@
 //!
 //! * `joshua.wal` — checksummed record-framed log of applied commands,
 //!   keyed by the monotonic applied-command index. It is a window, not
-//!   the full history: the records the head's donation ring holds plus
-//!   those logged since. Once a snapshot has landed and a later record
-//!   has landed after it, the server drops the records in front of the
-//!   ring's ([`HeadStore::compact_wal`]), so the log holds at most the
-//!   ring's capacity plus one snapshot interval of records (and one more
-//!   while the drop waits for that later record).
-//! * `joshua.snap` — periodic full [`ReplicaState`] snapshot with the
-//!   index it covers: the base the log's window is replayed on, and
-//!   what rescues recovery when the log is damaged beyond the snapshot
-//!   point.
+//!   the full history: the records the head's donation ring holds, every
+//!   record after the older of the two snapshots, and those logged
+//!   since. Each time a snapshot lands the server drops the records in
+//!   front of those ([`HeadStore::compact_wal`]), so with a snapshot
+//!   interval no longer than the ring the log holds at most the ring's
+//!   capacity plus one snapshot interval of records.
+//! * `joshua.snap.0`, `joshua.snap.1` — two slots of periodic full
+//!   [`ReplicaState`] snapshots with the index each covers, written in
+//!   turn: each snapshot replaces the older one. The newest valid one is
+//!   the base the log's window is replayed on and what rescues recovery
+//!   when the log is damaged beyond it; should it be torn as it lands or
+//!   corrupted later, recovery falls back to the other one and the
+//!   records after it, which the log still holds.
 //! * `joshua.inc` — the group-membership incarnation, so a restarted
 //!   process rejoins with a strictly greater one (peers ignore stale join
 //!   requests). It is replaced atomically ([`SimDisk::replace_with`]),
@@ -36,21 +39,22 @@
 //! the tail is mid-log corruption — the log is quarantined with the
 //! failing record's byte offset reported, and recovery falls back to the
 //! snapshot alone, leaving the head to fetch the rest from its peers. A
-//! snapshot that fails its checksum is ignored; while the log still
-//! starts at the first command the log alone rebuilds the state, and
-//! once it has been compacted the head has no local base and rejoins by
-//! a full snapshot from a peer.
+//! snapshot that fails its checksum is ignored and the other slot's is
+//! used. With neither valid, the log alone rebuilds the state while it
+//! still starts at the first command; once it has been compacted the
+//! head has no local base and rejoins by a full snapshot from a peer.
 //!
 //! [`JoshuaServer`]: crate::server::JoshuaServer
 
 use crate::payload::{Payload, ReplicaState};
 use jrs_sim::{SimDisk, SimTime};
 use jrs_store::{Codec, SnapshotStore, Wal, WalError};
+use std::cell::Cell;
 
 /// What recovery found on the local disk.
 #[derive(Clone, Debug, Default)]
 pub struct Recovered {
-    /// Snapshot state, if a valid snapshot file existed.
+    /// The newest valid snapshot's state, if either slot held one.
     pub state: Option<ReplicaState>,
     /// Every decodable record of the WAL's window `(applied_index,
     /// payload)` in log order — the donation ring's, some at or below the
@@ -66,12 +70,34 @@ pub struct Recovered {
     pub incarnation: u64,
 }
 
-/// Durable storage handle for one head. Stateless besides the file names;
-/// all data lives on the per-node [`SimDisk`].
+/// Durable storage handle for one head. All data lives on the per-node
+/// [`SimDisk`]; the handle remembers only which snapshot slot to write
+/// next and what the other one holds.
 pub struct HeadStore {
     wal: Wal,
-    snap: SnapshotStore,
+    slots: Cell<Slots>,
 }
+
+/// What a [`HeadStore`] knows of its two snapshot slots ([`SNAPS`]),
+/// from recovery and from the snapshots it has written since.
+#[derive(Clone, Copy, Default)]
+struct Slots {
+    /// The slot the next snapshot is written over (`true` for the
+    /// second): never the one holding the newest valid snapshot.
+    next: bool,
+    /// The other slot holds a valid snapshot, the newest.
+    newest: bool,
+    /// The index of the valid snapshot slot `next` holds, older than the
+    /// newest: what recovery falls back to should the newest be torn, so
+    /// the log keeps every record after it.
+    older: Option<u64>,
+}
+
+/// The snapshot slots, written in turn.
+const SNAPS: [SnapshotStore; 2] = [
+    SnapshotStore::new("joshua.snap.0"),
+    SnapshotStore::new("joshua.snap.1"),
+];
 
 /// The incarnation file.
 const INC: &str = "joshua.inc";
@@ -81,7 +107,7 @@ impl HeadStore {
     pub fn new() -> Self {
         HeadStore {
             wal: Wal::new("joshua.wal"),
-            snap: SnapshotStore::new("joshua.snap"),
+            slots: Cell::default(),
         }
     }
 
@@ -102,23 +128,22 @@ impl HeadStore {
 
     /// Drop all but the WAL's last `keep` records, in place and without
     /// allocating ([`Wal::keep_last`]), where `last` is the index of the
-    /// last record logged. Every record after the snapshot on disk stays,
-    /// should a stalled disk have let those outnumber `keep`; with no
-    /// snapshot on disk nothing is dropped. Call it only once that
-    /// snapshot has landed and a later record has landed after it: until
-    /// then an armed torn write can still fall on the snapshot. Returns
-    /// the number of records dropped.
+    /// last record logged. Every record after the older of the two
+    /// snapshots stays, however many there are, so a torn or corrupted
+    /// newest snapshot still falls back to the older one and those
+    /// records; with no older snapshot nothing is dropped. Returns the
+    /// number of records dropped.
     pub fn compact_wal(&self, disk: &mut SimDisk, last: u64, keep: usize) -> usize {
-        let Some(snapshot) = self.snap.index_on_disk(disk) else {
+        let Some(older) = self.slots.get().older else {
             return 0;
         };
-        let since = usize::try_from(last.saturating_sub(snapshot)).unwrap_or(usize::MAX);
+        let since = usize::try_from(last.saturating_sub(older)).unwrap_or(usize::MAX);
         self.wal.keep_last(disk, keep.max(since))
     }
 
-    /// Write a full-state snapshot covering `applied_index`. The file is
-    /// replaced atomically; on a stalled fsync the previous snapshot
-    /// stays intact and this returns false.
+    /// Write a full-state snapshot covering `applied_index` over the
+    /// older of the two slots. The file is replaced atomically; on a
+    /// stalled fsync the old one stays intact and this returns false.
     pub fn save_snapshot(
         &self,
         disk: &mut SimDisk,
@@ -138,7 +163,41 @@ impl HeadStore {
         applied_index: u64,
         encode: impl FnOnce(&mut Vec<u8>),
     ) -> bool {
-        self.snap.save_with(disk, now, applied_index, encode)
+        let slots = self.slots.get();
+        let next = usize::from(slots.next);
+        if !SNAPS[next].save_with(disk, now, applied_index, encode) {
+            return false;
+        }
+        let other = SNAPS[1 - next];
+        let other_index = other.index_on_disk(disk);
+        // Recovery takes the highest valid index, and an installed state
+        // can move the index back: a snapshot at or past this one's is of
+        // a discarded state.
+        if other_index.is_some_and(|i| i >= applied_index) {
+            other.discard(disk);
+        }
+        self.slots.set(Slots {
+            next: !slots.next,
+            newest: true,
+            older: other_index.filter(|i| slots.newest && *i < applied_index),
+        });
+        true
+    }
+
+    /// The newest valid snapshot, `(applied_index, state_bytes)`, from
+    /// whichever slot holds it; the next snapshot is written over the
+    /// other slot.
+    pub fn load_snapshot(&self, disk: &SimDisk) -> Option<(u64, Vec<u8>)> {
+        let valid = SNAPS.map(|slot| slot.valid_index(disk));
+        // `None` orders below any index.
+        let newest = usize::from(valid[1] > valid[0]);
+        self.slots.set(Slots {
+            next: newest == 0,
+            newest: valid[newest].is_some(),
+            older: valid[1 - newest],
+        });
+        valid[newest]?;
+        SNAPS[newest].load(disk)
     }
 
     /// Persist the group incarnation, replacing the old value atomically.
@@ -166,7 +225,7 @@ impl HeadStore {
         }
 
         let mut snap_index = 0;
-        if let Some((index, state_bytes)) = self.snap.load(disk) {
+        if let Some((index, state_bytes)) = self.load_snapshot(disk) {
             if let Ok(state) = ReplicaState::from_bytes(&state_bytes) {
                 snap_index = index;
                 rec.state = Some(state);
@@ -259,31 +318,98 @@ mod tests {
         assert_eq!(rec.corruption_offset, None);
     }
 
+    /// The indices of the records recovery finds in the log.
+    fn logged(store: &HeadStore, disk: &mut SimDisk) -> Vec<u64> {
+        let rec = store.recover(disk);
+        rec.entries.iter().map(|(i, _)| *i).collect()
+    }
+
     #[test]
-    fn compaction_keeps_every_record_after_the_snapshot() {
+    fn compaction_keeps_every_record_after_the_older_snapshot() {
         let mut disk = SimDisk::new();
         let store = HeadStore::new();
         let now = SimTime::ZERO;
         for i in 1..=10 {
             assert!(store.log_command(&mut disk, now, i, &cmd(i)));
         }
+        assert_eq!(store.compact_wal(&mut disk, 10, 2), 0, "no snapshot");
+        assert!(store.save_snapshot(&mut disk, now, 4, &state(4)));
         assert_eq!(
             store.compact_wal(&mut disk, 10, 2),
             0,
-            "no snapshot on disk"
+            "no older snapshot: the whole log is the fallback"
         );
-        assert!(store.save_snapshot(&mut disk, now, 4, &state(4)));
-        // Six records follow the snapshot, more than the two asked for.
+        assert!(store.save_snapshot(&mut disk, now, 6, &state(6)));
+        // Six records follow the older snapshot, more than the two asked for.
         assert_eq!(store.compact_wal(&mut disk, 10, 2), 4);
         assert!(store.save_snapshot(&mut disk, now, 9, &state(9)));
-        assert_eq!(store.compact_wal(&mut disk, 10, 2), 4);
-        let ids: Vec<u64> = store
-            .recover(&mut disk)
-            .entries
-            .iter()
-            .map(|(i, _)| *i)
-            .collect();
-        assert_eq!(ids, vec![9, 10]);
+        assert_eq!(store.compact_wal(&mut disk, 10, 2), 2);
+        assert_eq!(logged(&store, &mut disk), vec![7, 8, 9, 10]);
+    }
+
+    #[test]
+    fn a_torn_newest_snapshot_falls_back_to_the_older_one() {
+        let mut disk = SimDisk::new();
+        let store = HeadStore::new();
+        let now = SimTime::ZERO;
+        for i in 1..=10 {
+            assert!(store.log_command(&mut disk, now, i, &cmd(i)));
+        }
+        assert!(store.save_snapshot(&mut disk, now, 4, &state(4)));
+        assert!(store.save_snapshot(&mut disk, now, 8, &state(8)));
+        assert_eq!(store.compact_wal(&mut disk, 10, 1), 4);
+        // The snapshot at 8 was the last fsync: a torn write cuts it.
+        disk.arm_torn_write(16);
+        disk.on_crash();
+
+        let store = HeadStore::new();
+        let rec = store.recover(&mut disk);
+        assert_eq!(rec.state.as_ref().map(|s| s.applied_index), Some(4));
+        let ids: Vec<u64> = rec.entries.iter().map(|(i, _)| *i).collect();
+        assert_eq!(ids, (5..=10).collect::<Vec<u64>>(), "the log after it");
+        // The next snapshot is written over the torn one, not the base.
+        assert!(store.save_snapshot(&mut disk, now, 10, &state(10)));
+        assert_eq!(store.compact_wal(&mut disk, 10, 1), 0, "all after 4 stay");
+        disk.arm_torn_write(16);
+        disk.on_crash();
+        let rec = HeadStore::new().recover(&mut disk);
+        assert_eq!(rec.state.map(|s| s.applied_index), Some(4));
+    }
+
+    #[test]
+    fn recovery_takes_the_newest_valid_snapshot() {
+        let mut disk = SimDisk::new();
+        let store = HeadStore::new();
+        let now = SimTime::ZERO;
+        for i in [3, 5, 7] {
+            assert!(store.save_snapshot(&mut disk, now, i, &state(i)));
+        }
+        let newest = |disk: &SimDisk| HeadStore::new().load_snapshot(disk).map(|(i, _)| i);
+        assert_eq!(newest(&disk), Some(7));
+        // Corrupt it: the other slot's, at 5, is next.
+        assert!(disk.corrupt_byte("joshua.snap.0", 20));
+        assert_eq!(newest(&disk), Some(5));
+        assert!(disk.corrupt_byte("joshua.snap.1", 20));
+        assert_eq!(newest(&disk), None);
+    }
+
+    #[test]
+    fn a_snapshot_at_or_past_the_new_index_is_discarded() {
+        let mut disk = SimDisk::new();
+        let store = HeadStore::new();
+        let now = SimTime::ZERO;
+        for i in 1..=10 {
+            assert!(store.log_command(&mut disk, now, i, &cmd(i)));
+        }
+        assert!(store.save_snapshot(&mut disk, now, 9, &state(9)));
+        // An installed state moves the index back.
+        assert!(store.save_snapshot(&mut disk, now, 5, &state(5)));
+        assert_eq!(
+            HeadStore::new().load_snapshot(&disk).map(|(i, _)| i),
+            Some(5),
+            "the snapshot of the discarded state no longer loads"
+        );
+        assert_eq!(store.compact_wal(&mut disk, 10, 1), 0, "no older snapshot");
     }
 
     #[test]

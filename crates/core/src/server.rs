@@ -157,9 +157,6 @@ pub struct JoshuaServer {
     hellos: BTreeMap<ProcId, (u64, u64)>,
     /// Durable storage, when persistence is enabled.
     store: Option<HeadStore>,
-    /// A snapshot has landed, and the WAL in front of the ring waits for
-    /// a record to land after it: then it is dropped (`compact_wal`).
-    compact_pending: bool,
     /// True while replaying recovered/donated history: suppresses the
     /// externally visible side effects (mom dispatch, output release,
     /// verdicts) that the pre-crash life already performed.
@@ -206,7 +203,6 @@ impl JoshuaServer {
             ring: VecDeque::new(),
             hellos: BTreeMap::new(),
             store,
-            compact_pending: false,
             replaying: false,
             resync_pending: false,
             persisted_incarnation: 0,
@@ -459,12 +455,10 @@ impl JoshuaServer {
     /// already in the WAL.
     fn apply_command(&mut self, ctx: &mut Ctx<'_>, payload: Payload, log: bool) {
         let idx = self.replica.applied_index() + 1;
-        let mut landed = false;
         if log {
             if let Some(store) = &self.store {
                 let now = ctx.now();
-                landed = store.log_command(ctx.disk_mut(), now, idx, &payload);
-                if landed {
+                if store.log_command(ctx.disk_mut(), now, idx, &payload) {
                     self.stats.wal_records += 1;
                 }
             }
@@ -522,9 +516,6 @@ impl JoshuaServer {
             Applied::Quiet => {}
         }
         self.remember(idx, payload);
-        if landed {
-            self.compact_wal(ctx, idx);
-        }
         if log {
             self.maybe_snapshot(ctx, idx);
         }
@@ -542,18 +533,6 @@ impl JoshuaServer {
         }
     }
 
-    /// Record `idx` has landed: if a snapshot landed before it, drop the
-    /// WAL in front of the donation ring's records, which end with `idx`.
-    /// Waiting for this record keeps the log whole while an armed torn
-    /// write can still fall on the snapshot, since the torn write falls on
-    /// the last fsync.
-    fn compact_wal(&mut self, ctx: &mut Ctx<'_>, idx: u64) {
-        let Some(store) = &self.store else { return };
-        if std::mem::take(&mut self.compact_pending) {
-            store.compact_wal(ctx.disk_mut(), idx, self.ring.len());
-        }
-    }
-
     /// Write a periodic full-state snapshot (bounds WAL replay time).
     fn maybe_snapshot(&mut self, ctx: &mut Ctx<'_>, idx: u64) {
         let every = self.config.persist.snapshot_every;
@@ -563,7 +542,9 @@ impl JoshuaServer {
     }
 
     /// Write the full state as of `applied_index` to the local disk (a
-    /// no-op when diskless).
+    /// no-op when diskless). Once it lands, the WAL drops the records in
+    /// front of the donation ring's, which end at this index, and of
+    /// those after the older snapshot ([`HeadStore::compact_wal`]).
     fn write_snapshot(&mut self, ctx: &mut Ctx<'_>) {
         let Some(store) = &self.store else { return };
         let now = ctx.now();
@@ -574,7 +555,7 @@ impl JoshuaServer {
         let index = self.replica.applied_index();
         if store.save_snapshot_with(ctx.disk_mut(), now, index, encode) {
             self.stats.snapshots_written += 1;
-            self.compact_pending = true;
+            store.compact_wal(ctx.disk_mut(), index, self.ring.len());
         }
     }
 
@@ -852,11 +833,10 @@ impl JoshuaServer {
         self.needs_snapshot = needs_snapshot.into_iter().collect();
         self.hellos = hellos.into_iter().map(|(m, i, f)| (m, (i, f))).collect();
         self.needs_snapshot.remove(&ctx.me());
-        // Whatever the ring held belongs to a state we just discarded, and
-        // so does the last snapshot: only one of the new state arms the
-        // next compaction, which then drops every record of the old one.
+        // Whatever the ring held belongs to a state we just discarded. The
+        // compaction behind the first snapshot after the anchor below drops
+        // every record of it.
         self.ring.clear();
-        self.compact_pending = false;
         self.establish(ctx, as_of_seq);
         // Anchor the adopted state on disk: our WAL has a gap between our
         // old index and the donor's, so a later crash must recover from
@@ -940,9 +920,6 @@ impl JoshuaServer {
         if let Some(state) = rec.state {
             // The membership bookkeeping it carries is dropped below.
             let _ = self.replica.install(state);
-            // It landed in a past life: the first record of this one may
-            // compact the log behind it.
-            self.compact_pending = true;
         }
         // Membership bookkeeping from the previous life is stale by
         // construction — everyone re-announces; donors re-derive needs.
@@ -992,7 +969,6 @@ impl JoshuaServer {
         self.sync = SyncMode::AwaitState(Vec::new());
         self.last_applied_seq = 0;
         self.ring.clear();
-        self.compact_pending = false;
         self.hellos.clear();
         self.replaying = false;
         self.resync_pending = false;
@@ -1337,10 +1313,10 @@ mod tests {
     }
 
     /// Head 1 falls further behind than the ring reaches, so it rejoins by
-    /// a full snapshot, and the first record it logs after installing it
-    /// compacts its log behind the snapshot. After a second crash its log
-    /// holds no record written before the install, and recovery rebuilds
-    /// exactly the ring the crashed life held.
+    /// a full snapshot, and the first snapshot it writes after anchoring
+    /// that one compacts its log behind the install. After a second crash
+    /// its log holds no record written before the install, and recovery
+    /// rebuilds exactly the ring the crashed life held.
     #[test]
     fn recovery_after_an_installed_snapshot_rebuilds_the_new_lifes_ring() {
         let mut c = durable_cluster(3);
@@ -1363,9 +1339,8 @@ mod tests {
             assert!(c.world.now() < SimTime::ZERO + SimDuration::from_secs(100));
             c.run_for(SimDuration::from_millis(1));
         }
-        let snap = jrs_store::SnapshotStore::new("joshua.snap");
-        let (installed, _) = snap
-            .load(c.world.disk(node))
+        let (installed, _) = HeadStore::new()
+            .load_snapshot(c.world.disk(node))
             .expect("the install's snapshot");
         assert!(
             installed > old_life + ring,

@@ -27,8 +27,10 @@
 //! the previous snapshot's size: the temp file's name, its buffer and a
 //! growth when the new snapshot was larger. The growth the ceiling
 //! below allows is paid only when a snapshot outgrows every buffer
-//! before it; a head's snapshot 32 commands after the last fits in the
-//! slack of the doubling that made room for that one.
+//! before it. A head writes its snapshots into two slots in turn, so
+//! each replaces the one 64 commands before it; once the history is
+//! long, that fits in the slack of the doubling that made room for the
+//! one it replaces.
 //!
 //! A compaction walks the frame headers in place and drops the log's
 //! front inside the platter's own buffer, so it allocates nothing, and a
@@ -148,8 +150,9 @@ fn replica(history: u64) -> Replica {
 }
 
 /// Allocations of a snapshot write of a `history`-job replica, through
-/// the server's path and the by-value one, each over a first snapshot of
-/// a `previous`-job one.
+/// the server's path and the by-value one, each over a snapshot of a
+/// `previous`-job one: the first two snapshots fill both slots, and the
+/// third is written over the first.
 fn snapshot_allocs(previous: u64, history: u64) -> (u64, u64) {
     let (store, now) = (HeadStore::new(), SimTime::ZERO);
     let (needs, hellos) = (
@@ -161,8 +164,9 @@ fn snapshot_allocs(previous: u64, history: u64) -> (u64, u64) {
     let mut disk = SimDisk::new();
     let encode_older = |out: &mut Vec<u8>| older.encode_state(&needs, &hellos, out);
     assert!(store.save_snapshot_with(&mut disk, now, 1, encode_older));
+    assert!(store.save_snapshot_with(&mut disk, now, 2, encode_older));
     let (borrowed, landed) = counted(|| {
-        store.save_snapshot_with(&mut disk, now, 2, |out| {
+        store.save_snapshot_with(&mut disk, now, 3, |out| {
             r.encode_state(&needs, &hellos, out)
         })
     });
@@ -178,15 +182,17 @@ fn snapshot_allocs(previous: u64, history: u64) -> (u64, u64) {
     older.encode_state(&needs, &hellos, &mut older_bytes);
     let older_state = joshua_core::ReplicaState::from_bytes(&older_bytes).expect("decodes");
     assert!(store.save_snapshot(&mut disk, now, 1, &older_state));
-    let (by_value, landed) = counted(|| store.save_snapshot(&mut disk, now, 2, &state));
+    assert!(store.save_snapshot(&mut disk, now, 2, &older_state));
+    let (by_value, landed) = counted(|| store.save_snapshot(&mut disk, now, 3, &state));
     assert!(landed);
     (borrowed, by_value)
 }
 
 #[test]
 fn a_snapshot_write_costs_the_same_at_any_history() {
-    // Over the previous snapshot, 32 commands (16 jobs) shorter, as a
-    // head writes them.
+    // Over a snapshot 32 commands (16 jobs) shorter. A head writes over
+    // the one 64 commands back, which at a short history can take the
+    // growth the ceiling allows (1 at 100 jobs over 68).
     let (small, small_by_value) = snapshot_allocs(84, 100);
     let (large, large_by_value) = snapshot_allocs(984, 1_000);
     println!(
@@ -227,8 +233,9 @@ fn a_compaction_allocates_nothing() {
     for (i, p) in (1..).zip(&records) {
         assert!(store.log_command(&mut disk, now, i, p));
     }
-    // Compaction reads only the snapshot's header, so an empty state will
-    // do; the first one creates the file, outside the count.
+    // Compaction reads no snapshot, so an empty state will do; the first
+    // two create both slots' files, outside the count.
+    assert!(store.save_snapshot_with(&mut disk, now, 999, |_| {}));
     assert!(store.save_snapshot_with(&mut disk, now, 1_000, |_| {}));
     let (allocs, dropped) = counted(|| {
         // The first compaction, then rounds of a snapshot interval of

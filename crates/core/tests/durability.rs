@@ -1,11 +1,12 @@
 //! Durable-replica-state end-to-end tests: crash → power-on → local
 //! recovery → rejoin, for a single head (warm restart, delta catch-up),
 //! the whole cluster (blackout, cold restart with reconciliation), and
-//! the disk-fault menu (torn WAL tail, mid-log corruption, a torn or
-//! corrupted snapshot beside a compacted log).
+//! the disk-fault menu (torn WAL tail, mid-log corruption, torn or
+//! corrupted snapshots beside a compacted log).
 
 use joshua_core::cluster::{Cluster, ClusterConfig, HaMode};
 use joshua_core::config::PersistConfig;
+use joshua_core::persist::HeadStore;
 use joshua_core::server::RING_CAPACITY;
 use joshua_core::workload;
 use jrs_pbs::JobState;
@@ -241,75 +242,204 @@ fn incarnation_survives_a_stalled_disk_across_two_restarts() {
     assert_eq!(h1.state_fingerprint(), c.joshua(0).state_fingerprint());
 }
 
-/// A snapshot torn by a write armed right after it lands is rescued by
-/// the log: the log is compacted only once a record has landed after the
-/// snapshot (the torn write then falls on that record), so until then it
-/// still reaches back to the first command. With a snapshot interval
-/// past the ring's capacity, compacting as the snapshot landed would
-/// have left a log that no longer does.
-#[test]
-fn a_snapshot_torn_as_it_lands_is_rescued_by_the_uncompacted_log() {
-    let every = u64::try_from(RING_CAPACITY).expect("fits") + 44;
-    let mut cfg = durable_cfg(1);
-    cfg.persist.snapshot_every = every;
-    let mut c = Cluster::build(cfg);
-    c.spawn_client(workload::burst(200));
-    while c.joshua(0).stats().snapshots_written == 0 {
-        assert!(c.world.now() < secs(200), "no snapshot in 200 s");
-        let near = c.joshua(0).applied_index() + 8 >= every;
-        let step = if near { 10 } else { 5_000 };
-        c.run_for(SimDuration::from_micros(step));
+/// The index of the newest valid snapshot on head `i`'s disk.
+fn newest_snapshot(c: &Cluster, i: usize) -> Option<u64> {
+    let disk = c.world.disk(c.head_nodes[i]);
+    HeadStore::new().load_snapshot(disk).map(|(idx, _)| idx)
+}
+
+/// Run until each of the first `heads` heads has applied the first
+/// snapshot index past `after` and written that snapshot, with no record
+/// logged after it, so an armed torn write would fall on the snapshot.
+/// Returns the index.
+fn run_to_a_landed_snapshot(c: &mut Cluster, heads: usize, after: u64) -> u64 {
+    let every = PersistConfig::durable().snapshot_every;
+    let at = (after / every + 1) * every;
+    loop {
+        let applied: Vec<u64> = (0..heads).map(|i| c.joshua(i).applied_index()).collect();
+        if applied.iter().all(|a| *a == at) {
+            break;
+        }
+        assert!(
+            applied.iter().all(|a| *a <= at),
+            "stepped past {at}: {applied:?}"
+        );
+        assert!(c.world.now() < secs(300), "never reached {at}");
+        let near = applied.iter().any(|a| a + 2 >= at);
+        c.run_for(SimDuration::from_micros(if near { 10 } else { 5_000 }));
     }
-    assert_eq!(
-        wal_indices(&c, 0),
-        (1..=every).collect::<Vec<u64>>(),
-        "the whole log, and no record after the snapshot"
-    );
-    let node = c.head_nodes[0];
-    c.world.disk_mut(node).arm_torn_write(16);
-    c.crash_head(0);
-    let snap = SnapshotStore::new("joshua.snap");
-    assert_eq!(
-        snap.load(c.world.disk(node)),
-        None,
-        "the torn write fell on the snapshot"
-    );
+    for i in 0..heads {
+        assert_eq!(newest_snapshot(c, i), Some(at), "head {i}'s snapshot");
+        assert_eq!(wal_indices(c, i).last(), Some(&at), "head {i}'s log");
+    }
+    at
+}
+
+/// Run until head `i`'s log has been compacted: it no longer starts at
+/// the first command.
+fn run_to_a_compacted_log(c: &mut Cluster, i: usize) {
+    while wal_indices(c, i).first().is_none_or(|first| *first == 1) {
+        assert!(
+            c.world.now() < secs(100),
+            "head {i}'s log was never compacted"
+        );
+        c.run_for(SimDuration::from_millis(5));
+    }
+}
+
+/// Arm a torn write on each of the first `heads` heads' disks, which
+/// falls on the snapshot that just landed at `at`, and crash them all.
+/// The older snapshot, `every` commands back, is then the newest valid.
+fn tear_the_snapshots_at(c: &mut Cluster, heads: usize, at: u64) {
+    for i in 0..heads {
+        c.world.disk_mut(c.head_nodes[i]).arm_torn_write(16);
+    }
+    c.blackout();
+    let older = at.checked_sub(PersistConfig::durable().snapshot_every);
+    for i in 0..heads {
+        assert_eq!(newest_snapshot(c, i), older.filter(|o| *o > 0), "head {i}");
+    }
+}
+
+/// A head's first snapshot, torn as it lands, is rescued by the log,
+/// which is compacted only once an older snapshot lies behind it: until
+/// then it still reaches back to the first command.
+#[test]
+fn a_torn_first_snapshot_is_rescued_by_the_whole_log() {
+    let mut c = Cluster::build(durable_cfg(1));
+    c.spawn_client(workload::burst(100));
+    let at = run_to_a_landed_snapshot(&mut c, 1, 0);
+    assert_eq!(wal_indices(&c, 0), (1..=at).collect::<Vec<u64>>());
     let pre_fingerprint = c.joshua(0).state_fingerprint();
-    let crashed = c.world.now();
+    tear_the_snapshots_at(&mut c, 1, at);
     c.restart_joshua_head(0);
-    c.run_until(crashed + SimDuration::from_secs(5));
+    c.run_for(SimDuration::from_secs(5));
 
     let h = c.joshua(0);
     let rec = h.recovery_report().expect("restart went through recovery");
-    assert_eq!(
-        rec.recovered_index, every,
-        "the log alone rebuilt the state"
-    );
-    assert_eq!(rec.wal_replayed, usize::try_from(every).expect("fits"));
+    assert_eq!(rec.recovered_index, at, "the log alone rebuilt the state");
+    assert_eq!(rec.wal_replayed, usize::try_from(at).expect("fits"));
     assert_eq!(rec.recovered_fingerprint, pre_fingerprint);
     assert!(h.is_established());
 }
 
-/// Media corruption of the snapshot once the log has been compacted is
+/// A snapshot torn as it lands once the log has been compacted: the head
+/// wrote it over the older of its two snapshots, so recovery falls back
+/// to the other one and replays the records after it, which compaction
+/// kept. With one snapshot file rewritten in place, the torn snapshot
+/// would leave the log's window with no base, and a sole head would lose
+/// every command it had acknowledged.
+#[test]
+fn a_snapshot_torn_after_compaction_falls_back_to_the_older_one() {
+    let mut c = Cluster::build(durable_cfg(1));
+    c.spawn_client(workload::burst(400));
+    run_to_a_compacted_log(&mut c, 0);
+    let applied = c.joshua(0).applied_index();
+    let at = run_to_a_landed_snapshot(&mut c, 1, applied);
+    let pre_fingerprint = c.joshua(0).state_fingerprint();
+    tear_the_snapshots_at(&mut c, 1, at);
+    c.restart_joshua_head(0);
+    c.run_for(SimDuration::from_secs(5));
+
+    let h = c.joshua(0);
+    let rec = h.recovery_report().expect("restart went through recovery");
+    assert_eq!(
+        rec.recovered_index, at,
+        "the older snapshot and its records"
+    );
+    assert_eq!(rec.wal_replayed, 32, "one snapshot interval replayed");
+    assert_eq!(rec.recovered_fingerprint, pre_fingerprint);
+    assert!(h.is_established());
+}
+
+/// Every head snapshots at the same index, so one blackout right after
+/// that index can tear all their snapshots at once. Each head still
+/// recovers the whole state from its own disk, and the cluster serves the
+/// rest of the script.
+#[test]
+fn a_blackout_tearing_every_heads_snapshot_recovers_locally() {
+    let mut c = Cluster::build(durable_cfg(3));
+    c.spawn_client(workload::burst(400));
+    run_to_a_compacted_log(&mut c, 0);
+    let applied = c.joshua(0).applied_index();
+    let at = run_to_a_landed_snapshot(&mut c, 3, applied);
+    let pre_fingerprint = c.joshua(0).state_fingerprint();
+    tear_the_snapshots_at(&mut c, 3, at);
+    c.run_for(SimDuration::from_secs(1));
+    c.cold_restart();
+    c.run_until(secs(400));
+
+    assert_eq!(c.take_records().len(), 400);
+    assert_eq!(c.assert_replicas_consistent(), 3);
+    for i in 0..3 {
+        let rec = c.joshua(i).recovery_report().expect("recovery ran");
+        assert_eq!(
+            (rec.recovered_index, rec.recovered_fingerprint),
+            (at, pre_fingerprint),
+            "head {i}"
+        );
+        assert_eq!(c.world.disk(c.head_nodes[i]).torn_truncations, 1);
+    }
+}
+
+/// Silent media corruption of the newest snapshot once the log has been
+/// compacted: recovery falls back to the older snapshot and the records
+/// after it, so the head rejoins by a delta, as if nothing were damaged.
+#[test]
+fn a_corrupted_newest_snapshot_falls_back_to_the_older_one() {
+    let mut c = Cluster::build(durable_cfg(3));
+    c.spawn_client(workload::burst(150));
+    run_to_a_compacted_log(&mut c, 1);
+    c.crash_head(1);
+    let pre_index = c.joshua(1).applied_index();
+    let pre_fingerprint = c.joshua(1).state_fingerprint();
+    let newest = newest_snapshot(&c, 1).expect("a snapshot");
+    let node = c.head_nodes[1];
+    let slot = ["joshua.snap.0", "joshua.snap.1"]
+        .into_iter()
+        .find(|path| SnapshotStore::new(path).valid_index(c.world.disk(node)) == Some(newest))
+        .expect("the newest snapshot's slot");
+    assert!(c.world.disk_mut(node).corrupt_byte(slot, 20));
+    assert!(
+        newest_snapshot(&c, 1) < Some(newest),
+        "the older one is next"
+    );
+    c.run_for(SimDuration::from_secs(1));
+    c.restart_joshua_head(1);
+    c.run_until(secs(300));
+
+    assert_eq!(c.take_records().len(), 150);
+    assert_eq!(c.assert_replicas_consistent(), 3);
+    let h1 = c.joshua(1);
+    let rec = h1.recovery_report().expect("recovery ran");
+    assert_eq!(
+        (rec.recovered_index, rec.recovered_fingerprint),
+        (pre_index, pre_fingerprint)
+    );
+    let s = h1.stats();
+    assert_eq!(
+        (s.catch_ups_applied, s.snapshots_installed),
+        (1, 0),
+        "a delta"
+    );
+}
+
+/// Media corruption of both snapshots once the log has been compacted is
 /// the trade compaction makes: the log's window starts past the first
 /// command, so the head has no local base, recovers nothing, and rejoins
 /// by a full snapshot from a peer, as mid-log WAL corruption already
 /// makes it do.
 #[test]
-fn a_snapshot_corrupted_after_compaction_rejoins_by_full_snapshot() {
+fn both_snapshots_corrupted_after_compaction_rejoin_by_full_snapshot() {
     let mut c = Cluster::build(durable_cfg(3));
     c.spawn_client(workload::burst(150));
-    while wal_indices(&c, 1).first().is_none_or(|first| *first == 1) {
-        assert!(
-            c.world.now() < secs(100),
-            "head 1's log was never compacted"
-        );
-        c.run_for(SimDuration::from_millis(5));
-    }
+    run_to_a_compacted_log(&mut c, 1);
     c.crash_head(1);
-    c.run_until(c.world.now() + SimDuration::from_secs(1));
+    c.run_for(SimDuration::from_secs(1));
     let node = c.head_nodes[1];
-    assert!(c.world.disk_mut(node).corrupt_byte("joshua.snap", 20));
+    for slot in ["joshua.snap.0", "joshua.snap.1"] {
+        assert!(c.world.disk_mut(node).corrupt_byte(slot, 20));
+    }
     c.restart_joshua_head(1);
     c.run_until(secs(300));
 
@@ -329,8 +459,8 @@ fn a_snapshot_corrupted_after_compaction_rejoins_by_full_snapshot() {
 
 /// Three durable heads under three mixed scripts: at every step, each
 /// head's log is a window of at most the ring's capacity plus one
-/// snapshot interval of records, plus one while a drop waits, and once
-/// the scripts are done it still holds the ring's records.
+/// snapshot interval of records, and once the scripts are done it still
+/// holds the ring's records.
 #[test]
 fn every_heads_log_stays_a_window_of_the_ring_and_one_interval() {
     let cfg = durable_cfg(3);
@@ -347,7 +477,7 @@ fn every_heads_log_stays_a_window_of_the_ring_and_one_interval() {
         for i in 0..3 {
             let held = wal_indices(&c, i).len();
             assert!(
-                held <= RING_CAPACITY + every + 1,
+                held <= RING_CAPACITY + every,
                 "head {i}'s log holds {held} records"
             );
         }

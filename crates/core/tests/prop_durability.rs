@@ -2,7 +2,8 @@
 //! sequence and an arbitrary crash point, recovery from the local
 //! snapshot + WAL reproduces the crashed replica's state fingerprint
 //! exactly — also once the WAL has been compacted behind a snapshot, when
-//! it holds only the donation ring's records and those logged since.
+//! it holds only the donation ring's records and those logged since, and
+//! when a torn write then cuts the snapshot that just landed.
 //!
 //! A single-head cluster makes the property airtight: there is no peer
 //! to donate a snapshot or delta, so everything the recovered replica
@@ -66,6 +67,7 @@ proptest! {
         seed in 0u64..1000,
         snapshot_every in 4u64..48,
         past in 0u64..64,
+        torn in any::<bool>(),
     ) {
         let mut cfg = ClusterConfig::new(HaMode::Joshua { heads: 1 });
         cfg.persist = PersistConfig::durable();
@@ -73,15 +75,22 @@ proptest! {
         let mut c = Cluster::build(cfg);
         c.spawn_client(workload::mixed(400, seed));
         // Crash after the first compaction: a snapshot interval past the
-        // ring's capacity, then `past` records more.
+        // ring's capacity, then `past` records more. With `torn`, run on
+        // to the next snapshot and crash as it lands, with a torn write
+        // armed: it falls on that snapshot.
         let ring = u64::try_from(RING_CAPACITY).expect("fits");
-        let crash_at = ring + snapshot_every + 1 + past;
+        let mut crash_at = ring + snapshot_every + 1 + past;
+        if torn {
+            crash_at = crash_at.next_multiple_of(snapshot_every);
+        }
         while c.joshua(0).applied_index() < crash_at {
             prop_assert!(c.take_dones().is_empty(), "the script ended before record {}", crash_at);
-            c.run_for(SimDuration::from_millis(5));
+            let near = c.joshua(0).applied_index() + 2 >= crash_at;
+            c.run_for(SimDuration::from_micros(if near { 10 } else { 5_000 }));
         }
         let held = wal_indices(&c);
         let last = c.joshua(0).applied_index();
+        prop_assert_eq!(last, crash_at, "stepped past the crash point");
         prop_assert!(held[0] > 1, "the log was never compacted");
         prop_assert_eq!(
             held.clone(),
@@ -89,10 +98,13 @@ proptest! {
             "the log holds a contiguous window ending at the applied index"
         );
         prop_assert!(
-            held.len() <= RING_CAPACITY + usize::try_from(snapshot_every).expect("fits") + 1,
+            held.len() <= RING_CAPACITY + usize::try_from(snapshot_every).expect("fits"),
             "the log holds {} records", held.len()
         );
 
+        if torn {
+            c.world.disk_mut(c.head_nodes[0]).arm_torn_write(16);
+        }
         c.crash_head(0);
         let pre_index = c.joshua(0).applied_index();
         let pre_fingerprint = c.joshua(0).state_fingerprint();
@@ -107,6 +119,13 @@ proptest! {
             rec.recovered_fingerprint, pre_fingerprint,
             "snapshot + the log's window reproduced the crashed replica bit-exactly"
         );
+        if torn {
+            prop_assert_eq!(
+                rec.wal_replayed,
+                usize::try_from(snapshot_every).expect("fits"),
+                "recovery fell back to the older snapshot"
+            );
+        }
         prop_assert!(rec.corruption_offset.is_none());
         prop_assert!(h.is_established(), "sole member re-established after recovery");
     }

@@ -5,9 +5,9 @@
 //! and so the WAL can be compacted behind it. The file is CRC-framed
 //! like a WAL record; a snapshot that fails its checksum is ignored, so
 //! a half-written or corrupted snapshot can never poison a replica.
-//! Recovery then has only the log: if it still starts at the first
-//! command it rebuilds the state, and once it has been compacted the
-//! head has no local base and rejoins by a full state transfer.
+//! A caller that compacts its log behind snapshots keeps two stores and
+//! writes them in turn, so a bad newest snapshot falls back to the older
+//! one and the log records after it.
 //!
 //! A snapshot is published with [`SimDisk::replace_with`], the
 //! write-temp / fsync / rename idiom as one disk operation: the state is
@@ -19,15 +19,15 @@ use crate::crc::crc32;
 use jrs_sim::{SimDisk, SimTime};
 
 /// A snapshot slot bound to one file path on a node's disk.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct SnapshotStore {
-    path: String,
+    path: &'static str,
 }
 
 impl SnapshotStore {
     /// A snapshot store living at `path`.
-    pub fn new(path: impl Into<String>) -> Self {
-        SnapshotStore { path: path.into() }
+    pub const fn new(path: &'static str) -> Self {
+        SnapshotStore { path }
     }
 
     /// Durably publish a snapshot of `state` taken at `applied_index`.
@@ -50,7 +50,7 @@ impl SnapshotStore {
         applied_index: u64,
         encode: impl FnOnce(&mut Vec<u8>),
     ) -> bool {
-        disk.replace_with(&self.path, now, |file| {
+        disk.replace_with(self.path, now, |file| {
             file.extend_from_slice(&[0; 4]);
             file.extend_from_slice(&applied_index.to_le_bytes());
             encode(file);
@@ -59,33 +59,39 @@ impl SnapshotStore {
         })
     }
 
+    /// Empty the file in place, keeping its buffer for the next save: no
+    /// snapshot loads from it any more. A durable metadata operation.
+    pub fn discard(&self, disk: &mut SimDisk) {
+        disk.truncate(self.path, 0);
+    }
+
     /// The applied index of the snapshot on disk, read in place from its
     /// header: no copy, and no CRC check. `None` when the file is missing
     /// or too short.
     pub fn index_on_disk(&self, disk: &SimDisk) -> Option<u64> {
-        let data = disk.durable(&self.path);
+        let data = disk.durable(self.path);
         (data.len() >= 12).then(|| crate::codec::le_u64_at(data, 4))
     }
 
-    /// Load the newest valid snapshot: `(applied_index, state_bytes)`.
+    /// The applied index of the snapshot on disk if it passes its CRC,
+    /// checked in place: no copy. `None` when the file is missing, too
+    /// short, or fails its CRC.
+    pub fn valid_index(&self, disk: &SimDisk) -> Option<u64> {
+        let data = disk.durable(self.path);
+        // The length check bounds both header reads; the helpers cannot
+        // panic regardless (recovery must degrade, not die: the no-panic
+        // lints).
+        let valid = data.len() >= 12 && crc32(&data[4..]) == crate::codec::le_u32_at(data, 0);
+        valid.then(|| crate::codec::le_u64_at(data, 4))
+    }
+
+    /// Load the snapshot if it is valid: `(applied_index, state_bytes)`.
     /// Returns `None` when the file is missing, too short, or fails its
-    /// CRC — callers then have only the WAL to recover from. The state bytes are
-    /// the one copy read off the disk, with the 12-byte header drained
-    /// from their front.
+    /// CRC. The state bytes are the one copy read off the disk.
     pub fn load(&self, disk: &SimDisk) -> Option<(u64, Vec<u8>)> {
-        let mut data = disk.read(&self.path)?;
-        if data.len() < 12 {
-            return None;
-        }
-        // The `len < 12` check above bounds both reads; the helpers
-        // cannot panic regardless (recovery must degrade, not die: the no-panic lints).
-        let want_crc = crate::codec::le_u32_at(&data, 0);
-        if crc32(&data[4..]) != want_crc {
-            return None;
-        }
-        let applied_index = crate::codec::le_u64_at(&data, 4);
-        data.drain(..12);
-        Some((applied_index, data))
+        let applied_index = self.valid_index(disk)?;
+        let state = disk.durable(self.path).get(12..)?;
+        Some((applied_index, state.to_vec()))
     }
 }
 
@@ -136,11 +142,35 @@ mod tests {
     }
 
     #[test]
+    fn valid_index_checks_the_crc_in_place() {
+        let mut disk = SimDisk::new();
+        let store = SnapshotStore::new("joshua/snap");
+        assert!(store.save(&mut disk, T0, 7, b"payload"));
+        assert_eq!(store.valid_index(&disk), Some(7));
+        assert!(disk.corrupt_byte("joshua/snap", 14));
+        assert_eq!(store.valid_index(&disk), None);
+        assert_eq!(store.index_on_disk(&disk), Some(7), "the header is intact");
+    }
+
+    #[test]
+    fn a_discarded_snapshot_no_longer_loads_and_keeps_its_buffer() {
+        let mut disk = SimDisk::new();
+        let store = SnapshotStore::new("joshua/snap");
+        assert!(store.save(&mut disk, T0, 7, b"payload"));
+        store.discard(&mut disk);
+        assert_eq!(store.load(&disk), None);
+        assert_eq!(store.index_on_disk(&disk), None);
+        assert!(store.save(&mut disk, T0, 8, b"next"));
+        assert_eq!(store.load(&disk), Some((8, b"next".to_vec())));
+    }
+
+    #[test]
     fn missing_or_short_snapshot_is_none() {
         let mut disk = SimDisk::new();
         let store = SnapshotStore::new("joshua/snap");
         assert_eq!(store.load(&disk), None);
         assert_eq!(store.index_on_disk(&disk), None);
+        assert_eq!(store.valid_index(&disk), None);
         disk.append("joshua/snap", &[1, 2, 3]);
         assert!(disk.fsync("joshua/snap", T0));
         assert_eq!(store.load(&disk), None);

@@ -124,33 +124,10 @@ impl Wal {
     pub fn replay(&self, disk: &SimDisk) -> Result<Replay, WalError> {
         let data = disk.read(&self.path).unwrap_or_default();
         let mut entries = Vec::new();
-        let mut pos = 0usize;
-        while pos < data.len() {
-            let remaining = data.len() - pos;
-            if remaining < HEADER {
-                // Partial frame header: torn tail.
-                return Ok(Replay {
-                    entries,
-                    valid_len: pos,
-                    torn: true,
-                });
-            }
-            // `remaining >= HEADER` bounds both reads; the helpers cannot
-            // panic regardless, and u32 → usize is a widening cast here.
-            let len = crate::codec::le_u32_at(&data, pos) as usize;
-            let want_crc = crate::codec::le_u32_at(&data, pos + 4);
-            let end = pos + HEADER + len;
-            if len < IDX || end > data.len() {
-                // Payload runs past end-of-file (or is impossibly short,
-                // which only a half-written length can produce): torn tail.
-                return Ok(Replay {
-                    entries,
-                    valid_len: pos,
-                    torn: true,
-                });
-            }
+        let mut valid_len = 0;
+        for (pos, end) in frames(&data) {
             let payload = &data[pos + HEADER..end];
-            if crc32(payload) != want_crc {
+            if crc32(payload) != crate::codec::le_u32_at(&data, pos + 4) {
                 if end == data.len() {
                     // Damaged record is the very last: a torn write.
                     return Ok(Replay {
@@ -163,30 +140,34 @@ impl Wal {
                 // (usize → u64 is widening on every supported platform.)
                 return Err(WalError::Corruption { offset: pos as u64 });
             }
-            // `len >= IDX` was checked above; the helper tolerates short
+            // `frames` checked `len >= IDX`; the helper tolerates short
             // input anyway.
             entries.push((crate::codec::le_u64_at(payload, 0), payload[IDX..].to_vec()));
-            pos = end;
+            valid_len = end;
         }
+        // Bytes after the last whole frame are a torn tail: a partial
+        // header, or a payload that runs past end-of-file.
         Ok(Replay {
             entries,
-            valid_len: pos,
-            torn: false,
+            valid_len,
+            torn: valid_len < data.len(),
         })
     }
 
     /// Drop all but the last `keep` durable records, in place: walk the
-    /// frame headers to count the records, walk them again to the first
-    /// one kept, and drop the bytes in front of it
-    /// ([`SimDisk::drop_front`]). Reads no copy and allocates nothing; the
-    /// volatile tail is untouched. Returns the number of records dropped.
+    /// frame headers with a second walk `keep` frames ahead, so the first
+    /// ends at the last record dropped when the second runs out, and drop
+    /// the bytes in front of the first one kept ([`SimDisk::drop_front`]).
+    /// Reads no copy and allocates nothing; the volatile tail is
+    /// untouched. Returns the number of records dropped.
     pub fn keep_last(&self, disk: &mut SimDisk, keep: usize) -> usize {
         let data = disk.durable(&self.path);
-        let drop = frame_ends(data).count().saturating_sub(keep);
-        let Some(cut) = drop.checked_sub(1).and_then(|i| frame_ends(data).nth(i)) else {
-            return 0;
-        };
-        disk.drop_front(&self.path, cut);
+        let (drop, cut) = frames(data)
+            .zip(frames(data).skip(keep))
+            .fold((0, 0), |(n, _), ((_, end), _)| (n + 1, end));
+        if drop > 0 {
+            disk.drop_front(&self.path, cut);
+        }
         drop
     }
 
@@ -206,21 +187,27 @@ impl Wal {
     }
 }
 
-/// End offsets of the whole frames at the front of `data`, read from
-/// their headers alone (no CRC check): the walk stops at a partial frame.
-fn frame_ends(data: &[u8]) -> impl Iterator<Item = usize> + '_ {
+/// The whole frames at the front of `data`, as `(start, end)` byte
+/// offsets, read from their headers alone (no CRC check). The walk stops
+/// at a partial header, at a payload that runs past the end of `data`,
+/// and at one too short to hold its index, which only a half-written
+/// length can produce: what follows is a torn tail.
+fn frames(data: &[u8]) -> impl Iterator<Item = (usize, usize)> + '_ {
     let mut pos = 0;
     std::iter::from_fn(move || {
         if data.len() - pos < HEADER {
             return None;
         }
-        // u32 → usize is a widening cast here.
-        let end = pos + HEADER + crate::codec::le_u32_at(data, pos) as usize;
-        if end > data.len() {
+        // `data.len() - pos >= HEADER` bounds the read; the helper cannot
+        // panic regardless, and u32 → usize is a widening cast here.
+        let len = crate::codec::le_u32_at(data, pos) as usize;
+        let end = pos + HEADER + len;
+        if len < IDX || end > data.len() {
             return None;
         }
+        let start = pos;
         pos = end;
-        Some(end)
+        Some((start, end))
     })
 }
 
