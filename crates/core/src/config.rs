@@ -57,9 +57,9 @@ pub struct PersistConfig {
     pub enabled: bool,
     /// Write a full snapshot every this many applied commands, into the
     /// older of two slots. Each landed snapshot lets the WAL drop the
-    /// records in front of the donation ring's and of those after the
-    /// older snapshot, so while this is no more than the ring's capacity
-    /// the log holds at most that capacity plus this many records.
+    /// records in front of the last `RING_CAPACITY` and of those after the
+    /// older snapshot, so while this is no more than `RING_CAPACITY` the
+    /// log holds at most that many plus this many records.
     pub snapshot_every: u64,
 }
 

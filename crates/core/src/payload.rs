@@ -96,8 +96,8 @@ pub enum Payload {
     },
     /// Delta state transfer: the commands a recovered joiner missed,
     /// keyed by the donor's applied-command index. The cheap counterpart
-    /// of [`Payload::Snapshot`], used when the donor's recent-command
-    /// ring still covers the joiner's gap.
+    /// of [`Payload::Snapshot`], read from the donor's WAL window while
+    /// that still covers the joiner's gap.
     CatchUp {
         /// The recovered heads this delta is for.
         targets: Vec<ProcId>,

@@ -5,12 +5,13 @@
 //!
 //! * `joshua.wal` — checksummed record-framed log of applied commands,
 //!   keyed by the monotonic applied-command index. It is a window, not
-//!   the full history: the records the head's donation ring holds, every
-//!   record after the older of the two snapshots, and those logged
-//!   since. Each time a snapshot lands the server drops the records in
-//!   front of those ([`HeadStore::compact_wal`]), so with a snapshot
-//!   interval no longer than the ring the log holds at most the ring's
-//!   capacity plus one snapshot interval of records.
+//!   the full history: the last [`RING_CAPACITY`] records, which a delta
+//!   is read from ([`HeadStore::delta`]), every record after the
+//!   older of the two snapshots, and those logged since. Each time a
+//!   snapshot lands the server drops the records in front of those
+//!   ([`HeadStore::compact_wal`]), so with a snapshot interval no longer
+//!   than [`RING_CAPACITY`] the log holds at most that many plus one
+//!   snapshot interval of records.
 //! * `joshua.snap.0`, `joshua.snap.1` — two slots of periodic full
 //!   [`ReplicaState`] snapshots with the index each covers, written in
 //!   turn: each snapshot replaces the older one. The newest valid one is
@@ -51,15 +52,17 @@ use jrs_sim::{SimDisk, SimTime};
 use jrs_store::{Codec, SnapshotStore, Wal, WalError};
 use std::cell::Cell;
 
+/// The most commands a delta carries; a joiner further behind gets a snapshot.
+pub const RING_CAPACITY: usize = 256;
+
 /// What recovery found on the local disk.
 #[derive(Clone, Debug, Default)]
 pub struct Recovered {
     /// The newest valid snapshot's state, if either slot held one.
     pub state: Option<ReplicaState>,
-    /// Every decodable record of the WAL's window `(applied_index,
-    /// payload)` in log order — the donation ring's, some at or below the
-    /// snapshot index (the caller rebuilds its ring from them), then
-    /// those logged since.
+    /// The WAL's run of records `(applied_index, payload)` that follows
+    /// the snapshot's index (0 without one): what the caller replays on
+    /// top. Older records are not decoded.
     pub entries: Vec<(u64, Payload)>,
     /// A torn tail was detected and truncated to the last valid record.
     pub torn_tail_truncated: bool,
@@ -85,8 +88,8 @@ struct Slots {
     /// The slot the next snapshot is written over (`true` for the
     /// second): never the one holding the newest valid snapshot.
     next: bool,
-    /// The other slot holds a valid snapshot, the newest.
-    newest: bool,
+    /// The index of the newest valid snapshot, which the other slot holds.
+    newest: Option<u64>,
     /// The index of the valid snapshot slot `next` holds, older than the
     /// newest: what recovery falls back to should the newest be torn, so
     /// the log keeps every record after it.
@@ -126,19 +129,50 @@ impl HeadStore {
         disk.fsync(self.wal.path(), now)
     }
 
-    /// Drop all but the WAL's last `keep` records, in place and without
-    /// allocating ([`Wal::keep_last`]), where `last` is the index of the
-    /// last record logged. Every record after the older of the two
-    /// snapshots stays, however many there are, so a torn or corrupted
-    /// newest snapshot still falls back to the older one and those
-    /// records; with no older snapshot nothing is dropped. Returns the
+    /// The commands logged after index `after` up to `last`, the applied
+    /// index: the delta for a target at `after`, read in place from the
+    /// log as [`SimDisk::read`] shows it (volatile tail included), only
+    /// its records decoded. `None` unless they are the log's last records,
+    /// at most [`RING_CAPACITY`], with consecutive indices, and decode.
+    pub fn delta(&self, disk: &SimDisk, after: u64, last: u64) -> Option<Vec<(u64, Payload)>> {
+        let missing = usize::try_from(last.checked_sub(after)?).ok()?;
+        let held = self.wal.records(disk).count();
+        let skip = held
+            .checked_sub(missing)
+            .filter(|_| missing <= RING_CAPACITY)?;
+        let mut entries = Vec::with_capacity(missing);
+        for ((idx, blob), want) in self.wal.records(disk).skip(skip).zip(after + 1..) {
+            if idx != want {
+                return None;
+            }
+            entries.push((idx, Payload::from_bytes(blob).ok()?));
+        }
+        Some(entries)
+    }
+
+    /// Drop the WAL's records in front of the last [`RING_CAPACITY`] and
+    /// of every record after the older snapshot, which a torn or corrupted
+    /// newest one falls back to, in place and without allocating
+    /// ([`Wal::keep_last`]); `last` is the index of the last record
+    /// logged. With no older snapshot nothing is dropped. Returns the
     /// number of records dropped.
-    pub fn compact_wal(&self, disk: &mut SimDisk, last: u64, keep: usize) -> usize {
+    pub fn compact_wal(&self, disk: &mut SimDisk, last: u64) -> usize {
         let Some(older) = self.slots.get().older else {
             return 0;
         };
         let since = usize::try_from(last.saturating_sub(older)).unwrap_or(usize::MAX);
-        self.wal.keep_last(disk, keep.max(since))
+        self.wal.keep_last(disk, RING_CAPACITY.max(since))
+    }
+
+    /// Forget the replicated state on disk, as an ejection or an install
+    /// discards it: truncate the WAL and discard both snapshot slots
+    /// (durable metadata operations). The incarnation stays.
+    pub(crate) fn reset(&self, disk: &mut SimDisk) {
+        self.wal.truncate_to(disk, 0);
+        for slot in SNAPS {
+            slot.discard(disk);
+        }
+        self.slots.set(Slots::default());
     }
 
     /// Write a full-state snapshot covering `applied_index` over the
@@ -168,18 +202,10 @@ impl HeadStore {
         if !SNAPS[next].save_with(disk, now, applied_index, encode) {
             return false;
         }
-        let other = SNAPS[1 - next];
-        let other_index = other.index_on_disk(disk);
-        // Recovery takes the highest valid index, and an installed state
-        // can move the index back: a snapshot at or past this one's is of
-        // a discarded state.
-        if other_index.is_some_and(|i| i >= applied_index) {
-            other.discard(disk);
-        }
         self.slots.set(Slots {
             next: !slots.next,
-            newest: true,
-            older: other_index.filter(|i| slots.newest && *i < applied_index),
+            newest: Some(applied_index),
+            older: slots.newest,
         });
         true
     }
@@ -193,7 +219,7 @@ impl HeadStore {
         let newest = usize::from(valid[1] > valid[0]);
         self.slots.set(Slots {
             next: newest == 0,
-            newest: valid[newest].is_some(),
+            newest: valid[newest],
             older: valid[1 - newest],
         });
         valid[newest]?;
@@ -238,7 +264,15 @@ impl HeadStore {
                     self.wal.truncate_to(disk, replay.valid_len);
                     rec.torn_tail_truncated = true;
                 }
-                for (index, blob) in replay.entries {
+                // Decode only the run of records after the snapshot.
+                let run = replay
+                    .entries
+                    .into_iter()
+                    .skip_while(|(i, _)| *i <= snap_index);
+                for ((index, blob), next) in run.zip(snap_index + 1..) {
+                    if index != next {
+                        break;
+                    }
                     match Payload::from_bytes(&blob) {
                         Ok(p) => rec.entries.push((index, p)),
                         // CRC-valid but undecodable can only be a code
@@ -246,7 +280,7 @@ impl HeadStore {
                         // rather than silently skipping a command.
                         Err(_) => {
                             rec.corruption_offset = Some(u64::MAX);
-                            rec.entries.retain(|(i, _)| *i <= snap_index);
+                            rec.entries.clear();
                             self.wal.quarantine(disk);
                             break;
                         }
@@ -313,67 +347,105 @@ mod tests {
         let rec = store.recover(&mut disk);
         assert_eq!(rec.incarnation, 3);
         assert_eq!(rec.state.as_ref().unwrap().applied_index, 2);
-        assert_eq!(rec.entries.len(), 5, "the store compacts only when asked");
+        let ids: Vec<u64> = rec.entries.iter().map(|(i, _)| *i).collect();
+        assert_eq!(ids, vec![3, 4, 5], "the records after the snapshot");
+        assert_eq!(
+            logged(&store, &disk).len(),
+            5,
+            "the store compacts only when asked"
+        );
         assert!(!rec.torn_tail_truncated);
         assert_eq!(rec.corruption_offset, None);
     }
 
-    /// The indices of the records recovery finds in the log.
-    fn logged(store: &HeadStore, disk: &mut SimDisk) -> Vec<u64> {
-        let rec = store.recover(disk);
-        rec.entries.iter().map(|(i, _)| *i).collect()
+    /// The indices of the records in the log.
+    fn logged(store: &HeadStore, disk: &SimDisk) -> Vec<u64> {
+        store.wal.records(disk).map(|(i, _)| i).collect()
+    }
+
+    /// A store whose log holds commands `1..=n`, fsynced.
+    fn log_of(n: u64) -> (HeadStore, SimDisk) {
+        let mut disk = SimDisk::new();
+        let store = HeadStore::new();
+        for i in 1..=n {
+            assert!(store.log_command(&mut disk, SimTime::ZERO, i, &cmd(i)));
+        }
+        (store, disk)
     }
 
     #[test]
     fn compaction_keeps_every_record_after_the_older_snapshot() {
-        let mut disk = SimDisk::new();
-        let store = HeadStore::new();
+        let (store, mut disk) = log_of(300);
         let now = SimTime::ZERO;
-        for i in 1..=10 {
-            assert!(store.log_command(&mut disk, now, i, &cmd(i)));
-        }
-        assert_eq!(store.compact_wal(&mut disk, 10, 2), 0, "no snapshot");
+        assert_eq!(store.compact_wal(&mut disk, 300), 0, "no snapshot");
         assert!(store.save_snapshot(&mut disk, now, 4, &state(4)));
         assert_eq!(
-            store.compact_wal(&mut disk, 10, 2),
+            store.compact_wal(&mut disk, 300),
             0,
             "no older snapshot: the whole log is the fallback"
         );
         assert!(store.save_snapshot(&mut disk, now, 6, &state(6)));
-        // Six records follow the older snapshot, more than the two asked for.
-        assert_eq!(store.compact_wal(&mut disk, 10, 2), 4);
-        assert!(store.save_snapshot(&mut disk, now, 9, &state(9)));
-        assert_eq!(store.compact_wal(&mut disk, 10, 2), 2);
-        assert_eq!(logged(&store, &mut disk), vec![7, 8, 9, 10]);
+        // 296 records follow the older snapshot, more than RING_CAPACITY.
+        assert_eq!(store.compact_wal(&mut disk, 300), 4);
+        assert!(store.save_snapshot(&mut disk, now, 290, &state(290)));
+        assert_eq!(store.compact_wal(&mut disk, 300), 2);
+        assert!(store.save_snapshot(&mut disk, now, 299, &state(299)));
+        assert_eq!(store.compact_wal(&mut disk, 300), 294 - 256);
+        assert_eq!(logged(&store, &disk), (45..=300).collect::<Vec<u64>>());
     }
 
     #[test]
     fn a_torn_newest_snapshot_falls_back_to_the_older_one() {
-        let mut disk = SimDisk::new();
-        let store = HeadStore::new();
+        let (store, mut disk) = log_of(300);
         let now = SimTime::ZERO;
-        for i in 1..=10 {
-            assert!(store.log_command(&mut disk, now, i, &cmd(i)));
-        }
-        assert!(store.save_snapshot(&mut disk, now, 4, &state(4)));
-        assert!(store.save_snapshot(&mut disk, now, 8, &state(8)));
-        assert_eq!(store.compact_wal(&mut disk, 10, 1), 4);
-        // The snapshot at 8 was the last fsync: a torn write cuts it.
+        assert!(store.save_snapshot(&mut disk, now, 40, &state(40)));
+        assert!(store.save_snapshot(&mut disk, now, 290, &state(290)));
+        assert_eq!(store.compact_wal(&mut disk, 300), 40);
+        // The snapshot at 290 was the last fsync: a torn write cuts it.
         disk.arm_torn_write(16);
         disk.on_crash();
 
         let store = HeadStore::new();
         let rec = store.recover(&mut disk);
-        assert_eq!(rec.state.as_ref().map(|s| s.applied_index), Some(4));
+        assert_eq!(rec.state.as_ref().map(|s| s.applied_index), Some(40));
         let ids: Vec<u64> = rec.entries.iter().map(|(i, _)| *i).collect();
-        assert_eq!(ids, (5..=10).collect::<Vec<u64>>(), "the log after it");
+        assert_eq!(ids, (41..=300).collect::<Vec<u64>>(), "the log after it");
         // The next snapshot is written over the torn one, not the base.
-        assert!(store.save_snapshot(&mut disk, now, 10, &state(10)));
-        assert_eq!(store.compact_wal(&mut disk, 10, 1), 0, "all after 4 stay");
+        assert!(store.save_snapshot(&mut disk, now, 300, &state(300)));
+        assert_eq!(store.compact_wal(&mut disk, 300), 0, "all after 40 stay");
         disk.arm_torn_write(16);
         disk.on_crash();
         let rec = HeadStore::new().recover(&mut disk);
-        assert_eq!(rec.state.map(|s| s.applied_index), Some(4));
+        assert_eq!(rec.state.map(|s| s.applied_index), Some(40));
+    }
+
+    #[test]
+    fn a_delta_is_the_last_contiguous_run_of_the_log() {
+        let (store, mut disk) = log_of(300);
+        let delta = |disk: &SimDisk, after, last| {
+            let entries = store.delta(disk, after, last)?;
+            let ids: Vec<u64> = entries.iter().map(|(i, _)| *i).collect();
+            let same = entries
+                .iter()
+                .all(|(i, p)| p.to_bytes() == cmd(*i).to_bytes());
+            assert!(same, "a delta decodes the logged commands");
+            Some(ids)
+        };
+        assert_eq!(delta(&disk, 300, 300), Some(vec![]), "nothing missing");
+        assert_eq!(delta(&disk, 290, 300), Some((291..=300).collect()));
+        assert_eq!(delta(&disk, 44, 300).map(|ids| ids.len()), Some(256));
+        assert_eq!(delta(&disk, 43, 300), None, "past RING_CAPACITY");
+        assert_eq!(delta(&disk, 290, 299), None, "the log must end at 299");
+        // Records a stalled disk holds in the volatile tail are donated.
+        disk.stall_until(SimTime::ZERO + jrs_sim::SimDuration::from_secs(1));
+        for i in 301..=302 {
+            assert!(!store.log_command(&mut disk, SimTime::ZERO, i, &cmd(i)));
+        }
+        assert_eq!(delta(&disk, 299, 302), Some(vec![300, 301, 302]));
+        // A run starts after a gap in the indices.
+        assert!(!store.log_command(&mut disk, SimTime::ZERO, 900, &cmd(900)));
+        assert_eq!(delta(&disk, 899, 900), Some(vec![900]));
+        assert_eq!(delta(&disk, 898, 900), None, "898 is not logged");
     }
 
     #[test]
@@ -394,22 +466,25 @@ mod tests {
     }
 
     #[test]
-    fn a_snapshot_at_or_past_the_new_index_is_discarded() {
-        let mut disk = SimDisk::new();
-        let store = HeadStore::new();
+    fn a_reset_keeps_only_the_incarnation() {
+        let (store, mut disk) = log_of(10);
         let now = SimTime::ZERO;
-        for i in 1..=10 {
-            assert!(store.log_command(&mut disk, now, i, &cmd(i)));
-        }
+        assert!(store.save_snapshot(&mut disk, now, 4, &state(4)));
         assert!(store.save_snapshot(&mut disk, now, 9, &state(9)));
-        // An installed state moves the index back.
-        assert!(store.save_snapshot(&mut disk, now, 5, &state(5)));
-        assert_eq!(
-            HeadStore::new().load_snapshot(&disk).map(|(i, _)| i),
-            Some(5),
-            "the snapshot of the discarded state no longer loads"
-        );
-        assert_eq!(store.compact_wal(&mut disk, 10, 1), 0, "no older snapshot");
+        assert!(store.save_incarnation(&mut disk, now, 3));
+        store.reset(&mut disk);
+        disk.on_crash();
+        let rec = HeadStore::new().recover(&mut disk);
+        assert!(rec.state.is_none(), "no snapshot survives");
+        assert!(rec.entries.is_empty(), "no record survives");
+        assert_eq!(rec.incarnation, 3);
+        // The next life starts afresh, at a lower index.
+        assert!(store.log_command(&mut disk, now, 6, &cmd(6)));
+        assert!(store.save_snapshot(&mut disk, now, 6, &state(6)));
+        assert_eq!(store.compact_wal(&mut disk, 6), 0, "no older snapshot");
+        let rec = HeadStore::new().recover(&mut disk);
+        assert_eq!(rec.state.map(|s| s.applied_index), Some(6));
+        assert_eq!(logged(&store, &disk), vec![6]);
     }
 
     #[test]

@@ -48,7 +48,7 @@ use jrs_pbs::proc::{dispatch, ArbiterRelease, ArbiterRequest, ClientReply, Clien
 use jrs_pbs::server::{MomReport, PbsServerCore, ServerAction};
 use jrs_pbs::{JobId, JobState, MomInbound};
 use jrs_sim::{Ctx, Msg, ProcId, Process, SimDuration, SimTime, TimerId};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Control message: gracefully leave the group and shut down (the paper's
 /// voluntary head-node leave, handled as a forced failure via signal).
@@ -95,10 +95,6 @@ enum SyncMode {
     /// agreed whose state is most advanced.
     Reconciling(Vec<(u64, Payload)>),
 }
-
-/// How many recent commands a durable head keeps for delta donation; a
-/// recovered joiner further behind gets a full snapshot instead.
-pub const RING_CAPACITY: usize = 256;
 
 /// A payload waiting on a timer, keyed by its tag.
 enum Deferred {
@@ -147,11 +143,6 @@ pub struct JoshuaServer {
     sync: SyncMode,
     /// Sequence number of the last ordered payload applied.
     last_applied_seq: u64,
-    /// Recent applied commands for delta donation to recovered joiners,
-    /// kept only with a store: a delta needs a target whose `Hello` carried
-    /// an index above 0, which needs a disk, and persistence is cluster-wide.
-    /// An empty ring falls back to the full snapshot for a target behind.
-    ring: VecDeque<(u64, Payload)>,
     /// Unresolved recovery announcements `member → (index, fingerprint)`
     /// (replicated bookkeeping, mirrored into donated state).
     hellos: BTreeMap<ProcId, (u64, u64)>,
@@ -200,7 +191,6 @@ impl JoshuaServer {
             joined_current: BTreeSet::new(),
             sync,
             last_applied_seq: 0,
-            ring: VecDeque::new(),
             hellos: BTreeMap::new(),
             store,
             replaying: false,
@@ -384,7 +374,7 @@ impl JoshuaServer {
             GcsEvent::ViewChange { view, joined, left } => {
                 self.on_view_change(ctx, view, joined, left);
             }
-            GcsEvent::Ejected => self.on_ejected(),
+            GcsEvent::Ejected => self.on_ejected(ctx),
         }
     }
 
@@ -449,10 +439,9 @@ impl JoshuaServer {
     }
 
     /// Apply one of the four replicated state-machine commands: number it,
-    /// persist it to the WAL (fsynced before any effect escapes), run the
-    /// state transition and its effects, then remember it for delta
-    /// donation. `log` is false only when replaying records that are
-    /// already in the WAL.
+    /// persist it to the WAL (fsynced before any effect escapes), then run
+    /// the state transition and its effects. `log` is false only when
+    /// replaying records that are already in the WAL.
     fn apply_command(&mut self, ctx: &mut Ctx<'_>, payload: Payload, log: bool) {
         let idx = self.replica.applied_index() + 1;
         if log {
@@ -515,21 +504,8 @@ impl JoshuaServer {
             }
             Applied::Quiet => {}
         }
-        self.remember(idx, payload);
         if log {
             self.maybe_snapshot(ctx, idx);
-        }
-    }
-
-    /// Keep a command in the bounded donation ring (durable heads only).
-    fn remember(&mut self, idx: u64, payload: Payload) {
-        if self.store.is_some() {
-            // Pop first, so the `VecDeque` never needs a slot past the
-            // capacity (it would double to 512).
-            while self.ring.len() >= RING_CAPACITY {
-                self.ring.pop_front();
-            }
-            self.ring.push_back((idx, payload));
         }
     }
 
@@ -542,9 +518,8 @@ impl JoshuaServer {
     }
 
     /// Write the full state as of `applied_index` to the local disk (a
-    /// no-op when diskless). Once it lands, the WAL drops the records in
-    /// front of the donation ring's, which end at this index, and of
-    /// those after the older snapshot ([`HeadStore::compact_wal`]).
+    /// no-op when diskless). Once it lands, the WAL is compacted behind it
+    /// ([`HeadStore::compact_wal`]).
     fn write_snapshot(&mut self, ctx: &mut Ctx<'_>) {
         let Some(store) = &self.store else { return };
         let now = ctx.now();
@@ -555,7 +530,7 @@ impl JoshuaServer {
         let index = self.replica.applied_index();
         if store.save_snapshot_with(ctx.disk_mut(), now, index, encode) {
             self.stats.snapshots_written += 1;
-            store.compact_wal(ctx.disk_mut(), index, self.ring.len());
+            store.compact_wal(ctx.disk_mut(), index);
         }
     }
 
@@ -741,8 +716,8 @@ impl JoshuaServer {
     }
 
     /// Ship state to `targets` (all of which have announced an index via
-    /// [`Payload::Hello`]): a delta of recent commands when the donation
-    /// ring still covers the most lagging target, else a full snapshot.
+    /// [`Payload::Hello`]): a delta of recent commands when the WAL's
+    /// window still covers the most lagging target, else a full snapshot.
     fn donate(&mut self, ctx: &mut Ctx<'_>, targets: Vec<ProcId>) {
         let as_of_seq = self.last_applied_seq;
         let index = self.replica.applied_index();
@@ -760,15 +735,9 @@ impl JoshuaServer {
                 // (divergence at equal index needs the full overwrite).
                 Some((i, f)) => *i < index || (*i == index && *f == self.state_fingerprint()),
                 None => false,
-            })
-            && (min_idx == index || self.ring.front().is_some_and(|(i, _)| *i <= min_idx + 1));
-        if delta_ok {
-            let entries: Vec<(u64, Payload)> = self
-                .ring
-                .iter()
-                .filter(|(i, _)| *i > min_idx)
-                .cloned()
-                .collect();
+            });
+        let store = self.store.as_ref().filter(|_| delta_ok);
+        if let Some(entries) = store.and_then(|s| s.delta(ctx.disk_mut(), min_idx, index)) {
             self.stats.catch_ups_sent += 1;
             self.broadcast(
                 ctx,
@@ -833,14 +802,13 @@ impl JoshuaServer {
         self.needs_snapshot = needs_snapshot.into_iter().collect();
         self.hellos = hellos.into_iter().map(|(m, i, f)| (m, (i, f))).collect();
         self.needs_snapshot.remove(&ctx.me());
-        // Whatever the ring held belongs to a state we just discarded. The
-        // compaction behind the first snapshot after the anchor below drops
-        // every record of it.
-        self.ring.clear();
+        // What the disk holds is of the state just replaced.
+        if let Some(store) = &self.store {
+            store.reset(ctx.disk_mut());
+        }
         self.establish(ctx, as_of_seq);
-        // Anchor the adopted state on disk: our WAL has a gap between our
-        // old index and the donor's, so a later crash must recover from
-        // this snapshot, not from the log alone.
+        // Anchor the adopted state on disk: the emptied log starts after
+        // it, so a later crash must recover from this snapshot.
         self.write_snapshot(ctx);
     }
 
@@ -925,32 +893,13 @@ impl JoshuaServer {
         // construction — everyone re-announces; donors re-derive needs.
         self.needs_snapshot.clear();
         self.hellos.clear();
-        // Replay the log on top. Entries at or below the snapshot index
-        // only rebuild the donation ring; later ones re-run the state
-        // machine with side effects suppressed (the pre-crash life
-        // already performed them; `resync` re-drives what it did not).
-        let snap_index = self.replica.applied_index();
+        // Replay the log after the snapshot, with side effects suppressed
+        // (the pre-crash life already performed them; `resync` re-drives
+        // what it did not).
         self.replaying = true;
-        let mut prev: Option<u64> = None;
-        for (idx, payload) in rec.entries {
-            if let Some(p) = prev {
-                if idx != p + 1 {
-                    // Index gap (an ejection rewound the key space): the
-                    // ring must only ever hold a contiguous run.
-                    self.ring.clear();
-                }
-            }
-            prev = Some(idx);
-            if idx <= snap_index {
-                self.remember(idx, payload);
-            } else if idx == self.replica.applied_index() + 1 {
-                self.apply_command(ctx, payload, false);
-                report.wal_replayed += 1;
-            } else {
-                // Unreachable history beyond a gap: drop it.
-                self.ring.clear();
-                prev = None;
-            }
+        for (_, payload) in rec.entries {
+            self.apply_command(ctx, payload, false);
+            report.wal_replayed += 1;
         }
         self.replaying = false;
         report.recovered_index = self.replica.applied_index();
@@ -959,16 +908,18 @@ impl JoshuaServer {
         self.recovery = Some(report);
     }
 
-    fn on_ejected(&mut self) {
-        // Total state reset; the group layer rejoins automatically and a
+    fn on_ejected(&mut self, ctx: &mut Ctx<'_>) {
+        // Total state reset, on disk too; the group layer rejoins and a
         // snapshot will arrive after the next view change.
         self.replica
             .reset(PbsServerCore::with_moms(&self.config.nodes));
+        if let Some(store) = &self.store {
+            store.reset(ctx.disk_mut());
+        }
         self.needs_snapshot.clear();
         self.joined_current.clear();
         self.sync = SyncMode::AwaitState(Vec::new());
         self.last_applied_seq = 0;
-        self.ring.clear();
         self.hellos.clear();
         self.replaying = false;
         self.resync_pending = false;
@@ -1089,6 +1040,7 @@ mod tests {
     use super::*;
     use crate::cluster::{Cluster, ClusterConfig, HaMode};
     use crate::config::PersistConfig;
+    use crate::persist::RING_CAPACITY;
     use crate::workload;
     use jrs_pbs::{CmdReply, JobSpec, ServerCmd};
     use jrs_store::Codec;
@@ -1141,59 +1093,77 @@ mod tests {
         seen.needs_snapshot |= !head.needs_snapshot.is_empty();
     }
 
-    /// `burst(150)` through `cfg`, until the client is done and its jobs
-    /// have finished.
-    fn run_burst(cfg: ClusterConfig) -> Cluster {
-        let mut c = Cluster::build(cfg);
-        c.spawn_client(workload::burst(150));
-        while c.take_dones().is_empty() {
-            assert!(
-                c.world.now().as_nanos() < 300_000_000_000,
-                "burst(150) not done in 300 s"
-            );
-            c.run_for(SimDuration::from_secs(1));
-        }
-        c.run_for(SimDuration::from_secs(5));
-        c
+    /// The WAL records of `disk` after index `after`, `(index, bytes)`, as
+    /// [`jrs_store::Wal::replay`] reads them: durable and volatile.
+    fn logged_tail(disk: &jrs_sim::SimDisk, after: u64) -> Vec<(u64, Vec<u8>)> {
+        let replay = jrs_store::Wal::new("joshua.wal").replay(disk);
+        let entries = replay.expect("an undamaged log").entries;
+        entries
+            .into_iter()
+            .filter(|(idx, _)| *idx > after)
+            .collect()
     }
 
-    /// Only a durable head keeps the donation ring: a diskless head never
-    /// allocates it, a durable one holds exactly the last 256 indices in
-    /// no more than 256 slots.
+    /// What head `i` donates a target at `after`: its WAL's records from
+    /// there to its applied index, decoded.
+    fn delta(c: &Cluster, i: usize, after: u64) -> Option<Vec<(u64, Payload)>> {
+        let head = c.joshua(i);
+        let store = head.store.as_ref().expect("a durable head");
+        store.delta(c.world.disk(c.head_nodes[i]), after, head.applied_index())
+    }
+
+    /// A delta is the donor's WAL tail. Head 0's disk stalls while head 1
+    /// is down, so the last records head 0 donates when head 1 rejoins
+    /// are in the log's volatile tail. At the donation its entries are
+    /// the log's records after head 1's recovered index, by index and by
+    /// encoded bytes, and head 1 rejoins by that delta.
     #[test]
-    fn only_durable_heads_keep_the_donation_ring() {
-        let diskless = run_burst(ClusterConfig::new(HaMode::Joshua { heads: 4 }));
-        for i in 0..4 {
-            let head = diskless.joshua(i);
-            assert!(
-                head.applied_index() > 256,
-                "head {i} applied only {}",
-                head.applied_index()
-            );
-            assert!(
-                head.ring.is_empty() && head.ring.capacity() == 0,
-                "diskless head {i} holds a ring of {} (capacity {})",
-                head.ring.len(),
-                head.ring.capacity()
-            );
+    fn a_delta_is_the_donors_wal_tail_even_while_its_disk_stalls() {
+        let mut c = durable_cluster(3);
+        c.spawn_client(workload::burst(150));
+        c.run_until(SimTime::ZERO + SimDuration::from_secs(2));
+        c.crash_head(1);
+        let target = c.joshua(1).applied_index();
+        while c.joshua(0).applied_index() < target + 40 {
+            c.run_for(SimDuration::from_millis(5));
         }
-        let mut cfg = ClusterConfig::new(HaMode::Joshua { heads: 3 });
-        cfg.persist = PersistConfig::durable();
-        let durable = run_burst(cfg);
-        for i in 0..3 {
-            let head = durable.joshua(i);
-            let last = head.applied_index();
-            assert!(last > 256, "head {i} applied only {last}");
-            let indices: Vec<u64> = head.ring.iter().map(|(idx, _)| *idx).collect();
-            let expected: Vec<u64> = (last - 255..=last).collect();
-            assert_eq!(indices, expected, "durable head {i}'s ring");
-            assert!(
-                head.ring.capacity() <= RING_CAPACITY,
-                "durable head {i} holds {} entries in {} slots",
-                head.ring.len(),
-                head.ring.capacity()
-            );
+        let donor = c.head_nodes[0];
+        let until = c.world.now() + SimDuration::from_secs(30);
+        c.world.disk_mut(donor).stall_until(until);
+        let stalled_from = c.joshua(0).applied_index();
+        while c.joshua(0).applied_index() < stalled_from + 20 {
+            c.run_for(SimDuration::from_millis(5));
         }
+        c.restart_joshua_head(1);
+        while c.joshua(0).stats().catch_ups_sent == 0 {
+            assert!(c.world.now() < until, "head 0 donated no delta");
+            c.run_for(SimDuration::from_micros(50));
+        }
+        let rec = c.joshua(1).recovery_report().expect("recovery ran");
+        assert_eq!(rec.recovered_index, target, "head 1's announced index");
+        let index = c.joshua(0).applied_index();
+        let sent: Vec<(u64, Vec<u8>)> = delta(&c, 0, target)
+            .expect("the log covers head 1")
+            .iter()
+            .map(|(idx, p)| (*idx, p.to_bytes()))
+            .collect();
+        let disk = c.world.disk(donor);
+        assert_eq!(
+            sent,
+            logged_tail(disk, target),
+            "the delta is the log's tail"
+        );
+        let ids: Vec<u64> = sent.iter().map(|(idx, _)| *idx).collect();
+        assert_eq!(ids, (target + 1..=index).collect::<Vec<u64>>());
+        assert!(
+            !disk.volatile("joshua.wal").is_empty() && stalled_from < index,
+            "records after {stalled_from} are volatile"
+        );
+
+        c.run_until(SimTime::ZERO + SimDuration::from_secs(300));
+        let s = c.joshua(1).stats();
+        assert_eq!((s.catch_ups_applied, s.snapshots_installed), (1, 0));
+        assert_eq!(c.assert_replicas_consistent(), 3);
     }
 
     /// The listings and the reads a reply cache holds, as
@@ -1307,26 +1277,16 @@ mod tests {
         assert_eq!((sent(&c, 1), sent(&c, 2)), (1, 0), "head 1 released it");
     }
 
-    /// The indices a head's donation ring holds.
-    fn ring_indices(head: &JoshuaServer) -> Vec<u64> {
-        head.ring.iter().map(|(idx, _)| *idx).collect()
-    }
-
-    /// Head 1 falls further behind than the ring reaches, so it rejoins by
-    /// a full snapshot, and the first snapshot it writes after anchoring
-    /// that one compacts its log behind the install. After a second crash
-    /// its log holds no record written before the install, and recovery
-    /// rebuilds exactly the ring the crashed life held.
+    /// Head 1 falls further behind than a delta reaches, so it rejoins by
+    /// a full snapshot, and installing it empties the head's log and
+    /// snapshots. After a second crash its log holds the new life alone:
+    /// recovery rebuilds the crashed life exactly, and a delta it could
+    /// donate reaches back to the install and no further.
     #[test]
-    fn recovery_after_an_installed_snapshot_rebuilds_the_new_lifes_ring() {
+    fn recovery_after_an_installed_snapshot_holds_only_the_new_life() {
         let mut c = durable_cluster(3);
         c.spawn_client(workload::burst(150));
         let node = c.head_nodes[1];
-        let wal = jrs_store::Wal::new("joshua.wal");
-        let wal_indices = |c: &Cluster| -> Vec<u64> {
-            let replay = wal.replay(c.world.disk(node)).expect("an undamaged log");
-            replay.entries.iter().map(|(idx, _)| *idx).collect()
-        };
         c.run_until(SimTime::ZERO + SimDuration::from_secs(2));
         c.crash_head(1);
         let old_life = c.joshua(1).applied_index();
@@ -1344,35 +1304,39 @@ mod tests {
             .expect("the install's snapshot");
         assert!(
             installed > old_life + ring,
-            "the ring could not cover head 1"
+            "a delta could not cover head 1"
         );
         while c.joshua(1).applied_index() < installed + 40 {
             assert!(c.world.now() < SimTime::ZERO + SimDuration::from_secs(200));
             c.run_for(SimDuration::from_millis(5));
         }
         c.crash_head(1);
-        let held = wal_indices(&c);
-        assert!(
-            held.iter().all(|idx| *idx > installed),
-            "the log still holds records from before the install at {installed}: {held:?}"
-        );
-        let (pre_ring, pre_index) = (ring_indices(c.joshua(1)), c.joshua(1).applied_index());
-        let pre_fingerprint = c.joshua(1).state_fingerprint();
+        let (pre_index, pre_fingerprint) =
+            (c.joshua(1).applied_index(), c.joshua(1).state_fingerprint());
+        let held: Vec<u64> = logged_tail(c.world.disk(node), 0)
+            .iter()
+            .map(|(idx, _)| *idx)
+            .collect();
         assert_eq!(
-            pre_ring.first(),
-            Some(&(installed + 1)),
-            "the ring starts at the install"
+            held,
+            (installed + 1..=pre_index).collect::<Vec<u64>>(),
+            "the log holds the new life alone"
         );
 
         c.restart_joshua_head(1);
         c.run_for(SimDuration::from_micros(1));
-        let h1 = c.joshua(1);
-        let rec = h1.recovery_report().expect("recovery ran");
+        let rec = c.joshua(1).recovery_report().expect("recovery ran");
         assert_eq!(
             (rec.recovered_index, rec.recovered_fingerprint),
             (pre_index, pre_fingerprint)
         );
-        assert_eq!(ring_indices(h1), pre_ring, "the recovered ring");
+        let ids: Vec<u64> = delta(&c, 1, installed)
+            .expect("the new life")
+            .iter()
+            .map(|(idx, _)| *idx)
+            .collect();
+        assert_eq!(ids, held, "the donated entries");
+        assert!(delta(&c, 1, installed - 1).is_none(), "nothing older");
         c.run_until(SimTime::ZERO + SimDuration::from_secs(300));
         assert_eq!(c.assert_replicas_consistent(), 3);
         assert_eq!(

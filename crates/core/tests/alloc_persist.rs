@@ -227,7 +227,7 @@ fn a_snapshot_no_larger_than_the_last_allocates_nothing() {
 
 #[test]
 fn a_compaction_allocates_nothing() {
-    const RING: usize = joshua_core::server::RING_CAPACITY;
+    const RING: usize = joshua_core::persist::RING_CAPACITY;
     let (store, mut disk, now) = (HeadStore::new(), SimDisk::new(), SimTime::ZERO);
     let records: Vec<Payload> = (1..=1_000).map(qsub).collect();
     for (i, p) in (1..).zip(&records) {
@@ -240,26 +240,31 @@ fn a_compaction_allocates_nothing() {
     let (allocs, dropped) = counted(|| {
         // The first compaction, then rounds of a snapshot interval of
         // records, a snapshot and a compaction, as a head logs.
-        let mut dropped = store.compact_wal(&mut disk, 1_000, RING);
+        let mut dropped = store.compact_wal(&mut disk, 1_000);
         for round in 0..20 {
             let last = 1_032 + 32 * round;
             for (i, p) in (last - 31..).zip(&records[..32]) {
                 assert!(store.log_command(&mut disk, now, i, p));
             }
             assert!(store.save_snapshot_with(&mut disk, now, last, |_| {}));
-            dropped += store.compact_wal(&mut disk, last, RING);
+            dropped += store.compact_wal(&mut disk, last);
         }
         dropped
     });
     println!("compact_wal: {allocs} allocations in 21 compactions ({dropped} records dropped)");
     assert_eq!(dropped, 1_000 - RING + 20 * 32);
     assert_eq!(allocs, 0, "a compaction allocated");
-    let kept = store.recover(&mut disk).entries;
-    let indices: Vec<u64> = kept.iter().map(|(i, _)| *i).collect();
+    let kept = jrs_store::Wal::new("joshua.wal").replay(&disk);
+    let indices: Vec<u64> = kept
+        .expect("an undamaged log")
+        .entries
+        .iter()
+        .map(|(i, _)| *i)
+        .collect();
     let first = 1_641 - u64::try_from(RING).expect("fits");
     assert_eq!(
         indices,
         (first..1_641).collect::<Vec<u64>>(),
-        "the ring's records"
+        "the last RING_CAPACITY records"
     );
 }

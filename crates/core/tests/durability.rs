@@ -7,7 +7,7 @@
 use joshua_core::cluster::{Cluster, ClusterConfig, HaMode};
 use joshua_core::config::PersistConfig;
 use joshua_core::persist::HeadStore;
-use joshua_core::server::RING_CAPACITY;
+use joshua_core::persist::RING_CAPACITY;
 use joshua_core::workload;
 use jrs_pbs::JobState;
 use jrs_sim::{SimDuration, SimTime};
@@ -458,9 +458,9 @@ fn both_snapshots_corrupted_after_compaction_rejoin_by_full_snapshot() {
 }
 
 /// Three durable heads under three mixed scripts: at every step, each
-/// head's log is a window of at most the ring's capacity plus one
+/// head's log is a window of at most `RING_CAPACITY` plus one
 /// snapshot interval of records, and once the scripts are done it still
-/// holds the ring's records.
+/// holds the last `RING_CAPACITY` records, all a delta can donate.
 #[test]
 fn every_heads_log_stays_a_window_of_the_ring_and_one_interval() {
     let cfg = durable_cfg(3);
@@ -488,4 +488,121 @@ fn every_heads_log_stays_a_window_of_the_ring_and_one_interval() {
         assert_eq!(held.last(), Some(&c.joshua(i).applied_index()));
     }
     assert_eq!(c.assert_replicas_consistent(), 3);
+}
+
+/// Cut the login node (the client) off with head 0 from 1 s to 20 s: under
+/// the default `FailStop` policy head 0 serves the client alone, and on
+/// the heal it ejects and installs the majority's state.
+fn cut_off_head_0_with_the_client(c: &mut Cluster, client: jrs_sim::ProcId) {
+    let (login, cut) = (c.world.node_of(client), c.head_nodes[0]);
+    c.world.schedule_at(secs(1), move |w| {
+        w.set_partition_group(login, 9);
+        w.set_partition_group(cut, 9);
+    });
+    c.world
+        .schedule_at(secs(20), move |w| w.network_mut().heal_partitions());
+}
+
+/// An ejected head empties its log and snapshots with its state: crashed
+/// before the majority's snapshot reaches it, it recovers nothing and
+/// rejoins by a full snapshot.
+#[test]
+fn an_ejected_head_keeps_nothing_of_its_discarded_state_on_disk() {
+    let mut c = Cluster::build(durable_cfg(3));
+    let client = c.spawn_client(workload::burst(40));
+    cut_off_head_0_with_the_client(&mut c, client);
+    while c.joshua(0).group_stats().ejections == 0 {
+        assert!(c.world.now() < secs(60), "head 0 never ejected");
+        c.run_for(SimDuration::from_micros(50));
+    }
+    assert_eq!(c.joshua(0).stats().snapshots_installed, 0);
+    c.crash_head(0);
+    c.run_until(secs(80));
+    c.restart_joshua_head(0);
+    c.run_until(secs(200));
+    let rec = c.joshua(0).recovery_report().expect("recovery ran");
+    assert_eq!((rec.recovered_index, rec.wal_replayed), (0, 0));
+    assert_eq!(c.joshua(0).stats().snapshots_installed, 1);
+    assert_eq!(c.assert_replicas_consistent(), 3);
+}
+
+/// An installed snapshot empties the head's log and snapshots first, so
+/// no record of the discarded life replays on top of it. Head 0 and the
+/// client are cut off together under the default `FailStop` policy; on
+/// the heal head 0 ejects and installs the majority's state. It crashes,
+/// more commands run without it, and it restarts: it must recover exactly
+/// the state it installed and agree with the others.
+#[test]
+fn a_restart_after_an_install_replays_nothing_of_the_discarded_life() {
+    let mut c = Cluster::build(durable_cfg(3));
+    let client = c.spawn_client(workload::burst(40));
+    cut_off_head_0_with_the_client(&mut c, client);
+    c.run_until(secs(60));
+    assert_eq!(c.joshua(0).stats().snapshots_installed, 1);
+    let installed = c.joshua(0).applied_index();
+    assert_eq!(
+        newest_snapshot(&c, 0),
+        Some(installed),
+        "the install's anchor"
+    );
+
+    c.crash_head(0);
+    c.spawn_client(workload::burst(15));
+    c.run_until(secs(200));
+    c.restart_joshua_head(0);
+    c.run_until(secs(400));
+    let rec = c.joshua(0).recovery_report().expect("recovery ran");
+    assert_eq!((rec.recovered_index, rec.wal_replayed), (installed, 0));
+    assert_eq!(c.assert_replicas_consistent(), 3);
+}
+
+/// Finding 2's schedule (ROADMAP 6(h)): head 1 restarts, and once head 0's
+/// view holds it again the incarnation file was the last one fsynced. A
+/// torn write then cuts that file to `keep` bytes as head 1 crashes
+/// again; it restarts at 8 s. Returns whether head 1 is established at
+/// 300 s with head 0's fingerprint.
+fn rejoins_after_a_torn_incarnation_file(keep: u32) -> bool {
+    let mut c = Cluster::build(durable_cfg(3));
+    c.spawn_client(workload::burst_with_runtime(
+        40,
+        SimDuration::from_millis(300),
+    ));
+    c.run_until(secs(2));
+    c.crash_head(1);
+    c.run_until(secs(4));
+    c.restart_joshua_head(1);
+    let h1 = c.heads[1];
+    while !c.joshua(0).view().members.contains(&h1) {
+        assert!(c.world.now() < secs(8), "head 1 never rejoined the view");
+        c.run_for(SimDuration::from_micros(50));
+    }
+    c.world.disk_mut(c.head_nodes[1]).arm_torn_write(keep);
+    c.crash_head(1);
+    c.run_until(secs(8));
+    c.restart_joshua_head(1);
+    c.run_until(secs(300));
+    c.joshua(1).is_established()
+        && c.joshua(1).state_fingerprint() == c.joshua(0).state_fingerprint()
+}
+
+/// Pin for ROADMAP 6(h): a torn write that leaves 4 bytes of the 8-byte
+/// incarnation file makes recovery read incarnation 0, so the next life
+/// announces one its peers have already seen, and they ignore it.
+#[test]
+#[ignore = "ROADMAP 6(h): a torn incarnation file keeps a head out for good"]
+fn item_6h_a_torn_incarnation_file_does_not_keep_a_head_out() {
+    assert!(
+        rejoins_after_a_torn_incarnation_file(4),
+        "head 1 never rejoined"
+    );
+}
+
+/// The 6(h) pin's twin: a tear that keeps the whole 8-byte file changes
+/// nothing, and head 1 rejoins.
+#[test]
+fn an_incarnation_file_the_tear_leaves_whole_rejoins() {
+    assert!(
+        rejoins_after_a_torn_incarnation_file(16),
+        "head 1 never rejoined"
+    );
 }

@@ -131,3 +131,61 @@ fn qstat_reads_are_ordered_and_consistent() {
         }
     }
 }
+
+/// ROADMAP item 19, finding 1's schedule: the login node (the client) and
+/// head 0 are cut off together from 1 s to 20 s while the client runs
+/// `burst(40)`, then the run goes on to 400 s. Returns how many replies
+/// name a job the survivors do not hold under the submitted name, the
+/// number of replies, and the real runs.
+fn replies_lost_to_a_partition_with_the_client(policy: MembershipPolicy) -> (usize, usize, u64) {
+    let mut cfg = ClusterConfig::new(HaMode::Joshua { heads: 3 });
+    cfg.group.membership = policy;
+    let mut c = Cluster::build(cfg);
+    let client = c.spawn_client(workload::burst(40));
+    let (login, cut) = (c.world.node_of(client), c.head_nodes[0]);
+    c.world.schedule_at(secs(1), move |w| {
+        w.set_partition_group(login, 9);
+        w.set_partition_group(cut, 9);
+    });
+    c.world
+        .schedule_at(secs(20), move |w| w.network_mut().heal_partitions());
+    c.run_until(secs(400));
+    let records = c.take_records();
+    let held = c.joshua(1).pbs();
+    let lost = records
+        .iter()
+        .filter(|r| {
+            let CmdReply::Submitted(id) = r.reply else {
+                panic!("unexpected reply {:?}", r.reply)
+            };
+            held.job(id)
+                .is_none_or(|j| *j.spec.name != *format!("job-{}", r.index))
+        })
+        .count();
+    (lost, records.len(), c.total_real_runs())
+}
+
+/// Pin for ROADMAP item 19 (finding 1): under the shipped `FailStop`
+/// policy the cut-off head 0 orders and answers every submission alone,
+/// then ejects on the heal and installs the majority's state, which
+/// holds few of those jobs. Today 36 of 40 replies name a job that is
+/// not held.
+#[test]
+#[ignore = "ROADMAP item 19: a partition with the client erases acknowledged submissions under FailStop"]
+fn item_19_failstop_partition_keeps_every_acknowledged_submission() {
+    let (lost, replies, runs) =
+        replies_lost_to_a_partition_with_the_client(MembershipPolicy::FailStop);
+    assert_eq!(lost, 0, "{lost} of {replies} replies name a job not held");
+    assert_eq!(runs, replies as u64, "one real run per reply");
+}
+
+/// The `PrimaryComponent` twin of the item 19 pin: the cut-off minority
+/// cannot order, so the client's retries reach the majority, and every
+/// reply names a job it holds and runs once.
+#[test]
+fn primary_component_partition_keeps_every_acknowledged_submission() {
+    let (lost, replies, runs) =
+        replies_lost_to_a_partition_with_the_client(MembershipPolicy::PrimaryComponent);
+    assert_eq!((lost, replies), (0, 40), "replies naming a job not held");
+    assert_eq!(runs, 40, "one real run per reply");
+}

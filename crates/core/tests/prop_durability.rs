@@ -2,7 +2,7 @@
 //! sequence and an arbitrary crash point, recovery from the local
 //! snapshot + WAL reproduces the crashed replica's state fingerprint
 //! exactly — also once the WAL has been compacted behind a snapshot, when
-//! it holds only the donation ring's records and those logged since, and
+//! it holds only the last `RING_CAPACITY` records and those logged since, and
 //! when a torn write then cuts the snapshot that just landed.
 //!
 //! A single-head cluster makes the property airtight: there is no peer
@@ -13,7 +13,7 @@
 
 use joshua_core::cluster::{Cluster, ClusterConfig, HaMode};
 use joshua_core::config::PersistConfig;
-use joshua_core::server::RING_CAPACITY;
+use joshua_core::persist::RING_CAPACITY;
 use joshua_core::workload;
 use jrs_sim::{SimDuration, SimTime};
 use jrs_store::Wal;
@@ -74,8 +74,8 @@ proptest! {
         cfg.persist.snapshot_every = snapshot_every;
         let mut c = Cluster::build(cfg);
         c.spawn_client(workload::mixed(400, seed));
-        // Crash after the first compaction: a snapshot interval past the
-        // ring's capacity, then `past` records more. With `torn`, run on
+        // Crash after the first compaction: a snapshot interval past
+        // `RING_CAPACITY` records, then `past` records more. With `torn`, run on
         // to the next snapshot and crash as it lands, with a torn write
         // armed: it falls on that snapshot.
         let ring = u64::try_from(RING_CAPACITY).expect("fits");

@@ -232,6 +232,12 @@ impl SimDisk {
         self.files.get(path).map_or(&[], |f| f.durable.as_slice())
     }
 
+    /// A file's volatile tail, borrowed: what [`Self::read`] returns after
+    /// the [`Self::durable`] bytes. Empty when the file is missing or clean.
+    pub fn volatile(&self, path: &str) -> &[u8] {
+        self.files.get(path).map_or(&[], |f| f.volatile.as_slice())
+    }
+
     /// Drop a file's first `n` durable bytes, in place: the volatile tail
     /// and the bytes after `n` keep their order, and armed torn-write
     /// damage still falls on the same bytes of the last fsynced batch.
@@ -352,8 +358,13 @@ mod tests {
         d.append("wal", b"hello");
         assert!(d.fsync("wal", T0));
         d.append("wal", b" world");
+        assert_eq!(
+            (d.durable("wal"), d.volatile("wal")),
+            (&b"hello"[..], &b" world"[..])
+        );
         d.on_crash();
         assert_eq!(d.read("wal").unwrap(), b"hello");
+        assert!(d.volatile("wal").is_empty());
         assert_eq!(d.durable_len("wal"), 5);
     }
 

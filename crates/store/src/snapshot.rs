@@ -65,14 +65,6 @@ impl SnapshotStore {
         disk.truncate(self.path, 0);
     }
 
-    /// The applied index of the snapshot on disk, read in place from its
-    /// header: no copy, and no CRC check. `None` when the file is missing
-    /// or too short.
-    pub fn index_on_disk(&self, disk: &SimDisk) -> Option<u64> {
-        let data = disk.durable(self.path);
-        (data.len() >= 12).then(|| crate::codec::le_u64_at(data, 4))
-    }
-
     /// The applied index of the snapshot on disk if it passes its CRC,
     /// checked in place: no copy. `None` when the file is missing, too
     /// short, or fails its CRC.
@@ -109,7 +101,7 @@ mod tests {
         assert!(store.save(&mut disk, T0, 42, b"state-bytes"));
         disk.on_crash();
         assert_eq!(store.load(&disk), Some((42, b"state-bytes".to_vec())));
-        assert_eq!(store.index_on_disk(&disk), Some(42));
+        assert_eq!(store.valid_index(&disk), Some(42));
         assert_eq!(disk.paths(), vec!["joshua/snap".to_string()]);
     }
 
@@ -149,7 +141,6 @@ mod tests {
         assert_eq!(store.valid_index(&disk), Some(7));
         assert!(disk.corrupt_byte("joshua/snap", 14));
         assert_eq!(store.valid_index(&disk), None);
-        assert_eq!(store.index_on_disk(&disk), Some(7), "the header is intact");
     }
 
     #[test]
@@ -159,7 +150,7 @@ mod tests {
         assert!(store.save(&mut disk, T0, 7, b"payload"));
         store.discard(&mut disk);
         assert_eq!(store.load(&disk), None);
-        assert_eq!(store.index_on_disk(&disk), None);
+        assert_eq!(store.valid_index(&disk), None);
         assert!(store.save(&mut disk, T0, 8, b"next"));
         assert_eq!(store.load(&disk), Some((8, b"next".to_vec())));
     }
@@ -169,11 +160,10 @@ mod tests {
         let mut disk = SimDisk::new();
         let store = SnapshotStore::new("joshua/snap");
         assert_eq!(store.load(&disk), None);
-        assert_eq!(store.index_on_disk(&disk), None);
         assert_eq!(store.valid_index(&disk), None);
         disk.append("joshua/snap", &[1, 2, 3]);
         assert!(disk.fsync("joshua/snap", T0));
         assert_eq!(store.load(&disk), None);
-        assert_eq!(store.index_on_disk(&disk), None);
+        assert_eq!(store.valid_index(&disk), None);
     }
 }

@@ -126,8 +126,7 @@ impl Wal {
         let mut entries = Vec::new();
         let mut valid_len = 0;
         for (pos, end) in frames(&data) {
-            let payload = &data[pos + HEADER..end];
-            if crc32(payload) != crate::codec::le_u32_at(&data, pos + 4) {
+            let Some((idx, blob)) = checked(&data, pos, end) else {
                 if end == data.len() {
                     // Damaged record is the very last: a torn write.
                     return Ok(Replay {
@@ -139,10 +138,8 @@ impl Wal {
                 // Damage strictly mid-log: corruption, not a torn write.
                 // (usize → u64 is widening on every supported platform.)
                 return Err(WalError::Corruption { offset: pos as u64 });
-            }
-            // `frames` checked `len >= IDX`; the helper tolerates short
-            // input anyway.
-            entries.push((crate::codec::le_u64_at(payload, 0), payload[IDX..].to_vec()));
+            };
+            entries.push((idx, blob.to_vec()));
             valid_len = end;
         }
         // Bytes after the last whole frame are a torn tail: a partial
@@ -152,6 +149,14 @@ impl Wal {
             valid_len,
             torn: valid_len < data.len(),
         })
+    }
+
+    /// The log's records as [`SimDisk::read`] shows them, durable bytes
+    /// then the volatile tail, borrowed in place: `(applied_index, blob)`,
+    /// each part up to its first partial or CRC-failing frame.
+    pub fn records<'a>(&self, disk: &'a SimDisk) -> impl Iterator<Item = (u64, &'a [u8])> + 'a {
+        let valid = |data: &'a [u8]| frames(data).map_while(|(pos, end)| checked(data, pos, end));
+        valid(disk.durable(&self.path)).chain(valid(disk.volatile(&self.path)))
     }
 
     /// Drop all but the last `keep` durable records, in place: walk the
@@ -185,6 +190,15 @@ impl Wal {
         disk.rename(&self.path, &aside);
         aside
     }
+}
+
+/// The record `data[pos..end]` frames, `(applied_index, blob)`, if it
+/// passes its CRC. `frames` checked `len >= IDX`; the helper tolerates
+/// short input anyway.
+fn checked(data: &[u8], pos: usize, end: usize) -> Option<(u64, &[u8])> {
+    let payload = &data[pos + HEADER..end];
+    (crc32(payload) == crate::codec::le_u32_at(data, pos + 4))
+        .then(|| (crate::codec::le_u64_at(payload, 0), &payload[IDX..]))
 }
 
 /// The whole frames at the front of `data`, as `(start, end)` byte
@@ -348,6 +362,21 @@ mod tests {
         assert!(r.torn);
         let missing = Wal::new("nope");
         assert_eq!(missing.keep_last(&mut disk, 0), 0);
+    }
+
+    #[test]
+    fn records_read_the_volatile_tail_in_place() {
+        let (mut disk, wal) = wal_with(&[(1, b"alpha"), (2, b"beta")]);
+        wal.append(&mut disk, 3, b"gamma"); // not yet fsynced
+        let held: Vec<(u64, &[u8])> = wal.records(&disk).collect();
+        assert_eq!(
+            held,
+            vec![(1, &b"alpha"[..]), (2, &b"beta"[..]), (3, &b"gamma"[..])]
+        );
+        assert!(disk.corrupt_byte("joshua/wal", 9)); // inside record 1
+        let ids: Vec<u64> = wal.records(&disk).map(|(idx, _)| idx).collect();
+        assert_eq!(ids, vec![3], "a damaged frame ends the durable part");
+        assert_eq!(Wal::new("nope").records(&disk).count(), 0);
     }
 
     #[test]
