@@ -136,10 +136,10 @@ impl HeadStore {
     /// at most [`RING_CAPACITY`], with consecutive indices, and decode.
     pub fn delta(&self, disk: &SimDisk, after: u64, last: u64) -> Option<Vec<(u64, Payload)>> {
         let missing = usize::try_from(last.checked_sub(after)?).ok()?;
-        let held = self.wal.records(disk).count();
-        let skip = held
-            .checked_sub(missing)
-            .filter(|_| missing <= RING_CAPACITY)?;
+        if missing > RING_CAPACITY {
+            return None;
+        }
+        let skip = self.wal.records(disk).count().checked_sub(missing)?;
         let mut entries = Vec::with_capacity(missing);
         for ((idx, blob), want) in self.wal.records(disk).skip(skip).zip(after + 1..) {
             if idx != want {
